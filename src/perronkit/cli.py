@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-        p.add_argument("--threads", type=int, default=1, help="parallelism hint")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
@@ -266,12 +265,10 @@ def _emit(report: dict, args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.random.seed(args.seed % 2**32)
     report = {
         "schema": 1,
         "subcommand": args.subcommand,
         "seed": args.seed,
-        "threads": args.threads,
         "version": __version__,
     }
     if not args.no_timestamp:

@@ -30,10 +30,13 @@ class NotSDD(PerronKitError):
 
 
 class BackendDiverged(PerronKitError):
-    """An iterative solver backend hit its iteration cap before meeting its tolerance.
+    """A solver backend missed its residual contract: an iterative backend hit
+    its iteration cap, or the direct backend's refined residual stayed above
+    its tolerance.
 
-    This is a signal, not necessarily a bug: the decision procedure consumes it
-    as evidence against the M-matrix hypothesis.
+    Raised when an operator is applied.  It propagates through ``solve_m``,
+    the applications and the CLI (exit status 1); the decision procedure runs
+    no RCDD backend, so it never produces this error.
     """
 
 

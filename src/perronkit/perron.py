@@ -30,11 +30,17 @@ from .scaling import (
     _halving_scan,
     _PhaseSolver,
     _Problem,
-    _raw_rcdd_ok,
     _ScanFailure,
     mmatrix_scale,
 )
-from .sparse import SparseMatrix, as_vector, induced_norms, is_irreducible
+from .sparse import (
+    RCDD_VERIFY_SLACK,
+    SparseMatrix,
+    as_vector,
+    check_rcdd,
+    induced_norms,
+    is_irreducible,
+)
 
 __all__ = [
     "Verdict",
@@ -167,7 +173,7 @@ def _m_decide_scaled(
         )
     report.info["cap"] = cap
     report.info["budget"] = budget
-    if not _raw_rcdd_ok(prob, eps, ell, r):
+    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
         return DecisionOutcome(
             Verdict.NOT_M_MATRIX,
             witness="final scaling failed RCDD verification",
@@ -249,24 +255,6 @@ def _eigen_residuals(A: SparseMatrix, s: float, left, right):
     rr = float(np.abs(res_r).max() / np.abs(right).max())
     rl = float(np.abs(res_l).max() / np.abs(left).max())
     return rl, rr
-
-
-class _InversePolisher:
-    """Approximate inverse applications of the shifted matrix built from a
-    Perron round's scaling; used to sharpen approximate eigenvectors."""
-
-    def __init__(self, A: SparseMatrix, s: float, eps: float, pair):
-        denom = s * (1.0 + eps / 2.0)
-        prob = _Problem(A, denom)
-        # factors diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
-        # scaling pair certifies RCDD
-        self._solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right)
-
-    def right(self, x: np.ndarray) -> np.ndarray:
-        return self._solver.p_right(x / np.abs(x).max())
-
-    def left(self, x: np.ndarray) -> np.ndarray:
-        return self._solver.p_left(x / np.abs(x).max())
 
 
 def _simple_perron_core(A: SparseMatrix, eps: float, K: float):
@@ -351,11 +339,14 @@ def _polish_pair(A: SparseMatrix, s: float, eps: float, pair):
     extra inverse applications; each application damps the non-Perron
     components by roughly the shift-to-gap ratio.  Falls back to the last
     positive iterate if a solve ever leaves the positive cone."""
-    polisher = _InversePolisher(A, s, eps, pair)
+    # factors diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
+    # scaling pair certifies RCDD
+    denom = s * (1.0 + eps / 2.0)
+    solver = _PhaseSolver(_Problem(A, denom), eps / 3.0, pair.left, pair.right)
     left, right = pair.left, pair.right
     for _ in range(3):
-        right_next = polisher.right(right)
-        left_next = polisher.left(left)
+        right_next = solver.p_right(right / np.abs(right).max())
+        left_next = solver.p_left(left / np.abs(left).max())
         if (
             not np.all(np.isfinite(right_next))
             or not np.all(np.isfinite(left_next))

@@ -6,7 +6,8 @@ designed around is replaced here by three interchangeable backends:
 
 * ``direct-lu`` (default): one LU factorization with partial pivoting, plus
   iterative refinement until the requested tolerance is met.  Dense LAPACK
-  storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above.
+  storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above.  The same LU
+  class factors the phase matrices of the scaling scan.
 * ``richardson-jacobi``: diagonally preconditioned Richardson iteration.
 * ``conjugate-gradient-symmetrized``: CG on the matrix itself when symmetric,
   on the normal equations otherwise.
@@ -17,6 +18,7 @@ achieved relative residual of every application in a report side channel.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,15 @@ import scipy.sparse.linalg as spla
 
 from .errors import BackendDiverged, NotRCDD, NotSDD
 from .reports import SolveReport
-from .sparse import SparseMatrix, as_vector, check_rcdd, check_sdd, _dominance_margins
+from .sparse import (
+    RCDD_VERIFY_SLACK,
+    SparseMatrix,
+    _array,
+    _dominance_margins,
+    as_vector,
+    check_rcdd,
+    check_sdd,
+)
 
 __all__ = [
     "BackendChoice",
@@ -66,32 +76,43 @@ class BackendChoice:
             raise ValueError("inner_tolerance must lie in (0, 1)")
 
 
-class _DirectSolver:
-    """LU with partial pivoting; dense below the cutoff, SuperLU above.
+def _storage(csr: sp.csr_matrix):
+    """The array the solvers work on: dense up to ``_DENSE_CUTOFF`` unknowns,
+    where LAPACK and BLAS beat sparse kernels, CSR above.  Every class below
+    follows the array type it is handed."""
+    return csr.toarray() if csr.shape[0] <= _DENSE_CUTOFF else csr
 
-    Deterministic and reusable for both ``S x = b`` and ``S.T x = b``.
+
+class _DirectSolver:
+    """The package's one LU with partial pivoting.
+
+    Factors the storage it is handed, a dense array with LAPACK or a CSR
+    matrix with SuperLU, once; the factorization serves both ``S x = b`` and
+    ``S.T x = b``.  Deterministic.
     """
 
-    def __init__(self, S_csr: sp.csr_matrix):
-        self.n = S_csr.shape[0]
-        self.csr = S_csr
-        self.csr_t = S_csr.T.tocsr()
-        if self.n <= _DENSE_CUTOFF:
-            self._lu = scipy.linalg.lu_factor(S_csr.toarray(), check_finite=False)
-            self._splu = None
+    def __init__(self, S):
+        self.S = S
+        self._dense = isinstance(S, np.ndarray)
+        if self._dense:
+            self._lu = scipy.linalg.lu_factor(S, check_finite=False)
         else:
-            self._lu = None
-            self._splu = spla.splu(S_csr.tocsc())
+            self._lu = spla.splu(S.tocsc())
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        if self._lu is not None:
+        if self._dense:
             return scipy.linalg.lu_solve(
-                self._lu, b, trans=1 if transpose else 0, check_finite=False
+                self._lu, b, trans=int(transpose), check_finite=False
             )
-        return self._splu.solve(b, trans="T" if transpose else "N")
+        return self._lu.solve(b, trans="T" if transpose else "N")
 
     def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return (self.csr_t if transpose else self.csr) @ x
+        return (self.S.T if transpose else self.S) @ x
+
+
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
 
 
 class LinearOperator:
@@ -103,13 +124,24 @@ class LinearOperator:
     and the backend iteration count to ``report``.
     """
 
-    def __init__(self, apply_fn, n, error_bound, norm_tag, seed=0):
+    def __init__(self, apply_fn, n, error_bound, norm_tag):
         self._apply_fn = apply_fn
         self.n = n
         self.error_bound = float(error_bound)
         self.norm_tag = norm_tag
-        self.seed = int(seed)
         self.report = SolveReport(info={"iterations_per_call": []})
+        # set by build_rcdd_solver: error bound -> apply function for S.T
+        self._transpose_fn = None
+
+    def transpose(self, error_bound: float) -> "LinearOperator":
+        """Operator solving the transposed system to ``error_bound``, from
+        this operator's factorization; only RCDD solvers have one."""
+        if self._transpose_fn is None:
+            raise TypeError("only operators from build_rcdd_solver have a transpose")
+        _check_eps(error_bound)
+        return LinearOperator(
+            self._transpose_fn(error_bound), self.n, error_bound, self.norm_tag
+        )
 
     def apply(self, x) -> np.ndarray:
         x = as_vector(x, self.n)
@@ -122,25 +154,23 @@ class LinearOperator:
     __call__ = apply
 
 
-def varah_kappa_upper(S: SparseMatrix) -> float:
+def varah_kappa_upper(S) -> float:
     """Computable upper bound on the 2-norm condition number of a strictly
-    row-column diagonally dominant matrix.
+    row-column diagonally dominant matrix: a :class:`SparseMatrix`, a CSR
+    matrix or a dense array.
 
     Uses ``||S^-1||_2 <= 1 / sqrt(beta_r * beta_c)`` where the betas are the
     worst row/column dominance margins, and ``||S||_2 <= sqrt(||S||_1 ||S||_inf)``.
     Returns ``inf`` when a margin is nonpositive.
     """
-    row_margin, col_margin, diag = _dominance_margins(S)
+    row_margin, col_margin, _ = _dominance_margins(S)
     beta_r = float(row_margin.min(initial=np.inf))
     beta_c = float(col_margin.min(initial=np.inf))
     if beta_r <= 0.0 or beta_c <= 0.0:
         return np.inf
-    coo = S.csr().tocoo()
-    absdata = np.abs(coo.data)
-    row_abs = np.zeros(S.n_rows)
-    col_abs = np.zeros(S.n_cols)
-    np.add.at(row_abs, coo.row, absdata)
-    np.add.at(col_abs, coo.col, absdata)
+    abs_S = abs(_array(S))
+    row_abs = np.asarray(abs_S.sum(axis=1)).ravel()
+    col_abs = np.asarray(abs_S.sum(axis=0)).ravel()
     norm_2_sq = row_abs.max(initial=0.0) * col_abs.max(initial=0.0)
     return float(np.sqrt(norm_2_sq) / np.sqrt(beta_r * beta_c))
 
@@ -268,40 +298,47 @@ def build_rcdd_solver(
     S: SparseMatrix,
     eps: float,
     backend: BackendChoice | None = None,
-    seed: int = 0,
-    pre_slack: float = 1e-12,
+    seed: int | None = None,
 ) -> LinearOperator:
-    """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call.
+    """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
+    ``Z.transpose(eps_t)`` solves with ``S.T`` from the same factorization.
 
-    Raises :class:`NotRCDD` when the dominance precondition fails and
-    :class:`BackendDiverged` (at application time) when an iterative backend
-    exhausts its budget; the latter is a first-class signal consumed by the
-    decision procedure.
+    Raises :class:`NotRCDD` when ``S`` is not RCDD within
+    ``RCDD_VERIFY_SLACK``.  Applying the operator raises
+    :class:`BackendDiverged` when the backend misses ``eps``; the error
+    propagates to the caller.
+
+    ``seed`` is deprecated and ignored: every backend is deterministic.
     """
-    if backend is None:
-        backend = BackendChoice()
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if not check_rcdd(S, pre_slack):
-        raise NotRCDD(f"matrix is not RCDD within slack {pre_slack:.1e}")
-
-    if backend.kind == DIRECT_LU:
-        apply_fn = _direct_apply(
-            _DirectSolver(S.csr()), eps, transpose=False, aim=backend.inner_tolerance
+    if seed is not None:
+        warnings.warn(
+            "build_rcdd_solver's seed is ignored and will be removed",
+            DeprecationWarning,
+            stacklevel=2,
         )
-    elif backend.kind == RICHARDSON_JACOBI:
-        apply_fn = _jacobi_apply(S.csr(), eps, backend.max_iterations, transpose=False)
-    else:
-        apply_fn = _cg_apply_normal(S.csr(), eps, backend.max_iterations, transpose=False)
-    return LinearOperator(apply_fn, S.n_rows, eps, "l2", seed)
+    backend = backend or BackendChoice()
+    _check_eps(eps)
+    if not check_rcdd(S, RCDD_VERIFY_SLACK):
+        raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
+    csr = S.csr()
+    lu = _DirectSolver(_storage(csr)) if backend.kind == DIRECT_LU else None
+
+    def apply_fn(eps, transpose):
+        if backend.kind == DIRECT_LU:
+            return _direct_apply(lu, eps, transpose, aim=backend.inner_tolerance)
+        if backend.kind == RICHARDSON_JACOBI:
+            return _jacobi_apply(csr, eps, backend.max_iterations, transpose)
+        return _cg_apply_normal(csr, eps, backend.max_iterations, transpose)
+
+    op = LinearOperator(apply_fn(eps, False), S.n_rows, eps, "l2")
+    op._transpose_fn = lambda eps_t: apply_fn(eps_t, True)
+    return op
 
 
 def build_sdd_solver(
     S: SparseMatrix,
     eps: float,
     backend: BackendChoice | None = None,
-    seed: int = 0,
-    pre_slack: float = 1e-12,
 ) -> LinearOperator:
     """Operator ``Z`` with ``||S^-1 x - Z(x)||_S <= eps * ||S^-1 x||_S``.
 
@@ -310,23 +347,20 @@ def build_sdd_solver(
     bound on the condition number; the direct backend satisfies any usable
     ``eps`` outright.  The side channel records l2 residuals.
     """
-    if backend is None:
-        backend = BackendChoice()
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if not check_sdd(S, pre_slack):
-        raise NotSDD(f"matrix is not SDD within slack {pre_slack:.1e}")
+    backend = backend or BackendChoice()
+    _check_eps(eps)
+    if not check_sdd(S, RCDD_VERIFY_SLACK):
+        raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
 
     kappa_hat = min(varah_kappa_upper(S), 1e12)
     # the l2 target that implies the energy contract, floored at what double
     # precision plus refinement can deliver
     eps_l2 = max(eps / np.sqrt(max(kappa_hat, 1.0)), 1e-13)
     if backend.kind == DIRECT_LU:
-        apply_fn = _direct_apply(
-            _DirectSolver(S.csr()), eps_l2, transpose=False, aim=backend.inner_tolerance
-        )
+        lu = _DirectSolver(_storage(S.csr()))
+        apply_fn = _direct_apply(lu, eps_l2, transpose=False, aim=backend.inner_tolerance)
     elif backend.kind == RICHARDSON_JACOBI:
         apply_fn = _jacobi_apply(S.csr(), eps_l2, backend.max_iterations, transpose=False)
     else:
         apply_fn = _cg_apply_spd(S.csr(), eps_l2, backend.max_iterations)
-    return LinearOperator(apply_fn, S.n_rows, eps, "s-energy", seed)
+    return LinearOperator(apply_fn, S.n_rows, eps, "s-energy")

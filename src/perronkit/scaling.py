@@ -19,24 +19,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
     BackendChoice,
     LinearOperator,
-    _DENSE_CUTOFF,
+    _DirectSolver,
+    _storage,
     build_rcdd_solver,
     build_sdd_solver,
+    varah_kappa_upper,
 )
 from .reports import CONVERGED, ITERATION_CAP, PhaseLog, SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
+    _is_symmetric,
     apply_scaling,
     as_vector,
+    check_rcdd,
     check_sdd,
     induced_norms,
     shifted_m_matrix,
@@ -118,7 +120,8 @@ class RichardsonConfig:
 
 
 class _Problem:
-    """``A / scale`` with dense storage below the cutoff for speed."""
+    """``A / scale`` in the solvers' working storage: a dense array below the
+    cutoff, CSR above (``dense`` and ``csr`` name whichever is in use)."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
@@ -129,98 +132,44 @@ class _Problem:
         norms = induced_norms(A)
         self.norm_1 = norms.norm_1 / scale
         self.norm_inf = norms.norm_inf / scale
-        if self.n <= _DENSE_CUTOFF:
-            self.dense = A.to_dense() / scale
-            self.csr = None
-            self.csr_t = None
-        else:
-            self.dense = None
-            self.csr = A.csr() * (1.0 / scale)
-            self.csr_t = A.csr_transpose() * (1.0 / scale)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.dense @ x if self.dense is not None else self.csr @ x
-
-    def apply_t(self, x: np.ndarray) -> np.ndarray:
-        return self.dense.T @ x if self.dense is not None else self.csr_t @ x
+        self.matrix = _storage(A.csr()) / scale
+        self.matrix_t = self.matrix.T
+        self.dense = self.matrix if isinstance(self.matrix, np.ndarray) else None
+        self.csr = None if self.dense is not None else self.matrix
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """``((1 + alpha) I - A) @ x``."""
-        return (1.0 + alpha) * x - self.apply(x)
+        return (1.0 + alpha) * x - self.matrix @ x
 
     def shifted_rmatvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
-        return (1.0 + alpha) * x - self.apply_t(x)
+        return (1.0 + alpha) * x - self.matrix_t @ x
 
-    def shifted_dense(self, alpha: float) -> np.ndarray:
-        M = -self.dense.copy()
-        np.fill_diagonal(M, M.diagonal() + (1.0 + alpha))
-        return M
-
-    def shifted_csr(self, alpha: float) -> sp.csr_matrix:
-        return sp.identity(self.n, format="csr") * (1.0 + alpha) - self.csr
+    def scaled_shift(self, alpha: float, ell: np.ndarray, r: np.ndarray):
+        """``diag(ell) ((1 + alpha) I - A) diag(r)`` in the working storage."""
+        if self.dense is not None:
+            S = -self.dense
+            np.fill_diagonal(S, S.diagonal() + (1.0 + alpha))
+            S *= ell[:, None]
+            S *= r[None, :]
+            return S
+        shifted = sp.identity(self.n, format="csr") * (1.0 + alpha) - self.csr
+        return (sp.diags(ell) @ shifted @ sp.diags(r)).tocsr()
 
 
 class _PhaseSolver:
-    """Factorization of ``S = diag(l) M_{2 alpha} diag(r)`` reused for both
-    the forward and transpose preconditioner of one phase."""
+    """One factorization of ``S = diag(l) M_{2 alpha} diag(r)`` serving both
+    the forward and the transpose preconditioner of one phase."""
 
     def __init__(self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray):
         self.ell = ell
         self.r = r
-        if prob.dense is not None:
-            S = prob.shifted_dense(alpha2)
-            S *= ell[:, None]
-            S *= r[None, :]
-            self.S_dense = S
-            self._lu = scipy.linalg.lu_factor(S, check_finite=False)
-            self._splu = None
-            self.S_csr = None
-        else:
-            S = sp.diags(ell) @ prob.shifted_csr(alpha2) @ sp.diags(r)
-            self.S_dense = None
-            self.S_csr = S.tocsr()
-            self._lu = None
-            self._splu = spla.splu(S.tocsc())
+        self.lu = _DirectSolver(prob.scaled_shift(alpha2, ell, r))
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self.r * scipy.linalg.lu_solve(self._lu, self.ell * x, check_finite=False)
-        return self.r * self._splu.solve(self.ell * x)
+        return self.r * self.lu.solve(self.ell * x)
 
     def p_left(self, x: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self.ell * scipy.linalg.lu_solve(
-                self._lu, self.r * x, trans=1, check_finite=False
-            )
-        return self.ell * self._splu.solve(self.r * x, trans="T")
-
-    def row_col_margins(self):
-        """Dominance margins of S (exploits the Z-sign pattern of the scan)."""
-        if self.S_dense is not None:
-            S = self.S_dense
-            row = S.sum(axis=1)
-            col = S.sum(axis=0)
-        else:
-            row = np.asarray(self.S_csr.sum(axis=1)).ravel()
-            col = np.asarray(self.S_csr.sum(axis=0)).ravel()
-        return row, col
-
-    def kappa_upper(self) -> float:
-        """Dominance-based condition-number bound of the phase matrix."""
-        row, col = self.row_col_margins()
-        beta_r = float(row.min(initial=np.inf))
-        beta_c = float(col.min(initial=np.inf))
-        if beta_r <= 0.0 or beta_c <= 0.0:
-            return np.inf
-        if self.S_dense is not None:
-            absS = np.abs(self.S_dense)
-            n1 = absS.sum(axis=0).max()
-            ninf = absS.sum(axis=1).max()
-        else:
-            absS = abs(self.S_csr)
-            n1 = np.asarray(absS.sum(axis=0)).ravel().max()
-            ninf = np.asarray(absS.sum(axis=1)).ravel().max()
-        return float(np.sqrt(n1 * ninf) / np.sqrt(beta_r * beta_c))
+        return self.ell * self.lu.solve(self.r * x, transpose=True)
 
 
 class _ScanFailure(Exception):
@@ -297,7 +246,7 @@ def _halving_scan(
         alpha2 = alpha
         alpha = alpha / 2.0
         solver = _PhaseSolver(prob, alpha2, ell, r)
-        if budget_threshold is not None and solver.kappa_upper() > budget_threshold:
+        if budget_threshold is not None and varah_kappa_upper(solver.lu.S) > budget_threshold:
             raise _ScanFailure("solver budget", phase, alpha)
         l_new = np.zeros(n)
         r_new = np.zeros(n)
@@ -344,29 +293,6 @@ def _halving_scan(
         ell, r = l_new, r_new
         phase += 1
     return ell, r, alpha, report
-
-
-def _raw_rcdd_ok(prob: _Problem, eps: float, ell: np.ndarray, r: np.ndarray,
-                 slack: float = RCDD_VERIFY_SLACK) -> bool:
-    """Check RCDD-ness of ``diag(ell) ((1+eps) I - A) diag(r)`` on the
-    normalized problem without building a SparseMatrix."""
-    if prob.dense is not None:
-        M = prob.shifted_dense(eps)
-        S = ell[:, None] * M * r[None, :]
-        diag = np.diag(S).copy()
-        absS = np.abs(S)
-        row_off = absS.sum(axis=1) - np.abs(diag)
-        col_off = absS.sum(axis=0) - np.abs(diag)
-    else:
-        S = (sp.diags(ell) @ prob.shifted_csr(eps) @ sp.diags(r)).tocsr()
-        diag = S.diagonal()
-        absS = abs(S)
-        row_off = np.asarray(absS.sum(axis=1)).ravel() - np.abs(diag)
-        col_off = np.asarray(absS.sum(axis=0)).ravel() - np.abs(diag)
-    allow = -slack * (np.abs(diag) + 1.0)
-    return bool(
-        np.all(diag - row_off >= allow) and np.all(diag - col_off >= allow)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +346,6 @@ def solve_from_scale(
     scale: ScalingPair,
     delta: float,
     backend: BackendChoice | None = None,
-    seed: int = 0,
 ) -> MSolveOperators:
     """Turn an RCDD scaling of an M-matrix into approximate inverse operators.
 
@@ -428,7 +353,8 @@ def solve_from_scale(
     tolerance ``delta / kappa(L)``, giving ``||b - M p_right(b)||_2 <= delta
     ||b||_2`` per call (the transpose statement holds for ``p_left`` at
     tolerance ``delta / kappa(R)``).  The condition numbers of the diagonal
-    scalings are computed exactly as max over min entry.
+    scalings are computed exactly as max over min entry.  Both operators
+    share one RCDD check and one factorization of ``L M R``.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -436,10 +362,8 @@ def solve_from_scale(
     if ell.shape[0] != M.n_rows or r.shape[0] != M.n_cols:
         raise ValueError("scaling length does not match the matrix")
     S = apply_scaling(ell, M, r)
-    Z_right = build_rcdd_solver(S, delta / scale.kappa_left, backend, seed=seed)
-    Z_left = build_rcdd_solver(
-        S.transpose(), delta / scale.kappa_right, backend, seed=seed
-    )
+    Z_right = build_rcdd_solver(S, delta / scale.kappa_left, backend)
+    Z_left = Z_right.transpose(delta / scale.kappa_right)
 
     csr = M.csr()
     csr_t = M.csr_transpose()
@@ -456,8 +380,8 @@ def solve_from_scale(
         rel = 0.0 if nx == 0.0 else float(np.linalg.norm(x - csr_t @ y) / nx)
         return y, rel, Z_left.report.info["iterations_per_call"][-1]
 
-    p_right = LinearOperator(right_fn, M.n_rows, delta, "l2", seed)
-    p_left = LinearOperator(left_fn, M.n_rows, delta, "l2", seed)
+    p_right = LinearOperator(right_fn, M.n_rows, delta, "l2")
+    p_left = LinearOperator(left_fn, M.n_rows, delta, "l2")
     return MSolveOperators(p_right=p_right, p_left=p_left, delta=delta)
 
 
@@ -487,7 +411,7 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
         ) from None
     report.info["cap"] = cap
     report.info["solver_tolerance"] = 1.0 / (8.0 * K)
-    if not _raw_rcdd_ok(prob, eps, ell, r):
+    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
         raise IterationCapHit(
             "computed scaling failed RCDD verification; K is too small",
             phase=len(report.phases),
@@ -502,7 +426,6 @@ def solve_m(
     eps: float,
     K: float,
     backend: BackendChoice | None = None,
-    seed: int = 0,
 ) -> LinearOperator:
     """Operator ``P`` with ``||b - (s I - A) P(b)||_2 <= eps ||b||_2``.
 
@@ -518,7 +441,7 @@ def solve_m(
     s_mid = s * (1.0 + eps / 2.0)
     scale_pair, scale_report = mmatrix_scale(A, s_mid, eps / 3.0, K)
     M_shift = shifted_m_matrix(A, s_mid, eps / 3.0)
-    ops = solve_from_scale(M_shift, scale_pair, eps / 3.0, backend, seed=seed)
+    ops = solve_from_scale(M_shift, scale_pair, eps / 3.0, backend)
 
     n = A.n_rows
     csr = A.csr()
@@ -541,7 +464,7 @@ def solve_m(
         rel = 0.0 if nb == 0.0 else rep.residuals[-1] / nb
         return x, float(rel), rep.iterations
 
-    op = LinearOperator(apply_fn, n, eps, "l2", seed)
+    op = LinearOperator(apply_fn, n, eps, "l2")
     op.report.info["scaling_phases"] = len(scale_report.phases)
     return op
 
@@ -571,13 +494,13 @@ def _symm_initial_scaling(prob: _Problem, cap: int):
 
 
 def _symm_phase_step(
-    prob: _Problem, A: SparseMatrix, v2: np.ndarray, alpha: float, cap: int, seed: int
+    prob: _Problem, A: SparseMatrix, v2: np.ndarray, alpha: float, cap: int
 ):
     """One halving step: scaling for ``M_alpha`` from the scaling of ``M_2alpha``."""
     n = prob.n
     ones = np.ones(n)
     S2 = apply_scaling(v2, shifted_m_matrix(A, 1.0, 2.0 * alpha), v2)
-    Z = build_sdd_solver(S2, 0.25, seed=seed)
+    Z = build_sdd_solver(S2, 0.25)
     v = np.zeros(n)
     res = -ones
     k = 0
@@ -605,14 +528,11 @@ def _check_symmetric_nonnegative(A: SparseMatrix):
         raise ValueError("expected a square matrix")
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
-    diff = (A.csr() - A.csr_transpose()).tocoo()
-    if diff.nnz:
-        scale = max(1.0, float(np.abs(A.csr().data).max(initial=0.0)))
-        if np.abs(diff.data).max() > 1e-12 * scale:
-            raise ValueError("matrix must be symmetric")
+    if not _is_symmetric(A):
+        raise ValueError("matrix must be symmetric")
 
 
-def symm_scale(A: SparseMatrix, eps: float, seed: int = 0):
+def symm_scale(A: SparseMatrix, eps: float):
     """Positive diagonal ``v`` with ``diag(v) ((1+eps) I - A) diag(v)`` SDD.
 
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
@@ -644,7 +564,7 @@ def symm_scale(A: SparseMatrix, eps: float, seed: int = 0):
     alpha = 1.0
     while alpha > eps:
         alpha /= 2.0
-        v, k = _symm_phase_step(prob, A, v, alpha, cap, seed)
+        v, k = _symm_phase_step(prob, A, v, alpha, cap)
         res = prob.shifted_matvec(alpha, v) - 1.0
         report.phases.append(
             PhaseLog(
@@ -662,7 +582,7 @@ def symm_scale(A: SparseMatrix, eps: float, seed: int = 0):
     return v, report
 
 
-def symm_solve(A: SparseMatrix, b, delta: float, seed: int = 0):
+def symm_solve(A: SparseMatrix, b, delta: float):
     """Solve ``(I - A) x = b`` for symmetric nonnegative ``A`` with
     ``rho(A) < 1`` to ``||(I - A) x - b||_2 <= delta ||b||_2``.
 
@@ -699,7 +619,7 @@ def symm_solve(A: SparseMatrix, b, delta: float, seed: int = 0):
     level = 0
     while alpha > alpha_floor:
         S = apply_scaling(v, shifted_m_matrix(A, 1.0, alpha), v)
-        Z = build_sdd_solver(S, 0.25, seed=seed)
+        Z = build_sdd_solver(S, 0.25)
 
         def precond(x, v=v, Z=Z):
             return v * Z.apply(v * x)
@@ -714,7 +634,7 @@ def symm_solve(A: SparseMatrix, b, delta: float, seed: int = 0):
             return x, report
         cap = math.ceil(8.0 * math.log(8.0 * n / min(alpha / 2.0, 1.0)))
         alpha /= 2.0
-        v, _ = _symm_phase_step(prob, A, v, alpha, cap, seed)
+        v, _ = _symm_phase_step(prob, A, v, alpha, cap)
     raise IterationCapHit(
         "no halving level produced a strong enough solver; the matrix is "
         "singular at working precision",
@@ -723,7 +643,7 @@ def symm_solve(A: SparseMatrix, b, delta: float, seed: int = 0):
     )
 
 
-def factor_width2_solve(M: SparseMatrix, b, delta: float, seed: int = 0):
+def factor_width2_solve(M: SparseMatrix, b, delta: float):
     """Solve ``M x = b`` for a symmetric matrix asserted to have factor width 2.
 
     Forms the comparison matrix (off-diagonal magnitudes negated), scales its
@@ -757,7 +677,7 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float, seed: int = 0):
     v = None
     eps_try = 0.5
     while eps_try >= 1e-8:
-        v_try, _ = symm_scale(A_norm, eps_try, seed=seed)
+        v_try, _ = symm_scale(A_norm, eps_try)
         if check_sdd(apply_scaling(v_try, M, v_try), RCDD_VERIFY_SLACK):
             v = v_try
             break
@@ -769,7 +689,7 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float, seed: int = 0):
         )
 
     S = apply_scaling(v, M, v)
-    Z = build_sdd_solver(S, 0.25, seed=seed)
+    Z = build_sdd_solver(S, 0.25)
 
     def precond(x):
         return v * Z.apply(v * x)

@@ -222,32 +222,53 @@ def is_irreducible(A: SparseMatrix) -> bool:
     return ncomp == 1
 
 
-def _dominance_margins(S: SparseMatrix):
-    """Row and column margins ``S_ii - sum_{j != i} |S_ij|`` and diagonal.
+def _array(S):
+    """The CSR matrix of a :class:`SparseMatrix`; a scipy sparse matrix or a
+    dense array is returned as it is."""
+    return S.csr() if isinstance(S, SparseMatrix) else S
+
+
+def _dominance_margins(S):
+    """Row and column margins ``S_ii - sum_{j != i} |S_ij|`` and diagonal of a
+    :class:`SparseMatrix`, a CSR matrix or a dense array.
 
     Off-diagonal sums accumulate only off-diagonal entries (no subtraction of
     the diagonal afterwards, which would leak rounding into exact margins).
     """
-    csr = S.csr()
-    diag = csr.diagonal()
-    coo = csr.tocoo()
-    off = coo.row != coo.col
-    absdata = np.abs(coo.data[off])
-    row_off = np.zeros(S.n_rows)
-    col_off = np.zeros(S.n_cols)
-    np.add.at(row_off, coo.row[off], absdata)
-    np.add.at(col_off, coo.col[off], absdata)
+    S = _array(S)
+    diag = S.diagonal()
+    if isinstance(S, np.ndarray):
+        off = np.abs(S)
+        np.fill_diagonal(off, 0.0)
+        return diag - off.sum(axis=1), diag - off.sum(axis=0), diag
+    S = S.tocsr()
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    off = rows != S.indices
+    absdata = np.abs(S.data[off])
+    row_off = np.bincount(rows[off], absdata, S.shape[0])
+    col_off = np.bincount(S.indices[off], absdata, S.shape[1])
     return diag - row_off, diag - col_off, diag
 
 
-def check_rcdd(S: SparseMatrix, strict_slack: float = 0.0) -> bool:
+def _is_symmetric(S: SparseMatrix, sym_tol: float = 1e-12) -> bool:
+    """Symmetry within ``sym_tol`` relative to the largest entry magnitude
+    (at least 1)."""
+    diff = (S.csr() - S.csr_transpose()).tocoo()
+    if not diff.nnz:
+        return True
+    scale = max(1.0, float(np.abs(S.csr().data).max(initial=0.0)))
+    return bool(np.abs(diff.data).max() <= sym_tol * scale)
+
+
+def check_rcdd(S, strict_slack: float = 0.0) -> bool:
     """Row-column diagonal dominance with relative slack.
 
-    Every row and column must satisfy
+    ``S`` is a :class:`SparseMatrix`, a CSR matrix or a dense array.  Every
+    row and column must satisfy
     ``S_ii - sum_{j != i} |S_ij| >= -strict_slack * (|S_ii| + 1)``;
     ``strict_slack=0`` checks exact RCDD.
     """
-    if not S.is_square:
+    if S.shape[0] != S.shape[1]:
         raise ValueError("RCDD is defined for square matrices")
     row_margin, col_margin, diag = _dominance_margins(S)
     allow = -strict_slack * (np.abs(diag) + 1.0)
@@ -259,12 +280,7 @@ def check_sdd(S: SparseMatrix, strict_slack: float = 0.0, sym_tol: float = 1e-12
     plus the same dominance margins as :func:`check_rcdd`."""
     if not S.is_square:
         raise ValueError("SDD is defined for square matrices")
-    diff = (S.csr() - S.csr_transpose()).tocoo()
-    if diff.nnz:
-        scale = max(1.0, float(np.abs(S.csr().data).max(initial=0.0)))
-        if np.abs(diff.data).max() > sym_tol * scale:
-            return False
-    return check_rcdd(S, strict_slack)
+    return _is_symmetric(S, sym_tol) and check_rcdd(S, strict_slack)
 
 
 def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:

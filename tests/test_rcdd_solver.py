@@ -43,13 +43,15 @@ class TestRcddSolver:
         S = SparseMatrix.from_dense(M)
         eps = 1e-6
         Z = build_rcdd_solver(S, eps, backend)
+        Zt = Z.transpose(eps)
         for _ in range(50):
             x = rng.normal(size=20)
             z = Z.apply(x)
             assert np.linalg.norm(x - M @ z) <= eps * np.linalg.norm(x)
             exact = dense_solve(M, x)
             assert np.linalg.norm(z - exact) <= 1e-3 * np.linalg.norm(exact)
-        assert all(r <= eps for r in Z.report.residuals)
+            assert np.linalg.norm(x - M.T @ Zt.apply(x)) <= eps * np.linalg.norm(x)
+        assert all(r <= eps for r in Z.report.residuals + Zt.report.residuals)
 
     def test_not_rcdd_rejected(self):
         S = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])

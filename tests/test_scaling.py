@@ -109,8 +109,15 @@ class TestSolveFromScale:
         )
 
     def test_contract_with_oracle_scalings(self):
+        self._check_contract_with_oracle_scalings(20)
+
+    def test_contract_with_oracle_scalings_sparse_path(self):
+        # n=200 is above the dense cutoff: p_left then runs SuperLU's transpose solve
+        self._check_contract_with_oracle_scalings(200)
+
+    @staticmethod
+    def _check_contract_with_oracle_scalings(n):
         rng = np.random.default_rng(32)
-        n = 20
         A = random_m_matrix_dense(rng, n, rho_ratio=0.85)
         M = np.eye(n) - A
         pair = exact_scaling_pair(M, 0.0)
