@@ -6,8 +6,11 @@ designed around is replaced here by three interchangeable backends:
 
 * ``direct-lu`` (default): one LU factorization with partial pivoting, plus
   iterative refinement until the requested tolerance is met.  Dense LAPACK
-  storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above.  The same LU
-  class factors the phase matrices of the scaling scan.
+  storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above; dense solves call
+  LAPACK ``getrs`` directly, without the ``lu_solve`` wrapper.  The same LU
+  class factors the phase matrices of the scaling scan; above the cutoff
+  those are CSR matrices on one pattern per problem, of which each phase
+  only rescales the values.
 * ``richardson-jacobi``: diagonally preconditioned Richardson iteration.
 * ``conjugate-gradient-symmetrized``: CG on the matrix itself when symmetric,
   on the normal equations otherwise.
@@ -47,6 +50,10 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 128
+
+# the dense triangular solve, fetched once: scipy.linalg.lu_solve costs several
+# times the LAPACK call at the sizes below the cutoff
+_getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
 
 DIRECT_LU = "direct-lu"
 RICHARDSON_JACOBI = "richardson-jacobi"
@@ -95,15 +102,17 @@ class _DirectSolver:
         self.S = S
         self._dense = isinstance(S, np.ndarray)
         if self._dense:
+            # an exactly singular S warns here and solves to non-finite values
             self._lu = scipy.linalg.lu_factor(S, check_finite=False)
         else:
             self._lu = spla.splu(S.tocsc())
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         if self._dense:
-            return scipy.linalg.lu_solve(
-                self._lu, b, trans=int(transpose), check_finite=False
-            )
+            x, info = _getrs(*self._lu, b, trans=int(transpose))
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            return x
         return self._lu.solve(b, trans="T" if transpose else "N")
 
     def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
