@@ -4,10 +4,16 @@ The decision procedure runs the same halving scan as the scaling module but
 treats every convergence guarantee as a falsifiable check: an iteration cap,
 a nonpositive scaling iterate, a violated exit window, or a blown solver
 budget each yield a concrete witness that the tested matrix is not an
-M-matrix.  A binary search over shifts built on the decision brackets the
-spectral radius, and a doubling loop over the conditioning guess turns the
-bracket into a Collatz-Wielandt-certified eigenvalue estimate with positive
-approximate eigenvectors.
+M-matrix, and a binary search over shifts built on the decision brackets the
+spectral radius.
+
+The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
+sharpened with shift-and-invert (inverse iteration shifted just above the
+best upper bound), a bracket that is sound for any conditioning; they fall
+back to the bisection only when that loop fails.  One scaling scan at the
+bracket's upper end then yields positive approximate eigenvectors, and a
+doubling loop over the conditioning guess turns them into a
+Collatz-Wielandt-certified eigenvalue estimate.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import (
     KCapExceeded,
     NotIrreducible,
 )
+from .rcdd import _DirectSolver
 from .reports import SolveReport
 from .scaling import (
     ScalingPair,
@@ -236,7 +243,9 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
 def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
     """Approximate Perron value and eigenvector pair for a known ``K``.
 
-    Runs the bisection from the bracket ``(0, ||A||_inf]`` and scales
+    Finds ``s`` with ``rho(A) <= s < (1 + eps) rho(A)`` by the
+    Collatz-Wielandt shift-and-invert bracket (by :func:`find_perron_value`
+    from ``(0, ||A||_inf]`` should that fail) and scales
     ``(1 + eps/3) I - A / ((1 + eps/2) s)`` to produce positive approximate
     eigenvectors; with a valid ``K`` the relative sup-norm eigen-residual at
     ``s`` is at most ``8 eps``.
@@ -257,15 +266,78 @@ def _eigen_residuals(A: SparseMatrix, s: float, left, right):
     return rl, rr
 
 
-def _simple_perron_core(A: SparseMatrix, eps: float, K: float):
-    ninf = induced_norms(A).norm_inf
-    s, _ = find_perron_value(A, 0.0, ninf, eps, K)
+# relative gap between the shift-and-invert shift and the CW upper bound it
+# sits above; keeps sigma I - A invertible with an entrywise positive inverse
+_CW_SHIFT_MARGIN = 1e-6
+_CW_MAX_STEPS = 32
+
+
+class _CWBracket:
+    """Collatz-Wielandt bracket of ``rho(A)`` sharpened by shift-and-invert.
+
+    Inverse iteration on a right and a left vector from all-ones, shifted just
+    above the best CW upper bound so that ``(sigma I - A)^-1`` is entrywise
+    positive and both iterates stay in the positive cone.  For positive
+    vectors every CW upper bound is at least ``rho(A)`` and every CW lower
+    bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
+    no ``K``.  One bracket serves every round of a :func:`compute_perron`
+    call: a tighter ``eps`` continues from the last iterates.
+    """
+
+    def __init__(self, A: SparseMatrix):
+        self.A = A
+        self.right = np.ones(A.n_rows)
+        self.left = np.ones(A.n_rows)
+        self.factorizations = 0
+        self.failed = False
+
+    def upper(self, eps: float) -> float | None:
+        """``s`` with ``rho(A) <= s < (1 + eps) rho(A)``, or ``None`` once an
+        iterate leaves the positive cone or the step budget runs out."""
+        A, ones = self.A, np.ones(self.A.n_rows)
+        while not self.failed:
+            ratio_r = A.matvec(self.right) / self.right
+            ratio_l = A.matvec(self.left, transpose=True) / self.left
+            hi = min(ratio_r.max(), ratio_l.max())
+            lo = max(ratio_r.min(), ratio_l.min())
+            # lo > hi only by rounding, once both sides have converged
+            if not (lo > 0.0 and hi < np.inf):
+                break
+            if hi < (1.0 + eps) * lo:
+                return float(hi)
+            if self.factorizations == _CW_MAX_STEPS:
+                break
+            # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
+            # relative to rho whatever the scale of A
+            lu = _DirectSolver(_Problem(A, hi).scaled_shift(_CW_SHIFT_MARGIN, ones, ones))
+            self.factorizations += 1
+            right = _unit_positive(lu.solve(self.right))
+            left = _unit_positive(lu.solve(self.left, transpose=True))
+            if right is None or left is None:
+                break
+            self.right, self.left = right, left
+        self.failed = True
+        return None
+
+
+def _unit_positive(x: np.ndarray) -> np.ndarray | None:
+    """``x / max(x)`` when every entry of that is a normal positive float
+    (the CW ratios then keep full relative precision), else ``None``."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        x = x / x.max()
+    return x if np.all(x >= np.finfo(float).tiny) else None
+
+
+def _simple_perron_core(A: SparseMatrix, eps: float, K: float, bracket: _CWBracket):
+    s = bracket.upper(eps)
+    if s is None:
+        s, _ = find_perron_value(A, 0.0, induced_norms(A).norm_inf, eps, K)
     scale_pair, _ = mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
     return s, scale_pair
 
 
 def _simple_perron_checked(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
-    s, scale_pair = _simple_perron_core(A, eps, K)
+    s, scale_pair = _simple_perron_core(A, eps, K, _CWBracket(A))
     left, right = scale_pair.left, scale_pair.right
     res_l, res_r = _eigen_residuals(A, s, left, right)
     cw_lower, cw_upper = collatz_wielandt_bounds(A, right)
@@ -289,17 +361,21 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     accepted when the returned vectors are ``delta / (2 K^2)``-approximate
     eigenvectors of the certified lower bound ``s`` (the better of the two
     Collatz-Wielandt lower bounds, hence ``s <= rho(A)``) and at least one
-    side certifies ``(1 - delta)`` of the bisection's upper estimate.
+    side certifies ``(1 - delta)`` of the upper estimate.  The upper estimate
+    comes from one Collatz-Wielandt shift-and-invert bracket per call, which
+    later rounds tighten from its last iterates; the bisection runs only if
+    that bracket fails.
     """
     _structure_check(A)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     A_t = A.transpose()
+    bracket = _CWBracket(A)
     K = 1.0
     while K <= _K_CAP:
         eps_round = delta / (8.0 * K * K)
         try:
-            s_upper, pair = _simple_perron_core(A, eps_round, K)
+            s_upper, pair = _simple_perron_core(A, eps_round, K, bracket)
         except IterationCapHit:
             K *= 2.0
             continue

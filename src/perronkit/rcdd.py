@@ -163,6 +163,25 @@ class LinearOperator:
     __call__ = apply
 
 
+def _abs_sums(S) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of ``|S|`` for a dense array or a CSR matrix."""
+    if isinstance(S, np.ndarray):
+        abs_S = np.abs(S)
+        return abs_S.sum(axis=1), abs_S.sum(axis=0)
+    # the sums of scipy's abs(S).sum(axis=...), added the same way, without
+    # building abs(S): duplicates merged first (in place, as scipy does; a
+    # no-op on canonical input), then reduceat over the nonempty rows only,
+    # since it returns the next entry for an empty segment
+    S = S.tocsr()
+    S.sum_duplicates()
+    abs_data = np.abs(S.data)
+    nonempty = np.flatnonzero(np.diff(S.indptr))
+    row_abs = np.zeros(S.shape[0])
+    if nonempty.size:
+        row_abs[nonempty] = np.add.reduceat(abs_data, S.indptr[nonempty])
+    return row_abs, np.bincount(S.indices, abs_data, S.shape[1])
+
+
 def varah_kappa_upper(S) -> float:
     """Computable upper bound on the 2-norm condition number of a strictly
     row-column diagonally dominant matrix: a :class:`SparseMatrix`, a CSR
@@ -177,9 +196,7 @@ def varah_kappa_upper(S) -> float:
     beta_c = float(col_margin.min(initial=np.inf))
     if beta_r <= 0.0 or beta_c <= 0.0:
         return np.inf
-    abs_S = abs(_array(S))
-    row_abs = np.asarray(abs_S.sum(axis=1)).ravel()
-    col_abs = np.asarray(abs_S.sum(axis=0)).ravel()
+    row_abs, col_abs = _abs_sums(_array(S))
     norm_2_sq = row_abs.max(initial=0.0) * col_abs.max(initial=0.0)
     return float(np.sqrt(norm_2_sq) / np.sqrt(beta_r * beta_c))
 

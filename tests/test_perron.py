@@ -18,6 +18,7 @@ from perronkit import (
     simple_perron,
 )
 from perronkit.oracle import dense_spectral_radius
+from perronkit.perron import _CWBracket
 
 from conftest import random_irreducible, random_irreducible_dense
 
@@ -178,7 +179,10 @@ class TestComputePerron:
         Ar = A.matvec(cert.right)
         assert (Ar / cert.right).min() >= (1 - 0.05) * cert.s
 
-    def test_ill_conditioned_chain_grows_k(self):
+    def test_ill_conditioned_chain_grows_k(self, monkeypatch):
+        """The CW bracket certifies this weighted 20-cycle at K=1.  Only the
+        bisection fallback, whose K=1 bracket ends far above rho, has to
+        double K."""
         rng = np.random.default_rng(7)
         n = 20
         M = np.zeros((n, n))
@@ -186,11 +190,20 @@ class TestComputePerron:
         for i in range(n):
             M[i, (i + 1) % n] = w[i]
         rho, _ = dense_spectral_radius(M, tol=1e-12)
-        cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
-        assert cert.k_final > 1
-        assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
-        assert cert.cw_lower <= rho * (1 + 1e-10)
-        assert cert.cw_upper >= rho * (1 - 1e-10)
+        delta = 1e-3
+        for fallback in (False, True):
+            if fallback:
+                monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+            cert = compute_perron(SparseMatrix.from_dense(M), delta)
+            if fallback:
+                assert cert.k_final > 1
+            else:
+                assert cert.k_final == 1.0
+                assert cert.residual_left <= delta / 2
+                assert cert.residual_right <= delta / 2
+            assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
+            assert cert.cw_lower <= rho * (1 + 1e-10)
+            assert cert.cw_upper >= rho * (1 - 1e-10)
 
     def test_acceptance_soundness_invariant(self):
         rng = np.random.default_rng(53)
@@ -218,6 +231,127 @@ class TestComputePerron:
         A = SparseMatrix.from_dense([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(NotIrreducible):
             compute_perron(A, 0.1)
+
+
+def weighted_cycle(rng, n):
+    """A single directed n-cycle: periodic, every eigenvalue on |z| = rho."""
+    M = np.zeros((n, n))
+    M[np.arange(n), (np.arange(n) + 1) % n] = 10.0 ** rng.uniform(-3, 0, n)
+    return M
+
+
+def weakly_coupled_blocks(rng, n):
+    """Two irreducible n-blocks, the second scaled to half the first's
+    spectral radius, joined by one 1e-9 entry in each direction."""
+    B1 = random_irreducible_dense(rng, n)
+    B2 = random_irreducible_dense(rng, n)
+    r1, _ = dense_spectral_radius(B1, tol=1e-12)
+    r2, _ = dense_spectral_radius(B2, tol=1e-12)
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = B1
+    M[n:, n:] = B2 * (0.5 * r1 / r2)
+    M[rng.integers(n), n + rng.integers(n)] = 1e-9
+    M[n + rng.integers(n), rng.integers(n)] = 1e-9
+    return M
+
+
+def wide_range(rng, n):
+    """Log-uniform weights over 1e-8..1e8."""
+    return random_irreducible_dense(rng, n, density=0.3, log_low=-8.0, log_high=8.0)
+
+
+def far_scaled(scale):
+    """Criterion-01-like weights times ``scale``, so that rho is far from 1."""
+    return lambda rng, n: scale * random_irreducible_dense(rng, n)
+
+
+SOUNDNESS_CASES = (
+    [("cycle", weighted_cycle, n) for n in (2, 3, 7, 20)]
+    + [("coupled", weakly_coupled_blocks, n) for n in (3, 8, 15)]
+    + [("wide", wide_range, n) for n in (5, 10, 20, 30, 40)]
+    + [(f"scaled{scale:.0e}", far_scaled(scale), 25) for scale in (1e-12, 1e12)]
+)
+
+
+@pytest.fixture(scope="module")
+def soundness_instances():
+    instances = []
+    for i, (kind, make, n) in enumerate(SOUNDNESS_CASES):
+        M = make(np.random.default_rng(100 + i), n)
+        rho, _ = dense_spectral_radius(M, tol=1e-12)
+        instances.append((f"{kind}-{n}", M, rho))
+    return instances
+
+
+class TestCWBracket:
+    """The shift-and-invert bracket and the bisection it falls back to, on
+    periodic, nearly reducible and badly scaled inputs."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_bracket_contract(self, soundness_instances, eps):
+        for name, M, rho in soundness_instances:
+            s = _CWBracket(SparseMatrix.from_dense(M)).upper(eps)
+            assert s is not None, name
+            assert rho * (1 - 1e-10) <= s < (1 + eps) * rho * (1 + 1e-10), name
+
+    def test_bracket_continues_from_its_last_iterate(self, soundness_instances):
+        """A tighter second call picks up where the first stopped: it ends
+        on the same iterate, after the same factorizations, as one call at
+        the tighter eps."""
+        _, M, rho = soundness_instances[3]
+        A = SparseMatrix.from_dense(M)
+        bracket = _CWBracket(A)
+        loose = bracket.upper(1e-2)
+        steps = bracket.factorizations
+        tight = bracket.upper(1e-9)
+        fresh = _CWBracket(A)
+        assert tight == fresh.upper(1e-9)
+        assert 0 < steps < bracket.factorizations == fresh.factorizations
+        assert rho * (1 - 1e-10) <= tight <= loose
+        assert tight < (1 + 1e-9) * rho * (1 + 1e-10)
+
+    def test_bracket_is_scale_invariant(self):
+        """The shift margin is relative to rho, so scaling A by c scales the
+        bracket by c and takes the same steps, even far from unit scale."""
+        A_dense = random_irreducible_dense(np.random.default_rng(4), 25)
+        bracket = _CWBracket(SparseMatrix.from_dense(A_dense))
+        s = bracket.upper(1e-10)
+        for c in (1e-100, 1e-12, 1e12):
+            scaled = _CWBracket(SparseMatrix.from_dense(c * A_dense))
+            s_c = scaled.upper(1e-10)
+            assert s_c is not None and abs(s_c / (c * s) - 1.0) <= 1e-14
+            assert scaled.factorizations == bracket.factorizations
+
+    def test_bracket_reports_failure_on_a_nonpositive_iterate(self, monkeypatch):
+        def solve(self, b, transpose=False):
+            x = b.copy()
+            x[0] = -x[0]
+            return x
+
+        monkeypatch.setattr("perronkit.perron._DirectSolver.solve", solve)
+        bracket = _CWBracket(random_irreducible(np.random.default_rng(3), 10))
+        assert bracket.upper(1e-3) is None
+        assert bracket.failed and bracket.factorizations == 1
+        # once failed, every later round takes the fallback
+        assert bracket.upper(0.5) is None
+
+    def test_bracket_reports_failure_after_its_step_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            "perronkit.perron._DirectSolver.solve", lambda self, b, transpose=False: b
+        )
+        bracket = _CWBracket(random_irreducible(np.random.default_rng(3), 10))
+        assert bracket.upper(1e-3) is None
+        assert bracket.failed and bracket.factorizations == 32
+
+    @pytest.mark.parametrize("path", ["bracket", "fallback"])
+    def test_compute_perron_sound(self, soundness_instances, path, monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        delta = 1e-3
+        for name, M, rho in soundness_instances:
+            cert = compute_perron(SparseMatrix.from_dense(M), delta)
+            assert (1 - delta) * rho < cert.s <= rho * (1 + 1e-8), name
+            assert cert.cw_upper >= rho * (1 - 1e-10), name
 
 
 class TestLargeSparsePath:

@@ -1,9 +1,11 @@
 """The scan's solver kernels against the library calls they stand in for.
 
-The phase solves call LAPACK ``getrs`` directly and the CSR phase matrices are
-rescaled on a fixed pattern; both must give the same bits as the reference
-construction.  The factorizations must stay behind ``scipy.linalg.lu_factor``
-and ``scipy.sparse.linalg.splu``, where a profiler can count them.
+The phase solves call LAPACK ``getrs`` directly, the CSR phase matrices are
+rescaled on a fixed pattern and the CSR ``|S|`` line sums skip scipy; all must
+give the same bits as the reference construction.  The factorizations, the
+shift-and-invert ones of ``compute_perron`` included, must stay behind
+``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``, where a profiler
+can count them.
 """
 
 import numpy as np
@@ -12,11 +14,18 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from perronkit import IterationCapHit, SparseMatrix, mmatrix_scale
-from perronkit.rcdd import _DENSE_CUTOFF, _DirectSolver
+import perronkit.perron
+import perronkit.scaling
+from perronkit import IterationCapHit, SparseMatrix, compute_perron, mmatrix_scale
+from perronkit.rcdd import _DENSE_CUTOFF, _abs_sums, _DirectSolver, varah_kappa_upper
 from perronkit.scaling import _Problem
 
-from conftest import random_m_matrix, random_strictly_rcdd_dense
+from conftest import (
+    random_irreducible,
+    random_irreducible_dense,
+    random_m_matrix,
+    random_strictly_rcdd_dense,
+)
 
 
 def sparse_m_matrix(rng, diagonal=True):
@@ -83,20 +92,27 @@ def test_singular_phase_matrix_fails_the_scan(monkeypatch):
     assert finite == [False, False]
 
 
+def count_calls(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts[name]``."""
+    real = getattr(module, name)
+    counts.setdefault(name, 0)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def count_factorizations(monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, counts, scipy.linalg, "lu_factor")
+    count_calls(monkeypatch, counts, scipy.sparse.linalg, "splu")
+    return counts
+
+
 def test_one_factorization_per_phase_through_scipy(monkeypatch):
-    counts = {"lu_factor": 0, "splu": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(scipy.linalg, "lu_factor")
-    counting(scipy.sparse.linalg, "splu")
+    counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(11)
 
     _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.8), 1.0, 1e-3, 100.0)
@@ -105,3 +121,92 @@ def test_one_factorization_per_phase_through_scipy(monkeypatch):
     counts.update(lu_factor=0)
     _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
     assert report.phases and counts == {"lu_factor": 0, "splu": len(report.phases)}
+
+
+def test_csr_abs_sums_match_scipy():
+    rng = np.random.default_rng(13)
+    prob = _Problem(sparse_m_matrix(rng), 1.3)
+    phase = prob.scaled_shift(0.25, rng.uniform(0.5, 2.0, prob.n), rng.uniform(0.5, 2.0, prob.n))
+    # empty rows at the start, in the middle and at the end, and a duplicate
+    # entry whose parts cancel in part
+    holes = sp.csr_matrix(
+        ([-1.5, 2.0, 0.25, 1e-3, -7.0], [0, 4, 0, 2, 3], [0, 0, 3, 3, 5, 5, 5]), shape=(6, 5)
+    )
+    assert not holes.has_canonical_format
+    # rows of 40, 0 and 32 entries: numpy's pairwise sum blocks by eight, so
+    # one more (even zero) term in the last row changes its bits
+    wide = np.random.default_rng(0)
+    long_rows = sp.csr_matrix(
+        (
+            wide.normal(size=72) * 10.0 ** wide.uniform(-5, 5, 72),
+            np.r_[np.arange(40), np.arange(32)],
+            [0, 40, 40, 72],
+        ),
+        shape=(3, 40),
+    )
+    for S in (phase, holes, long_rows, sp.csr_matrix((4, 4))):
+        row_abs, col_abs = _abs_sums(S)
+        assert np.array_equal(row_abs, np.asarray(abs(S).sum(axis=1)).ravel())
+        assert np.array_equal(col_abs, np.asarray(abs(S).sum(axis=0)).ravel())
+    dense = phase.toarray()
+    assert varah_kappa_upper(phase) == varah_kappa_upper(dense)
+
+
+def criterion_01_instance(seed):
+    rng = np.random.default_rng(seed)
+    return SparseMatrix.from_dense(
+        random_irreducible_dense(rng, int(rng.integers(5, 41)), density=0.2)
+    )
+
+
+def perron_sparse_instance():
+    """A Hamiltonian cycle plus random edges, above the dense cutoff."""
+    A = random_irreducible(np.random.default_rng(17), 150, density=0.03)
+    assert A.n_rows > _DENSE_CUTOFF
+    return A
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_compute_perron_factorizations(monkeypatch, storage):
+    """One strict scan, no bisection and no decision: the shift-and-invert
+    bracket, the scaling scan and the polish account for every factorization,
+    and each goes through the scipy call a profiler patches."""
+    counts = count_factorizations(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
+    count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
+    scans = []
+    real_scan = perronkit.scaling._halving_scan
+
+    def scan(*args, **kwargs):
+        result = real_scan(*args, **kwargs)
+        scans.append(len(result[3].phases))
+        return result
+
+    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    brackets = []
+
+    class Bracket(perronkit.perron._CWBracket):
+        def __init__(self, A):
+            super().__init__(A)
+            brackets.append(self)
+
+    monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+    factor = "lu_factor" if storage == "dense" else "splu"
+    instances = (
+        [criterion_01_instance(seed) for seed in range(20)]
+        if storage == "dense" else [perron_sparse_instance()]
+    )
+    for A in instances:
+        for name in counts:
+            counts[name] = 0
+        scans.clear()
+        brackets.clear()
+        cert = compute_perron(A, 1e-3)
+        assert cert.k_final == 1.0
+        assert counts["find_perron_value"] == 0 and counts["_m_decide_scaled"] == 0
+        assert len(scans) == 1 and len(brackets) == 1
+        steps = brackets[0].factorizations
+        assert steps >= 1
+        # the bracket's steps, one per scan phase, one for the polish
+        assert counts[factor] == steps + scans[0] + 1
+        assert counts["lu_factor" if storage == "csr" else "splu"] == 0
