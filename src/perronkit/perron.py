@@ -369,7 +369,6 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     _structure_check(A)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    A_t = A.transpose()
     bracket = _CWBracket(A)
     K = 1.0
     while K <= _K_CAP:
@@ -381,14 +380,15 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
             continue
         left, right = _polish_pair(A, s_upper, eps_round, pair)
         cw_r = collatz_wielandt_bounds(A, right)
-        cw_l = collatz_wielandt_bounds(A_t, left)
-        s_out = max(cw_r[0], cw_l[0])
+        # the left vector's CW lower bound, from the transpose A caches
+        cw_l = float((A.matvec(left, transpose=True) / left).min())
+        s_out = max(cw_r[0], cw_l)
         if s_out > 0.0:
             res_l, res_r = _eigen_residuals(A, s_out, left, right)
             threshold = delta / (2.0 * K * K)
             certified = (
                 cw_r[0] >= (1.0 - delta) * s_upper
-                or cw_l[0] >= (1.0 - delta) * s_upper
+                or cw_l >= (1.0 - delta) * s_upper
             )
             if (
                 res_r <= threshold

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,9 +130,8 @@ class _Problem:
         if scale <= 0.0 or not np.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         self.n = A.n_rows
-        norms = induced_norms(A)
-        self.norm_1 = norms.norm_1 / scale
-        self.norm_inf = norms.norm_inf / scale
+        self._A = A
+        self._scale = scale
         self.matrix = _storage(A.csr()) / scale
         self.matrix_t = self.matrix.T
         self.dense = self.matrix if isinstance(self.matrix, np.ndarray) else None
@@ -150,6 +150,13 @@ class _Problem:
             )
             self._rows = np.repeat(idx, np.diff(self._neg_a.indptr))
             self._diag = np.flatnonzero(self._rows == self._neg_a.indices)
+
+    @cached_property
+    def norm_max(self) -> float:
+        """``max(||A||_1, ||A||_inf)``, computed on first read: only the
+        scan's starting shift and the 1x1 closed forms need it."""
+        norms = induced_norms(self._A)
+        return max(norms.norm_1, norms.norm_inf) / self._scale
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """``((1 + alpha) I - A) @ x``."""
@@ -237,11 +244,11 @@ def _halving_scan(
     """
     n = prob.n
     ones = np.ones(n)
-    alpha0 = 2.0 * max(prob.norm_1, prob.norm_inf)
+    alpha0 = 2.0 * prob.norm_max
     report = SolveReport(alpha0=alpha0)
 
     if n == 1:
-        a = float(prob.norm_1)
+        a = prob.norm_max
         report.info["closed_form"] = True
         denom = (1.0 + eps) - a
         if denom <= 0.0:
@@ -509,34 +516,92 @@ def _symm_initial_scaling(prob: _Problem, cap: int):
     return v, norms
 
 
-def _symm_phase_step(
-    prob: _Problem, A: SparseMatrix, v2: np.ndarray, alpha: float, cap: int
-):
-    """One halving step: scaling for ``M_alpha`` from the scaling of ``M_2alpha``."""
-    n = prob.n
-    ones = np.ones(n)
-    S2 = apply_scaling(v2, shifted_m_matrix(A, 1.0, 2.0 * alpha), v2)
-    Z = build_sdd_solver(S2, 0.25)
-    v = np.zeros(n)
-    res = -ones
-    k = 0
-    while np.abs(res).max() > 0.5:
-        if k >= cap:
+class _SymmLevels:
+    """The halving levels of the symmetric scaling of a normalized ``A``,
+    descended on demand from the damped ``alpha = 1`` level.
+
+    At level ``alpha``, ``v`` scales ``M_alpha = (1 + alpha) I - A`` and
+    :meth:`solver` is the one SDD factorization of ``V M_alpha V``: it serves
+    a solve at that level and the step to the next.  A caller that needs a
+    smaller shift continues from the last level instead of starting over.
+    """
+
+    def __init__(self, A: SparseMatrix):
+        self.A = A
+        self.prob = _Problem(A, 1.0)
+        self.alpha = 1.0
+        self.report = SolveReport(alpha0=1.0)
+        self._solver = None
+        self.v = None
+        if self.prob.n > 1:
+            cap0 = math.ceil(8.0 * math.log(4.0 * self.prob.n))
+            self.v, initial_residuals = _symm_initial_scaling(self.prob, cap0)
+            self.report.info["initial_residuals"] = initial_residuals
+            self.report.iterations += len(initial_residuals) - 1
+
+    def solver(self) -> LinearOperator:
+        if self._solver is None:
+            S = apply_scaling(self.v, shifted_m_matrix(self.A, 1.0, self.alpha), self.v)
+            self._solver = build_sdd_solver(S, 0.25)
+        return self._solver
+
+    def halve(self, cap: int) -> int:
+        """Step to level ``alpha / 2``, preconditioning with this level's
+        solver; returns the step's iteration count."""
+        alpha = self.alpha / 2.0
+        v2, Z2 = self.v, self.solver()
+        ones = np.ones(self.prob.n)
+        v = np.zeros(self.prob.n)
+        res = -ones
+        k = 0
+        while np.abs(res).max() > 0.5:
+            if k >= cap:
+                raise IterationCapHit(
+                    f"symmetric phase at alpha={alpha:.3e} exceeded its cap",
+                    phase=None,
+                    alpha=alpha,
+                )
+            v = v - v2 * Z2.apply(v2 * res)
+            res = self.prob.shifted_matvec(alpha, v) - ones
+            k += 1
+        if np.any(v <= 0.0):
             raise IterationCapHit(
-                f"symmetric phase at alpha={alpha:.3e} exceeded its cap",
+                "symmetric scaling lost positivity; spectral assumption violated",
                 phase=None,
                 alpha=alpha,
             )
-        v = v - v2 * Z.apply(v2 * res)
-        res = prob.shifted_matvec(alpha, v) - ones
-        k += 1
-    if np.any(v <= 0.0):
-        raise IterationCapHit(
-            "symmetric scaling lost positivity; spectral assumption violated",
-            phase=None,
-            alpha=alpha,
-        )
-    return v, k
+        self.v, self.alpha, self._solver = v, alpha, None
+        return k
+
+    def scale(self, eps: float) -> np.ndarray:
+        """``v`` making ``V ((1 + eps) I - A) V`` SDD.  The phases this call
+        adds run with the cap of this ``eps`` and are logged in ``report``."""
+        if self.prob.n == 1:
+            denom = (1.0 + eps) - self.prob.norm_max
+            if denom <= 0.0:
+                raise IterationCapHit("1x1 matrix is not below the shift", phase=0, alpha=eps)
+            self.report.info["closed_form"] = True
+            return np.array([1.0 / np.sqrt(denom)])
+        cap = math.ceil(8.0 * math.log(8.0 * self.prob.n / min(eps, 1.0)))
+        while self.alpha > eps:
+            k = self.halve(cap)
+            v = self.v
+            res = self.prob.shifted_matvec(self.alpha, v) - 1.0
+            window = (float(1.0 + res.min()), float(1.0 + res.max()))
+            self.report.phases.append(
+                PhaseLog(
+                    alpha=self.alpha,
+                    iterations=k,
+                    window_right=window,
+                    window_left=window,
+                    min_right=float(v.min()),
+                    min_left=float(v.min()),
+                    left=v.copy(),
+                    right=v.copy(),
+                )
+            )
+            self.report.iterations += k
+        return self.v
 
 
 def _check_symmetric_nonnegative(A: SparseMatrix):
@@ -558,44 +623,8 @@ def symm_scale(A: SparseMatrix, eps: float):
     _check_symmetric_nonnegative(A)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    prob = _Problem(A, 1.0)
-    n = prob.n
-    report = SolveReport(alpha0=1.0)
-
-    if n == 1:
-        a = float(prob.norm_1)
-        denom = (1.0 + eps) - a
-        if denom <= 0.0:
-            raise IterationCapHit("1x1 matrix is not below the shift", phase=0, alpha=eps)
-        v = np.array([1.0 / np.sqrt(denom)])
-        report.info["closed_form"] = True
-        return v, report
-
-    cap0 = math.ceil(8.0 * math.log(4.0 * n))
-    v, initial_residuals = _symm_initial_scaling(prob, cap0)
-    report.info["initial_residuals"] = initial_residuals
-    report.iterations += len(initial_residuals) - 1
-
-    cap = math.ceil(8.0 * math.log(8.0 * n / min(eps, 1.0)))
-    alpha = 1.0
-    while alpha > eps:
-        alpha /= 2.0
-        v, k = _symm_phase_step(prob, A, v, alpha, cap)
-        res = prob.shifted_matvec(alpha, v) - 1.0
-        report.phases.append(
-            PhaseLog(
-                alpha=alpha,
-                iterations=k,
-                window_right=(float(1.0 + res.min()), float(1.0 + res.max())),
-                window_left=(float(1.0 + res.min()), float(1.0 + res.max())),
-                min_right=float(v.min()),
-                min_left=float(v.min()),
-                left=v.copy(),
-                right=v.copy(),
-            )
-        )
-        report.iterations += k
-    return v, report
+    levels = _SymmLevels(A)
+    return levels.scale(eps), levels.report
 
 
 def symm_solve(A: SparseMatrix, b, delta: float):
@@ -604,17 +633,18 @@ def symm_solve(A: SparseMatrix, b, delta: float):
 
     Descends the halving levels of the symmetric scaling and attempts a short
     Richardson refinement against ``I - A`` at every level, returning at the
-    first level whose shifted solver is strong enough.
+    first level whose shifted solver is strong enough.  One SDD factorization
+    serves each level: its refinement and the step to the next level.
     """
     _check_symmetric_nonnegative(A)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     b = as_vector(b, A.n_rows, "b")
-    prob = _Problem(A, 1.0)
-    n = prob.n
+    levels = _SymmLevels(A)
+    n = levels.prob.n
 
     if n == 1:
-        a = float(prob.norm_1)
+        a = levels.prob.norm_max
         if a >= 1.0:
             raise IterationCapHit("1x1 matrix is singular or worse", phase=0, alpha=0.0)
         return b / (1.0 - a), SolveReport(info={"levels": 0})
@@ -624,18 +654,13 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     def forward(x):
         return x - csr @ x
 
-    cap0 = math.ceil(8.0 * math.log(4.0 * n))
-    v, _ = _symm_initial_scaling(prob, cap0)
-
     per_level = 4 + math.ceil(3.0 * math.log2(2.0 / delta))
     cfg = RichardsonConfig(tolerance=delta, max_iterations=per_level, residual_norm="l2")
     report = SolveReport()
-    alpha = 1.0
     alpha_floor = 1e-14
     level = 0
-    while alpha > alpha_floor:
-        S = apply_scaling(v, shifted_m_matrix(A, 1.0, alpha), v)
-        Z = build_sdd_solver(S, 0.25)
+    while levels.alpha > alpha_floor:
+        v, Z = levels.v, levels.solver()
 
         def precond(x, v=v, Z=Z):
             return v * Z.apply(v * x)
@@ -646,34 +671,20 @@ def symm_solve(A: SparseMatrix, b, delta: float):
         report.residuals.append(rep.residuals[-1])
         if rep.status == CONVERGED:
             report.info["levels"] = level
-            report.info["alpha"] = alpha
+            report.info["alpha"] = levels.alpha
             return x, report
-        cap = math.ceil(8.0 * math.log(8.0 * n / min(alpha / 2.0, 1.0)))
-        alpha /= 2.0
-        v, _ = _symm_phase_step(prob, A, v, alpha, cap)
+        levels.halve(math.ceil(8.0 * math.log(8.0 * n / min(levels.alpha / 2.0, 1.0))))
     raise IterationCapHit(
         "no halving level produced a strong enough solver; the matrix is "
         "singular at working precision",
         phase=level,
-        alpha=alpha,
+        alpha=levels.alpha,
     )
 
 
-def factor_width2_solve(M: SparseMatrix, b, delta: float):
-    """Solve ``M x = b`` for a symmetric matrix asserted to have factor width 2.
-
-    Forms the comparison matrix (off-diagonal magnitudes negated), scales its
-    M-matrix form through the symmetric path, verifies that the resulting
-    diagonal makes ``V M V`` diagonally dominant, and solves through the SDD
-    route with Richardson refinement.  A scaling that fails the dominance
-    check disproves the factor-width-2 assertion and raises
-    :class:`NotSDDAfterScaling`.
-    """
-    if not M.is_square:
-        raise ValueError("expected a square matrix")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    b = as_vector(b, M.n_rows, "b")
+def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
+    """``(s' I - comparison(M)) / s'`` with ``s'`` the largest diagonal entry
+    of ``M``: diagonal ``1 - M_ii / s'``, off-diagonal ``|M_ij| / s'``."""
     rows, cols, values = M.entries()
     diag_mask = rows == cols
     diag = np.zeros(M.n_rows)
@@ -682,29 +693,48 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
         raise ValueError("matrix must have a strictly positive diagonal")
     s_prime = float(diag.max())
 
-    # A' = s' I - comparison(M): diagonal s' - M_ii, off-diagonal |M_ij|
     off = ~diag_mask
     a_rows = np.concatenate([np.arange(M.n_rows), rows[off]])
     a_cols = np.concatenate([np.arange(M.n_rows), cols[off]])
     a_vals = np.concatenate([s_prime - diag, np.abs(values[off])])
     A_comp = SparseMatrix(M.n_rows, M.n_cols, a_rows, a_cols, a_vals)
-    A_norm = A_comp.scaled(1.0 / s_prime)
+    return A_comp.scaled(1.0 / s_prime)
 
-    v = None
+
+def factor_width2_solve(M: SparseMatrix, b, delta: float):
+    """Solve ``M x = b`` for a symmetric matrix asserted to have factor width 2.
+
+    Forms the comparison matrix (off-diagonal magnitudes negated), scales its
+    M-matrix form through the symmetric path, verifies that the resulting
+    diagonal makes ``V M V`` diagonally dominant, and solves through the SDD
+    route with Richardson refinement.  The shift search over 1/2, 1/8, 1/32,
+    ... continues one descent of the halving levels, so each level is scaled
+    and factored once.  A scaling that fails the dominance check at every
+    shift disproves the factor-width-2 assertion and raises
+    :class:`NotSDDAfterScaling`.
+    """
+    if not M.is_square:
+        raise ValueError("expected a square matrix")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    b = as_vector(b, M.n_rows, "b")
+    A_norm = _normalized_comparison(M)
+    _check_symmetric_nonnegative(A_norm)
+    levels = _SymmLevels(A_norm)
+
     eps_try = 0.5
     while eps_try >= 1e-8:
-        v_try, _ = symm_scale(A_norm, eps_try)
-        if check_sdd(apply_scaling(v_try, M, v_try), RCDD_VERIFY_SLACK):
-            v = v_try
+        v = levels.scale(eps_try)
+        S = apply_scaling(v, M, v)
+        if check_sdd(S, RCDD_VERIFY_SLACK):
             break
         eps_try /= 4.0
-    if v is None:
+    else:
         raise NotSDDAfterScaling(
             "no shift produced a dominant scaling of V M V; the input is not "
             "factor width 2 (or is numerically singular)"
         )
 
-    S = apply_scaling(v, M, v)
     Z = build_sdd_solver(S, 0.25)
 
     def precond(x):

@@ -69,6 +69,21 @@ def random_symmetric_contraction_dense(rng, n, rho_ratio, density=0.3):
     return M * (rho_ratio / rho)
 
 
+def random_factor_width2_dense(rng, n, rows_per_col=3, ridge=0.05):
+    """``C.T C`` for a ``C`` whose rows have at most two nonzeros, so the
+    product has factor width at most 2; 1-sparse ridge rows keep it positive
+    definite."""
+    m = rows_per_col * n
+    C = np.zeros((m + n, n))
+    for row in range(m):
+        i, j = rng.integers(0, n, 2)
+        C[row, i] += rng.normal()
+        C[row, j] -= rng.normal()
+    mean_diag = max(np.mean(np.einsum("ij,ij->j", C, C)), 1e-6)
+    C[m:, :] = np.sqrt(ridge * mean_diag) * np.eye(n)
+    return C.T @ C
+
+
 def dense_inverse_norms(M_dense):
     """(||M^-1||_inf, ||M^-1||_1) computed densely."""
     inv = np.linalg.inv(M_dense)

@@ -25,8 +25,11 @@ from perronkit import (
 )
 from perronkit.oracle import dense_solve, dense_spectral_radius
 
+from perronkit.rcdd import _DENSE_CUTOFF
+
 from conftest import (
     dense_inverse_norms,
+    random_factor_width2_dense,
     random_m_matrix_dense,
     random_symmetric_contraction_dense,
 )
@@ -353,6 +356,30 @@ class TestSymmetricPath:
         resid = np.linalg.norm((np.eye(n) - A) @ x - b)
         assert resid <= 1e-9 * np.linalg.norm(b)
 
+    @staticmethod
+    def _csr_contraction(rng, rho_ratio):
+        n = 250
+        assert n > _DENSE_CUTOFF
+        return random_symmetric_contraction_dense(rng, n, rho_ratio, density=0.02)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.05, 1e-3])
+    def test_symm_scale_csr_path(self, eps):
+        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.95))
+        v, report = symm_scale(A, eps)
+        assert len(report.phases) == int(np.ceil(np.log2(1.0 / eps)))
+        S = apply_scaling(v, shifted_m_matrix(A, 1.0, eps), v)
+        assert check_sdd(S, 1e-12)
+
+    def test_symm_solve_csr_path(self):
+        rng = np.random.default_rng(46)
+        A = self._csr_contraction(rng, 0.99)
+        b = rng.normal(size=A.shape[0])
+        delta = 1e-9
+        x, report = symm_solve(SparseMatrix.from_dense(A), b, delta)
+        assert report.info["levels"] > 1
+        resid = np.linalg.norm(x - A @ x - b)
+        assert resid <= delta * np.linalg.norm(b)
+
 
 class TestFactorWidth2:
     def test_psd_plus_matrix(self):
@@ -370,7 +397,7 @@ class TestFactorWidth2:
         rng = np.random.default_rng(43)
         for _ in range(5):
             n = int(rng.integers(5, 21))
-            M = self._random_factor_width2(rng, n)
+            M = random_factor_width2_dense(rng, n)
             b = rng.normal(size=n)
             Msp = SparseMatrix.from_dense(M)
             x, report = factor_width2_solve(Msp, b, 1e-8)
@@ -378,15 +405,23 @@ class TestFactorWidth2:
             v = report.info["scaling"]
             assert check_sdd(apply_scaling(v, Msp, v), 1e-12)
 
-    @staticmethod
-    def _random_factor_width2(rng, n, rows_per_col=3, ridge=0.05):
-        m = rows_per_col * n
-        C = np.zeros((m + n, n))
-        for row in range(m):
-            i, j = rng.integers(0, n, 2)
-            C[row, i] += rng.normal()
-            C[row, j] -= rng.normal()
-        # ridge rows are 1-sparse, keeping the factor width at most 2
-        mean_diag = max(np.mean(np.einsum("ij,ij->j", C, C)), 1e-6)
-        C[m:, :] = np.sqrt(ridge * mean_diag) * np.eye(n)
-        return C.T @ C
+    def test_csr_path(self):
+        """Above the dense cutoff: the shift search continues down several
+        levels and every SDD factorization runs through SuperLU."""
+        rng = np.random.default_rng(44)
+        n = 250
+        assert n > _DENSE_CUTOFF
+        M_dense = random_factor_width2_dense(rng, n)
+        M = SparseMatrix.from_dense(M_dense)
+        b = rng.normal(size=n)
+        delta = 1e-8
+        x, report = factor_width2_solve(M, b, delta)
+        assert report.info["shift"] < 0.5
+        assert np.linalg.norm(M_dense @ x - b) <= delta * np.linalg.norm(b)
+        v = report.info["scaling"]
+        assert check_sdd(apply_scaling(v, M, v), 1e-12)
+        # |x - x*| <= ||M^-1|| delta ||b||, plus the oracle's own rounding
+        exact = dense_solve(M_dense, b)
+        lam_min = float(np.linalg.eigvalsh(M_dense)[0])
+        bound = delta * np.linalg.norm(b) / lam_min + 1e-12 * np.linalg.norm(exact)
+        assert np.linalg.norm(x - exact) <= bound

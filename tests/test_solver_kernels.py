@@ -5,8 +5,11 @@ rescaled on a fixed pattern and the CSR ``|S|`` line sums skip scipy; all must
 give the same bits as the reference construction.  The factorizations, the
 shift-and-invert ones of ``compute_perron`` included, must stay behind
 ``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``, where a profiler
-can count them.
+can count them.  The symmetric path factors each halving level once, and only
+its SDD factorizations use the symmetric ordering.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,15 +19,28 @@ import scipy.sparse.linalg
 
 import perronkit.perron
 import perronkit.scaling
-from perronkit import IterationCapHit, SparseMatrix, compute_perron, mmatrix_scale
+from perronkit import (
+    IterationCapHit,
+    SparseMatrix,
+    build_rcdd_solver,
+    build_sdd_solver,
+    compute_perron,
+    factor_width2_solve,
+    mmatrix_scale,
+    symm_scale,
+    symm_solve,
+)
 from perronkit.rcdd import _DENSE_CUTOFF, _abs_sums, _DirectSolver, varah_kappa_upper
-from perronkit.scaling import _Problem
+from perronkit.scaling import _normalized_comparison, _Problem
 
 from conftest import (
+    random_factor_width2_dense,
     random_irreducible,
     random_irreducible_dense,
     random_m_matrix,
+    random_sdd_dense,
     random_strictly_rcdd_dense,
+    random_symmetric_contraction_dense,
 )
 
 
@@ -210,3 +226,73 @@ def test_compute_perron_factorizations(monkeypatch, storage):
         # the bracket's steps, one per scan phase, one for the polish
         assert counts[factor] == steps + scans[0] + 1
         assert counts["lu_factor" if storage == "csr" else "splu"] == 0
+
+
+SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 250], ids=["dense", "csr"])
+
+
+def factor_name(n):
+    return "lu_factor" if n <= _DENSE_CUTOFF else "splu"
+
+
+@SYMMETRIC_SIZES
+def test_symm_solve_factors_each_level_once(monkeypatch, n):
+    """One SDD factorization per level serves the level's refinement and the
+    step to the next level."""
+    counts = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(48)
+    A = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    _, report = symm_solve(SparseMatrix.from_dense(A), rng.normal(size=n), 1e-9)
+    levels = report.info["levels"]
+    assert levels > 1
+    assert counts == {"lu_factor": 0, "splu": 0, factor_name(n): levels}
+
+
+@SYMMETRIC_SIZES
+def test_factor_width2_continues_the_shift_search(monkeypatch, n):
+    """The search over shifts 1/2, 1/8, ... descends the levels once: one
+    factorization per phase down to the accepted shift, one for the final
+    solver, and the same scaling as a fresh descent to that shift."""
+    counts = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(49)
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    _, report = factor_width2_solve(M, rng.normal(size=n), 1e-8)
+    shift = report.info["shift"]
+    assert shift < 0.5
+    phases = round(math.log2(1.0 / shift))
+    assert counts == {"lu_factor": 0, "splu": 0, factor_name(n): phases + 1}
+    fresh, _ = symm_scale(_normalized_comparison(M), shift)
+    assert np.array_equal(report.info["scaling"], fresh)
+
+
+def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
+    """SuperLU gets the symmetric minimum-degree ordering for SDD matrices
+    only; the scan and ``build_rcdd_solver`` keep its default COLAMD."""
+    orderings = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def splu(A, *args, **kwargs):
+        orderings.append((kwargs.get("permc_spec"), kwargs.get("options")))
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    symmetric = ("MMD_AT_PLUS_A", {"SymmetricMode": True})
+    rng = np.random.default_rng(50)
+    n = 200
+    assert n > _DENSE_CUTOFF
+
+    build_sdd_solver(SparseMatrix.from_dense(random_sdd_dense(rng, n)), 0.25)
+    assert orderings == [symmetric]
+
+    orderings.clear()
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    _, report = factor_width2_solve(M, rng.normal(size=n), 1e-8)
+    assert orderings == [symmetric] * (round(math.log2(1.0 / report.info["shift"])) + 1)
+
+    orderings.clear()
+    _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
+    assert orderings == [(None, None)] * len(report.phases)
+
+    orderings.clear()
+    build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-8)
+    assert orderings == [(None, None)]
