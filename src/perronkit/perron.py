@@ -30,7 +30,6 @@ from .errors import (
     KCapExceeded,
     NotIrreducible,
 )
-from .rcdd import _DirectSolver
 from .reports import SolveReport
 from .scaling import (
     ScalingPair,
@@ -309,10 +308,10 @@ class _CWBracket:
                 break
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
             # relative to rho whatever the scale of A
-            lu = _DirectSolver(_Problem(A, hi).scaled_shift(_CW_SHIFT_MARGIN, ones, ones))
+            solver = _PhaseSolver(_Problem(A, hi), _CW_SHIFT_MARGIN, ones, ones)
             self.factorizations += 1
-            right = _unit_positive(lu.solve(self.right))
-            left = _unit_positive(lu.solve(self.left, transpose=True))
+            right = _unit_positive(solver.p_right(self.right))
+            left = _unit_positive(solver.p_left(self.left))
             if right is None or left is None:
                 break
             self.right, self.left = right, left

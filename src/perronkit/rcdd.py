@@ -8,11 +8,12 @@ designed around is replaced here by three interchangeable backends:
   iterative refinement until the requested tolerance is met.  Dense LAPACK
   storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above; dense solves call
   LAPACK ``getrs`` directly, without the ``lu_solve`` wrapper.  The same LU
-  class factors the phase matrices of the scaling scan; above the cutoff
-  those are CSR matrices on one pattern per problem, of which each phase
-  only rescales the values.  SDD solves, whose symmetry
-  ``build_sdd_solver`` has already checked, use a symmetric minimum-degree
-  ordering; everything else keeps SuperLU's default COLAMD.
+  class, unrefined, factors every matrix the engine forms itself (through
+  ``scaling._PhaseSolver``); above the cutoff those are CSR matrices on one
+  pattern per problem, of which each use only rescales the values.  SDD
+  solves (symmetry checked by ``build_sdd_solver``) and the symmetric levels
+  (symmetric by construction) use a symmetric minimum-degree ordering;
+  everything else keeps SuperLU's default COLAMD.
 * ``richardson-jacobi``: diagonally preconditioned Richardson iteration.
 * ``conjugate-gradient-symmetrized``: CG on the matrix itself when symmetric,
   on the normal equations otherwise.
@@ -23,7 +24,6 @@ achieved relative residual of every application in a report side channel.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +98,9 @@ class _DirectSolver:
     Factors the storage it is handed, a dense array with LAPACK or a CSR
     matrix with SuperLU, once; the factorization serves both ``S x = b`` and
     ``S.T x = b``.  Deterministic.  SuperLU orders columns by COLAMD, or,
-    for a matrix the caller has verified ``symmetric``, by minimum degree on
-    ``S.T + S`` with diagonal pivots preferred, which keeps far less fill on
-    SDD matrices.
+    for a matrix the caller knows is ``symmetric`` (checked, or symmetric by
+    construction), by minimum degree on ``S.T + S`` with diagonal pivots
+    preferred, which keeps far less fill on SDD matrices.
     """
 
     def __init__(self, S, symmetric: bool = False):
@@ -333,7 +333,6 @@ def build_rcdd_solver(
     S: SparseMatrix,
     eps: float,
     backend: BackendChoice | None = None,
-    seed: int | None = None,
 ) -> LinearOperator:
     """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
     ``Z.transpose(eps_t)`` solves with ``S.T`` from the same factorization.
@@ -342,15 +341,7 @@ def build_rcdd_solver(
     ``RCDD_VERIFY_SLACK``.  Applying the operator raises
     :class:`BackendDiverged` when the backend misses ``eps``; the error
     propagates to the caller.
-
-    ``seed`` is deprecated and ignored: every backend is deterministic.
     """
-    if seed is not None:
-        warnings.warn(
-            "build_rcdd_solver's seed is ignored and will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     backend = backend or BackendChoice()
     _check_eps(eps)
     if not check_rcdd(S, RCDD_VERIFY_SLACK):

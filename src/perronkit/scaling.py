@@ -42,7 +42,6 @@ from .sparse import (
     check_rcdd,
     check_sdd,
     induced_norms,
-    shifted_m_matrix,
 )
 
 __all__ = [
@@ -183,12 +182,16 @@ class _Problem:
 
 class _PhaseSolver:
     """One factorization of ``S = diag(l) M_{2 alpha} diag(r)`` serving both
-    the forward and the transpose preconditioner of one phase."""
+    the forward and the transpose preconditioner of one phase; the engine's
+    only path to factoring a matrix it formed.  ``symmetric`` marks an ``S``
+    symmetric by construction, which SuperLU then orders symmetrically."""
 
-    def __init__(self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray):
+    def __init__(
+        self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray, symmetric: bool = False
+    ):
         self.ell = ell
         self.r = r
-        self.lu = _DirectSolver(prob.scaled_shift(alpha2, ell, r))
+        self.lu = _DirectSolver(prob.scaled_shift(alpha2, ell, r), symmetric=symmetric)
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
         return self.r * self.lu.solve(self.ell * x)
@@ -206,6 +209,14 @@ class _ScanFailure(Exception):
         self.alpha = alpha
         super().__init__(witness)
 
+    def cap_hit(self, what: str, reason: str) -> IterationCapHit:
+        """The public error for this failure of ``what`` (a kind of phase)."""
+        return IterationCapHit(
+            f"{what} {self.phase} (alpha={self.alpha:.3e}) failed: {self.witness}; {reason}",
+            phase=self.phase,
+            alpha=self.alpha,
+        )
+
 
 def scaling_iteration_cap(n: int, K: float, eps: float) -> int:
     """Inner-loop iteration cap: ``ceil(8 log(n max(K, 2) / min(eps, 1)))``."""
@@ -219,6 +230,69 @@ def expected_phase_count(A: SparseMatrix, s: float, eps: float) -> int:
     if alpha0 <= eps:
         return 0
     return max(0, math.ceil(math.log2(alpha0 / eps)))
+
+
+def _richardson_phase(
+    prob: _Problem,
+    solver: _PhaseSolver,
+    alpha: float,
+    cap: int,
+    report: SolveReport,
+    *,
+    two_sided: bool = True,
+    positive: bool = False,
+    residual_ceiling: float = 2e250,
+):
+    """One halving phase: Richardson on ``M_alpha r = 1`` (and ``M_alpha.T l
+    = 1`` when ``two_sided``; else ``l`` is ``r``) preconditioned by
+    ``solver`` until every residual entry lies in ``[-1/2, 1/2]``.  Logs the
+    phase in ``report``; returns ``(l, r, worst residual)``.  Raises
+    :class:`_ScanFailure` after ``cap`` iterations, on a residual that is
+    non-finite or above ``residual_ceiling``, or on a nonpositive result
+    when ``positive``."""
+    phase = len(report.phases)
+    ones = np.ones(prob.n)
+    r = np.zeros(prob.n)
+    res_r = -ones
+    ell, res_l = r, res_r
+    k = 0
+    worst = 1.0  # every residual starts at -1
+    # divergence of this loop is an expected, signal-carrying outcome on
+    # non-M-matrices; silence transient overflow en route to the ceiling
+    with np.errstate(over="ignore", invalid="ignore"):
+        while worst > 0.5:
+            if k >= cap:
+                raise _ScanFailure("iteration cap", phase, alpha)
+            r = r - solver.p_right(res_r)
+            res_r = prob.shifted_matvec(alpha, r) - ones
+            worst = np.abs(res_r).max()
+            if two_sided:
+                ell = ell - solver.p_left(res_l)
+                res_l = prob.shifted_rmatvec(alpha, ell) - ones
+                worst = max(worst, np.abs(res_l).max())
+            else:
+                ell, res_l = r, res_r
+            k += 1
+            if not np.isfinite(worst) or worst > residual_ceiling:
+                raise _ScanFailure("iteration cap", phase, alpha)
+    if positive and (np.any(r <= 0.0) or np.any(ell <= 0.0)):
+        raise _ScanFailure("nonpositive scaling", phase, alpha)
+    wr = 1.0 + res_r
+    wl = 1.0 + res_l
+    report.phases.append(
+        PhaseLog(
+            alpha=alpha,
+            iterations=k,
+            window_right=(float(wr.min()), float(wr.max())),
+            window_left=(float(wl.min()), float(wl.max())),
+            min_right=float(r.min()),
+            min_left=float(ell.min()),
+            left=ell.copy(),
+            right=r.copy(),
+        )
+    )
+    report.iterations += k
+    return ell, r, worst
 
 
 def _halving_scan(
@@ -266,55 +340,17 @@ def _halving_scan(
     alpha = alpha0
     ell = ones / alpha0
     r = ones / alpha0
-    phase = 0
     while alpha > eps:
-        alpha2 = alpha
-        alpha = alpha / 2.0
-        solver = _PhaseSolver(prob, alpha2, ell, r)
+        phase = len(report.phases)
+        solver = _PhaseSolver(prob, alpha, ell, r)
+        alpha /= 2.0
         if budget_threshold is not None and varah_kappa_upper(solver.lu.S) > budget_threshold:
             raise _ScanFailure("solver budget", phase, alpha)
-        l_new = np.zeros(n)
-        r_new = np.zeros(n)
-        res_l = -ones
-        res_r = -ones
-        k = 0
-        worst = 1.0  # both residuals start at -1
-        # divergence of this loop is an expected, signal-carrying outcome on
-        # non-M-matrices; silence transient overflow en route to the ceiling
-        with np.errstate(over="ignore", invalid="ignore"):
-            while worst > 0.5:
-                if k >= cap:
-                    raise _ScanFailure("iteration cap", phase, alpha)
-                r_new = r_new - solver.p_right(res_r)
-                l_new = l_new - solver.p_left(res_l)
-                res_r = prob.shifted_matvec(alpha, r_new) - ones
-                res_l = prob.shifted_rmatvec(alpha, l_new) - ones
-                k += 1
-                worst = max(np.abs(res_r).max(), np.abs(res_l).max())
-                if not np.isfinite(worst) or worst > residual_ceiling:
-                    raise _ScanFailure("iteration cap", phase, alpha)
-        if strict:
-            if np.any(r_new <= 0.0) or np.any(l_new <= 0.0):
-                raise _ScanFailure("nonpositive scaling", phase, alpha)
-            if worst >= 0.5:
-                raise _ScanFailure("window violation", phase, alpha)
-        wr = 1.0 + res_r
-        wl = 1.0 + res_l
-        report.phases.append(
-            PhaseLog(
-                alpha=alpha,
-                iterations=k,
-                window_right=(float(wr.min()), float(wr.max())),
-                window_left=(float(wl.min()), float(wl.max())),
-                min_right=float(r_new.min()),
-                min_left=float(l_new.min()),
-                left=l_new.copy(),
-                right=r_new.copy(),
-            )
+        ell, r, worst = _richardson_phase(
+            prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
         )
-        report.iterations += k
-        ell, r = l_new, r_new
-        phase += 1
+        if strict and worst >= 0.5:
+            raise _ScanFailure("window violation", phase, alpha)
     return ell, r, alpha, report
 
 
@@ -416,6 +452,13 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     ``rho(A) >= s``) surfaces as :class:`IterationCapHit`.  Returns
     ``(ScalingPair, SolveReport)`` with per-phase logs.
     """
+    _, pair, report = _mmatrix_scale(A, s, eps, K)
+    return pair, report
+
+
+def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
+    """:func:`mmatrix_scale` plus the problem whose ``scaled_shift(eps, left,
+    right)`` it checked RCDD: ``(prob, pair, report)``."""
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
     if s <= 0.0 or eps <= 0.0 or K <= 0.0:
@@ -426,12 +469,7 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     try:
         ell, r, alpha_final, report = _halving_scan(prob, eps, cap, residual_ceiling=ceiling)
     except _ScanFailure as fail:
-        raise IterationCapHit(
-            f"scaling phase {fail.phase} (alpha={fail.alpha:.3e}) failed: "
-            f"{fail.witness}; either rho(A) >= s or K is too small",
-            phase=fail.phase,
-            alpha=fail.alpha,
-        ) from None
+        raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
     report.info["cap"] = cap
     report.info["solver_tolerance"] = 1.0 / (8.0 * K)
     if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
@@ -440,31 +478,26 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
             phase=len(report.phases),
             alpha=alpha_final,
         )
-    return ScalingPair(left=ell, right=r, alpha=alpha_final, s=s), report
+    return prob, ScalingPair(left=ell, right=r, alpha=alpha_final, s=s), report
 
 
-def solve_m(
-    A: SparseMatrix,
-    s: float,
-    eps: float,
-    K: float,
-    backend: BackendChoice | None = None,
-) -> LinearOperator:
+def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     """Operator ``P`` with ``||b - (s I - A) P(b)||_2 <= eps ||b||_2``.
 
-    Internally scales the slightly shifted matrix ``(1+eps/3)(1+eps/2) s I -
-    A`` (the composed shift stays within ``(1+eps) s``), solves through the
-    dominant-solver route, and wraps the result in Richardson refinement
-    against the true matrix until the l2 contract is met.
+    Scales the slightly shifted matrix ``(1+eps/3)(1+eps/2) s I - A`` (the
+    composed shift stays within ``(1+eps) s``) and factors the scaled matrix
+    it checked RCDD once.  Each application runs Richardson refinement
+    against the true matrix, preconditioned by that factorization, until the
+    l2 contract is met; no other residual is computed.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if s <= 0.0:
         raise ValueError("s must be positive")
     s_mid = s * (1.0 + eps / 2.0)
-    scale_pair, scale_report = mmatrix_scale(A, s_mid, eps / 3.0, K)
-    M_shift = shifted_m_matrix(A, s_mid, eps / 3.0)
-    ops = solve_from_scale(M_shift, scale_pair, eps / 3.0, backend)
+    prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
+    # factors diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
+    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right)
 
     n = A.n_rows
     csr = A.csr()
@@ -472,11 +505,14 @@ def solve_m(
     def true_matvec(x):
         return s * x - csr @ x
 
+    def precond(x):
+        return solver.p_right(x) / s_mid
+
     cap = max(64, math.ceil(8.0 * (1.0 + eps * K) * math.log(n * max(K, 2.0) / eps)))
     cfg = RichardsonConfig(tolerance=eps, max_iterations=cap, residual_norm="l2")
 
     def apply_fn(b):
-        x, rep = prec_richardson(true_matvec, ops.p_right, b, None, cfg)
+        x, rep = prec_richardson(true_matvec, precond, b, None, cfg)
         if rep.status != CONVERGED:
             raise IterationCapHit(
                 f"refinement against s I - A hit its cap of {cap} iterations",
@@ -513,6 +549,11 @@ def _symm_initial_scaling(prob: _Problem, cap: int):
         res = prob.shifted_matvec(1.0, v) - ones
         norms.append(float(np.linalg.norm(res)))
         k += 1
+    # V M_1 V is SDD only for a positive finite v; a NaN residual ends the loop too
+    if not np.all((v > 0.0) & (v < np.inf)):
+        raise IterationCapHit(
+            "initial symmetric phase left the positive finite range", phase=0, alpha=1.0
+        )
     return v, norms
 
 
@@ -521,13 +562,12 @@ class _SymmLevels:
     descended on demand from the damped ``alpha = 1`` level.
 
     At level ``alpha``, ``v`` scales ``M_alpha = (1 + alpha) I - A`` and
-    :meth:`solver` is the one SDD factorization of ``V M_alpha V``: it serves
+    :meth:`solver` is the one factorization of ``V M_alpha V`` (SDD): it serves
     a solve at that level and the step to the next.  A caller that needs a
     smaller shift continues from the last level instead of starting over.
     """
 
     def __init__(self, A: SparseMatrix):
-        self.A = A
         self.prob = _Problem(A, 1.0)
         self.alpha = 1.0
         self.report = SolveReport(alpha0=1.0)
@@ -539,39 +579,21 @@ class _SymmLevels:
             self.report.info["initial_residuals"] = initial_residuals
             self.report.iterations += len(initial_residuals) - 1
 
-    def solver(self) -> LinearOperator:
+    def solver(self) -> _PhaseSolver:
         if self._solver is None:
-            S = apply_scaling(self.v, shifted_m_matrix(self.A, 1.0, self.alpha), self.v)
-            self._solver = build_sdd_solver(S, 0.25)
+            self._solver = _PhaseSolver(self.prob, self.alpha, self.v, self.v, symmetric=True)
         return self._solver
 
-    def halve(self, cap: int) -> int:
-        """Step to level ``alpha / 2``, preconditioning with this level's
-        solver; returns the step's iteration count."""
+    def halve(self, cap: int) -> None:
+        """Step to level ``alpha / 2``, preconditioned by this level's solver."""
         alpha = self.alpha / 2.0
-        v2, Z2 = self.v, self.solver()
-        ones = np.ones(self.prob.n)
-        v = np.zeros(self.prob.n)
-        res = -ones
-        k = 0
-        while np.abs(res).max() > 0.5:
-            if k >= cap:
-                raise IterationCapHit(
-                    f"symmetric phase at alpha={alpha:.3e} exceeded its cap",
-                    phase=None,
-                    alpha=alpha,
-                )
-            v = v - v2 * Z2.apply(v2 * res)
-            res = self.prob.shifted_matvec(alpha, v) - ones
-            k += 1
-        if np.any(v <= 0.0):
-            raise IterationCapHit(
-                "symmetric scaling lost positivity; spectral assumption violated",
-                phase=None,
-                alpha=alpha,
+        try:
+            _, v, _ = _richardson_phase(
+                self.prob, self.solver(), alpha, cap, self.report, two_sided=False, positive=True
             )
+        except _ScanFailure as fail:
+            raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
         self.v, self.alpha, self._solver = v, alpha, None
-        return k
 
     def scale(self, eps: float) -> np.ndarray:
         """``v`` making ``V ((1 + eps) I - A) V`` SDD.  The phases this call
@@ -584,23 +606,7 @@ class _SymmLevels:
             return np.array([1.0 / np.sqrt(denom)])
         cap = math.ceil(8.0 * math.log(8.0 * self.prob.n / min(eps, 1.0)))
         while self.alpha > eps:
-            k = self.halve(cap)
-            v = self.v
-            res = self.prob.shifted_matvec(self.alpha, v) - 1.0
-            window = (float(1.0 + res.min()), float(1.0 + res.max()))
-            self.report.phases.append(
-                PhaseLog(
-                    alpha=self.alpha,
-                    iterations=k,
-                    window_right=window,
-                    window_left=window,
-                    min_right=float(v.min()),
-                    min_left=float(v.min()),
-                    left=v.copy(),
-                    right=v.copy(),
-                )
-            )
-            self.report.iterations += k
+            self.halve(cap)
         return self.v
 
 
@@ -633,8 +639,9 @@ def symm_solve(A: SparseMatrix, b, delta: float):
 
     Descends the halving levels of the symmetric scaling and attempts a short
     Richardson refinement against ``I - A`` at every level, returning at the
-    first level whose shifted solver is strong enough.  One SDD factorization
-    serves each level: its refinement and the step to the next level.
+    first level whose shifted solver is strong enough.  One factorization of
+    the level matrix serves each level: its refinement and the step to the
+    next level.  Each refinement starts from the best earlier iterate.
     """
     _check_symmetric_nonnegative(A)
     if not (0.0 < delta < 1.0):
@@ -655,17 +662,17 @@ def symm_solve(A: SparseMatrix, b, delta: float):
         return x - csr @ x
 
     per_level = 4 + math.ceil(3.0 * math.log2(2.0 / delta))
-    cfg = RichardsonConfig(tolerance=delta, max_iterations=per_level, residual_norm="l2")
     report = SolveReport()
     alpha_floor = 1e-14
     level = 0
+    # best iterate so far, from x = 0; prec_richardson stops relative to its
+    # starting residual r0, so delta ||b|| / r0 keeps the target delta ||b||
+    nb = np.linalg.norm(b)
+    x0, r0 = None, nb
     while levels.alpha > alpha_floor:
-        v, Z = levels.v, levels.solver()
-
-        def precond(x, v=v, Z=Z):
-            return v * Z.apply(v * x)
-
-        x, rep = prec_richardson(forward, precond, b, None, cfg)
+        tolerance = delta if x0 is None else delta * nb / r0
+        cfg = RichardsonConfig(tolerance, max_iterations=per_level, residual_norm="l2")
+        x, rep = prec_richardson(forward, levels.solver().p_right, b, x0, cfg)
         level += 1
         report.iterations += rep.iterations
         report.residuals.append(rep.residuals[-1])
@@ -673,6 +680,8 @@ def symm_solve(A: SparseMatrix, b, delta: float):
             report.info["levels"] = level
             report.info["alpha"] = levels.alpha
             return x, report
+        if rep.residuals[-1] < r0:
+            x0, r0 = x, rep.residuals[-1]
         levels.halve(math.ceil(8.0 * math.log(8.0 * n / min(levels.alpha / 2.0, 1.0))))
     raise IterationCapHit(
         "no halving level produced a strong enough solver; the matrix is "
@@ -709,9 +718,9 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     diagonal makes ``V M V`` diagonally dominant, and solves through the SDD
     route with Richardson refinement.  The shift search over 1/2, 1/8, 1/32,
     ... continues one descent of the halving levels, so each level is scaled
-    and factored once.  A scaling that fails the dominance check at every
-    shift disproves the factor-width-2 assertion and raises
-    :class:`NotSDDAfterScaling`.
+    and factored once.  Input that is not factor width 2 raises
+    :class:`IterationCapHit` from a halving level, or
+    :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.
     """
     if not M.is_square:
         raise ValueError("expected a square matrix")

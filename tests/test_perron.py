@@ -328,7 +328,7 @@ class TestCWBracket:
             x[0] = -x[0]
             return x
 
-        monkeypatch.setattr("perronkit.perron._DirectSolver.solve", solve)
+        monkeypatch.setattr("perronkit.rcdd._DirectSolver.solve", solve)
         bracket = _CWBracket(random_irreducible(np.random.default_rng(3), 10))
         assert bracket.upper(1e-3) is None
         assert bracket.failed and bracket.factorizations == 1
@@ -337,7 +337,7 @@ class TestCWBracket:
 
     def test_bracket_reports_failure_after_its_step_budget(self, monkeypatch):
         monkeypatch.setattr(
-            "perronkit.perron._DirectSolver.solve", lambda self, b, transpose=False: b
+            "perronkit.rcdd._DirectSolver.solve", lambda self, b, transpose=False: b
         )
         bracket = _CWBracket(random_irreducible(np.random.default_rng(3), 10))
         assert bracket.upper(1e-3) is None

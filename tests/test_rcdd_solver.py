@@ -102,8 +102,8 @@ class TestRcddSolver:
         M = random_strictly_rcdd_dense(rng, 18)
         x = rng.normal(size=18)
         for backend in BACKENDS:
-            za = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend, seed=7)
-            zb = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend, seed=7)
+            za = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend)
+            zb = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend)
             ya, yb = za.apply(x), zb.apply(x)
             assert np.array_equal(ya, yb)
             assert np.array_equal(ya, za.apply(x))

@@ -425,3 +425,34 @@ class TestFactorWidth2:
         lam_min = float(np.linalg.eigvalsh(M_dense)[0])
         bound = delta * np.linalg.norm(b) / lam_min + 1e-12 * np.linalg.norm(exact)
         assert np.linalg.norm(x - exact) <= bound
+
+
+class TestSymmetricFailures:
+    """Input outside the symmetric path's assumptions surfaces as
+    :class:`IterationCapHit` from the halving levels."""
+
+    @pytest.mark.parametrize("n", [20, 250], ids=["dense", "csr"])
+    def test_spectral_radius_above_one(self, n):
+        rng = np.random.default_rng(52)
+        A = SparseMatrix.from_dense(
+            random_symmetric_contraction_dense(rng, n, 1.2, density=min(0.3, 5.0 / n))
+        )
+        with pytest.raises(IterationCapHit):
+            symm_scale(A, 1e-3)
+        with pytest.raises(IterationCapHit):
+            symm_solve(A, rng.normal(size=n), 1e-6)
+
+    def test_factor_width2_rejects_two_by_two_indefinite(self):
+        M = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(IterationCapHit):
+            factor_width2_solve(M, np.ones(2), 1e-6)
+
+    def test_factor_width2_rejects_dense_spd(self):
+        """``B.T B + I`` with a dense Gaussian ``B`` is positive definite but
+        far from factor width 2."""
+        rng = np.random.default_rng(53)
+        n = 200
+        B = rng.normal(size=(n, n))
+        M = SparseMatrix.from_dense(B.T @ B + np.eye(n))
+        with pytest.raises(IterationCapHit):
+            factor_width2_solve(M, rng.normal(size=n), 1e-6)

@@ -7,6 +7,12 @@ shift-and-invert ones of ``compute_perron`` included, must stay behind
 ``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``, where a profiler
 can count them.  The symmetric path factors each halving level once, and only
 its SDD factorizations use the symmetric ordering.
+
+Every matrix the engine forms itself is factored through the phase solver:
+``solve_m`` factors the matrix its scaling was checked on and builds no RCDD
+solver, and the symmetric levels build no SDD solver.  The symmetric phases
+share the scan's phase loop and with it its guard, so a non-finite solve or
+a damped level that is not positive and finite raises instead of returning.
 """
 
 import math
@@ -18,6 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import perronkit.perron
+import perronkit.rcdd
 import perronkit.scaling
 from perronkit import (
     IterationCapHit,
@@ -27,6 +34,7 @@ from perronkit import (
     compute_perron,
     factor_width2_solve,
     mmatrix_scale,
+    solve_m,
     symm_scale,
     symm_solve,
 )
@@ -38,6 +46,7 @@ from conftest import (
     random_irreducible,
     random_irreducible_dense,
     random_m_matrix,
+    random_m_matrix_dense,
     random_sdd_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
@@ -296,3 +305,113 @@ def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
     orderings.clear()
     build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-8)
     assert orderings == [(None, None)]
+
+
+@SYMMETRIC_SIZES
+def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
+    """A level solve that returns non-finite values trips the phase loop's
+    finiteness guard: every symmetric entry point raises instead of returning
+    a non-finite ``v`` or ``x``."""
+    monkeypatch.setattr(
+        _DirectSolver, "solve", lambda self, b, transpose=False: np.full_like(b, np.nan)
+    )
+    rng = np.random.default_rng(51)
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
+    )
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    b = rng.normal(size=n)
+    calls = [
+        lambda: symm_scale(SparseMatrix.from_dense([[0.0, 0.5], [0.5, 0.0]]), 0.6),
+        lambda: symm_scale(A, 1e-3),
+        lambda: symm_solve(A, b, 1e-6),
+        lambda: factor_width2_solve(M, b, 1e-6),
+    ]
+    for call in calls:
+        with pytest.raises(IterationCapHit, match="iteration cap"):
+            call()
+
+
+def test_damped_level_must_be_positive_and_finite(monkeypatch):
+    """A damped ``alpha = 1`` iterate that is non-finite or has a nonpositive
+    entry raises before it is factored or returned."""
+    counts = count_factorizations(monkeypatch)
+    # entries near 1e300 overflow the damped iteration to inf, then NaN;
+    # eps > 1 asks for no halving, so the damped level itself is the answer
+    huge = SparseMatrix.from_dense([[0.0, 1e300], [1e300, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IterationCapHit, match="positive finite"):
+            symm_scale(huge, 2.0)
+
+    real_matvec = _Problem.shifted_matvec
+
+    def matvec(self, alpha, x):
+        if alpha != 1.0:
+            return real_matvec(self, alpha, x)
+        # the first step leaves v = 1/4; a residual of 4 in entry 0 pushes
+        # v[0] to -3/4, where a zero residual ends the loop
+        y = np.ones_like(x)
+        y[0] = 1.0 if x[0] <= 0.0 else 5.0
+        return y
+
+    monkeypatch.setattr(_Problem, "shifted_matvec", matvec)
+    rng = np.random.default_rng(54)
+    A = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, 20, 0.9))
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, 20))
+    b = rng.normal(size=20)
+    calls = [
+        lambda: symm_scale(A, 2.0),
+        lambda: symm_scale(A, 1e-3),
+        lambda: symm_solve(A, b, 1e-6),
+        lambda: factor_width2_solve(M, b, 1e-6),
+    ]
+    for call in calls:
+        with pytest.raises(IterationCapHit, match="positive finite"):
+            call()
+    assert counts == {"lu_factor": 0, "splu": 0}
+
+
+@pytest.mark.parametrize("n", [20, 200], ids=["dense", "csr"])
+def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
+    """``solve_m`` checks RCDD once, on the scan's result, and factors that
+    same matrix once more than the scan's phases; it builds no RCDD solver."""
+    counts = count_factorizations(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
+    count_calls(monkeypatch, counts, perronkit.rcdd, "check_rcdd")
+    count_calls(monkeypatch, counts, perronkit.scaling, "build_rcdd_solver")
+    count_calls(monkeypatch, counts, perronkit.scaling, "solve_from_scale")
+    rng = np.random.default_rng(55)
+    A_dense = random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n))
+    op = solve_m(SparseMatrix.from_dense(A_dense), 1.0, 1e-8, 100.0)
+    for _ in range(3):
+        b = rng.normal(size=n)
+        x = op.apply(b)
+        assert np.linalg.norm(x - A_dense @ x - b) <= 1e-8 * np.linalg.norm(b)
+    phases = op.report.info["scaling_phases"]
+    assert phases > 0
+    assert counts == {
+        "lu_factor": 0,
+        "splu": 0,
+        factor_name(n): phases + 1,
+        "check_rcdd": 1,
+        "build_rcdd_solver": 0,
+        "solve_from_scale": 0,
+    }
+
+
+@SYMMETRIC_SIZES
+def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
+    """The symmetric levels factor through the phase solver; the one SDD
+    solver build is ``factor_width2_solve``'s, on the caller's matrix."""
+    counts = {}
+    count_calls(monkeypatch, counts, perronkit.scaling, "build_sdd_solver")
+    rng = np.random.default_rng(56)
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    )
+    symm_scale(A, 1e-3)
+    symm_solve(A, rng.normal(size=n), 1e-9)
+    assert counts == {"build_sdd_solver": 0}
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    factor_width2_solve(M, rng.normal(size=n), 1e-8)
+    assert counts == {"build_sdd_solver": 1}
