@@ -18,10 +18,9 @@ from .errors import (
     DecayTooLarge,
     IterationCapHit,
     KernelDiverges,
-    NotIrreducible,
     ReducibleGram,
 )
-from .perron import PerronCertificate, certify_spectral_bound, compute_perron
+from .perron import PerronCertificate, _CWBracket, certify_spectral_bound, compute_perron
 from .reports import SolveReport
 from .scaling import solve_m
 from .sparse import SparseMatrix, as_vector, is_irreducible
@@ -89,8 +88,11 @@ class ProductWeights:
 class SingularTriplet:
     """Top singular value with unit 2-norm singular vectors.
 
-    ``residuals`` holds the relative sup-norm eigen-residuals of the two
-    Gram-level Perron certificates ``(right side, left side)``.
+    ``residuals`` holds the relative sup-norm eigen-residuals
+    ``(right side, left side)`` of the singular vectors as eigenvectors of
+    ``A.T A`` and ``A A.T`` at ``sigma**2``.  The side whose Gram matrix is
+    smaller carries its Perron certificate's ``residual_right``; the other is
+    recomputed from the derived vector.
     """
 
     sigma: float
@@ -127,9 +129,14 @@ def _k_estimate(cert: PerronCertificate, rho_upper: float) -> float:
 
 
 def _certify_reducible_decay(B: SparseMatrix):
-    """Decide ``rho(B) < 1`` for a reducible nonnegative matrix by certifying
-    every strongly connected component block; returns ``(valid, rho_upper)``
-    with a certified upper bound on ``rho(B)`` when valid."""
+    """Decide ``rho(B) < 1`` for a reducible nonnegative matrix; returns
+    ``(valid, rho_upper)`` with a certified upper bound on ``rho(B)`` when
+    valid.  The CW bracket's upper bounds hold on the whole matrix, so it
+    tries that first; every strongly connected component block is certified
+    on its own when the bracket cannot show validity."""
+    bracket = _CWBracket(B)
+    if bracket.decide(1.0, valid_only=True):
+        return True, min(bracket.cw_right[1], bracket.cw_left[1])
     _, labels = connected_components(B.csr(), directed=True, connection="strong")
     diag = B.csr().diagonal()
     rho_upper = 0.0
@@ -232,10 +239,12 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
 def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     """Top singular triplet of a nonnegative matrix via its Gram matrices.
 
-    Forms ``A.T A`` and ``A A.T`` explicitly and runs the certified Perron
-    computation on each; ``sigma = sqrt(s)`` is then within relative
-    ``delta`` of the true top singular value.  Raises :class:`ReducibleGram`
-    when a Gram matrix is not irreducible.
+    Forms ``A.T A`` and ``A A.T`` explicitly, checks both irreducible and
+    runs the certified Perron computation on the smaller one; ``sigma =
+    sqrt(s)`` is then within relative ``delta`` of the true top singular
+    value.  The other singular vector is derived (``u = A v / ||A v||`` or
+    ``v = A.T u / ||A.T u||``) and its Gram residual recomputed.  Raises
+    :class:`ReducibleGram` when a Gram matrix is not irreducible.
     """
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
@@ -245,19 +254,24 @@ def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     if not is_irreducible(gram_right):
         raise ReducibleGram("A.T A is reducible")
     gram_left = SparseMatrix.from_scipy(A.csr() @ A.csr_transpose())
-    try:
-        cert_r = compute_perron(gram_right, delta)
-        cert_l = compute_perron(gram_left, delta)
-    except NotIrreducible as exc:
-        raise ReducibleGram(f"Gram matrix is reducible: {exc}") from None
-    sigma = float(np.sqrt(cert_r.s))
-    right = cert_r.right / np.linalg.norm(cert_r.right)
-    left = cert_l.right / np.linalg.norm(cert_l.right)
+    if not is_irreducible(gram_left):
+        raise ReducibleGram("Gram matrix is reducible: nonzero pattern is not strongly connected")
+    right_first = gram_right.n_rows <= gram_left.n_rows
+    cert = compute_perron(gram_right if right_first else gram_left, delta)
+    # the certified side's vector mapped through A (or A.T) to the other side
+    certified = cert.right / np.linalg.norm(cert.right)
+    derived = A.matvec(certified, transpose=not right_first)
+    derived /= np.linalg.norm(derived)
+    # the other Gram matrix applied as A (A.T u) or A.T (A v)
+    gram_derived = A.matvec(A.matvec(derived, transpose=right_first), transpose=not right_first)
+    res = derived - gram_derived / cert.s
+    res_derived = float(np.abs(res).max() / np.abs(derived).max())
+    if right_first:
+        right, left, residuals = certified, derived, (cert.residual_right, res_derived)
+    else:
+        right, left, residuals = derived, certified, (res_derived, cert.residual_right)
     return SingularTriplet(
-        sigma=sigma,
-        left=left,
-        right=right,
-        residuals=(cert_r.residual_right, cert_l.residual_right),
+        sigma=float(np.sqrt(cert.s)), left=left, right=right, residuals=residuals
     )
 
 

@@ -13,7 +13,9 @@ best upper bound), a bracket that is sound for any conditioning; they fall
 back to the bisection only when that loop fails.  One scaling scan at the
 bracket's upper end then yields positive approximate eigenvectors, and a
 doubling loop over the conditioning guess turns them into a
-Collatz-Wielandt-certified eigenvalue estimate.
+Collatz-Wielandt-certified eigenvalue estimate.  Deciding ``rho(A) < bound``
+needs no eigenvectors: the bracket alone settles it unless ``rho(A)`` sits
+at the bound.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .scaling import (
     _PhaseSolver,
     _Problem,
     _ScanFailure,
-    mmatrix_scale,
+    _mmatrix_scale,
+    mmatrix_scale,  # noqa: F401  perron.mmatrix_scale stays a seam perfbench traces
 )
 from .sparse import (
     RCDD_VERIFY_SLACK,
@@ -96,10 +99,15 @@ class DecisionOutcome:
 class PerronCertificate:
     """Certified approximate Perron data.
 
-    ``s`` is the returned eigenvalue estimate, ``cw_lower``/``cw_upper`` the
+    ``s`` is the eigenvalue estimate: the better of the two vectors'
+    Collatz-Wielandt lower bounds, so ``s <= rho(A)``, when the certificate
+    comes from :func:`compute_perron` or from the bracket of
+    :func:`certify_spectral_bound`.  ``cw_lower``/``cw_upper`` are the
     Collatz-Wielandt sandwich of the spectral radius computed from the right
-    vector, ``k_final`` the conditioning guess at acceptance, and the
-    residual fields the relative sup-norm eigen-residuals at ``s``.
+    vector, ``k_final`` the conditioning guess at acceptance (1 for a bracket
+    certificate, which needs none), and the residual fields the relative
+    sup-norm eigen-residuals of each vector at ``s``.  :func:`simple_perron`
+    returns its upper estimate as ``s`` and its scaling pair as vectors.
     """
 
     s: float
@@ -280,35 +288,45 @@ class _CWBracket:
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
     bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
     no ``K``.  One bracket serves every round of a :func:`compute_perron`
-    call: a tighter ``eps`` continues from the last iterates.
+    call: a tighter ``eps`` continues from the last iterates.  Both bounds
+    hold for every nonnegative ``A``; only the lower one needs irreducibility
+    to approach ``rho(A)``.
     """
 
     def __init__(self, A: SparseMatrix):
         self.A = A
         self.right = np.ones(A.n_rows)
         self.left = np.ones(A.n_rows)
+        # (lower, upper) CW bounds of the current right and left iterates
+        self.cw_right = self.cw_left = (0.0, np.inf)
         self.factorizations = 0
         self.failed = False
+        self._prob = None
 
-    def upper(self, eps: float) -> float | None:
-        """``s`` with ``rho(A) <= s < (1 + eps) rho(A)``, or ``None`` once an
-        iterate leaves the positive cone or the step budget runs out."""
+    def _iterates(self, lower: bool = True):
+        """Yield once per iterate, its CW bounds set, stepping when resumed.
+        Ends, marking the bracket failed, once an iterate leaves the positive
+        cone, a bound is unusable (``lower``: a zero lower bound too) or the
+        step budget runs out."""
         A, ones = self.A, np.ones(self.A.n_rows)
         while not self.failed:
             ratio_r = A.matvec(self.right) / self.right
             ratio_l = A.matvec(self.left, transpose=True) / self.left
-            hi = min(ratio_r.max(), ratio_l.max())
-            lo = max(ratio_r.min(), ratio_l.min())
-            # lo > hi only by rounding, once both sides have converged
-            if not (lo > 0.0 and hi < np.inf):
+            self.cw_right = (float(ratio_r.min()), float(ratio_r.max()))
+            self.cw_left = (float(ratio_l.min()), float(ratio_l.max()))
+            hi = min(self.cw_right[1], self.cw_left[1])
+            if not (hi < np.inf and (self.lower > 0.0 or not lower)):
                 break
-            if hi < (1.0 + eps) * lo:
-                return float(hi)
+            yield
             if self.factorizations == _CW_MAX_STEPS:
                 break
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
-            # relative to rho whatever the scale of A
-            solver = _PhaseSolver(_Problem(A, hi), _CW_SHIFT_MARGIN, ones, ones)
+            # relative to rho whatever the scale of A; one problem, rescaled
+            if self._prob is None:
+                self._prob = _Problem(A, hi)
+            else:
+                self._prob.rescale(hi)
+            solver = _PhaseSolver(self._prob, _CW_SHIFT_MARGIN, ones, ones)
             self.factorizations += 1
             right = _unit_positive(solver.p_right(self.right))
             left = _unit_positive(solver.p_left(self.left))
@@ -316,6 +334,47 @@ class _CWBracket:
                 break
             self.right, self.left = right, left
         self.failed = True
+
+    @property
+    def lower(self) -> float:
+        """The better CW lower bound of the current iterates."""
+        return max(self.cw_right[0], self.cw_left[0])
+
+    def upper(self, eps: float) -> float | None:
+        """``s`` with ``rho(A) <= s < (1 + eps) rho(A)``, or ``None`` once an
+        iterate leaves the positive cone or the step budget runs out."""
+        for _ in self._iterates():
+            hi = min(self.cw_right[1], self.cw_left[1])
+            # lo > hi only by rounding, once both sides have converged
+            if hi < (1.0 + eps) * self.lower:
+                return float(hi)
+        return None
+
+    def decide(self, bound: float, valid_only: bool = False) -> bool | None:
+        """``rho(A) < bound``, decided at the first iterate whose bounds
+        settle it: both the right and the left CW upper bound below
+        ``bound`` (True), or the better lower bound at or above it (False).
+        ``None`` when the bracket fails, or when its bounds meet within
+        rounding on either side of ``bound``.  ``valid_only`` decides only
+        the True side, and allows a zero lower bound (a reducible ``A``):
+        ``None`` as soon as the lower bound rules that side out.
+
+        Each bound is a ratio of sums of nonnegative products, computed to a
+        relative error below ``(n + 2)`` machine epsilons (barring
+        underflow); both tests keep that margin, so rounding cannot decide
+        the wrong side."""
+        tol = (self.A.n_rows + 2) * np.finfo(float).eps
+        for _ in self._iterates(lower=not valid_only):
+            lo = self.lower
+            his = (self.cw_right[1], self.cw_left[1])
+            if max(his) * (1.0 + tol) < bound:
+                return True
+            if lo * (1.0 - tol) >= bound:
+                return None if valid_only else False
+            # the best upper bound settles nothing either, and no step can
+            # narrow it past rounding
+            if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
+                return None
         return None
 
 
@@ -328,15 +387,17 @@ def _unit_positive(x: np.ndarray) -> np.ndarray | None:
 
 
 def _simple_perron_core(A: SparseMatrix, eps: float, K: float, bracket: _CWBracket):
+    """``(s, prob, pair)``: the upper estimate ``s`` and the scaling pair
+    certifying ``prob.scaled_shift(eps / 3, pair.left, pair.right)`` RCDD."""
     s = bracket.upper(eps)
     if s is None:
         s, _ = find_perron_value(A, 0.0, induced_norms(A).norm_inf, eps, K)
-    scale_pair, _ = mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
-    return s, scale_pair
+    prob, scale_pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
+    return s, prob, scale_pair
 
 
 def _simple_perron_checked(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
-    s, scale_pair = _simple_perron_core(A, eps, K, _CWBracket(A))
+    s, _, scale_pair = _simple_perron_core(A, eps, K, _CWBracket(A))
     left, right = scale_pair.left, scale_pair.right
     res_l, res_r = _eigen_residuals(A, s, left, right)
     cw_lower, cw_upper = collatz_wielandt_bounds(A, right)
@@ -373,11 +434,11 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     while K <= _K_CAP:
         eps_round = delta / (8.0 * K * K)
         try:
-            s_upper, pair = _simple_perron_core(A, eps_round, K, bracket)
+            s_upper, prob, pair = _simple_perron_core(A, eps_round, K, bracket)
         except IterationCapHit:
             K *= 2.0
             continue
-        left, right = _polish_pair(A, s_upper, eps_round, pair)
+        left, right = _polish_pair(prob, eps_round, pair)
         cw_r = collatz_wielandt_bounds(A, right)
         # the left vector's CW lower bound, from the transpose A caches
         cw_l = float((A.matvec(left, transpose=True) / left).min())
@@ -409,15 +470,14 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     raise KCapExceeded(f"conditioning guess passed {_K_CAP} without certifying")
 
 
-def _polish_pair(A: SparseMatrix, s: float, eps: float, pair):
+def _polish_pair(prob: _Problem, eps: float, pair):
     """Sharpen the scaling vectors toward the Perron directions with a few
     extra inverse applications; each application damps the non-Perron
     components by roughly the shift-to-gap ratio.  Falls back to the last
     positive iterate if a solve ever leaves the positive cone."""
     # factors diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
-    # scaling pair certifies RCDD
-    denom = s * (1.0 + eps / 2.0)
-    solver = _PhaseSolver(_Problem(A, denom), eps / 3.0, pair.left, pair.right)
+    # scaling pair certifies RCDD on the scan's own problem
+    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right)
     left, right = pair.left, pair.right
     for _ in range(3):
         right_next = solver.p_right(right / np.abs(right).max())
@@ -436,16 +496,42 @@ def _polish_pair(A: SparseMatrix, s: float, eps: float, pair):
 def certify_spectral_bound(
     B: SparseMatrix, bound: float = 1.0, max_refinements: int = 24
 ) -> tuple[bool, PerronCertificate]:
-    """Decide ``rho(B) < bound`` with a certificate, refining until resolved.
+    """Decide ``rho(B) < bound`` with a certificate.
 
-    Uses the two-sided Perron guarantee: the returned estimate ``s``
-    satisfies ``s <= rho(B) < s / (1 - delta)``, so either inequality against
-    the bound is certified once delta is small enough.  Raises
-    :class:`BoundaryUndecidable` when ``rho(B)`` sits at the bound within the
-    refinement budget.
+    Continues one Collatz-Wielandt shift-and-invert bracket until its bounds
+    settle the question, which needs no scaling scan: True once the CW upper
+    bounds of both the right and the left iterate lie below ``bound``, False
+    once the better CW lower bound reaches it.  The certificate is built from
+    that iterate pair: ``s`` is the better CW lower bound (so ``s <= rho(B)``),
+    ``cw_lower``/``cw_upper`` are the right vector's CW bounds, the residuals
+    are the eigen-residuals at ``s`` and ``k_final`` is 1.
+
+    Should the bracket fail or its bounds meet within rounding of ``bound``,
+    the decision falls back to :func:`compute_perron` with ``delta`` = 1/4,
+    1/16, ...: its estimate satisfies ``s <= rho(B) < s / (1 - delta)``, so
+    either inequality against the bound is certified once delta is small
+    enough, and the certificate is that call's.  Raises
+    :class:`BoundaryUndecidable` when ``rho(B)`` sits at the bound within
+    ``max_refinements`` such calls.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
+    _structure_check(B)
+    bracket = _CWBracket(B)
+    valid = bracket.decide(bound)
+    if valid is not None:
+        s = bracket.lower
+        res_l, res_r = _eigen_residuals(B, s, bracket.left, bracket.right)
+        return valid, PerronCertificate(
+            s=s,
+            left=bracket.left,
+            right=bracket.right,
+            k_final=1.0,
+            residual_left=res_l,
+            residual_right=res_r,
+            cw_lower=bracket.cw_right[0],
+            cw_upper=bracket.cw_right[1],
+        )
     delta = 0.25
     for _ in range(max_refinements):
         cert = compute_perron(B, delta)

@@ -8,6 +8,7 @@ import numpy as np
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
+NON_FINITE = "non_finite"
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .rcdd import (
     build_sdd_solver,
     varah_kappa_upper,
 )
-from .reports import CONVERGED, ITERATION_CAP, PhaseLog, SolveReport
+from .reports import CONVERGED, ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
@@ -121,41 +121,59 @@ class RichardsonConfig:
 
 class _Problem:
     """``A / scale`` in the solvers' working storage: a dense array below the
-    cutoff, CSR above (``dense`` and ``csr`` name whichever is in use)."""
+    cutoff, CSR above (``dense`` and ``csr`` name whichever is in use).
+    :meth:`rescale` moves it to another scale on the same storage."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
             raise ValueError("expected a square matrix")
-        if scale <= 0.0 or not np.isfinite(scale):
-            raise ValueError("scale must be positive and finite")
         self.n = A.n_rows
         self._A = A
-        self._scale = scale
-        self.matrix = _storage(A.csr()) / scale
-        self.matrix_t = self.matrix.T
-        self.dense = self.matrix if isinstance(self.matrix, np.ndarray) else None
-        self.csr = None if self.dense is not None else self.matrix
-        if self.csr is not None:
+        self._unscaled = _storage(A.csr())
+        if not isinstance(self._unscaled, np.ndarray):
             # -A on the pattern of (1 + alpha) I - A, the diagonal always
-            # stored; every phase only rescales its values
-            coo = self.matrix.tocoo()
+            # stored; every phase only rescales its values.  A's entries,
+            # canonical and sorted as that pattern is, fill the positions
+            # marked here in order.
+            coo = self._unscaled.tocoo()
             idx = np.arange(self.n)
             self._neg_a = sp.csr_matrix(
                 (
-                    np.concatenate([-coo.data, np.zeros(self.n)]),
+                    np.concatenate([np.ones(coo.nnz), np.zeros(self.n)]),
                     (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx])),
                 ),
                 shape=(self.n, self.n),
             )
+            self._a_pos = np.flatnonzero(self._neg_a.data)
+            self._neg_a.data[:] = 0.0
             self._rows = np.repeat(idx, np.diff(self._neg_a.indptr))
             self._diag = np.flatnonzero(self._rows == self._neg_a.indices)
+        self.rescale(scale)
+
+    def rescale(self, scale: float) -> None:
+        """Make this the problem of ``A / scale``, with the same bits as a
+        fresh ``_Problem(A, scale)``."""
+        if scale <= 0.0 or not np.isfinite(scale):
+            raise ValueError("scale must be positive and finite")
+        self._scale = scale
+        self.matrix = self._unscaled / scale
+        self.matrix_t = self.matrix.T
+        self.dense = self.matrix if isinstance(self.matrix, np.ndarray) else None
+        self.csr = None if self.dense is not None else self.matrix
+        if self.csr is not None:
+            self._neg_a.data[self._a_pos] = -self.matrix.data
 
     @cached_property
-    def norm_max(self) -> float:
-        """``max(||A||_1, ||A||_inf)``, computed on first read: only the
-        scan's starting shift and the 1x1 closed forms need it."""
+    def _norm_max_unscaled(self) -> float:
         norms = induced_norms(self._A)
-        return max(norms.norm_1, norms.norm_inf) / self._scale
+        return max(norms.norm_1, norms.norm_inf)
+
+    @property
+    def norm_max(self) -> float:
+        """``max(||A||_1, ||A||_inf)`` at the current scale, the norms computed
+        on first read: only the scan's starting shift and the 1x1 closed forms
+        need it."""
+        return self._norm_max_unscaled / self._scale
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """``((1 + alpha) I - A) @ x``."""
@@ -363,9 +381,11 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
 
     ``M`` may be a :class:`SparseMatrix` or a callable forward map; ``P`` a
     :class:`LinearOperator` or callable.  Stops when the residual norm drops
-    below ``cfg.tolerance`` times the initial residual norm, or flags
-    ``iteration_cap`` in the report (a status, not an error).  Returns
-    ``(x, report)`` with per-iteration residual norms.
+    below ``cfg.tolerance`` times the initial residual norm.  Otherwise it
+    flags ``iteration_cap`` in the report when the cap runs out, or
+    ``non_finite`` at the first residual norm that is NaN or infinite
+    (statuses, not errors).  Returns ``(x, report)`` with per-iteration
+    residual norms.
     """
     if cfg is None:
         raise ValueError("cfg is required")
@@ -395,6 +415,9 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
         report.residuals.append(rn)
         report.iterations = it
         if rn < target:
+            return x, report
+        if not math.isfinite(rn):
+            report.status = NON_FINITE
             return x, report
     report.status = ITERATION_CAP
     return x, report
@@ -515,7 +538,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         x, rep = prec_richardson(true_matvec, precond, b, None, cfg)
         if rep.status != CONVERGED:
             raise IterationCapHit(
-                f"refinement against s I - A hit its cap of {cap} iterations",
+                f"refinement against s I - A stopped ({rep.status}) after "
+                f"{rep.iterations} of at most {cap} iterations",
                 phase=None,
                 alpha=None,
             )
@@ -754,7 +778,7 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     x, report = prec_richardson(M, precond, b, None, cfg)
     if report.status != CONVERGED:
         raise IterationCapHit(
-            "factor-width-2 refinement hit its iteration cap", phase=None, alpha=None
+            f"factor-width-2 refinement stopped ({report.status})", phase=None, alpha=None
         )
     report.info["shift"] = eps_try
     report.info["scaling"] = v

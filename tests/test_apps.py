@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import perronkit.apps as apps_module
 from perronkit import (
     DecayTooLarge,
     KernelDiverges,
@@ -210,6 +211,60 @@ class TestProductGraph:
         return LabeledGraph(n, edges, d)
 
 
+class TestReducibleDecay:
+    """``rho(B) < 1`` for reducible ``B``: the bracket's upper bound on the
+    whole matrix first, each strongly connected block when it cannot show
+    validity."""
+
+    # blocks {0, 1} (rho about 0.67) and {2, 3} (rho 0.5), an edge between
+    # them and a zero row; the lower CW bound of the whole matrix stays 0
+    BLOCKS = np.array(
+        [
+            [0.3, 0.5, 0.1, 0.0, 0.0],
+            [0.2, 0.4, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+    def count_block_certificates(self, monkeypatch):
+        calls = []
+        real = apps_module.certify_spectral_bound
+
+        def counted(B, bound=1.0):
+            calls.append(B.n_rows)
+            return real(B, bound)
+
+        monkeypatch.setattr(apps_module, "certify_spectral_bound", counted)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1.0, 1.4])
+    def test_bracket_decides_the_valid_side(self, monkeypatch, scale):
+        calls = self.count_block_certificates(monkeypatch)
+        M = scale * self.BLOCKS
+        rho = np.abs(np.linalg.eigvals(M)).max()
+        assert rho < 1.0
+        valid, rho_upper = apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
+        assert valid and rho * (1 - 1e-12) <= rho_upper < 1.0
+        assert calls == []
+
+    def test_invalid_side_falls_back_to_the_blocks(self, monkeypatch):
+        calls = self.count_block_certificates(monkeypatch)
+        M = 1.6 * self.BLOCKS
+        assert np.abs(np.linalg.eigvals(M)).max() > 1.0
+        valid, rho_upper = apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
+        assert not valid and rho_upper == np.inf
+        assert calls == [2, 2]
+
+    def test_kernel_on_a_reducible_product(self):
+        W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)
+        p = np.full(5, 0.2)
+        value, _ = graph_kernel(W, p, p, 1.2, 1e-12)
+        exact = p @ np.linalg.solve(np.eye(5) - 1.2 * self.BLOCKS, p)
+        assert abs(value - exact) <= 1e-9 * abs(exact)
+
+
 class TestGraphKernel:
     def test_lambda_zero_is_inner_product(self):
         W = ProductWeights(SparseMatrix.from_dense(np.ones((3, 3))), 3, 1)
@@ -288,3 +343,24 @@ class TestLabeledGraphIO:
     def test_label_range_enforced(self):
         with pytest.raises(ValueError):
             LabeledGraph(2, [(0, 1, 3, 1.0)], 2)
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9)], ids=["tall", "wide"])
+def test_singular_residuals_are_the_gram_residuals(shape):
+    """Both residuals are the singular vectors' relative eigen-residuals on
+    their Gram matrices at ``sigma**2``, the derived side's included."""
+    rng = np.random.default_rng(70)
+    A_dense = rng.random(shape) + 0.05
+    trip = top_singular(SparseMatrix.from_dense(A_dense), 1e-9)
+    s = trip.sigma**2
+    for vec, gram, res in (
+        (trip.right, A_dense.T @ A_dense, trip.residuals[0]),
+        (trip.left, A_dense @ A_dense.T, trip.residuals[1]),
+    ):
+        assert np.all(vec > 0.0)
+        expected = np.abs(vec - gram @ vec / s).max() / np.abs(vec).max()
+        assert res == pytest.approx(expected, rel=1e-6, abs=1e-14)
+        assert res <= 1e-8
+    sigma_ref, u_ref, v_ref = dense_svd_top(A_dense, tol=1e-13)
+    assert np.allclose(np.abs(trip.left), np.abs(u_ref), atol=1e-8)
+    assert np.allclose(np.abs(trip.right), np.abs(v_ref), atol=1e-8)

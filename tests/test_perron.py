@@ -1,13 +1,18 @@
 """Decision procedure, eigenvalue bisection, and certified Perron pairs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import perronkit.perron
 from perronkit import (
+    BoundaryUndecidable,
     NotIrreducible,
     SparseMatrix,
     Verdict,
     apply_scaling,
+    certify_spectral_bound,
     check_rcdd,
     collatz_wielandt_bounds,
     compute_perron,
@@ -352,6 +357,119 @@ class TestCWBracket:
             cert = compute_perron(SparseMatrix.from_dense(M), delta)
             assert (1 - delta) * rho < cert.s <= rho * (1 + 1e-8), name
             assert cert.cw_upper >= rho * (1 - 1e-10), name
+
+
+class TestCertifySpectralBound:
+    """``rho(B) < bound`` from the bracket, and from the refinement loop it
+    falls back to, against the dense oracle's radius."""
+
+    MARGINS = (1e-1, 1e-3, 1e-6)
+
+    @pytest.mark.parametrize("path", ["bracket", "fallback"])
+    def test_sound_on_both_sides_of_the_bound(self, soundness_instances, path, monkeypatch):
+        calls = []
+        real = perronkit.perron.compute_perron
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(perronkit.perron, "compute_perron", counted)
+        if path == "fallback":
+            monkeypatch.setattr(_CWBracket, "decide", lambda self, bound, valid_only=False: None)
+        for name, M, rho in soundness_instances:
+            B = SparseMatrix.from_dense(M)
+            for margin in self.MARGINS:
+                for bound in (rho * (1 - margin), rho * (1 + margin)):
+                    valid, cert = certify_spectral_bound(B, bound)
+                    assert valid == (rho < bound), (name, margin)
+                    assert cert.s <= rho * (1 + 1e-8), (name, margin)
+                    assert cert.cw_upper >= rho * (1 - 1e-10), (name, margin)
+                    if valid:
+                        assert cert.cw_upper < bound, (name, margin)
+                    else:
+                        assert cert.s >= bound, (name, margin)
+        if path == "bracket":
+            assert calls == []
+        else:
+            assert calls and min(calls) < 1e-6
+
+    def test_bracket_certificate_fields(self):
+        B = random_irreducible(np.random.default_rng(21), 15)
+        rho, _ = dense_spectral_radius(B.to_dense(), tol=1e-12)
+        valid, cert = certify_spectral_bound(B, 1.01 * rho)
+        assert valid and cert.k_final == 1.0
+        assert (cert.cw_lower, cert.cw_upper) == collatz_wielandt_bounds(B, cert.right)
+        left_lower = float((B.to_dense().T @ cert.left / cert.left).min())
+        assert cert.s == max(cert.cw_lower, left_lower)
+        # the left vector's upper bound is below the bound too
+        assert float((B.to_dense().T @ cert.left / cert.left).max()) < 1.01 * rho
+        res_r = np.abs(cert.right - B.to_dense() @ cert.right / cert.s).max() / cert.right.max()
+        assert cert.residual_right == pytest.approx(res_r, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 1.0), (2.0, 0.5, 1.0), (3.0, 1.0 / 3.0, 0.25, 4.0)]
+    )
+    def test_radius_at_the_bound_is_never_certified_valid(self, weights):
+        """A weighted cycle with weight product 1 has rho = 1 exactly: the
+        answer is the invalid side or :class:`BoundaryUndecidable`."""
+        n = len(weights)
+        M = np.zeros((n, n))
+        M[np.arange(n), (np.arange(n) + 1) % n] = weights
+        B = SparseMatrix.from_dense(M)
+        assert _CWBracket(B).decide(1.0) in (None, False)
+        for refinements in (0, 2, 24):
+            try:
+                valid, cert = certify_spectral_bound(B, 1.0, max_refinements=refinements)
+            except BoundaryUndecidable:
+                continue
+            assert not valid and cert.s >= 1.0
+
+    def test_rounding_cannot_certify_the_valid_side(self):
+        """A symmetric circulant has all-ones as its Perron vector and its
+        exact row sum ``R`` as ``rho``.  Here every computed row sum rounds
+        below ``bound``, the largest float at most ``R``: a bare comparison
+        would certify ``rho < bound``.  The bracket sees its bounds meet
+        within rounding at its first iterate and leaves the decision to the
+        refinement loop."""
+        m = 16
+        half = np.random.default_rng(1120).uniform(0.01, 1.0, m // 2 + 1)
+        row = np.concatenate([half, half[1:-1][::-1]])
+        M = np.array([np.roll(row, i) for i in range(m)])
+        R = sum(Fraction(float(v)) for v in row)
+        bound = float(R)
+        if Fraction(bound) > R:
+            bound = float(np.nextafter(bound, 0.0))
+        B = SparseMatrix.from_dense(M)
+        assert np.array_equal(M, M.T)
+        assert B.matvec(np.ones(m)).max() < bound <= R
+        bracket = _CWBracket(B)
+        assert bracket.decide(bound) is None and bracket.factorizations == 0
+        with pytest.raises(BoundaryUndecidable):
+            certify_spectral_bound(B, bound, max_refinements=0)
+
+    def test_undecided_bracket_takes_the_refinement_loop(self, monkeypatch):
+        """An exhausted bracket leaves the decision, and the budget in
+        ``max_refinements``, to :func:`compute_perron`."""
+        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
+        deltas = []
+        real = perronkit.perron.compute_perron
+        monkeypatch.setattr(
+            perronkit.perron, "compute_perron", lambda A, delta: deltas.append(delta) or real(A, delta)
+        )
+        # all-ones is the right Perron vector, but not the left one
+        B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
+        with pytest.raises(BoundaryUndecidable):
+            certify_spectral_bound(B, 1.0, max_refinements=0)
+        assert deltas == []
+        valid, cert = certify_spectral_bound(B, 1.0)
+        assert valid and deltas[:1] == [0.25]
+
+    def test_rejects_reducible_and_bad_bound(self):
+        with pytest.raises(NotIrreducible):
+            certify_spectral_bound(SparseMatrix.from_dense([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError):
+            certify_spectral_bound(TWO_CYCLE, 0.0)
 
 
 class TestLargeSparsePath:

@@ -23,6 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import perronkit.apps
 import perronkit.perron
 import perronkit.rcdd
 import perronkit.scaling
@@ -33,12 +34,16 @@ from perronkit import (
     build_sdd_solver,
     compute_perron,
     factor_width2_solve,
+    katz_centrality,
     mmatrix_scale,
     solve_m,
     symm_scale,
     symm_solve,
+    top_singular,
 )
+from perronkit.oracle import dense_spectral_radius
 from perronkit.rcdd import _DENSE_CUTOFF, _abs_sums, _DirectSolver, varah_kappa_upper
+from perronkit.reports import NON_FINITE
 from perronkit.scaling import _normalized_comparison, _Problem
 
 from conftest import (
@@ -415,3 +420,126 @@ def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     factor_width2_solve(M, rng.normal(size=n), 1e-8)
     assert counts == {"build_sdd_solver": 1}
+
+
+@pytest.mark.parametrize("n", [20, 200], ids=["dense", "csr"])
+def test_problem_rescale_matches_a_fresh_problem(n):
+    """One problem moved from scale to scale holds the same bits as a problem
+    built at each scale, its cached norm included."""
+    rng = np.random.default_rng(57)
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n)))
+    prob = _Problem(A, 1.0)
+    assert prob.norm_max > 0.0
+    ell = rng.uniform(0.5, 2.0, n)
+    r = rng.uniform(0.5, 2.0, n)
+    for scale in (0.37, 1.0 + 1e-6, 3.1e5, 2.0 / 3.0):
+        prob.rescale(scale)
+        fresh = _Problem(A, scale)
+        assert prob.norm_max == fresh.norm_max
+        for got, want in (
+            (prob.matrix, fresh.matrix),
+            (prob.scaled_shift(1e-6, ell, r), fresh.scaled_shift(1e-6, ell, r)),
+        ):
+            if n > _DENSE_CUTOFF:
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                got, want = got.data, want.data
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_compute_perron_builds_two_problems(monkeypatch, storage):
+    """The bracket rescales one problem across its steps, and the polish
+    factors on the scan's problem: two builds per accepted round."""
+    builds = []
+    real_init = _Problem.__init__
+
+    def init(self, A, scale):
+        builds.append(scale)
+        real_init(self, A, scale)
+
+    monkeypatch.setattr(_Problem, "__init__", init)
+    A = criterion_01_instance(0) if storage == "dense" else perron_sparse_instance()
+    cert = compute_perron(A, 1e-3)
+    assert cert.k_final == 1.0 and len(builds) == 2
+
+
+def sparse_instance_at(rho, n=250, seed=58):
+    """A Hamiltonian cycle plus random edges in CSR storage, scaled to the
+    given spectral radius."""
+    A_dense = random_irreducible_dense(np.random.default_rng(seed), n, density=0.02)
+    assert n > _DENSE_CUTOFF
+    return SparseMatrix.from_dense(A_dense * (rho / dense_spectral_radius(A_dense, tol=1e-12)[0]))
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.99, 1.1])
+def test_certify_factors_only_the_bracket(monkeypatch, rho):
+    """Away from the bound the shift-and-invert bracket alone decides: no
+    scan, no Perron computation, a handful of factorizations."""
+    B = sparse_instance_at(rho)
+    counts = count_factorizations(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.perron, "compute_perron")
+    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    valid, _ = perronkit.perron.certify_spectral_bound(B, 1.0)
+    assert valid == (rho < 1.0)
+    assert counts["compute_perron"] == 0 and counts["_halving_scan"] == 0
+    assert counts["lu_factor"] == 0 and 1 <= counts["splu"] <= 8
+
+
+def test_katz_certify_runs_no_scan(monkeypatch):
+    """Katz's scans are its solve's: one per ``solve_m`` build."""
+    B = sparse_instance_at(0.99)
+    counts = {}
+    count_calls(monkeypatch, counts, perronkit.perron, "compute_perron")
+    count_calls(monkeypatch, counts, perronkit.apps, "solve_m")
+    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    b = np.ones(B.n_rows)
+    v, _ = katz_centrality(B, 1.0, b, 1e-8)
+    assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
+    assert counts["compute_perron"] == 0
+    assert counts["_halving_scan"] == counts["solve_m"] >= 1
+
+
+@pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
+def test_top_singular_certifies_one_gram(monkeypatch, shape):
+    """One Perron computation, on the smaller Gram matrix; both irreducibility
+    checks still run."""
+    counts = {}
+    count_calls(monkeypatch, counts, perronkit.apps, "compute_perron")
+    count_calls(monkeypatch, counts, perronkit.apps, "is_irreducible")
+    seen = []
+    real = perronkit.apps.compute_perron
+
+    def record(G, delta):
+        seen.append(G.n_rows)
+        return real(G, delta)
+
+    monkeypatch.setattr(perronkit.apps, "compute_perron", record)
+    rng = np.random.default_rng(59)
+    A = SparseMatrix.from_dense(rng.random(shape) + 0.05)
+    top_singular(A, 1e-7)
+    assert seen == [min(shape)] and counts["is_irreducible"] == 2
+
+
+def test_non_finite_refinement_stops_at_once(monkeypatch):
+    """A refinement whose preconditioner returns NaN stops after one
+    iteration with its own status, and ``solve_m`` raises."""
+    rng = np.random.default_rng(60)
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, 20, 0.8))
+    op = solve_m(A, 1.0, 1e-6, 1e3)
+    reports = []
+    real = perronkit.scaling.prec_richardson
+
+    def record(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(perronkit.scaling, "prec_richardson", record)
+    monkeypatch.setattr(
+        _DirectSolver, "solve", lambda self, b, transpose=False: np.full_like(b, np.nan)
+    )
+    with pytest.raises(IterationCapHit, match="non_finite"):
+        op.apply(rng.normal(size=20))
+    assert len(reports) == 1
+    assert reports[0].status == NON_FINITE and reports[0].iterations == 1
