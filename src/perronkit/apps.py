@@ -20,7 +20,7 @@ from .errors import (
     KernelDiverges,
     ReducibleGram,
 )
-from .perron import PerronCertificate, _CWBracket, certify_spectral_bound, compute_perron
+from .perron import PerronCertificate, certify_spectral_bound, compute_perron
 from .reports import SolveReport
 from .scaling import solve_m
 from .sparse import SparseMatrix, as_vector, is_irreducible
@@ -129,14 +129,9 @@ def _k_estimate(cert: PerronCertificate, rho_upper: float) -> float:
 
 
 def _certify_reducible_decay(B: SparseMatrix):
-    """Decide ``rho(B) < 1`` for a reducible nonnegative matrix; returns
-    ``(valid, rho_upper)`` with a certified upper bound on ``rho(B)`` when
-    valid.  The CW bracket's upper bounds hold on the whole matrix, so it
-    tries that first; every strongly connected component block is certified
-    on its own when the bracket cannot show validity."""
-    bracket = _CWBracket(B)
-    if bracket.decide(1.0, valid_only=True):
-        return True, min(bracket.cw_right[1], bracket.cw_left[1])
+    """Decide ``rho(B) < 1`` for a reducible nonnegative matrix by certifying
+    every strongly connected component block; returns ``(valid, rho_upper)``
+    with a certified upper bound on ``rho(B)`` when valid."""
     _, labels = connected_components(B.csr(), directed=True, connection="strong")
     diag = B.csr().diagonal()
     rho_upper = 0.0

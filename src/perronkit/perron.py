@@ -40,7 +40,6 @@ from .scaling import (
     _Problem,
     _ScanFailure,
     _mmatrix_scale,
-    mmatrix_scale,  # noqa: F401  perron.mmatrix_scale stays a seam perfbench traces
 )
 from .sparse import (
     RCDD_VERIFY_SLACK,
@@ -288,9 +287,7 @@ class _CWBracket:
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
     bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
     no ``K``.  One bracket serves every round of a :func:`compute_perron`
-    call: a tighter ``eps`` continues from the last iterates.  Both bounds
-    hold for every nonnegative ``A``; only the lower one needs irreducibility
-    to approach ``rho(A)``.
+    call: a tighter ``eps`` continues from the last iterates.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -303,11 +300,11 @@ class _CWBracket:
         self.failed = False
         self._prob = None
 
-    def _iterates(self, lower: bool = True):
+    def _iterates(self):
         """Yield once per iterate, its CW bounds set, stepping when resumed.
         Ends, marking the bracket failed, once an iterate leaves the positive
-        cone, a bound is unusable (``lower``: a zero lower bound too) or the
-        step budget runs out."""
+        cone, a bound is unusable (a zero lower or an infinite upper bound)
+        or the step budget runs out."""
         A, ones = self.A, np.ones(self.A.n_rows)
         while not self.failed:
             ratio_r = A.matvec(self.right) / self.right
@@ -315,7 +312,7 @@ class _CWBracket:
             self.cw_right = (float(ratio_r.min()), float(ratio_r.max()))
             self.cw_left = (float(ratio_l.min()), float(ratio_l.max()))
             hi = min(self.cw_right[1], self.cw_left[1])
-            if not (hi < np.inf and (self.lower > 0.0 or not lower)):
+            if not (self.lower > 0.0 and hi < np.inf):
                 break
             yield
             if self.factorizations == _CW_MAX_STEPS:
@@ -350,27 +347,25 @@ class _CWBracket:
                 return float(hi)
         return None
 
-    def decide(self, bound: float, valid_only: bool = False) -> bool | None:
+    def decide(self, bound: float) -> bool | None:
         """``rho(A) < bound``, decided at the first iterate whose bounds
         settle it: both the right and the left CW upper bound below
         ``bound`` (True), or the better lower bound at or above it (False).
         ``None`` when the bracket fails, or when its bounds meet within
-        rounding on either side of ``bound``.  ``valid_only`` decides only
-        the True side, and allows a zero lower bound (a reducible ``A``):
-        ``None`` as soon as the lower bound rules that side out.
+        rounding on either side of ``bound``.
 
         Each bound is a ratio of sums of nonnegative products, computed to a
         relative error below ``(n + 2)`` machine epsilons (barring
         underflow); both tests keep that margin, so rounding cannot decide
         the wrong side."""
         tol = (self.A.n_rows + 2) * np.finfo(float).eps
-        for _ in self._iterates(lower=not valid_only):
+        for _ in self._iterates():
             lo = self.lower
             his = (self.cw_right[1], self.cw_left[1])
             if max(his) * (1.0 + tol) < bound:
                 return True
             if lo * (1.0 - tol) >= bound:
-                return None if valid_only else False
+                return False
             # the best upper bound settles nothing either, and no step can
             # narrow it past rounding
             if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):

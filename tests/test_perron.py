@@ -376,7 +376,7 @@ class TestCertifySpectralBound:
 
         monkeypatch.setattr(perronkit.perron, "compute_perron", counted)
         if path == "fallback":
-            monkeypatch.setattr(_CWBracket, "decide", lambda self, bound, valid_only=False: None)
+            monkeypatch.setattr(_CWBracket, "decide", lambda self, bound: None)
         for name, M, rho in soundness_instances:
             B = SparseMatrix.from_dense(M)
             for margin in self.MARGINS:
