@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -231,28 +232,51 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     return True, x
 
 
+def _gram_irreducibility(A: SparseMatrix) -> tuple[bool, bool]:
+    """Whether ``A.T A`` and ``A A.T`` are irreducible, decided on the pattern
+    of ``A`` without forming either.
+
+    Two columns are adjacent in ``A.T A`` exactly when they share a nonzero
+    row, so ``A.T A`` is irreducible when ``A`` has a nonzero and all its
+    columns lie in one connected component of the bipartite row-column graph
+    of ``A`` (a zero column is a component of its own); likewise ``A A.T``
+    for the rows.  With no zero row or column, both hold exactly when that
+    graph is connected."""
+    csr = A.csr()
+    m, n = csr.shape
+    # vertices: the m rows, then the n columns; each nonzero links its two
+    indptr = np.concatenate([csr.indptr, np.full(n, csr.nnz)])
+    graph = sp.csr_matrix((csr.data, csr.indices + m, indptr), shape=(m + n, m + n))
+    _, labels = connected_components(graph, directed=False)
+    rows, cols = labels[:m], labels[m:]
+    nonzero = csr.nnz > 0
+    return nonzero and bool(np.all(cols == cols[0])), nonzero and bool(np.all(rows == rows[0]))
+
+
 def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     """Top singular triplet of a nonnegative matrix via its Gram matrices.
 
-    Forms ``A.T A`` and ``A A.T`` explicitly, checks both irreducible and
-    runs the certified Perron computation on the smaller one; ``sigma =
-    sqrt(s)`` is then within relative ``delta`` of the true top singular
-    value.  The other singular vector is derived (``u = A v / ||A v||`` or
-    ``v = A.T u / ||A.T u||``) and its Gram residual recomputed.  Raises
-    :class:`ReducibleGram` when a Gram matrix is not irreducible.
+    Checks both ``A.T A`` and ``A A.T`` irreducible on the pattern of ``A``,
+    forms the smaller one and runs the certified Perron computation on it;
+    ``sigma = sqrt(s)`` is then within relative ``delta`` of the true top
+    singular value.  The other singular vector is derived (``u = A v / ||A
+    v||`` or ``v = A.T u / ||A.T u||``) and its Gram residual recomputed.
+    Raises :class:`ReducibleGram` when a Gram matrix is not irreducible.
     """
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    gram_right = SparseMatrix.from_scipy(A.csr_transpose() @ A.csr())
-    if not is_irreducible(gram_right):
+    right_irreducible, left_irreducible = _gram_irreducibility(A)
+    if not right_irreducible:
         raise ReducibleGram("A.T A is reducible")
-    gram_left = SparseMatrix.from_scipy(A.csr() @ A.csr_transpose())
-    if not is_irreducible(gram_left):
+    if not left_irreducible:
         raise ReducibleGram("Gram matrix is reducible: nonzero pattern is not strongly connected")
-    right_first = gram_right.n_rows <= gram_left.n_rows
-    cert = compute_perron(gram_right if right_first else gram_left, delta)
+    right_first = A.n_cols <= A.n_rows
+    gram = (
+        A.csr_transpose() @ A.csr() if right_first else A.csr() @ A.csr_transpose()
+    )
+    cert = compute_perron(SparseMatrix.from_scipy(gram), delta)
     # the certified side's vector mapped through A (or A.T) to the other side
     certified = cert.right / np.linalg.norm(cert.right)
     derived = A.matvec(certified, transpose=not right_first)

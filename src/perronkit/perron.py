@@ -40,6 +40,7 @@ from .scaling import (
     _Problem,
     _ScanFailure,
     _mmatrix_scale,
+    _scan_tolerance,
 )
 from .sparse import (
     RCDD_VERIFY_SLACK,
@@ -173,8 +174,8 @@ def _m_decide_scaled(
     ceiling = 18.0 * math.sqrt(n) * max(gamma, 2.0) ** 2
     try:
         ell, r, alpha_final, report = _halving_scan(
-            prob, eps, cap, strict=True, budget_threshold=budget,
-            residual_ceiling=ceiling,
+            prob, eps, cap, tol=_scan_tolerance(gamma), strict=True,
+            budget_threshold=budget, residual_ceiling=ceiling,
         )
     except _ScanFailure as fail:
         return DecisionOutcome(
@@ -206,7 +207,10 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
 
     ``gamma`` budgets the conditioning: completeness of the positive side
     needs ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.  Both
-    verdicts are sound for any positive ``gamma``.
+    verdicts are sound for any positive ``gamma``.  Above the Krylov cutoff
+    the phase solves are iterative, to relative residual ``1 / (8 gamma)``;
+    one that misses it ends the scan with the ``"solver budget"`` witness,
+    never ``"iteration cap"``.
     """
     _structure_check(A)
     if eps <= 0.0 or gamma <= 0.0:
@@ -276,6 +280,9 @@ def _eigen_residuals(A: SparseMatrix, s: float, left, right):
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
 _CW_MAX_STEPS = 32
+# relative residual of the bracket's and the polish's solves above the Krylov
+# cutoff: loose solves keep every bound valid but widen the CW sandwich
+_CW_SOLVE_TOL = 1e-10
 
 
 class _CWBracket:
@@ -298,6 +305,8 @@ class _CWBracket:
         self.cw_right = self.cw_left = (0.0, np.inf)
         self.factorizations = 0
         self.failed = False
+        # set by decide() when the bounds meet within rounding of its bound
+        self.met_at_bound = False
         self._prob = None
 
     def _iterates(self):
@@ -323,7 +332,7 @@ class _CWBracket:
                 self._prob = _Problem(A, hi)
             else:
                 self._prob.rescale(hi)
-            solver = _PhaseSolver(self._prob, _CW_SHIFT_MARGIN, ones, ones)
+            solver = _PhaseSolver(self._prob, _CW_SHIFT_MARGIN, ones, ones, tol=_CW_SOLVE_TOL)
             self.factorizations += 1
             right = _unit_positive(solver.p_right(self.right))
             left = _unit_positive(solver.p_left(self.left))
@@ -352,7 +361,7 @@ class _CWBracket:
         settle it: both the right and the left CW upper bound below
         ``bound`` (True), or the better lower bound at or above it (False).
         ``None`` when the bracket fails, or when its bounds meet within
-        rounding on either side of ``bound``.
+        rounding on either side of ``bound`` (``met_at_bound`` is then set).
 
         Each bound is a ratio of sums of nonnegative products, computed to a
         relative error below ``(n + 2)`` machine epsilons (barring
@@ -369,6 +378,7 @@ class _CWBracket:
             # the best upper bound settles nothing either, and no step can
             # narrow it past rounding
             if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
+                self.met_at_bound = True
                 return None
         return None
 
@@ -470,9 +480,9 @@ def _polish_pair(prob: _Problem, eps: float, pair):
     extra inverse applications; each application damps the non-Perron
     components by roughly the shift-to-gap ratio.  Falls back to the last
     positive iterate if a solve ever leaves the positive cone."""
-    # factors diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
+    # solves with diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
     # scaling pair certifies RCDD on the scan's own problem
-    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right)
+    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_CW_SOLVE_TOL)
     left, right = pair.left, pair.right
     for _ in range(3):
         right_next = solver.p_right(right / np.abs(right).max())
@@ -501,13 +511,15 @@ def certify_spectral_bound(
     ``cw_lower``/``cw_upper`` are the right vector's CW bounds, the residuals
     are the eigen-residuals at ``s`` and ``k_final`` is 1.
 
-    Should the bracket fail or its bounds meet within rounding of ``bound``,
-    the decision falls back to :func:`compute_perron` with ``delta`` = 1/4,
-    1/16, ...: its estimate satisfies ``s <= rho(B) < s / (1 - delta)``, so
-    either inequality against the bound is certified once delta is small
-    enough, and the certificate is that call's.  Raises
-    :class:`BoundaryUndecidable` when ``rho(B)`` sits at the bound within
-    ``max_refinements`` such calls.
+    Should the bracket fail, the decision falls back to
+    :func:`compute_perron` with ``delta`` = 1/4, 1/16, ...: its estimate
+    satisfies ``s <= rho(B) < s / (1 - delta)``, so either inequality against
+    the bound is certified once delta is small enough, and the certificate is
+    that call's.  Raises :class:`BoundaryUndecidable` at once when the
+    bracket's bounds meet within rounding of ``bound``, where no refinement
+    can do better, and when ``rho(B)`` sits at the bound within
+    ``max_refinements`` such calls or one of them exhausts its conditioning
+    guess.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
@@ -527,9 +539,18 @@ def certify_spectral_bound(
             cw_lower=bracket.cw_right[0],
             cw_upper=bracket.cw_right[1],
         )
+    if bracket.met_at_bound:
+        raise BoundaryUndecidable(
+            "spectral radius within rounding of the bound; cannot certify either side"
+        )
     delta = 0.25
     for _ in range(max_refinements):
-        cert = compute_perron(B, delta)
+        try:
+            cert = compute_perron(B, delta)
+        except KCapExceeded as exc:
+            raise BoundaryUndecidable(
+                f"no certificate at delta {delta:.2e} ({exc}); cannot certify either side"
+            ) from None
         if cert.s >= bound:
             return False, cert
         if cert.s < bound * (1.0 - delta):

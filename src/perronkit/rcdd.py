@@ -2,16 +2,28 @@
 
 The upstream algorithms only ever use these solvers as black boxes with a
 relative-error contract, so the nearly-linear-time machinery they were
-designed around is replaced here by three interchangeable backends:
+designed around is replaced here by interchangeable backends.
+
+Every matrix the engine forms itself goes through :func:`_phase_backend`
+(called by ``scaling._PhaseSolver``), which picks one of three by size: dense
+LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, SuperLU up to ``_KRYLOV_CUTOFF``,
+and above that :class:`_KrylovSolver`, matvec-only Jacobi-preconditioned
+BiCGSTAB (CG for a matrix symmetric by construction) run to the relative
+residual its caller sets.  Each Krylov solve recomputes its true residual
+``||b - S x||`` and restarts from ``x`` a bounded number of times while that
+misses.  A solve that still misses raises :class:`BackendDiverged` where the
+caller turns that into a verdict (``m_decide``'s scan); everywhere else the
+matrix is factored with SuperLU, as below the cutoff.  Above the
+dense cutoff those matrices are CSR matrices on one pattern per problem, of
+which each use only rescales the values.
+
+The public builders serve callers' own matrices with one of three kinds:
 
 * ``direct-lu`` (default): one LU factorization with partial pivoting, plus
   iterative refinement until the requested tolerance is met.  Dense LAPACK
   storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above; dense solves call
-  LAPACK ``getrs`` directly, without the ``lu_solve`` wrapper.  The same LU
-  class, unrefined, factors every matrix the engine forms itself (through
-  ``scaling._PhaseSolver``); above the cutoff those are CSR matrices on one
-  pattern per problem, of which each use only rescales the values.  SDD
-  solves (symmetry checked by ``build_sdd_solver``) and the symmetric levels
+  LAPACK ``getrs`` directly, without the ``lu_solve`` wrapper.  SDD solves
+  (symmetry checked by ``build_sdd_solver``) and the symmetric levels
   (symmetric by construction) use a symmetric minimum-degree ordering;
   everything else keeps SuperLU's default COLAMD.
 * ``richardson-jacobi``: diagonally preconditioned Richardson iteration.
@@ -24,6 +36,7 @@ achieved relative residual of every application in a report side channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +65,13 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 128
+# above this many unknowns the phase solves are matvec-only: SuperLU's fill
+# grows with n, and at n = 300 the two backends take about the same time
+_KRYLOV_CUTOFF = 300
+# iterations one Krylov solve may spend, over all its restarts, and the number
+# of restarts from x after the recurrence converged but the true residual missed
+_KRYLOV_CAP = 5000
+_KRYLOV_RESTARTS = 3
 
 # the dense triangular solve, fetched once: scipy.linalg.lu_solve costs several
 # times the LAPACK call at the sizes below the cutoff
@@ -100,7 +120,10 @@ class _DirectSolver:
     ``S.T x = b``.  Deterministic.  SuperLU orders columns by COLAMD, or,
     for a matrix the caller knows is ``symmetric`` (checked, or symmetric by
     construction), by minimum degree on ``S.T + S`` with diagonal pivots
-    preferred, which keeps far less fill on SDD matrices.
+    preferred, which keeps far less fill on SDD matrices.  It backs the
+    public ``direct-lu`` kind at every size, and the engine's own matrices up
+    to ``_KRYLOV_CUTOFF`` unknowns (see :func:`_phase_backend`); its solves
+    are exact up to rounding and check no residual.
     """
 
     def __init__(self, S, symmetric: bool = False):
@@ -126,6 +149,95 @@ class _DirectSolver:
 
     def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         return (self.S.T if transpose else self.S) @ x
+
+
+class _KrylovSolver:
+    """Matvec-only solves of ``S x = b`` and ``S.T x = b`` for a CSR ``S``
+    with a positive diagonal, to ``||b - S x||_2 <= tol ||b||_2``.
+
+    Runs BiCGSTAB, or CG for a ``symmetric`` ``S`` (symmetric positive
+    definite by construction), preconditioned by the diagonal.  A Krylov
+    recurrence tracks its residual only approximately, so every solve
+    recomputes the true residual and restarts from ``x`` while it misses.
+    A residual below the rounding error of its own computation, ``(k + 1)
+    eps (||S||_F ||x|| + ||b||)`` with ``k`` the most entries in a row or
+    column of ``S``, passes too: no solver, an LU included, can be checked
+    to do better, and near a singular ``S`` (late steps of the
+    shift-and-invert bracket) or at a ``tol`` below machine precision (a
+    scan with a huge ``K``) that bound is the larger.
+
+    A solve still missing after ``_KRYLOV_RESTARTS`` restarts, after
+    ``_KRYLOV_CAP`` iterations or at a breakdown raises
+    :class:`BackendDiverged` when ``lu_on_miss`` is false; otherwise ``S``
+    is factored, as below the cutoff, and the LU serves this solve and every
+    later one.  Deterministic.
+    """
+
+    def __init__(
+        self, S: sp.csr_matrix, tol: float, symmetric: bool = False, lu_on_miss: bool = True
+    ):
+        self.S = S
+        self.tol = tol
+        self._symmetric = symmetric
+        self._lu_on_miss = lu_on_miss
+        self._S_t = S if symmetric else S.T
+        self._inv_diag = 1.0 / S.diagonal()
+        self._floor_terms = None
+        self._lu = None
+
+    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        if self._lu is None:
+            try:
+                return self._krylov(self._S_t if transpose else self.S, b)
+            except BackendDiverged:
+                if not self._lu_on_miss:
+                    raise
+            self._lu = _DirectSolver(self.S, self._symmetric)
+        return self._lu.solve(b, transpose)
+
+    def _krylov(self, mat, b: np.ndarray) -> np.ndarray:
+        def matvec(v):
+            return mat @ v
+
+        core = _cg_core if self._symmetric else _bicgstab_core
+        norm_b = np.linalg.norm(b)
+        target = self.tol * norm_b
+        x = np.zeros_like(b)
+        spent = 0
+        for _ in range(_KRYLOV_RESTARTS + 1):
+            x, its = core(matvec, b, target, _KRYLOV_CAP - spent, x, self._inv_diag)
+            spent += its
+            residual = np.linalg.norm(b - matvec(x))
+            if residual <= target or residual <= self._floor(x, norm_b):
+                return x
+        raise BackendDiverged(
+            f"Krylov phase solve missed its tolerance {self.tol:.3e}: true residual "
+            f"{residual:.3e} of {norm_b:.3e} after {spent} iterations"
+        )
+
+    def _floor(self, x: np.ndarray, norm_b: float) -> float:
+        """The rounding error of computing ``b - S x`` (or ``b - S.T x``),
+        its ingredients computed on first use."""
+        if self._floor_terms is None:
+            S = self.S
+            k = max(np.diff(S.indptr).max(initial=0), np.bincount(S.indices).max(initial=0))
+            self._floor_terms = ((k + 1) * np.finfo(float).eps, np.linalg.norm(S.data))
+        eps_k, norm_S = self._floor_terms
+        return eps_k * (norm_S * np.linalg.norm(x) + norm_b)
+
+    def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        return (self._S_t if transpose else self.S) @ x
+
+
+def _phase_backend(S, tol: float, symmetric: bool = False, lu_on_miss: bool = True):
+    """The solver of a matrix the engine formed, by size: LAPACK for a dense
+    ``S`` (up to ``_DENSE_CUTOFF`` unknowns), SuperLU up to
+    ``_KRYLOV_CUTOFF``, :class:`_KrylovSolver` at relative residual ``tol``
+    above, falling back to SuperLU on a miss unless ``lu_on_miss`` is false.
+    The LU backends solve exactly up to rounding and ignore ``tol``."""
+    if isinstance(S, np.ndarray) or S.shape[0] <= _KRYLOV_CUTOFF:
+        return _DirectSolver(S, symmetric)
+    return _KrylovSolver(S, tol, symmetric, lu_on_miss)
 
 
 def _check_eps(eps: float) -> None:
@@ -259,26 +371,78 @@ def _jacobi_apply(S_csr, eps, cap, transpose):
     return apply_fn
 
 
-def _cg_core(matvec, b, eps_abs, cap):
-    """Plain conjugate gradient; returns (x, iterations)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
+def _cg_core(matvec, b, eps_abs, cap, x=None, inv_diag=None):
+    """Conjugate gradient from ``x`` (zero when omitted), preconditioned by
+    the diagonal ``1 / inv_diag`` when given; returns ``(x, iterations)`` once
+    the recurrence residual is at most ``eps_abs``."""
+    if x is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x.copy()
+        r = b - matvec(x)
+    if np.linalg.norm(r) <= eps_abs:
+        return x, 0
+    z = r if inv_diag is None else inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
     for it in range(1, cap + 1):
         Ap = matvec(p)
         denom = float(p @ Ap)
         if denom <= 0.0:
             raise BackendDiverged("conjugate gradient met a nonpositive curvature")
-        alpha = rs / denom
+        alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= eps_abs:
+        rs = float(r @ r)
+        if np.sqrt(rs) <= eps_abs:
             return x, it
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if inv_diag is None else inv_diag * r
+        rz_new = rs if inv_diag is None else float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     raise BackendDiverged(f"conjugate gradient exceeded {cap} iterations")
+
+
+def _bicgstab_core(matvec, b, eps_abs, cap, x, inv_diag):
+    """BiCGSTAB from ``x``, preconditioned on the right by the diagonal
+    ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
+    is at most ``eps_abs``, or early at a breakdown (a vanishing or
+    non-finite inner product), which the caller meets with a restart."""
+    x = x.copy()
+    r = b - matvec(x)
+    if np.linalg.norm(r) <= eps_abs:
+        return x, 0
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    p = v = np.zeros_like(b)
+    for it in range(1, cap + 1):
+        rho_new = float(r_hat @ r)
+        if rho_new == 0.0 or omega == 0.0 or not math.isfinite(rho_new):
+            return x, it - 1
+        p = r + ((rho_new / rho) * (alpha / omega)) * (p - omega * v)
+        p_hat = inv_diag * p
+        v = matvec(p_hat)
+        rv = float(r_hat @ v)
+        alpha = rho_new / rv if rv != 0.0 else math.inf
+        if not math.isfinite(alpha):
+            return x, it
+        x += alpha * p_hat
+        s = r - alpha * v
+        if np.linalg.norm(s) <= eps_abs:
+            return x, it
+        s_hat = inv_diag * s
+        t = matvec(s_hat)
+        tt = float(t @ t)
+        if tt == 0.0:
+            return x, it
+        omega = float(t @ s) / tt
+        x += omega * s_hat
+        r = s - omega * t
+        rho = rho_new
+        if np.linalg.norm(r) <= eps_abs:
+            return x, it
+    raise BackendDiverged(f"BiCGSTAB exceeded {cap} iterations")
 
 
 def _cg_apply_normal(S_csr, eps, cap, transpose):

@@ -22,11 +22,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import IterationCapHit, NotSDDAfterScaling
+from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
     BackendChoice,
     LinearOperator,
-    _DirectSolver,
+    _phase_backend,
     _storage,
     build_rcdd_solver,
     build_sdd_solver,
@@ -199,23 +199,44 @@ class _Problem:
 
 
 class _PhaseSolver:
-    """One factorization of ``S = diag(l) M_{2 alpha} diag(r)`` serving both
-    the forward and the transpose preconditioner of one phase; the engine's
-    only path to factoring a matrix it formed.  ``symmetric`` marks an ``S``
-    symmetric by construction, which SuperLU then orders symmetrically."""
+    """One solver of ``S = diag(l) M_{2 alpha} diag(r)`` serving both the
+    forward and the transpose preconditioner of one phase; the engine's only
+    path to solving with a matrix it formed.
+
+    :func:`rcdd._phase_backend` picks the backend by size: an LU factored
+    once (LAPACK up to ``_DENSE_CUTOFF`` unknowns, SuperLU up to
+    ``_KRYLOV_CUTOFF``), solving exactly up to rounding, or above that
+    Jacobi-preconditioned Krylov solves to the relative residual ``tol``,
+    each checked against its true residual.  A Krylov solve that misses
+    raises :class:`BackendDiverged` when ``lu_on_miss`` is false (the strict
+    scan, where the miss is a witness), and otherwise has ``S`` factored
+    as below the cutoff.  ``symmetric`` marks an ``S`` symmetric by
+    construction, which SuperLU then orders symmetrically and the Krylov
+    backend solves by CG.  ``S`` is the matrix solved with."""
 
     def __init__(
-        self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray, symmetric: bool = False
+        self,
+        prob: _Problem,
+        alpha2: float,
+        ell: np.ndarray,
+        r: np.ndarray,
+        symmetric: bool = False,
+        *,
+        tol: float,
+        lu_on_miss: bool = True,
     ):
         self.ell = ell
         self.r = r
-        self.lu = _DirectSolver(prob.scaled_shift(alpha2, ell, r), symmetric=symmetric)
+        self._solver = _phase_backend(
+            prob.scaled_shift(alpha2, ell, r), tol, symmetric, lu_on_miss
+        )
+        self.S = self._solver.S
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
-        return self.r * self.lu.solve(self.ell * x)
+        return self.r * self._solver.solve(self.ell * x)
 
     def p_left(self, x: np.ndarray) -> np.ndarray:
-        return self.ell * self.lu.solve(self.r * x, transpose=True)
+        return self.ell * self._solver.solve(self.r * x, transpose=True)
 
 
 class _ScanFailure(Exception):
@@ -234,6 +255,12 @@ class _ScanFailure(Exception):
             phase=self.phase,
             alpha=self.alpha,
         )
+
+
+def _scan_tolerance(K: float) -> float:
+    """Relative residual of the phase solves of a scan with conditioning
+    bound ``K``: ``1 / (8 K)``, the accuracy the scan's solver contract asks."""
+    return 1.0 / (8.0 * K)
 
 
 def scaling_iteration_cap(n: int, K: float, eps: float) -> int:
@@ -318,16 +345,20 @@ def _halving_scan(
     eps: float,
     cap: int,
     *,
+    tol: float,
     strict: bool = False,
     budget_threshold: float | None = None,
     residual_ceiling: float = 2e250,
 ):
-    """Run the alpha-halving scan on a normalized problem.
+    """Run the alpha-halving scan on a normalized problem, each phase solved
+    to relative residual ``tol`` (see :class:`_PhaseSolver`).
 
     Returns ``(ell, r, alpha_final, report)``.  In strict mode every phase
     must pass the positivity and open-window checks and (when a budget
     threshold is given) the conditioning budget; a failed check raises
-    :class:`_ScanFailure` with the witnessing condition.
+    :class:`_ScanFailure` with the witnessing condition, and so does a phase
+    solve that misses ``tol`` (as ``"solver budget"``).  Outside strict mode
+    such a solve falls back to an LU of the phase matrix.
 
     ``residual_ceiling`` fails a phase as soon as an inner residual exceeds
     it: under a valid conditioning bound the certified contraction keeps
@@ -360,13 +391,18 @@ def _halving_scan(
     r = ones / alpha0
     while alpha > eps:
         phase = len(report.phases)
-        solver = _PhaseSolver(prob, alpha, ell, r)
+        solver = _PhaseSolver(prob, alpha, ell, r, tol=tol, lu_on_miss=not strict)
         alpha /= 2.0
-        if budget_threshold is not None and varah_kappa_upper(solver.lu.S) > budget_threshold:
+        if budget_threshold is not None and varah_kappa_upper(solver.S) > budget_threshold:
             raise _ScanFailure("solver budget", phase, alpha)
-        ell, r, worst = _richardson_phase(
-            prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
-        )
+        try:
+            ell, r, worst = _richardson_phase(
+                prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
+            )
+        except BackendDiverged:
+            # a solve that misses is a conditioning signal, not an inner-loop
+            # failure of the M-matrix hypothesis
+            raise _ScanFailure("solver budget", phase, alpha) from None
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
     return ell, r, alpha, report
@@ -490,11 +526,13 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     cap = scaling_iteration_cap(prob.n, K, eps)
     ceiling = 18.0 * np.sqrt(prob.n) * max(K, 2.0) ** 2
     try:
-        ell, r, alpha_final, report = _halving_scan(prob, eps, cap, residual_ceiling=ceiling)
+        ell, r, alpha_final, report = _halving_scan(
+            prob, eps, cap, tol=_scan_tolerance(K), residual_ceiling=ceiling
+        )
     except _ScanFailure as fail:
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
     report.info["cap"] = cap
-    report.info["solver_tolerance"] = 1.0 / (8.0 * K)
+    report.info["solver_tolerance"] = _scan_tolerance(K)
     if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
         raise IterationCapHit(
             "computed scaling failed RCDD verification; K is too small",
@@ -519,8 +557,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         raise ValueError("s must be positive")
     s_mid = s * (1.0 + eps / 2.0)
     prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
-    # factors diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
-    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right)
+    # solves with diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
+    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_scan_tolerance(K))
 
     n = A.n_rows
     csr = A.csr()
@@ -605,7 +643,11 @@ class _SymmLevels:
 
     def solver(self) -> _PhaseSolver:
         if self._solver is None:
-            self._solver = _PhaseSolver(self.prob, self.alpha, self.v, self.v, symmetric=True)
+            # rho(A) < 1 bounds ||M_alpha^-1|| by 1 / alpha, the level's K
+            tol = _scan_tolerance(1.0 / self.alpha)
+            self._solver = _PhaseSolver(
+                self.prob, self.alpha, self.v, self.v, symmetric=True, tol=tol
+            )
         return self._solver
 
     def halve(self, cap: int) -> None:

@@ -8,6 +8,7 @@ import pytest
 import perronkit.perron
 from perronkit import (
     BoundaryUndecidable,
+    KCapExceeded,
     NotIrreducible,
     SparseMatrix,
     Verdict,
@@ -425,13 +426,11 @@ class TestCertifySpectralBound:
                 continue
             assert not valid and cert.s >= 1.0
 
-    def test_rounding_cannot_certify_the_valid_side(self):
-        """A symmetric circulant has all-ones as its Perron vector and its
-        exact row sum ``R`` as ``rho``.  Here every computed row sum rounds
-        below ``bound``, the largest float at most ``R``: a bare comparison
-        would certify ``rho < bound``.  The bracket sees its bounds meet
-        within rounding at its first iterate and leaves the decision to the
-        refinement loop."""
+    @staticmethod
+    def circulant_at_its_row_sum():
+        """A symmetric circulant ``B``, whose Perron vector is all-ones and
+        whose ``rho`` is its exact row sum ``R``, and ``bound``, the largest
+        float at most ``R``, above every computed row sum."""
         m = 16
         half = np.random.default_rng(1120).uniform(0.01, 1.0, m // 2 + 1)
         row = np.concatenate([half, half[1:-1][::-1]])
@@ -443,10 +442,46 @@ class TestCertifySpectralBound:
         B = SparseMatrix.from_dense(M)
         assert np.array_equal(M, M.T)
         assert B.matvec(np.ones(m)).max() < bound <= R
+        return B, bound
+
+    def test_rounding_cannot_certify_the_valid_side(self):
+        """Every computed row sum of the circulant rounds below ``bound``: a
+        bare comparison would certify ``rho < bound``.  The bracket sees its
+        bounds meet within rounding at its first iterate and decides
+        nothing."""
+        B, bound = self.circulant_at_its_row_sum()
         bracket = _CWBracket(B)
         assert bracket.decide(bound) is None and bracket.factorizations == 0
+        assert bracket.met_at_bound and not bracket.failed
         with pytest.raises(BoundaryUndecidable):
             certify_spectral_bound(B, bound, max_refinements=0)
+
+    def test_rounding_tie_is_undecidable_at_once(self, monkeypatch):
+        """With the default refinement budget too, bounds that meet within
+        rounding raise :class:`BoundaryUndecidable` without a refinement: a
+        ``compute_perron`` at a rounding-level delta can only exhaust its
+        conditioning guess."""
+        calls = []
+        monkeypatch.setattr(
+            perronkit.perron, "compute_perron", lambda A, delta: calls.append(delta)
+        )
+        B, bound = self.circulant_at_its_row_sum()
+        with pytest.raises(BoundaryUndecidable, match="rounding"):
+            certify_spectral_bound(B, bound)
+        assert calls == []
+
+    def test_exhausted_refinement_is_undecidable(self, monkeypatch):
+        """A refinement that exhausts its conditioning guess is reported as
+        :class:`BoundaryUndecidable`, the error for an undecided bound."""
+        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
+
+        def exhausted(A, delta):
+            raise KCapExceeded("conditioning guess passed the cap")
+
+        monkeypatch.setattr(perronkit.perron, "compute_perron", exhausted)
+        B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
+        with pytest.raises(BoundaryUndecidable, match="conditioning guess"):
+            certify_spectral_bound(B, 1.0)
 
     def test_undecided_bracket_takes_the_refinement_loop(self, monkeypatch):
         """An exhausted bracket leaves the decision, and the budget in

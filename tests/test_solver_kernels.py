@@ -2,10 +2,10 @@
 
 The phase solves call LAPACK ``getrs`` directly, the CSR phase matrices are
 rescaled on a fixed pattern and the CSR ``|S|`` line sums skip scipy; all must
-give the same bits as the reference construction.  The factorizations, the
-shift-and-invert ones of ``compute_perron`` included, must stay behind
-``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``, where a profiler
-can count them.  The symmetric path factors each halving level once, and only
+give the same bits as the reference construction.  Below the Krylov cutoff
+the factorizations, the shift-and-invert ones of ``compute_perron`` included,
+must stay behind ``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``,
+where a profiler can count them.  The symmetric path factors each halving level once, and only
 its SDD factorizations use the symmetric ordering.
 
 Every matrix the engine forms itself is factored through the phase solver:
@@ -42,6 +42,7 @@ from perronkit import (
     top_singular,
 )
 from perronkit.oracle import dense_spectral_radius
+from perronkit.sparse import is_irreducible
 from perronkit.rcdd import _DENSE_CUTOFF, _abs_sums, _DirectSolver, varah_kappa_upper
 from perronkit.reports import NON_FINITE
 from perronkit.scaling import _normalized_comparison, _Problem
@@ -502,8 +503,8 @@ def test_katz_certify_runs_no_scan(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
 def test_top_singular_certifies_one_gram(monkeypatch, shape):
-    """One Perron computation, on the smaller Gram matrix; both irreducibility
-    checks still run."""
+    """One Perron computation, on the smaller Gram matrix, the only Gram
+    matrix formed: both irreducibility checks run on the pattern of ``A``."""
     counts = {}
     count_calls(monkeypatch, counts, perronkit.apps, "compute_perron")
     count_calls(monkeypatch, counts, perronkit.apps, "is_irreducible")
@@ -515,10 +516,38 @@ def test_top_singular_certifies_one_gram(monkeypatch, shape):
         return real(G, delta)
 
     monkeypatch.setattr(perronkit.apps, "compute_perron", record)
+    formed = []
+    real_from_scipy = SparseMatrix.from_scipy.__func__
+
+    def from_scipy(cls, mat):
+        formed.append(mat.shape)
+        return real_from_scipy(cls, mat)
+
+    monkeypatch.setattr(SparseMatrix, "from_scipy", classmethod(from_scipy))
     rng = np.random.default_rng(59)
     A = SparseMatrix.from_dense(rng.random(shape) + 0.05)
     top_singular(A, 1e-7)
-    assert seen == [min(shape)] and counts["is_irreducible"] == 2
+    k = min(shape)
+    assert seen == [k] and formed == [(k, k)] and counts["is_irreducible"] == 0
+
+
+def test_gram_irreducibility_matches_the_formed_gram_matrices():
+    """The pattern test on ``A`` gives the verdict ``is_irreducible`` gives on
+    each explicitly formed Gram matrix, zero rows and columns, disconnected
+    blocks and single rows or columns included."""
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(600):
+        m, n = (int(v) for v in rng.integers(1, 6, 2))
+        A_dense = (rng.random((m, n)) < rng.uniform(0.05, 0.6)) * rng.random((m, n))
+        A = SparseMatrix.from_dense(A_dense)
+        expected = tuple(
+            is_irreducible(SparseMatrix.from_scipy(gram))
+            for gram in (A.csr_transpose() @ A.csr(), A.csr() @ A.csr_transpose())
+        )
+        assert perronkit.apps._gram_irreducibility(A) == expected, A_dense
+        seen.add(expected)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_non_finite_refinement_stops_at_once(monkeypatch):
