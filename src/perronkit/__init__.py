@@ -43,7 +43,6 @@ from .sparse import (
     shifted_m_matrix,
 )
 from .rcdd import (
-    BackendChoice,
     LinearOperator,
     build_rcdd_solver,
     build_sdd_solver,
@@ -124,7 +123,6 @@ __all__ = [
     "apply_scaling",
     "shifted_m_matrix",
     # solvers
-    "BackendChoice",
     "LinearOperator",
     "build_rcdd_solver",
     "build_sdd_solver",

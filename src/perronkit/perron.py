@@ -225,7 +225,9 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
     ``(s, report)`` with ``rho(A) <= s < (1 + eps) rho(A)`` whenever ``K``
     dominates the eigenvector condition numbers.  The upper endpoint moves to
     ``(1 + delta) s_m`` on a positive decision, which is exactly what the
-    returned scaling certifies.
+    returned scaling certifies, so ``s`` bounds ``rho(A)`` from above for
+    any ``K``; the lower endpoint only moves on negative decisions, which
+    prove ``rho(A) >= s_m`` only when ``K`` is large enough.
     """
     _structure_check(A)
     if not (0.0 <= s1 < s2):
@@ -294,7 +296,10 @@ class _CWBracket:
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
     bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
     no ``K``.  One bracket serves every round of a :func:`compute_perron`
-    call: a tighter ``eps`` continues from the last iterates.
+    call: a tighter ``eps`` continues from the last iterates.  Once it has
+    failed, ``proven_upper`` holds the upper end of the last
+    :func:`find_perron_value`, an upper bound on ``rho(A)`` whatever its
+    ``K``, where the next round's bisection starts.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -307,6 +312,7 @@ class _CWBracket:
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
+        self.proven_upper = None
         self._prob = None
 
     def _iterates(self):
@@ -396,7 +402,9 @@ def _simple_perron_core(A: SparseMatrix, eps: float, K: float, bracket: _CWBrack
     certifying ``prob.scaled_shift(eps / 3, pair.left, pair.right)`` RCDD."""
     s = bracket.upper(eps)
     if s is None:
-        s, _ = find_perron_value(A, 0.0, induced_norms(A).norm_inf, eps, K)
+        s2 = bracket.proven_upper or induced_norms(A).norm_inf
+        s, _ = find_perron_value(A, 0.0, s2, eps, K)
+        bracket.proven_upper = s
     prob, scale_pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
     return s, prob, scale_pair
 
@@ -429,7 +437,8 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     side certifies ``(1 - delta)`` of the upper estimate.  The upper estimate
     comes from one Collatz-Wielandt shift-and-invert bracket per call, which
     later rounds tighten from its last iterates; the bisection runs only if
-    that bracket fails.
+    that bracket fails, each later round from the upper end the previous
+    one proved.
     """
     _structure_check(A)
     if not (0.0 < delta < 1.0):

@@ -4,40 +4,34 @@ The upstream algorithms only ever use these solvers as black boxes with a
 relative-error contract, so the nearly-linear-time machinery they were
 designed around is replaced here by interchangeable backends.
 
-Every matrix the engine forms itself goes through :func:`_phase_backend`
-(called by ``scaling._PhaseSolver``), which picks one of three by size: dense
+Every solver, for a matrix the engine forms (``scaling._PhaseSolver``) and
+for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
+comes from :func:`_phase_backend`, which picks one of three by size: dense
 LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, SuperLU up to ``_KRYLOV_CUTOFF``,
 and above that :class:`_KrylovSolver`, matvec-only Jacobi-preconditioned
-BiCGSTAB (CG for a matrix symmetric by construction) run to the relative
+BiCGSTAB (CG for a matrix known to be symmetric) run to the relative
 residual its caller sets.  Each Krylov solve recomputes its true residual
 ``||b - S x||`` and restarts from ``x`` a bounded number of times while that
 misses.  A solve that still misses raises :class:`BackendDiverged` where the
 caller turns that into a verdict (``m_decide``'s scan); everywhere else the
-matrix is factored with SuperLU, as below the cutoff.  Above the
-dense cutoff those matrices are CSR matrices on one pattern per problem, of
-which each use only rescales the values.
+matrix is factored with SuperLU, as below the cutoff.  Above the dense
+cutoff the engine's matrices are CSR matrices on one pattern per problem,
+of which each use only rescales the values.  Symmetric matrices (SDD
+solves, checked by ``build_sdd_solver``, and the symmetric levels) get a
+symmetric minimum-degree ordering from SuperLU; everything else keeps its
+default COLAMD.
 
-The public builders serve callers' own matrices with one of three kinds:
-
-* ``direct-lu`` (default): one LU factorization with partial pivoting, plus
-  iterative refinement until the requested tolerance is met.  Dense LAPACK
-  storage below ``_DENSE_CUTOFF`` unknowns, SuperLU above; dense solves call
-  LAPACK ``getrs`` directly, without the ``lu_solve`` wrapper.  SDD solves
-  (symmetry checked by ``build_sdd_solver``) and the symmetric levels
-  (symmetric by construction) use a symmetric minimum-degree ordering;
-  everything else keeps SuperLU's default COLAMD.
-* ``richardson-jacobi``: diagonally preconditioned Richardson iteration.
-* ``conjugate-gradient-symmetrized``: CG on the matrix itself when symmetric,
-  on the normal equations otherwise.
-
-A built :class:`LinearOperator` is deterministic, immutable, and records the
-achieved relative residual of every application in a report side channel.
+A built :class:`LinearOperator` recomputes the residual of every
+application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
+solve runs to ``eps``, and a residual above the contract raises
+:class:`BackendDiverged`.  The operator is deterministic, immutable, and
+records the achieved relative residual and the backend's iterations of
+every application in a report side channel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +51,6 @@ from .sparse import (
 )
 
 __all__ = [
-    "BackendChoice",
     "LinearOperator",
     "build_rcdd_solver",
     "build_sdd_solver",
@@ -72,38 +65,12 @@ _KRYLOV_CUTOFF = 300
 # of restarts from x after the recurrence converged but the true residual missed
 _KRYLOV_CAP = 5000
 _KRYLOV_RESTARTS = 3
+# the relative residual an LU-backed apply refines toward, whatever its contract
+_LU_AIM = 1e-13
 
 # the dense triangular solve, fetched once: scipy.linalg.lu_solve costs several
 # times the LAPACK call at the sizes below the cutoff
 _getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
-
-DIRECT_LU = "direct-lu"
-RICHARDSON_JACOBI = "richardson-jacobi"
-CG_SYMMETRIZED = "conjugate-gradient-symmetrized"
-_KINDS = (DIRECT_LU, RICHARDSON_JACOBI, CG_SYMMETRIZED)
-
-
-@dataclass(frozen=True)
-class BackendChoice:
-    """Solver backend selection with an iteration budget.
-
-    ``inner_tolerance`` is the residual the backend aims for on each
-    application when it can afford to (the direct backend refines down to
-    ``min(eps, inner_tolerance)``); only the contracted ``eps`` gates errors.
-    """
-
-    kind: str = DIRECT_LU
-    max_iterations: int = 10_000
-    inner_tolerance: float = 1e-13
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (0.0 < self.inner_tolerance < 1.0):
-            raise ValueError("inner_tolerance must lie in (0, 1)")
-
 
 def _storage(csr: sp.csr_matrix):
     """The array the solvers work on: dense up to ``_DENSE_CUTOFF`` unknowns,
@@ -120,10 +87,10 @@ class _DirectSolver:
     ``S.T x = b``.  Deterministic.  SuperLU orders columns by COLAMD, or,
     for a matrix the caller knows is ``symmetric`` (checked, or symmetric by
     construction), by minimum degree on ``S.T + S`` with diagonal pivots
-    preferred, which keeps far less fill on SDD matrices.  It backs the
-    public ``direct-lu`` kind at every size, and the engine's own matrices up
-    to ``_KRYLOV_CUTOFF`` unknowns (see :func:`_phase_backend`); its solves
-    are exact up to rounding and check no residual.
+    preferred, which keeps far less fill on SDD matrices.  It backs every
+    solver up to ``_KRYLOV_CUTOFF`` unknowns (see :func:`_phase_backend`) and
+    a Krylov solver's fallback; its solves are exact up to rounding and check
+    no residual.
     """
 
     def __init__(self, S, symmetric: bool = False):
@@ -170,7 +137,8 @@ class _KrylovSolver:
     ``_KRYLOV_CAP`` iterations or at a breakdown raises
     :class:`BackendDiverged` when ``lu_on_miss`` is false; otherwise ``S``
     is factored, as below the cutoff, and the LU serves this solve and every
-    later one.  Deterministic.
+    later one.  ``iterations`` counts the Krylov iterations of every solve,
+    and one per LU solve.  Deterministic.
     """
 
     def __init__(
@@ -184,34 +152,47 @@ class _KrylovSolver:
         self._inv_diag = 1.0 / S.diagonal()
         self._floor_terms = None
         self._lu = None
+        self.iterations = 0
 
-    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    @property
+    def factored(self) -> bool:
+        """Whether a miss has handed ``S`` to the LU."""
+        return self._lu is not None
+
+    def solve(
+        self, b: np.ndarray, transpose: bool = False, tol: float | None = None
+    ) -> np.ndarray:
+        """The solve, to ``tol`` when given instead of the solver's own."""
         if self._lu is None:
             try:
-                return self._krylov(self._S_t if transpose else self.S, b)
+                return self._krylov(
+                    self._S_t if transpose else self.S, b, self.tol if tol is None else tol
+                )
             except BackendDiverged:
                 if not self._lu_on_miss:
                     raise
             self._lu = _DirectSolver(self.S, self._symmetric)
+        self.iterations += 1
         return self._lu.solve(b, transpose)
 
-    def _krylov(self, mat, b: np.ndarray) -> np.ndarray:
+    def _krylov(self, mat, b: np.ndarray, tol: float) -> np.ndarray:
         def matvec(v):
             return mat @ v
 
         core = _cg_core if self._symmetric else _bicgstab_core
         norm_b = np.linalg.norm(b)
-        target = self.tol * norm_b
+        target = tol * norm_b
         x = np.zeros_like(b)
         spent = 0
         for _ in range(_KRYLOV_RESTARTS + 1):
             x, its = core(matvec, b, target, _KRYLOV_CAP - spent, x, self._inv_diag)
             spent += its
+            self.iterations += its
             residual = np.linalg.norm(b - matvec(x))
             if residual <= target or residual <= self._floor(x, norm_b):
                 return x
         raise BackendDiverged(
-            f"Krylov phase solve missed its tolerance {self.tol:.3e}: true residual "
+            f"Krylov phase solve missed its tolerance {tol:.3e}: true residual "
             f"{residual:.3e} of {norm_b:.3e} after {spent} iterations"
         )
 
@@ -230,8 +211,9 @@ class _KrylovSolver:
 
 
 def _phase_backend(S, tol: float, symmetric: bool = False, lu_on_miss: bool = True):
-    """The solver of a matrix the engine formed, by size: LAPACK for a dense
-    ``S`` (up to ``_DENSE_CUTOFF`` unknowns), SuperLU up to
+    """The package's one choice of solver, for a matrix the engine formed or
+    a caller's own, by size: LAPACK for a dense ``S`` (up to
+    ``_DENSE_CUTOFF`` unknowns, see :func:`_storage`), SuperLU up to
     ``_KRYLOV_CUTOFF``, :class:`_KrylovSolver` at relative residual ``tol``
     above, falling back to SuperLU on a miss unless ``lu_on_miss`` is false.
     The LU backends solve exactly up to rounding and ignore ``tol``."""
@@ -251,7 +233,9 @@ class LinearOperator:
     ``error_bound`` is the contracted relative error, ``norm_tag`` the norm
     the contract is stated in (``"l2"`` for RCDD solves, ``"s-energy"`` for
     SDD solves).  Every application appends the achieved relative l2 residual
-    and the backend iteration count to ``report``.
+    and the backend's iterations to ``report``: Krylov iterations for a
+    Krylov-backed operator, the LU solves (one plus the refinement steps)
+    for an LU-backed one.
     """
 
     def __init__(self, apply_fn, n, error_bound, norm_tag):
@@ -265,7 +249,8 @@ class LinearOperator:
 
     def transpose(self, error_bound: float) -> "LinearOperator":
         """Operator solving the transposed system to ``error_bound``, from
-        this operator's factorization; only RCDD solvers have one."""
+        this operator's solver (one factorization, when it has one); only
+        RCDD solvers have one."""
         if self._transpose_fn is None:
             raise TypeError("only operators from build_rcdd_solver have a transpose")
         _check_eps(error_bound)
@@ -322,68 +307,50 @@ def varah_kappa_upper(S) -> float:
     return float(np.sqrt(norm_2_sq) / np.sqrt(beta_r * beta_c))
 
 
-def _direct_apply(solver: _DirectSolver, eps: float, transpose: bool, aim: float = 1e-13):
-    target = min(eps, aim)
+def _checked_apply(solver, eps: float, transpose: bool):
+    """The apply function ``x -> (z, rel, iterations)`` of an operator over a
+    solver from :func:`_phase_backend`, with ``rel = ||x - S z|| / ||x||``
+    recomputed.  An LU solve is refined toward ``min(eps, _LU_AIM)`` by at
+    most three steps; a Krylov solve runs to ``eps``.  A residual above
+    ``eps``, or not finite, raises :class:`BackendDiverged`."""
+    krylov = isinstance(solver, _KrylovSolver)
+
+    def solve(b):
+        return solver.solve(b, transpose, eps) if krylov else solver.solve(b, transpose)
 
     def apply_fn(x):
-        z = solver.solve(x, transpose)
+        spent = solver.iterations if krylov else 0
+        z = solve(x)
         norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            return z, 0.0, 1
-        rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
+        rel = 0.0
         refinements = 0
-        while rel > target and refinements < 3:
-            z = z + solver.solve(x - solver.matvec(z, transpose), transpose)
+        if norm_x != 0.0:
             rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
-            refinements += 1
-        if rel > eps:
+            target = eps if krylov and not solver.factored else min(eps, _LU_AIM)
+            while rel > target and refinements < 3:
+                z = z + solve(x - solver.matvec(z, transpose))
+                rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
+                refinements += 1
+        if not rel <= eps:
             raise BackendDiverged(
-                f"direct backend residual {rel:.3e} above eps={eps:.3e} "
-                "after refinement; matrix is too ill-conditioned"
+                f"backend residual {rel:.3e} above eps={eps:.3e} after "
+                f"{refinements} refinements; matrix is too ill-conditioned"
             )
-        return z, float(rel), 1 + refinements
+        iterations = solver.iterations - spent if krylov else 1 + refinements
+        return z, float(rel), iterations
 
     return apply_fn
 
 
-def _jacobi_apply(S_csr, eps, cap, transpose):
-    mat = S_csr.T.tocsr() if transpose else S_csr
-    diag = mat.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("Jacobi backend requires a nonzero diagonal")
-
-    def apply_fn(x):
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            return np.zeros_like(x), 0.0, 0
-        z = np.zeros_like(x)
-        r = x.copy()
-        for it in range(1, cap + 1):
-            z += r / diag
-            r = x - mat @ z
-            rel = np.linalg.norm(r) / norm_x
-            if rel <= eps:
-                return z, float(rel), it
-        raise BackendDiverged(
-            f"richardson-jacobi exceeded {cap} iterations (residual {rel:.3e})"
-        )
-
-    return apply_fn
-
-
-def _cg_core(matvec, b, eps_abs, cap, x=None, inv_diag=None):
-    """Conjugate gradient from ``x`` (zero when omitted), preconditioned by
-    the diagonal ``1 / inv_diag`` when given; returns ``(x, iterations)`` once
-    the recurrence residual is at most ``eps_abs``."""
-    if x is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x.copy()
-        r = b - matvec(x)
+def _cg_core(matvec, b, eps_abs, cap, x, inv_diag):
+    """Conjugate gradient from ``x``, preconditioned by the diagonal
+    ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
+    is at most ``eps_abs``."""
+    x = x.copy()
+    r = b - matvec(x)
     if np.linalg.norm(r) <= eps_abs:
         return x, 0
-    z = r if inv_diag is None else inv_diag * r
+    z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, cap + 1):
@@ -397,8 +364,8 @@ def _cg_core(matvec, b, eps_abs, cap, x=None, inv_diag=None):
         rs = float(r @ r)
         if np.sqrt(rs) <= eps_abs:
             return x, it
-        z = r if inv_diag is None else inv_diag * r
-        rz_new = rs if inv_diag is None else float(r @ z)
+        z = inv_diag * r
+        rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise BackendDiverged(f"conjugate gradient exceeded {cap} iterations")
@@ -445,99 +412,35 @@ def _bicgstab_core(matvec, b, eps_abs, cap, x, inv_diag):
     raise BackendDiverged(f"BiCGSTAB exceeded {cap} iterations")
 
 
-def _cg_apply_normal(S_csr, eps, cap, transpose):
-    """CG on the normal equations for an asymmetric RCDD matrix; the stopping
-    rule checks the true residual of the original system."""
-    mat = S_csr.T.tocsr() if transpose else S_csr
-    mat_t = mat.T.tocsr()
-
-    def apply_fn(x):
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            return np.zeros_like(x), 0.0, 0
-        target = eps * norm_x
-        z = np.zeros_like(x)
-        r = mat_t @ x
-        p = r.copy()
-        rs = float(r @ r)
-        for it in range(1, cap + 1):
-            Ap = mat_t @ (mat @ p)
-            denom = float(p @ Ap)
-            if denom <= 0.0:
-                raise BackendDiverged("normal-equation CG met nonpositive curvature")
-            alpha = rs / denom
-            z += alpha * p
-            rel = np.linalg.norm(x - mat @ z) / norm_x
-            if rel <= eps:
-                return z, float(rel), it
-            r -= alpha * Ap
-            rs_new = float(r @ r)
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        raise BackendDiverged(
-            f"normal-equation CG exceeded {cap} iterations (target {target:.3e})"
-        )
-
-    return apply_fn
-
-
-def _cg_apply_spd(S_csr, eps_l2, cap):
-    def apply_fn(x):
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            return np.zeros_like(x), 0.0, 0
-        z, it = _cg_core(lambda p: S_csr @ p, x, eps_l2 * norm_x, cap)
-        rel = np.linalg.norm(x - S_csr @ z) / norm_x
-        return z, float(rel), it
-
-    return apply_fn
-
-
-def build_rcdd_solver(
-    S: SparseMatrix,
-    eps: float,
-    backend: BackendChoice | None = None,
-) -> LinearOperator:
+def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
-    ``Z.transpose(eps_t)`` solves with ``S.T`` from the same factorization.
+    ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
 
-    Raises :class:`NotRCDD` when ``S`` is not RCDD within
-    ``RCDD_VERIFY_SLACK``.  Applying the operator raises
+    The solver comes from :func:`_phase_backend`, as every other: an LU up to
+    ``_KRYLOV_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above, with
+    SuperLU should it miss.  Raises :class:`NotRCDD` when ``S`` is not RCDD
+    within ``RCDD_VERIFY_SLACK``.  Applying the operator raises
     :class:`BackendDiverged` when the backend misses ``eps``; the error
     propagates to the caller.
     """
-    backend = backend or BackendChoice()
     _check_eps(eps)
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    csr = S.csr()
-    lu = _DirectSolver(_storage(csr)) if backend.kind == DIRECT_LU else None
-
-    def apply_fn(eps, transpose):
-        if backend.kind == DIRECT_LU:
-            return _direct_apply(lu, eps, transpose, aim=backend.inner_tolerance)
-        if backend.kind == RICHARDSON_JACOBI:
-            return _jacobi_apply(csr, eps, backend.max_iterations, transpose)
-        return _cg_apply_normal(csr, eps, backend.max_iterations, transpose)
-
-    op = LinearOperator(apply_fn(eps, False), S.n_rows, eps, "l2")
-    op._transpose_fn = lambda eps_t: apply_fn(eps_t, True)
+    solver = _phase_backend(_storage(S.csr()), eps)
+    op = LinearOperator(_checked_apply(solver, eps, False), S.n_rows, eps, "l2")
+    op._transpose_fn = lambda eps_t: _checked_apply(solver, eps_t, True)
     return op
 
 
-def build_sdd_solver(
-    S: SparseMatrix,
-    eps: float,
-    backend: BackendChoice | None = None,
-) -> LinearOperator:
+def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     """Operator ``Z`` with ``||S^-1 x - Z(x)||_S <= eps * ||S^-1 x||_S``.
 
     The energy-norm contract is enforced by driving the l2 residual below
     ``eps / sqrt(kappa_hat)`` with ``kappa_hat`` the computable dominance
-    bound on the condition number; the direct backend satisfies any usable
-    ``eps`` outright.  The side channel records l2 residuals.
+    bound on the condition number; an LU satisfies any usable ``eps``
+    outright.  The solver comes from :func:`_phase_backend` (CG above
+    ``_KRYLOV_CUTOFF`` unknowns).  The side channel records l2 residuals.
     """
-    backend = backend or BackendChoice()
     _check_eps(eps)
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
@@ -545,12 +448,6 @@ def build_sdd_solver(
     kappa_hat = min(varah_kappa_upper(S), 1e12)
     # the l2 target that implies the energy contract, floored at what double
     # precision plus refinement can deliver
-    eps_l2 = max(eps / np.sqrt(max(kappa_hat, 1.0)), 1e-13)
-    if backend.kind == DIRECT_LU:
-        lu = _DirectSolver(_storage(S.csr()), symmetric=True)
-        apply_fn = _direct_apply(lu, eps_l2, transpose=False, aim=backend.inner_tolerance)
-    elif backend.kind == RICHARDSON_JACOBI:
-        apply_fn = _jacobi_apply(S.csr(), eps_l2, backend.max_iterations, transpose=False)
-    else:
-        apply_fn = _cg_apply_spd(S.csr(), eps_l2, backend.max_iterations)
-    return LinearOperator(apply_fn, S.n_rows, eps, "s-energy")
+    eps_l2 = max(eps / np.sqrt(max(kappa_hat, 1.0)), _LU_AIM)
+    solver = _phase_backend(_storage(S.csr()), eps_l2, symmetric=True)
+    return LinearOperator(_checked_apply(solver, eps_l2, False), S.n_rows, eps, "s-energy")

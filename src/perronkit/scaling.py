@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
-    BackendChoice,
     LinearOperator,
     _phase_backend,
     _storage,
@@ -459,12 +458,7 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
     return x, report
 
 
-def solve_from_scale(
-    M: SparseMatrix,
-    scale: ScalingPair,
-    delta: float,
-    backend: BackendChoice | None = None,
-) -> MSolveOperators:
+def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolveOperators:
     """Turn an RCDD scaling of an M-matrix into approximate inverse operators.
 
     ``p_right`` applies ``x -> R Z(L x)`` with the inner dominant solve run at
@@ -472,7 +466,8 @@ def solve_from_scale(
     ||b||_2`` per call (the transpose statement holds for ``p_left`` at
     tolerance ``delta / kappa(R)``).  The condition numbers of the diagonal
     scalings are computed exactly as max over min entry.  Both operators
-    share one RCDD check and one factorization of ``L M R``.
+    share one RCDD check and one solver of ``L M R`` (one factorization, up
+    to the Krylov cutoff).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -480,7 +475,7 @@ def solve_from_scale(
     if ell.shape[0] != M.n_rows or r.shape[0] != M.n_cols:
         raise ValueError("scaling length does not match the matrix")
     S = apply_scaling(ell, M, r)
-    Z_right = build_rcdd_solver(S, delta / scale.kappa_left, backend)
+    Z_right = build_rcdd_solver(S, delta / scale.kappa_left)
     Z_left = Z_right.transpose(delta / scale.kappa_right)
 
     csr = M.csr()

@@ -1,4 +1,4 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and solver-backend patches for the test suite.
 
 All generators are deterministic given the caller's ``numpy`` Generator, so
 every test (and the acceptance suite) is reproducible bit for bit.
@@ -7,8 +7,10 @@ every test (and the acceptance suite) is reproducible bit for bit.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.linalg
 
-from perronkit import SparseMatrix
+import perronkit.rcdd
+from perronkit import BackendDiverged, SparseMatrix
 from perronkit.oracle import dense_spectral_radius
 
 
@@ -88,3 +90,37 @@ def dense_inverse_norms(M_dense):
     """(||M^-1||_inf, ||M^-1||_1) computed densely."""
     inv = np.linalg.inv(M_dense)
     return float(np.abs(inv).sum(axis=1).max()), float(np.abs(inv).sum(axis=0).max())
+
+
+def lu_path(monkeypatch):
+    """Route every solver through an LU, as below the Krylov cutoff."""
+    monkeypatch.setattr(perronkit.rcdd, "_KRYLOV_CUTOFF", 10**9)
+
+
+def count_krylov(monkeypatch):
+    """Count SuperLU factorizations and Krylov solver builds."""
+    counts = {"splu": 0, "krylov": 0}
+    real_splu = scipy.sparse.linalg.splu
+
+    def splu(*args, **kwargs):
+        counts["splu"] += 1
+        return real_splu(*args, **kwargs)
+
+    class Counted(perronkit.rcdd._KrylovSolver):
+        def __init__(self, *args, **kwargs):
+            counts["krylov"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    monkeypatch.setattr(perronkit.rcdd, "_KrylovSolver", Counted)
+    return counts
+
+
+def missing_core(*args, **kwargs):
+    raise BackendDiverged("injected miss")
+
+
+def fail_krylov(monkeypatch):
+    """Every Krylov pass fails, as on a matrix that defeats the method."""
+    for name in ("_bicgstab_core", "_cg_core"):
+        monkeypatch.setattr(perronkit.rcdd, name, missing_core)

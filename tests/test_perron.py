@@ -189,13 +189,7 @@ class TestComputePerron:
         """The CW bracket certifies this weighted 20-cycle at K=1.  Only the
         bisection fallback, whose K=1 bracket ends far above rho, has to
         double K."""
-        rng = np.random.default_rng(7)
-        n = 20
-        M = np.zeros((n, n))
-        w = 10.0 ** rng.uniform(-3, 0, n)
-        for i in range(n):
-            M[i, (i + 1) % n] = w[i]
-        rho, _ = dense_spectral_radius(M, tol=1e-12)
+        M, rho = ill_conditioned_chain()
         delta = 1e-3
         for fallback in (False, True):
             if fallback:
@@ -210,6 +204,45 @@ class TestComputePerron:
             assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
             assert cert.cw_lower <= rho * (1 + 1e-10)
             assert cert.cw_upper >= rho * (1 - 1e-10)
+
+    def test_later_rounds_bisect_from_the_proven_upper_end(self, monkeypatch):
+        """With the bracket failing, each K round after the first bisects
+        from the upper end the previous round returned, which a positive
+        decision proved whatever K, and so makes fewer decisions than a
+        bisection from ``||A||_inf``.  The lower end starts from 0 again: at
+        K=1 this chain's negative decisions end far above rho."""
+        M, rho = ill_conditioned_chain()
+        delta = 1e-3
+        monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        real_find = perronkit.perron.find_perron_value
+        real_decide = perronkit.perron._m_decide_scaled
+        decisions = [0]
+        rounds = []  # (eps, K, upper start, result, decisions)
+
+        def decide(*args):
+            decisions[0] += 1
+            return real_decide(*args)
+
+        def find(A, s1, s2, eps, K):
+            before = decisions[0]
+            s, report = real_find(A, s1, s2, eps, K)
+            rounds.append((eps, K, s2, s, decisions[0] - before))
+            return s, report
+
+        monkeypatch.setattr(perronkit.perron, "_m_decide_scaled", decide)
+        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        A = SparseMatrix.from_dense(M)
+        cert = compute_perron(A, delta)
+        assert len(rounds) >= 2 and cert.k_final > 1
+        assert (1 - delta) * rho < cert.s <= rho * (1 + 1e-8)
+        norm_inf = M.sum(axis=1).max()
+        assert rounds[0][2] == norm_inf
+        for previous, (eps, K, start, s, made) in zip(rounds, rounds[1:]):
+            assert start == previous[3]
+            assert rho * (1 - 1e-12) <= s <= start < norm_inf
+            before = decisions[0]
+            real_find(A, 0.0, norm_inf, eps, K)
+            assert made < decisions[0] - before
 
     def test_acceptance_soundness_invariant(self):
         rng = np.random.default_rng(53)
@@ -237,6 +270,18 @@ class TestComputePerron:
         A = SparseMatrix.from_dense([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(NotIrreducible):
             compute_perron(A, 0.1)
+
+
+def ill_conditioned_chain():
+    """A 20-cycle with weights over 1e-3..1 and its spectral radius."""
+    rng = np.random.default_rng(7)
+    n = 20
+    M = np.zeros((n, n))
+    w = 10.0 ** rng.uniform(-3, 0, n)
+    for i in range(n):
+        M[i, (i + 1) % n] = w[i]
+    rho, _ = dense_spectral_radius(M, tol=1e-12)
+    return M, rho
 
 
 def weighted_cycle(rng, n):

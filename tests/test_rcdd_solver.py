@@ -1,27 +1,74 @@
-"""Dominant-solve operator contracts across the three backends."""
+"""Dominant-solve operator contracts.
+
+Every builder gets its solver from ``rcdd._phase_backend``, as the engine's
+own matrices do: LAPACK LU up to 128 unknowns, SuperLU up to 300 and
+Jacobi-preconditioned Krylov above, each application checked against its
+true residual.  Whatever the backend returns, a perturbed or NaN LU solve or
+a Krylov core that lies included, an application meets its contract or
+raises :class:`BackendDiverged`; a Krylov miss gives the SuperLU result bit
+for bit.
+"""
+
+import sys
 
 import numpy as np
 import pytest
 
+import perronkit.rcdd
 from perronkit import (
-    BackendChoice,
     BackendDiverged,
     NotRCDD,
     NotSDD,
+    ScalingPair,
     SparseMatrix,
     build_rcdd_solver,
     build_sdd_solver,
+    certify_spectral_bound,
+    compute_perron,
+    factor_width2_solve,
+    m_decide,
+    solve_from_scale,
+    solve_m,
+    symm_solve,
     varah_kappa_upper,
 )
 from perronkit.oracle import dense_solve
+from perronkit.rcdd import _KRYLOV_CUTOFF, _DirectSolver, _KrylovSolver
 
-from conftest import random_sdd_dense, random_strictly_rcdd_dense
+from conftest import (
+    count_krylov,
+    fail_krylov,
+    lu_path,
+    random_factor_width2_dense,
+    random_m_matrix_dense,
+    random_sdd_dense,
+    random_strictly_rcdd_dense,
+    random_symmetric_contraction_dense,
+)
 
-BACKENDS = [
-    BackendChoice("direct-lu"),
-    BackendChoice("richardson-jacobi", max_iterations=20_000),
-    BackendChoice("conjugate-gradient-symmetrized", max_iterations=20_000),
-]
+# one size per backend: dense LAPACK, SuperLU, Krylov
+SIZES = [40, 200, 400]
+SIZE_IDS = ["lapack", "superlu", "krylov"]
+KRYLOV_N = SIZES[-1]
+
+
+def sparse_dominant(rng, n, symmetric=False, margin=0.2):
+    """A strictly RCDD (SDD when ``symmetric``) dense array with about five
+    off-diagonal entries of mixed sign per row."""
+    M = np.where(rng.random((n, n)) < 5.0 / n, rng.normal(size=(n, n)), 0.0)
+    if symmetric:
+        M = (M + M.T) / 2.0
+    np.fill_diagonal(M, 0.0)
+    dominance = np.maximum(np.abs(M).sum(axis=1), np.abs(M).sum(axis=0))
+    np.fill_diagonal(M, dominance * (1.0 + margin) + margin)
+    return M
+
+
+def energy_error(M, x, z):
+    """``||S^-1 x - z||_S / ||S^-1 x||_S`` against the dense oracle."""
+    exact = dense_solve(M, x)
+    err = z - exact
+    return np.sqrt(err @ (M @ err)) / np.sqrt(exact @ (M @ exact))
 
 
 class TestRcddSolver:
@@ -36,13 +83,12 @@ class TestRcddSolver:
         Z = build_rcdd_solver(S, 0.5)
         assert np.allclose(Z.apply(np.ones(2)), np.ones(2), atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
-    def test_contract_against_dense_lu(self, backend):
+    def test_contract_against_dense_lu(self):
         rng = np.random.default_rng(21)
         M = random_strictly_rcdd_dense(rng, 20)
         S = SparseMatrix.from_dense(M)
         eps = 1e-6
-        Z = build_rcdd_solver(S, eps, backend)
+        Z = build_rcdd_solver(S, eps)
         Zt = Z.transpose(eps)
         for _ in range(50):
             x = rng.normal(size=20)
@@ -70,43 +116,15 @@ class TestRcddSolver:
                 Z.apply(x)
             assert max(Z.report.residuals) <= 1e-10
 
-    def test_backend_diverged_is_a_signal(self):
-        rng = np.random.default_rng(23)
-        M = random_strictly_rcdd_dense(rng, 15, margin=0.01)
-        Z = build_rcdd_solver(
-            SparseMatrix.from_dense(M),
-            1e-10,
-            BackendChoice("richardson-jacobi", max_iterations=2),
-        )
-        with pytest.raises(BackendDiverged):
-            Z.apply(rng.normal(size=15))
-
-    def test_monotone_cost_in_log_inv_eps(self):
-        rng = np.random.default_rng(24)
-        M = random_strictly_rcdd_dense(rng, 20, margin=0.5)
-        S = SparseMatrix.from_dense(M)
-        x = rng.normal(size=20)
-        counts = []
-        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            Z = build_rcdd_solver(S, eps, BackendChoice("richardson-jacobi"))
-            Z.apply(x)
-            counts.append(Z.report.info["iterations_per_call"][0])
-        # iteration count grows at most linearly in log(1/eps): increments
-        # between consecutive decades are bounded by the first decade's cost
-        increments = np.diff(counts)
-        assert all(increments > 0)
-        assert increments.max() <= counts[0] + 1
-
     def test_deterministic_reproducibility(self):
         rng = np.random.default_rng(25)
         M = random_strictly_rcdd_dense(rng, 18)
         x = rng.normal(size=18)
-        for backend in BACKENDS:
-            za = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend)
-            zb = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8, backend)
-            ya, yb = za.apply(x), zb.apply(x)
-            assert np.array_equal(ya, yb)
-            assert np.array_equal(ya, za.apply(x))
+        za = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8)
+        zb = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-8)
+        ya, yb = za.apply(x), zb.apply(x)
+        assert np.array_equal(ya, yb)
+        assert np.array_equal(ya, za.apply(x))
 
 
 class TestSddSolver:
@@ -120,21 +138,15 @@ class TestSddSolver:
         Z = build_sdd_solver(S, 0.25)
         assert np.allclose(Z.apply(np.ones(2)), np.ones(2), atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.kind)
-    def test_energy_norm_contract(self, backend):
+    def test_energy_norm_contract(self):
         rng = np.random.default_rng(26)
         M = random_sdd_dense(rng, 20)
         S = SparseMatrix.from_dense(M)
         eps = 1e-4
-        Z = build_sdd_solver(S, eps, backend)
+        Z = build_sdd_solver(S, eps)
         for _ in range(20):
             x = rng.normal(size=20)
-            z = Z.apply(x)
-            exact = dense_solve(M, x)
-            err = z - exact
-            energy_err = np.sqrt(err @ (M @ err))
-            energy_ref = np.sqrt(exact @ (M @ exact))
-            assert energy_err <= eps * energy_ref
+            assert energy_error(M, x, Z.apply(x)) <= eps
 
     def test_not_sdd_rejected(self):
         with pytest.raises(NotSDD):
@@ -149,3 +161,284 @@ def test_varah_bound_dominates_true_condition_number():
         M = random_strictly_rcdd_dense(rng, 12, margin=rng.uniform(0.05, 1.0))
         bound = varah_kappa_upper(SparseMatrix.from_dense(M))
         assert bound >= np.linalg.cond(M, 2) * (1 - 1e-12)
+
+
+# ----------------------------------------------------------------------
+# above the Krylov cutoff
+
+
+def test_krylov_rcdd_contract_with_its_transpose(monkeypatch):
+    """At n > 300 the RCDD solver and its transpose meet eps = 1e-9 with no
+    factorization, and report the Krylov iterations their solves ran."""
+    counts = count_krylov(monkeypatch)
+    ran = [0]
+    real_core = perronkit.rcdd._bicgstab_core
+
+    def core(*args):
+        x, its = real_core(*args)
+        ran[0] += its
+        return x, its
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", core)
+    rng = np.random.default_rng(28)
+    n = KRYLOV_N
+    assert n > _KRYLOV_CUTOFF
+    M = sparse_dominant(rng, n)
+    eps = 1e-9
+    Z = build_rcdd_solver(SparseMatrix.from_dense(M), eps)
+    Zt = Z.transpose(eps)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        assert np.linalg.norm(x - M @ Z.apply(x)) <= eps * np.linalg.norm(x)
+        assert np.linalg.norm(x - M.T @ Zt.apply(x)) <= eps * np.linalg.norm(x)
+    assert counts == {"splu": 0, "krylov": 1}
+    assert all(r <= eps for r in Z.report.residuals + Zt.report.residuals)
+    assert Z.report.iterations + Zt.report.iterations == ran[0]
+    assert min(Z.report.info["iterations_per_call"]) > 1
+
+
+def test_krylov_transpose_solves_to_its_own_bound(monkeypatch):
+    """The transpose shares the forward operator's solver but not its
+    bound: each application runs one Krylov solve at its own operator's
+    ``eps``, with no refinement."""
+    tols = []
+    real_krylov = _KrylovSolver._krylov
+
+    def krylov(self, mat, b, tol):
+        tols.append(tol)
+        return real_krylov(self, mat, b, tol)
+
+    monkeypatch.setattr(_KrylovSolver, "_krylov", krylov)
+    rng = np.random.default_rng(35)
+    M = sparse_dominant(rng, KRYLOV_N)
+    Z = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-3)
+    Zt = Z.transpose(1e-10)
+    x = rng.normal(size=KRYLOV_N)
+    assert np.linalg.norm(x - M @ Z.apply(x)) <= 1e-3 * np.linalg.norm(x)
+    assert np.linalg.norm(x - M.T @ Zt.apply(x)) <= 1e-10 * np.linalg.norm(x)
+    assert tols == [1e-3, 1e-10]
+
+
+def test_krylov_sdd_energy_norm_contract(monkeypatch):
+    counts = count_krylov(monkeypatch)
+    rng = np.random.default_rng(29)
+    n = KRYLOV_N
+    M = sparse_dominant(rng, n, symmetric=True, margin=0.05)
+    eps = 1e-4
+    Z = build_sdd_solver(SparseMatrix.from_dense(M), eps)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        assert energy_error(M, x, Z.apply(x)) <= eps
+    assert counts == {"splu": 0, "krylov": 1}
+
+
+# ----------------------------------------------------------------------
+# fault injection on the builders
+
+
+def builder_outcomes(rng, n):
+    """Apply an RCDD solver, its transpose and an SDD solver of size ``n`` to
+    three vectors each: every application meets its contract (``"met"``) or
+    raises :class:`BackendDiverged` (``"diverged"``)."""
+    M = sparse_dominant(rng, n)
+    sym = sparse_dominant(rng, n, symmetric=True)
+    eps, eps_sdd = 1e-9, 1e-4
+    Z = build_rcdd_solver(SparseMatrix.from_dense(M), eps)
+    checks = [
+        (Z, lambda x, z: np.linalg.norm(x - M @ z) <= eps * np.linalg.norm(x)),
+        (
+            Z.transpose(eps),
+            lambda x, z: np.linalg.norm(x - M.T @ z) <= eps * np.linalg.norm(x),
+        ),
+        (
+            build_sdd_solver(SparseMatrix.from_dense(sym), eps_sdd),
+            lambda x, z: energy_error(sym, x, z) <= eps_sdd,
+        ),
+    ]
+    outcomes = []
+    for op, meets in checks:
+        for _ in range(3):
+            x = rng.normal(size=n)
+            try:
+                z = op.apply(x)
+            except BackendDiverged:
+                outcomes.append("diverged")
+                continue
+            assert meets(x, z)
+            outcomes.append("met")
+    return outcomes
+
+
+# relative noise on each entry of an LU solve's result; None returns NaN
+LU_FAULTS = {"noise-1e-6": 1e-6, "noise-1e-2": 1e-2, "noise-2": 2.0, "nan": None}
+
+
+@pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("fault", list(LU_FAULTS))
+def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, n, fault):
+    """An LU solve that returns a perturbed or NaN vector, on every backend
+    (above the cutoff the Krylov passes all miss, so the faulty LU takes
+    over): no application returns a vector outside its contract."""
+    real_solve = _DirectSolver.solve
+    noise = np.random.default_rng(30)
+    scale = LU_FAULTS[fault]
+
+    def solve(self, b, transpose=False):
+        if scale is None:
+            return np.full_like(b, np.nan)
+        x = real_solve(self, b, transpose)
+        return x * (1.0 + scale * noise.standard_normal(x.size))
+
+    monkeypatch.setattr(_DirectSolver, "solve", solve)
+    fail_krylov(monkeypatch)
+    outcomes = builder_outcomes(np.random.default_rng(31), n)
+    if fault == "nan":
+        assert set(outcomes) == {"diverged"}
+    if fault == "noise-1e-6":
+        # refinement repairs a small perturbation
+        assert set(outcomes) == {"met"}
+
+
+@pytest.mark.parametrize("budget", [1, 10**9], ids=["once", "always"])
+def test_lying_krylov_cores_meet_the_contract(monkeypatch, budget):
+    """A Krylov core that reports convergence on a perturbed iterate is
+    caught by the true residual: a restart repairs one lie, and a core that
+    always lies hands the matrix to SuperLU."""
+    counts = count_krylov(monkeypatch)
+    lies = [0]
+    for name in ("_bicgstab_core", "_cg_core"):
+        real_core = getattr(perronkit.rcdd, name)
+
+        def lying_core(*args, real_core=real_core):
+            x, its = real_core(*args)
+            if lies[0] < budget:
+                lies[0] += 1
+                x = x * (1.0 + 1e-3 * np.sin(np.arange(x.size)))
+            return x, its
+
+        monkeypatch.setattr(perronkit.rcdd, name, lying_core)
+    outcomes = builder_outcomes(np.random.default_rng(32), KRYLOV_N)
+    assert set(outcomes) == {"met"} and lies[0] >= 1
+    assert counts == {"splu": 0 if budget == 1 else 2, "krylov": 2}
+
+
+def test_a_krylov_miss_gives_the_superlu_result(monkeypatch):
+    """With every Krylov pass missing, the builders' operators return the
+    SuperLU path's vectors bit for bit, from one factorization each.  The LU
+    solves are off by about 1e-11 here, so that both paths must refine
+    toward the LU aim alike."""
+    real_solve = _DirectSolver.solve
+
+    def solve(self, b, transpose=False):
+        x = real_solve(self, b, transpose)
+        return x * (1.0 + 1e-11 * np.sin(np.arange(x.size)))
+
+    monkeypatch.setattr(_DirectSolver, "solve", solve)
+    rng = np.random.default_rng(33)
+    n = KRYLOV_N
+    M = SparseMatrix.from_dense(sparse_dominant(rng, n))
+    sym = SparseMatrix.from_dense(sparse_dominant(rng, n, symmetric=True))
+    xs = [rng.normal(size=n) for _ in range(3)]
+
+    def run():
+        Z = build_rcdd_solver(M, 1e-9)
+        ops = (Z, Z.transpose(1e-7), build_sdd_solver(sym, 1e-4))
+        return [op.apply(x) for x in xs for op in ops]
+
+    with monkeypatch.context() as patch:
+        lu_path(patch)
+        expected = run()
+    counts = count_krylov(monkeypatch)
+    fail_krylov(monkeypatch)
+    got = run()
+    assert counts == {"splu": 2, "krylov": 2}
+    for x, want in zip(got, expected):
+        assert np.array_equal(x, want)
+
+
+# ----------------------------------------------------------------------
+# one backend choice
+
+
+@pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, n):
+    """Across every public solver entry, each ``_DirectSolver`` and
+    ``_KrylovSolver`` is built inside ``rcdd._phase_backend``, wherever a
+    module binds it; the one exception is the LU a Krylov solver falls back
+    to on a miss, forced here on the builders."""
+    real_choice = perronkit.rcdd._phase_backend
+    where = []
+    origins = set()
+
+    def choice(*args, **kwargs):
+        where.append("choice")
+        try:
+            return real_choice(*args, **kwargs)
+        finally:
+            where.pop()
+
+    bound = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "perronkit"
+        and getattr(module, "_phase_backend", None) is real_choice
+    ]
+    assert {"perronkit.rcdd", "perronkit.scaling"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "_phase_backend", choice)
+
+    for cls, kind in ((_DirectSolver, "lu"), (_KrylovSolver, "krylov")):
+
+        def init(self, *args, real_init=cls.__init__, kind=kind, **kwargs):
+            origins.add((kind, where[-1] if where else "elsewhere"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    real_solve = _KrylovSolver.solve
+
+    def solve(self, *args, **kwargs):
+        where.append("krylov fallback")
+        try:
+            return real_solve(self, *args, **kwargs)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(_KrylovSolver, "solve", solve)
+
+    rng = np.random.default_rng(34)
+    b = rng.normal(size=n)
+    density = min(0.3, 5.0 / n)
+    rcdd = SparseMatrix.from_dense(sparse_dominant(rng, n))
+    sdd = SparseMatrix.from_dense(sparse_dominant(rng, n, symmetric=True))
+    A_dense = random_m_matrix_dense(rng, n, 0.9, density=density)
+    A = SparseMatrix.from_dense(A_dense)
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, density))
+    fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    ones = np.ones(n)
+
+    def builders():
+        Z = build_rcdd_solver(rcdd, 1e-9)
+        Z.apply(b)
+        Z.transpose(1e-9).apply(b)
+        build_sdd_solver(sdd, 1e-4).apply(b)
+
+    builders()
+    ops = solve_from_scale(rcdd, ScalingPair(ones, ones, alpha=0.0, s=1.0), 1e-6)
+    ops.p_right.apply(b)
+    ops.p_left.apply(b)
+    solve_m(A, 1.0, 1e-6, 1e3).apply(b)
+    assert m_decide(A, 1e-3, 1e3).is_m_matrix
+    assert not m_decide(SparseMatrix.from_dense(A_dense * (1.1 / 0.9)), 1e-3, 1e3).is_m_matrix
+    compute_perron(A, 1e-3)
+    certify_spectral_bound(A, 1.0)
+    symm_solve(sym, b, 1e-6)
+    factor_width2_solve(fw2, b, 1e-6)
+    with monkeypatch.context() as patch:
+        fail_krylov(patch)
+        builders()
+
+    if n > _KRYLOV_CUTOFF:
+        assert origins == {("krylov", "choice"), ("lu", "krylov fallback")}
+    else:
+        assert origins == {("lu", "choice")}
