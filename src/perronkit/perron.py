@@ -4,8 +4,9 @@ The decision procedure runs the same halving scan as the scaling module but
 treats every convergence guarantee as a falsifiable check: an iteration cap,
 a nonpositive scaling iterate, a violated exit window, or a blown solver
 budget each yield a concrete witness that the tested matrix is not an
-M-matrix, and a binary search over shifts built on the decision brackets the
-spectral radius.
+M-matrix (given a valid conditioning budget; below one a witness may only
+mean the budget was too small), and a binary search over shifts built on the
+decision brackets the spectral radius.
 
 The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
 sharpened with shift-and-invert (inverse iteration shifted just above the
@@ -201,16 +202,20 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
     """Decide whether ``I - A`` is an (invertible) M-matrix.
 
     Either returns a scaling certifying that ``(1 + eps) I - A`` is an
-    M-matrix, or a concrete witness of non-membership.  The answer about the
-    unshifted ``I - A`` is one-sided: a negative verdict proves
-    ``rho(A) >= 1``; a positive verdict proves ``rho(A) < 1 + eps``.
+    M-matrix, or a witness of non-membership.  The answer about the
+    unshifted ``I - A`` is one-sided: a positive verdict proves
+    ``rho(A) < 1 + eps`` for any positive ``gamma``, since it carries the
+    checked scaling; a negative verdict proves ``rho(A) >= 1`` only when
+    ``gamma`` is a valid budget.
 
-    ``gamma`` budgets the conditioning: completeness of the positive side
-    needs ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.  Both
-    verdicts are sound for any positive ``gamma``.  Above the Krylov cutoff
-    the phase solves are iterative, to relative residual ``1 / (8 gamma)``;
-    one that misses it ends the scan with the ``"solver budget"`` witness,
-    never ``"iteration cap"``.
+    ``gamma`` budgets the conditioning: it is valid, and the positive side
+    complete, when ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.
+    Below that a witness, the ``"solver budget"`` and ``"iteration cap"``
+    ones in particular, can mean only that ``gamma`` was too small: on an
+    M-matrix whose inverse norms exceed ``gamma`` the scan's checks may fire.
+    Above the dense cutoff the phase solves are iterative, to relative
+    residual ``1 / (8 gamma)``; one that misses it ends the scan with the
+    ``"solver budget"`` witness, never ``"iteration cap"``.
     """
     _structure_check(A)
     if eps <= 0.0 or gamma <= 0.0:
@@ -228,6 +233,12 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
     returned scaling certifies, so ``s`` bounds ``rho(A)`` from above for
     any ``K``; the lower endpoint only moves on negative decisions, which
     prove ``rho(A) >= s_m`` only when ``K`` is large enough.
+
+    An ``eps`` below the spacing of floats at ``rho(A)`` (relative
+    ``2**-52``) cannot be met: the bisection stops once rounding leaves it
+    no progress, when no float lies strictly between ``s1`` and ``s2`` or a
+    positive decision would not lower ``s2``, and returns ``s2``, still the
+    certified upper end, within a few ulps of ``s1``.
     """
     _structure_check(A)
     if not (0.0 <= s1 < s2):
@@ -239,16 +250,20 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
     report = SolveReport(info={"steps": []})
     while (1.0 + eps / 2.0) * s1 < s2:
         s_m = 0.5 * (s1 + s2)
+        if not s1 < s_m < s2:
+            break  # adjacent floats: s_m rounds to an endpoint
         delta = 0.5 * (s2 - s1) / (s2 + s1)
         outcome = _m_decide_scaled(A, s_m * (1.0 + delta / 2.0), delta / 3.0, 2.0 * K / delta)
         report.info["steps"].append(
             (s1, s2, s_m, delta, outcome.verdict.value)
         )
+        report.iterations += 1
         if outcome.is_m_matrix:
+            if (1.0 + delta) * s_m >= s2:
+                break  # a few floats apart, (1 + delta) s_m rounds up to s2
             s2 = (1.0 + delta) * s_m
         else:
             s1 = s_m
-        report.iterations += 1
     return s2, report
 
 
@@ -282,7 +297,7 @@ def _eigen_residuals(A: SparseMatrix, s: float, left, right):
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
 _CW_MAX_STEPS = 32
-# relative residual of the bracket's and the polish's solves above the Krylov
+# relative residual of the bracket's and the polish's solves above the dense
 # cutoff: loose solves keep every bound valid but widen the CW sandwich
 _CW_SOLVE_TOL = 1e-10
 

@@ -6,20 +6,20 @@ designed around is replaced here by interchangeable backends.
 
 Every solver, for a matrix the engine forms (``scaling._PhaseSolver``) and
 for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
-comes from :func:`_phase_backend`, which picks one of three by size: dense
-LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, SuperLU up to ``_KRYLOV_CUTOFF``,
-and above that :class:`_KrylovSolver`, matvec-only Jacobi-preconditioned
-BiCGSTAB (CG for a matrix known to be symmetric) run to the relative
-residual its caller sets.  Each Krylov solve recomputes its true residual
-``||b - S x||`` and restarts from ``x`` a bounded number of times while that
-misses.  A solve that still misses raises :class:`BackendDiverged` where the
-caller turns that into a verdict (``m_decide``'s scan); everywhere else the
-matrix is factored with SuperLU, as below the cutoff.  Above the dense
-cutoff the engine's matrices are CSR matrices on one pattern per problem,
-of which each use only rescales the values.  Symmetric matrices (SDD
-solves, checked by ``build_sdd_solver``, and the symmetric levels) get a
-symmetric minimum-degree ordering from SuperLU; everything else keeps its
-default COLAMD.
+comes from :func:`_phase_backend`, which picks one of two by the storage
+:func:`_storage` gives: a dense array up to ``_DENSE_CUTOFF`` unknowns is
+factored by LAPACK, and a CSR matrix above it goes to :class:`_KrylovSolver`,
+matvec-only Jacobi-preconditioned BiCGSTAB (CG for a matrix known to be
+symmetric) run to the relative residual its caller sets.  Each Krylov solve
+recomputes its true residual ``||b - S x||`` and restarts from ``x`` a
+bounded number of times while that misses.  A solve that still misses
+raises :class:`BackendDiverged` where the caller turns that into a verdict
+(``m_decide``'s scan); everywhere else the matrix is factored with SuperLU,
+the package's only use of it.  Above the cutoff the engine's matrices are
+CSR matrices on one pattern per problem, of which each use only rescales the
+values.  SuperLU orders a symmetric matrix (SDD solves, checked by
+``build_sdd_solver``, and the symmetric levels) by symmetric minimum degree
+and everything else by its default COLAMD.
 
 A built :class:`LinearOperator` recomputes the residual of every
 application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
@@ -57,10 +57,11 @@ __all__ = [
     "varah_kappa_upper",
 ]
 
-_DENSE_CUTOFF = 128
-# above this many unknowns the phase solves are matvec-only: SuperLU's fill
-# grows with n, and at n = 300 the two backends take about the same time
-_KRYLOV_CUTOFF = 300
+# up to this many unknowns the solves are dense LAPACK LU, above it matvec-only
+# Krylov: on ring graphs a dense factorization is 3.5-5x faster than SuperLU's,
+# and at n = 300 a Perron certificate takes half its time on Krylov (near-cycle
+# graphs, where SuperLU's fill is tiny, are the exception)
+_DENSE_CUTOFF = 300
 # iterations one Krylov solve may spend, over all its restarts, and the number
 # of restarts from x after the recurrence converged but the true residual missed
 _KRYLOV_CAP = 5000
@@ -74,23 +75,24 @@ _getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
 
 def _storage(csr: sp.csr_matrix):
     """The array the solvers work on: dense up to ``_DENSE_CUTOFF`` unknowns,
-    where LAPACK and BLAS beat sparse kernels, CSR above.  Every class below
-    follows the array type it is handed."""
+    where LAPACK and BLAS beat sparse kernels, CSR above.  The array type
+    alone picks the backend (see :func:`_phase_backend`)."""
     return csr.toarray() if csr.shape[0] <= _DENSE_CUTOFF else csr
 
 
 class _DirectSolver:
     """The package's one LU with partial pivoting.
 
-    Factors the storage it is handed, a dense array with LAPACK or a CSR
-    matrix with SuperLU, once; the factorization serves both ``S x = b`` and
-    ``S.T x = b``.  Deterministic.  SuperLU orders columns by COLAMD, or,
-    for a matrix the caller knows is ``symmetric`` (checked, or symmetric by
-    construction), by minimum degree on ``S.T + S`` with diagonal pivots
-    preferred, which keeps far less fill on SDD matrices.  It backs every
-    solver up to ``_KRYLOV_CUTOFF`` unknowns (see :func:`_phase_backend`) and
-    a Krylov solver's fallback; its solves are exact up to rounding and check
-    no residual.
+    Factors the storage it is handed once, a dense array with LAPACK or a
+    CSR matrix with SuperLU; the factorization serves both ``S x = b`` and
+    ``S.T x = b``.  Deterministic.  A dense array is every solver up to
+    ``_DENSE_CUTOFF`` unknowns (see :func:`_phase_backend`); a CSR matrix is
+    factored only as a Krylov solver's fallback on a miss.  SuperLU orders
+    columns by COLAMD, or, for a matrix the caller knows is ``symmetric``
+    (checked, or symmetric by construction), by minimum degree on
+    ``S.T + S`` with diagonal pivots preferred, which keeps far less fill on
+    SDD matrices.  Its solves are exact up to rounding and check no
+    residual.
     """
 
     def __init__(self, S, symmetric: bool = False):
@@ -136,7 +138,7 @@ class _KrylovSolver:
     A solve still missing after ``_KRYLOV_RESTARTS`` restarts, after
     ``_KRYLOV_CAP`` iterations or at a breakdown raises
     :class:`BackendDiverged` when ``lu_on_miss`` is false; otherwise ``S``
-    is factored, as below the cutoff, and the LU serves this solve and every
+    is factored with SuperLU, and the LU serves this solve and every
     later one.  ``iterations`` counts the Krylov iterations of every solve,
     and one per LU solve.  Deterministic.
     """
@@ -212,13 +214,12 @@ class _KrylovSolver:
 
 def _phase_backend(S, tol: float, symmetric: bool = False, lu_on_miss: bool = True):
     """The package's one choice of solver, for a matrix the engine formed or
-    a caller's own, by size: LAPACK for a dense ``S`` (up to
-    ``_DENSE_CUTOFF`` unknowns, see :func:`_storage`), SuperLU up to
-    ``_KRYLOV_CUTOFF``, :class:`_KrylovSolver` at relative residual ``tol``
-    above, falling back to SuperLU on a miss unless ``lu_on_miss`` is false.
-    The LU backends solve exactly up to rounding and ignore ``tol``."""
-    if isinstance(S, np.ndarray) or S.shape[0] <= _KRYLOV_CUTOFF:
-        return _DirectSolver(S, symmetric)
+    a caller's own, by its storage (see :func:`_storage`): LAPACK for a dense
+    ``S``, which solves exactly up to rounding and ignores ``tol``, and
+    :class:`_KrylovSolver` at relative residual ``tol`` for a CSR ``S``,
+    falling back to SuperLU on a miss unless ``lu_on_miss`` is false."""
+    if isinstance(S, np.ndarray):
+        return _DirectSolver(S)
     return _KrylovSolver(S, tol, symmetric, lu_on_miss)
 
 
@@ -416,8 +417,8 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
     ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
 
-    The solver comes from :func:`_phase_backend`, as every other: an LU up to
-    ``_KRYLOV_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above, with
+    The solver comes from :func:`_phase_backend`, as every other: LAPACK LU up
+    to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above, with
     SuperLU should it miss.  Raises :class:`NotRCDD` when ``S`` is not RCDD
     within ``RCDD_VERIFY_SLACK``.  Applying the operator raises
     :class:`BackendDiverged` when the backend misses ``eps``; the error
@@ -438,8 +439,9 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     The energy-norm contract is enforced by driving the l2 residual below
     ``eps / sqrt(kappa_hat)`` with ``kappa_hat`` the computable dominance
     bound on the condition number; an LU satisfies any usable ``eps``
-    outright.  The solver comes from :func:`_phase_backend` (CG above
-    ``_KRYLOV_CUTOFF`` unknowns).  The side channel records l2 residuals.
+    outright.  The solver comes from :func:`_phase_backend`: LAPACK LU up to
+    ``_DENSE_CUTOFF`` unknowns, CG above, with symmetrically ordered SuperLU
+    should it miss.  The side channel records l2 residuals.
     """
     _check_eps(eps)
     if not check_sdd(S, RCDD_VERIFY_SLACK):

@@ -119,8 +119,9 @@ class RichardsonConfig:
 
 
 class _Problem:
-    """``A / scale`` in the solvers' working storage: a dense array below the
-    cutoff, CSR above (``dense`` and ``csr`` name whichever is in use).
+    """``A / scale`` in the solvers' working storage, :func:`rcdd._storage`'s:
+    a dense array up to ``_DENSE_CUTOFF`` unknowns, CSR above (``dense`` and
+    ``csr`` name whichever is in use).
     :meth:`rescale` moves it to another scale on the same storage."""
 
     def __init__(self, A: SparseMatrix, scale: float):
@@ -202,16 +203,16 @@ class _PhaseSolver:
     forward and the transpose preconditioner of one phase; the engine's only
     path to solving with a matrix it formed.
 
-    :func:`rcdd._phase_backend` picks the backend by size: an LU factored
-    once (LAPACK up to ``_DENSE_CUTOFF`` unknowns, SuperLU up to
-    ``_KRYLOV_CUTOFF``), solving exactly up to rounding, or above that
+    :func:`rcdd._phase_backend` picks the backend by the problem's storage:
+    a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) is factored once by
+    LAPACK and solved exactly up to rounding; a CSR ``S`` gets
     Jacobi-preconditioned Krylov solves to the relative residual ``tol``,
     each checked against its true residual.  A Krylov solve that misses
     raises :class:`BackendDiverged` when ``lu_on_miss`` is false (the strict
     scan, where the miss is a witness), and otherwise has ``S`` factored
-    as below the cutoff.  ``symmetric`` marks an ``S`` symmetric by
-    construction, which SuperLU then orders symmetrically and the Krylov
-    backend solves by CG.  ``S`` is the matrix solved with."""
+    with SuperLU.  ``symmetric`` marks an ``S`` symmetric by construction,
+    which the Krylov backend solves by CG and its SuperLU fallback orders
+    symmetrically.  ``S`` is the matrix solved with."""
 
     def __init__(
         self,
@@ -466,8 +467,8 @@ def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolv
     ||b||_2`` per call (the transpose statement holds for ``p_left`` at
     tolerance ``delta / kappa(R)``).  The condition numbers of the diagonal
     scalings are computed exactly as max over min entry.  Both operators
-    share one RCDD check and one solver of ``L M R`` (one factorization, up
-    to the Krylov cutoff).
+    share one RCDD check and one solver of ``L M R`` (one LAPACK
+    factorization, up to the dense cutoff).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")

@@ -6,12 +6,39 @@ every test (and the acceptance suite) is reproducible bit for bit.
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
+import pytest
 import scipy.sparse.linalg
 
 import perronkit.rcdd
 from perronkit import BackendDiverged, SparseMatrix
 from perronkit.oracle import dense_spectral_radius
+
+# wall seconds one test may run; the slowest takes about 10
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT_S`` seconds, so that a
+    hang is a failure instead of a stalled suite.  Where there is no
+    ``SIGALRM`` tests run without a limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_irreducible_dense(rng, n, density=0.2, log_low=-2.0, log_high=0.0):
@@ -92,9 +119,19 @@ def dense_inverse_norms(M_dense):
     return float(np.abs(inv).sum(axis=1).max()), float(np.abs(inv).sum(axis=0).max())
 
 
+class _FactoredUpFront(perronkit.rcdd._KrylovSolver):
+    """A Krylov solver that has already missed: SuperLU serves every solve,
+    exactly as after a miss, and ``m_decide``'s strict scan too."""
+
+    def __init__(self, S, tol, symmetric=False, lu_on_miss=True):
+        super().__init__(S, tol, symmetric, lu_on_miss)
+        self._lu = perronkit.rcdd._DirectSolver(S, symmetric)
+
+
 def lu_path(monkeypatch):
-    """Route every solver through an LU, as below the Krylov cutoff."""
-    monkeypatch.setattr(perronkit.rcdd, "_KRYLOV_CUTOFF", 10**9)
+    """Route every CSR matrix to SuperLU, the Krylov solver's fallback, on
+    the same matrix the Krylov solver would get."""
+    monkeypatch.setattr(perronkit.rcdd, "_KrylovSolver", _FactoredUpFront)
 
 
 def count_krylov(monkeypatch):

@@ -1,13 +1,14 @@
-"""The matvec-only phase solves above the Krylov cutoff.
+"""The matvec-only phase solves above the dense cutoff.
 
-Above ``rcdd._KRYLOV_CUTOFF`` unknowns every matrix the engine forms is
+Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms is
 solved by Jacobi-preconditioned BiCGSTAB (CG when symmetric by construction)
 to the relative residual its caller sets, with no factorization.  Each solve
 checks its true residual; a miss is the ``"solver budget"`` witness inside
-``m_decide``'s strict scan and :class:`BackendDiverged` everywhere else.
+``m_decide``'s strict scan, and everywhere else the matrix is factored with
+SuperLU, the package's only use of it.
 
-Parity: at n = 500 the decisions equal the SuperLU path's (the cutoff raised
-in the test only), the Perron estimate stays within delta of the oracle with
+Parity: at n = 500 the decisions equal the SuperLU path's (every CSR matrix
+routed to SuperLU in the test only, ``lu_path``), the Perron estimate stays within delta of the oracle with
 a Collatz-Wielandt width within 10x of the LU one, the solvers meet their
 contracts and reruns are bit-identical.  Fault injection: solves that miss or
 return perturbed vectors never produce a wrong positive verdict, an operator
@@ -32,7 +33,7 @@ from perronkit import (
     symm_solve,
 )
 from perronkit.oracle import dense_spectral_radius
-from perronkit.rcdd import _KRYLOV_CUTOFF, _KRYLOV_RESTARTS, _KrylovSolver
+from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_RESTARTS, _KrylovSolver
 
 from conftest import (
     count_krylov,
@@ -58,7 +59,7 @@ def ring_instance(n, seed=70):
 
 @pytest.fixture(scope="module")
 def ring():
-    assert N > _KRYLOV_CUTOFF
+    assert N > _DENSE_CUTOFF
     return ring_instance(N)
 
 
@@ -227,7 +228,7 @@ def small_ring():
 def krylov_at_150(monkeypatch):
     """Route the n = 150 instances through the Krylov backend, so faults can
     be injected cheaply."""
-    monkeypatch.setattr(perronkit.rcdd, "_KRYLOV_CUTOFF", 128)
+    monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", 128)
 
 
 def missing(self, b, transpose=False):
@@ -275,7 +276,7 @@ def test_a_miss_elsewhere_falls_back_to_the_lu(
     monkeypatch, small_ring, krylov_at_150, krylov_misses
 ):
     """Outside ``m_decide`` a matrix the Krylov method cannot solve is
-    factored instead, as below the cutoff: with every Krylov pass failing,
+    factored with SuperLU instead: with every Krylov pass failing,
     results are those of the SuperLU path, bit for bit."""
     M, rho = small_ring
     A = scaled(M, rho, 0.9)

@@ -25,6 +25,7 @@ from perronkit import (
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.perron import _CWBracket
+from perronkit.rcdd import _DENSE_CUTOFF
 
 from conftest import random_irreducible, random_irreducible_dense
 
@@ -93,6 +94,24 @@ class TestMDecide:
                 )
                 assert out.is_m_matrix == expect, (trial, ratio, out.witness)
 
+    def test_small_gamma_witness_proves_nothing(self):
+        """A negative verdict proves ``rho(A) >= 1`` only for a valid
+        ``gamma``: on the weighted 20-cycle over 0.144 (``rho`` 0.37) a
+        ``gamma`` of 4 gives the ``"solver budget"`` witness, and the valid
+        budget ``max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)`` certifies it."""
+        M, rho = ill_conditioned_chain()
+        B = M / 0.144
+        assert rho / 0.144 < 0.38
+        A = SparseMatrix.from_dense(B)
+        small = m_decide(A, 0.05, 4.0)
+        assert not small.is_m_matrix
+        assert small.witness.startswith(
+            "scaled-system conditioning exceeded the solver budget"
+        )
+        inverse = np.abs(np.linalg.inv(np.eye(B.shape[0]) - B))
+        valid = max(inverse.sum(axis=1).max(), inverse.sum(axis=0).max())
+        assert m_decide(A, 0.05, valid).is_m_matrix
+
 
 class TestFindPerronValue:
     def test_scalar(self):
@@ -140,6 +159,19 @@ class TestFindPerronValue:
         first = report.info["steps"][0]
         assert first[4] == "is_m_matrix_shifted"
         assert first[2] == 0.5 and first[2] < rho
+
+    def test_eps_below_the_float_spacing_returns(self):
+        """An ``eps`` no float can meet at ``rho`` stops the bisection once
+        rounding leaves it no progress: it returns the certified upper end a
+        few ulps above the lower one instead of repeating one decision."""
+        A = SparseMatrix.from_dense(np.roll(np.eye(6), 1, axis=1))
+        s, report = find_perron_value(A, 0.0, 2.0, 1e-17, 1.0)
+        assert report.iterations < 200
+        # the lower end moves only to the midpoints of negative decisions
+        lower = max(
+            [0.0] + [step[2] for step in report.info["steps"] if step[4] == "not_m_matrix"]
+        )
+        assert 1.0 <= s <= lower + 4.0 * np.spacing(lower)
 
 
 class TestSimplePerron:
@@ -243,6 +275,28 @@ class TestComputePerron:
             before = decisions[0]
             real_find(A, 0.0, norm_inf, eps, K)
             assert made < decisions[0] - before
+
+    def test_fallback_below_the_float_spacing_returns(self, monkeypatch):
+        """With the bracket failing, a ``delta`` whose rounds ask the
+        bisection for an ``eps`` below the float spacing at ``rho`` ends in a
+        typed error after its ``K`` rounds, each bisection returning an upper
+        end at or above ``rho``."""
+        monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        monkeypatch.setattr(perronkit.perron, "_K_CAP", 2.0)
+        ends = []
+        real_find = perronkit.perron.find_perron_value
+
+        def find(*args):
+            s, report = real_find(*args)
+            ends.append(s)
+            return s, report
+
+        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        # a 6-cycle with weights 1, 2, 1, 2, ...: rho = sqrt(2) < ||A||_inf
+        M = np.roll(np.diag(np.tile([1.0, 2.0], 3)), 1, axis=1)
+        with pytest.raises(KCapExceeded):
+            compute_perron(SparseMatrix.from_dense(M), 1e-15)
+        assert len(ends) == 2 and min(ends) >= np.sqrt(2.0)
 
     def test_acceptance_soundness_invariant(self):
         rng = np.random.default_rng(53)
@@ -554,9 +608,10 @@ class TestCertifySpectralBound:
 
 class TestLargeSparsePath:
     def test_above_dense_cutoff(self):
-        # n > 128 routes every phase solve through the sparse factorization
+        # n > _DENSE_CUTOFF routes every phase solve through the Krylov solver
         rng = np.random.default_rng(128)
-        n = 200
+        n = 400
+        assert n > _DENSE_CUTOFF
         M = np.where(rng.random((n, n)) < 0.015, rng.uniform(0.1, 1.0, (n, n)), 0.0)
         perm = rng.permutation(n)
         for i in range(n):

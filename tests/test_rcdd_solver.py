@@ -1,9 +1,9 @@
 """Dominant-solve operator contracts.
 
 Every builder gets its solver from ``rcdd._phase_backend``, as the engine's
-own matrices do: LAPACK LU up to 128 unknowns, SuperLU up to 300 and
-Jacobi-preconditioned Krylov above, each application checked against its
-true residual.  Whatever the backend returns, a perturbed or NaN LU solve or
+own matrices do: LAPACK LU up to 300 unknowns and Jacobi-preconditioned
+Krylov above, with SuperLU should a Krylov solve miss, each application
+checked against its true residual.  Whatever the backend returns, a perturbed or NaN LU solve or
 a Krylov core that lies included, an application meets its contract or
 raises :class:`BackendDiverged`; a Krylov miss gives the SuperLU result bit
 for bit.
@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import perronkit.rcdd
 from perronkit import (
@@ -27,13 +28,15 @@ from perronkit import (
     compute_perron,
     factor_width2_solve,
     m_decide,
+    mmatrix_scale,
     solve_from_scale,
     solve_m,
+    symm_scale,
     symm_solve,
     varah_kappa_upper,
 )
 from perronkit.oracle import dense_solve
-from perronkit.rcdd import _KRYLOV_CUTOFF, _DirectSolver, _KrylovSolver
+from perronkit.rcdd import _DENSE_CUTOFF, _DirectSolver, _KrylovSolver
 
 from conftest import (
     count_krylov,
@@ -46,10 +49,11 @@ from conftest import (
     random_symmetric_contraction_dense,
 )
 
-# one size per backend: dense LAPACK, SuperLU, Krylov
-SIZES = [40, 200, 400]
-SIZE_IDS = ["lapack", "superlu", "krylov"]
-KRYLOV_N = SIZES[-1]
+# the size each backend serves: dense LAPACK up to the cutoff, Krylov above
+# it, and SuperLU, the Krylov solver's fallback, here serving the CSR matrix
+# from its first solve (``lu_path``)
+BACKEND_SIZES = {"lapack": 40, "superlu": 400, "krylov": 400}
+KRYLOV_N = BACKEND_SIZES["krylov"]
 
 
 def sparse_dominant(rng, n, symmetric=False, margin=0.2):
@@ -164,7 +168,7 @@ def test_varah_bound_dominates_true_condition_number():
 
 
 # ----------------------------------------------------------------------
-# above the Krylov cutoff
+# above the dense cutoff
 
 
 def test_krylov_rcdd_contract_with_its_transpose(monkeypatch):
@@ -182,7 +186,7 @@ def test_krylov_rcdd_contract_with_its_transpose(monkeypatch):
     monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", core)
     rng = np.random.default_rng(28)
     n = KRYLOV_N
-    assert n > _KRYLOV_CUTOFF
+    assert n > _DENSE_CUTOFF
     M = sparse_dominant(rng, n)
     eps = 1e-9
     Z = build_rcdd_solver(SparseMatrix.from_dense(M), eps)
@@ -273,12 +277,16 @@ def builder_outcomes(rng, n):
 LU_FAULTS = {"noise-1e-6": 1e-6, "noise-1e-2": 1e-2, "noise-2": 2.0, "nan": None}
 
 
-@pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("backend", list(BACKEND_SIZES))
 @pytest.mark.parametrize("fault", list(LU_FAULTS))
-def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, n, fault):
+def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, backend, fault):
     """An LU solve that returns a perturbed or NaN vector, on every backend
-    (above the cutoff the Krylov passes all miss, so the faulty LU takes
-    over): no application returns a vector outside its contract."""
+    (above the cutoff the Krylov passes all miss, or SuperLU serves from the
+    first solve, so the faulty LU takes over): no application returns a
+    vector outside its contract."""
+    n = BACKEND_SIZES[backend]
+    if backend == "superlu":
+        lu_path(monkeypatch)
     real_solve = _DirectSolver.solve
     noise = np.random.default_rng(30)
     scale = LU_FAULTS[fault]
@@ -360,12 +368,53 @@ def test_a_krylov_miss_gives_the_superlu_result(monkeypatch):
 # one backend choice
 
 
-@pytest.mark.parametrize("n", SIZES, ids=SIZE_IDS)
-def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, n):
+def every_entry_point(rng, n):
+    """``(builders, engine)``: calls of the public builders, on an RCDD and
+    an SDD matrix, and of every other public entry point that solves, each
+    on an ``n``-unknown instance."""
+    b = rng.normal(size=n)
+    density = min(0.3, 5.0 / n)
+    rcdd = SparseMatrix.from_dense(sparse_dominant(rng, n))
+    sdd = SparseMatrix.from_dense(sparse_dominant(rng, n, symmetric=True))
+    A_dense = random_m_matrix_dense(rng, n, 0.9, density=density)
+    A = SparseMatrix.from_dense(A_dense)
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, density))
+    fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    ones = np.ones(n)
+
+    def builders():
+        Z = build_rcdd_solver(rcdd, 1e-9)
+        Z.apply(b)
+        Z.transpose(1e-9).apply(b)
+        build_sdd_solver(sdd, 1e-4).apply(b)
+
+    def engine():
+        ops = solve_from_scale(rcdd, ScalingPair(ones, ones, alpha=0.0, s=1.0), 1e-6)
+        ops.p_right.apply(b)
+        ops.p_left.apply(b)
+        mmatrix_scale(A, 1.0, 1e-3, 1e3)
+        solve_m(A, 1.0, 1e-6, 1e3).apply(b)
+        assert m_decide(A, 1e-3, 1e3).is_m_matrix
+        assert not m_decide(SparseMatrix.from_dense(A_dense * (1.1 / 0.9)), 1e-3, 1e3).is_m_matrix
+        compute_perron(A, 1e-3)
+        certify_spectral_bound(A, 1.0)
+        symm_scale(sym, 1e-3)
+        symm_solve(sym, b, 1e-6)
+        factor_width2_solve(fw2, b, 1e-6)
+
+    return builders, engine
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_SIZES))
+def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, backend):
     """Across every public solver entry, each ``_DirectSolver`` and
     ``_KrylovSolver`` is built inside ``rcdd._phase_backend``, wherever a
     module binds it; the one exception is the LU a Krylov solver falls back
-    to on a miss, forced here on the builders."""
+    to on a miss, forced here on the builders.  A Krylov solver that factors
+    from its first solve (``lu_path``) builds its LU inside the choice."""
+    n = BACKEND_SIZES[backend]
+    if backend == "superlu":
+        lu_path(monkeypatch)
     real_choice = perronkit.rcdd._phase_backend
     where = []
     origins = set()
@@ -406,39 +455,41 @@ def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, n):
 
     monkeypatch.setattr(_KrylovSolver, "solve", solve)
 
-    rng = np.random.default_rng(34)
-    b = rng.normal(size=n)
-    density = min(0.3, 5.0 / n)
-    rcdd = SparseMatrix.from_dense(sparse_dominant(rng, n))
-    sdd = SparseMatrix.from_dense(sparse_dominant(rng, n, symmetric=True))
-    A_dense = random_m_matrix_dense(rng, n, 0.9, density=density)
-    A = SparseMatrix.from_dense(A_dense)
-    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, density))
-    fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
-    ones = np.ones(n)
-
-    def builders():
-        Z = build_rcdd_solver(rcdd, 1e-9)
-        Z.apply(b)
-        Z.transpose(1e-9).apply(b)
-        build_sdd_solver(sdd, 1e-4).apply(b)
-
+    builders, engine = every_entry_point(np.random.default_rng(34), n)
     builders()
-    ops = solve_from_scale(rcdd, ScalingPair(ones, ones, alpha=0.0, s=1.0), 1e-6)
-    ops.p_right.apply(b)
-    ops.p_left.apply(b)
-    solve_m(A, 1.0, 1e-6, 1e3).apply(b)
-    assert m_decide(A, 1e-3, 1e3).is_m_matrix
-    assert not m_decide(SparseMatrix.from_dense(A_dense * (1.1 / 0.9)), 1e-3, 1e3).is_m_matrix
-    compute_perron(A, 1e-3)
-    certify_spectral_bound(A, 1.0)
-    symm_solve(sym, b, 1e-6)
-    factor_width2_solve(fw2, b, 1e-6)
+    engine()
     with monkeypatch.context() as patch:
         fail_krylov(patch)
         builders()
 
-    if n > _KRYLOV_CUTOFF:
-        assert origins == {("krylov", "choice"), ("lu", "krylov fallback")}
-    else:
-        assert origins == {("lu", "choice")}
+    assert origins == {
+        "lapack": {("lu", "choice")},
+        "superlu": {("krylov", "choice"), ("lu", "choice")},
+        "krylov": {("krylov", "choice"), ("lu", "krylov fallback")},
+    }[backend]
+
+
+@pytest.mark.parametrize("n", [_DENSE_CUTOFF, _DENSE_CUTOFF + 1], ids=["at-cutoff", "above-cutoff"])
+def test_superlu_runs_only_after_a_krylov_miss(monkeypatch, n):
+    """No public entry point factors with SuperLU at ``_DENSE_CUTOFF``
+    unknowns, where LAPACK serves, nor one unknown above it, where Krylov
+    does.  There SuperLU runs only once a Krylov miss is injected, for each
+    builder's matrix: COLAMD for the RCDD matrix, whose transpose reuses the
+    factorization, and the symmetric minimum-degree ordering for the SDD
+    one."""
+    orderings = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def splu(A, *args, **kwargs):
+        orderings.append((kwargs.get("permc_spec"), kwargs.get("options")))
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    builders, engine = every_entry_point(np.random.default_rng(36), n)
+    builders()
+    engine()
+    assert orderings == []
+    fail_krylov(monkeypatch)
+    builders()
+    symmetric = ("MMD_AT_PLUS_A", {"SymmetricMode": True})
+    assert orderings == ([] if n <= _DENSE_CUTOFF else [(None, None), symmetric])

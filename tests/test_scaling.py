@@ -115,8 +115,9 @@ class TestSolveFromScale:
         self._check_contract_with_oracle_scalings(20)
 
     def test_contract_with_oracle_scalings_sparse_path(self):
-        # n=200 is above the dense cutoff: p_left then runs SuperLU's transpose solve
-        self._check_contract_with_oracle_scalings(200)
+        # n=400 is above the dense cutoff: p_left then runs the Krylov solver's
+        # transpose solve
+        self._check_contract_with_oracle_scalings(400)
 
     @staticmethod
     def _check_contract_with_oracle_scalings(n):
@@ -358,7 +359,7 @@ class TestSymmetricPath:
 
     @staticmethod
     def _csr_contraction(rng, rho_ratio):
-        n = 250
+        n = 400
         assert n > _DENSE_CUTOFF
         return random_symmetric_contraction_dense(rng, n, rho_ratio, density=0.02)
 
@@ -407,9 +408,9 @@ class TestFactorWidth2:
 
     def test_csr_path(self):
         """Above the dense cutoff: the shift search continues down several
-        levels and every SDD factorization runs through SuperLU."""
+        levels and every SDD level is solved by matvec-only CG."""
         rng = np.random.default_rng(44)
-        n = 250
+        n = 400
         assert n > _DENSE_CUTOFF
         M_dense = random_factor_width2_dense(rng, n)
         M = SparseMatrix.from_dense(M_dense)
@@ -431,7 +432,7 @@ class TestSymmetricFailures:
     """Input outside the symmetric path's assumptions surfaces as
     :class:`IterationCapHit` from the halving levels."""
 
-    @pytest.mark.parametrize("n", [20, 250], ids=["dense", "csr"])
+    @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
     def test_spectral_radius_above_one(self, n):
         rng = np.random.default_rng(52)
         A = SparseMatrix.from_dense(

@@ -2,11 +2,13 @@
 
 The phase solves call LAPACK ``getrs`` directly, the CSR phase matrices are
 rescaled on a fixed pattern and the CSR ``|S|`` line sums skip scipy; all must
-give the same bits as the reference construction.  Below the Krylov cutoff
+give the same bits as the reference construction.  Up to the dense cutoff
 the factorizations, the shift-and-invert ones of ``compute_perron`` included,
-must stay behind ``scipy.linalg.lu_factor`` and ``scipy.sparse.linalg.splu``,
-where a profiler can count them.  The symmetric path factors each halving level once, and only
-its SDD factorizations use the symmetric ordering.
+must stay behind ``scipy.linalg.lu_factor``, where a profiler can count them;
+above it each of those matrices gets one Krylov solver instead, and
+``scipy.sparse.linalg.splu`` runs only after a Krylov miss.  The symmetric
+path builds one solver per halving level, and only its SDD factorizations use
+the symmetric ordering.
 
 Every matrix the engine forms itself is factored through the phase solver:
 ``solve_m`` factors the matrix its scaling was checked on and builds no RCDD
@@ -43,11 +45,19 @@ from perronkit import (
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.sparse import is_irreducible
-from perronkit.rcdd import _DENSE_CUTOFF, _abs_sums, _DirectSolver, varah_kappa_upper
+from perronkit.rcdd import (
+    _DENSE_CUTOFF,
+    _abs_sums,
+    _DirectSolver,
+    _KrylovSolver,
+    varah_kappa_upper,
+)
 from perronkit.reports import NON_FINITE
 from perronkit.scaling import _normalized_comparison, _Problem
 
 from conftest import (
+    count_krylov,
+    fail_krylov,
     random_factor_width2_dense,
     random_irreducible,
     random_irreducible_dense,
@@ -60,9 +70,9 @@ from conftest import (
 
 
 def sparse_m_matrix(rng, diagonal=True):
-    """An n=200 instance above the dense cutoff, with a few stored diagonal
+    """An n=400 instance above the dense cutoff, with a few stored diagonal
     entries or none."""
-    A = random_m_matrix(rng, 200, 0.8, density=0.02).csr()
+    A = random_m_matrix(rng, 400, 0.8, density=0.02).csr()
     if not diagonal:
         A.setdiag(0.0)
         A.eliminate_zeros()
@@ -136,22 +146,32 @@ def count_calls(monkeypatch, counts, module, name):
 
 
 def count_factorizations(monkeypatch):
-    counts = {}
+    """Count LAPACK and SuperLU factorizations and Krylov solver builds."""
+    counts = count_krylov(monkeypatch)
     count_calls(monkeypatch, counts, scipy.linalg, "lu_factor")
-    count_calls(monkeypatch, counts, scipy.sparse.linalg, "splu")
     return counts
 
 
+NO_SOLVERS = {"lu_factor": 0, "splu": 0, "krylov": 0}
+
+
+def solver_name(n):
+    """The count one solver of an ``n``-unknown matrix adds to."""
+    return "lu_factor" if n <= _DENSE_CUTOFF else "krylov"
+
+
 def test_one_factorization_per_phase_through_scipy(monkeypatch):
+    """One solver per phase: a LAPACK factorization up to the dense cutoff,
+    a Krylov solver above it, and no SuperLU factorization."""
     counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(11)
 
     _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.8), 1.0, 1e-3, 100.0)
-    assert report.phases and counts == {"lu_factor": len(report.phases), "splu": 0}
+    assert report.phases and counts == {**NO_SOLVERS, "lu_factor": len(report.phases)}
 
     counts.update(lu_factor=0)
     _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
-    assert report.phases and counts == {"lu_factor": 0, "splu": len(report.phases)}
+    assert report.phases and counts == {**NO_SOLVERS, "krylov": len(report.phases)}
 
 
 def test_csr_abs_sums_match_scipy():
@@ -192,7 +212,7 @@ def criterion_01_instance(seed):
 
 def perron_sparse_instance():
     """A Hamiltonian cycle plus random edges, above the dense cutoff."""
-    A = random_irreducible(np.random.default_rng(17), 150, density=0.03)
+    A = random_irreducible(np.random.default_rng(17), 400, density=0.015)
     assert A.n_rows > _DENSE_CUTOFF
     return A
 
@@ -200,8 +220,9 @@ def perron_sparse_instance():
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_factorizations(monkeypatch, storage):
     """One strict scan, no bisection and no decision: the shift-and-invert
-    bracket, the scaling scan and the polish account for every factorization,
-    and each goes through the scipy call a profiler patches."""
+    bracket, the scaling scan and the polish account for every solver, each
+    a LAPACK factorization through the scipy call a profiler patches up to the
+    dense cutoff and a Krylov solver above it, with no SuperLU."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
     count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
@@ -222,7 +243,7 @@ def test_compute_perron_factorizations(monkeypatch, storage):
             brackets.append(self)
 
     monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
-    factor = "lu_factor" if storage == "dense" else "splu"
+    factor = "lu_factor" if storage == "dense" else "krylov"
     instances = (
         [criterion_01_instance(seed) for seed in range(20)]
         if storage == "dense" else [perron_sparse_instance()]
@@ -240,34 +261,30 @@ def test_compute_perron_factorizations(monkeypatch, storage):
         assert steps >= 1
         # the bracket's steps, one per scan phase, one for the polish
         assert counts[factor] == steps + scans[0] + 1
-        assert counts["lu_factor" if storage == "csr" else "splu"] == 0
+        assert counts["lu_factor" if storage == "csr" else "krylov"] == counts["splu"] == 0
 
 
-SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 250], ids=["dense", "csr"])
-
-
-def factor_name(n):
-    return "lu_factor" if n <= _DENSE_CUTOFF else "splu"
+SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 
 
 @SYMMETRIC_SIZES
 def test_symm_solve_factors_each_level_once(monkeypatch, n):
-    """One SDD factorization per level serves the level's refinement and the
-    step to the next level."""
+    """One SDD solver per level serves the level's refinement and the step to
+    the next level."""
     counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(48)
     A = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     _, report = symm_solve(SparseMatrix.from_dense(A), rng.normal(size=n), 1e-9)
     levels = report.info["levels"]
     assert levels > 1
-    assert counts == {"lu_factor": 0, "splu": 0, factor_name(n): levels}
+    assert counts == {**NO_SOLVERS, solver_name(n): levels}
 
 
 @SYMMETRIC_SIZES
 def test_factor_width2_continues_the_shift_search(monkeypatch, n):
     """The search over shifts 1/2, 1/8, ... descends the levels once: one
-    factorization per phase down to the accepted shift, one for the final
-    solver, and the same scaling as a fresh descent to that shift."""
+    solver per phase down to the accepted shift, one for the final solve, and
+    the same scaling as a fresh descent to that shift."""
     counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(49)
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
@@ -275,14 +292,16 @@ def test_factor_width2_continues_the_shift_search(monkeypatch, n):
     shift = report.info["shift"]
     assert shift < 0.5
     phases = round(math.log2(1.0 / shift))
-    assert counts == {"lu_factor": 0, "splu": 0, factor_name(n): phases + 1}
+    assert counts == {**NO_SOLVERS, solver_name(n): phases + 1}
     fresh, _ = symm_scale(_normalized_comparison(M), shift)
     assert np.array_equal(report.info["scaling"], fresh)
 
 
 def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
-    """SuperLU gets the symmetric minimum-degree ordering for SDD matrices
-    only; the scan and ``build_rcdd_solver`` keep its default COLAMD."""
+    """SuperLU, the Krylov solver's fallback (every Krylov pass misses here),
+    gets the symmetric minimum-degree ordering for SDD matrices only; the
+    scan and ``build_rcdd_solver`` keep its default COLAMD."""
+    fail_krylov(monkeypatch)
     orderings = []
     real_splu = scipy.sparse.linalg.splu
 
@@ -293,15 +312,16 @@ def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
     symmetric = ("MMD_AT_PLUS_A", {"SymmetricMode": True})
     rng = np.random.default_rng(50)
-    n = 200
+    n = 400
     assert n > _DENSE_CUTOFF
+    b = rng.normal(size=n)
 
-    build_sdd_solver(SparseMatrix.from_dense(random_sdd_dense(rng, n)), 0.25)
+    build_sdd_solver(SparseMatrix.from_dense(random_sdd_dense(rng, n)), 0.25).apply(b)
     assert orderings == [symmetric]
 
     orderings.clear()
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
-    _, report = factor_width2_solve(M, rng.normal(size=n), 1e-8)
+    _, report = factor_width2_solve(M, b, 1e-8)
     assert orderings == [symmetric] * (round(math.log2(1.0 / report.info["shift"])) + 1)
 
     orderings.clear()
@@ -309,7 +329,7 @@ def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
     assert orderings == [(None, None)] * len(report.phases)
 
     orderings.clear()
-    build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-8)
+    build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-8).apply(b)
     assert orderings == [(None, None)]
 
 
@@ -318,9 +338,10 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
     """A level solve that returns non-finite values trips the phase loop's
     finiteness guard: every symmetric entry point raises instead of returning
     a non-finite ``v`` or ``x``."""
-    monkeypatch.setattr(
-        _DirectSolver, "solve", lambda self, b, transpose=False: np.full_like(b, np.nan)
-    )
+    for backend in (_DirectSolver, _KrylovSolver):
+        monkeypatch.setattr(
+            backend, "solve", lambda self, b, transpose=False, tol=None: np.full_like(b, np.nan)
+        )
     rng = np.random.default_rng(51)
     A = SparseMatrix.from_dense(
         random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
@@ -374,13 +395,14 @@ def test_damped_level_must_be_positive_and_finite(monkeypatch):
     for call in calls:
         with pytest.raises(IterationCapHit, match="positive finite"):
             call()
-    assert counts == {"lu_factor": 0, "splu": 0}
+    assert counts == NO_SOLVERS
 
 
-@pytest.mark.parametrize("n", [20, 200], ids=["dense", "csr"])
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
-    """``solve_m`` checks RCDD once, on the scan's result, and factors that
-    same matrix once more than the scan's phases; it builds no RCDD solver."""
+    """``solve_m`` checks RCDD once, on the scan's result, and builds a solver
+    of that same matrix once more than the scan's phases; it builds no RCDD
+    solver."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
     count_calls(monkeypatch, counts, perronkit.rcdd, "check_rcdd")
@@ -396,9 +418,8 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
     phases = op.report.info["scaling_phases"]
     assert phases > 0
     assert counts == {
-        "lu_factor": 0,
-        "splu": 0,
-        factor_name(n): phases + 1,
+        **NO_SOLVERS,
+        solver_name(n): phases + 1,
         "check_rcdd": 1,
         "build_rcdd_solver": 0,
         "solve_from_scale": 0,
@@ -423,7 +444,7 @@ def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
     assert counts == {"build_sdd_solver": 1}
 
 
-@pytest.mark.parametrize("n", [20, 200], ids=["dense", "csr"])
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_problem_rescale_matches_a_fresh_problem(n):
     """One problem moved from scale to scale holds the same bits as a problem
     built at each scale, its cached norm included."""
@@ -465,7 +486,7 @@ def test_compute_perron_builds_two_problems(monkeypatch, storage):
     assert cert.k_final == 1.0 and len(builds) == 2
 
 
-def sparse_instance_at(rho, n=250, seed=58):
+def sparse_instance_at(rho, n=400, seed=58):
     """A Hamiltonian cycle plus random edges in CSR storage, scaled to the
     given spectral radius."""
     A_dense = random_irreducible_dense(np.random.default_rng(seed), n, density=0.02)
@@ -476,7 +497,7 @@ def sparse_instance_at(rho, n=250, seed=58):
 @pytest.mark.parametrize("rho", [0.9, 0.99, 1.1])
 def test_certify_factors_only_the_bracket(monkeypatch, rho):
     """Away from the bound the shift-and-invert bracket alone decides: no
-    scan, no Perron computation, a handful of factorizations."""
+    scan, no Perron computation, a handful of Krylov solvers."""
     B = sparse_instance_at(rho)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "compute_perron")
@@ -484,7 +505,7 @@ def test_certify_factors_only_the_bracket(monkeypatch, rho):
     valid, _ = perronkit.perron.certify_spectral_bound(B, 1.0)
     assert valid == (rho < 1.0)
     assert counts["compute_perron"] == 0 and counts["_halving_scan"] == 0
-    assert counts["lu_factor"] == 0 and 1 <= counts["splu"] <= 8
+    assert counts["lu_factor"] == counts["splu"] == 0 and 1 <= counts["krylov"] <= 8
 
 
 def test_katz_certify_runs_no_scan(monkeypatch):
