@@ -21,10 +21,15 @@ from .errors import (
     KernelDiverges,
     ReducibleGram,
 )
-from .perron import PerronCertificate, certify_spectral_bound, compute_perron
+from .perron import (
+    PerronCertificate,
+    _relative_residual,
+    certify_spectral_bound,
+    compute_perron,
+)
 from .reports import SolveReport
 from .scaling import solve_m
-from .sparse import SparseMatrix, as_vector, is_irreducible
+from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
 
 __all__ = [
     "LabeledGraph",
@@ -173,13 +178,12 @@ def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
 # applications
 
 
-def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float, assume_valid: bool = False):
+def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     """Katz influence vector ``v = (I - alpha A)^-1 b``.
 
     The decay condition ``alpha * rho(A) < 1`` is certified through the
-    decision machinery unless ``assume_valid`` is set; violation raises
-    :class:`DecayTooLarge`.  Returns ``(v, report)`` with
-    ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
+    decision machinery; violation raises :class:`DecayTooLarge`.  Returns
+    ``(v, report)`` with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("adjacency matrix must be square and nonnegative")
@@ -194,16 +198,12 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float, assume_valid: 
         return b.copy(), report
 
     B = A.scaled(alpha)
-    if assume_valid:
-        K = 1e6
-    else:
-        valid, cert = certify_spectral_bound(B, 1.0)
-        if not valid:
-            raise DecayTooLarge(
-                f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges"
-            )
-        K = _k_estimate(cert, cert.cw_upper)
-    return _solve_decayed(B, b, eps, K)
+    valid, cert = certify_spectral_bound(B, 1.0)
+    if not valid:
+        raise DecayTooLarge(
+            f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges"
+        )
+    return _solve_decayed(B, b, eps, _k_estimate(cert, cert.cw_upper))
 
 
 def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
@@ -265,8 +265,7 @@ def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     """
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_open_unit(delta, "delta")
     right_irreducible, left_irreducible = _gram_irreducibility(A)
     if not right_irreducible:
         raise ReducibleGram("A.T A is reducible")
@@ -283,8 +282,7 @@ def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     derived /= np.linalg.norm(derived)
     # the other Gram matrix applied as A (A.T u) or A.T (A v)
     gram_derived = A.matvec(A.matvec(derived, transpose=right_first), transpose=not right_first)
-    res = derived - gram_derived / cert.s
-    res_derived = float(np.abs(res).max() / np.abs(derived).max())
+    res_derived = _relative_residual(derived, gram_derived, cert.s)
     if right_first:
         right, left, residuals = certified, derived, (cert.residual_right, res_derived)
     else:

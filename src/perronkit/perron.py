@@ -16,7 +16,8 @@ bracket's upper end then yields positive approximate eigenvectors, and a
 doubling loop over the conditioning guess turns them into a
 Collatz-Wielandt-certified eigenvalue estimate.  Deciding ``rho(A) < bound``
 needs no eigenvectors: the bracket alone settles it unless ``rho(A)`` sits
-at the bound.
+at the bound.  Every certificate comes from one builder, so its CW sandwich
+is exactly :func:`collatz_wielandt_bounds` of its right vector.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .scaling import (
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
+    _check_open_unit,
     as_vector,
     check_rcdd,
     induced_norms,
@@ -143,7 +145,14 @@ def collatz_wielandt_bounds(A: SparseMatrix, x) -> tuple[float, float]:
     x = as_vector(x, A.n_rows, "x")
     if np.any(x <= 0.0):
         raise ValueError("probe vector must be strictly positive")
-    ratios = A.matvec(x) / x
+    return _cw_bounds(A, x)
+
+
+def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
+    """The Collatz-Wielandt ratios' ``(min, max)`` for a positive ``x``, of
+    ``A`` or, with ``transpose``, of ``A.T`` (from the transpose ``A``
+    caches); the package's one computation of them."""
+    ratios = A.matvec(x, transpose=transpose) / x
     return float(ratios.min()), float(ratios.max())
 
 
@@ -175,8 +184,7 @@ def _m_decide_scaled(
     ceiling = 18.0 * math.sqrt(n) * max(gamma, 2.0) ** 2
     try:
         ell, r, alpha_final, report = _halving_scan(
-            prob, eps, cap, tol=_scan_tolerance(gamma), strict=True,
-            budget_threshold=budget, residual_ceiling=ceiling,
+            prob, eps, cap, tol=_scan_tolerance(gamma), budget=budget, residual_ceiling=ceiling
         )
     except _ScanFailure as fail:
         return DecisionOutcome(
@@ -282,15 +290,36 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
         raise ValueError("eps must lie in (0, 1/4)")
     if K <= 0.0:
         raise ValueError("K must be positive")
-    return _simple_perron_checked(A, eps, K)
+    s, _, pair = _simple_perron_core(A, eps, K, _CWBracket(A))
+    return _certificate(A, pair.left, pair.right, K, s=s)
 
 
-def _eigen_residuals(A: SparseMatrix, s: float, left, right):
-    res_r = right - A.matvec(right) / s
-    res_l = left - A.matvec(left, transpose=True) / s
-    rr = float(np.abs(res_r).max() / np.abs(right).max())
-    rl = float(np.abs(res_l).max() / np.abs(left).max())
-    return rl, rr
+def _relative_residual(x: np.ndarray, Ax: np.ndarray, s: float) -> float:
+    """Relative sup-norm eigen-residual ``||x - Ax / s|| / ||x||`` of ``x`` at
+    ``s``, given the product ``Ax``."""
+    return float(np.abs(x - Ax / s).max() / np.abs(x).max())
+
+
+def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None = None):
+    """The :class:`PerronCertificate` of a positive pair: the right vector's
+    CW sandwich and both eigen-residuals at ``s``, by default the better of
+    the two vectors' CW lower bounds (so ``s <= rho(A)``).  ``None`` when
+    that default is not positive, which only underflow makes it."""
+    cw_lower, cw_upper = _cw_bounds(A, right)
+    if s is None:
+        s = max(cw_lower, _cw_bounds(A, left, transpose=True)[0])
+        if not s > 0.0:
+            return None
+    return PerronCertificate(
+        s=s,
+        left=left,
+        right=right,
+        k_final=k_final,
+        residual_left=_relative_residual(left, A.matvec(left, transpose=True), s),
+        residual_right=_relative_residual(right, A.matvec(right), s),
+        cw_lower=cw_lower,
+        cw_upper=cw_upper,
+    )
 
 
 # relative gap between the shift-and-invert shift and the CW upper bound it
@@ -337,10 +366,8 @@ class _CWBracket:
         or the step budget runs out."""
         A, ones = self.A, np.ones(self.A.n_rows)
         while not self.failed:
-            ratio_r = A.matvec(self.right) / self.right
-            ratio_l = A.matvec(self.left, transpose=True) / self.left
-            self.cw_right = (float(ratio_r.min()), float(ratio_r.max()))
-            self.cw_left = (float(ratio_l.min()), float(ratio_l.max()))
+            self.cw_right = _cw_bounds(A, self.right)
+            self.cw_left = _cw_bounds(A, self.left, transpose=True)
             hi = min(self.cw_right[1], self.cw_left[1])
             if not (self.lower > 0.0 and hi < np.inf):
                 break
@@ -424,23 +451,6 @@ def _simple_perron_core(A: SparseMatrix, eps: float, K: float, bracket: _CWBrack
     return s, prob, scale_pair
 
 
-def _simple_perron_checked(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
-    s, _, scale_pair = _simple_perron_core(A, eps, K, _CWBracket(A))
-    left, right = scale_pair.left, scale_pair.right
-    res_l, res_r = _eigen_residuals(A, s, left, right)
-    cw_lower, cw_upper = collatz_wielandt_bounds(A, right)
-    return PerronCertificate(
-        s=s,
-        left=left,
-        right=right,
-        k_final=K,
-        residual_left=res_l,
-        residual_right=res_r,
-        cw_lower=cw_lower,
-        cw_upper=cw_upper,
-    )
-
-
 def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     """Certified Perron estimate: ``(1 - delta) rho(A) < s <= rho(A)``.
 
@@ -453,48 +463,37 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     comes from one Collatz-Wielandt shift-and-invert bracket per call, which
     later rounds tighten from its last iterates; the bisection runs only if
     that bracket fails, each later round from the upper end the previous
-    one proved.
+    one proved.  From the second round on, a round precision below the
+    float spacing (``np.finfo(float).eps``) raises :class:`KCapExceeded` at
+    once: no later round can certify where rounding alone exceeds it.
     """
     _structure_check(A)
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_open_unit(delta, "delta")
     bracket = _CWBracket(A)
     K = 1.0
     while K <= _K_CAP:
         eps_round = delta / (8.0 * K * K)
+        if K > 1.0 and eps_round < np.finfo(float).eps:
+            raise KCapExceeded(
+                f"round precision delta / (8 K^2) = {eps_round:.3e} at K = {K:g} is "
+                "below the float spacing; no later round can certify"
+            )
         try:
             s_upper, prob, pair = _simple_perron_core(A, eps_round, K, bracket)
         except IterationCapHit:
             K *= 2.0
             continue
         left, right = _polish_pair(prob, eps_round, pair)
-        cw_r = collatz_wielandt_bounds(A, right)
-        # the left vector's CW lower bound, from the transpose A caches
-        cw_l = float((A.matvec(left, transpose=True) / left).min())
-        s_out = max(cw_r[0], cw_l)
-        if s_out > 0.0:
-            res_l, res_r = _eigen_residuals(A, s_out, left, right)
-            threshold = delta / (2.0 * K * K)
-            certified = (
-                cw_r[0] >= (1.0 - delta) * s_upper
-                or cw_l >= (1.0 - delta) * s_upper
-            )
-            if (
-                res_r <= threshold
-                and res_l <= threshold
-                and certified
-                and cw_r[0] >= (1.0 - delta) * s_out
-            ):
-                return PerronCertificate(
-                    s=s_out,
-                    left=left,
-                    right=right,
-                    k_final=K,
-                    residual_left=res_l,
-                    residual_right=res_r,
-                    cw_lower=cw_r[0],
-                    cw_upper=cw_r[1],
-                )
+        cert = _certificate(A, left, right, K)
+        threshold = delta / (2.0 * K * K)
+        if (
+            cert is not None
+            and cert.residual_right <= threshold
+            and cert.residual_left <= threshold
+            and cert.s >= (1.0 - delta) * s_upper
+            and cert.cw_lower >= (1.0 - delta) * cert.s
+        ):
+            return cert
         K *= 2.0
     raise KCapExceeded(f"conditioning guess passed {_K_CAP} without certifying")
 
@@ -551,18 +550,7 @@ def certify_spectral_bound(
     bracket = _CWBracket(B)
     valid = bracket.decide(bound)
     if valid is not None:
-        s = bracket.lower
-        res_l, res_r = _eigen_residuals(B, s, bracket.left, bracket.right)
-        return valid, PerronCertificate(
-            s=s,
-            left=bracket.left,
-            right=bracket.right,
-            k_final=1.0,
-            residual_left=res_l,
-            residual_right=res_r,
-            cw_lower=bracket.cw_right[0],
-            cw_upper=bracket.cw_right[1],
-        )
+        return valid, _certificate(B, bracket.left, bracket.right, 1.0)
     if bracket.met_at_bound:
         raise BoundaryUndecidable(
             "spectral radius within rounding of the bound; cannot certify either side"

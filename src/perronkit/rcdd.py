@@ -43,8 +43,8 @@ from .reports import SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
-    _array,
-    _dominance_margins,
+    _check_open_unit,
+    _line_sums,
     as_vector,
     check_rcdd,
     check_sdd,
@@ -223,11 +223,6 @@ def _phase_backend(S, tol: float, symmetric: bool = False, lu_on_miss: bool = Tr
     return _KrylovSolver(S, tol, symmetric, lu_on_miss)
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-
-
 class LinearOperator:
     """Black-box approximate solve ``x -> Z(x)`` with an error contract.
 
@@ -254,7 +249,7 @@ class LinearOperator:
         RCDD solvers have one."""
         if self._transpose_fn is None:
             raise TypeError("only operators from build_rcdd_solver have a transpose")
-        _check_eps(error_bound)
+        _check_open_unit(error_bound, "eps")
         return LinearOperator(
             self._transpose_fn(error_bound), self.n, error_bound, self.norm_tag
         )
@@ -270,25 +265,6 @@ class LinearOperator:
     __call__ = apply
 
 
-def _abs_sums(S) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of ``|S|`` for a dense array or a CSR matrix."""
-    if isinstance(S, np.ndarray):
-        abs_S = np.abs(S)
-        return abs_S.sum(axis=1), abs_S.sum(axis=0)
-    # the sums of scipy's abs(S).sum(axis=...), added the same way, without
-    # building abs(S): duplicates merged first (in place, as scipy does; a
-    # no-op on canonical input), then reduceat over the nonempty rows only,
-    # since it returns the next entry for an empty segment
-    S = S.tocsr()
-    S.sum_duplicates()
-    abs_data = np.abs(S.data)
-    nonempty = np.flatnonzero(np.diff(S.indptr))
-    row_abs = np.zeros(S.shape[0])
-    if nonempty.size:
-        row_abs[nonempty] = np.add.reduceat(abs_data, S.indptr[nonempty])
-    return row_abs, np.bincount(S.indices, abs_data, S.shape[1])
-
-
 def varah_kappa_upper(S) -> float:
     """Computable upper bound on the 2-norm condition number of a strictly
     row-column diagonally dominant matrix: a :class:`SparseMatrix`, a CSR
@@ -298,13 +274,13 @@ def varah_kappa_upper(S) -> float:
     worst row/column dominance margins, and ``||S||_2 <= sqrt(||S||_1 ||S||_inf)``.
     Returns ``inf`` when a margin is nonpositive.
     """
-    row_margin, col_margin, _ = _dominance_margins(S)
-    beta_r = float(row_margin.min(initial=np.inf))
-    beta_c = float(col_margin.min(initial=np.inf))
+    diag, row_off, col_off = _line_sums(S)
+    beta_r = float((diag - row_off).min(initial=np.inf))
+    beta_c = float((diag - col_off).min(initial=np.inf))
     if beta_r <= 0.0 or beta_c <= 0.0:
         return np.inf
-    row_abs, col_abs = _abs_sums(_array(S))
-    norm_2_sq = row_abs.max(initial=0.0) * col_abs.max(initial=0.0)
+    abs_diag = np.abs(diag)
+    norm_2_sq = (abs_diag + row_off).max(initial=0.0) * (abs_diag + col_off).max(initial=0.0)
     return float(np.sqrt(norm_2_sq) / np.sqrt(beta_r * beta_c))
 
 
@@ -424,7 +400,7 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     :class:`BackendDiverged` when the backend misses ``eps``; the error
     propagates to the caller.
     """
-    _check_eps(eps)
+    _check_open_unit(eps, "eps")
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
     solver = _phase_backend(_storage(S.csr()), eps)
@@ -443,7 +419,7 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     ``_DENSE_CUTOFF`` unknowns, CG above, with symmetrically ordered SuperLU
     should it miss.  The side channel records l2 residuals.
     """
-    _check_eps(eps)
+    _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
 

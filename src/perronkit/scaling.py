@@ -35,6 +35,7 @@ from .reports import CONVERGED, ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
+    _check_open_unit,
     _is_symmetric,
     apply_scaling,
     as_vector,
@@ -105,13 +106,10 @@ class MSolveOperators:
 class RichardsonConfig:
     tolerance: float
     max_iterations: int = 1000
-    residual_norm: str = "l2"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_norm not in ("l2", "linf"):
-            raise ValueError("residual_norm must be 'l2' or 'linf'")
 
 
 # ----------------------------------------------------------------------
@@ -346,19 +344,18 @@ def _halving_scan(
     cap: int,
     *,
     tol: float,
-    strict: bool = False,
-    budget_threshold: float | None = None,
+    budget: float | None = None,
     residual_ceiling: float = 2e250,
 ):
     """Run the alpha-halving scan on a normalized problem, each phase solved
     to relative residual ``tol`` (see :class:`_PhaseSolver`).
 
-    Returns ``(ell, r, alpha_final, report)``.  In strict mode every phase
-    must pass the positivity and open-window checks and (when a budget
-    threshold is given) the conditioning budget; a failed check raises
-    :class:`_ScanFailure` with the witnessing condition, and so does a phase
-    solve that misses ``tol`` (as ``"solver budget"``).  Outside strict mode
-    such a solve falls back to an LU of the phase matrix.
+    Returns ``(ell, r, alpha_final, report)``.  A ``budget`` makes the scan
+    strict: every phase must pass the positivity and open-window checks and
+    keep the scaled phase matrix's conditioning bound within ``budget``; a
+    failed check raises :class:`_ScanFailure` with the witnessing condition,
+    and so does a phase solve that misses ``tol`` (as ``"solver budget"``).
+    Without one such a solve falls back to an LU of the phase matrix.
 
     ``residual_ceiling`` fails a phase as soon as an inner residual exceeds
     it: under a valid conditioning bound the certified contraction keeps
@@ -386,6 +383,7 @@ def _halving_scan(
             vec = ones / alpha0
         return vec, vec.copy(), alpha0, report
 
+    strict = budget is not None
     alpha = alpha0
     ell = ones / alpha0
     r = ones / alpha0
@@ -393,7 +391,7 @@ def _halving_scan(
         phase = len(report.phases)
         solver = _PhaseSolver(prob, alpha, ell, r, tol=tol, lu_on_miss=not strict)
         alpha /= 2.0
-        if budget_threshold is not None and varah_kappa_upper(solver.S) > budget_threshold:
+        if strict and varah_kappa_upper(solver.S) > budget:
             raise _ScanFailure("solver budget", phase, alpha)
         try:
             ell, r, worst = _richardson_phase(
@@ -416,8 +414,8 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
     """Preconditioned Richardson iteration ``x <- x - P(M x - b)``.
 
     ``M`` may be a :class:`SparseMatrix` or a callable forward map; ``P`` a
-    :class:`LinearOperator` or callable.  Stops when the residual norm drops
-    below ``cfg.tolerance`` times the initial residual norm.  Otherwise it
+    :class:`LinearOperator` or callable.  Stops when the l2 residual norm
+    drops below ``cfg.tolerance`` times the initial one.  Otherwise it
     flags ``iteration_cap`` in the report when the cap runs out, or
     ``non_finite`` at the first residual norm that is NaN or infinite
     (statuses, not errors).  Returns ``(x, report)`` with per-iteration
@@ -435,11 +433,8 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
     b = as_vector(b, name="b")
     x = np.zeros_like(b) if x0 is None else as_vector(x0, b.shape[0], "x0").copy()
 
-    norm = (lambda v: float(np.linalg.norm(v))) if cfg.residual_norm == "l2" else (
-        lambda v: float(np.abs(v).max(initial=0.0))
-    )
     residual = forward(x) - b
-    r0 = norm(residual)
+    r0 = float(np.linalg.norm(residual))
     report = SolveReport(residuals=[r0])
     if r0 == 0.0:
         return x, report
@@ -447,7 +442,7 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
     for it in range(1, cfg.max_iterations + 1):
         x = x - precond(residual)
         residual = forward(x) - b
-        rn = norm(residual)
+        rn = float(np.linalg.norm(residual))
         report.residuals.append(rn)
         report.iterations = it
         if rn < target:
@@ -470,8 +465,7 @@ def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolv
     share one RCDD check and one solver of ``L M R`` (one LAPACK
     factorization, up to the dense cutoff).
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_open_unit(delta, "delta")
     ell, r = scale.left, scale.right
     if ell.shape[0] != M.n_rows or r.shape[0] != M.n_cols:
         raise ValueError("scaling length does not match the matrix")
@@ -547,8 +541,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     against the true matrix, preconditioned by that factorization, until the
     l2 contract is met; no other residual is computed.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    _check_open_unit(eps, "eps")
     if s <= 0.0:
         raise ValueError("s must be positive")
     s_mid = s * (1.0 + eps / 2.0)
@@ -566,7 +559,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         return solver.p_right(x) / s_mid
 
     cap = max(64, math.ceil(8.0 * (1.0 + eps * K) * math.log(n * max(K, 2.0) / eps)))
-    cfg = RichardsonConfig(tolerance=eps, max_iterations=cap, residual_norm="l2")
+    cfg = RichardsonConfig(tolerance=eps, max_iterations=cap)
 
     def apply_fn(b):
         x, rep = prec_richardson(true_matvec, precond, b, None, cfg)
@@ -706,8 +699,7 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     next level.  Each refinement starts from the best earlier iterate.
     """
     _check_symmetric_nonnegative(A)
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_open_unit(delta, "delta")
     b = as_vector(b, A.n_rows, "b")
     levels = _SymmLevels(A)
     n = levels.prob.n
@@ -733,7 +725,7 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     x0, r0 = None, nb
     while levels.alpha > alpha_floor:
         tolerance = delta if x0 is None else delta * nb / r0
-        cfg = RichardsonConfig(tolerance, max_iterations=per_level, residual_norm="l2")
+        cfg = RichardsonConfig(tolerance, max_iterations=per_level)
         x, rep = prec_richardson(forward, levels.solver().p_right, b, x0, cfg)
         level += 1
         report.iterations += rep.iterations
@@ -786,8 +778,7 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     """
     if not M.is_square:
         raise ValueError("expected a square matrix")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_open_unit(delta, "delta")
     b = as_vector(b, M.n_rows, "b")
     A_norm = _normalized_comparison(M)
     _check_symmetric_nonnegative(A_norm)
@@ -812,7 +803,7 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
         return v * Z.apply(v * x)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
-    cfg = RichardsonConfig(tolerance=delta, max_iterations=cap, residual_norm="l2")
+    cfg = RichardsonConfig(tolerance=delta, max_iterations=cap)
     x, report = prec_richardson(M, precond, b, None, cfg)
     if report.status != CONVERGED:
         raise IterationCapHit(

@@ -6,7 +6,8 @@ compressed row form of the transpose, since the scaling loops need both
 construction and safe for concurrent reads.
 
 Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file loaders
-reject non-finite entries.
+reject non-finite entries.  The dominance checks and ``rcdd``'s condition
+bound all take their line sums of ``|S|`` from one pass, :func:`_line_sums`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ __all__ = [
 # Relative slack used when verifying RCDD-ness of *computed* scalings, to
 # absorb rounding in the L @ M @ R products.
 RCDD_VERIFY_SLACK = 1e-12
+
+
+def _check_open_unit(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``0 < value < 1``."""
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1)")
 
 
 def as_vector(x, n=None, name="x") -> np.ndarray:
@@ -222,32 +229,32 @@ def is_irreducible(A: SparseMatrix) -> bool:
     return ncomp == 1
 
 
-def _array(S):
-    """The CSR matrix of a :class:`SparseMatrix`; a scipy sparse matrix or a
-    dense array is returned as it is."""
-    return S.csr() if isinstance(S, SparseMatrix) else S
-
-
-def _dominance_margins(S):
-    """Row and column margins ``S_ii - sum_{j != i} |S_ij|`` and diagonal of a
-    :class:`SparseMatrix`, a CSR matrix or a dense array.
+def _line_sums(S):
+    """Diagonal and off-diagonal row and column sums of ``|S|``,
+    ``(diag, row_off, col_off)``, of a :class:`SparseMatrix`, a CSR matrix or
+    a dense array: the one pass behind every dominance margin
+    (``diag - off``) and line sum of ``|S|`` (``|diag| + off``).
 
     Off-diagonal sums accumulate only off-diagonal entries (no subtraction of
     the diagonal afterwards, which would leak rounding into exact margins).
+    Duplicate CSR entries are summed first, on a copy.
     """
-    S = _array(S)
-    diag = S.diagonal()
+    if isinstance(S, SparseMatrix):
+        S = S.csr()
     if isinstance(S, np.ndarray):
         off = np.abs(S)
         np.fill_diagonal(off, 0.0)
-        return diag - off.sum(axis=1), diag - off.sum(axis=0), diag
+        return S.diagonal(), off.sum(axis=1), off.sum(axis=0)
     S = S.tocsr()
+    if not S.has_canonical_format:
+        S = S.copy()
+        S.sum_duplicates()
     rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
     off = rows != S.indices
     absdata = np.abs(S.data[off])
     row_off = np.bincount(rows[off], absdata, S.shape[0])
     col_off = np.bincount(S.indices[off], absdata, S.shape[1])
-    return diag - row_off, diag - col_off, diag
+    return S.diagonal(), row_off, col_off
 
 
 def _is_symmetric(S: SparseMatrix, sym_tol: float = 1e-12) -> bool:
@@ -270,9 +277,9 @@ def check_rcdd(S, strict_slack: float = 0.0) -> bool:
     """
     if S.shape[0] != S.shape[1]:
         raise ValueError("RCDD is defined for square matrices")
-    row_margin, col_margin, diag = _dominance_margins(S)
+    diag, row_off, col_off = _line_sums(S)
     allow = -strict_slack * (np.abs(diag) + 1.0)
-    return bool(np.all(row_margin >= allow) and np.all(col_margin >= allow))
+    return bool(np.all(diag - row_off >= allow) and np.all(diag - col_off >= allow))
 
 
 def check_sdd(S: SparseMatrix, strict_slack: float = 0.0, sym_tol: float = 1e-12) -> bool:

@@ -1,5 +1,6 @@
 """Decision procedure, eigenvalue bisection, and certified Perron pairs."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -279,8 +280,9 @@ class TestComputePerron:
     def test_fallback_below_the_float_spacing_returns(self, monkeypatch):
         """With the bracket failing, a ``delta`` whose rounds ask the
         bisection for an ``eps`` below the float spacing at ``rho`` ends in a
-        typed error after its ``K`` rounds, each bisection returning an upper
-        end at or above ``rho``."""
+        typed error after its first round, whose bisection returns an upper
+        end at or above ``rho``: the second round's precision is below the
+        float spacing and raises at once."""
         monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
         monkeypatch.setattr(perronkit.perron, "_K_CAP", 2.0)
         ends = []
@@ -296,7 +298,30 @@ class TestComputePerron:
         M = np.roll(np.diag(np.tile([1.0, 2.0], 3)), 1, axis=1)
         with pytest.raises(KCapExceeded):
             compute_perron(SparseMatrix.from_dense(M), 1e-15)
-        assert len(ends) == 2 and min(ends) >= np.sqrt(2.0)
+        assert len(ends) == 1 and min(ends) >= np.sqrt(2.0)
+
+    FLOAT_FLOOR_PROBES = {
+        "weighted 6-cycle": np.roll(np.diag(np.tile([1.0, 2.0], 3)), 1, axis=1),
+        "unit 6-cycle": np.roll(np.eye(6), 1, axis=1),
+        "all-ones 3x3": np.ones((3, 3)),
+    }
+
+    @pytest.mark.parametrize("path", ["bracket", "fallback"])
+    def test_delta_below_the_float_floor_raises_at_once(self, path, monkeypatch):
+        """A ``delta`` whose second round asks for a precision ``delta / (8
+        K^2)`` below the float spacing raises :class:`KCapExceeded` at that
+        round instead of running every ``K`` up to ``_K_CAP``; one decade
+        above, ``delta`` still certifies at ``K`` = 1."""
+        if path == "fallback":
+            monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        for name, M in self.FLOAT_FLOOR_PROBES.items():
+            A = SparseMatrix.from_dense(M)
+            for delta in (1e-15, 1e-16):
+                start = time.perf_counter()
+                with pytest.raises(KCapExceeded, match="below the float spacing"):
+                    compute_perron(A, delta)
+                assert time.perf_counter() - start < 5.0, (name, delta)
+            assert compute_perron(A, 1e-14).k_final == 1.0, name
 
     def test_acceptance_soundness_invariant(self):
         rng = np.random.default_rng(53)
@@ -604,6 +629,41 @@ class TestCertifySpectralBound:
             certify_spectral_bound(SparseMatrix.from_dense([[0.5, 1.0], [0.0, 0.5]]))
         with pytest.raises(ValueError):
             certify_spectral_bound(TWO_CYCLE, 0.0)
+
+
+class TestCertificatesRecompute:
+    """Every Perron certificate the package returns can be checked from
+    public functions alone: its CW sandwich is exactly
+    :func:`collatz_wielandt_bounds` of its right vector, and its residuals
+    are the dense eigen-residuals at ``s``."""
+
+    @staticmethod
+    def dense_residual(M, x, s):
+        return float(np.abs(x - M @ x / s).max() / np.abs(x).max())
+
+    @pytest.mark.parametrize("path", ["bracket", "fallback"])
+    def test_certificate_fields_recompute(self, soundness_instances, path, monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+            monkeypatch.setattr(_CWBracket, "decide", lambda self, bound: None)
+        for name, M, rho in soundness_instances:
+            A = SparseMatrix.from_dense(M)
+            _, v_r = dense_spectral_radius(M, tol=1e-12)
+            _, v_l = dense_spectral_radius(M.T, tol=1e-12)
+            K = 1.1 * (v_l.max() / v_l.min() + v_r.max() / v_r.min())
+            certs = [
+                compute_perron(A, 1e-3),
+                simple_perron(A, 1e-2, K),
+                certify_spectral_bound(A, 1.1 * rho)[1],
+            ]
+            for cert in certs:
+                assert (cert.cw_lower, cert.cw_upper) == collatz_wielandt_bounds(A, cert.right), name
+                for got, M_side, x in (
+                    (cert.residual_right, M, cert.right),
+                    (cert.residual_left, M.T, cert.left),
+                ):
+                    want = self.dense_residual(M_side, x, cert.s)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
 
 
 class TestLargeSparsePath:

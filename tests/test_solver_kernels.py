@@ -1,12 +1,13 @@
 """The scan's solver kernels against the library calls they stand in for.
 
-The phase solves call LAPACK ``getrs`` directly, the CSR phase matrices are
-rescaled on a fixed pattern and the CSR ``|S|`` line sums skip scipy; all must
-give the same bits as the reference construction.  Up to the dense cutoff
-the factorizations, the shift-and-invert ones of ``compute_perron`` included,
-must stay behind ``scipy.linalg.lu_factor``, where a profiler can count them;
-above it each of those matrices gets one Krylov solver instead, and
-``scipy.sparse.linalg.splu`` runs only after a Krylov miss.  The symmetric
+The phase solves call LAPACK ``getrs`` directly and the CSR phase matrices
+are rescaled on a fixed pattern; both must give the same bits as the
+reference construction, and the CSR ``|S|`` line sums must match the dense
+ones.  Up to the dense cutoff the factorizations, the shift-and-invert ones
+of ``compute_perron`` included, must stay behind ``scipy.linalg.lu_factor``,
+where a profiler can count them; above it each of those matrices gets one
+Krylov solver instead, and ``scipy.sparse.linalg.splu`` runs only after a
+Krylov miss.  The symmetric
 path builds one solver per halving level, and only its SDD factorizations use
 the symmetric ordering.
 
@@ -44,10 +45,9 @@ from perronkit import (
     top_singular,
 )
 from perronkit.oracle import dense_spectral_radius
-from perronkit.sparse import is_irreducible
+from perronkit.sparse import _line_sums, check_rcdd, is_irreducible
 from perronkit.rcdd import (
     _DENSE_CUTOFF,
-    _abs_sums,
     _DirectSolver,
     _KrylovSolver,
     varah_kappa_upper,
@@ -174,7 +174,10 @@ def test_one_factorization_per_phase_through_scipy(monkeypatch):
     assert report.phases and counts == {**NO_SOLVERS, "krylov": len(report.phases)}
 
 
-def test_csr_abs_sums_match_scipy():
+def test_csr_line_sums_match_dense():
+    """The one line-sum pass gives a CSR matrix the sums of its dense form
+    within rounding, duplicates summed on a copy, and ``check_rcdd`` and
+    ``varah_kappa_upper`` the same answers on both forms."""
     rng = np.random.default_rng(13)
     prob = _Problem(sparse_m_matrix(rng), 1.3)
     phase = prob.scaled_shift(0.25, rng.uniform(0.5, 2.0, prob.n), rng.uniform(0.5, 2.0, prob.n))
@@ -184,8 +187,7 @@ def test_csr_abs_sums_match_scipy():
         ([-1.5, 2.0, 0.25, 1e-3, -7.0], [0, 4, 0, 2, 3], [0, 0, 3, 3, 5, 5, 5]), shape=(6, 5)
     )
     assert not holes.has_canonical_format
-    # rows of 40, 0 and 32 entries: numpy's pairwise sum blocks by eight, so
-    # one more (even zero) term in the last row changes its bits
+    # rows of 40, 0 and 32 entries over ten decades
     wide = np.random.default_rng(0)
     long_rows = sp.csr_matrix(
         (
@@ -195,12 +197,28 @@ def test_csr_abs_sums_match_scipy():
         ),
         shape=(3, 40),
     )
-    for S in (phase, holes, long_rows, sp.csr_matrix((4, 4))):
-        row_abs, col_abs = _abs_sums(S)
-        assert np.array_equal(row_abs, np.asarray(abs(S).sum(axis=1)).ravel())
-        assert np.array_equal(col_abs, np.asarray(abs(S).sum(axis=0)).ravel())
-    dense = phase.toarray()
-    assert varah_kappa_upper(phase) == varah_kappa_upper(dense)
+    # the 2x2 identity stored with an off-diagonal pair that cancels exactly
+    cancelling = sp.csr_matrix(([1.0, 0.9, -0.9, 1.0], [0, 1, 1, 1], [0, 3, 4]), shape=(2, 2))
+    assert not cancelling.has_canonical_format
+    for S in (phase, holes, long_rows, sp.csr_matrix((4, 4)), cancelling):
+        stored = (S.indices.copy(), S.data.copy())
+        sums = _line_sums(S)
+        assert np.array_equal(S.indices, stored[0]) and np.array_equal(S.data, stored[1])
+        dense = S.toarray()
+        dense_sums = _line_sums(dense)
+        assert np.array_equal(sums[0], dense_sums[0])
+        # sums of at most max(shape) nonnegative terms, in another order
+        rounding = max(S.shape) * np.finfo(float).eps
+        for got, want in zip(sums[1:], dense_sums[1:]):
+            assert np.allclose(got, want, rtol=rounding, atol=0.0)
+        abs_dense = np.abs(dense)
+        for axis, off in ((1, sums[1]), (0, sums[2])):
+            line = off + np.pad(np.abs(sums[0]), (0, off.size - sums[0].size))
+            assert np.allclose(line, abs_dense.sum(axis=axis), rtol=rounding, atol=0.0)
+        if S.shape[0] == S.shape[1]:
+            assert check_rcdd(S) == check_rcdd(dense)
+            assert varah_kappa_upper(S) == varah_kappa_upper(dense)
+    assert check_rcdd(cancelling) and varah_kappa_upper(cancelling) == 1.0
 
 
 def criterion_01_instance(seed):
