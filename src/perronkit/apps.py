@@ -125,10 +125,11 @@ def indicator_similarity(label_g: int, label_h: int) -> float:
 # shared solve plumbing
 
 
-def _k_estimate(cert: PerronCertificate, rho_upper: float) -> float:
+def _k_estimate(cert: PerronCertificate) -> float:
     """Conditioning guess for the solver from a Perron certificate of the
-    decayed matrix: ``||(I - B)^-1|| <= kappa(v) / (1 - rho)`` per side."""
-    gap = max(1.0 - rho_upper, 1e-12)
+    decayed matrix: ``||(I - B)^-1|| <= kappa(v) / (1 - rho)`` per side, with
+    ``rho`` bounded by the certificate's CW upper bound."""
+    gap = max(1.0 - cert.cw_upper, 1e-12)
     kappa_r = float(cert.right.max() / cert.right.min())
     kappa_l = float(cert.left.max() / cert.left.min())
     return 4.0 * max(kappa_l, kappa_r) / gap
@@ -203,7 +204,7 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
         raise DecayTooLarge(
             f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges"
         )
-    return _solve_decayed(B, b, eps, _k_estimate(cert, cert.cw_upper))
+    return _solve_decayed(B, b, eps, _k_estimate(cert))
 
 
 def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
@@ -228,7 +229,7 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
         return False, None
     if d is None or not np.any(d > 0.0):
         return True, (np.zeros(A.n_rows) if d is not None else None)
-    x, _ = _solve_decayed(A, d, eps, _k_estimate(cert, cert.cw_upper))
+    x, _ = _solve_decayed(A, d, eps, _k_estimate(cert))
     return True, x
 
 
@@ -363,7 +364,7 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
             raise KernelDiverges(
                 f"certified lam * rho(W) >= {cert.s:.6g} >= 1; kernel series diverges"
             )
-        K = _k_estimate(cert, cert.cw_upper)
+        K = _k_estimate(cert)
     else:
         # reducible product graph: rho(B) is the worst spectral radius over
         # the strongly connected component blocks, each of which the Perron

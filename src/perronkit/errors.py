@@ -58,7 +58,9 @@ class NotIrreducible(PerronKitError):
 
 
 class KCapExceeded(PerronKitError):
-    """The condition-number doubling loop passed 2**40 without certifying."""
+    """The condition-number doubling loop cannot certify: its round
+    precision ``delta / (8 K^2)`` fell below the float spacing
+    (``np.finfo(float).eps``), where rounding alone exceeds it."""
 
 
 class DecayTooLarge(PerronKitError):

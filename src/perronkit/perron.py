@@ -37,19 +37,16 @@ from .errors import (
 from .reports import SolveReport
 from .scaling import (
     ScalingPair,
-    _halving_scan,
     _PhaseSolver,
     _Problem,
     _ScanFailure,
+    _checked_scan,
     _mmatrix_scale,
-    _scan_tolerance,
 )
 from .sparse import (
-    RCDD_VERIFY_SLACK,
     SparseMatrix,
     _check_open_unit,
     as_vector,
-    check_rcdd,
     induced_norms,
     is_irreducible,
 )
@@ -66,6 +63,9 @@ __all__ = [
     "certify_spectral_bound",
 ]
 
+# unreachable in a real run: for any delta < 1 the round precision
+# delta / (8 K^2) drops below the float spacing by K = 2**25 and
+# compute_perron raises there first; tests lower it to bound the rounds
 _K_CAP = 2**40
 
 
@@ -78,8 +78,9 @@ class Verdict(Enum):
 class DecisionOutcome:
     """Result of the M-matrix decision.
 
-    A positive verdict carries a scaling certifying ``(1+eps) I - A`` RCDD;
-    a negative verdict carries the witnessing failed check.
+    A positive verdict carries a scaling certifying ``(1+eps) I - A`` RCDD
+    and the scan's report; a negative verdict carries only the witnessing
+    failed check, with the phase and shift where it fired, and no report.
     """
 
     verdict: Verdict
@@ -170,6 +171,7 @@ _WITNESS_TEXT = {
     "nonpositive scaling": "scaling iterate had a nonpositive entry",
     "window violation": "phase exit window (1/2, 3/2) violated",
     "solver budget": "scaled-system conditioning exceeded the solver budget",
+    "final verification": "final scaling failed RCDD verification",
 }
 
 
@@ -177,15 +179,10 @@ def _m_decide_scaled(
     A: SparseMatrix, denom: float, eps: float, gamma: float
 ) -> DecisionOutcome:
     """Decision for ``I - A/denom``; assumes structure already checked."""
-    prob = _Problem(A, denom)
-    n = prob.n
-    cap = math.ceil(8.0 * math.log(64.0 * n * gamma * gamma))
+    cap = math.ceil(8.0 * math.log(64.0 * A.n_rows * gamma * gamma))
     budget = 18.0 * gamma * gamma * (1.0 + 1e-6)
-    ceiling = 18.0 * math.sqrt(n) * max(gamma, 2.0) ** 2
     try:
-        ell, r, alpha_final, report = _halving_scan(
-            prob, eps, cap, tol=_scan_tolerance(gamma), budget=budget, residual_ceiling=ceiling
-        )
+        _, scaling, report = _checked_scan(A, denom, eps, gamma, cap, budget)
     except _ScanFailure as fail:
         return DecisionOutcome(
             Verdict.NOT_M_MATRIX,
@@ -194,15 +191,7 @@ def _m_decide_scaled(
                 f"(alpha={fail.alpha:.6e})"
             ),
         )
-    report.info["cap"] = cap
     report.info["budget"] = budget
-    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
-        return DecisionOutcome(
-            Verdict.NOT_M_MATRIX,
-            witness="final scaling failed RCDD verification",
-            report=report,
-        )
-    scaling = ScalingPair(left=ell, right=r, alpha=alpha_final, s=denom)
     return DecisionOutcome(Verdict.IS_M_MATRIX_SHIFTED, scaling=scaling, report=report)
 
 
@@ -223,7 +212,9 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
     M-matrix whose inverse norms exceed ``gamma`` the scan's checks may fire.
     Above the dense cutoff the phase solves are iterative, to relative
     residual ``1 / (8 gamma)``; one that misses it ends the scan with the
-    ``"solver budget"`` witness, never ``"iteration cap"``.
+    ``"solver budget"`` witness, never ``"iteration cap"``.  A final pair
+    that fails the RCDD check is a witness too, given like the others with
+    its phase and shift.
     """
     _structure_check(A)
     if eps <= 0.0 or gamma <= 0.0:
@@ -326,6 +317,9 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
 _CW_MAX_STEPS = 32
+# refinements (compute_perron calls) of certify_spectral_bound once its
+# bracket has failed
+_MAX_REFINEMENTS = 24
 # relative residual of the bracket's and the polish's solves above the dense
 # cutoff: loose solves keep every bound valid but widen the CW sandwich
 _CW_SOLVE_TOL = 1e-10
@@ -521,9 +515,7 @@ def _polish_pair(prob: _Problem, eps: float, pair):
     return left, right
 
 
-def certify_spectral_bound(
-    B: SparseMatrix, bound: float = 1.0, max_refinements: int = 24
-) -> tuple[bool, PerronCertificate]:
+def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, PerronCertificate]:
     """Decide ``rho(B) < bound`` with a certificate.
 
     Continues one Collatz-Wielandt shift-and-invert bracket until its bounds
@@ -541,8 +533,8 @@ def certify_spectral_bound(
     that call's.  Raises :class:`BoundaryUndecidable` at once when the
     bracket's bounds meet within rounding of ``bound``, where no refinement
     can do better, and when ``rho(B)`` sits at the bound within
-    ``max_refinements`` such calls or one of them exhausts its conditioning
-    guess.
+    ``_MAX_REFINEMENTS`` (24) such calls or one of them exhausts its
+    conditioning guess.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
@@ -556,7 +548,7 @@ def certify_spectral_bound(
             "spectral radius within rounding of the bound; cannot certify either side"
         )
     delta = 0.25
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         try:
             cert = compute_perron(B, delta)
         except KCapExceeded as exc:

@@ -5,8 +5,12 @@ The central routine is an alpha-halving scan: starting from a shift so large
 that the matrix is trivially dominant, each phase solves
 ``M_alpha r = 1`` and ``M_alpha.T l = 1`` by Richardson iteration
 preconditioned with the solver of the previous (twice as large) shift, then
-halves the shift.  Everything else in the package is a wrapper around this
-scan with different exit checks.
+halves the shift.  ``_checked_scan`` is its one entry point: it forms the
+problem, runs the scan and checks the final pair RCDD before returning it.
+The M-matrix decision and :func:`mmatrix_scale`, and through them the
+solvers and Perron routines, call it and differ only in their iteration
+cap, their solver budget and how they report a failure.  The symmetric path
+descends the same halving levels with one vector.
 
 All routines normalize to ``s = 1`` internally and return scalings valid for
 the original problem, which only differ by a positive scalar on the scaled
@@ -169,8 +173,7 @@ class _Problem:
     @property
     def norm_max(self) -> float:
         """``max(||A||_1, ||A||_inf)`` at the current scale, the norms computed
-        on first read: only the scan's starting shift and the 1x1 closed forms
-        need it."""
+        on first read: only the scan's starting shift needs it."""
         return self._norm_max_unscaled / self._scale
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -272,7 +275,7 @@ def expected_phase_count(A: SparseMatrix, s: float, eps: float) -> int:
     alpha0 = 2.0 * max(norms.norm_1, norms.norm_inf) / s
     if alpha0 <= eps:
         return 0
-    return max(0, math.ceil(math.log2(alpha0 / eps)))
+    return math.ceil(math.log2(alpha0 / eps))
 
 
 def _richardson_phase(
@@ -344,8 +347,8 @@ def _halving_scan(
     cap: int,
     *,
     tol: float,
-    budget: float | None = None,
-    residual_ceiling: float = 2e250,
+    budget: float | None,
+    residual_ceiling: float,
 ):
     """Run the alpha-halving scan on a normalized problem, each phase solved
     to relative residual ``tol`` (see :class:`_PhaseSolver`).
@@ -362,27 +365,10 @@ def _halving_scan(
     residuals below ``sqrt(n) * kappa(D)``, so blowing far past that refutes
     the M-matrix hypothesis without burning the whole iteration cap.
     """
-    n = prob.n
-    ones = np.ones(n)
-    alpha0 = 2.0 * prob.norm_max
+    ones = np.ones(prob.n)
+    # a zero A starts at eps, where the loop does not run
+    alpha0 = 2.0 * prob.norm_max or eps
     report = SolveReport(alpha0=alpha0)
-
-    if n == 1:
-        a = prob.norm_max
-        report.info["closed_form"] = True
-        denom = (1.0 + eps) - a
-        if denom <= 0.0:
-            raise _ScanFailure("nonpositive scaling", 0, eps)
-        v = np.array([1.0 / denom])
-        return v, v.copy(), eps, report
-
-    if alpha0 <= eps:
-        if alpha0 == 0.0:
-            vec = ones / (1.0 + eps)
-        else:
-            vec = ones / alpha0
-        return vec, vec.copy(), alpha0, report
-
     strict = budget is not None
     alpha = alpha0
     ell = ones / alpha0
@@ -404,6 +390,24 @@ def _halving_scan(
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
     return ell, r, alpha, report
+
+
+def _checked_scan(
+    A: SparseMatrix, s: float, eps: float, K: float, cap: int, budget: float | None = None
+):
+    """The halving scan on ``A / s`` at conditioning bound ``K``, its final
+    pair checked: ``(prob, pair, report)`` with ``prob.scaled_shift(eps,
+    pair.left, pair.right)`` RCDD.  Every failure, the final check's
+    included (as ``"final verification"``), raises :class:`_ScanFailure`."""
+    prob = _Problem(A, s)
+    ceiling = 18.0 * math.sqrt(prob.n) * max(K, 2.0) ** 2
+    ell, r, alpha, report = _halving_scan(
+        prob, eps, cap, tol=_scan_tolerance(K), budget=budget, residual_ceiling=ceiling
+    )
+    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
+        raise _ScanFailure("final verification", len(report.phases), alpha)
+    report.info["cap"] = cap
+    return prob, ScalingPair(left=ell, right=r, alpha=alpha, s=s), report
 
 
 # ----------------------------------------------------------------------
@@ -512,24 +516,12 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
         raise ValueError("matrix must be entrywise nonnegative")
     if s <= 0.0 or eps <= 0.0 or K <= 0.0:
         raise ValueError("s, eps, K must be positive")
-    prob = _Problem(A, s)
-    cap = scaling_iteration_cap(prob.n, K, eps)
-    ceiling = 18.0 * np.sqrt(prob.n) * max(K, 2.0) ** 2
     try:
-        ell, r, alpha_final, report = _halving_scan(
-            prob, eps, cap, tol=_scan_tolerance(K), residual_ceiling=ceiling
-        )
+        prob, pair, report = _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
-    report.info["cap"] = cap
     report.info["solver_tolerance"] = _scan_tolerance(K)
-    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
-        raise IterationCapHit(
-            "computed scaling failed RCDD verification; K is too small",
-            phase=len(report.phases),
-            alpha=alpha_final,
-        )
-    return prob, ScalingPair(left=ell, right=r, alpha=alpha_final, s=s), report
+    return prob, pair, report
 
 
 def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
@@ -623,12 +615,10 @@ class _SymmLevels:
         self.alpha = 1.0
         self.report = SolveReport(alpha0=1.0)
         self._solver = None
-        self.v = None
-        if self.prob.n > 1:
-            cap0 = math.ceil(8.0 * math.log(4.0 * self.prob.n))
-            self.v, initial_residuals = _symm_initial_scaling(self.prob, cap0)
-            self.report.info["initial_residuals"] = initial_residuals
-            self.report.iterations += len(initial_residuals) - 1
+        cap0 = math.ceil(8.0 * math.log(4.0 * self.prob.n))
+        self.v, initial_residuals = _symm_initial_scaling(self.prob, cap0)
+        self.report.info["initial_residuals"] = initial_residuals
+        self.report.iterations += len(initial_residuals) - 1
 
     def solver(self) -> _PhaseSolver:
         if self._solver is None:
@@ -653,12 +643,6 @@ class _SymmLevels:
     def scale(self, eps: float) -> np.ndarray:
         """``v`` making ``V ((1 + eps) I - A) V`` SDD.  The phases this call
         adds run with the cap of this ``eps`` and are logged in ``report``."""
-        if self.prob.n == 1:
-            denom = (1.0 + eps) - self.prob.norm_max
-            if denom <= 0.0:
-                raise IterationCapHit("1x1 matrix is not below the shift", phase=0, alpha=eps)
-            self.report.info["closed_form"] = True
-            return np.array([1.0 / np.sqrt(denom)])
         cap = math.ceil(8.0 * math.log(8.0 * self.prob.n / min(eps, 1.0)))
         while self.alpha > eps:
             self.halve(cap)
@@ -703,13 +687,6 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     b = as_vector(b, A.n_rows, "b")
     levels = _SymmLevels(A)
     n = levels.prob.n
-
-    if n == 1:
-        a = levels.prob.norm_max
-        if a >= 1.0:
-            raise IterationCapHit("1x1 matrix is singular or worse", phase=0, alpha=0.0)
-        return b / (1.0 - a), SolveReport(info={"levels": 0})
-
     csr = A.csr()
 
     def forward(x):

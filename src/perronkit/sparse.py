@@ -201,8 +201,6 @@ def matvec(A: SparseMatrix, x, transpose: bool = False) -> np.ndarray:
 
 def induced_norms(A: SparseMatrix) -> NormReport:
     """Exact induced 1- and infinity-norms (max column/row absolute sums)."""
-    if A.nnz == 0:
-        return NormReport(0.0, 0.0)
     coo = A.csr().tocoo()
     absdata = np.abs(coo.data)
     row_sums = np.zeros(A.n_rows)
@@ -220,11 +218,8 @@ def is_irreducible(A: SparseMatrix) -> bool:
     """
     if not A.is_square:
         raise ValueError("irreducibility is defined for square matrices")
-    n = A.n_rows
-    if n == 1:
+    if A.n_rows == 1:
         return A.nnz == 1
-    if A.nnz == 0:
-        return False
     ncomp, _ = connected_components(A.csr(), directed=True, connection="strong")
     return ncomp == 1
 
@@ -257,14 +252,14 @@ def _line_sums(S):
     return S.diagonal(), row_off, col_off
 
 
-def _is_symmetric(S: SparseMatrix, sym_tol: float = 1e-12) -> bool:
-    """Symmetry within ``sym_tol`` relative to the largest entry magnitude
-    (at least 1)."""
+def _is_symmetric(S: SparseMatrix) -> bool:
+    """Symmetry within 1e-12 relative to the largest entry magnitude (at
+    least 1)."""
     diff = (S.csr() - S.csr_transpose()).tocoo()
     if not diff.nnz:
         return True
     scale = max(1.0, float(np.abs(S.csr().data).max(initial=0.0)))
-    return bool(np.abs(diff.data).max() <= sym_tol * scale)
+    return bool(np.abs(diff.data).max() <= 1e-12 * scale)
 
 
 def check_rcdd(S, strict_slack: float = 0.0) -> bool:
@@ -282,12 +277,13 @@ def check_rcdd(S, strict_slack: float = 0.0) -> bool:
     return bool(np.all(diag - row_off >= allow) and np.all(diag - col_off >= allow))
 
 
-def check_sdd(S: SparseMatrix, strict_slack: float = 0.0, sym_tol: float = 1e-12) -> bool:
-    """Symmetric diagonal dominance: symmetry within ``sym_tol`` (relative)
-    plus the same dominance margins as :func:`check_rcdd`."""
+def check_sdd(S: SparseMatrix, strict_slack: float = 0.0) -> bool:
+    """Symmetric diagonal dominance: symmetry within 1e-12 (relative, see
+    :func:`_is_symmetric`) plus the same dominance margins as
+    :func:`check_rcdd`."""
     if not S.is_square:
         raise ValueError("SDD is defined for square matrices")
-    return _is_symmetric(S, sym_tol) and check_rcdd(S, strict_slack)
+    return _is_symmetric(S) and check_rcdd(S, strict_slack)
 
 
 def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:

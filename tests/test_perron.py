@@ -535,7 +535,7 @@ class TestCertifySpectralBound:
     @pytest.mark.parametrize(
         "weights", [(1.0, 1.0), (2.0, 0.5, 1.0), (3.0, 1.0 / 3.0, 0.25, 4.0)]
     )
-    def test_radius_at_the_bound_is_never_certified_valid(self, weights):
+    def test_radius_at_the_bound_is_never_certified_valid(self, weights, monkeypatch):
         """A weighted cycle with weight product 1 has rho = 1 exactly: the
         answer is the invalid side or :class:`BoundaryUndecidable`."""
         n = len(weights)
@@ -544,8 +544,9 @@ class TestCertifySpectralBound:
         B = SparseMatrix.from_dense(M)
         assert _CWBracket(B).decide(1.0) in (None, False)
         for refinements in (0, 2, 24):
+            monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", refinements)
             try:
-                valid, cert = certify_spectral_bound(B, 1.0, max_refinements=refinements)
+                valid, cert = certify_spectral_bound(B, 1.0)
             except BoundaryUndecidable:
                 continue
             assert not valid and cert.s >= 1.0
@@ -568,7 +569,7 @@ class TestCertifySpectralBound:
         assert B.matvec(np.ones(m)).max() < bound <= R
         return B, bound
 
-    def test_rounding_cannot_certify_the_valid_side(self):
+    def test_rounding_cannot_certify_the_valid_side(self, monkeypatch):
         """Every computed row sum of the circulant rounds below ``bound``: a
         bare comparison would certify ``rho < bound``.  The bracket sees its
         bounds meet within rounding at its first iterate and decides
@@ -577,8 +578,9 @@ class TestCertifySpectralBound:
         bracket = _CWBracket(B)
         assert bracket.decide(bound) is None and bracket.factorizations == 0
         assert bracket.met_at_bound and not bracket.failed
+        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", 0)
         with pytest.raises(BoundaryUndecidable):
-            certify_spectral_bound(B, bound, max_refinements=0)
+            certify_spectral_bound(B, bound)
 
     def test_rounding_tie_is_undecidable_at_once(self, monkeypatch):
         """With the default refinement budget too, bounds that meet within
@@ -609,7 +611,7 @@ class TestCertifySpectralBound:
 
     def test_undecided_bracket_takes_the_refinement_loop(self, monkeypatch):
         """An exhausted bracket leaves the decision, and the budget in
-        ``max_refinements``, to :func:`compute_perron`."""
+        ``_MAX_REFINEMENTS``, to :func:`compute_perron`."""
         monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
         deltas = []
         real = perronkit.perron.compute_perron
@@ -618,9 +620,12 @@ class TestCertifySpectralBound:
         )
         # all-ones is the right Perron vector, but not the left one
         B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
+        default = perronkit.perron._MAX_REFINEMENTS
+        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", 0)
         with pytest.raises(BoundaryUndecidable):
-            certify_spectral_bound(B, 1.0, max_refinements=0)
+            certify_spectral_bound(B, 1.0)
         assert deltas == []
+        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", default)
         valid, cert = certify_spectral_bound(B, 1.0)
         assert valid and deltas[:1] == [0.25]
 

@@ -6,13 +6,16 @@ import pytest
 
 from perronkit import (
     IterationCapHit,
+    Verdict,
     RichardsonConfig,
     ScalingPair,
     SparseMatrix,
     apply_scaling,
     check_rcdd,
     check_sdd,
+    compute_perron,
     expected_phase_count,
+    m_decide,
     mmatrix_scale,
     prec_richardson,
     scaling_iteration_cap,
@@ -161,9 +164,11 @@ class TestMMatrixScale:
             assert 0.5 - 1e-9 <= lo and hi <= 1.5 + 1e-9
 
     def test_one_by_one_closed_form(self):
+        """The general scan on ``[[a]]`` lands in the phase window around the
+        closed form ``1 / ((1 + alpha) - a)``."""
         A = SparseMatrix.from_dense([[0.5]])
         pair, report = mmatrix_scale(A, 1.0, 0.25, 4.0)
-        assert report.info.get("closed_form")
+        assert 0.5 <= pair.right[0] * ((1.0 + pair.alpha) - 0.5) <= 1.5
         S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, 0.25), pair.right)
         assert check_rcdd(S, 1e-15)
 
@@ -216,6 +221,53 @@ class TestMMatrixScale:
         _, report = mmatrix_scale(SparseMatrix.from_dense(A_dense), 1.0, eps, K)
         cap = scaling_iteration_cap(15, K, eps)
         assert all(p.iterations <= cap for p in report.phases)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 0.9])
+def test_one_by_one_meets_every_contract(a):
+    """``[[a]]`` takes the general code path of every entry point, and each
+    answer agrees with its closed form: ``1 - a`` inverts the M-matrix, the
+    scaling sits in the phase window around ``1 / ((1 + alpha) - a)``,
+    ``rho = a``, and ``[[1 + a]]`` is not below the unit shift."""
+    A = SparseMatrix.from_dense([[a]])
+    above = SparseMatrix.from_dense([[1.0 + a]])
+    K = 2.0 / (1.0 - a)
+    eps = a / 4.0
+    b = np.array([3.0])
+
+    pair, _ = mmatrix_scale(A, 1.0, eps, K)
+    assert pair.alpha <= eps
+    for vec in (pair.left, pair.right):
+        assert 0.5 <= vec[0] * ((1.0 + pair.alpha) - a) <= 1.5
+    assert check_rcdd(apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right), 1e-15)
+
+    outcome = m_decide(A, eps, K)
+    assert outcome.verdict is Verdict.IS_M_MATRIX_SHIFTED
+    S = apply_scaling(outcome.scaling.left, shifted_m_matrix(A, 1.0, eps), outcome.scaling.right)
+    assert check_rcdd(S, 1e-15)
+    outcome = m_decide(above, eps, K)
+    assert outcome.verdict is Verdict.NOT_M_MATRIX and outcome.report is None
+    assert "at phase" in outcome.witness
+
+    x = solve_m(A, 1.0, 1e-6, K).apply(b)
+    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-6 * b[0]
+
+    v, report = symm_scale(A, 0.1)
+    assert v[0] > 0.0 and report.phases
+    assert 0.5 <= v[0] * ((1.0 + report.phases[-1].alpha) - a) <= 1.5
+    assert check_sdd(apply_scaling(v, shifted_m_matrix(A, 1.0, 0.1), v), 1e-15)
+
+    x, _ = symm_solve(A, b, 1e-8)
+    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
+    with pytest.raises(IterationCapHit):
+        symm_solve(above, b, 1e-8)
+
+    x, _ = factor_width2_solve(SparseMatrix.from_dense([[1.0 - a]]), b, 1e-8)
+    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
+
+    cert = compute_perron(A, 1e-3)
+    assert (1.0 - 1e-3) * a < cert.s <= a
+    assert cert.cw_lower == cert.cw_upper == pytest.approx(a, rel=1e-15)
 
 
 class TestScalingLemmas:
