@@ -28,7 +28,7 @@ from .apps import (
     top_singular,
 )
 from .errors import DecayTooLarge, KernelDiverges, PerronKitError
-from .perron import _m_decide_scaled, _structure_check, compute_perron
+from .perron import compute_perron, m_decide
 from .scaling import mmatrix_scale, solve_m
 from .sparse import load_matrix, load_vector, save_vector
 
@@ -132,12 +132,7 @@ def _run_perron(args):
 
 
 def _run_mdecide(args):
-    A = load_matrix(args.matrix)
-    _structure_check(A)
-    if args.eps <= 0.0 or args.gamma <= 0.0:
-        raise ValueError("eps and gamma must be positive")
-    # canonical invocation: decide about I - A through the pre-divided call
-    outcome = _m_decide_scaled(A, 1.0 + args.eps / 2.0, args.eps / 3.0, args.gamma)
+    outcome = m_decide(load_matrix(args.matrix), args.eps, args.gamma)
     payload = {"verdict": outcome.verdict.value, "eps": args.eps}
     if outcome.is_m_matrix:
         payload["certifies"] = f"(1+{args.eps!r}) I - A admits an RCDD scaling"

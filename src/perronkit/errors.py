@@ -41,7 +41,8 @@ class BackendDiverged(PerronKitError):
 
 
 class IterationCapHit(PerronKitError):
-    """An inner scaling loop exceeded its iteration cap.
+    """An inner scaling or refinement loop exceeded its iteration cap or its
+    residual ceiling, or left the positive finite range.
 
     Signals either that the shifted matrix is not an M-matrix or that the
     supplied conditioning bound ``K`` is too small.

@@ -12,12 +12,14 @@ The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
 sharpened with shift-and-invert (inverse iteration shifted just above the
 best upper bound), a bracket that is sound for any conditioning; they fall
 back to the bisection only when that loop fails.  One scaling scan at the
-bracket's upper end then yields positive approximate eigenvectors, and a
-doubling loop over the conditioning guess turns them into a
-Collatz-Wielandt-certified eigenvalue estimate.  Deciding ``rho(A) < bound``
-needs no eigenvectors: the bracket alone settles it unless ``rho(A)`` sits
-at the bound.  Every certificate comes from one builder, so its CW sandwich
-is exactly :func:`collatz_wielandt_bounds` of its right vector.
+bracket's upper end then yields positive approximate eigenvectors, and one
+doubling loop over the conditioning guess (``_perron_rounds``) turns them
+into a Collatz-Wielandt-certified eigenvalue estimate.  Deciding
+``rho(A) < bound`` needs no eigenvectors: the bracket alone settles it unless
+it fails or ``rho(A)`` sits at the bound, and a failed bracket hands the
+decision to the same round loop.  Every certificate comes from one builder,
+so its CW sandwich is exactly :func:`collatz_wielandt_bounds` of its right
+vector, and every verdict can be re-checked from its two vectors alone.
 """
 
 from __future__ import annotations
@@ -63,12 +65,6 @@ __all__ = [
     "certify_spectral_bound",
 ]
 
-# unreachable in a real run: for any delta < 1 the round precision
-# delta / (8 K^2) drops below the float spacing by K = 2**25 and
-# compute_perron raises there first; tests lower it to bound the rounds
-_K_CAP = 2**40
-
-
 class Verdict(Enum):
     IS_M_MATRIX_SHIFTED = "is_m_matrix_shifted"
     NOT_M_MATRIX = "not_m_matrix"
@@ -105,10 +101,10 @@ class PerronCertificate:
 
     ``s`` is the eigenvalue estimate: the better of the two vectors'
     Collatz-Wielandt lower bounds, so ``s <= rho(A)``, when the certificate
-    comes from :func:`compute_perron` or from the bracket of
-    :func:`certify_spectral_bound`.  ``cw_lower``/``cw_upper`` are the
-    Collatz-Wielandt sandwich of the spectral radius computed from the right
-    vector, ``k_final`` the conditioning guess at acceptance (1 for a bracket
+    comes from :func:`compute_perron` or :func:`certify_spectral_bound`.
+    ``cw_lower``/``cw_upper`` are the Collatz-Wielandt sandwich of the
+    spectral radius computed from the right vector, ``k_final`` the
+    conditioning guess of the round that produced it (1 for a bracket
     certificate, which needs none), and the residual fields the relative
     sup-norm eigen-residuals of each vector at ``s``.  :func:`simple_perron`
     returns its upper estimate as ``s`` and its scaling pair as vectors.
@@ -168,6 +164,7 @@ def _structure_check(A: SparseMatrix):
 
 _WITNESS_TEXT = {
     "iteration cap": "inner loop exceeded its iteration cap",
+    "residual ceiling": "inner residual passed its ceiling or went non-finite",
     "nonpositive scaling": "scaling iterate had a nonpositive entry",
     "window violation": "phase exit window (1/2, 3/2) violated",
     "solver budget": "scaled-system conditioning exceeded the solver budget",
@@ -207,9 +204,10 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
 
     ``gamma`` budgets the conditioning: it is valid, and the positive side
     complete, when ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.
-    Below that a witness, the ``"solver budget"`` and ``"iteration cap"``
-    ones in particular, can mean only that ``gamma`` was too small: on an
-    M-matrix whose inverse norms exceed ``gamma`` the scan's checks may fire.
+    Below that a witness, the ``"solver budget"``, ``"iteration cap"`` and
+    ``"residual ceiling"`` ones in particular, can mean only that ``gamma``
+    was too small: on an M-matrix whose inverse norms exceed ``gamma`` the
+    scan's checks may fire.
     Above the dense cutoff the phase solves are iterative, to relative
     residual ``1 / (8 gamma)``; one that misses it ends the scan with the
     ``"solver budget"`` witness, never ``"iteration cap"``.  A final pair
@@ -281,7 +279,10 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
         raise ValueError("eps must lie in (0, 1/4)")
     if K <= 0.0:
         raise ValueError("K must be positive")
-    s, _, pair = _simple_perron_core(A, eps, K, _CWBracket(A))
+    s = _CWBracket(A).upper(eps)
+    if s is None:
+        s, _ = find_perron_value(A, 0.0, induced_norms(A).norm_inf, eps, K)
+    _, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
     return _certificate(A, pair.left, pair.right, K, s=s)
 
 
@@ -317,9 +318,6 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
 _CW_MAX_STEPS = 32
-# refinements (compute_perron calls) of certify_spectral_bound once its
-# bracket has failed
-_MAX_REFINEMENTS = 24
 # relative residual of the bracket's and the polish's solves above the dense
 # cutoff: loose solves keep every bound valid but widen the CW sandwich
 _CW_SOLVE_TOL = 1e-10
@@ -333,11 +331,10 @@ class _CWBracket:
     positive and both iterates stay in the positive cone.  For positive
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
     bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
-    no ``K``.  One bracket serves every round of a :func:`compute_perron`
-    call: a tighter ``eps`` continues from the last iterates.  Once it has
-    failed, ``proven_upper`` holds the upper end of the last
-    :func:`find_perron_value`, an upper bound on ``rho(A)`` whatever its
-    ``K``, where the next round's bisection starts.
+    no ``K``.  One bracket serves every round of ``_perron_rounds``, and
+    :func:`certify_spectral_bound` hands the one it ran to its rounds: a
+    tighter ``eps`` continues from the last iterates, and once the bracket
+    has failed every later ``upper`` returns ``None`` at once.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -350,7 +347,6 @@ class _CWBracket:
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
-        self.proven_upper = None
         self._prob = None
 
     def _iterates(self):
@@ -404,25 +400,35 @@ class _CWBracket:
         ``bound`` (True), or the better lower bound at or above it (False).
         ``None`` when the bracket fails, or when its bounds meet within
         rounding on either side of ``bound`` (``met_at_bound`` is then set).
-
-        Each bound is a ratio of sums of nonnegative products, computed to a
-        relative error below ``(n + 2)`` machine epsilons (barring
-        underflow); both tests keep that margin, so rounding cannot decide
-        the wrong side."""
+        Both tests are :func:`_settles`, so rounding cannot decide the wrong
+        side."""
         tol = (self.A.n_rows + 2) * np.finfo(float).eps
         for _ in self._iterates():
             lo = self.lower
             his = (self.cw_right[1], self.cw_left[1])
-            if max(his) * (1.0 + tol) < bound:
-                return True
-            if lo * (1.0 - tol) >= bound:
-                return False
+            verdict = _settles(lo, his, bound, tol)
+            if verdict is not None:
+                return verdict
             # the best upper bound settles nothing either, and no step can
             # narrow it past rounding
             if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
                 self.met_at_bound = True
                 return None
         return None
+
+
+def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> bool | None:
+    """``rho < bound`` from CW bounds, or ``None`` when they settle nothing:
+    True when both upper bounds ``his`` (of a right vector on ``A`` and a
+    left one on ``A.T``) lie below ``bound``, False when the lower bound
+    ``lo`` reaches it.  Each bound is a ratio of sums of nonnegative
+    products, computed to a relative error below ``tol = (n + 2)`` machine
+    epsilons (barring underflow); both tests keep that margin."""
+    if max(his) * (1.0 + tol) < bound:
+        return True
+    if lo * (1.0 - tol) >= bound:
+        return False
+    return None
 
 
 def _unit_positive(x: np.ndarray) -> np.ndarray | None:
@@ -433,52 +439,55 @@ def _unit_positive(x: np.ndarray) -> np.ndarray | None:
     return x if np.all(x >= np.finfo(float).tiny) else None
 
 
-def _simple_perron_core(A: SparseMatrix, eps: float, K: float, bracket: _CWBracket):
-    """``(s, prob, pair)``: the upper estimate ``s`` and the scaling pair
-    certifying ``prob.scaled_shift(eps / 3, pair.left, pair.right)`` RCDD."""
-    s = bracket.upper(eps)
-    if s is None:
-        s2 = bracket.proven_upper or induced_norms(A).norm_inf
-        s, _ = find_perron_value(A, 0.0, s2, eps, K)
-        bracket.proven_upper = s
-    prob, scale_pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
-    return s, prob, scale_pair
+def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
+    """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
+    one ``(K, s_upper, cert)`` per round.  ``s_upper`` bounds ``rho(A)``
+    from above to precision ``delta / (8 K^2)``: from ``bracket`` while it
+    works, else from the bisection, each round after the first started at
+    the upper end the previous one proved.  ``cert`` is the certificate of
+    the polished scaling pair at ``s_upper (1 + eps/2)``, ``None`` when the
+    scan fails (``K`` too small) or the certificate underflows.  From the
+    second round on, a round precision below the float spacing
+    (``np.finfo(float).eps``) raises :class:`KCapExceeded`: no later round
+    can certify where rounding alone exceeds it, so the loop always ends."""
+    s2 = None  # the last bisection's upper end, a bound on rho(A) for any K
+    K = 1.0
+    while True:
+        eps = delta / (8.0 * K * K)
+        if K > 1.0 and eps < np.finfo(float).eps:
+            raise KCapExceeded(
+                f"round precision delta / (8 K^2) = {eps:.3e} at K = {K:g} is "
+                "below the float spacing; no later round can certify"
+            )
+        s = bracket.upper(eps)
+        if s is None:
+            s, _ = find_perron_value(A, 0.0, s2 or induced_norms(A).norm_inf, eps, K)
+            s2 = s
+        try:
+            prob, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
+        except IterationCapHit:
+            cert = None
+        else:
+            cert = _certificate(A, *_polish_pair(prob, eps, pair), K)
+        yield K, s, cert
+        K *= 2.0
 
 
 def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     """Certified Perron estimate: ``(1 - delta) rho(A) < s <= rho(A)``.
 
-    Doubles a conditioning guess ``K`` starting from 1.  Each round asks
-    :func:`simple_perron` for precision ``delta / (8 K^2)``; the round is
-    accepted when the returned vectors are ``delta / (2 K^2)``-approximate
-    eigenvectors of the certified lower bound ``s`` (the better of the two
-    Collatz-Wielandt lower bounds, hence ``s <= rho(A)``) and at least one
-    side certifies ``(1 - delta)`` of the upper estimate.  The upper estimate
-    comes from one Collatz-Wielandt shift-and-invert bracket per call, which
-    later rounds tighten from its last iterates; the bisection runs only if
-    that bracket fails, each later round from the upper end the previous
-    one proved.  From the second round on, a round precision below the
-    float spacing (``np.finfo(float).eps``) raises :class:`KCapExceeded` at
-    once: no later round can certify where rounding alone exceeds it.
+    Doubles a conditioning guess ``K`` from 1.  Each round computes an upper
+    estimate to precision ``delta / (8 K^2)`` and a scaled pair there, as
+    :func:`simple_perron` does; it is accepted when the pair's vectors are
+    ``delta / (2 K^2)``-approximate eigenvectors of the certified lower bound
+    ``s`` (the better of the two Collatz-Wielandt lower bounds, hence
+    ``s <= rho(A)``) and at least one side certifies ``(1 - delta)`` of the
+    upper estimate.  Raises :class:`KCapExceeded` once a round's precision
+    falls below the float spacing, where no round can certify.
     """
     _structure_check(A)
     _check_open_unit(delta, "delta")
-    bracket = _CWBracket(A)
-    K = 1.0
-    while K <= _K_CAP:
-        eps_round = delta / (8.0 * K * K)
-        if K > 1.0 and eps_round < np.finfo(float).eps:
-            raise KCapExceeded(
-                f"round precision delta / (8 K^2) = {eps_round:.3e} at K = {K:g} is "
-                "below the float spacing; no later round can certify"
-            )
-        try:
-            s_upper, prob, pair = _simple_perron_core(A, eps_round, K, bracket)
-        except IterationCapHit:
-            K *= 2.0
-            continue
-        left, right = _polish_pair(prob, eps_round, pair)
-        cert = _certificate(A, left, right, K)
+    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A)):
         threshold = delta / (2.0 * K * K)
         if (
             cert is not None
@@ -488,8 +497,6 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
             and cert.cw_lower >= (1.0 - delta) * cert.s
         ):
             return cert
-        K *= 2.0
-    raise KCapExceeded(f"conditioning guess passed {_K_CAP} without certifying")
 
 
 def _polish_pair(prob: _Problem, eps: float, pair):
@@ -521,20 +528,18 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
     Continues one Collatz-Wielandt shift-and-invert bracket until its bounds
     settle the question, which needs no scaling scan: True once the CW upper
     bounds of both the right and the left iterate lie below ``bound``, False
-    once the better CW lower bound reaches it.  The certificate is built from
-    that iterate pair: ``s`` is the better CW lower bound (so ``s <= rho(B)``),
+    once the better CW lower bound reaches it, each with an ``(n + 2)``
+    machine-epsilon rounding margin.  The certificate is built from that
+    iterate pair: ``s`` is the better CW lower bound (so ``s <= rho(B)``),
     ``cw_lower``/``cw_upper`` are the right vector's CW bounds, the residuals
     are the eigen-residuals at ``s`` and ``k_final`` is 1.
 
-    Should the bracket fail, the decision falls back to
-    :func:`compute_perron` with ``delta`` = 1/4, 1/16, ...: its estimate
-    satisfies ``s <= rho(B) < s / (1 - delta)``, so either inequality against
-    the bound is certified once delta is small enough, and the certificate is
-    that call's.  Raises :class:`BoundaryUndecidable` at once when the
-    bracket's bounds meet within rounding of ``bound``, where no refinement
-    can do better, and when ``rho(B)`` sits at the bound within
-    ``_MAX_REFINEMENTS`` (24) such calls or one of them exhausts its
-    conditioning guess.
+    Should the bracket fail, the same test runs on the certificate of each
+    round of :func:`compute_perron`'s doubling loop at ``delta`` = 1/4,
+    continued from that bracket, so every verdict can be re-checked from the
+    certificate's two vectors alone.  Raises :class:`BoundaryUndecidable`
+    when the bracket's bounds meet within rounding of ``bound``, and when
+    the rounds reach the float spacing without settling it.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
@@ -547,20 +552,16 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
         raise BoundaryUndecidable(
             "spectral radius within rounding of the bound; cannot certify either side"
         )
-    delta = 0.25
-    for _ in range(_MAX_REFINEMENTS):
-        try:
-            cert = compute_perron(B, delta)
-        except KCapExceeded as exc:
-            raise BoundaryUndecidable(
-                f"no certificate at delta {delta:.2e} ({exc}); cannot certify either side"
-            ) from None
-        if cert.s >= bound:
-            return False, cert
-        if cert.s < bound * (1.0 - delta):
-            return True, cert
-        delta /= 4.0
-    raise BoundaryUndecidable(
-        f"spectral radius within a factor {delta:.2e} of the bound; "
-        "cannot certify either side"
-    )
+    tol = (B.n_rows + 2) * np.finfo(float).eps
+    try:
+        for _, _, cert in _perron_rounds(B, 0.25, bracket):
+            if cert is None:
+                continue
+            his = (cert.cw_upper, _cw_bounds(B, cert.left, transpose=True)[1])
+            valid = _settles(cert.s, his, bound, tol)
+            if valid is not None:
+                return valid, cert
+    except KCapExceeded as exc:
+        raise BoundaryUndecidable(
+            f"no round settled the bound ({exc}); cannot certify either side"
+        ) from None

@@ -320,7 +320,7 @@ def _richardson_phase(
                 ell, res_l = r, res_r
             k += 1
             if not np.isfinite(worst) or worst > residual_ceiling:
-                raise _ScanFailure("iteration cap", phase, alpha)
+                raise _ScanFailure("residual ceiling", phase, alpha)
     if positive and (np.any(r <= 0.0) or np.any(ell <= 0.0)):
         raise _ScanFailure("nonpositive scaling", phase, alpha)
     wr = 1.0 + res_r

@@ -6,14 +6,16 @@ every test (and the acceptance suite) is reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import signal
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import perronkit.perron
 import perronkit.rcdd
-from perronkit import BackendDiverged, SparseMatrix
+from perronkit import BackendDiverged, KCapExceeded, SparseMatrix
 from perronkit.oracle import dense_spectral_radius
 
 # wall seconds one test may run; the slowest takes about 10
@@ -161,3 +163,20 @@ def fail_krylov(monkeypatch):
     """Every Krylov pass fails, as on a matrix that defeats the method."""
     for name in ("_bicgstab_core", "_cg_core"):
         monkeypatch.setattr(perronkit.rcdd, name, missing_core)
+
+
+def record_rounds(monkeypatch, limit=None):
+    """Record the ``K`` of every round ``perron._perron_rounds`` runs in the
+    returned list.  With a ``limit`` each call runs at most that many rounds
+    and then raises :class:`KCapExceeded`, as the float floor does later."""
+    ks = []
+    real = perronkit.perron._perron_rounds
+
+    def rounds(*args):
+        for item in itertools.islice(real(*args), limit):
+            ks.append(item[0])
+            yield item
+        raise KCapExceeded(f"round budget of {limit} spent")
+
+    monkeypatch.setattr(perronkit.perron, "_perron_rounds", rounds)
+    return ks

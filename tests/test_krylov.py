@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-import perronkit.perron
 import perronkit.rcdd
 from perronkit import (
     BackendDiverged,
@@ -43,6 +42,7 @@ from conftest import (
     random_irreducible_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
+    record_rounds,
 )
 
 N = 500
@@ -308,9 +308,9 @@ def test_faulty_solves_stay_sound(monkeypatch, small_ring, krylov_at_150, fault)
     rho = 1.1 input, ``solve_m`` either raises or returns an operator that
     meets its contract, and every Perron certificate has ``s <= rho``."""
     monkeypatch.setattr(_KrylovSolver, "solve", FAULTS[fault])
-    # a loose delta and a short conditioning-guess budget keep the cases
-    # quick whose noise defeats the bracket and sends them to the bisection
-    monkeypatch.setattr(perronkit.perron, "_K_CAP", 2.0)
+    # a loose delta and two rounds (K = 1, 2) keep the cases quick whose
+    # noise defeats the bracket and sends them to the bisection
+    record_rounds(monkeypatch, 2)
     M, rho = small_ring
     assert not m_decide(scaled(M, rho, 1.1), 1e-3, 1e3).is_m_matrix
 

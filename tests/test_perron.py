@@ -28,7 +28,7 @@ from perronkit.oracle import dense_spectral_radius
 from perronkit.perron import _CWBracket
 from perronkit.rcdd import _DENSE_CUTOFF
 
-from conftest import random_irreducible, random_irreducible_dense
+from conftest import random_irreducible, random_irreducible_dense, record_rounds
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
@@ -54,6 +54,16 @@ class TestMDecide:
             out.scaling.right,
         )
         assert check_rcdd(S, 1e-12)
+
+    def test_residual_ceiling_witness_names_the_ceiling(self):
+        """On ``[[1.5]]`` the inner residual grows by 1.5 per step and passes
+        the scan's ceiling long before the iteration cap; the witness says
+        so."""
+        out = m_decide(SparseMatrix.from_dense([[1.5]]), 0.125, 4.0)
+        assert out.verdict is Verdict.NOT_M_MATRIX
+        assert out.witness.startswith(
+            "inner residual passed its ceiling or went non-finite at phase 2 "
+        )
 
     def test_double_two_cycle_is_not(self):
         out = m_decide(TWO_CYCLE.scaled(2.0), 0.1, 10.0)
@@ -284,7 +294,6 @@ class TestComputePerron:
         end at or above ``rho``: the second round's precision is below the
         float spacing and raises at once."""
         monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
-        monkeypatch.setattr(perronkit.perron, "_K_CAP", 2.0)
         ends = []
         real_find = perronkit.perron.find_perron_value
 
@@ -310,8 +319,8 @@ class TestComputePerron:
     def test_delta_below_the_float_floor_raises_at_once(self, path, monkeypatch):
         """A ``delta`` whose second round asks for a precision ``delta / (8
         K^2)`` below the float spacing raises :class:`KCapExceeded` at that
-        round instead of running every ``K`` up to ``_K_CAP``; one decade
-        above, ``delta`` still certifies at ``K`` = 1."""
+        round instead of running more rounds; one decade above, ``delta``
+        still certifies at ``K`` = 1."""
         if path == "fallback":
             monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
         for name, M in self.FLOAT_FLOOR_PROBES.items():
@@ -485,39 +494,41 @@ class TestCWBracket:
 
 
 class TestCertifySpectralBound:
-    """``rho(B) < bound`` from the bracket, and from the refinement loop it
-    falls back to, against the dense oracle's radius."""
+    """``rho(B) < bound`` from the bracket, and from the rounds it falls
+    back to, against the dense oracle's radius."""
 
     MARGINS = (1e-1, 1e-3, 1e-6)
 
     @pytest.mark.parametrize("path", ["bracket", "fallback"])
     def test_sound_on_both_sides_of_the_bound(self, soundness_instances, path, monkeypatch):
-        calls = []
-        real = perronkit.perron.compute_perron
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(perronkit.perron, "compute_perron", counted)
+        """Each verdict is re-checked from the certificate's vectors alone:
+        both CW upper bounds below the bound, or a CW lower bound at or above
+        it, with the ``(n + 2)``-epsilon rounding margin."""
+        rounds = record_rounds(monkeypatch)
         if path == "fallback":
             monkeypatch.setattr(_CWBracket, "decide", lambda self, bound: None)
         for name, M, rho in soundness_instances:
             B = SparseMatrix.from_dense(M)
+            B_t = SparseMatrix.from_dense(M.T)
+            tol = (B.n_rows + 2) * np.finfo(float).eps
             for margin in self.MARGINS:
                 for bound in (rho * (1 - margin), rho * (1 + margin)):
                     valid, cert = certify_spectral_bound(B, bound)
                     assert valid == (rho < bound), (name, margin)
                     assert cert.s <= rho * (1 + 1e-8), (name, margin)
                     assert cert.cw_upper >= rho * (1 - 1e-10), (name, margin)
+                    lo_right, hi_right = collatz_wielandt_bounds(B, cert.right)
+                    lo_left, hi_left = collatz_wielandt_bounds(B_t, cert.left)
                     if valid:
                         assert cert.cw_upper < bound, (name, margin)
+                        assert max(hi_right, hi_left) * (1 + tol) < bound, (name, margin)
                     else:
                         assert cert.s >= bound, (name, margin)
+                        assert max(lo_right, lo_left) * (1 - tol) >= bound, (name, margin)
         if path == "bracket":
-            assert calls == []
+            assert rounds == []
         else:
-            assert calls and min(calls) < 1e-6
+            assert rounds and max(rounds) > 1.0
 
     def test_bracket_certificate_fields(self):
         B = random_irreducible(np.random.default_rng(21), 15)
@@ -543,12 +554,13 @@ class TestCertifySpectralBound:
         M[np.arange(n), (np.arange(n) + 1) % n] = weights
         B = SparseMatrix.from_dense(M)
         assert _CWBracket(B).decide(1.0) in (None, False)
-        for refinements in (0, 2, 24):
-            monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", refinements)
-            try:
-                valid, cert = certify_spectral_bound(B, 1.0)
-            except BoundaryUndecidable:
-                continue
+        for limit in (0, 2, None):
+            with monkeypatch.context() as patch:
+                record_rounds(patch, limit)
+                try:
+                    valid, cert = certify_spectral_bound(B, 1.0)
+                except BoundaryUndecidable:
+                    continue
             assert not valid and cert.s >= 1.0
 
     @staticmethod
@@ -569,7 +581,7 @@ class TestCertifySpectralBound:
         assert B.matvec(np.ones(m)).max() < bound <= R
         return B, bound
 
-    def test_rounding_cannot_certify_the_valid_side(self, monkeypatch):
+    def test_rounding_cannot_certify_the_valid_side(self):
         """Every computed row sum of the circulant rounds below ``bound``: a
         bare comparison would certify ``rho < bound``.  The bracket sees its
         bounds meet within rounding at its first iterate and decides
@@ -578,56 +590,55 @@ class TestCertifySpectralBound:
         bracket = _CWBracket(B)
         assert bracket.decide(bound) is None and bracket.factorizations == 0
         assert bracket.met_at_bound and not bracket.failed
-        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", 0)
         with pytest.raises(BoundaryUndecidable):
             certify_spectral_bound(B, bound)
 
     def test_rounding_tie_is_undecidable_at_once(self, monkeypatch):
-        """With the default refinement budget too, bounds that meet within
-        rounding raise :class:`BoundaryUndecidable` without a refinement: a
-        ``compute_perron`` at a rounding-level delta can only exhaust its
-        conditioning guess."""
-        calls = []
-        monkeypatch.setattr(
-            perronkit.perron, "compute_perron", lambda A, delta: calls.append(delta)
-        )
+        """Bounds that meet within rounding raise
+        :class:`BoundaryUndecidable` without a round: rounds can only run to
+        the float floor there."""
+        rounds = record_rounds(monkeypatch)
         B, bound = self.circulant_at_its_row_sum()
         with pytest.raises(BoundaryUndecidable, match="rounding"):
             certify_spectral_bound(B, bound)
-        assert calls == []
+        assert rounds == []
 
-    def test_exhausted_refinement_is_undecidable(self, monkeypatch):
-        """A refinement that exhausts its conditioning guess is reported as
+    def test_exhausted_rounds_are_undecidable(self, monkeypatch):
+        """Rounds that end in :class:`KCapExceeded` are reported as
         :class:`BoundaryUndecidable`, the error for an undecided bound."""
         monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
-
-        def exhausted(A, delta):
-            raise KCapExceeded("conditioning guess passed the cap")
-
-        monkeypatch.setattr(perronkit.perron, "compute_perron", exhausted)
+        record_rounds(monkeypatch, 0)
         B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
-        with pytest.raises(BoundaryUndecidable, match="conditioning guess"):
+        with pytest.raises(BoundaryUndecidable, match="round budget"):
             certify_spectral_bound(B, 1.0)
 
-    def test_undecided_bracket_takes_the_refinement_loop(self, monkeypatch):
-        """An exhausted bracket leaves the decision, and the budget in
-        ``_MAX_REFINEMENTS``, to :func:`compute_perron`."""
+    def test_undecided_bracket_takes_the_round_loop(self, monkeypatch):
+        """An exhausted bracket leaves the decision to the rounds of
+        ``_perron_rounds``, continued from that bracket."""
         monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
-        deltas = []
-        real = perronkit.perron.compute_perron
-        monkeypatch.setattr(
-            perronkit.perron, "compute_perron", lambda A, delta: deltas.append(delta) or real(A, delta)
-        )
         # all-ones is the right Perron vector, but not the left one
         B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
-        default = perronkit.perron._MAX_REFINEMENTS
-        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", 0)
-        with pytest.raises(BoundaryUndecidable):
-            certify_spectral_bound(B, 1.0)
-        assert deltas == []
-        monkeypatch.setattr(perronkit.perron, "_MAX_REFINEMENTS", default)
+        with monkeypatch.context() as patch:
+            rounds = record_rounds(patch, 0)
+            with pytest.raises(BoundaryUndecidable):
+                certify_spectral_bound(B, 1.0)
+        assert rounds == []
+        rounds = record_rounds(monkeypatch)
         valid, cert = certify_spectral_bound(B, 1.0)
-        assert valid and deltas[:1] == [0.25]
+        assert valid and rounds[:1] == [1.0]
+
+    def test_fallback_continues_the_failed_bracket(self, soundness_instances, monkeypatch):
+        """With the bracket forced off, the rounds share one bisection that
+        each round narrows, instead of a ``compute_perron`` per refinement
+        restarting it from ``||B||_inf``: the wide-weight n=5 instance at a
+        1e-6 margin certifies within seconds."""
+        monkeypatch.setattr(_CWBracket, "decide", lambda self, bound: None)
+        monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        ((M, rho),) = [(M, rho) for name, M, rho in soundness_instances if name == "wide-5"]
+        start = time.perf_counter()
+        valid, cert = certify_spectral_bound(SparseMatrix.from_dense(M), rho * (1 + 1e-6))
+        assert valid and cert.cw_upper < rho * (1 + 1e-6)
+        assert time.perf_counter() - start < 10.0
 
     def test_rejects_reducible_and_bad_bound(self):
         with pytest.raises(NotIrreducible):

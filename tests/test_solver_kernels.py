@@ -113,8 +113,8 @@ def test_csr_scaled_shift_matches_sparse_products(diagonal):
 
 def test_singular_phase_matrix_fails_the_scan(monkeypatch):
     """An exactly singular phase matrix warns at the factorization and solves
-    to non-finite values without raising; the scan's finiteness check then
-    stops it."""
+    to non-finite values without raising; the scan's finiteness check, part
+    of its residual ceiling, then stops it."""
     singular = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     monkeypatch.setattr(_Problem, "scaled_shift", lambda self, alpha, ell, r: singular.copy())
     finite = []
@@ -128,7 +128,7 @@ def test_singular_phase_matrix_fails_the_scan(monkeypatch):
     monkeypatch.setattr(_DirectSolver, "solve", solve)
     A = SparseMatrix.from_dense(np.full((3, 3), 0.1))
     with pytest.warns(scipy.linalg.LinAlgWarning):
-        with pytest.raises(IterationCapHit, match="iteration cap"):
+        with pytest.raises(IterationCapHit, match="residual ceiling"):
             mmatrix_scale(A, 1.0, 1e-3, 4.0)
     assert finite == [False, False]
 
@@ -373,7 +373,7 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
         lambda: factor_width2_solve(M, b, 1e-6),
     ]
     for call in calls:
-        with pytest.raises(IterationCapHit, match="iteration cap"):
+        with pytest.raises(IterationCapHit, match="residual ceiling"):
             call()
 
 
@@ -515,14 +515,14 @@ def sparse_instance_at(rho, n=400, seed=58):
 @pytest.mark.parametrize("rho", [0.9, 0.99, 1.1])
 def test_certify_factors_only_the_bracket(monkeypatch, rho):
     """Away from the bound the shift-and-invert bracket alone decides: no
-    scan, no Perron computation, a handful of Krylov solvers."""
+    scan, no Perron round, a handful of Krylov solvers."""
     B = sparse_instance_at(rho)
     counts = count_factorizations(monkeypatch)
-    count_calls(monkeypatch, counts, perronkit.perron, "compute_perron")
+    count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
     count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
     valid, _ = perronkit.perron.certify_spectral_bound(B, 1.0)
     assert valid == (rho < 1.0)
-    assert counts["compute_perron"] == 0 and counts["_halving_scan"] == 0
+    assert counts["_perron_rounds"] == 0 and counts["_halving_scan"] == 0
     assert counts["lu_factor"] == counts["splu"] == 0 and 1 <= counts["krylov"] <= 8
 
 
@@ -530,13 +530,13 @@ def test_katz_certify_runs_no_scan(monkeypatch):
     """Katz's scans are its solve's: one per ``solve_m`` build."""
     B = sparse_instance_at(0.99)
     counts = {}
-    count_calls(monkeypatch, counts, perronkit.perron, "compute_perron")
+    count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
     count_calls(monkeypatch, counts, perronkit.apps, "solve_m")
     count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
     b = np.ones(B.n_rows)
     v, _ = katz_centrality(B, 1.0, b, 1e-8)
     assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
-    assert counts["compute_perron"] == 0
+    assert counts["_perron_rounds"] == 0
     assert counts["_halving_scan"] == counts["solve_m"] >= 1
 
 
