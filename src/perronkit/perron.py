@@ -11,15 +11,17 @@ decision brackets the spectral radius.
 The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
 sharpened with shift-and-invert (inverse iteration shifted just above the
 best upper bound), a bracket that is sound for any conditioning; they fall
-back to the bisection only when that loop fails.  One scaling scan at the
-bracket's upper end then yields positive approximate eigenvectors, and one
-doubling loop over the conditioning guess (``_perron_rounds``) turns them
-into a Collatz-Wielandt-certified eigenvalue estimate.  Deciding
-``rho(A) < bound`` needs no eigenvectors: the bracket alone settles it unless
-it fails or ``rho(A)`` sits at the bound, and a failed bracket hands the
-decision to the same round loop.  Every certificate comes from one builder,
-so its CW sandwich is exactly :func:`collatz_wielandt_bounds` of its right
-vector, and every verdict can be re-checked from its two vectors alone.
+back to the bisection only when that loop fails.  One doubling loop over the
+conditioning guess (``_perron_rounds``) turns positive approximate
+eigenvectors into a Collatz-Wielandt-certified eigenvalue estimate: each
+round offers the bracket's own iterates first, and only when they fail
+acceptance runs one scaling scan at the bracket's upper end and polishes
+its pair.  Deciding ``rho(A) < bound`` needs no eigenvectors: the bracket
+alone settles it unless it fails or ``rho(A)`` sits at the bound, and a
+failed bracket hands the decision to the same round loop.  Every
+certificate comes from one builder, so its CW sandwich is exactly
+:func:`collatz_wielandt_bounds` of its right vector, and every verdict can
+be re-checked from its two vectors alone.
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ class PerronCertificate:
     comes from :func:`compute_perron` or :func:`certify_spectral_bound`.
     ``cw_lower``/``cw_upper`` are the Collatz-Wielandt sandwich of the
     spectral radius computed from the right vector, ``k_final`` the
-    conditioning guess of the round that produced it (1 for a bracket
-    certificate, which needs none), and the residual fields the relative
-    sup-norm eigen-residuals of each vector at ``s``.  :func:`simple_perron`
-    returns its upper estimate as ``s`` and its scaling pair as vectors.
+    conditioning guess ``K`` of the round that produced it for any
+    :func:`compute_perron` certificate, bracket pair or scaled pair alike
+    (1 for :func:`certify_spectral_bound`'s bracket certificate, which needs
+    none), and the residual fields the relative sup-norm eigen-residuals of
+    each vector at ``s``.  :func:`simple_perron` returns its upper estimate
+    as ``s`` and its scaling pair as vectors.
     """
 
     s: float
@@ -441,15 +445,19 @@ def _unit_positive(x: np.ndarray) -> np.ndarray | None:
 
 def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
     """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
-    one ``(K, s_upper, cert)`` per round.  ``s_upper`` bounds ``rho(A)``
-    from above to precision ``delta / (8 K^2)``: from ``bracket`` while it
-    works, else from the bisection, each round after the first started at
-    the upper end the previous one proved.  ``cert`` is the certificate of
-    the polished scaling pair at ``s_upper (1 + eps/2)``, ``None`` when the
-    scan fails (``K`` too small) or the certificate underflows.  From the
-    second round on, a round precision below the float spacing
-    (``np.finfo(float).eps``) raises :class:`KCapExceeded`: no later round
-    can certify where rounding alone exceeds it, so the loop always ends."""
+    up to two ``(K, s_upper, cert)`` candidates per round.  ``s_upper``
+    bounds ``rho(A)`` from above to precision ``delta / (8 K^2)``: from
+    ``bracket`` while it works, else from the bisection, started at the
+    failed bracket's CW lower bound less its rounding margin and, after the
+    first round, at the upper end the previous one proved.  While the
+    bracket works the round first yields the certificate of its own
+    iterates; only if the consumer resumes does it scale at
+    ``s_upper (1 + eps/2)`` and yield the certificate of the polished
+    scaling pair, ``None`` when the scan fails (``K`` too small) or the
+    certificate underflows.  From the second round on, a round precision
+    below the float spacing (``np.finfo(float).eps``) raises
+    :class:`KCapExceeded`: no later round can certify where rounding alone
+    exceeds it, so the loop always ends."""
     s2 = None  # the last bisection's upper end, a bound on rho(A) for any K
     K = 1.0
     while True:
@@ -461,8 +469,13 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
             )
         s = bracket.upper(eps)
         if s is None:
-            s, _ = find_perron_value(A, 0.0, s2 or induced_norms(A).norm_inf, eps, K)
+            # the CW lower bound holds for any K; the margin is _settles'
+            tol = (A.n_rows + 2) * np.finfo(float).eps
+            s1 = max(0.0, bracket.lower * (1.0 - tol))
+            s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
             s2 = s
+        else:
+            yield K, s, _certificate(A, bracket.left, bracket.right, K)
         try:
             prob, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
         except IterationCapHit:
@@ -477,8 +490,11 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     """Certified Perron estimate: ``(1 - delta) rho(A) < s <= rho(A)``.
 
     Doubles a conditioning guess ``K`` from 1.  Each round computes an upper
-    estimate to precision ``delta / (8 K^2)`` and a scaled pair there, as
-    :func:`simple_perron` does; it is accepted when the pair's vectors are
+    estimate to precision ``delta / (8 K^2)``.  Its first candidate pair is
+    the shift-and-invert bracket's own right and left iterates; only when
+    those fail acceptance (or the bracket has failed) does the round scale
+    there, as :func:`simple_perron` does, and offer the polished scaling
+    pair.  A pair is accepted when its vectors are
     ``delta / (2 K^2)``-approximate eigenvectors of the certified lower bound
     ``s`` (the better of the two Collatz-Wielandt lower bounds, hence
     ``s <= rho(A)``) and at least one side certifies ``(1 - delta)`` of the

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import perronkit.perron
 from perronkit import (
@@ -309,6 +310,58 @@ class TestComputePerron:
             compute_perron(SparseMatrix.from_dense(M), 1e-15)
         assert len(ends) == 1 and min(ends) >= np.sqrt(2.0)
 
+    def test_fallback_bisects_from_the_failed_brackets_lower_bound(self, monkeypatch):
+        """A bracket that fails after a step leaves a CW lower bound that
+        holds for any ``K``: the first bisection starts just below it, less
+        the ``(n + 2)``-epsilon rounding margin, instead of at 0."""
+        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 1)
+        brackets, starts = [], []
+
+        class Bracket(_CWBracket):
+            def __init__(self, A):
+                super().__init__(A)
+                brackets.append(self)
+
+        real_find = perronkit.perron.find_perron_value
+
+        def find(A, s1, s2, eps, K):
+            starts.append(s1)
+            return real_find(A, s1, s2, eps, K)
+
+        monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        M, rho = ill_conditioned_chain()
+        delta = 1e-3
+        cert = compute_perron(SparseMatrix.from_dense(M), delta)
+        (bracket,) = brackets
+        assert bracket.failed and bracket.factorizations == 1
+        tol = (M.shape[0] + 2) * np.finfo(float).eps
+        assert starts and starts[0] == bracket.lower * (1.0 - tol)
+        assert 0.0 < starts[0] < rho
+        assert (1 - delta) * rho < cert.s <= rho * (1 + 1e-8)
+
+    def test_near_cycle_certifies_from_the_bracket_pair(self):
+        """A ring plus one random out-edge per node (n = 500, Perron vector
+        spread about 4e11): the polished scaling pair misses the residual
+        threshold in every round, so ``K`` doubled until the bracket failed
+        and each bisection took seconds; the bracket's own pair certifies at
+        ``K`` = 1, checked here from both vectors' CW bounds."""
+        rng = np.random.default_rng(1)
+        n, out_degree = 500, 1
+        perm = rng.permutation(n)
+        rows = np.concatenate([perm, np.repeat(np.arange(n), out_degree)])
+        cols = np.concatenate([np.roll(perm, -1), rng.integers(0, n, n * out_degree)])
+        vals = 10.0 ** rng.uniform(-2.0, 0.0, rows.size)
+        A = SparseMatrix.from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        delta = 1e-3
+        start = time.perf_counter()
+        cert = compute_perron(A, delta)
+        assert time.perf_counter() - start < 5.0
+        assert cert.k_final == 1.0
+        lower, upper = collatz_wielandt_bounds(A, cert.right)
+        lower_left, upper_left = collatz_wielandt_bounds(A.transpose(), cert.left)
+        assert (1 - delta) * min(upper, upper_left) <= cert.s <= max(lower, lower_left)
+
     FLOAT_FLOOR_PROBES = {
         "weighted 6-cycle": np.roll(np.diag(np.tile([1.0, 2.0], 3)), 1, axis=1),
         "unit 6-cycle": np.roll(np.eye(6), 1, axis=1),
@@ -320,28 +373,62 @@ class TestComputePerron:
         """A ``delta`` whose second round asks for a precision ``delta / (8
         K^2)`` below the float spacing raises :class:`KCapExceeded` at that
         round instead of running more rounds; one decade above, ``delta``
-        still certifies at ``K`` = 1."""
+        still certifies at ``K`` = 1.  With the bracket on, the unit 6-cycle
+        and all-ones 3x3 certify at ``delta`` = 1e-15 from the bracket's own
+        pair, whose CW sandwich is exact on both sides; at 1e-16 the
+        bracket's stopping test cannot pass and every probe still raises."""
         if path == "fallback":
             monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        exact = {"unit 6-cycle", "all-ones 3x3"} if path == "bracket" else set()
         for name, M in self.FLOAT_FLOOR_PROBES.items():
             A = SparseMatrix.from_dense(M)
             for delta in (1e-15, 1e-16):
                 start = time.perf_counter()
-                with pytest.raises(KCapExceeded, match="below the float spacing"):
-                    compute_perron(A, delta)
+                if delta == 1e-15 and name in exact:
+                    cert = compute_perron(A, delta)
+                    lower, upper = collatz_wielandt_bounds(A, cert.right)
+                    lower_left, upper_left = collatz_wielandt_bounds(
+                        SparseMatrix.from_dense(M.T), cert.left
+                    )
+                    assert cert.cw_lower == cert.cw_upper == cert.s, name
+                    assert lower == upper == lower_left == upper_left == cert.s, name
+                else:
+                    with pytest.raises(KCapExceeded, match="below the float spacing"):
+                        compute_perron(A, delta)
                 assert time.perf_counter() - start < 5.0, (name, delta)
             assert compute_perron(A, 1e-14).k_final == 1.0, name
 
-    def test_acceptance_soundness_invariant(self):
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            n = int(rng.integers(3, 30))
-            A = random_irreducible(rng, n)
-            delta = float(rng.uniform(0.005, 0.3))
-            cert = compute_perron(A, delta)
-            lower, upper = collatz_wielandt_bounds(A, cert.right)
-            assert lower >= (1 - delta) * cert.s - 1e-9 * cert.s
-            assert lower == cert.cw_lower and upper == cert.cw_upper
+    def test_acceptance_soundness_invariant(self, monkeypatch):
+        """On the bracket's own pair and, with the bracket forced off, on the
+        scaled pair, every accepted certificate passes the acceptance checks
+        again from its vectors alone: both CW sandwiches (the left one on
+        ``A.T``) and both residuals against ``delta / (2 K^2)``."""
+        for path in ("bracket", "fallback"):
+            with monkeypatch.context() as patch:
+                if path == "fallback":
+                    patch.setattr(_CWBracket, "upper", lambda self, eps: None)
+                rng = np.random.default_rng(53)
+                for _ in range(10):
+                    n = int(rng.integers(3, 30))
+                    A = random_irreducible(rng, n)
+                    A_t = A.transpose()
+                    tol = (n + 2) * np.finfo(float).eps
+                    delta = float(rng.uniform(0.005, 0.3))
+                    cert = compute_perron(A, delta)
+                    lower, upper = collatz_wielandt_bounds(A, cert.right)
+                    lower_left, upper_left = collatz_wielandt_bounds(A_t, cert.left)
+                    assert lower >= (1 - delta) * cert.s - 1e-9 * cert.s, path
+                    assert lower == cert.cw_lower and upper == cert.cw_upper, path
+                    # s is the better CW lower bound, below both upper ones
+                    assert cert.s == pytest.approx(max(lower, lower_left), rel=tol), path
+                    assert cert.s <= min(upper, upper_left) * (1 + tol), path
+                    threshold = delta / (2.0 * cert.k_final**2)
+                    for x, Ax in (
+                        (cert.right, A.matvec(cert.right)),
+                        (cert.left, A_t.matvec(cert.left)),
+                    ):
+                        residual = np.abs(x - Ax / cert.s).max() / np.abs(x).max()
+                        assert residual <= threshold, path
 
     def test_residuals_match_recomputation(self):
         rng = np.random.default_rng(54)

@@ -235,11 +235,28 @@ def perron_sparse_instance():
     return A
 
 
+def reject_bracket_pair(monkeypatch):
+    """Make the first certificate of each ``compute_perron`` call, the
+    bracket's own pair, a failed candidate (``None``), so that its round goes
+    on to the scan and the polish.  Clear the returned list between calls."""
+    calls = []
+    real = perronkit.perron._certificate
+
+    def certificate(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+    return calls
+
+
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_factorizations(monkeypatch, storage):
-    """One strict scan, no bisection and no decision: the shift-and-invert
-    bracket, the scaling scan and the polish account for every solver, each
-    a LAPACK factorization through the scipy call a profiler patches up to the
+    """No bisection and no decision on either path of the K=1 round.  When
+    the bracket's own pair is accepted its steps are the only solvers and no
+    scan runs; when that pair is rejected, one strict scan follows and the
+    bracket, the scan and the polish account for every solver.  Each is a
+    LAPACK factorization through the scipy call a profiler patches up to the
     dense cutoff and a Krylov solver above it, with no SuperLU."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
@@ -266,20 +283,28 @@ def test_compute_perron_factorizations(monkeypatch, storage):
         [criterion_01_instance(seed) for seed in range(20)]
         if storage == "dense" else [perron_sparse_instance()]
     )
-    for A in instances:
-        for name in counts:
-            counts[name] = 0
-        scans.clear()
-        brackets.clear()
-        cert = compute_perron(A, 1e-3)
-        assert cert.k_final == 1.0
-        assert counts["find_perron_value"] == 0 and counts["_m_decide_scaled"] == 0
-        assert len(scans) == 1 and len(brackets) == 1
-        steps = brackets[0].factorizations
-        assert steps >= 1
-        # the bracket's steps, one per scan phase, one for the polish
-        assert counts[factor] == steps + scans[0] + 1
-        assert counts["lu_factor" if storage == "csr" else "krylov"] == counts["splu"] == 0
+    for path in ("bracket", "scan"):
+        if path == "scan":
+            rejected = reject_bracket_pair(monkeypatch)
+        for A in instances:
+            for name in counts:
+                counts[name] = 0
+            scans.clear()
+            brackets.clear()
+            if path == "scan":
+                rejected.clear()
+            cert = compute_perron(A, 1e-3)
+            assert cert.k_final == 1.0
+            assert counts["find_perron_value"] == 0 and counts["_m_decide_scaled"] == 0
+            assert len(brackets) == 1
+            steps = brackets[0].factorizations
+            assert steps >= 1
+            if path == "bracket":
+                assert scans == [] and counts[factor] == steps
+            else:
+                # the bracket's steps, one per scan phase, one for the polish
+                assert len(scans) == 1 and counts[factor] == steps + scans[0] + 1
+            assert counts["lu_factor" if storage == "csr" else "krylov"] == counts["splu"] == 0
 
 
 SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -489,8 +514,9 @@ def test_problem_rescale_matches_a_fresh_problem(n):
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_builds_two_problems(monkeypatch, storage):
-    """The bracket rescales one problem across its steps, and the polish
-    factors on the scan's problem: two builds per accepted round."""
+    """The bracket rescales one problem across its steps, the one build of a
+    round whose bracket pair is accepted; when that pair is rejected, the
+    polish factors on the scan's problem: two builds."""
     builds = []
     real_init = _Problem.__init__
 
@@ -500,6 +526,10 @@ def test_compute_perron_builds_two_problems(monkeypatch, storage):
 
     monkeypatch.setattr(_Problem, "__init__", init)
     A = criterion_01_instance(0) if storage == "dense" else perron_sparse_instance()
+    cert = compute_perron(A, 1e-3)
+    assert cert.k_final == 1.0 and len(builds) == 1
+    builds.clear()
+    reject_bracket_pair(monkeypatch)
     cert = compute_perron(A, 1e-3)
     assert cert.k_final == 1.0 and len(builds) == 2
 
