@@ -4,11 +4,18 @@ triplet, and random-walk graph kernels.
 Each application reduces to either an M-matrix solve (``(I - B) x = b`` with
 ``rho(B) < 1``) or a Perron computation on an explicitly formed Gram matrix.
 Spectral validity conditions are decided by the library's own certified
-machinery rather than assumed.
+machinery rather than assumed, by :func:`certify_spectral_bound`, which
+needs no conditioning budget: every negative verdict holds for any budget.
+A negative raises :class:`DecayTooLarge` or :class:`KernelDiverges`
+carrying the certificate whose CW lower bound proves it (none for a
+reducible kernel, refuted block by block), or for Leontief returns False.
+A positive verdict's certificate scales ``I - B`` RCDD, and the solve runs
+on that pair without a scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +23,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    BackendDiverged,
     DecayTooLarge,
     IterationCapHit,
     KernelDiverges,
+    NotRCDD,
     ReducibleGram,
 )
 from .perron import (
@@ -28,8 +37,14 @@ from .perron import (
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import solve_m
-from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
+from .scaling import ScalingPair, _cw_bounds, solve_from_scale, solve_m
+from .sparse import (
+    SparseMatrix,
+    _check_open_unit,
+    as_vector,
+    is_irreducible,
+    shifted_m_matrix,
+)
 
 __all__ = [
     "LabeledGraph",
@@ -125,14 +140,18 @@ def indicator_similarity(label_g: int, label_h: int) -> float:
 # shared solve plumbing
 
 
-def _k_estimate(cert: PerronCertificate) -> float:
-    """Conditioning guess for the solver from a Perron certificate of the
-    decayed matrix: ``||(I - B)^-1|| <= kappa(v) / (1 - rho)`` per side, with
-    ``rho`` bounded by the certificate's CW upper bound."""
-    gap = max(1.0 - cert.cw_upper, 1e-12)
-    kappa_r = float(cert.right.max() / cert.right.min())
-    kappa_l = float(cert.left.max() / cert.left.min())
-    return 4.0 * max(kappa_l, kappa_r) / gap
+def _inverse_norm_bounds(B: SparseMatrix, cert: PerronCertificate) -> tuple[float, float]:
+    """Bounds on ``(||(I - B)^-1||_inf, ||(I - B)^-1||_1)`` from a certificate
+    of ``rho(B) < 1``, whose CW upper bounds ``c_r`` (right vector on ``B``)
+    and ``c_l`` (left vector on ``B.T``) lie below 1.  ``B r <= c_r r`` gives
+    ``(I - B) r >= (1 - c_r) r``, and as ``(I - B)^-1`` is nonnegative its
+    row sums are at most ``kappa(r) / (1 - c_r)``; the left vector bounds
+    the column sums by ``kappa(l) / (1 - c_l)`` likewise."""
+    c_left = _cw_bounds(B, cert.left, transpose=True)[1]
+    return (
+        float(cert.right.max() / cert.right.min()) / (1.0 - cert.cw_upper),
+        float(cert.left.max() / cert.left.min()) / (1.0 - c_left),
+    )
 
 
 def _certify_reducible_decay(B: SparseMatrix):
@@ -158,8 +177,24 @@ def _certify_reducible_decay(B: SparseMatrix):
     return True, rho_upper
 
 
-def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
-    """Solve ``(I - B) x = rhs`` with cap-hit retries doubling ``K``."""
+def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, cert: PerronCertificate):
+    """Solve ``(I - B) x = rhs`` to ``eps`` from a certificate of
+    ``rho(B) < 1``: its two vectors scale ``I - B`` RCDD, so they feed
+    :func:`solve_from_scale` directly, whose solver build checks the scaled
+    matrix RCDD within ``RCDD_VERIFY_SLACK``.  A pair that fails that check,
+    or a solve that misses its contract, falls back to :func:`solve_m` at
+    the conditioning bound the certificate proves."""
+    pair = ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
+    try:
+        p_right = solve_from_scale(shifted_m_matrix(B, 1.0), pair, eps).p_right
+        return p_right.apply(rhs), p_right.report
+    except (NotRCDD, BackendDiverged):
+        return _solve_m_retried(B, rhs, eps, max(_inverse_norm_bounds(B, cert)))
+
+
+def _solve_m_retried(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
+    """Solve ``(I - B) x = rhs`` by :func:`solve_m`, with cap-hit retries
+    multiplying ``K`` by 8."""
     for _ in range(6):
         try:
             op = solve_m(B, 1.0, eps, K)
@@ -182,8 +217,11 @@ def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
 def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     """Katz influence vector ``v = (I - alpha A)^-1 b``.
 
-    The decay condition ``alpha * rho(A) < 1`` is certified through the
-    decision machinery; violation raises :class:`DecayTooLarge`.  Returns
+    The decay condition ``alpha * rho(A) < 1`` is certified by
+    :func:`certify_spectral_bound`, whose certificate's vectors then scale
+    ``I - alpha A`` for the solve.  A violation raises
+    :class:`DecayTooLarge` carrying that certificate: its CW lower bound
+    ``s >= 1`` proves the series diverges, whatever the budget.  Returns
     ``(v, report)`` with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
     """
     if not A.is_square or not A.is_nonnegative():
@@ -202,9 +240,10 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     valid, cert = certify_spectral_bound(B, 1.0)
     if not valid:
         raise DecayTooLarge(
-            f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges"
+            f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges",
+            certificate=cert,
         )
-    return _solve_decayed(B, b, eps, _k_estimate(cert))
+    return _solve_decayed(B, b, eps, cert)
 
 
 def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
@@ -213,8 +252,9 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     The verdict is True exactly when ``I - A`` is an invertible M-matrix
     (``rho(A) < 1``).  With a demand vector ``d`` and a positive verdict,
     also returns ``x`` with ``||(I - A) x - d||_2 <= eps ||d||_2``; otherwise
-    the second element is None.  Reducible economies are not decomposed: the
-    decision machinery raises :class:`NotIrreducible`.
+    the second element is None.  The verdict's certificate scales ``I - A``
+    for the solve.  Reducible economies are not decomposed: the decision
+    machinery raises :class:`NotIrreducible`.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("consumption matrix must be square and nonnegative")
@@ -229,7 +269,7 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
         return False, None
     if d is None or not np.any(d > 0.0):
         return True, (np.zeros(A.n_rows) if d is not None else None)
-    x, _ = _solve_decayed(A, d, eps, _k_estimate(cert))
+    x, _ = _solve_decayed(A, d, eps, cert)
     return True, x
 
 
@@ -337,10 +377,18 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
 
     ``p`` and ``q`` must be nonnegative unit 1-norm distributions.  The
     convergence condition ``lam * rho(W) < 1`` is certified spectrally when
-    the product graph is irreducible and through the norm sufficiency
-    condition otherwise; failure raises :class:`KernelDiverges`.  Returns
-    ``(value, report)``; the report carries the propagated scalar error
-    bound ``||q||_2 * eps * ||p||_2 * bound(||(I - lam W)^-1||)``.
+    the product graph is irreducible, and the certificate's vectors then
+    scale ``I - lam W`` for the solve; otherwise it is certified block by
+    block over the strongly connected components and the solve runs
+    :func:`solve_m`.  Failure raises :class:`KernelDiverges`, carrying the
+    certificate on the irreducible path.  Returns ``(value, report)``; the
+    report carries the propagated scalar error bound
+    ``||q||_2 * eps * ||p||_2 * bound(||(I - lam W)^-1||_2)``.  On the
+    irreducible path that bound is proven by the certificate:
+    ``sqrt(kappa(r) / (1 - c_r) * kappa(l) / (1 - c_l))`` with ``c_r`` and
+    ``c_l`` the right and left CW upper bounds (see
+    :func:`_inverse_norm_bounds`; ``||X||_2 <= sqrt(||X||_1 ||X||_inf)``).
+    On the reducible path it is the conditioning guess the solve used.
     """
     mat = W.matrix
     n = mat.n_rows
@@ -362,9 +410,11 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
         valid, cert = certify_spectral_bound(B, 1.0)
         if not valid:
             raise KernelDiverges(
-                f"certified lam * rho(W) >= {cert.s:.6g} >= 1; kernel series diverges"
+                f"certified lam * rho(W) >= {cert.s:.6g} >= 1; kernel series diverges",
+                certificate=cert,
             )
-        K = _k_estimate(cert)
+        x, report = _solve_decayed(B, p, eps, cert)
+        inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, cert)))
     else:
         # reducible product graph: rho(B) is the worst spectral radius over
         # the strongly connected component blocks, each of which the Perron
@@ -375,10 +425,10 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
                 "certified lam * rho(W) >= 1 on a strongly connected "
                 "component; kernel series diverges"
             )
-        K = max(4.0, 4.0 * B.n_rows / max(1.0 - rho_upper, 1e-9))
-    x, report = _solve_decayed(B, p, eps, K)
+        inverse_norm = max(4.0, 4.0 * B.n_rows / max(1.0 - rho_upper, 1e-9))
+        x, report = _solve_m_retried(B, p, eps, inverse_norm)
     value = float(q @ x)
-    bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * K)
+    bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
     report.info["scalar_error_bound"] = bound
     return value, report
 

@@ -116,10 +116,10 @@ def _vector_field(name, vec, args):
     return {"path": str(sidecar), "length": len(values)}
 
 
-def _run_perron(args):
-    A = load_matrix(args.matrix)
-    cert = compute_perron(A, args.delta)
-    return 0, {
+def _certificate_fields(cert, args):
+    """The fields of a Perron certificate, its two vectors included, from
+    which its bounds can be recomputed offline."""
+    return {
         "s": cert.s,
         "k_final": cert.k_final,
         "residual_left": cert.residual_left,
@@ -129,6 +129,11 @@ def _run_perron(args):
         "left": _vector_field("left", cert.left, args),
         "right": _vector_field("right", cert.right, args),
     }
+
+
+def _run_perron(args):
+    A = load_matrix(args.matrix)
+    return 0, _certificate_fields(compute_perron(A, args.delta), args)
 
 
 def _run_mdecide(args):
@@ -141,6 +146,8 @@ def _run_mdecide(args):
         payload["right"] = _vector_field("right", outcome.scaling.right, args)
         return 0, payload
     payload["witness"] = outcome.witness
+    if outcome.certificate is not None:
+        payload["certificate"] = _certificate_fields(outcome.certificate, args)
     return 2, payload
 
 
@@ -273,6 +280,8 @@ def main(argv=None) -> int:
     except _NEGATIVE_ERRORS as exc:
         report["verdict"] = "negative"
         report["reason"] = str(exc)
+        if exc.certificate is not None:
+            report["certificate"] = _certificate_fields(exc.certificate, args)
         _emit(report, args)
         return 2
     except (PerronKitError, ValueError, OSError) as exc:

@@ -34,9 +34,11 @@ class BackendDiverged(PerronKitError):
     its iteration cap, or the direct backend's refined residual stayed above
     its tolerance.
 
-    Raised when an operator is applied.  It propagates through ``solve_m``,
-    the applications and the CLI (exit status 1); the decision procedure runs
-    no RCDD backend, so it never produces this error.
+    Raised when an operator is applied.  It propagates through ``solve_m``
+    and the CLI (exit status 1).  The shift-and-invert bracket counts a miss
+    as a failed bracket, the applications' certificate-pair solve falls back
+    to ``solve_m`` on one, and the decision procedure's scan turns one into
+    its ``"solver budget"`` witness, so ``m_decide`` never raises it.
     """
 
 
@@ -64,12 +66,26 @@ class KCapExceeded(PerronKitError):
     (``np.finfo(float).eps``), where rounding alone exceeds it."""
 
 
-class DecayTooLarge(PerronKitError):
-    """The Katz decay parameter violates ``alpha * rho(A) < 1``."""
+class _CertifiedNegative(PerronKitError):
+    """A negative answer with the certificate that proves it, when there is
+    one: a :class:`PerronCertificate` whose better Collatz-Wielandt lower
+    bound ``certificate.s`` reaches the bound, recomputable from its two
+    vectors alone.  ``None`` where no single certificate applies."""
+
+    def __init__(self, message, certificate=None):
+        self.certificate = certificate
+        super().__init__(message)
 
 
-class KernelDiverges(PerronKitError):
-    """The kernel decay violates ``lambda * rho(W) < 1``; the series diverges."""
+class DecayTooLarge(_CertifiedNegative):
+    """The Katz decay parameter violates ``alpha * rho(A) < 1``;
+    ``certificate`` is the certificate of ``alpha A`` that proves it."""
+
+
+class KernelDiverges(_CertifiedNegative):
+    """The kernel decay violates ``lambda * rho(W) < 1``; the series diverges.
+    ``certificate`` is the certificate of ``lambda W`` that proves it for an
+    irreducible product graph, ``None`` when the proof is by component."""
 
 
 class ReducibleGram(PerronKitError):

@@ -1,12 +1,16 @@
 """M-matrix decision, eigenvalue search, and certified Perron computation.
 
-The decision procedure runs the same halving scan as the scaling module but
-treats every convergence guarantee as a falsifiable check: an iteration cap,
-a nonpositive scaling iterate, a violated exit window, or a blown solver
+The M-matrix decision asks the scaling module's Collatz-Wielandt bracket
+first: its verdicts hold for any conditioning budget, a positive one with
+the bracket's checked pair as its scaling and a negative one with the
+certificate of that pair.  When the bracket settles nothing the decision
+runs the same halving scan as the scaling module but treats every
+convergence guarantee as a falsifiable check: an iteration cap, a
+nonpositive scaling iterate, a violated exit window, or a blown solver
 budget each yield a concrete witness that the tested matrix is not an
 M-matrix (given a valid conditioning budget; below one a witness may only
 mean the budget was too small), and a binary search over shifts built on the
-decision brackets the spectral radius.
+scan's decision brackets the spectral radius.
 
 The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
 sharpened with shift-and-invert (inverse iteration shifted just above the
@@ -40,12 +44,16 @@ from .errors import (
 )
 from .reports import SolveReport
 from .scaling import (
+    _CW_SOLVE_TOL,
     ScalingPair,
+    _CWBracket,
     _PhaseSolver,
     _Problem,
     _ScanFailure,
     _checked_scan,
+    _cw_bounds,
     _mmatrix_scale,
+    _settles,
 )
 from .sparse import (
     SparseMatrix,
@@ -77,14 +85,19 @@ class DecisionOutcome:
     """Result of the M-matrix decision.
 
     A positive verdict carries a scaling certifying ``(1+eps) I - A`` RCDD
-    and the scan's report; a negative verdict carries only the witnessing
-    failed check, with the phase and shift where it fired, and no report.
+    and a report: the scan's, or on the bracket path one with no phases and
+    ``info["bracket_steps"]``.  A negative verdict carries a witness and no
+    report.  A bracket negative also carries ``certificate``, the
+    :class:`PerronCertificate` whose better CW lower bound ``s``,
+    recomputable from its two vectors, reaches ``1 + eps``: it holds for
+    any ``gamma`` (see :func:`m_decide`).
     """
 
     verdict: Verdict
     scaling: ScalingPair | None = None
     witness: str | None = None
     report: SolveReport | None = None
+    certificate: PerronCertificate | None = None
 
     def __post_init__(self):
         if self.verdict is Verdict.IS_M_MATRIX_SHIFTED and self.scaling is None:
@@ -149,14 +162,6 @@ def collatz_wielandt_bounds(A: SparseMatrix, x) -> tuple[float, float]:
     return _cw_bounds(A, x)
 
 
-def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
-    """The Collatz-Wielandt ratios' ``(min, max)`` for a positive ``x``, of
-    ``A`` or, with ``transpose``, of ``A.T`` (from the transpose ``A``
-    caches); the package's one computation of them."""
-    ratios = A.matvec(x, transpose=transpose) / x
-    return float(ratios.min()), float(ratios.max())
-
-
 def _structure_check(A: SparseMatrix):
     if not A.is_square:
         raise ValueError("expected a square matrix")
@@ -167,6 +172,7 @@ def _structure_check(A: SparseMatrix):
 
 
 _WITNESS_TEXT = {
+    "cw lower bound": "Collatz-Wielandt lower bound reached 1 + eps",
     "iteration cap": "inner loop exceeded its iteration cap",
     "residual ceiling": "inner residual passed its ceiling or went non-finite",
     "nonpositive scaling": "scaling iterate had a nonpositive entry",
@@ -203,25 +209,49 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
     M-matrix, or a witness of non-membership.  The answer about the
     unshifted ``I - A`` is one-sided: a positive verdict proves
     ``rho(A) < 1 + eps`` for any positive ``gamma``, since it carries the
-    checked scaling; a negative verdict proves ``rho(A) >= 1`` only when
-    ``gamma`` is a valid budget.
+    checked scaling.
 
-    ``gamma`` budgets the conditioning: it is valid, and the positive side
-    complete, when ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.
-    Below that a witness, the ``"solver budget"``, ``"iteration cap"`` and
-    ``"residual ceiling"`` ones in particular, can mean only that ``gamma``
-    was too small: on an M-matrix whose inverse norms exceed ``gamma`` the
-    scan's checks may fire.
-    Above the dense cutoff the phase solves are iterative, to relative
-    residual ``1 / (8 gamma)``; one that misses it ends the scan with the
+    The shift-and-invert bracket decides first, at ``1 + eps``, and needs
+    no ``gamma``: a True verdict's pair, checked RCDD, is the positive
+    verdict's scaling (``alpha = eps``), and a False one is the negative
+    verdict with the witness ``"Collatz-Wielandt lower bound reached 1 +
+    eps"`` and the certificate of the bracket's pair, which proves
+    ``rho(A) >= 1 + eps`` for any ``gamma``.  A bracket that fails (its
+    step budget, a nonpositive iterate, a solve that misses) or whose
+    bounds meet within rounding of ``1 + eps`` hands the question to the
+    halving scan, and only the scan's negative verdicts depend on
+    ``gamma``.
+
+    ``gamma`` budgets the scan's conditioning: it is valid, and the
+    scan's positive side complete, when
+    ``gamma >= max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)``.  A scan witness
+    proves ``rho(A) >= 1`` only for a valid ``gamma``; below that the
+    ``"solver budget"``, ``"iteration cap"`` and ``"residual ceiling"`` ones
+    in particular can mean only that ``gamma`` was too small.  Above the
+    dense cutoff the scan's phase solves are iterative, to relative residual
+    ``1 / (8 gamma)``; one that misses it ends the scan with the
     ``"solver budget"`` witness, never ``"iteration cap"``.  A final pair
     that fails the RCDD check is a witness too, given like the others with
-    its phase and shift.
+    its phase and shift.  The scan's witnesses carry no certificate.
     """
     _structure_check(A)
     if eps <= 0.0 or gamma <= 0.0:
         raise ValueError("eps and gamma must be positive")
-    return _m_decide_scaled(A, 1.0, eps, gamma)
+    bracket = _CWBracket(A)
+    found = bracket.checked_pair(1.0, eps)
+    if found is False:
+        return DecisionOutcome(
+            Verdict.NOT_M_MATRIX,
+            witness=_WITNESS_TEXT["cw lower bound"],
+            certificate=_certificate(A, bracket.left, bracket.right, 1.0),
+        )
+    if found is None:
+        return _m_decide_scaled(A, 1.0, eps, gamma)
+    return DecisionOutcome(
+        Verdict.IS_M_MATRIX_SHIFTED,
+        scaling=found[1],
+        report=SolveReport(info={"bracket_steps": bracket.factorizations}),
+    )
 
 
 def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: float):
@@ -316,131 +346,6 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
         cw_lower=cw_lower,
         cw_upper=cw_upper,
     )
-
-
-# relative gap between the shift-and-invert shift and the CW upper bound it
-# sits above; keeps sigma I - A invertible with an entrywise positive inverse
-_CW_SHIFT_MARGIN = 1e-6
-_CW_MAX_STEPS = 32
-# relative residual of the bracket's and the polish's solves above the dense
-# cutoff: loose solves keep every bound valid but widen the CW sandwich
-_CW_SOLVE_TOL = 1e-10
-
-
-class _CWBracket:
-    """Collatz-Wielandt bracket of ``rho(A)`` sharpened by shift-and-invert.
-
-    Inverse iteration on a right and a left vector from all-ones, shifted just
-    above the best CW upper bound so that ``(sigma I - A)^-1`` is entrywise
-    positive and both iterates stay in the positive cone.  For positive
-    vectors every CW upper bound is at least ``rho(A)`` and every CW lower
-    bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
-    no ``K``.  One bracket serves every round of ``_perron_rounds``, and
-    :func:`certify_spectral_bound` hands the one it ran to its rounds: a
-    tighter ``eps`` continues from the last iterates, and once the bracket
-    has failed every later ``upper`` returns ``None`` at once.
-    """
-
-    def __init__(self, A: SparseMatrix):
-        self.A = A
-        self.right = np.ones(A.n_rows)
-        self.left = np.ones(A.n_rows)
-        # (lower, upper) CW bounds of the current right and left iterates
-        self.cw_right = self.cw_left = (0.0, np.inf)
-        self.factorizations = 0
-        self.failed = False
-        # set by decide() when the bounds meet within rounding of its bound
-        self.met_at_bound = False
-        self._prob = None
-
-    def _iterates(self):
-        """Yield once per iterate, its CW bounds set, stepping when resumed.
-        Ends, marking the bracket failed, once an iterate leaves the positive
-        cone, a bound is unusable (a zero lower or an infinite upper bound)
-        or the step budget runs out."""
-        A, ones = self.A, np.ones(self.A.n_rows)
-        while not self.failed:
-            self.cw_right = _cw_bounds(A, self.right)
-            self.cw_left = _cw_bounds(A, self.left, transpose=True)
-            hi = min(self.cw_right[1], self.cw_left[1])
-            if not (self.lower > 0.0 and hi < np.inf):
-                break
-            yield
-            if self.factorizations == _CW_MAX_STEPS:
-                break
-            # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
-            # relative to rho whatever the scale of A; one problem, rescaled
-            if self._prob is None:
-                self._prob = _Problem(A, hi)
-            else:
-                self._prob.rescale(hi)
-            solver = _PhaseSolver(self._prob, _CW_SHIFT_MARGIN, ones, ones, tol=_CW_SOLVE_TOL)
-            self.factorizations += 1
-            right = _unit_positive(solver.p_right(self.right))
-            left = _unit_positive(solver.p_left(self.left))
-            if right is None or left is None:
-                break
-            self.right, self.left = right, left
-        self.failed = True
-
-    @property
-    def lower(self) -> float:
-        """The better CW lower bound of the current iterates."""
-        return max(self.cw_right[0], self.cw_left[0])
-
-    def upper(self, eps: float) -> float | None:
-        """``s`` with ``rho(A) <= s < (1 + eps) rho(A)``, or ``None`` once an
-        iterate leaves the positive cone or the step budget runs out."""
-        for _ in self._iterates():
-            hi = min(self.cw_right[1], self.cw_left[1])
-            # lo > hi only by rounding, once both sides have converged
-            if hi < (1.0 + eps) * self.lower:
-                return float(hi)
-        return None
-
-    def decide(self, bound: float) -> bool | None:
-        """``rho(A) < bound``, decided at the first iterate whose bounds
-        settle it: both the right and the left CW upper bound below
-        ``bound`` (True), or the better lower bound at or above it (False).
-        ``None`` when the bracket fails, or when its bounds meet within
-        rounding on either side of ``bound`` (``met_at_bound`` is then set).
-        Both tests are :func:`_settles`, so rounding cannot decide the wrong
-        side."""
-        tol = (self.A.n_rows + 2) * np.finfo(float).eps
-        for _ in self._iterates():
-            lo = self.lower
-            his = (self.cw_right[1], self.cw_left[1])
-            verdict = _settles(lo, his, bound, tol)
-            if verdict is not None:
-                return verdict
-            # the best upper bound settles nothing either, and no step can
-            # narrow it past rounding
-            if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
-                self.met_at_bound = True
-                return None
-        return None
-
-
-def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> bool | None:
-    """``rho < bound`` from CW bounds, or ``None`` when they settle nothing:
-    True when both upper bounds ``his`` (of a right vector on ``A`` and a
-    left one on ``A.T``) lie below ``bound``, False when the lower bound
-    ``lo`` reaches it.  Each bound is a ratio of sums of nonnegative
-    products, computed to a relative error below ``tol = (n + 2)`` machine
-    epsilons (barring underflow); both tests keep that margin."""
-    if max(his) * (1.0 + tol) < bound:
-        return True
-    if lo * (1.0 - tol) >= bound:
-        return False
-    return None
-
-
-def _unit_positive(x: np.ndarray) -> np.ndarray | None:
-    """``x / max(x)`` when every entry of that is a normal positive float
-    (the CW ratios then keep full relative precision), else ``None``."""
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        x = x / x.max()
-    return x if np.all(x >= np.finfo(float).tiny) else None
 
 
 def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):

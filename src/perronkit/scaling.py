@@ -1,16 +1,24 @@
 """Diagonal scalings that make shifted M-matrices RCDD, and the solvers
 built on them.
 
-The central routine is an alpha-halving scan: starting from a shift so large
-that the matrix is trivially dominant, each phase solves
-``M_alpha r = 1`` and ``M_alpha.T l = 1`` by Richardson iteration
-preconditioned with the solver of the previous (twice as large) shift, then
-halves the shift.  ``_checked_scan`` is its one entry point: it forms the
-problem, runs the scan and checks the final pair RCDD before returning it.
-The M-matrix decision and :func:`mmatrix_scale`, and through them the
-solvers and Perron routines, call it and differ only in their iteration
-cap, their solver budget and how they report a failure.  The symmetric path
-descends the same halving levels with one vector.
+At a fixed shift the first path is the Collatz-Wielandt bracket
+(``_CWBracket``): shift-and-invert steps on a right and a left vector until
+their CW bounds settle ``rho(A) < shift``.  Positive ``r`` and ``l`` with
+``A r < c r`` and ``A.T l < c l`` make ``diag(l) (c I - A) diag(r)``
+strictly RCDD, so a True verdict is itself a scaling, checked before use,
+and a False one certifies ``rho(A) >= c`` whatever the conditioning.
+:func:`solve_m` and the M-matrix decision take that path first.
+
+The fallback, and the only path of :func:`mmatrix_scale` and of the
+decisions inside the eigenvalue bisection, is an alpha-halving scan:
+starting from a shift so large that the matrix is trivially dominant, each
+phase solves ``M_alpha r = 1`` and ``M_alpha.T l = 1`` by Richardson
+iteration preconditioned with the solver of the previous (twice as large)
+shift, then halves the shift.  ``_checked_scan`` is its one entry point: it
+forms the problem, runs the scan and checks the final pair RCDD before
+returning it.  Its callers differ only in their iteration cap, their solver
+budget and how they report a failure.  The symmetric path descends the same
+halving levels with one vector.
 
 All routines normalize to ``s = 1`` internally and return scalings valid for
 the original problem, which only differ by a positive scalar on the scaled
@@ -238,6 +246,172 @@ class _PhaseSolver:
 
     def p_left(self, x: np.ndarray) -> np.ndarray:
         return self.ell * self._solver.solve(self.r * x, transpose=True)
+
+
+def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
+    """The Collatz-Wielandt ratios' ``(min, max)`` for a positive ``x``, of
+    ``A`` or, with ``transpose``, of ``A.T`` (from the transpose ``A``
+    caches); the package's one computation of them."""
+    ratios = A.matvec(x, transpose=transpose) / x
+    return float(ratios.min()), float(ratios.max())
+
+
+# relative gap between the shift-and-invert shift and the CW upper bound it
+# sits above; keeps sigma I - A invertible with an entrywise positive inverse
+_CW_SHIFT_MARGIN = 1e-6
+_CW_MAX_STEPS = 32
+# relative residual of the bracket's and the polish's solves above the dense
+# cutoff: loose solves keep every bound valid but widen the CW sandwich
+_CW_SOLVE_TOL = 1e-10
+
+
+class _CWBracket:
+    """Collatz-Wielandt bracket of ``rho(A)`` sharpened by shift-and-invert.
+
+    Inverse iteration on a right and a left vector from all-ones, shifted just
+    above the best CW upper bound so that ``(sigma I - A)^-1`` is entrywise
+    positive and both iterates stay in the positive cone.  For positive
+    vectors every CW upper bound is at least ``rho(A)`` and every CW lower
+    bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
+    no ``K``.  One bracket serves every round of ``_perron_rounds``, and
+    :func:`certify_spectral_bound` hands the one it ran to its rounds: a
+    tighter ``eps`` continues from the last iterates, and once the bracket
+    has failed every later ``upper`` returns ``None`` at once.  A True
+    verdict of :meth:`decide` holds a scaling: :meth:`checked_pair` is the
+    first path of :func:`solve_m` and of ``m_decide``.
+    """
+
+    def __init__(self, A: SparseMatrix):
+        self.A = A
+        self.right = np.ones(A.n_rows)
+        self.left = np.ones(A.n_rows)
+        # (lower, upper) CW bounds of the current right and left iterates
+        self.cw_right = self.cw_left = (0.0, np.inf)
+        self.factorizations = 0
+        self.failed = False
+        # set by decide() when the bounds meet within rounding of its bound
+        self.met_at_bound = False
+        self._prob = None
+
+    def _iterates(self):
+        """Yield once per iterate, its CW bounds set, stepping when resumed.
+        Ends, marking the bracket failed, once an iterate leaves the positive
+        cone, a bound is unusable (a zero lower or an infinite upper bound),
+        a solve misses (:class:`BackendDiverged`) or the step budget runs
+        out."""
+        A, ones = self.A, np.ones(self.A.n_rows)
+        while not self.failed:
+            self.cw_right = _cw_bounds(A, self.right)
+            self.cw_left = _cw_bounds(A, self.left, transpose=True)
+            hi = min(self.cw_right[1], self.cw_left[1])
+            if not (self.lower > 0.0 and hi < np.inf):
+                break
+            yield
+            if self.factorizations == _CW_MAX_STEPS:
+                break
+            # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
+            # relative to rho whatever the scale of A
+            solver = _PhaseSolver(
+                self._problem(hi), _CW_SHIFT_MARGIN, ones, ones, tol=_CW_SOLVE_TOL
+            )
+            self.factorizations += 1
+            try:
+                right = _unit_positive(solver.p_right(self.right))
+                left = _unit_positive(solver.p_left(self.left))
+            except BackendDiverged:
+                break
+            if right is None or left is None:
+                break
+            self.right, self.left = right, left
+        self.failed = True
+
+    def _problem(self, scale: float) -> _Problem:
+        """The bracket's one problem, built once and moved to ``A / scale``."""
+        if self._prob is None:
+            self._prob = _Problem(self.A, scale)
+        else:
+            self._prob.rescale(scale)
+        return self._prob
+
+    @property
+    def lower(self) -> float:
+        """The better CW lower bound of the current iterates."""
+        return max(self.cw_right[0], self.cw_left[0])
+
+    def upper(self, eps: float) -> float | None:
+        """``s`` with ``rho(A) <= s < (1 + eps) rho(A)``, or ``None`` once an
+        iterate leaves the positive cone or the step budget runs out."""
+        for _ in self._iterates():
+            hi = min(self.cw_right[1], self.cw_left[1])
+            # lo > hi only by rounding, once both sides have converged
+            if hi < (1.0 + eps) * self.lower:
+                return float(hi)
+        return None
+
+    def decide(self, bound: float) -> bool | None:
+        """``rho(A) < bound``, decided at the first iterate whose bounds
+        settle it: both the right and the left CW upper bound below
+        ``bound`` (True), or the better lower bound at or above it (False).
+        ``None`` when the bracket fails, or when its bounds meet within
+        rounding on either side of ``bound`` (``met_at_bound`` is then set).
+        Both tests are :func:`_settles`, so rounding cannot decide the wrong
+        side."""
+        tol = (self.A.n_rows + 2) * np.finfo(float).eps
+        for _ in self._iterates():
+            lo = self.lower
+            his = (self.cw_right[1], self.cw_left[1])
+            verdict = _settles(lo, his, bound, tol)
+            if verdict is not None:
+                return verdict
+            # the best upper bound settles nothing either, and no step can
+            # narrow it past rounding
+            if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
+                self.met_at_bound = True
+                return None
+        return None
+
+    def checked_pair(self, s: float, alpha: float):
+        """:meth:`decide` at ``(1 + alpha) s``, a True verdict's iterates
+        checked as a scaling: ``(prob, pair)``, with ``prob`` the problem of
+        ``A / s`` and ``prob.scaled_shift(alpha, pair.left, pair.right)``
+        RCDD within ``RCDD_VERIFY_SLACK``.  Row ``i`` of
+        ``diag(l) ((1 + alpha) s I - A) diag(r)`` is dominant exactly when
+        ``(A r)_i < (1 + alpha) s r_i`` and column ``j`` when
+        ``(A.T l)_j < (1 + alpha) s l_j``, so a True verdict passes unless
+        rounding says otherwise.  False when the CW lower bound certifies
+        ``rho(A) >= (1 + alpha) s``; ``None`` when the bracket settles
+        nothing or its pair fails the check.  The problem is handed over:
+        a later step of the bracket builds its own."""
+        verdict = self.decide((1.0 + alpha) * s)
+        if not verdict:
+            return verdict
+        prob, self._prob = self._problem(s), None
+        pair = ScalingPair(left=self.left, right=self.right, alpha=alpha, s=s)
+        if not check_rcdd(prob.scaled_shift(alpha, pair.left, pair.right), RCDD_VERIFY_SLACK):
+            return None
+        return prob, pair
+
+
+def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> bool | None:
+    """``rho < bound`` from CW bounds, or ``None`` when they settle nothing:
+    True when both upper bounds ``his`` (of a right vector on ``A`` and a
+    left one on ``A.T``) lie below ``bound``, False when the lower bound
+    ``lo`` reaches it.  Each bound is a ratio of sums of nonnegative
+    products, computed to a relative error below ``tol = (n + 2)`` machine
+    epsilons (barring underflow); both tests keep that margin."""
+    if max(his) * (1.0 + tol) < bound:
+        return True
+    if lo * (1.0 - tol) >= bound:
+        return False
+    return None
+
+
+def _unit_positive(x: np.ndarray) -> np.ndarray | None:
+    """``x / max(x)`` when every entry of that is a normal positive float
+    (the CW ratios then keep full relative precision), else ``None``."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        x = x / x.max()
+    return x if np.all(x >= np.finfo(float).tiny) else None
 
 
 class _ScanFailure(Exception):
@@ -509,13 +683,19 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     return pair, report
 
 
-def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
-    """:func:`mmatrix_scale` plus the problem whose ``scaled_shift(eps, left,
-    right)`` it checked RCDD: ``(prob, pair, report)``."""
+def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
+    if not A.is_square:
+        raise ValueError("expected a square matrix")
     if not A.is_nonnegative():
         raise ValueError("matrix must be entrywise nonnegative")
     if s <= 0.0 or eps <= 0.0 or K <= 0.0:
         raise ValueError("s, eps, K must be positive")
+
+
+def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
+    """:func:`mmatrix_scale` plus the problem whose ``scaled_shift(eps, left,
+    right)`` it checked RCDD: ``(prob, pair, report)``."""
+    _check_scale_args(A, s, eps, K)
     try:
         prob, pair, report = _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
@@ -529,15 +709,35 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
 
     Scales the slightly shifted matrix ``(1+eps/3)(1+eps/2) s I - A`` (the
     composed shift stays within ``(1+eps) s``) and factors the scaled matrix
-    it checked RCDD once.  Each application runs Richardson refinement
-    against the true matrix, preconditioned by that factorization, until the
-    l2 contract is met; no other residual is computed.
+    it checked RCDD once.  The scaling is the shift-and-invert bracket's
+    pair when :meth:`_CWBracket.checked_pair` finds one at that shift, which
+    needs no ``K``; only when the bracket settles nothing does the halving
+    scan at conditioning bound ``K`` run.  A bracket whose CW lower bound
+    reaches the shift raises :class:`IterationCapHit`: ``rho(A) >= s`` is
+    then certified, whatever ``K``.  Each application runs Richardson
+    refinement against the true matrix, preconditioned by that
+    factorization, until the l2 contract is met; no other residual is
+    computed.  ``report.info`` counts the scan's phases
+    (``"scaling_phases"``, 0 on the bracket path) and the bracket's steps
+    (``"bracket_steps"``).
     """
     _check_open_unit(eps, "eps")
-    if s <= 0.0:
-        raise ValueError("s must be positive")
+    _check_scale_args(A, s, eps, K)
     s_mid = s * (1.0 + eps / 2.0)
-    prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
+    bracket = _CWBracket(A)
+    found = bracket.checked_pair(s_mid, eps / 3.0)
+    if found is False:
+        raise IterationCapHit(
+            f"rho(A) >= s certified: a Collatz-Wielandt lower bound puts rho(A) "
+            f"at {bracket.lower:.6e} or above, past (1 + eps/3)(1 + eps/2) s",
+            phase=None,
+            alpha=None,
+        )
+    if found is None:
+        prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
+        phases = len(scale_report.phases)
+    else:
+        (prob, pair), phases = found, 0
     # solves with diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
     solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_scan_tolerance(K))
 
@@ -567,7 +767,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         return x, float(rel), rep.iterations
 
     op = LinearOperator(apply_fn, n, eps, "l2")
-    op.report.info["scaling_phases"] = len(scale_report.phases)
+    op.report.info["scaling_phases"] = phases
+    op.report.info["bracket_steps"] = bracket.factorizations
     return op
 
 

@@ -15,6 +15,7 @@ import scipy.sparse.linalg
 
 import perronkit.perron
 import perronkit.rcdd
+import perronkit.scaling
 from perronkit import BackendDiverged, KCapExceeded, SparseMatrix
 from perronkit.oracle import dense_spectral_radius
 
@@ -180,3 +181,35 @@ def record_rounds(monkeypatch, limit=None):
 
     monkeypatch.setattr(perronkit.perron, "_perron_rounds", rounds)
     return ks
+
+
+def record_scans(monkeypatch):
+    """Record the number of phases of every halving scan in the returned
+    list."""
+    phases = []
+    real = perronkit.scaling._halving_scan
+
+    def scan(*args, **kwargs):
+        result = real(*args, **kwargs)
+        phases.append(len(result[3].phases))
+        return result
+
+    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    return phases
+
+
+def bracket_off(monkeypatch):
+    """Make ``_CWBracket.checked_pair`` settle nothing, so that the
+    fixed-shift entry points, ``m_decide`` and ``solve_m``, take their
+    fallback, the halving scan.  ``certify_spectral_bound`` and
+    ``compute_perron`` keep their bracket."""
+    monkeypatch.setattr(
+        perronkit.scaling._CWBracket, "checked_pair", lambda self, s, alpha: None
+    )
+
+
+def reject_certificate_pair(monkeypatch):
+    """Make the RCDD check of ``build_rcdd_solver`` fail, so that the
+    applications' solve from their certificate's pair falls back to
+    ``solve_m``; the checks of ``solve_m`` and the scan are untouched."""
+    monkeypatch.setattr(perronkit.rcdd, "check_rcdd", lambda S, strict_slack=0.0: False)

@@ -21,9 +21,21 @@ from perronkit import (
 )
 from perronkit.oracle import dense_solve, dense_spectral_radius, dense_svd_top
 
-from conftest import random_irreducible_dense, random_m_matrix_dense
+from conftest import random_irreducible_dense, random_m_matrix_dense, reject_certificate_pair
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+
+
+def assert_certifies_divergence(B_dense, cert):
+    """``cert``'s two vectors prove ``rho(B) >= 1`` on their own: the better
+    CW lower bound, recomputed densely, reaches 1 with the ``(n + 2)``
+    epsilon rounding margin."""
+    tol = (B_dense.shape[0] + 2) * np.finfo(float).eps
+    lower = max(
+        float((B_dense @ cert.right / cert.right).min()),
+        float((B_dense.T @ cert.left / cert.left).min()),
+    )
+    assert lower * (1.0 + tol) >= cert.s and lower * (1.0 - tol) >= 1.0
 
 
 def brute_force_product(G, H, similarity):
@@ -63,6 +75,46 @@ class TestKatz:
     def test_decay_too_large(self):
         with pytest.raises(DecayTooLarge):
             katz_centrality(TWO_CYCLE, 1.5, np.ones(2), 1e-8)
+
+    def test_decay_too_large_carries_a_checkable_certificate(self):
+        """The error carries the certificate of ``alpha A`` that proves
+        ``rho(alpha A) >= 1``: the better CW lower bound of its two vectors,
+        recomputed here, reaches 1."""
+        A_dense = random_irreducible_dense(np.random.default_rng(62), 12, density=0.3)
+        rho, _ = dense_spectral_radius(A_dense)
+        alpha = 1.01 / rho
+        with pytest.raises(DecayTooLarge) as info:
+            katz_centrality(SparseMatrix.from_dense(A_dense), alpha, np.ones(12), 1e-8)
+        assert_certifies_divergence(alpha * A_dense, info.value.certificate)
+
+    def test_rejected_certificate_pair_falls_back_to_solve_m(self, monkeypatch):
+        """With the certificate's pair failing its RCDD check, the solve runs
+        ``solve_m`` instead and meets the same contract."""
+        calls = []
+        real_solve_m = apps_module.solve_m
+
+        def solve_m(*args):
+            calls.append(args[3])
+            return real_solve_m(*args)
+
+        monkeypatch.setattr(apps_module, "solve_m", solve_m)
+        rng = np.random.default_rng(63)
+        n = 30
+        A_dense = random_irreducible_dense(rng, n, density=0.2)
+        rho, _ = dense_spectral_radius(A_dense)
+        alpha = 0.9 / rho
+        b = rng.random(n) + 0.01
+        eps = 1e-10
+        v, report = katz_centrality(SparseMatrix.from_dense(A_dense), alpha, b, eps)
+        assert calls == []
+        reject_certificate_pair(monkeypatch)
+        v_fallback, report_fallback = katz_centrality(
+            SparseMatrix.from_dense(A_dense), alpha, b, eps
+        )
+        assert len(calls) == 1
+        for x, rep in ((v, report), (v_fallback, report_fallback)):
+            assert np.linalg.norm(x - alpha * A_dense @ x - b) <= eps * np.linalg.norm(b)
+            assert rep.residuals[-1] <= eps
 
     def test_neumann_series_identity(self):
         rng = np.random.default_rng(61)
@@ -305,8 +357,43 @@ class TestGraphKernel:
     def test_diverging_kernel(self):
         W = ProductWeights(TWO_CYCLE, 2, 1)
         p = np.array([0.5, 0.5])
-        with pytest.raises(KernelDiverges):
+        with pytest.raises(KernelDiverges) as info:
             graph_kernel(W, p, p, 1.5, 1e-8)
+        assert_certifies_divergence(1.5 * TWO_CYCLE.to_dense(), info.value.certificate)
+
+    def test_error_bound_from_the_certificate(self):
+        """The scalar error bound is ``||q|| eps ||p||`` times the
+        certificate's bound on ``||(I - lam W)^-1||_2``, which dominates the
+        dense oracle's norm, and it covers the kernel's error against the
+        dense resolvent."""
+        rng = np.random.default_rng(70)
+
+        def ring_graph(n):
+            # a ring, a self-loop and random edges, one label: the product of
+            # two is strongly connected and aperiodic, hence irreducible
+            edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 0)]
+            edges += [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(n)]
+            return LabeledGraph(n, [(u, v, 1, float(rng.random()) + 0.1) for u, v in edges], 1)
+
+        for ratio in (0.5, 0.9, 0.99):
+            W = product_graph(ring_graph(5), ring_graph(6))
+            dense = W.matrix.to_dense()
+            assert apps_module.is_irreducible(W.matrix)
+            rho = np.abs(np.linalg.eigvals(dense)).max()
+            lam = ratio / rho
+            n = dense.shape[0]
+            p = rng.random(n)
+            p /= p.sum()
+            q = rng.random(n)
+            q /= q.sum()
+            eps = 1e-6
+            value, report = graph_kernel(W, p, q, lam, eps)
+            resolvent = np.linalg.inv(np.eye(n) - lam * dense)
+            scale = np.linalg.norm(q) * eps * np.linalg.norm(p)
+            oracle_bound = scale * np.linalg.norm(resolvent, 2)
+            bound = report.info["scalar_error_bound"]
+            assert oracle_bound <= bound, ratio
+            assert abs(value - q @ resolvent @ p) <= bound, ratio
 
     def test_symmetric_kernel_dominates_p_norm(self):
         rng = np.random.default_rng(69)

@@ -66,6 +66,30 @@ class TestSubcommands:
         assert report["verdict"] == "not_m_matrix"
         assert report["witness"]
 
+    def test_negative_reports_carry_their_certificate(self, workdir):
+        """A bracket negative of ``mdecide`` and a diverging Katz decay
+        report the certificate that proves them, and its vectors recompute
+        the CW lower bound ``s >= 1``; reruns are byte-identical."""
+        A = load_matrix(workdir / "big_rho.mtx").to_dense()
+        runs = [
+            (["mdecide", "--matrix", str(workdir / "big_rho.mtx"), "--eps", "0.1"], A),
+            (
+                [
+                    "katz", "--matrix", str(workdir / "two_cycle.mtx"),
+                    "--b", str(workdir / "b.txt"), "--alpha", "1.5", "--eps", "1e-8",
+                ],
+                1.5 * load_matrix(workdir / "two_cycle.mtx").to_dense(),
+            ),
+        ]
+        for argv, B in runs:
+            code, first = run(workdir, *argv)
+            _, second = run(workdir, *argv)
+            assert code == 2 and first == second
+            cert = json.loads(first)["certificate"]
+            left, right = np.array(cert["left"]), np.array(cert["right"])
+            lower = max((B @ right / right).min(), (B.T @ left / left).min())
+            assert lower == cert["s"] >= 1.0
+
     def test_mdecide_positive(self, workdir):
         code, text = run(
             workdir, "mdecide", "--matrix", str(workdir / "half.mtx"), "--eps", "0.1"

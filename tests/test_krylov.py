@@ -25,16 +25,22 @@ from perronkit import (
     IterationCapHit,
     KCapExceeded,
     SparseMatrix,
+    apply_scaling,
+    check_rcdd,
+    collatz_wielandt_bounds,
     compute_perron,
     factor_width2_solve,
     m_decide,
+    shifted_m_matrix,
     solve_m,
     symm_solve,
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_RESTARTS, _KrylovSolver
+from perronkit.sparse import RCDD_VERIFY_SLACK
 
 from conftest import (
+    bracket_off,
     count_krylov,
     fail_krylov,
     lu_path,
@@ -43,6 +49,7 @@ from conftest import (
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
     record_rounds,
+    record_scans,
 )
 
 N = 500
@@ -263,13 +270,45 @@ FAULTS = {
 
 
 def test_a_miss_in_m_decide_is_the_solver_budget_witness(
-    small_ring, krylov_at_150, krylov_misses
+    monkeypatch, small_ring, krylov_at_150, krylov_misses
 ):
+    """With the bracket off, a miss in the scan's first phase is its
+    witness, whatever the matrix."""
+    bracket_off(monkeypatch)
     M, rho = small_ring
     for target in (0.9, 1.1):
         outcome = m_decide(scaled(M, rho, target), 1e-3, 1e3)
         assert not outcome.is_m_matrix
         assert outcome.witness.startswith(BUDGET_WITNESS + " at phase 0 ")
+
+
+def test_a_miss_in_the_bracket_is_never_an_error(
+    monkeypatch, small_ring, krylov_at_150, krylov_misses
+):
+    """The bracket's solves fall back to SuperLU on a Krylov miss, so it
+    still decides both inputs without a scan, the positive verdict's pair
+    checked RCDD.  A solve that raises instead (an injected
+    :class:`BackendDiverged`) fails the bracket, and ``m_decide`` answers
+    from the scan, never with the error."""
+    M, rho = small_ring
+    tol = (M.shape[0] + 2) * np.finfo(float).eps
+    scans = record_scans(monkeypatch)
+    eps = 1e-3
+    for target in (0.9, 1.1):
+        A = scaled(M, rho, target)
+        outcome = m_decide(A, eps, 1e3)
+        assert outcome.is_m_matrix == (target < 1.0)
+        if outcome.is_m_matrix:
+            pair = outcome.scaling
+            S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+            assert check_rcdd(S, RCDD_VERIFY_SLACK)
+        else:
+            assert outcome.certificate.s * (1 - tol) >= 1 + eps
+    assert scans == []
+    monkeypatch.setattr(_KrylovSolver, "solve", missing)
+    # the scan's witness: its first phase raised on the injected miss
+    outcome = m_decide(scaled(M, rho, 0.9), eps, 1e3)
+    assert outcome.witness.startswith(BUDGET_WITNESS + " at phase 0 ")
 
 
 def test_a_miss_elsewhere_falls_back_to_the_lu(
@@ -330,3 +369,53 @@ def test_faulty_solves_stay_sound(monkeypatch, small_ring, krylov_at_150, fault)
         except (BackendDiverged, KCapExceeded):
             return
     assert cert.s <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_faulty_scans_stay_sound(monkeypatch, small_ring, krylov_at_150, fault):
+    """With the bracket off, whatever the scan's phase solves return,
+    ``m_decide`` never certifies the rho = 1.1 input and ``solve_m`` either
+    raises or returns an operator that meets its contract."""
+    monkeypatch.setattr(_KrylovSolver, "solve", FAULTS[fault])
+    bracket_off(monkeypatch)
+    M, rho = small_ring
+    assert not m_decide(scaled(M, rho, 1.1), 1e-3, 1e3).is_m_matrix
+    eps = 1e-6
+    A_below = M * (0.9 / rho)
+    b = np.linspace(1.0, 2.0, M.shape[0])
+    with np.errstate(all="ignore"):
+        try:
+            x = solve_m(SparseMatrix.from_dense(A_below), 1.0, eps, 1e3).apply(b)
+        except (BackendDiverged, IterationCapHit):
+            return
+    assert np.linalg.norm(x - A_below @ x - b) <= eps * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_faulty_bracket_verdicts_recompute(monkeypatch, small_ring, krylov_at_150, fault):
+    """Whatever the bracket's solves return, each verdict of ``m_decide``
+    holds when recomputed from its vectors alone: a positive verdict, only
+    ever on the rho = 0.9 input, has a pair that makes ``(1 + eps) I - A``
+    RCDD, and a bracket negative has a certificate whose better CW lower
+    bound reaches ``1 + eps``."""
+    monkeypatch.setattr(_KrylovSolver, "solve", FAULTS[fault])
+    M, rho = small_ring
+    n = M.shape[0]
+    tol = (n + 2) * np.finfo(float).eps
+    eps = 1e-3
+    for target in (0.9, 1.1):
+        A = scaled(M, rho, target)
+        with np.errstate(all="ignore"):
+            outcome = m_decide(A, eps, 1e3)
+        if outcome.is_m_matrix:
+            assert target < 1.0
+            pair = outcome.scaling
+            S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+            assert check_rcdd(S, RCDD_VERIFY_SLACK)
+        elif outcome.certificate is not None:
+            cert = outcome.certificate
+            lower = max(
+                collatz_wielandt_bounds(A, cert.right)[0],
+                collatz_wielandt_bounds(A.transpose(), cert.left)[0],
+            )
+            assert lower * (1 - tol) >= 1 + eps

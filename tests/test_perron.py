@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import perronkit.perron
+import perronkit.scaling
 from perronkit import (
     BoundaryUndecidable,
     KCapExceeded,
@@ -28,8 +29,15 @@ from perronkit import (
 from perronkit.oracle import dense_spectral_radius
 from perronkit.perron import _CWBracket
 from perronkit.rcdd import _DENSE_CUTOFF
+from perronkit.sparse import RCDD_VERIFY_SLACK
 
-from conftest import random_irreducible, random_irreducible_dense, record_rounds
+from conftest import (
+    bracket_off,
+    random_irreducible,
+    random_irreducible_dense,
+    record_rounds,
+    record_scans,
+)
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
@@ -56,15 +64,44 @@ class TestMDecide:
         )
         assert check_rcdd(S, 1e-12)
 
-    def test_residual_ceiling_witness_names_the_ceiling(self):
-        """On ``[[1.5]]`` the inner residual grows by 1.5 per step and passes
-        the scan's ceiling long before the iteration cap; the witness says
-        so."""
+    def test_residual_ceiling_witness_names_the_ceiling(self, monkeypatch):
+        """With the bracket off, on ``[[1.5]]`` the scan's inner residual
+        grows by 1.5 per step and passes the scan's ceiling long before the
+        iteration cap; the witness says so."""
+        bracket_off(monkeypatch)
         out = m_decide(SparseMatrix.from_dense([[1.5]]), 0.125, 4.0)
         assert out.verdict is Verdict.NOT_M_MATRIX
         assert out.witness.startswith(
             "inner residual passed its ceiling or went non-finite at phase 2 "
         )
+        assert out.certificate is None
+
+    @pytest.mark.parametrize(
+        "A_dense",
+        [[[1.5]], [[0.0, 2.0], [2.0, 0.0]], [[0.0, 0.9], [1.4, 0.3]]],
+        ids=["1x1", "two-cycle", "asymmetric"],
+    )
+    def test_bracket_negative_recomputes_from_its_vectors(self, A_dense, monkeypatch):
+        """The bracket refutes these without a scan and whatever ``gamma``:
+        the better CW lower bound of the certificate's two vectors,
+        recomputed here, reaches ``1 + eps`` with the ``(n + 2)``-epsilon
+        rounding margin."""
+        scans = record_scans(monkeypatch)
+        A = SparseMatrix.from_dense(A_dense)
+        A_t = SparseMatrix.from_dense(np.array(A_dense).T)
+        eps = 0.125
+        tol = (A.n_rows + 2) * np.finfo(float).eps
+        for gamma in (1e-3, 4.0, 1e6):
+            out = m_decide(A, eps, gamma)
+            assert out.verdict is Verdict.NOT_M_MATRIX and out.report is None
+            assert out.witness == "Collatz-Wielandt lower bound reached 1 + eps"
+            cert = out.certificate
+            lower = max(
+                collatz_wielandt_bounds(A, cert.right)[0],
+                collatz_wielandt_bounds(A_t, cert.left)[0],
+            )
+            assert lower == cert.s and lower * (1 - tol) >= 1 + eps
+        assert scans == []
 
     def test_double_two_cycle_is_not(self):
         out = m_decide(TWO_CYCLE.scaled(2.0), 0.1, 10.0)
@@ -106,11 +143,13 @@ class TestMDecide:
                 )
                 assert out.is_m_matrix == expect, (trial, ratio, out.witness)
 
-    def test_small_gamma_witness_proves_nothing(self):
-        """A negative verdict proves ``rho(A) >= 1`` only for a valid
-        ``gamma``: on the weighted 20-cycle over 0.144 (``rho`` 0.37) a
-        ``gamma`` of 4 gives the ``"solver budget"`` witness, and the valid
-        budget ``max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)`` certifies it."""
+    def test_small_gamma_witness_proves_nothing(self, monkeypatch):
+        """A scan's negative verdict proves ``rho(A) >= 1`` only for a valid
+        ``gamma``: with the bracket off, on the weighted 20-cycle over 0.144
+        (``rho`` 0.37) a ``gamma`` of 4 gives the ``"solver budget"``
+        witness, and the valid budget
+        ``max(||(I - A)^-1||_inf, ||(I - A)^-1||_1)`` certifies it."""
+        bracket_off(monkeypatch)
         M, rho = ill_conditioned_chain()
         B = M / 0.144
         assert rho / 0.144 < 0.38
@@ -123,6 +162,21 @@ class TestMDecide:
         inverse = np.abs(np.linalg.inv(np.eye(B.shape[0]) - B))
         valid = max(inverse.sum(axis=1).max(), inverse.sum(axis=0).max())
         assert m_decide(A, 0.05, valid).is_m_matrix
+
+    def test_small_gamma_is_no_obstacle_to_the_bracket(self):
+        """The bracket needs no ``gamma``: on the same chain a ``gamma`` of
+        4 gives the positive verdict, with the bracket's own pair, checked
+        RCDD on ``(1 + eps) I - A``, as its scaling and no scan phases."""
+        M, _ = ill_conditioned_chain()
+        A = SparseMatrix.from_dense(M / 0.144)
+        out = m_decide(A, 0.05, 4.0)
+        assert out.is_m_matrix and out.report.phases == []
+        assert out.report.info["bracket_steps"] >= 1
+        assert (out.scaling.alpha, out.scaling.s) == (0.05, 1.0)
+        S = apply_scaling(
+            out.scaling.left, shifted_m_matrix(A, 1.0, 0.05), out.scaling.right
+        )
+        assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
 
 class TestFindPerronValue:
@@ -314,7 +368,7 @@ class TestComputePerron:
         """A bracket that fails after a step leaves a CW lower bound that
         holds for any ``K``: the first bisection starts just below it, less
         the ``(n + 2)``-epsilon rounding margin, instead of at 0."""
-        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 1)
+        monkeypatch.setattr(perronkit.scaling, "_CW_MAX_STEPS", 1)
         brackets, starts = [], []
 
         class Bracket(_CWBracket):
@@ -693,7 +747,7 @@ class TestCertifySpectralBound:
     def test_exhausted_rounds_are_undecidable(self, monkeypatch):
         """Rounds that end in :class:`KCapExceeded` are reported as
         :class:`BoundaryUndecidable`, the error for an undecided bound."""
-        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
+        monkeypatch.setattr(perronkit.scaling, "_CW_MAX_STEPS", 0)
         record_rounds(monkeypatch, 0)
         B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
         with pytest.raises(BoundaryUndecidable, match="round budget"):
@@ -702,7 +756,7 @@ class TestCertifySpectralBound:
     def test_undecided_bracket_takes_the_round_loop(self, monkeypatch):
         """An exhausted bracket leaves the decision to the rounds of
         ``_perron_rounds``, continued from that bracket."""
-        monkeypatch.setattr(perronkit.perron, "_CW_MAX_STEPS", 0)
+        monkeypatch.setattr(perronkit.scaling, "_CW_MAX_STEPS", 0)
         # all-ones is the right Perron vector, but not the left one
         B = SparseMatrix.from_dense([[0.0, 0.9], [0.8, 0.1]])
         with monkeypatch.context() as patch:

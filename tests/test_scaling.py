@@ -4,6 +4,7 @@ checked against the dominance/conditioning facts their analysis rests on."""
 import numpy as np
 import pytest
 
+import perronkit.rcdd
 from perronkit import (
     IterationCapHit,
     Verdict,
@@ -11,8 +12,10 @@ from perronkit import (
     ScalingPair,
     SparseMatrix,
     apply_scaling,
+    certify_spectral_bound,
     check_rcdd,
     check_sdd,
+    collatz_wielandt_bounds,
     compute_perron,
     expected_phase_count,
     m_decide,
@@ -29,9 +32,12 @@ from perronkit import (
 from perronkit.oracle import dense_solve, dense_spectral_radius
 
 from perronkit.rcdd import _DENSE_CUTOFF
+from perronkit.sparse import RCDD_VERIFY_SLACK
 
 from conftest import (
+    bracket_off,
     dense_inverse_norms,
+    random_irreducible_dense,
     random_factor_width2_dense,
     random_m_matrix_dense,
     random_symmetric_contraction_dense,
@@ -224,11 +230,13 @@ class TestMMatrixScale:
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.5, 0.9])
-def test_one_by_one_meets_every_contract(a):
+def test_one_by_one_meets_every_contract(a, monkeypatch):
     """``[[a]]`` takes the general code path of every entry point, and each
     answer agrees with its closed form: ``1 - a`` inverts the M-matrix, the
     scaling sits in the phase window around ``1 / ((1 + alpha) - a)``,
-    ``rho = a``, and ``[[1 + a]]`` is not below the unit shift."""
+    ``rho = a``, and ``[[1 + a]]`` is not below the unit shift.  The
+    decision and ``solve_m`` answer on the bracket path, where the all-ones
+    pair settles them at once, and with the bracket off on the scan."""
     A = SparseMatrix.from_dense([[a]])
     above = SparseMatrix.from_dense([[1.0 + a]])
     K = 2.0 / (1.0 - a)
@@ -241,16 +249,28 @@ def test_one_by_one_meets_every_contract(a):
         assert 0.5 <= vec[0] * ((1.0 + pair.alpha) - a) <= 1.5
     assert check_rcdd(apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right), 1e-15)
 
-    outcome = m_decide(A, eps, K)
-    assert outcome.verdict is Verdict.IS_M_MATRIX_SHIFTED
-    S = apply_scaling(outcome.scaling.left, shifted_m_matrix(A, 1.0, eps), outcome.scaling.right)
-    assert check_rcdd(S, 1e-15)
-    outcome = m_decide(above, eps, K)
-    assert outcome.verdict is Verdict.NOT_M_MATRIX and outcome.report is None
-    assert "at phase" in outcome.witness
+    for path in ("bracket", "scan"):
+        with monkeypatch.context() as patch:
+            if path == "scan":
+                bracket_off(patch)
+            outcome = m_decide(A, eps, K)
+            assert outcome.verdict is Verdict.IS_M_MATRIX_SHIFTED
+            S = apply_scaling(
+                outcome.scaling.left, shifted_m_matrix(A, 1.0, eps), outcome.scaling.right
+            )
+            assert check_rcdd(S, 1e-15)
+            assert (len(outcome.report.phases) > 0) == (path == "scan")
+            outcome = m_decide(above, eps, K)
+            assert outcome.verdict is Verdict.NOT_M_MATRIX and outcome.report is None
+            if path == "scan":
+                assert "at phase" in outcome.witness and outcome.certificate is None
+            else:
+                assert outcome.certificate.s == outcome.certificate.cw_lower == 1.0 + a
 
-    x = solve_m(A, 1.0, 1e-6, K).apply(b)
-    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-6 * b[0]
+            op = solve_m(A, 1.0, 1e-6, K)
+            x = op.apply(b)
+            assert abs((1.0 - a) * x[0] - b[0]) <= 1e-6 * b[0]
+            assert (op.report.info["scaling_phases"] > 0) == (path == "scan")
 
     v, report = symm_scale(A, 0.1)
     assert v[0] > 0.0 and report.phases
@@ -268,6 +288,58 @@ def test_one_by_one_meets_every_contract(a):
     cert = compute_perron(A, 1e-3)
     assert (1.0 - 1e-3) * a < cert.s <= a
     assert cert.cw_lower == cert.cw_upper == pytest.approx(a, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, cutoff", [(20, _DENSE_CUTOFF), (150, 128)], ids=["dense", "krylov"])
+def test_near_singular_meets_every_contract(n, cutoff, monkeypatch):
+    """At ``rho / s = 1 - 1e-9`` the bracket still certifies the shifted
+    M-matrix with a pair checked RCDD and ``rho < 1`` with both CW upper
+    bounds below 1, at ``rho / s = 1 + 1e-9`` it refutes ``rho < 1 + eps``
+    with a certificate that recomputes, and ``solve_m`` at a valid ``K``
+    meets its contract.  The Krylov case moves the dense cutoff below
+    ``n``; its refinement, about 1e4 preconditioned solves at this gap, is
+    run on the dense case only."""
+    monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", cutoff)
+    M = random_irreducible_dense(np.random.default_rng(90), n, density=min(0.3, 5.0 / n))
+    rho, _ = dense_spectral_radius(M, tol=1e-14)
+    A_dense = M * ((1.0 - 1e-9) / rho)
+    A = SparseMatrix.from_dense(A_dense)
+    K = 1.01 * max(dense_inverse_norms(np.eye(n) - A_dense))
+    tol = (n + 2) * np.finfo(float).eps
+
+    for eps in (1e-6, 1e-10):
+        outcome = m_decide(A, eps, K)
+        assert outcome.is_m_matrix and outcome.report.phases == []
+        pair = outcome.scaling
+        S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+        assert check_rcdd(S, RCDD_VERIFY_SLACK)
+
+    valid, cert = certify_spectral_bound(A, 1.0)
+    assert valid
+    A_t = SparseMatrix.from_dense(A_dense.T)
+    assert max(
+        collatz_wielandt_bounds(A, cert.right)[1], collatz_wielandt_bounds(A_t, cert.left)[1]
+    ) * (1 + tol) < 1.0
+
+    above = M * ((1.0 + 1e-9) / rho)
+    eps = 1e-12
+    outcome = m_decide(SparseMatrix.from_dense(above), eps, K)
+    assert not outcome.is_m_matrix
+    lower = max(
+        collatz_wielandt_bounds(SparseMatrix.from_dense(above), outcome.certificate.right)[0],
+        collatz_wielandt_bounds(SparseMatrix.from_dense(above.T), outcome.certificate.left)[0],
+    )
+    assert lower * (1 - tol) >= 1 + eps
+
+    if n <= cutoff:
+        eps = 1e-6
+        op = solve_m(A, 1.0, eps, K)
+        assert op.report.info["scaling_phases"] == 0
+        b = np.linspace(1.0, 2.0, n)
+        x = op.apply(b)
+        # the residual as the refinement computes it: at this gap its
+        # rounding error is a few percent of eps (see CHANGES.md)
+        assert np.linalg.norm(x - A.matvec(x) - b) <= eps * np.linalg.norm(b)
 
 
 class TestScalingLemmas:

@@ -45,7 +45,14 @@ from perronkit import (
     top_singular,
 )
 from perronkit.oracle import dense_spectral_radius
-from perronkit.sparse import _line_sums, check_rcdd, is_irreducible
+from perronkit.sparse import (
+    RCDD_VERIFY_SLACK,
+    _line_sums,
+    apply_scaling,
+    check_rcdd,
+    is_irreducible,
+    shifted_m_matrix,
+)
 from perronkit.rcdd import (
     _DENSE_CUTOFF,
     _DirectSolver,
@@ -56,6 +63,7 @@ from perronkit.reports import NON_FINITE
 from perronkit.scaling import _normalized_comparison, _Problem
 
 from conftest import (
+    bracket_off,
     count_krylov,
     fail_krylov,
     random_factor_width2_dense,
@@ -66,6 +74,8 @@ from conftest import (
     random_sdd_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
+    record_scans,
+    reject_certificate_pair,
 )
 
 
@@ -261,15 +271,7 @@ def test_compute_perron_factorizations(monkeypatch, storage):
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
     count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
-    scans = []
-    real_scan = perronkit.scaling._halving_scan
-
-    def scan(*args, **kwargs):
-        result = real_scan(*args, **kwargs)
-        scans.append(len(result[3].phases))
-        return result
-
-    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    scans = record_scans(monkeypatch)
     brackets = []
 
     class Bracket(perronkit.perron._CWBracket):
@@ -443,9 +445,10 @@ def test_damped_level_must_be_positive_and_finite(monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
-    """``solve_m`` checks RCDD once, on the scan's result, and builds a solver
-    of that same matrix once more than the scan's phases; it builds no RCDD
-    solver."""
+    """With the bracket off, ``solve_m`` checks RCDD once, on the scan's
+    result, and builds a solver of that same matrix once more than the
+    scan's phases; it builds no RCDD solver."""
+    bracket_off(monkeypatch)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
     count_calls(monkeypatch, counts, perronkit.rcdd, "check_rcdd")
@@ -467,6 +470,50 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
         "build_rcdd_solver": 0,
         "solve_from_scale": 0,
     }
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
+    """On the bracket path ``solve_m`` runs no scan: it checks the bracket's
+    pair RCDD once and builds one solver per bracket step and one of the
+    checked matrix.  The pair, recomputed here, makes
+    ``(1 + eps/3) s_mid I - A`` RCDD."""
+    counts = count_factorizations(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
+    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    count_calls(monkeypatch, counts, perronkit.scaling, "build_rcdd_solver")
+    pairs = []
+    real_pair = perronkit.scaling._CWBracket.checked_pair
+
+    def checked_pair(self, s, alpha):
+        found = real_pair(self, s, alpha)
+        pairs.append(found)
+        return found
+
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "checked_pair", checked_pair)
+    rng = np.random.default_rng(55)
+    A_dense = random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n))
+    A = SparseMatrix.from_dense(A_dense)
+    eps = 1e-8
+    op = solve_m(A, 1.0, eps, 100.0)
+    for _ in range(3):
+        b = rng.normal(size=n)
+        x = op.apply(b)
+        assert np.linalg.norm(x - A_dense @ x - b) <= eps * np.linalg.norm(b)
+    steps = op.report.info["bracket_steps"]
+    assert op.report.info["scaling_phases"] == 0 and steps >= 1
+    assert counts == {
+        **NO_SOLVERS,
+        solver_name(n): steps + 1,
+        "check_rcdd": 1,
+        "_halving_scan": 0,
+        "build_rcdd_solver": 0,
+    }
+    ((_, pair),) = pairs
+    s_mid = 1.0 + eps / 2.0
+    assert (pair.s, pair.alpha) == (s_mid, eps / 3.0)
+    S = apply_scaling(pair.left, shifted_m_matrix(A, s_mid, eps / 3.0), pair.right)
+    assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
 
 @SYMMETRIC_SIZES
@@ -557,7 +604,10 @@ def test_certify_factors_only_the_bracket(monkeypatch, rho):
 
 
 def test_katz_certify_runs_no_scan(monkeypatch):
-    """Katz's scans are its solve's: one per ``solve_m`` build."""
+    """Katz's scans are its solve's: with its certificate's pair rejected
+    and the bracket of ``solve_m`` off, one per ``solve_m`` build."""
+    reject_certificate_pair(monkeypatch)
+    bracket_off(monkeypatch)
     B = sparse_instance_at(0.99)
     counts = {}
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
@@ -568,6 +618,42 @@ def test_katz_certify_runs_no_scan(monkeypatch):
     assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
     assert counts["_perron_rounds"] == 0
     assert counts["_halving_scan"] == counts["solve_m"] >= 1
+
+
+def test_katz_solves_from_its_certificate_pair(monkeypatch):
+    """Katz solves from the vectors of the certificate that proved the decay
+    valid: no scan, no ``solve_m``, no round, one RCDD solver build, and
+    that pair, recomputed here, makes ``I - B`` RCDD."""
+    B = sparse_instance_at(0.99)
+    counts = {}
+    count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
+    for name in ("solve_m", "solve_from_scale"):
+        count_calls(monkeypatch, counts, perronkit.apps, name)
+    for name in ("_halving_scan", "build_rcdd_solver"):
+        count_calls(monkeypatch, counts, perronkit.scaling, name)
+    certs = []
+    real_certify = perronkit.apps.certify_spectral_bound
+
+    def certify(*args):
+        valid, cert = real_certify(*args)
+        certs.append(cert)
+        return valid, cert
+
+    monkeypatch.setattr(perronkit.apps, "certify_spectral_bound", certify)
+    b = np.ones(B.n_rows)
+    v, report = katz_centrality(B, 1.0, b, 1e-8)
+    assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
+    assert report.residuals[-1] <= 1e-8
+    assert counts == {
+        "_perron_rounds": 0,
+        "solve_m": 0,
+        "_halving_scan": 0,
+        "solve_from_scale": 1,
+        "build_rcdd_solver": 1,
+    }
+    (cert,) = certs
+    S = apply_scaling(cert.left, shifted_m_matrix(B, 1.0), cert.right)
+    assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
 
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
