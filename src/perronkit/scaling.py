@@ -260,9 +260,14 @@ def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
 _CW_MAX_STEPS = 32
-# relative residual of the bracket's and the polish's solves above the dense
-# cutoff: loose solves keep every bound valid but widen the CW sandwich
+# relative residual of the polish's solves above the dense cutoff, and the
+# floor of the bracket's schedule: loose solves keep every bound valid but
+# widen the CW sandwich
 _CW_SOLVE_TOL = 1e-10
+# a bracket step solves to _CW_TOL_SCALE (1 - lower / upper) min(iterates),
+# at least that floor: loose while the CW gap is wide, and never so loose that
+# the residual swamps the iterates' smallest entries, whose CW ratios need them
+_CW_TOL_SCALE = 1e-2
 
 
 class _CWBracket:
@@ -273,12 +278,18 @@ class _CWBracket:
     positive and both iterates stay in the positive cone.  For positive
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
     bound at most ``rho(A)``, whatever the conditioning, so the bracket needs
-    no ``K``.  One bracket serves every round of ``_perron_rounds``, and
-    :func:`certify_spectral_bound` hands the one it ran to its rounds: a
-    tighter ``eps`` continues from the last iterates, and once the bracket
-    has failed every later ``upper`` returns ``None`` at once.  A True
-    verdict of :meth:`decide` holds a scaling: :meth:`checked_pair` is the
-    first path of :func:`solve_m` and of ``m_decide``.
+    no ``K``.  For the same reason a step's solve need not be accurate: above
+    the dense cutoff it runs to the relative residual ``_CW_TOL_SCALE (1 -
+    lower / upper) min(iterates)``, at least ``_CW_SOLVE_TOL``, loose while
+    the CW gap is wide and tighter as it closes or as the max-normalized
+    iterates spread (inexact inverse iteration; LAPACK solves below the
+    cutoff are exact whatever the tolerance).  One bracket serves every
+    round of ``_perron_rounds``, and :func:`certify_spectral_bound` hands
+    the one it ran to its rounds: a tighter ``eps`` continues from the last
+    iterates, and once the bracket has failed every later ``upper`` returns
+    ``None`` at once.  A True verdict of :meth:`decide` holds a scaling:
+    :meth:`checked_pair` is the first path of :func:`solve_m` and of
+    ``m_decide``.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -292,6 +303,8 @@ class _CWBracket:
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
         self._prob = None
+        # the smallest entry of either max-normalized iterate
+        self._least = 1.0
 
     def _iterates(self):
         """Yield once per iterate, its CW bounds set, stepping when resumed.
@@ -309,11 +322,10 @@ class _CWBracket:
             yield
             if self.factorizations == _CW_MAX_STEPS:
                 break
+            tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * (1.0 - self.lower / hi) * self._least)
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
             # relative to rho whatever the scale of A
-            solver = _PhaseSolver(
-                self._problem(hi), _CW_SHIFT_MARGIN, ones, ones, tol=_CW_SOLVE_TOL
-            )
+            solver = _PhaseSolver(self._problem(hi), _CW_SHIFT_MARGIN, ones, ones, tol=tol)
             self.factorizations += 1
             try:
                 right = _unit_positive(solver.p_right(self.right))
@@ -322,7 +334,8 @@ class _CWBracket:
                 break
             if right is None or left is None:
                 break
-            self.right, self.left = right, left
+            (self.right, right_min), (self.left, left_min) = right, left
+            self._least = min(right_min, left_min)
         self.failed = True
 
     def _problem(self, scale: float) -> _Problem:
@@ -406,12 +419,16 @@ def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> b
     return None
 
 
-def _unit_positive(x: np.ndarray) -> np.ndarray | None:
-    """``x / max(x)`` when every entry of that is a normal positive float
-    (the CW ratios then keep full relative precision), else ``None``."""
+def _unit_positive(x: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``(x / max(x), min(x / max(x)))`` when every entry of ``x / max(x)``
+    is a normal positive float (the CW ratios then keep full relative
+    precision), else ``None``; a NaN entry fails the test.  The minimum is
+    ``1 / spread`` of the iterate, which the bracket's step tolerance
+    needs, found by the positivity test's own pass."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         x = x / x.max()
-    return x if np.all(x >= np.finfo(float).tiny) else None
+    least = x.min()
+    return (x, float(least)) if least >= np.finfo(float).tiny else None
 
 
 class _ScanFailure(Exception):
@@ -716,8 +733,12 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     reaches the shift raises :class:`IterationCapHit`: ``rho(A) >= s`` is
     then certified, whatever ``K``.  Each application runs Richardson
     refinement against the true matrix, preconditioned by that
-    factorization, until the l2 contract is met; no other residual is
-    computed.  ``report.info`` counts the scan's phases
+    factorization, until the computed l2 residual plus a bound on its own
+    rounding error meets the contract.  Near a singular shift ``||x||`` is
+    large and so is that bound; once it exceeds half of ``eps ||b||`` the
+    residual is computed in ``np.longdouble`` (where that is wider than
+    double), and a bound that still leaves no room raises
+    :class:`IterationCapHit`.  ``report.info`` counts the scan's phases
     (``"scaling_phases"``, 0 on the bracket path) and the bracket's steps
     (``"bracket_steps"``).
     """
@@ -743,28 +764,69 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
 
     n = A.n_rows
     csr = A.csr()
+    norms = induced_norms(A)
+    # computed s x - A x - b errs by at most (k + 2) u (s |x| + A |x| + |b|)
+    # entrywise, k the most entries in a row of A and u the unit of the
+    # product's precision; in l2 norm by (k + 2) u (s + ||A||_2) ||x|| with
+    # ||A||_2 <= sqrt(||A||_1 ||A||_inf), plus (n + 2) double units of
+    # ||b|| and of the residual for the rounding to double and the norms
+    row_units = (int(np.diff(csr.indptr).max(initial=0)) + 2) * (
+        s + math.sqrt(norms.norm_1 * norms.norm_inf)
+    )
+    unit = np.finfo(float).eps
+    # the precision of the residual once double cannot certify it: near a
+    # singular shift ||x|| is large, and the bound with it
+    extended_unit = np.finfo(np.longdouble).eps
 
     def true_matvec(x):
         return s * x - csr @ x
+
+    def extended_matvec(x):
+        x = x.astype(np.longdouble)
+        return (s * x - csr @ x).astype(float)
 
     def precond(x):
         return solver.p_right(x) / s_mid
 
     cap = max(64, math.ceil(8.0 * (1.0 + eps * K) * math.log(n * max(K, 2.0) / eps)))
-    cfg = RichardsonConfig(tolerance=eps, max_iterations=cap)
 
     def apply_fn(b):
-        x, rep = prec_richardson(true_matvec, precond, b, None, cfg)
-        if rep.status != CONVERGED:
-            raise IterationCapHit(
-                f"refinement against s I - A stopped ({rep.status}) after "
-                f"{rep.iterations} of at most {cap} iterations",
-                phase=None,
-                alpha=None,
+        # Richardson refinement until the computed residual plus the bound on
+        # its own rounding meets eps ||b||
+        nb = float(np.linalg.norm(b))
+        target = eps * nb
+        x, matvec, product_unit, rn, iterations = np.zeros(n), true_matvec, unit, nb, 0
+        while True:
+            slack = target - (
+                row_units * product_unit * np.linalg.norm(x) + (n + 2) * unit * (nb + rn)
             )
-        nb = np.linalg.norm(b)
-        rel = 0.0 if nb == 0.0 else rep.residuals[-1] / nb
-        return x, float(rel), rep.iterations
+            if rn <= slack:
+                return x, (0.0 if nb == 0.0 else rn / nb), iterations
+            if slack <= 0.5 * target and product_unit > extended_unit:
+                matvec, product_unit = extended_matvec, extended_unit
+                rn = float(np.linalg.norm(matvec(x) - b))
+                continue
+            if not slack > 0.0 or iterations == cap:
+                raise IterationCapHit(
+                    f"refinement against s I - A cannot certify its residual "
+                    f"{rn:.3e} within eps ||b|| = {target:.3e} after {iterations} "
+                    f"of at most {cap} iterations: the residual's rounding bound "
+                    f"leaves {slack:.3e}",
+                    phase=None,
+                    alpha=None,
+                )
+            x, rep = prec_richardson(
+                matvec, precond, b, x, RichardsonConfig(slack / rn, cap - iterations)
+            )
+            iterations += rep.iterations
+            rn = rep.residuals[-1]
+            if rep.status != CONVERGED:
+                raise IterationCapHit(
+                    f"refinement against s I - A stopped ({rep.status}) after "
+                    f"{iterations} of at most {cap} iterations",
+                    phase=None,
+                    alpha=None,
+                )
 
     op = LinearOperator(apply_fn, n, eps, "l2")
     op.report.info["scaling_phases"] = phases

@@ -12,6 +12,7 @@ bound all take their line sums of ``|S|`` from one pass, :func:`_line_sums`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -357,40 +358,64 @@ def load_matrix(path) -> SparseMatrix:
     if symmetry == "symmetric" and n_rows != n_cols:
         raise MatrixMarketParseError("symmetric matrix must be square", lineno)
 
-    rows, cols, values = [], [], []
-    count = 0
-    for idx in range(body_start, len(lines)):
-        lineno = idx + 1
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise MatrixMarketParseError("entry must be 'row col value'", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
-        except ValueError as exc:
-            raise MatrixMarketParseError(f"bad entry: {exc}", lineno) from None
-        if not (1 <= i <= n_rows) or not (1 <= j <= n_cols):
-            raise MatrixMarketParseError(
-                f"index ({i}, {j}) outside {n_rows} x {n_cols}", lineno
-            )
-        if not np.isfinite(v):
-            raise MatrixMarketParseError("non-finite value", lineno)
-        rows.append(i - 1)
-        cols.append(j - 1)
-        values.append(v)
-        if symmetry == "symmetric" and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            values.append(v)
-        count += 1
-    if count != nnz:
+    body = [
+        (lineno, parts)
+        for lineno, parts in enumerate(map(str.split, lines[body_start:]), start=body_start + 1)
+        if parts and not parts[0].startswith("%")
+    ]
+    i, j, values = _entries(body, n_rows, n_cols)
+    if len(body) != nnz:
         raise MatrixMarketParseError(
-            f"declared {nnz} entries but found {count}", len(lines)
+            f"declared {nnz} entries but found {len(body)}", len(lines)
         )
-    return SparseMatrix(n_rows, n_cols, rows, cols, values)
+    if symmetry == "symmetric":
+        # each off-diagonal entry followed by its mirror, in file order
+        keep = np.ones(2 * i.size, dtype=bool)
+        keep[1::2] = i != j
+        i, j = np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep]
+        values = np.repeat(values, 2)[keep]
+    return SparseMatrix(n_rows, n_cols, i - 1, j - 1, values)
+
+
+def _entries(body, n_rows: int, n_cols: int):
+    """The 1-based ``(rows, cols, values)`` arrays of the Matrix Market body
+    lines ``(lineno, tokens)``, checked as whole arrays.  Should any check
+    fail, each line is checked in turn by :func:`_entry`, so that the error
+    names the first bad line and its first failed check."""
+    try:
+        if all(len(parts) == 3 for _, parts in body):
+            i = np.array([int(parts[0]) for _, parts in body], dtype=np.int64)
+            j = np.array([int(parts[1]) for _, parts in body], dtype=np.int64)
+            values = np.array([float(parts[2]) for _, parts in body], dtype=np.float64)
+            if (
+                np.all((i >= 1) & (i <= n_rows) & (j >= 1) & (j <= n_cols))
+                and np.isfinite(values).all()
+            ):
+                return i, j, values
+    except (ValueError, OverflowError):
+        pass
+    entries = [_entry(lineno, parts, n_rows, n_cols) for lineno, parts in body]
+    return tuple(
+        np.array([entry[k] for entry in entries], dtype=dtype)
+        for k, dtype in enumerate((np.int64, np.int64, np.float64))
+    )
+
+
+def _entry(lineno: int, parts: list[str], n_rows: int, n_cols: int) -> tuple[int, int, float]:
+    """One body line's ``(row, col, value)``, 1-based, or the parse error
+    of its first failed check."""
+    if len(parts) != 3:
+        raise MatrixMarketParseError("entry must be 'row col value'", lineno)
+    try:
+        i, j = int(parts[0]), int(parts[1])
+        v = float(parts[2])
+    except ValueError as exc:
+        raise MatrixMarketParseError(f"bad entry: {exc}", lineno) from None
+    if not (1 <= i <= n_rows) or not (1 <= j <= n_cols):
+        raise MatrixMarketParseError(f"index ({i}, {j}) outside {n_rows} x {n_cols}", lineno)
+    if not math.isfinite(v):
+        raise MatrixMarketParseError("non-finite value", lineno)
+    return i, j, v
 
 
 def load_vector(path) -> np.ndarray:

@@ -63,6 +63,18 @@ def random_irreducible(rng, n, density=0.2, log_low=-2.0, log_high=0.0):
     )
 
 
+def ring_digraph(rng, n, out_degree):
+    """A Hamiltonian ring plus ``out_degree`` random out-edges per node,
+    weights log-uniform in [1e-2, 1]: sparse, strongly connected, and with
+    ``out_degree=1`` a near-cycle whose Perron vector spreads over many
+    decades."""
+    perm = rng.permutation(n)
+    rows = np.concatenate([perm, np.repeat(np.arange(n), out_degree)])
+    cols = np.concatenate([np.roll(perm, -1), rng.integers(0, n, n * out_degree)])
+    vals = 10.0 ** rng.uniform(-2.0, 0.0, rows.size)
+    return SparseMatrix.from_scipy(scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
 def random_m_matrix_dense(rng, n, rho_ratio, density=0.3):
     """Dense nonnegative A scaled so that rho(A) = rho_ratio (s = 1)."""
     M = random_irreducible_dense(rng, n, density)
@@ -213,3 +225,18 @@ def reject_certificate_pair(monkeypatch):
     applications' solve from their certificate's pair falls back to
     ``solve_m``; the checks of ``solve_m`` and the scan are untouched."""
     monkeypatch.setattr(perronkit.rcdd, "check_rcdd", lambda S, strict_slack=0.0: False)
+
+
+def reject_bracket_pair(monkeypatch):
+    """Make the first certificate of each ``compute_perron`` call, the
+    bracket's own pair, a failed candidate (``None``), so that its round goes
+    on to the scan and the polish.  Clear the returned list between calls."""
+    calls = []
+    real = perronkit.perron._certificate
+
+    def certificate(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+    return calls

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import perronkit.perron
 import perronkit.rcdd
+import perronkit.scaling
 from perronkit import (
     BackendDiverged,
     IterationCapHit,
@@ -37,6 +39,7 @@ from perronkit import (
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_RESTARTS, _KrylovSolver
+from perronkit.scaling import _CW_SOLVE_TOL, _PhaseSolver
 from perronkit.sparse import RCDD_VERIFY_SLACK
 
 from conftest import (
@@ -50,6 +53,8 @@ from conftest import (
     random_symmetric_contraction_dense,
     record_rounds,
     record_scans,
+    reject_bracket_pair,
+    ring_digraph,
 )
 
 N = 500
@@ -419,3 +424,76 @@ def test_faulty_bracket_verdicts_recompute(monkeypatch, small_ring, krylov_at_15
                 collatz_wielandt_bounds(A.transpose(), cert.left)[0],
             )
             assert lower * (1 - tol) >= 1 + eps
+
+
+# ----------------------------------------------------------------------
+# the bracket's inexact steps
+
+
+def recorded_krylov(monkeypatch):
+    """Record every Krylov solver built, for its ``iterations``."""
+    solvers = []
+
+    class Recorded(_KrylovSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(perronkit.rcdd, "_KrylovSolver", Recorded)
+    return solvers
+
+
+@pytest.mark.parametrize(
+    "seed, n, out_degree",
+    [(0, 2000, 1), (1, 2000, 1), (0, 4000, 5)],
+    ids=["near-cycle-0", "near-cycle-1", "ring-4000"],
+)
+def test_loose_steps_still_certify_from_the_bracket_pair(monkeypatch, seed, n, out_degree):
+    """Above the cutoff the bracket's steps solve loosely while its CW gap
+    is wide, yet near-cycles (Perron vectors spread over many decades) and a
+    ring still certify at ``K`` = 1 from the bracket's own pair, with no
+    scan, the sandwich recomputed from both vectors."""
+    assert n > _DENSE_CUTOFF
+    scans = record_scans(monkeypatch)
+    A = ring_digraph(np.random.default_rng(seed), n, out_degree)
+    delta = 1e-3
+    cert = compute_perron(A, delta)
+    assert cert.k_final == 1.0 and scans == []
+    lower, upper = collatz_wielandt_bounds(A, cert.right)
+    lower_left, upper_left = collatz_wielandt_bounds(A.transpose(), cert.left)
+    assert (1 - delta) * min(upper, upper_left) <= cert.s <= max(lower, lower_left)
+
+
+def test_loose_steps_spend_fewer_krylov_iterations(monkeypatch):
+    """On a ring (n = 1000) the bracket's schedule spends at most 60% of the
+    Krylov iterations it spends with every step pinned to
+    ``_CW_SOLVE_TOL``, and both runs certify from the bracket's pair."""
+    A = ring_digraph(np.random.default_rng(0), 1000, 5)
+    spent = {}
+    for schedule in ("loose", "pinned"):
+        with monkeypatch.context() as patch:
+            if schedule == "pinned":
+                patch.setattr(perronkit.scaling, "_CW_TOL_SCALE", 0.0)
+            solvers = recorded_krylov(patch)
+            cert = compute_perron(A, 1e-3)
+        assert cert.k_final == 1.0
+        spent[schedule] = sum(solver.iterations for solver in solvers)
+    assert spent["loose"] <= 0.6 * spent["pinned"]
+
+
+def test_the_polish_solves_at_the_floor_tolerance(monkeypatch, small_ring, krylov_at_150):
+    """The schedule is the bracket's alone: the polish after a scan, on the
+    scan's own problem, still solves to ``_CW_SOLVE_TOL``."""
+    tols = []
+
+    class Recorded(_PhaseSolver):
+        def __init__(self, *args, tol, **kwargs):
+            tols.append(tol)
+            super().__init__(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(perronkit.perron, "_PhaseSolver", Recorded)
+    reject_bracket_pair(monkeypatch)
+    M, rho = small_ring
+    cert = compute_perron(scaled(M, rho, 1.0), 1e-3)
+    assert cert.k_final == 1.0
+    assert tols and set(tols) == {_CW_SOLVE_TOL}

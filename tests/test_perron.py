@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import perronkit.perron
 import perronkit.scaling
@@ -37,6 +36,7 @@ from conftest import (
     random_irreducible_dense,
     record_rounds,
     record_scans,
+    ring_digraph,
 )
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
@@ -400,13 +400,7 @@ class TestComputePerron:
         threshold in every round, so ``K`` doubled until the bracket failed
         and each bisection took seconds; the bracket's own pair certifies at
         ``K`` = 1, checked here from both vectors' CW bounds."""
-        rng = np.random.default_rng(1)
-        n, out_degree = 500, 1
-        perm = rng.permutation(n)
-        rows = np.concatenate([perm, np.repeat(np.arange(n), out_degree)])
-        cols = np.concatenate([np.roll(perm, -1), rng.integers(0, n, n * out_degree)])
-        vals = 10.0 ** rng.uniform(-2.0, 0.0, rows.size)
-        A = SparseMatrix.from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        A = ring_digraph(np.random.default_rng(1), 500, out_degree=1)
         delta = 1e-3
         start = time.perf_counter()
         cert = compute_perron(A, delta)

@@ -75,6 +75,7 @@ from conftest import (
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
     record_scans,
+    reject_bracket_pair,
     reject_certificate_pair,
 )
 
@@ -243,21 +244,6 @@ def perron_sparse_instance():
     A = random_irreducible(np.random.default_rng(17), 400, density=0.015)
     assert A.n_rows > _DENSE_CUTOFF
     return A
-
-
-def reject_bracket_pair(monkeypatch):
-    """Make the first certificate of each ``compute_perron`` call, the
-    bracket's own pair, a failed candidate (``None``), so that its round goes
-    on to the scan and the polish.  Clear the returned list between calls."""
-    calls = []
-    real = perronkit.perron._certificate
-
-    def certificate(*args, **kwargs):
-        calls.append(None)
-        return None if len(calls) == 1 else real(*args, **kwargs)
-
-    monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
-    return calls
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])

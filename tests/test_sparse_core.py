@@ -278,6 +278,37 @@ class TestMatrixMarketIO:
         reference = np.asarray(scipy.io.mmread(path).todense())
         assert np.array_equal(ours, reference)
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_matches_the_line_by_line_reader(self, tmp_path, symmetry):
+        """The whole-array parse gives the same bits as reading line by line,
+        mirrors placed right after their entries, on a body with comments,
+        blank lines and duplicates (summed in file order)."""
+        rng = np.random.default_rng(8)
+        n, m = 40, 600
+        i = rng.integers(1, n + 1, m)
+        j = rng.integers(1, n + 1, m)
+        values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-8, 8, m)
+        lines = [f"{a} {b} {float(v)!r}" for a, b, v in zip(i, j, values)]
+        lines[10:10] = ["% a comment", "", "   "]
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {m}\n"
+            + "\n".join(lines) + "\n"
+        )
+        rows, cols, vals = [], [], []
+        for a, b, v in zip(i, j, values):
+            rows.append(a - 1)
+            cols.append(b - 1)
+            vals.append(v)
+            if symmetry == "symmetric" and a != b:
+                rows.append(b - 1)
+                cols.append(a - 1)
+                vals.append(v)
+        ours = load_matrix(path).csr()
+        reference = SparseMatrix(n, n, rows, cols, vals).csr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, name), getattr(reference, name))
+
     def test_parse_error_carries_line_number(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text(
@@ -295,6 +326,26 @@ class TestMatrixMarketIO:
         with pytest.raises(MatrixMarketParseError) as err:
             load_matrix(bad)
         assert err.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "body, line_number, message",
+        [
+            ("1 1 1 4\n1 x 1.0\n", 3, "entry must be"),
+            ("1 x 1.0\n1 1\n", 3, "bad entry"),
+            ("3 1 1.0\n1 1 zz\n", 3, "outside 2 x 2"),
+            ("1 1 inf\n5 2 1.0\n", 3, "non-finite"),
+            ("% note\n\n1 1 1.0\n1 2\n", 6, "entry must be"),
+            ("1 1 1.0\n99999999999999999999 1 1.0\n", 4, "outside 2 x 2"),
+        ],
+    )
+    def test_parse_error_names_the_first_bad_line(self, tmp_path, body, line_number, message):
+        """The entries are checked as whole arrays; the error still names
+        the first bad line and its first failed check, whatever fails later."""
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n" + body)
+        with pytest.raises(MatrixMarketParseError, match=message) as err:
+            load_matrix(bad)
+        assert err.value.line_number == line_number
 
     def test_wrong_entry_count(self, tmp_path):
         bad = tmp_path / "count.mtx"
