@@ -30,15 +30,21 @@ class NotSDD(PerronKitError):
 
 
 class BackendDiverged(PerronKitError):
-    """A solver backend missed its residual contract: an iterative backend hit
-    its iteration cap, or the direct backend's refined residual stayed above
-    its tolerance.
+    """A solver backend missed its residual contract: a Krylov solve still
+    missed after its last restart or met a breakdown, or the direct
+    backend's refined residual stayed above its tolerance.
 
-    Raised when an operator is applied.  It propagates through ``solve_m``
-    and the CLI (exit status 1).  The shift-and-invert bracket counts a miss
-    as a failed bracket, the applications' certificate-pair solve falls back
-    to ``solve_m`` on one, and the decision procedure's scan turns one into
-    its ``"solver budget"`` witness, so ``m_decide`` never raises it.
+    Raised when an operator is applied.  It propagates from the operators of
+    ``build_rcdd_solver``, ``build_sdd_solver``, ``solve_from_scale`` and
+    ``solve_m``, from ``symm_solve``'s refinement at a level and
+    ``factor_width2_solve``'s SDD solve, and through the CLI (exit status
+    1).  Everywhere else a miss has one typed outcome: the shift-and-invert
+    bracket counts it as a failed bracket, every halving scan, strict or
+    not, and every symmetric level step as its ``"solver budget"`` failure,
+    and the polish of a Perron pair ends with its last positive pair.  So
+    ``m_decide``, ``mmatrix_scale``, ``symm_scale``, ``compute_perron`` and
+    ``certify_spectral_bound`` never raise it; the applications'
+    certificate-pair solve falls back to ``solve_m`` on one.
     """
 
 

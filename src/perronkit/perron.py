@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    BackendDiverged,
     BoundaryUndecidable,
     IterationCapHit,
     KCapExceeded,
@@ -423,15 +424,19 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
 def _polish_pair(prob: _Problem, eps: float, pair):
     """Sharpen the scaling vectors toward the Perron directions with a few
     extra inverse applications; each application damps the non-Perron
-    components by roughly the shift-to-gap ratio.  Falls back to the last
-    positive iterate if a solve ever leaves the positive cone."""
+    components by roughly the shift-to-gap ratio.  Ends with the last
+    positive pair if a solve ever leaves the positive cone or misses its
+    tolerance (:class:`BackendDiverged`), so a miss never escapes."""
     # solves with diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
     # scaling pair certifies RCDD on the scan's own problem
     solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_CW_SOLVE_TOL)
     left, right = pair.left, pair.right
     for _ in range(3):
-        right_next = solver.p_right(right / np.abs(right).max())
-        left_next = solver.p_left(left / np.abs(left).max())
+        try:
+            right_next = solver.p_right(right / np.abs(right).max())
+            left_next = solver.p_left(left / np.abs(left).max())
+        except BackendDiverged:
+            break
         if (
             not np.all(np.isfinite(right_next))
             or not np.all(np.isfinite(left_next))

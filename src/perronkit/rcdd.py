@@ -6,20 +6,17 @@ designed around is replaced here by interchangeable backends.
 
 Every solver, for a matrix the engine forms (``scaling._PhaseSolver``) and
 for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
-comes from :func:`_phase_backend`, which picks one of two by the storage
-:func:`_storage` gives: a dense array up to ``_DENSE_CUTOFF`` unknowns is
-factored by LAPACK, and a CSR matrix above it goes to :class:`_KrylovSolver`,
+comes from :func:`_phase_backend`, and the storage :func:`_storage` gives
+alone picks it: LAPACK factors a dense array up to ``_DENSE_CUTOFF``
+unknowns, and a CSR matrix above it goes to :class:`_KrylovSolver`,
 matvec-only Jacobi-preconditioned BiCGSTAB (CG for a matrix known to be
 symmetric) run to the relative residual its caller sets.  Each Krylov solve
-recomputes its true residual ``||b - S x||`` and restarts from ``x`` a
-bounded number of times while that misses.  A solve that still misses
-raises :class:`BackendDiverged` where the caller turns that into a verdict
-(``m_decide``'s scan); everywhere else the matrix is factored with SuperLU,
-the package's only use of it.  Above the cutoff the engine's matrices are
-CSR matrices on one pattern per problem, of which each use only rescales the
-values.  SuperLU orders a symmetric matrix (SDD solves, checked by
-``build_sdd_solver``, and the symmetric levels) by symmetric minimum degree
-and everything else by its default COLAMD.
+runs in ``_KRYLOV_PASSES`` passes: after each one it recomputes its true
+residual ``||b - S x||`` and, while that misses, restarts from ``x`` with a
+fresh recurrence.  A solve that misses after its last pass raises
+:class:`BackendDiverged`, and each caller turns that into its own typed
+outcome.  Above the cutoff the engine's matrices are CSR matrices on one
+pattern per problem, of which each use only rescales the values.
 
 A built :class:`LinearOperator` recomputes the residual of every
 application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
@@ -36,7 +33,6 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BackendDiverged, NotRCDD, NotSDD
 from .reports import SolveReport
@@ -58,14 +54,15 @@ __all__ = [
 ]
 
 # up to this many unknowns the solves are dense LAPACK LU, above it matvec-only
-# Krylov: on ring graphs a dense factorization is 3.5-5x faster than SuperLU's,
-# and at n = 300 a Perron certificate takes half its time on Krylov (near-cycle
-# graphs, where SuperLU's fill is tiny, are the exception)
+# Krylov: at n = 300 a Perron certificate on a ring graph takes half its time
+# on Krylov
 _DENSE_CUTOFF = 300
-# iterations one Krylov solve may spend, over all its restarts, and the number
-# of restarts from x after the recurrence converged but the true residual missed
+# iterations one Krylov solve may spend, and the passes it spends them in: each
+# pass ends at its share of the cap or at convergence of its recurrence, and
+# the next restarts from x while the true residual misses.  A restart repairs a
+# recurrence that stagnated near a nearly singular shift-and-invert step.
 _KRYLOV_CAP = 5000
-_KRYLOV_RESTARTS = 3
+_KRYLOV_PASSES = 4
 # the relative residual an LU-backed apply refines toward, whatever its contract
 _LU_AIM = 1e-13
 
@@ -81,40 +78,23 @@ def _storage(csr: sp.csr_matrix):
 
 
 class _DirectSolver:
-    """The package's one LU with partial pivoting.
-
-    Factors the storage it is handed once, a dense array with LAPACK or a
-    CSR matrix with SuperLU; the factorization serves both ``S x = b`` and
-    ``S.T x = b``.  Deterministic.  A dense array is every solver up to
-    ``_DENSE_CUTOFF`` unknowns (see :func:`_phase_backend`); a CSR matrix is
-    factored only as a Krylov solver's fallback on a miss.  SuperLU orders
-    columns by COLAMD, or, for a matrix the caller knows is ``symmetric``
-    (checked, or symmetric by construction), by minimum degree on
-    ``S.T + S`` with diagonal pivots preferred, which keeps far less fill on
-    SDD matrices.  Its solves are exact up to rounding and check no
-    residual.
+    """The package's one LU with partial pivoting: LAPACK's, of a dense
+    array, computed once; the factorization serves both ``S x = b`` and
+    ``S.T x = b``.  Every solver up to ``_DENSE_CUTOFF`` unknowns is one (see
+    :func:`_phase_backend`).  Deterministic.  Its solves are exact up to
+    rounding and check no residual.
     """
 
-    def __init__(self, S, symmetric: bool = False):
+    def __init__(self, S: np.ndarray):
         self.S = S
-        self._dense = isinstance(S, np.ndarray)
-        if self._dense:
-            # an exactly singular S warns here and solves to non-finite values
-            self._lu = scipy.linalg.lu_factor(S, check_finite=False)
-        elif symmetric:
-            self._lu = spla.splu(
-                S.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-            )
-        else:
-            self._lu = spla.splu(S.tocsc())
+        # an exactly singular S warns here and solves to non-finite values
+        self._lu = scipy.linalg.lu_factor(S, check_finite=False)
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        if self._dense:
-            x, info = _getrs(*self._lu, b, trans=int(transpose))
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-            return x
-        return self._lu.solve(b, trans="T" if transpose else "N")
+        x, info = _getrs(*self._lu, b, trans=int(transpose))
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        return x
 
     def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         return (self.S.T if transpose else self.S) @ x
@@ -125,57 +105,38 @@ class _KrylovSolver:
     with a positive diagonal, to ``||b - S x||_2 <= tol ||b||_2``.
 
     Runs BiCGSTAB, or CG for a ``symmetric`` ``S`` (symmetric positive
-    definite by construction), preconditioned by the diagonal.  A Krylov
-    recurrence tracks its residual only approximately, so every solve
-    recomputes the true residual and restarts from ``x`` while it misses.
-    A residual below the rounding error of its own computation, ``(k + 1)
-    eps (||S||_F ||x|| + ||b||)`` with ``k`` the most entries in a row or
-    column of ``S``, passes too: no solver, an LU included, can be checked
-    to do better, and near a singular ``S`` (late steps of the
+    definite by construction), preconditioned by the diagonal, in
+    ``_KRYLOV_PASSES`` passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES``
+    iterations.  A Krylov recurrence tracks its residual only approximately
+    and can stagnate, so after each pass the solve recomputes the true
+    residual and, while it misses, restarts from ``x`` with a fresh
+    recurrence.  A residual below the rounding error of its own computation,
+    ``(k + 1) eps (||S||_F ||x|| + ||b||)`` with ``k`` the most entries in a
+    row or column of ``S``, passes too: no solver, an LU included, can be
+    checked to do better, and near a singular ``S`` (late steps of the
     shift-and-invert bracket) or at a ``tol`` below machine precision (a
     scan with a huge ``K``) that bound is the larger.
 
-    A solve still missing after ``_KRYLOV_RESTARTS`` restarts, after
-    ``_KRYLOV_CAP`` iterations or at a breakdown raises
-    :class:`BackendDiverged` when ``lu_on_miss`` is false; otherwise ``S``
-    is factored with SuperLU, and the LU serves this solve and every
-    later one.  ``iterations`` counts the Krylov iterations of every solve,
-    and one per LU solve.  Deterministic.
+    A solve still missing after its last pass, or at a CG breakdown, raises
+    :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
+    of every solve.  Deterministic.
     """
 
-    def __init__(
-        self, S: sp.csr_matrix, tol: float, symmetric: bool = False, lu_on_miss: bool = True
-    ):
+    def __init__(self, S: sp.csr_matrix, tol: float, symmetric: bool = False):
         self.S = S
         self.tol = tol
         self._symmetric = symmetric
-        self._lu_on_miss = lu_on_miss
         self._S_t = S if symmetric else S.T
         self._inv_diag = 1.0 / S.diagonal()
         self._floor_terms = None
-        self._lu = None
         self.iterations = 0
-
-    @property
-    def factored(self) -> bool:
-        """Whether a miss has handed ``S`` to the LU."""
-        return self._lu is not None
 
     def solve(
         self, b: np.ndarray, transpose: bool = False, tol: float | None = None
     ) -> np.ndarray:
         """The solve, to ``tol`` when given instead of the solver's own."""
-        if self._lu is None:
-            try:
-                return self._krylov(
-                    self._S_t if transpose else self.S, b, self.tol if tol is None else tol
-                )
-            except BackendDiverged:
-                if not self._lu_on_miss:
-                    raise
-            self._lu = _DirectSolver(self.S, self._symmetric)
-        self.iterations += 1
-        return self._lu.solve(b, transpose)
+        mat = self._S_t if transpose else self.S
+        return self._krylov(mat, b, self.tol if tol is None else tol)
 
     def _krylov(self, mat, b: np.ndarray, tol: float) -> np.ndarray:
         def matvec(v):
@@ -186,8 +147,8 @@ class _KrylovSolver:
         target = tol * norm_b
         x = np.zeros_like(b)
         spent = 0
-        for _ in range(_KRYLOV_RESTARTS + 1):
-            x, its = core(matvec, b, target, _KRYLOV_CAP - spent, x, self._inv_diag)
+        for _ in range(_KRYLOV_PASSES):
+            x, its = core(matvec, b, target, _KRYLOV_CAP // _KRYLOV_PASSES, x, self._inv_diag)
             spent += its
             self.iterations += its
             residual = np.linalg.norm(b - matvec(x))
@@ -212,15 +173,15 @@ class _KrylovSolver:
         return (self._S_t if transpose else self.S) @ x
 
 
-def _phase_backend(S, tol: float, symmetric: bool = False, lu_on_miss: bool = True):
+def _phase_backend(S, tol: float, symmetric: bool = False):
     """The package's one choice of solver, for a matrix the engine formed or
     a caller's own, by its storage (see :func:`_storage`): LAPACK for a dense
     ``S``, which solves exactly up to rounding and ignores ``tol``, and
-    :class:`_KrylovSolver` at relative residual ``tol`` for a CSR ``S``,
-    falling back to SuperLU on a miss unless ``lu_on_miss`` is false."""
+    :class:`_KrylovSolver` at relative residual ``tol`` for a CSR ``S``, by
+    CG when ``symmetric``."""
     if isinstance(S, np.ndarray):
         return _DirectSolver(S)
-    return _KrylovSolver(S, tol, symmetric, lu_on_miss)
+    return _KrylovSolver(S, tol, symmetric)
 
 
 class LinearOperator:
@@ -303,7 +264,7 @@ def _checked_apply(solver, eps: float, transpose: bool):
         refinements = 0
         if norm_x != 0.0:
             rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
-            target = eps if krylov and not solver.factored else min(eps, _LU_AIM)
+            target = eps if krylov else min(eps, _LU_AIM)
             while rel > target and refinements < 3:
                 z = z + solve(x - solver.matvec(z, transpose))
                 rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
@@ -322,7 +283,7 @@ def _checked_apply(solver, eps: float, transpose: bool):
 def _cg_core(matvec, b, eps_abs, cap, x, inv_diag):
     """Conjugate gradient from ``x``, preconditioned by the diagonal
     ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
-    is at most ``eps_abs``."""
+    is at most ``eps_abs``, or after ``cap`` iterations."""
     x = x.copy()
     r = b - matvec(x)
     if np.linalg.norm(r) <= eps_abs:
@@ -345,14 +306,15 @@ def _cg_core(matvec, b, eps_abs, cap, x, inv_diag):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise BackendDiverged(f"conjugate gradient exceeded {cap} iterations")
+    return x, cap
 
 
 def _bicgstab_core(matvec, b, eps_abs, cap, x, inv_diag):
     """BiCGSTAB from ``x``, preconditioned on the right by the diagonal
     ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
-    is at most ``eps_abs``, or early at a breakdown (a vanishing or
-    non-finite inner product), which the caller meets with a restart."""
+    is at most ``eps_abs``, after ``cap`` iterations, or early at a breakdown
+    (a vanishing or non-finite inner product); the caller meets the last two
+    with a restart."""
     x = x.copy()
     r = b - matvec(x)
     if np.linalg.norm(r) <= eps_abs:
@@ -386,7 +348,7 @@ def _bicgstab_core(matvec, b, eps_abs, cap, x, inv_diag):
         rho = rho_new
         if np.linalg.norm(r) <= eps_abs:
             return x, it
-    raise BackendDiverged(f"BiCGSTAB exceeded {cap} iterations")
+    return x, cap
 
 
 def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
@@ -394,11 +356,11 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
 
     The solver comes from :func:`_phase_backend`, as every other: LAPACK LU up
-    to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above, with
-    SuperLU should it miss.  Raises :class:`NotRCDD` when ``S`` is not RCDD
-    within ``RCDD_VERIFY_SLACK``.  Applying the operator raises
-    :class:`BackendDiverged` when the backend misses ``eps``; the error
-    propagates to the caller.
+    to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above.
+    Raises :class:`NotRCDD` when ``S`` is not RCDD within
+    ``RCDD_VERIFY_SLACK``.  Applying the operator raises
+    :class:`BackendDiverged` when the backend misses ``eps``, a Krylov solve
+    after its last pass included; the error propagates to the caller.
     """
     _check_open_unit(eps, "eps")
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
@@ -416,8 +378,9 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     ``eps / sqrt(kappa_hat)`` with ``kappa_hat`` the computable dominance
     bound on the condition number; an LU satisfies any usable ``eps``
     outright.  The solver comes from :func:`_phase_backend`: LAPACK LU up to
-    ``_DENSE_CUTOFF`` unknowns, CG above, with symmetrically ordered SuperLU
-    should it miss.  The side channel records l2 residuals.
+    ``_DENSE_CUTOFF`` unknowns, CG above.  Applying the operator raises
+    :class:`BackendDiverged` when the backend misses that l2 target.  The
+    side channel records l2 residuals.
     """
     _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):

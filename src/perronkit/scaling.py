@@ -213,15 +213,13 @@ class _PhaseSolver:
     path to solving with a matrix it formed.
 
     :func:`rcdd._phase_backend` picks the backend by the problem's storage:
-    a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) is factored once by
-    LAPACK and solved exactly up to rounding; a CSR ``S`` gets
+    LAPACK factors a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) once,
+    which it then solves exactly up to rounding; a CSR ``S`` gets
     Jacobi-preconditioned Krylov solves to the relative residual ``tol``,
-    each checked against its true residual.  A Krylov solve that misses
-    raises :class:`BackendDiverged` when ``lu_on_miss`` is false (the strict
-    scan, where the miss is a witness), and otherwise has ``S`` factored
-    with SuperLU.  ``symmetric`` marks an ``S`` symmetric by construction,
-    which the Krylov backend solves by CG and its SuperLU fallback orders
-    symmetrically.  ``S`` is the matrix solved with."""
+    each checked against its true residual, and one that misses raises
+    :class:`BackendDiverged` for its caller to turn into its own outcome.
+    ``symmetric`` marks an ``S`` symmetric by construction, which the
+    Krylov backend solves by CG.  ``S`` is the matrix solved with."""
 
     def __init__(
         self,
@@ -232,13 +230,10 @@ class _PhaseSolver:
         symmetric: bool = False,
         *,
         tol: float,
-        lu_on_miss: bool = True,
     ):
         self.ell = ell
         self.r = r
-        self._solver = _phase_backend(
-            prob.scaled_shift(alpha2, ell, r), tol, symmetric, lu_on_miss
-        )
+        self._solver = _phase_backend(prob.scaled_shift(alpha2, ell, r), tol, symmetric)
         self.S = self._solver.S
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
@@ -485,8 +480,9 @@ def _richardson_phase(
     ``solver`` until every residual entry lies in ``[-1/2, 1/2]``.  Logs the
     phase in ``report``; returns ``(l, r, worst residual)``.  Raises
     :class:`_ScanFailure` after ``cap`` iterations, on a residual that is
-    non-finite or above ``residual_ceiling``, or on a nonpositive result
-    when ``positive``."""
+    non-finite or above ``residual_ceiling``, on a nonpositive result when
+    ``positive``, and on a solve that misses its tolerance (as ``"solver
+    budget"``)."""
     phase = len(report.phases)
     ones = np.ones(prob.n)
     r = np.zeros(prob.n)
@@ -500,11 +496,17 @@ def _richardson_phase(
         while worst > 0.5:
             if k >= cap:
                 raise _ScanFailure("iteration cap", phase, alpha)
-            r = r - solver.p_right(res_r)
+            try:
+                r = r - solver.p_right(res_r)
+                if two_sided:
+                    ell = ell - solver.p_left(res_l)
+            except BackendDiverged:
+                # a solve that misses is a conditioning signal, not an
+                # inner-loop failure of the M-matrix hypothesis
+                raise _ScanFailure("solver budget", phase, alpha) from None
             res_r = prob.shifted_matvec(alpha, r) - ones
             worst = np.abs(res_r).max()
             if two_sided:
-                ell = ell - solver.p_left(res_l)
                 res_l = prob.shifted_rmatvec(alpha, ell) - ones
                 worst = max(worst, np.abs(res_l).max())
             else:
@@ -547,9 +549,9 @@ def _halving_scan(
     Returns ``(ell, r, alpha_final, report)``.  A ``budget`` makes the scan
     strict: every phase must pass the positivity and open-window checks and
     keep the scaled phase matrix's conditioning bound within ``budget``; a
-    failed check raises :class:`_ScanFailure` with the witnessing condition,
-    and so does a phase solve that misses ``tol`` (as ``"solver budget"``).
-    Without one such a solve falls back to an LU of the phase matrix.
+    failed check raises :class:`_ScanFailure` with the witnessing condition.
+    Strict or not, a phase solve that misses ``tol`` raises it too (as
+    ``"solver budget"``, see :func:`_richardson_phase`).
 
     ``residual_ceiling`` fails a phase as soon as an inner residual exceeds
     it: under a valid conditioning bound the certified contraction keeps
@@ -566,18 +568,13 @@ def _halving_scan(
     r = ones / alpha0
     while alpha > eps:
         phase = len(report.phases)
-        solver = _PhaseSolver(prob, alpha, ell, r, tol=tol, lu_on_miss=not strict)
+        solver = _PhaseSolver(prob, alpha, ell, r, tol=tol)
         alpha /= 2.0
         if strict and varah_kappa_upper(solver.S) > budget:
             raise _ScanFailure("solver budget", phase, alpha)
-        try:
-            ell, r, worst = _richardson_phase(
-                prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
-            )
-        except BackendDiverged:
-            # a solve that misses is a conditioning signal, not an inner-loop
-            # failure of the M-matrix hypothesis
-            raise _ScanFailure("solver budget", phase, alpha) from None
+        ell, r, worst = _richardson_phase(
+            prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
+        )
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
     return ell, r, alpha, report
@@ -693,7 +690,8 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
 
     ``K`` should dominate ``max(s ||M^-1||_inf, s ||M^-1||_1)`` for
     ``M = s I - A``; the bound is not checked and a violation (or
-    ``rho(A) >= s``) surfaces as :class:`IterationCapHit`.  Returns
+    ``rho(A) >= s``) surfaces as :class:`IterationCapHit`, as does a phase
+    solve that misses its tolerance above the dense cutoff.  Returns
     ``(ScalingPair, SolveReport)`` with per-phase logs.
     """
     _, pair, report = _mmatrix_scale(A, s, eps, K)
@@ -738,9 +736,11 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     large and so is that bound; once it exceeds half of ``eps ||b||`` the
     residual is computed in ``np.longdouble`` (where that is wider than
     double), and a bound that still leaves no room raises
-    :class:`IterationCapHit`.  ``report.info`` counts the scan's phases
-    (``"scaling_phases"``, 0 on the bracket path) and the bracket's steps
-    (``"bracket_steps"``).
+    :class:`IterationCapHit`.  A miss of the scan's phase solves raises
+    :class:`IterationCapHit` too, and applying the operator raises
+    :class:`BackendDiverged` when a preconditioner solve misses.
+    ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on
+    the bracket path) and the bracket's steps (``"bracket_steps"``).
     """
     _check_open_unit(eps, "eps")
     _check_scale_args(A, s, eps, K)
@@ -927,6 +927,8 @@ def symm_scale(A: SparseMatrix, eps: float):
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
     problem).  Returns ``(v, report)``; the report carries the l2 residual
     sequence of the initial damped phase and per-phase iteration counts.
+    A level whose phase fails, a solve that misses included (``"solver
+    budget"``), raises :class:`IterationCapHit`.
     """
     _check_symmetric_nonnegative(A)
     if eps <= 0.0:
@@ -943,7 +945,9 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     Richardson refinement against ``I - A`` at every level, returning at the
     first level whose shifted solver is strong enough.  One factorization of
     the level matrix serves each level: its refinement and the step to the
-    next level.  Each refinement starts from the best earlier iterate.
+    next level.  Each refinement starts from the best earlier iterate.  A
+    refinement solve that misses raises :class:`BackendDiverged`, and a
+    level step that fails :class:`IterationCapHit`.
     """
     _check_symmetric_nonnegative(A)
     _check_open_unit(delta, "delta")
@@ -1012,9 +1016,11 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     diagonal makes ``V M V`` diagonally dominant, and solves through the SDD
     route with Richardson refinement.  The shift search over 1/2, 1/8, 1/32,
     ... continues one descent of the halving levels, so each level is scaled
-    and factored once.  Input that is not factor width 2 raises
+    and gets its solver once.  Input that is not factor width 2 raises
     :class:`IterationCapHit` from a halving level, or
-    :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.
+    :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.  A
+    solve that misses raises :class:`IterationCapHit` in a halving level
+    and :class:`BackendDiverged` in the final SDD solve.
     """
     if not M.is_square:
         raise ValueError("expected a square matrix")

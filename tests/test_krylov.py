@@ -2,17 +2,22 @@
 
 Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms is
 solved by Jacobi-preconditioned BiCGSTAB (CG when symmetric by construction)
-to the relative residual its caller sets, with no factorization.  Each solve
-checks its true residual; a miss is the ``"solver budget"`` witness inside
-``m_decide``'s strict scan, and everywhere else the matrix is factored with
-SuperLU, the package's only use of it.
+to the relative residual its caller sets, with no factorization, in passes
+that each restart from ``x`` while the true residual misses.  A solve that
+still misses raises :class:`BackendDiverged`, and each caller has one typed
+outcome for it: a failed bracket, the ``"solver budget"`` failure of a scan
+or a symmetric level, the end of the polish, or the error itself from an
+operator.
 
-Parity: at n = 500 the decisions equal the SuperLU path's (every CSR matrix
-routed to SuperLU in the test only, ``lu_path``), the Perron estimate stays within delta of the oracle with
-a Collatz-Wielandt width within 10x of the LU one, the solvers meet their
-contracts and reruns are bit-identical.  Fault injection: solves that miss or
-return perturbed vectors never produce a wrong positive verdict, an operator
-that breaks its contract, or a Perron estimate above ``rho``.
+Parity: at n = 500 the decisions equal the dense oracle's and the LU path's
+(the same instance below a raised cutoff, where LAPACK serves), the Perron
+estimate stays within delta of the oracle with a Collatz-Wielandt width
+within 10x of the LU one, the solvers meet their contracts and reruns are
+bit-identical.  Fault injection: solves that miss or return perturbed
+vectors never produce a wrong positive verdict, an operator that breaks its
+contract, a Perron estimate above ``rho`` or an untyped error.  A pinned
+near-cycle whose BiCGSTAB recurrence stagnates converges after a restart,
+and a family of ill-conditioned inputs above the cutoff stays sound.
 """
 
 import numpy as np
@@ -24,21 +29,34 @@ import perronkit.rcdd
 import perronkit.scaling
 from perronkit import (
     BackendDiverged,
+    BoundaryUndecidable,
     IterationCapHit,
     KCapExceeded,
+    ScalingPair,
     SparseMatrix,
     apply_scaling,
+    build_rcdd_solver,
+    build_sdd_solver,
+    certify_spectral_bound,
     check_rcdd,
+    check_sdd,
     collatz_wielandt_bounds,
     compute_perron,
     factor_width2_solve,
+    find_perron_value,
+    katz_centrality,
+    leontief_equilibrium,
     m_decide,
+    mmatrix_scale,
     shifted_m_matrix,
+    simple_perron,
+    solve_from_scale,
     solve_m,
+    symm_scale,
     symm_solve,
 )
 from perronkit.oracle import dense_spectral_radius
-from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_RESTARTS, _KrylovSolver
+from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_CAP, _KRYLOV_PASSES, _KrylovSolver
 from perronkit.scaling import _CW_SOLVE_TOL, _PhaseSolver
 from perronkit.sparse import RCDD_VERIFY_SLACK
 
@@ -46,9 +64,9 @@ from conftest import (
     bracket_off,
     count_krylov,
     fail_krylov,
-    lu_path,
     random_factor_width2_dense,
     random_irreducible_dense,
+    random_sdd_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
     record_rounds,
@@ -79,22 +97,54 @@ def scaled(M, rho, target):
     return SparseMatrix.from_dense(M * (target / rho))
 
 
+def dense_path(monkeypatch):
+    """Serve every matrix of up to ``N`` unknowns by the LAPACK LU, as below
+    the cutoff."""
+    monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", N)
+
+
+def holds(outcome, A, eps):
+    """Whether an ``m_decide`` verdict on ``A`` holds when recomputed from
+    its vectors alone: a positive verdict's pair makes ``(1 + eps) I - A``
+    RCDD, and a negative one's certificate, when it has one, has a better
+    CW lower bound at ``1 + eps`` or above."""
+    tol = (A.n_rows + 2) * np.finfo(float).eps
+    if outcome.is_m_matrix:
+        pair = outcome.scaling
+        S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+        return check_rcdd(S, RCDD_VERIFY_SLACK)
+    cert = outcome.certificate
+    if cert is None:
+        return True
+    lower = max(
+        collatz_wielandt_bounds(A, cert.right)[0],
+        collatz_wielandt_bounds(A.transpose(), cert.left)[0],
+    )
+    return lower * (1 - tol) >= 1 + eps
+
+
 # ----------------------------------------------------------------------
-# parity with the SuperLU path at n = 500
+# parity with the dense oracle and the LU path at n = 500
 
 
 @pytest.mark.parametrize("target", [0.9, 1.1])
 def test_m_decide_matches_the_lu_path(monkeypatch, ring, target):
+    """The Krylov decision is the oracle's (``rho`` from the dense
+    eigensolver), holds when recomputed, and equals the decision of the LU
+    path, LAPACK on the same instance below a raised cutoff."""
     A = scaled(*ring, target)
     with monkeypatch.context() as patch:
         counts = count_krylov(patch)
         krylov = m_decide(A, 1e-3, 1e3)
-    assert counts["splu"] == 0 and counts["krylov"] >= 1
-    with monkeypatch.context() as patch:
-        lu_path(patch)
-        lu = m_decide(A, 1e-3, 1e3)
-    assert krylov.verdict is lu.verdict
+    assert counts["krylov"] >= 1
     assert krylov.is_m_matrix == (target < 1.0)
+    assert holds(krylov, A, 1e-3)
+    with monkeypatch.context() as patch:
+        dense_path(patch)
+        counts = count_krylov(patch)
+        lu = m_decide(A, 1e-3, 1e3)
+    assert counts["krylov"] == 0
+    assert krylov.verdict is lu.verdict
     assert krylov.witness == lu.witness
     if krylov.is_m_matrix:
         assert len(krylov.report.phases) == len(lu.report.phases)
@@ -102,18 +152,21 @@ def test_m_decide_matches_the_lu_path(monkeypatch, ring, target):
 
 
 def test_compute_perron_within_delta_and_sharp(monkeypatch, ring):
+    """Within delta of the oracle's ``rho``, with a CW width within 10x of
+    the LU path's (LAPACK on the same instance below a raised cutoff)."""
     M, rho = ring
     A = SparseMatrix.from_dense(M)
     delta = 1e-3
     with monkeypatch.context() as patch:
         counts = count_krylov(patch)
         cert = compute_perron(A, delta)
-    assert counts["splu"] == 0 and counts["krylov"] >= 1
+    assert counts["krylov"] >= 1
     assert (1.0 - delta) * rho < cert.s <= rho * (1.0 + 1e-10)
     assert cert.cw_lower <= rho * (1.0 + 1e-10) and cert.cw_upper >= rho * (1.0 - 1e-10)
     with monkeypatch.context() as patch:
-        lu_path(patch)
+        dense_path(patch)
         lu = compute_perron(A, delta)
+    assert (1.0 - delta) * rho < lu.s <= rho * (1.0 + 1e-10)
     width = (cert.cw_upper - cert.cw_lower) / cert.cw_lower
     lu_width = (lu.cw_upper - lu.cw_lower) / lu.cw_lower
     assert width <= 10.0 * lu_width
@@ -135,14 +188,12 @@ def test_solvers_meet_their_contracts(monkeypatch, ring):
     b = rng.normal(size=N)
     x, _ = symm_solve(SparseMatrix.from_dense(sym), b, eps)
     assert np.linalg.norm(x - sym @ x - b) <= eps * np.linalg.norm(b)
-    # the scan, the preconditioner and the symmetric levels factor nothing
-    assert counts["splu"] == 0 and counts["krylov"] >= 3
+    # the scan, the preconditioner and the symmetric levels are Krylov solves
+    assert counts["krylov"] >= 3
 
     fw2 = random_factor_width2_dense(rng, N)
     x, _ = factor_width2_solve(SparseMatrix.from_dense(fw2), b, eps)
     assert np.linalg.norm(fw2 @ x - b) <= eps * np.linalg.norm(b)
-    # the caller's matrix, behind the public SDD solver, is no exception
-    assert counts["splu"] == 0
 
 
 def test_reruns_are_bit_identical(ring):
@@ -166,9 +217,9 @@ def test_reruns_are_bit_identical(ring):
 @pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
 def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
     """A Krylov core that reports convergence on a perturbed iterate is
-    caught by the true residual: a restart from it repairs a single miss.  A
-    miss on every pass raises :class:`BackendDiverged` where the caller asks
-    for that, and otherwise hands the matrix to the LU."""
+    caught by the true residual: the next pass restarts from it and repairs
+    a single miss.  A miss on every pass raises :class:`BackendDiverged`
+    after the last one."""
     rng = np.random.default_rng(72)
     S = random_strictly_rcdd_dense(rng, 40)
     if symmetric:
@@ -197,16 +248,39 @@ def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
         assert np.linalg.norm(b - mat @ x) <= tol * np.linalg.norm(b)
     lies.update(budget=10**9, told=0)
     with pytest.raises(BackendDiverged, match="true residual"):
-        _KrylovSolver(S, tol, symmetric, lu_on_miss=False).solve(b)
-    counts = count_krylov(monkeypatch)
-    lies["told"] = 0
-    solver = _KrylovSolver(S, tol, symmetric)
-    for transpose in (False, True):
-        x = solver.solve(b, transpose)
-        mat = S.T if transpose else S
-        assert np.linalg.norm(b - mat @ x) <= tol * np.linalg.norm(b)
-    # one factorization, then no more Krylov passes
-    assert counts["splu"] == 1 and lies["told"] == _KRYLOV_RESTARTS + 1
+        _KrylovSolver(S, tol, symmetric).solve(b)
+    assert lies["told"] == _KRYLOV_PASSES
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
+def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
+    """A pass that spends its budget returns its iterate instead of raising,
+    and the next pass starts from that iterate with a fresh recurrence; each
+    pass gets ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations."""
+    rng = np.random.default_rng(77)
+    S = random_strictly_rcdd_dense(rng, 40)
+    if symmetric:
+        S = S + S.T
+    S = scipy.sparse.csr_matrix(S)
+    b = rng.normal(size=40)
+    core = "_cg_core" if symmetric else "_bicgstab_core"
+    real_core = getattr(perronkit.rcdd, core)
+    passes = []
+
+    def stalling_core(matvec, b, eps_abs, cap, x, inv_diag):
+        # the first pass stops after two iterations, as if it had stagnated
+        passes.append((cap, x.copy()))
+        x, its = real_core(matvec, b, eps_abs, 2 if len(passes) == 1 else cap, x, inv_diag)
+        return x, cap if len(passes) == 1 else its
+
+    monkeypatch.setattr(perronkit.rcdd, core, stalling_core)
+    solver = _KrylovSolver(S, 1e-10, symmetric)
+    x = solver.solve(b)
+    assert np.linalg.norm(b - S @ x) <= 1e-10 * np.linalg.norm(b)
+    assert len(passes) == 2
+    assert [cap for cap, _ in passes] == [_KRYLOV_CAP // _KRYLOV_PASSES] * 2
+    assert not passes[0][1].any() and passes[1][1].any()
+    assert solver.iterations > _KRYLOV_CAP // _KRYLOV_PASSES
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
@@ -290,60 +364,197 @@ def test_a_miss_in_m_decide_is_the_solver_budget_witness(
 def test_a_miss_in_the_bracket_is_never_an_error(
     monkeypatch, small_ring, krylov_at_150, krylov_misses
 ):
-    """The bracket's solves fall back to SuperLU on a Krylov miss, so it
-    still decides both inputs without a scan, the positive verdict's pair
-    checked RCDD.  A solve that raises instead (an injected
-    :class:`BackendDiverged`) fails the bracket, and ``m_decide`` answers
-    from the scan, never with the error."""
+    """A bracket step whose solve misses fails the bracket, and ``m_decide``
+    answers from the scan, never with the error.  Every Krylov pass stalls
+    here, so the scan's first phase misses as well, and on both sides of 1
+    the verdict is the scan's ``"solver budget"`` witness, with no
+    certificate."""
     M, rho = small_ring
-    tol = (M.shape[0] + 2) * np.finfo(float).eps
-    scans = record_scans(monkeypatch)
-    eps = 1e-3
+    failed = []
+    real_iterates = perronkit.scaling._CWBracket._iterates
+
+    def iterates(self):
+        yield from real_iterates(self)
+        failed.append(self.failed)
+
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "_iterates", iterates)
     for target in (0.9, 1.1):
-        A = scaled(M, rho, target)
-        outcome = m_decide(A, eps, 1e3)
-        assert outcome.is_m_matrix == (target < 1.0)
-        if outcome.is_m_matrix:
-            pair = outcome.scaling
-            S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
-            assert check_rcdd(S, RCDD_VERIFY_SLACK)
-        else:
-            assert outcome.certificate.s * (1 - tol) >= 1 + eps
-    assert scans == []
-    monkeypatch.setattr(_KrylovSolver, "solve", missing)
-    # the scan's witness: its first phase raised on the injected miss
-    outcome = m_decide(scaled(M, rho, 0.9), eps, 1e3)
-    assert outcome.witness.startswith(BUDGET_WITNESS + " at phase 0 ")
+        outcome = m_decide(scaled(M, rho, target), 1e-3, 1e3)
+        assert not outcome.is_m_matrix and outcome.certificate is None
+        assert outcome.witness.startswith(BUDGET_WITNESS + " at phase 0 ")
+    assert failed == [True, True]
 
 
-def test_a_miss_elsewhere_falls_back_to_the_lu(
+# the errors an entry point may raise when its solves miss: certify_spectral_bound
+# reports its rounds' KCapExceeded as BoundaryUndecidable
+TYPED_ERRORS = (BackendDiverged, IterationCapHit, KCapExceeded, BoundaryUndecidable)
+
+
+def test_a_miss_elsewhere_is_sound_or_a_typed_error(
     monkeypatch, small_ring, krylov_at_150, krylov_misses
 ):
-    """Outside ``m_decide`` a matrix the Krylov method cannot solve is
-    factored with SuperLU instead: with every Krylov pass failing,
-    results are those of the SuperLU path, bit for bit."""
+    """With every Krylov pass stalling, every public entry point above the
+    cutoff returns an answer that holds when recomputed, or raises
+    :class:`BackendDiverged`, :class:`IterationCapHit` or
+    :class:`KCapExceeded` (:class:`BoundaryUndecidable` from
+    ``certify_spectral_bound`` and the applications built on it).  Perron
+    rounds are bounded at two."""
+    record_rounds(monkeypatch, 2)
     M, rho = small_ring
-    A = scaled(M, rho, 0.9)
     n = M.shape[0]
-    sym_dense = random_symmetric_contraction_dense(np.random.default_rng(76), n, 0.9, 5.0 / n)
+    rng = np.random.default_rng(76)
+    A, A_dense = scaled(M, rho, 0.9), M * (0.9 / rho)
+    sym_dense = random_symmetric_contraction_dense(rng, n, 0.9, 5.0 / n)
     sym = SparseMatrix.from_dense(sym_dense)
+    fw2 = random_factor_width2_dense(rng, n)
+    dominant = random_strictly_rcdd_dense(rng, n)
+    sdd = random_sdd_dense(rng, n)
     b = np.linspace(1.0, 2.0, n)
+    ones = np.ones(n)
 
-    def run():
-        return (
-            solve_m(A, 1.0, 1e-6, 1e3).apply(b),
-            compute_perron(A, 1e-3).right,
-            symm_solve(sym, b, 1e-6)[0],
-        )
+    def residual_within(S, eps):
+        return lambda x: np.linalg.norm(S @ x - b) <= eps * np.linalg.norm(b)
 
-    with monkeypatch.context() as patch:
-        lu_path(patch)
-        expected = run()
-    counts = count_krylov(monkeypatch)
-    got = run()
-    assert counts["krylov"] == counts["splu"] > 0
-    for x, want in zip(got, expected):
-        assert np.array_equal(x, want)
+    def decision_holds(target):
+        return lambda outcome: holds(outcome, scaled(M, rho, target), 1e-3)
+
+    def bound_holds(result):
+        valid, cert = result
+        return valid and cert.cw_upper < 1.0
+
+    I_minus = np.eye(n) - A_dense
+    calls = {
+        "m_decide": (lambda: m_decide(A, 1e-3, 1e3), decision_holds(0.9)),
+        "m_decide above": (
+            lambda: m_decide(scaled(M, rho, 1.1), 1e-3, 1e3),
+            lambda outcome: not outcome.is_m_matrix and decision_holds(1.1)(outcome),
+        ),
+        "mmatrix_scale": (
+            lambda: mmatrix_scale(A, 1.0, 1e-3, 1e3)[0],
+            lambda pair: check_rcdd(
+                apply_scaling(pair.left, shifted_m_matrix(A, 1.0, 1e-3), pair.right),
+                RCDD_VERIFY_SLACK,
+            ),
+        ),
+        "solve_m": (
+            lambda: solve_m(A, 1.0, 1e-6, 1e3).apply(b),
+            residual_within(I_minus, 1e-6),
+        ),
+        "find_perron_value": (
+            lambda: find_perron_value(A, 0.0, 10.0, 1e-3, 1e3)[0],
+            lambda s: s >= 0.9 * (1.0 - 1e-10),
+        ),
+        "simple_perron": (lambda: simple_perron(A, 1e-3, 1e3), lambda cert: cert.s >= 0.9),
+        "compute_perron": (
+            lambda: compute_perron(A, 1e-3),
+            lambda cert: (1.0 - 1e-3) * 0.9 < cert.s <= 0.9 * (1.0 + 1e-10),
+        ),
+        "certify_spectral_bound": (lambda: certify_spectral_bound(A, 1.0), bound_holds),
+        "katz_centrality": (
+            lambda: katz_centrality(A, 1.0, b, 1e-6)[0],
+            residual_within(I_minus, 1e-6),
+        ),
+        "leontief_equilibrium": (
+            lambda: leontief_equilibrium(A, b, 1e-6)[1],
+            residual_within(I_minus, 1e-6),
+        ),
+        "symm_scale": (
+            lambda: symm_scale(sym, 1e-3)[0],
+            lambda v: check_sdd(
+                apply_scaling(v, shifted_m_matrix(sym, 1.0, 1e-3), v), RCDD_VERIFY_SLACK
+            ),
+        ),
+        "symm_solve": (
+            lambda: symm_solve(sym, b, 1e-6)[0],
+            residual_within(np.eye(n) - sym_dense, 1e-6),
+        ),
+        "factor_width2_solve": (
+            lambda: factor_width2_solve(SparseMatrix.from_dense(fw2), b, 1e-6)[0],
+            residual_within(fw2, 1e-6),
+        ),
+        "build_rcdd_solver": (
+            lambda: build_rcdd_solver(SparseMatrix.from_dense(dominant), 1e-9).apply(b),
+            residual_within(dominant, 1e-9),
+        ),
+        "build_sdd_solver": (
+            lambda: build_sdd_solver(SparseMatrix.from_dense(sdd), 1e-4).apply(b),
+            # the energy contract at 1e-4 implies this l2 residual
+            residual_within(sdd, 1e-4 * np.sqrt(np.linalg.cond(sdd))),
+        ),
+        "solve_from_scale": (
+            lambda: solve_from_scale(
+                SparseMatrix.from_dense(dominant),
+                ScalingPair(ones, ones, alpha=0.0, s=1.0),
+                1e-6,
+            ).p_right.apply(b),
+            residual_within(dominant, 1e-6),
+        ),
+    }
+    raised = {}
+    for name, (call, sound) in calls.items():
+        try:
+            result = call()
+        except TYPED_ERRORS as exc:
+            raised[name] = type(exc).__name__
+            continue
+        assert sound(result), name
+    # each miss has one typed outcome (see BackendDiverged)
+    assert raised == {
+        **dict.fromkeys(
+            ["mmatrix_scale", "solve_m", "simple_perron", "symm_scale", "factor_width2_solve"],
+            "IterationCapHit",
+        ),
+        "compute_perron": "KCapExceeded",
+        **dict.fromkeys(
+            ["certify_spectral_bound", "katz_centrality", "leontief_equilibrium"],
+            "BoundaryUndecidable",
+        ),
+        **dict.fromkeys(
+            ["symm_solve", "build_rcdd_solver", "build_sdd_solver", "solve_from_scale"],
+            "BackendDiverged",
+        ),
+    }
+
+
+def test_a_miss_in_the_polish_ends_it(monkeypatch, small_ring, krylov_at_150):
+    """A miss in the polish's solves, and only there, ends the polish with
+    the scan's positive pair: with the bracket's pair rejected,
+    ``compute_perron`` still certifies, and no :class:`BackendDiverged`
+    escapes."""
+    misses = []
+
+    class Missing(_PhaseSolver):
+        def p_right(self, x):
+            misses.append(x)
+            raise BackendDiverged("injected miss")
+
+        p_left = p_right
+
+    monkeypatch.setattr(perronkit.perron, "_PhaseSolver", Missing)
+    reject_bracket_pair(monkeypatch)
+    M, rho = small_ring
+    delta = 1e-3
+    cert = compute_perron(scaled(M, rho, 1.0), delta)
+    assert misses
+    assert (1.0 - delta) < cert.s <= 1.0 + 1e-10
+
+
+def test_a_miss_in_a_symmetric_level(krylov_misses):
+    """Above the cutoff a level step whose solve misses fails the way a
+    symmetric phase fails, with :class:`IterationCapHit` naming the solver
+    budget, from ``symm_scale`` and ``factor_width2_solve``; a miss in
+    ``symm_solve``'s refinement at a level raises :class:`BackendDiverged`."""
+    n = _DENSE_CUTOFF + 1
+    rng = np.random.default_rng(78)
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, 5.0 / n))
+    fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    b = rng.normal(size=n)
+    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* solver budget"):
+        symm_scale(sym, 1e-3)
+    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* solver budget"):
+        factor_width2_solve(fw2, b, 1e-6)
+    with pytest.raises(BackendDiverged):
+        symm_solve(sym, b, 1e-6)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
@@ -371,7 +582,7 @@ def test_faulty_solves_stay_sound(monkeypatch, small_ring, krylov_at_150, fault)
 
         try:
             cert = compute_perron(scaled(M, rho, 1.0), 0.25)
-        except (BackendDiverged, KCapExceeded):
+        except KCapExceeded:
             return
     assert cert.s <= 1.0 + 1e-10
 
@@ -405,25 +616,13 @@ def test_faulty_bracket_verdicts_recompute(monkeypatch, small_ring, krylov_at_15
     bound reaches ``1 + eps``."""
     monkeypatch.setattr(_KrylovSolver, "solve", FAULTS[fault])
     M, rho = small_ring
-    n = M.shape[0]
-    tol = (n + 2) * np.finfo(float).eps
     eps = 1e-3
     for target in (0.9, 1.1):
         A = scaled(M, rho, target)
         with np.errstate(all="ignore"):
             outcome = m_decide(A, eps, 1e3)
-        if outcome.is_m_matrix:
-            assert target < 1.0
-            pair = outcome.scaling
-            S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
-            assert check_rcdd(S, RCDD_VERIFY_SLACK)
-        elif outcome.certificate is not None:
-            cert = outcome.certificate
-            lower = max(
-                collatz_wielandt_bounds(A, cert.right)[0],
-                collatz_wielandt_bounds(A.transpose(), cert.left)[0],
-            )
-            assert lower * (1 - tol) >= 1 + eps
+        assert target < 1.0 or not outcome.is_m_matrix
+        assert holds(outcome, A, eps)
 
 
 # ----------------------------------------------------------------------
@@ -497,3 +696,114 @@ def test_the_polish_solves_at_the_floor_tolerance(monkeypatch, small_ring, krylo
     cert = compute_perron(scaled(M, rho, 1.0), 1e-3)
     assert cert.k_final == 1.0
     assert tols and set(tols) == {_CW_SOLVE_TOL}
+
+
+# ----------------------------------------------------------------------
+# a recurrence that stagnates, and a stress family above the cutoff
+
+
+def test_a_stagnated_recurrence_recovers_by_a_restart(monkeypatch):
+    """On a near-cycle (n = 3000) scaled to ``rho`` about 1.05, the left
+    BiCGSTAB solve of bracket step 9 (shift about 1.067) stagnates at a
+    relative residual of 5.5e-8, against its tolerance of 2.4e-10, until a
+    restart from its iterate.  So ``m_decide`` at ``1 + 1e-2`` gives the CW
+    lower bound's witness with its certificate, runs no scan, and spends
+    fewer than 2500 BiCGSTAB iterations in all, counted as the matrix
+    products the cores make (two per iteration, whether a pass returns or
+    raises).  ``compute_perron`` certifies from the bracket's own pair at
+    ``K`` = 1, its sandwich recomputed from both vectors."""
+    A = ring_digraph(np.random.default_rng(100), 3000, 1).scaled(1.05 / 0.41779495046414095)
+    products = [0]
+    real_core = perronkit.rcdd._bicgstab_core
+
+    def core(matvec, *args):
+        def counted(v):
+            products[0] += 1
+            return matvec(v)
+
+        return real_core(counted, *args)
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", core)
+    scans = record_scans(monkeypatch)
+    outcome = m_decide(A, 1e-2, 1e3)
+    assert not outcome.is_m_matrix
+    assert outcome.witness == "Collatz-Wielandt lower bound reached 1 + eps"
+    assert outcome.certificate is not None and holds(outcome, A, 1e-2)
+    assert scans == []
+    assert products[0] < 2 * 2500
+
+    delta = 1e-3
+    cert = compute_perron(A, delta)
+    assert cert.k_final == 1.0 and scans == []
+    lower, upper = collatz_wielandt_bounds(A, cert.right)
+    lower_left, upper_left = collatz_wielandt_bounds(A.transpose(), cert.left)
+    assert (1 - delta) * min(upper, upper_left) <= cert.s <= max(lower, lower_left)
+
+
+STRESS_N = 400
+
+
+def wide_weights(rng):
+    """A Hamiltonian cycle plus about five random edges per row, weights
+    log-uniform over 1e-8..1."""
+    return random_irreducible_dense(rng, STRESS_N, density=5.0 / STRESS_N, log_low=-8.0)
+
+
+def coupled_blocks(rng):
+    """Two such blocks, weights over 1e-2..1, joined by one entry of 1e-9
+    each way."""
+    half = STRESS_N // 2
+    M = np.zeros((STRESS_N, STRESS_N))
+    M[:half, :half] = random_irreducible_dense(rng, half, density=5.0 / half)
+    M[half:, half:] = random_irreducible_dense(rng, half, density=5.0 / half)
+    M[0, half] = M[half, 0] = 1e-9
+    return M
+
+
+def near_cycle(rng):
+    return ring_digraph(rng, STRESS_N, 1).to_dense()
+
+
+STRESS_FAMILIES = {
+    "wide-weights": wide_weights,
+    "coupled-blocks": coupled_blocks,
+    "near-cycle": near_cycle,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", list(STRESS_FAMILIES))
+def test_ill_conditioned_inputs_above_the_cutoff(family, seed):
+    """Above the cutoff, on inputs whose Perron vectors spread over many
+    decades, every entry point meets the dense oracle: ``compute_perron``
+    within delta of ``rho``, ``m_decide`` and ``certify_spectral_bound`` on
+    the right side of 1 at ``rho`` = 0.999 and 1.001, with verdicts that
+    hold when recomputed, and ``solve_m`` at a gap of 1e-6 and Katz at
+    ``alpha rho`` = 0.999 with their residuals recomputed."""
+    M = STRESS_FAMILIES[family](np.random.default_rng(seed))
+    rho, _ = dense_spectral_radius(M, tol=1e-12)
+    n = M.shape[0]
+    assert n > _DENSE_CUTOFF
+    delta = 1e-3
+    cert = compute_perron(SparseMatrix.from_dense(M), delta)
+    assert (1.0 - delta) * rho < cert.s <= rho * (1.0 + 1e-10)
+
+    eps = 1e-4
+    for target in (0.999, 1.001):
+        A = scaled(M, rho, target)
+        outcome = m_decide(A, eps, 1e3)
+        assert outcome.is_m_matrix == (target < 1.0) and holds(outcome, A, eps)
+        valid, cert = certify_spectral_bound(A, 1.0)
+        assert valid == (target < 1.0)
+        right = collatz_wielandt_bounds(A, cert.right)
+        left = collatz_wielandt_bounds(A.transpose(), cert.left)
+        assert max(right[1], left[1]) < 1.0 if valid else max(right[0], left[0]) >= 1.0
+
+    b = np.linspace(1.0, 2.0, n)
+    gap = 1e-6
+    A_dense = M * ((1.0 - gap) / rho)
+    x = solve_m(SparseMatrix.from_dense(A_dense), 1.0, 1e-6, 1e3).apply(b)
+    assert np.linalg.norm(x - A_dense @ x - b) <= 1e-6 * np.linalg.norm(b)
+    alpha = 0.999 / rho
+    x, _ = katz_centrality(SparseMatrix.from_dense(M), alpha, b, 1e-8)
+    assert np.linalg.norm(x - alpha * (M @ x) - b) <= 1e-8 * np.linalg.norm(b)

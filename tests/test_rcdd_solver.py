@@ -1,19 +1,18 @@
 """Dominant-solve operator contracts.
 
 Every builder gets its solver from ``rcdd._phase_backend``, as the engine's
-own matrices do: LAPACK LU up to 300 unknowns and Jacobi-preconditioned
-Krylov above, with SuperLU should a Krylov solve miss, each application
-checked against its true residual.  Whatever the backend returns, a perturbed or NaN LU solve or
-a Krylov core that lies included, an application meets its contract or
-raises :class:`BackendDiverged`; a Krylov miss gives the SuperLU result bit
-for bit.
+own matrices do, and the storage alone picks it: LAPACK LU up to 300
+unknowns and Jacobi-preconditioned Krylov above, each application checked
+against its true residual.  Whatever the backend returns, a perturbed or NaN
+LU solve or a Krylov core that lies included, an application meets its
+contract or raises :class:`BackendDiverged`, which a Krylov miss always
+raises.
 """
 
 import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import perronkit.rcdd
 from perronkit import (
@@ -41,7 +40,6 @@ from perronkit.rcdd import _DENSE_CUTOFF, _DirectSolver, _KrylovSolver
 from conftest import (
     count_krylov,
     fail_krylov,
-    lu_path,
     random_factor_width2_dense,
     random_m_matrix_dense,
     random_sdd_dense,
@@ -49,10 +47,8 @@ from conftest import (
     random_symmetric_contraction_dense,
 )
 
-# the size each backend serves: dense LAPACK up to the cutoff, Krylov above
-# it, and SuperLU, the Krylov solver's fallback, here serving the CSR matrix
-# from its first solve (``lu_path``)
-BACKEND_SIZES = {"lapack": 40, "superlu": 400, "krylov": 400}
+# the size each backend serves: dense LAPACK up to the cutoff, Krylov above it
+BACKEND_SIZES = {"lapack": 40, "krylov": 400}
 KRYLOV_N = BACKEND_SIZES["krylov"]
 
 
@@ -195,7 +191,7 @@ def test_krylov_rcdd_contract_with_its_transpose(monkeypatch):
         x = rng.normal(size=n)
         assert np.linalg.norm(x - M @ Z.apply(x)) <= eps * np.linalg.norm(x)
         assert np.linalg.norm(x - M.T @ Zt.apply(x)) <= eps * np.linalg.norm(x)
-    assert counts == {"splu": 0, "krylov": 1}
+    assert counts == {"krylov": 1}
     assert all(r <= eps for r in Z.report.residuals + Zt.report.residuals)
     assert Z.report.iterations + Zt.report.iterations == ran[0]
     assert min(Z.report.info["iterations_per_call"]) > 1
@@ -233,7 +229,7 @@ def test_krylov_sdd_energy_norm_contract(monkeypatch):
     for _ in range(5):
         x = rng.normal(size=n)
         assert energy_error(M, x, Z.apply(x)) <= eps
-    assert counts == {"splu": 0, "krylov": 1}
+    assert counts == {"krylov": 1}
 
 
 # ----------------------------------------------------------------------
@@ -280,13 +276,10 @@ LU_FAULTS = {"noise-1e-6": 1e-6, "noise-1e-2": 1e-2, "noise-2": 2.0, "nan": None
 @pytest.mark.parametrize("backend", list(BACKEND_SIZES))
 @pytest.mark.parametrize("fault", list(LU_FAULTS))
 def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, backend, fault):
-    """An LU solve that returns a perturbed or NaN vector, on every backend
-    (above the cutoff the Krylov passes all miss, or SuperLU serves from the
-    first solve, so the faulty LU takes over): no application returns a
-    vector outside its contract."""
+    """An LU solve that returns a perturbed or NaN vector: no application
+    returns a vector outside its contract.  Above the cutoff no LU runs, and
+    with every Krylov pass stalling every application raises."""
     n = BACKEND_SIZES[backend]
-    if backend == "superlu":
-        lu_path(monkeypatch)
     real_solve = _DirectSolver.solve
     noise = np.random.default_rng(30)
     scale = LU_FAULTS[fault]
@@ -300,9 +293,9 @@ def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, backend, fault
     monkeypatch.setattr(_DirectSolver, "solve", solve)
     fail_krylov(monkeypatch)
     outcomes = builder_outcomes(np.random.default_rng(31), n)
-    if fault == "nan":
+    if fault == "nan" or backend == "krylov":
         assert set(outcomes) == {"diverged"}
-    if fault == "noise-1e-6":
+    elif fault == "noise-1e-6":
         # refinement repairs a small perturbation
         assert set(outcomes) == {"met"}
 
@@ -310,8 +303,8 @@ def test_faulty_lu_solves_meet_the_contract_or_raise(monkeypatch, backend, fault
 @pytest.mark.parametrize("budget", [1, 10**9], ids=["once", "always"])
 def test_lying_krylov_cores_meet_the_contract(monkeypatch, budget):
     """A Krylov core that reports convergence on a perturbed iterate is
-    caught by the true residual: a restart repairs one lie, and a core that
-    always lies hands the matrix to SuperLU."""
+    caught by the true residual: a restart repairs one lie, and with a core
+    that always lies every application raises."""
     counts = count_krylov(monkeypatch)
     lies = [0]
     for name in ("_bicgstab_core", "_cg_core"):
@@ -326,42 +319,8 @@ def test_lying_krylov_cores_meet_the_contract(monkeypatch, budget):
 
         monkeypatch.setattr(perronkit.rcdd, name, lying_core)
     outcomes = builder_outcomes(np.random.default_rng(32), KRYLOV_N)
-    assert set(outcomes) == {"met"} and lies[0] >= 1
-    assert counts == {"splu": 0 if budget == 1 else 2, "krylov": 2}
-
-
-def test_a_krylov_miss_gives_the_superlu_result(monkeypatch):
-    """With every Krylov pass missing, the builders' operators return the
-    SuperLU path's vectors bit for bit, from one factorization each.  The LU
-    solves are off by about 1e-11 here, so that both paths must refine
-    toward the LU aim alike."""
-    real_solve = _DirectSolver.solve
-
-    def solve(self, b, transpose=False):
-        x = real_solve(self, b, transpose)
-        return x * (1.0 + 1e-11 * np.sin(np.arange(x.size)))
-
-    monkeypatch.setattr(_DirectSolver, "solve", solve)
-    rng = np.random.default_rng(33)
-    n = KRYLOV_N
-    M = SparseMatrix.from_dense(sparse_dominant(rng, n))
-    sym = SparseMatrix.from_dense(sparse_dominant(rng, n, symmetric=True))
-    xs = [rng.normal(size=n) for _ in range(3)]
-
-    def run():
-        Z = build_rcdd_solver(M, 1e-9)
-        ops = (Z, Z.transpose(1e-7), build_sdd_solver(sym, 1e-4))
-        return [op.apply(x) for x in xs for op in ops]
-
-    with monkeypatch.context() as patch:
-        lu_path(patch)
-        expected = run()
-    counts = count_krylov(monkeypatch)
-    fail_krylov(monkeypatch)
-    got = run()
-    assert counts == {"splu": 2, "krylov": 2}
-    for x, want in zip(got, expected):
-        assert np.array_equal(x, want)
+    assert set(outcomes) == ({"met"} if budget == 1 else {"diverged"}) and lies[0] >= 1
+    assert counts == {"krylov": 2}
 
 
 # ----------------------------------------------------------------------
@@ -409,12 +368,9 @@ def every_entry_point(rng, n):
 def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, backend):
     """Across every public solver entry, each ``_DirectSolver`` and
     ``_KrylovSolver`` is built inside ``rcdd._phase_backend``, wherever a
-    module binds it; the one exception is the LU a Krylov solver falls back
-    to on a miss, forced here on the builders.  A Krylov solver that factors
-    from its first solve (``lu_path``) builds its LU inside the choice."""
+    module binds it, and the storage alone picks one: LAPACK up to the
+    cutoff, Krylov above it."""
     n = BACKEND_SIZES[backend]
-    if backend == "superlu":
-        lu_path(monkeypatch)
     real_choice = perronkit.rcdd._phase_backend
     where = []
     origins = set()
@@ -444,52 +400,31 @@ def test_every_solver_comes_from_the_one_backend_choice(monkeypatch, backend):
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    real_solve = _KrylovSolver.solve
-
-    def solve(self, *args, **kwargs):
-        where.append("krylov fallback")
-        try:
-            return real_solve(self, *args, **kwargs)
-        finally:
-            where.pop()
-
-    monkeypatch.setattr(_KrylovSolver, "solve", solve)
-
     builders, engine = every_entry_point(np.random.default_rng(34), n)
     builders()
     engine()
-    with monkeypatch.context() as patch:
-        fail_krylov(patch)
-        builders()
-
-    assert origins == {
-        "lapack": {("lu", "choice")},
-        "superlu": {("krylov", "choice"), ("lu", "choice")},
-        "krylov": {("krylov", "choice"), ("lu", "krylov fallback")},
-    }[backend]
+    assert origins == {("lu" if backend == "lapack" else "krylov", "choice")}
 
 
 @pytest.mark.parametrize("n", [_DENSE_CUTOFF, _DENSE_CUTOFF + 1], ids=["at-cutoff", "above-cutoff"])
-def test_superlu_runs_only_after_a_krylov_miss(monkeypatch, n):
-    """No public entry point factors with SuperLU at ``_DENSE_CUTOFF``
-    unknowns, where LAPACK serves, nor one unknown above it, where Krylov
-    does.  There SuperLU runs only once a Krylov miss is injected, for each
-    builder's matrix: COLAMD for the RCDD matrix, whose transpose reuses the
-    factorization, and the symmetric minimum-degree ordering for the SDD
-    one."""
-    orderings = []
-    real_splu = scipy.sparse.linalg.splu
+def test_a_krylov_miss_raises_only_above_the_cutoff(monkeypatch, n):
+    """At ``_DENSE_CUTOFF`` unknowns every public entry point solves with
+    LAPACK alone, and one unknown above it with Krylov alone.  With every
+    Krylov pass stalling, each builder's operator then raises
+    :class:`BackendDiverged` above the cutoff, and at it meets its contract
+    as before."""
+    kinds = set()
+    for cls in (_DirectSolver, _KrylovSolver):
 
-    def splu(A, *args, **kwargs):
-        orderings.append((kwargs.get("permc_spec"), kwargs.get("options")))
-        return real_splu(A, *args, **kwargs)
+        def init(self, *args, real_init=cls.__init__, cls=cls, **kwargs):
+            kinds.add(cls)
+            real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        monkeypatch.setattr(cls, "__init__", init)
     builders, engine = every_entry_point(np.random.default_rng(36), n)
     builders()
     engine()
-    assert orderings == []
+    assert kinds == {_DirectSolver if n <= _DENSE_CUTOFF else _KrylovSolver}
     fail_krylov(monkeypatch)
-    builders()
-    symmetric = ("MMD_AT_PLUS_A", {"SymmetricMode": True})
-    assert orderings == ([] if n <= _DENSE_CUTOFF else [(None, None), symmetric])
+    outcomes = builder_outcomes(np.random.default_rng(37), n)
+    assert set(outcomes) == ({"met"} if n <= _DENSE_CUTOFF else {"diverged"})

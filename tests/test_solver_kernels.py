@@ -6,10 +6,8 @@ reference construction, and the CSR ``|S|`` line sums must match the dense
 ones.  Up to the dense cutoff the factorizations, the shift-and-invert ones
 of ``compute_perron`` included, must stay behind ``scipy.linalg.lu_factor``,
 where a profiler can count them; above it each of those matrices gets one
-Krylov solver instead, and ``scipy.sparse.linalg.splu`` runs only after a
-Krylov miss.  The symmetric
-path builds one solver per halving level, and only its SDD factorizations use
-the symmetric ordering.
+Krylov solver instead, and nothing is factored.  The symmetric path builds
+one solver per halving level.
 
 Every matrix the engine forms itself is factored through the phase solver:
 ``solve_m`` factors the matrix its scaling was checked on and builds no RCDD
@@ -24,7 +22,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 import perronkit.apps
 import perronkit.perron
@@ -33,8 +30,6 @@ import perronkit.scaling
 from perronkit import (
     IterationCapHit,
     SparseMatrix,
-    build_rcdd_solver,
-    build_sdd_solver,
     compute_perron,
     factor_width2_solve,
     katz_centrality,
@@ -65,13 +60,11 @@ from perronkit.scaling import _normalized_comparison, _Problem
 from conftest import (
     bracket_off,
     count_krylov,
-    fail_krylov,
     random_factor_width2_dense,
     random_irreducible,
     random_irreducible_dense,
     random_m_matrix,
     random_m_matrix_dense,
-    random_sdd_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
     record_scans,
@@ -157,13 +150,13 @@ def count_calls(monkeypatch, counts, module, name):
 
 
 def count_factorizations(monkeypatch):
-    """Count LAPACK and SuperLU factorizations and Krylov solver builds."""
+    """Count LAPACK factorizations and Krylov solver builds."""
     counts = count_krylov(monkeypatch)
     count_calls(monkeypatch, counts, scipy.linalg, "lu_factor")
     return counts
 
 
-NO_SOLVERS = {"lu_factor": 0, "splu": 0, "krylov": 0}
+NO_SOLVERS = {"lu_factor": 0, "krylov": 0}
 
 
 def solver_name(n):
@@ -173,7 +166,7 @@ def solver_name(n):
 
 def test_one_factorization_per_phase_through_scipy(monkeypatch):
     """One solver per phase: a LAPACK factorization up to the dense cutoff,
-    a Krylov solver above it, and no SuperLU factorization."""
+    a Krylov solver above it."""
     counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(11)
 
@@ -253,7 +246,7 @@ def test_compute_perron_factorizations(monkeypatch, storage):
     scan runs; when that pair is rejected, one strict scan follows and the
     bracket, the scan and the polish account for every solver.  Each is a
     LAPACK factorization through the scipy call a profiler patches up to the
-    dense cutoff and a Krylov solver above it, with no SuperLU."""
+    dense cutoff and a Krylov solver above it."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
     count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
@@ -292,7 +285,7 @@ def test_compute_perron_factorizations(monkeypatch, storage):
             else:
                 # the bracket's steps, one per scan phase, one for the polish
                 assert len(scans) == 1 and counts[factor] == steps + scans[0] + 1
-            assert counts["lu_factor" if storage == "csr" else "krylov"] == counts["splu"] == 0
+            assert counts["lu_factor" if storage == "csr" else "krylov"] == 0
 
 
 SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -326,42 +319,6 @@ def test_factor_width2_continues_the_shift_search(monkeypatch, n):
     assert counts == {**NO_SOLVERS, solver_name(n): phases + 1}
     fresh, _ = symm_scale(_normalized_comparison(M), shift)
     assert np.array_equal(report.info["scaling"], fresh)
-
-
-def test_only_sdd_factorizations_order_symmetrically(monkeypatch):
-    """SuperLU, the Krylov solver's fallback (every Krylov pass misses here),
-    gets the symmetric minimum-degree ordering for SDD matrices only; the
-    scan and ``build_rcdd_solver`` keep its default COLAMD."""
-    fail_krylov(monkeypatch)
-    orderings = []
-    real_splu = scipy.sparse.linalg.splu
-
-    def splu(A, *args, **kwargs):
-        orderings.append((kwargs.get("permc_spec"), kwargs.get("options")))
-        return real_splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    symmetric = ("MMD_AT_PLUS_A", {"SymmetricMode": True})
-    rng = np.random.default_rng(50)
-    n = 400
-    assert n > _DENSE_CUTOFF
-    b = rng.normal(size=n)
-
-    build_sdd_solver(SparseMatrix.from_dense(random_sdd_dense(rng, n)), 0.25).apply(b)
-    assert orderings == [symmetric]
-
-    orderings.clear()
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
-    _, report = factor_width2_solve(M, b, 1e-8)
-    assert orderings == [symmetric] * (round(math.log2(1.0 / report.info["shift"])) + 1)
-
-    orderings.clear()
-    _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
-    assert orderings == [(None, None)] * len(report.phases)
-
-    orderings.clear()
-    build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-8).apply(b)
-    assert orderings == [(None, None)]
 
 
 @SYMMETRIC_SIZES
@@ -586,7 +543,7 @@ def test_certify_factors_only_the_bracket(monkeypatch, rho):
     valid, _ = perronkit.perron.certify_spectral_bound(B, 1.0)
     assert valid == (rho < 1.0)
     assert counts["_perron_rounds"] == 0 and counts["_halving_scan"] == 0
-    assert counts["lu_factor"] == counts["splu"] == 0 and 1 <= counts["krylov"] <= 8
+    assert counts["lu_factor"] == 0 and 1 <= counts["krylov"] <= 8
 
 
 def test_katz_certify_runs_no_scan(monkeypatch):
