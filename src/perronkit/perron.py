@@ -53,6 +53,7 @@ from .scaling import (
     _ScanFailure,
     _checked_scan,
     _cw_bounds,
+    _cw_margin,
     _mmatrix_scale,
     _settles,
 )
@@ -375,9 +376,8 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
             )
         s = bracket.upper(eps)
         if s is None:
-            # the CW lower bound holds for any K; the margin is _settles'
-            tol = (A.n_rows + 2) * np.finfo(float).eps
-            s1 = max(0.0, bracket.lower * (1.0 - tol))
+            # the CW lower bound holds for any K, less its rounding margin
+            s1 = max(0.0, bracket.lower * (1.0 - _cw_margin(A.n_rows)))
             s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
             s2 = s
         else:
@@ -478,13 +478,12 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
         raise BoundaryUndecidable(
             "spectral radius within rounding of the bound; cannot certify either side"
         )
-    tol = (B.n_rows + 2) * np.finfo(float).eps
     try:
         for _, _, cert in _perron_rounds(B, 0.25, bracket):
             if cert is None:
                 continue
             his = (cert.cw_upper, _cw_bounds(B, cert.left, transpose=True)[1])
-            valid = _settles(cert.s, his, bound, tol)
+            valid = _settles(cert.s, his, bound, _cw_margin(B.n_rows))
             if valid is not None:
                 return valid, cert
     except KCapExceeded as exc:

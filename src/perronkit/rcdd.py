@@ -9,14 +9,15 @@ for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
 comes from :func:`_phase_backend`, and the storage :func:`_storage` gives
 alone picks it: LAPACK factors a dense array up to ``_DENSE_CUTOFF``
 unknowns, and a CSR matrix above it goes to :class:`_KrylovSolver`,
-matvec-only Jacobi-preconditioned BiCGSTAB (CG for a matrix known to be
-symmetric) run to the relative residual its caller sets.  Each Krylov solve
-runs in ``_KRYLOV_PASSES`` passes: after each one it recomputes its true
-residual ``||b - S x||`` and, while that misses, restarts from ``x`` with a
-fresh recurrence.  A solve that misses after its last pass raises
-:class:`BackendDiverged`, and each caller turns that into its own typed
-outcome.  Above the cutoff the engine's matrices are CSR matrices on one
-pattern per problem, of which each use only rescales the values.
+matvec-only Jacobi-preconditioned BiCGSTAB, the one Krylov method (an SDD
+matrix is an RCDD matrix).  Both answer ``solve(b, transpose, tol)``: a
+Krylov solve runs to the relative residual ``tol``, which an LU ignores, in
+``_KRYLOV_PASSES`` passes; after each it recomputes its true residual
+``||b - S x||`` and, while that misses, restarts from ``x`` and that
+residual with a fresh recurrence.  A solve that misses after its last pass
+raises :class:`BackendDiverged`, and each caller turns that into its own
+typed outcome.  Above the cutoff the engine's matrices are CSR matrices on
+one pattern per problem, of which each use only rescales the values.
 
 A built :class:`LinearOperator` recomputes the residual of every
 application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
@@ -82,18 +83,23 @@ class _DirectSolver:
     array, computed once; the factorization serves both ``S x = b`` and
     ``S.T x = b``.  Every solver up to ``_DENSE_CUTOFF`` unknowns is one (see
     :func:`_phase_backend`).  Deterministic.  Its solves are exact up to
-    rounding and check no residual.
+    rounding, ignore ``tol`` and check no residual; ``iterations`` counts
+    them, and a checked apply refines them toward ``aim``.
     """
+
+    aim = _LU_AIM
 
     def __init__(self, S: np.ndarray):
         self.S = S
         # an exactly singular S warns here and solves to non-finite values
         self._lu = scipy.linalg.lu_factor(S, check_finite=False)
+        self.iterations = 0
 
-    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    def solve(self, b: np.ndarray, transpose: bool, tol: float) -> np.ndarray:
         x, info = _getrs(*self._lu, b, trans=int(transpose))
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        self.iterations += 1
         return x
 
     def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -102,14 +108,14 @@ class _DirectSolver:
 
 class _KrylovSolver:
     """Matvec-only solves of ``S x = b`` and ``S.T x = b`` for a CSR ``S``
-    with a positive diagonal, to ``||b - S x||_2 <= tol ||b||_2``.
+    with a positive diagonal, to ``||b - S x||_2 <= tol ||b||_2`` with the
+    ``tol`` of each solve.
 
-    Runs BiCGSTAB, or CG for a ``symmetric`` ``S`` (symmetric positive
-    definite by construction), preconditioned by the diagonal, in
-    ``_KRYLOV_PASSES`` passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES``
-    iterations.  A Krylov recurrence tracks its residual only approximately
-    and can stagnate, so after each pass the solve recomputes the true
-    residual and, while it misses, restarts from ``x`` with a fresh
+    Runs BiCGSTAB preconditioned by the diagonal, in ``_KRYLOV_PASSES``
+    passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations.  A
+    Krylov recurrence tracks its residual only approximately and can
+    stagnate, so after each pass the solve recomputes the true residual and,
+    while it misses, restarts from ``x`` and that residual with a fresh
     recurrence.  A residual below the rounding error of its own computation,
     ``(k + 1) eps (||S||_F ||x|| + ||b||)`` with ``k`` the most entries in a
     row or column of ``S``, passes too: no solver, an LU included, can be
@@ -117,41 +123,38 @@ class _KrylovSolver:
     shift-and-invert bracket) or at a ``tol`` below machine precision (a
     scan with a huge ``K``) that bound is the larger.
 
-    A solve still missing after its last pass, or at a CG breakdown, raises
+    A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
     of every solve.  Deterministic.
     """
 
-    def __init__(self, S: sp.csr_matrix, tol: float, symmetric: bool = False):
+    aim = math.inf
+
+    def __init__(self, S: sp.csr_matrix):
         self.S = S
-        self.tol = tol
-        self._symmetric = symmetric
-        self._S_t = S if symmetric else S.T
+        self._S_t = S.T
         self._inv_diag = 1.0 / S.diagonal()
         self._floor_terms = None
         self.iterations = 0
 
-    def solve(
-        self, b: np.ndarray, transpose: bool = False, tol: float | None = None
-    ) -> np.ndarray:
-        """The solve, to ``tol`` when given instead of the solver's own."""
-        mat = self._S_t if transpose else self.S
-        return self._krylov(mat, b, self.tol if tol is None else tol)
+    def solve(self, b: np.ndarray, transpose: bool, tol: float) -> np.ndarray:
+        return self._krylov(self._S_t if transpose else self.S, b, tol)
 
     def _krylov(self, mat, b: np.ndarray, tol: float) -> np.ndarray:
-        def matvec(v):
-            return mat @ v
-
-        core = _cg_core if self._symmetric else _bicgstab_core
+        matvec = mat.__matmul__
         norm_b = np.linalg.norm(b)
         target = tol * norm_b
-        x = np.zeros_like(b)
+        # the zero start's residual is b itself
+        x, r = np.zeros_like(b), b
         spent = 0
         for _ in range(_KRYLOV_PASSES):
-            x, its = core(matvec, b, target, _KRYLOV_CAP // _KRYLOV_PASSES, x, self._inv_diag)
+            x, its = _bicgstab_core(
+                matvec, r, target, _KRYLOV_CAP // _KRYLOV_PASSES, x, self._inv_diag
+            )
             spent += its
             self.iterations += its
-            residual = np.linalg.norm(b - matvec(x))
+            r = b - matvec(x)
+            residual = np.linalg.norm(r)
             if residual <= target or residual <= self._floor(x, norm_b):
                 return x
         raise BackendDiverged(
@@ -173,15 +176,14 @@ class _KrylovSolver:
         return (self._S_t if transpose else self.S) @ x
 
 
-def _phase_backend(S, tol: float, symmetric: bool = False):
+def _phase_backend(S):
     """The package's one choice of solver, for a matrix the engine formed or
-    a caller's own, by its storage (see :func:`_storage`): LAPACK for a dense
-    ``S``, which solves exactly up to rounding and ignores ``tol``, and
-    :class:`_KrylovSolver` at relative residual ``tol`` for a CSR ``S``, by
-    CG when ``symmetric``."""
+    a caller's own, by its storage alone (see :func:`_storage`): LAPACK for
+    a dense ``S``, which solves exactly up to rounding, and
+    :class:`_KrylovSolver` for a CSR ``S``."""
     if isinstance(S, np.ndarray):
         return _DirectSolver(S)
-    return _KrylovSolver(S, tol, symmetric)
+    return _KrylovSolver(S)
 
 
 class LinearOperator:
@@ -192,17 +194,17 @@ class LinearOperator:
     SDD solves).  Every application appends the achieved relative l2 residual
     and the backend's iterations to ``report``: Krylov iterations for a
     Krylov-backed operator, the LU solves (one plus the refinement steps)
-    for an LU-backed one.
+    for an LU-backed one.  ``transpose_fn``, when given, maps an error bound
+    to the apply function of the transposed system (see :meth:`transpose`).
     """
 
-    def __init__(self, apply_fn, n, error_bound, norm_tag):
+    def __init__(self, apply_fn, n, error_bound, norm_tag, transpose_fn=None):
         self._apply_fn = apply_fn
         self.n = n
         self.error_bound = float(error_bound)
         self.norm_tag = norm_tag
         self.report = SolveReport(info={"iterations_per_call": []})
-        # set by build_rcdd_solver: error bound -> apply function for S.T
-        self._transpose_fn = None
+        self._transpose_fn = transpose_fn
 
     def transpose(self, error_bound: float) -> "LinearOperator":
         """Operator solving the transposed system to ``error_bound``, from
@@ -248,25 +250,22 @@ def varah_kappa_upper(S) -> float:
 def _checked_apply(solver, eps: float, transpose: bool):
     """The apply function ``x -> (z, rel, iterations)`` of an operator over a
     solver from :func:`_phase_backend`, with ``rel = ||x - S z|| / ||x||``
-    recomputed.  An LU solve is refined toward ``min(eps, _LU_AIM)`` by at
-    most three steps; a Krylov solve runs to ``eps``.  A residual above
-    ``eps``, or not finite, raises :class:`BackendDiverged`."""
-    krylov = isinstance(solver, _KrylovSolver)
-
-    def solve(b):
-        return solver.solve(b, transpose, eps) if krylov else solver.solve(b, transpose)
+    recomputed.  Each solve runs to ``eps``, and up to three refinement steps
+    aim the residual at ``min(eps, solver.aim)``: below the contract for an
+    LU, at it for a Krylov solve.  A residual above ``eps``, or not finite,
+    raises :class:`BackendDiverged`."""
+    target = min(eps, solver.aim)
 
     def apply_fn(x):
-        spent = solver.iterations if krylov else 0
-        z = solve(x)
+        spent = solver.iterations
+        z = solver.solve(x, transpose, eps)
         norm_x = np.linalg.norm(x)
         rel = 0.0
         refinements = 0
         if norm_x != 0.0:
             rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
-            target = eps if krylov else min(eps, _LU_AIM)
             while rel > target and refinements < 3:
-                z = z + solve(x - solver.matvec(z, transpose))
+                z = z + solver.solve(x - solver.matvec(z, transpose), transpose, eps)
                 rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
                 refinements += 1
         if not rel <= eps:
@@ -274,54 +273,24 @@ def _checked_apply(solver, eps: float, transpose: bool):
                 f"backend residual {rel:.3e} above eps={eps:.3e} after "
                 f"{refinements} refinements; matrix is too ill-conditioned"
             )
-        iterations = solver.iterations - spent if krylov else 1 + refinements
-        return z, float(rel), iterations
+        return z, float(rel), solver.iterations - spent
 
     return apply_fn
 
 
-def _cg_core(matvec, b, eps_abs, cap, x, inv_diag):
-    """Conjugate gradient from ``x``, preconditioned by the diagonal
-    ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
-    is at most ``eps_abs``, or after ``cap`` iterations."""
-    x = x.copy()
-    r = b - matvec(x)
-    if np.linalg.norm(r) <= eps_abs:
-        return x, 0
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, cap + 1):
-        Ap = matvec(p)
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            raise BackendDiverged("conjugate gradient met a nonpositive curvature")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        rs = float(r @ r)
-        if np.sqrt(rs) <= eps_abs:
-            return x, it
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, cap
-
-
-def _bicgstab_core(matvec, b, eps_abs, cap, x, inv_diag):
-    """BiCGSTAB from ``x``, preconditioned on the right by the diagonal
-    ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence residual
-    is at most ``eps_abs``, after ``cap`` iterations, or early at a breakdown
-    (a vanishing or non-finite inner product); the caller meets the last two
+def _bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag):
+    """BiCGSTAB from ``x``, whose residual ``b - S x`` the caller passes as
+    ``r``, preconditioned on the right by the diagonal ``1 / inv_diag``;
+    returns ``(x, iterations)`` once the recurrence residual is at most
+    ``eps_abs``, after ``cap`` iterations, or early at a breakdown (a
+    vanishing or non-finite inner product); the caller meets the last two
     with a restart."""
     x = x.copy()
-    r = b - matvec(x)
     if np.linalg.norm(r) <= eps_abs:
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    p = v = np.zeros_like(b)
+    p = v = np.zeros_like(r)
     for it in range(1, cap + 1):
         rho_new = float(r_hat @ r)
         if rho_new == 0.0 or omega == 0.0 or not math.isfinite(rho_new):
@@ -365,10 +334,9 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     _check_open_unit(eps, "eps")
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    solver = _phase_backend(_storage(S.csr()), eps)
-    op = LinearOperator(_checked_apply(solver, eps, False), S.n_rows, eps, "l2")
-    op._transpose_fn = lambda eps_t: _checked_apply(solver, eps_t, True)
-    return op
+    solver = _phase_backend(_storage(S.csr()))
+    apply_fn = _checked_apply(solver, eps, False)
+    return LinearOperator(apply_fn, S.n_rows, eps, "l2", lambda e: _checked_apply(solver, e, True))
 
 
 def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
@@ -377,8 +345,9 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     The energy-norm contract is enforced by driving the l2 residual below
     ``eps / sqrt(kappa_hat)`` with ``kappa_hat`` the computable dominance
     bound on the condition number; an LU satisfies any usable ``eps``
-    outright.  The solver comes from :func:`_phase_backend`: LAPACK LU up to
-    ``_DENSE_CUTOFF`` unknowns, CG above.  Applying the operator raises
+    outright.  The solver comes from :func:`_phase_backend`, as every other:
+    LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned
+    BiCGSTAB above.  Applying the operator raises
     :class:`BackendDiverged` when the backend misses that l2 target.  The
     side channel records l2 residuals.
     """
@@ -390,5 +359,5 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     # the l2 target that implies the energy contract, floored at what double
     # precision plus refinement can deliver
     eps_l2 = max(eps / np.sqrt(max(kappa_hat, 1.0)), _LU_AIM)
-    solver = _phase_backend(_storage(S.csr()), eps_l2, symmetric=True)
+    solver = _phase_backend(_storage(S.csr()))
     return LinearOperator(_checked_apply(solver, eps_l2, False), S.n_rows, eps, "s-energy")

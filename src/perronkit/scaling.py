@@ -215,32 +215,25 @@ class _PhaseSolver:
     :func:`rcdd._phase_backend` picks the backend by the problem's storage:
     LAPACK factors a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) once,
     which it then solves exactly up to rounding; a CSR ``S`` gets
-    Jacobi-preconditioned Krylov solves to the relative residual ``tol``,
-    each checked against its true residual, and one that misses raises
-    :class:`BackendDiverged` for its caller to turn into its own outcome.
-    ``symmetric`` marks an ``S`` symmetric by construction, which the
-    Krylov backend solves by CG.  ``S`` is the matrix solved with."""
+    Jacobi-preconditioned BiCGSTAB solves to the relative residual ``tol``
+    this solver holds and passes to each, each checked against its true
+    residual, and one that misses raises :class:`BackendDiverged` for its
+    caller to turn into its own outcome.  ``S`` is the matrix solved with."""
 
     def __init__(
-        self,
-        prob: _Problem,
-        alpha2: float,
-        ell: np.ndarray,
-        r: np.ndarray,
-        symmetric: bool = False,
-        *,
-        tol: float,
+        self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray, *, tol: float
     ):
         self.ell = ell
         self.r = r
-        self._solver = _phase_backend(prob.scaled_shift(alpha2, ell, r), tol, symmetric)
+        self.tol = tol
+        self._solver = _phase_backend(prob.scaled_shift(alpha2, ell, r))
         self.S = self._solver.S
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
-        return self.r * self._solver.solve(self.ell * x)
+        return self.r * self._solver.solve(self.ell * x, False, self.tol)
 
     def p_left(self, x: np.ndarray) -> np.ndarray:
-        return self.ell * self._solver.solve(self.r * x, transpose=True)
+        return self.ell * self._solver.solve(self.r * x, True, self.tol)
 
 
 def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
@@ -364,7 +357,7 @@ class _CWBracket:
         rounding on either side of ``bound`` (``met_at_bound`` is then set).
         Both tests are :func:`_settles`, so rounding cannot decide the wrong
         side."""
-        tol = (self.A.n_rows + 2) * np.finfo(float).eps
+        tol = _cw_margin(self.A.n_rows)
         for _ in self._iterates():
             lo = self.lower
             his = (self.cw_right[1], self.cw_left[1])
@@ -400,13 +393,18 @@ class _CWBracket:
         return prob, pair
 
 
+def _cw_margin(n: int) -> float:
+    """The relative rounding error of a CW bound of an ``n``-unknown matrix,
+    a ratio of sums of nonnegative products (barring underflow)."""
+    return (n + 2) * np.finfo(float).eps
+
+
 def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> bool | None:
     """``rho < bound`` from CW bounds, or ``None`` when they settle nothing:
     True when both upper bounds ``his`` (of a right vector on ``A`` and a
     left one on ``A.T``) lie below ``bound``, False when the lower bound
-    ``lo`` reaches it.  Each bound is a ratio of sums of nonnegative
-    products, computed to a relative error below ``tol = (n + 2)`` machine
-    epsilons (barring underflow); both tests keep that margin."""
+    ``lo`` reaches it.  ``tol`` is the bounds' :func:`_cw_margin`, which
+    both tests keep."""
     if max(his) * (1.0 + tol) < bound:
         return True
     if lo * (1.0 - tol) >= bound:
@@ -436,7 +434,11 @@ class _ScanFailure(Exception):
         super().__init__(witness)
 
     def cap_hit(self, what: str, reason: str) -> IterationCapHit:
-        """The public error for this failure of ``what`` (a kind of phase)."""
+        """The public error for this failure of ``what`` (a kind of phase),
+        ``reason`` naming what it suggests about the matrix; a missed solve
+        (``"solver budget"``) suggests nothing about it and says so."""
+        if self.witness == "solver budget":
+            reason = "a phase solve missed its tolerance, which says nothing about rho(A)"
         return IterationCapHit(
             f"{what} {self.phase} (alpha={self.alpha:.3e}) failed: {self.witness}; {reason}",
             phase=self.phase,
@@ -887,9 +889,7 @@ class _SymmLevels:
         if self._solver is None:
             # rho(A) < 1 bounds ||M_alpha^-1|| by 1 / alpha, the level's K
             tol = _scan_tolerance(1.0 / self.alpha)
-            self._solver = _PhaseSolver(
-                self.prob, self.alpha, self.v, self.v, symmetric=True, tol=tol
-            )
+            self._solver = _PhaseSolver(self.prob, self.alpha, self.v, self.v, tol=tol)
         return self._solver
 
     def halve(self, cap: int) -> None:

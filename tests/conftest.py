@@ -147,7 +147,7 @@ def count_krylov(monkeypatch):
     return counts
 
 
-def stalled_core(matvec, b, eps_abs, cap, x, inv_diag):
+def stalled_core(matvec, r, eps_abs, cap, x, inv_diag):
     """A Krylov pass that spends its whole budget and leaves ``x`` as it
     was."""
     return x.copy(), cap
@@ -156,8 +156,7 @@ def stalled_core(matvec, b, eps_abs, cap, x, inv_diag):
 def fail_krylov(monkeypatch):
     """Every Krylov pass stalls, as on a matrix that defeats the method, so
     every Krylov solve with a nonzero right-hand side misses."""
-    for name in ("_bicgstab_core", "_cg_core"):
-        monkeypatch.setattr(perronkit.rcdd, name, stalled_core)
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", stalled_core)
 
 
 def record_rounds(monkeypatch, limit=None):

@@ -6,6 +6,7 @@ import pytest
 import perronkit.apps as apps_module
 from perronkit import (
     DecayTooLarge,
+    IterationCapHit,
     KernelDiverges,
     LabeledGraph,
     NotIrreducible,
@@ -307,6 +308,36 @@ class TestReducibleDecay:
         valid, rho_upper = apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
         assert not valid and rho_upper == np.inf
         assert calls and set(calls) == {2}
+
+    def test_a_refuted_conditioning_guess_retries_at_eight_times_k(self, monkeypatch):
+        """On a weighted path, a reducible product graph with ``rho`` = 0,
+        the guess ``4 n / (1 - rho_upper)`` = 16 is far below
+        ``||(I - B)^-1||`` (about 1e6): ``solve_m`` at ``K`` = 16 hits its
+        residual ceiling, and the retry at ``8 K`` solves to ``eps``, for
+        ``graph_kernel``'s reducible path too."""
+        n, lam, eps = 4, 100.0, 1e-6
+        path = np.diag(np.ones(n - 1), 1)
+        B = SparseMatrix.from_dense(lam * path)
+        p = np.full(n, 1.0 / n)
+        with pytest.raises(IterationCapHit, match="residual ceiling"):
+            apps_module.solve_m(B, 1.0, eps, 16.0)
+        ks = []
+        real_solve_m = apps_module.solve_m
+
+        def solve_m(*args):
+            ks.append(args[3])
+            return real_solve_m(*args)
+
+        monkeypatch.setattr(apps_module, "solve_m", solve_m)
+        x, _ = apps_module._solve_m_retried(B, p, eps, 4.0 * n)
+        assert ks == [16.0, 128.0]
+        assert np.linalg.norm(x - lam * path @ x - p) <= eps * np.linalg.norm(p)
+        ks.clear()
+        value, _ = graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
+        assert ks == [16.0, 128.0]
+        inverse = np.linalg.inv(np.eye(n) - lam * path)
+        error_bound = eps * np.linalg.norm(p) ** 2 * np.linalg.norm(inverse, 2)
+        assert abs(value - p @ inverse @ p) <= error_bound
 
     def test_kernel_on_a_reducible_product(self):
         W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)

@@ -1,9 +1,9 @@
 """The matvec-only phase solves above the dense cutoff.
 
-Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms is
-solved by Jacobi-preconditioned BiCGSTAB (CG when symmetric by construction)
-to the relative residual its caller sets, with no factorization, in passes
-that each restart from ``x`` while the true residual misses.  A solve that
+Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms,
+symmetric or not, is solved by Jacobi-preconditioned BiCGSTAB to the
+relative residual its caller passes, with no factorization, in passes that
+each restart from ``x`` and its true residual while that residual misses.  A solve that
 still misses raises :class:`BackendDiverged`, and each caller has one typed
 outcome for it: a failed bracket, the ``"solver budget"`` failure of a scan
 or a symmetric level, the end of the polish, or the error itself from an
@@ -214,7 +214,7 @@ def test_reruns_are_bit_identical(ring):
 # the solver itself: the true residual decides
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "symmetric"])
 def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
     """A Krylov core that reports convergence on a perturbed iterate is
     caught by the true residual: the next pass restarts from it and repairs
@@ -227,8 +227,7 @@ def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
     S = scipy.sparse.csr_matrix(S)
     b = rng.normal(size=40)
     tol = 1e-10
-    core = "_cg_core" if symmetric else "_bicgstab_core"
-    real_core = getattr(perronkit.rcdd, core)
+    real_core = perronkit.rcdd._bicgstab_core
     # the number of core calls that lie, and the calls that did
     lies = {"budget": 1, "told": 0}
 
@@ -239,23 +238,24 @@ def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
             x = x * (1.0 + 1e-3 * np.sin(np.arange(x.size)))
         return x, its
 
-    monkeypatch.setattr(perronkit.rcdd, core, lying_core)
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", lying_core)
     for transpose in (False, True):
         lies["told"] = 0
-        x = _KrylovSolver(S, tol, symmetric).solve(b, transpose)
+        x = _KrylovSolver(S).solve(b, transpose, tol)
         mat = S.T if transpose else S
         assert lies["told"] == 1
         assert np.linalg.norm(b - mat @ x) <= tol * np.linalg.norm(b)
     lies.update(budget=10**9, told=0)
     with pytest.raises(BackendDiverged, match="true residual"):
-        _KrylovSolver(S, tol, symmetric).solve(b)
+        _KrylovSolver(S).solve(b, False, tol)
     assert lies["told"] == _KRYLOV_PASSES
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "symmetric"])
 def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
     """A pass that spends its budget returns its iterate instead of raising,
-    and the next pass starts from that iterate with a fresh recurrence; each
+    and the next pass starts from that iterate and its true residual with a
+    fresh recurrence; the first pass starts from zero and ``b``, and each
     pass gets ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations."""
     rng = np.random.default_rng(77)
     S = random_strictly_rcdd_dense(rng, 40)
@@ -263,27 +263,28 @@ def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
         S = S + S.T
     S = scipy.sparse.csr_matrix(S)
     b = rng.normal(size=40)
-    core = "_cg_core" if symmetric else "_bicgstab_core"
-    real_core = getattr(perronkit.rcdd, core)
+    real_core = perronkit.rcdd._bicgstab_core
     passes = []
 
-    def stalling_core(matvec, b, eps_abs, cap, x, inv_diag):
+    def stalling_core(matvec, r, eps_abs, cap, x, inv_diag):
         # the first pass stops after two iterations, as if it had stagnated
-        passes.append((cap, x.copy()))
-        x, its = real_core(matvec, b, eps_abs, 2 if len(passes) == 1 else cap, x, inv_diag)
+        passes.append((cap, x.copy(), r.copy()))
+        x, its = real_core(matvec, r, eps_abs, 2 if len(passes) == 1 else cap, x, inv_diag)
         return x, cap if len(passes) == 1 else its
 
-    monkeypatch.setattr(perronkit.rcdd, core, stalling_core)
-    solver = _KrylovSolver(S, 1e-10, symmetric)
-    x = solver.solve(b)
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", stalling_core)
+    solver = _KrylovSolver(S)
+    x = solver.solve(b, False, 1e-10)
     assert np.linalg.norm(b - S @ x) <= 1e-10 * np.linalg.norm(b)
     assert len(passes) == 2
-    assert [cap for cap, _ in passes] == [_KRYLOV_CAP // _KRYLOV_PASSES] * 2
-    assert not passes[0][1].any() and passes[1][1].any()
+    assert [cap for cap, _, _ in passes] == [_KRYLOV_CAP // _KRYLOV_PASSES] * 2
+    (_, x0, r0), (_, x1, r1) = passes
+    assert not x0.any() and np.array_equal(r0, b)
+    assert x1.any() and np.array_equal(r1, b - S @ x1)
     assert solver.iterations > _KRYLOV_CAP // _KRYLOV_PASSES
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "cg"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "symmetric"])
 def test_a_tolerance_below_rounding_passes_at_the_rounding_floor(symmetric):
     """A ``tol`` no floating-point solve can meet (a scan with a huge ``K``
     asks for one) is not a miss once the residual is below the rounding
@@ -294,7 +295,7 @@ def test_a_tolerance_below_rounding_passes_at_the_rounding_floor(symmetric):
         S = S + S.T
     S = scipy.sparse.csr_matrix(S)
     b = rng.normal(size=40)
-    x = _KrylovSolver(S, 1e-30, symmetric).solve(b)
+    x = _KrylovSolver(S).solve(b, False, 1e-30)
     # 40 entries in every row and column
     rounding = 41 * np.finfo(float).eps
     floor = rounding * (np.linalg.norm(S.data) * np.linalg.norm(x) + np.linalg.norm(b))
@@ -317,7 +318,7 @@ def krylov_at_150(monkeypatch):
     monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", 128)
 
 
-def missing(self, b, transpose=False):
+def missing(self, b, transpose, tol):
     raise BackendDiverged("injected miss")
 
 
@@ -332,8 +333,8 @@ def perturbing(scale, seed=74):
     real = _KrylovSolver.solve
     rng = np.random.default_rng(seed)
 
-    def solve(self, b, transpose=False):
-        x = real(self, b, transpose)
+    def solve(self, b, transpose, tol):
+        x = real(self, b, transpose, tol)
         return x * (1.0 + scale * rng.standard_normal(x.size))
 
     return solve
@@ -344,7 +345,7 @@ FAULTS = {
     "noise-1e-6": perturbing(1e-6),
     "noise-1e-2": perturbing(1e-2),
     "noise-2": perturbing(2.0),
-    "nan": lambda self, b, transpose=False: np.full_like(b, np.nan),
+    "nan": lambda self, b, transpose, tol: np.full_like(b, np.nan),
 }
 
 
@@ -539,22 +540,32 @@ def test_a_miss_in_the_polish_ends_it(monkeypatch, small_ring, krylov_at_150):
     assert (1.0 - delta) < cert.s <= 1.0 + 1e-10
 
 
+# the reason an IterationCapHit gives for a missed phase solve
+MISS_REASON = (
+    r"solver budget; a phase solve missed its tolerance, which says nothing about rho\(A\)$"
+)
+
+
 def test_a_miss_in_a_symmetric_level(krylov_misses):
     """Above the cutoff a level step whose solve misses fails the way a
     symmetric phase fails, with :class:`IterationCapHit` naming the solver
     budget, from ``symm_scale`` and ``factor_width2_solve``; a miss in
-    ``symm_solve``'s refinement at a level raises :class:`BackendDiverged`."""
+    ``symm_solve``'s refinement at a level raises :class:`BackendDiverged`.
+    The message says that a miss says nothing about ``rho(A)``, as
+    ``mmatrix_scale``'s does for a miss in its scan."""
     n = _DENSE_CUTOFF + 1
     rng = np.random.default_rng(78)
     sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, 5.0 / n))
     fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     b = rng.normal(size=n)
-    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* solver budget"):
+    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* " + MISS_REASON):
         symm_scale(sym, 1e-3)
-    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* solver budget"):
+    with pytest.raises(IterationCapHit, match="symmetric phase 0 .* " + MISS_REASON):
         factor_width2_solve(fw2, b, 1e-6)
     with pytest.raises(BackendDiverged):
         symm_solve(sym, b, 1e-6)
+    with pytest.raises(IterationCapHit, match="scaling phase 0 .* " + MISS_REASON):
+        mmatrix_scale(sym, 1.0, 1e-3, 1e3)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

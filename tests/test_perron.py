@@ -597,7 +597,7 @@ class TestCWBracket:
             assert scaled.factorizations == bracket.factorizations
 
     def test_bracket_reports_failure_on_a_nonpositive_iterate(self, monkeypatch):
-        def solve(self, b, transpose=False):
+        def solve(self, b, transpose, tol):
             x = b.copy()
             x[0] = -x[0]
             return x
@@ -611,7 +611,7 @@ class TestCWBracket:
 
     def test_bracket_reports_failure_after_its_step_budget(self, monkeypatch):
         monkeypatch.setattr(
-            "perronkit.rcdd._DirectSolver.solve", lambda self, b, transpose=False: b
+            "perronkit.rcdd._DirectSolver.solve", lambda self, b, transpose, tol: b
         )
         bracket = _CWBracket(random_irreducible(np.random.default_rng(3), 10))
         assert bracket.upper(1e-3) is None

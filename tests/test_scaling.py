@@ -41,6 +41,7 @@ from conftest import (
     random_factor_width2_dense,
     random_m_matrix_dense,
     random_symmetric_contraction_dense,
+    record_scans,
 )
 
 
@@ -443,6 +444,20 @@ class TestSolveM:
                 assert np.linalg.norm(x - exact) <= 10.0 * eps * np.linalg.norm(exact)
 
 
+    @pytest.mark.parametrize("K", [1e3, 1e12])
+    @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+    def test_certified_negative_runs_no_scan(self, monkeypatch, n, K):
+        """At ``rho(A)`` = 1.1 the bracket's CW lower bound certifies
+        ``rho(A) >= s`` whatever ``K``: ``solve_m`` raises that, and runs no
+        halving scan."""
+        rng = np.random.default_rng(45)
+        A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 1.1, density=min(0.3, 5.0 / n)))
+        scans = record_scans(monkeypatch)
+        with pytest.raises(IterationCapHit, match=r"rho\(A\) >= s certified"):
+            solve_m(A, 1.0, 1e-6, K)
+        assert scans == []
+
+
 class TestSymmetricPath:
     def test_zero_matrix(self):
         A = SparseMatrix.zeros(3)
@@ -534,7 +549,7 @@ class TestFactorWidth2:
 
     def test_csr_path(self):
         """Above the dense cutoff: the shift search continues down several
-        levels and every SDD level is solved by matvec-only CG."""
+        levels and every SDD level is solved by matvec-only BiCGSTAB."""
         rng = np.random.default_rng(44)
         n = 400
         assert n > _DENSE_CUTOFF

@@ -91,7 +91,7 @@ def test_dense_solve_matches_lu_solve(transpose):
     expected = scipy.linalg.lu_solve(
         scipy.linalg.lu_factor(S), b, trans=int(transpose)
     )
-    assert np.array_equal(_DirectSolver(S).solve(b, transpose), expected)
+    assert np.array_equal(_DirectSolver(S).solve(b, transpose, 1e-12), expected)
 
 
 @pytest.mark.parametrize("diagonal", [True, False], ids=["stored-diag", "no-diag"])
@@ -124,8 +124,8 @@ def test_singular_phase_matrix_fails_the_scan(monkeypatch):
     finite = []
     real_solve = _DirectSolver.solve
 
-    def solve(self, b, transpose=False):
-        x = real_solve(self, b, transpose)
+    def solve(self, b, transpose, tol):
+        x = real_solve(self, b, transpose, tol)
         finite.append(bool(np.all(np.isfinite(x))))
         return x
 
@@ -328,7 +328,7 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
     a non-finite ``v`` or ``x``."""
     for backend in (_DirectSolver, _KrylovSolver):
         monkeypatch.setattr(
-            backend, "solve", lambda self, b, transpose=False, tol=None: np.full_like(b, np.nan)
+            backend, "solve", lambda self, b, transpose, tol: np.full_like(b, np.nan)
         )
     rng = np.random.default_rng(51)
     A = SparseMatrix.from_dense(
@@ -664,7 +664,7 @@ def test_non_finite_refinement_stops_at_once(monkeypatch):
 
     monkeypatch.setattr(perronkit.scaling, "prec_richardson", record)
     monkeypatch.setattr(
-        _DirectSolver, "solve", lambda self, b, transpose=False: np.full_like(b, np.nan)
+        _DirectSolver, "solve", lambda self, b, transpose, tol: np.full_like(b, np.nan)
     )
     with pytest.raises(IterationCapHit, match="non_finite"):
         op.apply(rng.normal(size=20))
