@@ -25,6 +25,7 @@ from .errors import (
     NotSDDAfterScaling,
     PerronKitError,
     ReducibleGram,
+    RoundingFloorHit,
     Singular,
 )
 from .reports import PhaseLog, SolveReport
@@ -97,6 +98,7 @@ __all__ = [
     "NotSDD",
     "BackendDiverged",
     "IterationCapHit",
+    "RoundingFloorHit",
     "NotIrreducible",
     "KCapExceeded",
     "DecayTooLarge",

@@ -29,6 +29,7 @@ from .errors import (
     KernelDiverges,
     NotRCDD,
     ReducibleGram,
+    RoundingFloorHit,
 )
 from .perron import (
     PerronCertificate,
@@ -193,15 +194,23 @@ def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, cert: PerronCer
 
 
 def _solve_m_retried(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
-    """Solve ``(I - B) x = rhs`` by :func:`solve_m`, with cap-hit retries
-    multiplying ``K`` by 8."""
+    """Solve ``(I - B) x = rhs`` by :func:`solve_m`, multiplying ``K`` by 8
+    after each :class:`IterationCapHit` a larger ``K`` can repair: a scan
+    phase that failed at too small a ``K``, or a refinement that ran out of
+    iterations (its cap grows with ``K``).  A :class:`RoundingFloorHit`
+    propagates at once.  Returns ``(x, report)``, with the ``K`` the solve
+    ended at in ``report.info["conditioning_bound"]``."""
     for _ in range(6):
         try:
             op = solve_m(B, 1.0, eps, K)
             x = op.apply(rhs)
-            return x, op.report
+        except RoundingFloorHit:
+            raise
         except IterationCapHit:
             K *= 8.0
+            continue
+        op.report.info["conditioning_bound"] = K
+        return x, op.report
     raise IterationCapHit(
         "decayed solve kept hitting iteration caps; conditioning estimate "
         "cannot be stabilized",
@@ -388,7 +397,9 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     ``sqrt(kappa(r) / (1 - c_r) * kappa(l) / (1 - c_l))`` with ``c_r`` and
     ``c_l`` the right and left CW upper bounds (see
     :func:`_inverse_norm_bounds`; ``||X||_2 <= sqrt(||X||_1 ||X||_inf)``).
-    On the reducible path it is the conditioning guess the solve used.
+    On the reducible path it is a guess, not a proof: the conditioning
+    bound ``K`` the solve ended at, from the first guess
+    ``max(4, 4 n / (1 - rho_upper))`` times 8 per retry.
     """
     mat = W.matrix
     n = mat.n_rows
@@ -425,8 +436,9 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
                 "certified lam * rho(W) >= 1 on a strongly connected "
                 "component; kernel series diverges"
             )
-        inverse_norm = max(4.0, 4.0 * B.n_rows / max(1.0 - rho_upper, 1e-9))
-        x, report = _solve_m_retried(B, p, eps, inverse_norm)
+        guess = max(4.0, 4.0 * B.n_rows / max(1.0 - rho_upper, 1e-9))
+        x, report = _solve_m_retried(B, p, eps, guess)
+        inverse_norm = report.info["conditioning_bound"]
     value = float(q @ x)
     bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
     report.info["scalar_error_bound"] = bound

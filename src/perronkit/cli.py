@@ -11,6 +11,7 @@ seed once timestamps are suppressed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,7 +36,10 @@ from .sparse import load_matrix, load_vector, save_vector
 _SIDECAR_LIMIT = 10_000
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="perronkit",
         description="Perron eigenpairs, M-matrix decisions and solves, and "
@@ -105,15 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _vector_field(name, vec, args):
     """Inline short vectors; spill long ones to a sidecar file."""
-    values = [float(v) for v in np.asarray(vec)]
-    if len(values) <= _SIDECAR_LIMIT:
-        return values
+    x = np.asarray(vec, dtype=np.float64)
+    if x.size <= _SIDECAR_LIMIT:
+        return x.tolist()
     if args.output is not None:
         sidecar = args.output.with_name(f"{args.output.stem}.{name}.txt")
     else:
         sidecar = Path(f"perronkit-{args.subcommand}-{name}.txt")
-    save_vector(sidecar, vec)
-    return {"path": str(sidecar), "length": len(values)}
+    save_vector(sidecar, x)
+    return {"path": str(sidecar), "length": x.size}
 
 
 def _certificate_fields(cert, args):

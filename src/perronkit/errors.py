@@ -53,13 +53,21 @@ class IterationCapHit(PerronKitError):
     residual ceiling, or left the positive finite range.
 
     Signals either that the shifted matrix is not an M-matrix or that the
-    supplied conditioning bound ``K`` is too small.
+    supplied conditioning bound ``K`` is too small, except for its subclass
+    :class:`RoundingFloorHit`.
     """
 
     def __init__(self, message, phase=None, alpha=None):
         self.phase = phase
         self.alpha = alpha
         super().__init__(message)
+
+
+class RoundingFloorHit(IterationCapHit):
+    """A refinement cannot certify its residual: the rounding bound of the
+    residual's own computation, in the widest precision at hand, leaves no
+    room within ``eps ||b||``.  That bound grows with ``||x||``, which no
+    conditioning bound ``K`` changes, so no larger ``K`` repairs it."""
 
 
 class NotIrreducible(PerronKitError):

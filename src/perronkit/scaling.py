@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
+from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling, RoundingFloorHit
 from .rcdd import (
     LinearOperator,
     _phase_backend,
@@ -738,8 +738,9 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     large and so is that bound; once it exceeds half of ``eps ||b||`` the
     residual is computed in ``np.longdouble`` (where that is wider than
     double), and a bound that still leaves no room raises
-    :class:`IterationCapHit`.  A miss of the scan's phase solves raises
-    :class:`IterationCapHit` too, and applying the operator raises
+    :class:`RoundingFloorHit`, which no larger ``K`` repairs.  A refinement
+    that runs out of iterations, or a miss of the scan's phase solves,
+    raises :class:`IterationCapHit`, and applying the operator raises
     :class:`BackendDiverged` when a preconditioner solve misses.
     ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on
     the bracket path) and the bracket's steps (``"bracket_steps"``).
@@ -809,7 +810,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
                 rn = float(np.linalg.norm(matvec(x) - b))
                 continue
             if not slack > 0.0 or iterations == cap:
-                raise IterationCapHit(
+                error = RoundingFloorHit if slack <= 0.0 else IterationCapHit
+                raise error(
                     f"refinement against s I - A cannot certify its residual "
                     f"{rn:.3e} within eps ||b|| = {target:.3e} after {iterations} "
                     f"of at most {cap} iterations: the residual's rounding bound "

@@ -13,6 +13,7 @@ bound all take their line sums of ``|S|`` from one pass, :func:`_line_sums`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -309,12 +310,36 @@ def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMat
 # -- file I/O ----------------------------------------------------------
 
 
-def load_matrix(path) -> SparseMatrix:
-    """Read a Matrix Market coordinate file (real, general or symmetric).
+# a Matrix Market entry line: 1-based row and column, then the value
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
-    Symmetric storage is expanded to general form; duplicates are summed and
-    explicit zeros dropped per the Matrix Market convention.  Raises
-    :class:`MatrixMarketParseError` with a line number on malformed input.
+
+def _loadtxt(lines: list[str], dtype):
+    """``lines`` parsed by one ``np.loadtxt`` pass, or None should it raise
+    or warn.  Tokens are separated by whitespace and no character starts a
+    comment, so a ``%`` anywhere, which no number contains, fails the pass.
+    Warnings count as failures: an empty input warns, and numpy < 2 parses
+    ``1.0`` into an integer column with only a ``DeprecationWarning``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
+def load_matrix(path) -> SparseMatrix:
+    """Read a Matrix Market coordinate file (real or integer, general or
+    symmetric).
+
+    Entry lines are ``row col value`` with integer 1-based indices; ``%``
+    comments stand on lines of their own.  Symmetric storage is expanded to
+    general form; duplicates are summed and explicit zeros dropped per the
+    Matrix Market convention.  The body is parsed by one numpy pass and
+    checked as whole arrays; only a body with comments, or one that pass or
+    its checks reject, is read line by line, which names the first bad
+    line.  Raises :class:`MatrixMarketParseError` with a line number on
+    malformed input.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -358,16 +383,7 @@ def load_matrix(path) -> SparseMatrix:
     if symmetry == "symmetric" and n_rows != n_cols:
         raise MatrixMarketParseError("symmetric matrix must be square", lineno)
 
-    body = [
-        (lineno, parts)
-        for lineno, parts in enumerate(map(str.split, lines[body_start:]), start=body_start + 1)
-        if parts and not parts[0].startswith("%")
-    ]
-    i, j, values = _entries(body, n_rows, n_cols)
-    if len(body) != nnz:
-        raise MatrixMarketParseError(
-            f"declared {nnz} entries but found {len(body)}", len(lines)
-        )
+    i, j, values = _entries(lines, body_start, n_rows, n_cols, nnz)
     if symmetry == "symmetric":
         # each off-diagonal entry followed by its mirror, in file order
         keep = np.ones(2 * i.size, dtype=bool)
@@ -377,24 +393,32 @@ def load_matrix(path) -> SparseMatrix:
     return SparseMatrix(n_rows, n_cols, i - 1, j - 1, values)
 
 
-def _entries(body, n_rows: int, n_cols: int):
+def _entries(lines: list[str], body_start: int, n_rows: int, n_cols: int, nnz: int):
     """The 1-based ``(rows, cols, values)`` arrays of the Matrix Market body
-    lines ``(lineno, tokens)``, checked as whole arrays.  Should any check
-    fail, each line is checked in turn by :func:`_entry`, so that the error
-    names the first bad line and its first failed check."""
-    try:
-        if all(len(parts) == 3 for _, parts in body):
-            i = np.array([int(parts[0]) for _, parts in body], dtype=np.int64)
-            j = np.array([int(parts[1]) for _, parts in body], dtype=np.int64)
-            values = np.array([float(parts[2]) for _, parts in body], dtype=np.float64)
-            if (
-                np.all((i >= 1) & (i <= n_rows) & (j >= 1) & (j <= n_cols))
-                and np.isfinite(values).all()
-            ):
-                return i, j, values
-    except (ValueError, OverflowError):
-        pass
-    entries = [_entry(lineno, parts, n_rows, n_cols) for lineno, parts in body]
+    ``lines[body_start:]``, which must hold ``nnz`` entries, parsed by
+    :func:`_loadtxt` and checked as whole arrays.  Should the body hold a
+    comment, or the pass or any check fail, each line is checked in turn by
+    :func:`_entry`, so that the error names the first bad line and its first
+    failed check; the entry count is checked last."""
+    body = lines[body_start:]
+    table = _loadtxt(body, _ENTRY_DTYPE)
+    if table is not None:
+        i, j, values = table["row"], table["col"], table["value"]
+        if (
+            i.size == nnz
+            and np.all((i >= 1) & (i <= n_rows) & (j >= 1) & (j <= n_cols))
+            and np.isfinite(values).all()
+        ):
+            return i, j, values
+    entries = [
+        _entry(lineno, parts, n_rows, n_cols)
+        for lineno, parts in enumerate(map(str.split, body), start=body_start + 1)
+        if parts and not parts[0].startswith("%")
+    ]
+    if len(entries) != nnz:
+        raise MatrixMarketParseError(
+            f"declared {nnz} entries but found {len(entries)}", len(lines)
+        )
     return tuple(
         np.array([entry[k] for entry in entries], dtype=dtype)
         for k, dtype in enumerate((np.int64, np.int64, np.float64))
@@ -419,23 +443,32 @@ def _entry(lineno: int, parts: list[str], n_rows: int, n_cols: int) -> tuple[int
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a plain-text vector, one value per line (blank lines ignored)."""
-    values = []
+    """Read a plain-text vector: whitespace-separated values in file order,
+    any number to a line; blank lines and lines starting with ``%`` are
+    skipped.  A file without comments and with as many values on every line
+    is parsed by one numpy pass; any other file is read line by line, so
+    that a bad value names its line."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            for tok in stripped.split():
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad value {tok!r}") from None
+        lines = fh.readlines()
+    table = _loadtxt(lines, np.float64)
+    if table is not None:
+        return as_vector(table.ravel(), name=str(path))
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        for tok in stripped.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad value {tok!r}") from None
     return as_vector(values, name=str(path))
 
 
 def save_vector(path, x) -> None:
+    """Write ``x`` one value to a line, each as the shortest ``repr`` that
+    reads back to the same double."""
     x = as_vector(x, name="x")
     with open(path, "w", encoding="ascii") as fh:
-        for v in x:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("".join(f"{v!r}\n" for v in x.tolist()))

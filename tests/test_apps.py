@@ -12,6 +12,7 @@ from perronkit import (
     NotIrreducible,
     ProductWeights,
     ReducibleGram,
+    RoundingFloorHit,
     SparseMatrix,
     graph_kernel,
     katz_centrality,
@@ -309,18 +310,16 @@ class TestReducibleDecay:
         assert not valid and rho_upper == np.inf
         assert calls and set(calls) == {2}
 
-    def test_a_refuted_conditioning_guess_retries_at_eight_times_k(self, monkeypatch):
-        """On a weighted path, a reducible product graph with ``rho`` = 0,
-        the guess ``4 n / (1 - rho_upper)`` = 16 is far below
-        ``||(I - B)^-1||`` (about 1e6): ``solve_m`` at ``K`` = 16 hits its
-        residual ceiling, and the retry at ``8 K`` solves to ``eps``, for
-        ``graph_kernel``'s reducible path too."""
-        n, lam, eps = 4, 100.0, 1e-6
+    @staticmethod
+    def weighted_path(n, lam):
+        """``lam`` times the path ``0 -> 1 -> ... -> n-1``, a reducible
+        product graph with ``rho`` = 0 and ``||(I - B)^-1||`` about
+        ``lam^(n-1)``, and the uniform distribution on its vertices."""
         path = np.diag(np.ones(n - 1), 1)
-        B = SparseMatrix.from_dense(lam * path)
-        p = np.full(n, 1.0 / n)
-        with pytest.raises(IterationCapHit, match="residual ceiling"):
-            apps_module.solve_m(B, 1.0, eps, 16.0)
+        return path, SparseMatrix.from_dense(lam * path), np.full(n, 1.0 / n)
+
+    @staticmethod
+    def count_solve_m_builds(monkeypatch):
         ks = []
         real_solve_m = apps_module.solve_m
 
@@ -329,6 +328,19 @@ class TestReducibleDecay:
             return real_solve_m(*args)
 
         monkeypatch.setattr(apps_module, "solve_m", solve_m)
+        return ks
+
+    def test_a_refuted_conditioning_guess_retries_at_eight_times_k(self, monkeypatch):
+        """On a weighted path, a reducible product graph with ``rho`` = 0,
+        the guess ``4 n / (1 - rho_upper)`` = 16 is far below
+        ``||(I - B)^-1||`` (about 1e6): ``solve_m`` at ``K`` = 16 hits its
+        residual ceiling, and the retry at ``8 K`` solves to ``eps``, for
+        ``graph_kernel``'s reducible path too."""
+        n, lam, eps = 4, 100.0, 1e-6
+        path, B, p = self.weighted_path(n, lam)
+        with pytest.raises(IterationCapHit, match="residual ceiling"):
+            apps_module.solve_m(B, 1.0, eps, 16.0)
+        ks = self.count_solve_m_builds(monkeypatch)
         x, _ = apps_module._solve_m_retried(B, p, eps, 4.0 * n)
         assert ks == [16.0, 128.0]
         assert np.linalg.norm(x - lam * path @ x - p) <= eps * np.linalg.norm(p)
@@ -338,6 +350,34 @@ class TestReducibleDecay:
         inverse = np.linalg.inv(np.eye(n) - lam * path)
         error_bound = eps * np.linalg.norm(p) ** 2 * np.linalg.norm(inverse, 2)
         assert abs(value - p @ inverse @ p) <= error_bound
+
+    def test_a_rounding_floor_is_not_retried(self, monkeypatch):
+        """On the weighted path n = 8, lam = 100, ``||x||`` is about 1e13:
+        the first build that passes its scan (K = 32 * 8^5) yields a
+        refinement whose residual's rounding bound alone exceeds
+        ``eps ||b||``.  No larger ``K`` changes ``||x||``, so that failure
+        propagates at once instead of being retried at ``8 K``."""
+        n, lam, eps = 8, 100.0, 1e-6
+        path, B, p = self.weighted_path(n, lam)
+        ks = self.count_solve_m_builds(monkeypatch)
+        with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
+            apps_module._solve_m_retried(B, p, eps, 32.0 * 8.0**5)
+        assert ks == [32.0 * 8.0**5]
+        ks.clear()
+        with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
+            graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
+        # the guess 4 n = 32 and four more scans too small for their K
+        assert ks == [32.0 * 8.0**k for k in range(6)]
+
+    def test_the_reducible_kernel_bound_uses_the_k_the_solve_ended_at(self):
+        """On the weighted path n = 4, lam = 100 the solve ends at K = 128,
+        not at its first guess 16, and the reported bound uses 128."""
+        n, lam, eps = 4, 100.0, 1e-6
+        path, _, p = self.weighted_path(n, lam)
+        _, report = graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
+        assert report.info["conditioning_bound"] == 128.0
+        norm_p = np.linalg.norm(p)
+        assert report.info["scalar_error_bound"] == norm_p * eps * norm_p * 128.0
 
     def test_kernel_on_a_reducible_product(self):
         W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from perronkit import cli
 from perronkit.cli import main
 from perronkit import load_matrix
 
@@ -218,6 +219,34 @@ class TestDeterminism:
             line.split("\t", 1) for line in out.read_text().strip().split("\n")
         )
         assert lines["verdict"] == "is_m_matrix_shifted"
+
+
+class TestCachedParser:
+    """The argument parser is built once per process and keeps no state
+    from one ``main`` call to the next."""
+
+    def test_an_omitted_flag_takes_its_default_again(self, workdir):
+        assert cli._build_parser() is cli._build_parser()
+        (workdir / "b13.txt").write_text("1.0\n3.0\n")
+        katz = ["katz", "--matrix", str(workdir / "two_cycle.mtx"), "--alpha", "0.5", "--eps", "1e-10"]
+        code, text = run(workdir, *katz, "--b", str(workdir / "b13.txt"))
+        assert code == 0
+        # (I - P/2)^-1 [1, 3] with P the 2-cycle
+        assert np.allclose(json.loads(text)["v"], [10.0 / 3.0, 14.0 / 3.0], atol=1e-8)
+        code, text = run(workdir, *katz)
+        assert code == 0
+        assert np.allclose(json.loads(text)["v"], [2.0, 2.0], atol=1e-8)
+
+    def test_a_bad_argument_still_exits_two(self, workdir):
+        perron = ["perron", "--matrix", str(workdir / "two_cycle.mtx")]
+        assert run(workdir, *perron, "--delta", "0.1")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*perron, "--delta", "not-a-number"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(perron)
+        assert exc.value.code == 2
+        assert run(workdir, *perron, "--delta", "0.1")[0] == 0
 
 
 class TestSidecarVectors:

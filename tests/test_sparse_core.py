@@ -1,10 +1,13 @@
 """Sparse storage, norms, structural checks, scaling, and Matrix Market I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
 from hypothesis import given, settings, strategies as st
 
+import perronkit.sparse as sparse_module
 from perronkit import (
     MatrixMarketParseError,
     SparseMatrix,
@@ -278,18 +281,18 @@ class TestMatrixMarketIO:
         reference = np.asarray(scipy.io.mmread(path).todense())
         assert np.array_equal(ours, reference)
 
-    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
-    def test_matches_the_line_by_line_reader(self, tmp_path, symmetry):
-        """The whole-array parse gives the same bits as reading line by line,
-        mirrors placed right after their entries, on a body with comments,
-        blank lines and duplicates (summed in file order)."""
+    @staticmethod
+    def assert_matches_the_line_by_line_reader(tmp_path, symmetry, inserted):
+        """A random body, ``inserted`` lines placed after its tenth entry,
+        loads to the same bits as reading it line by line, mirrors placed
+        right after their entries and duplicates summed in file order."""
         rng = np.random.default_rng(8)
         n, m = 40, 600
         i = rng.integers(1, n + 1, m)
         j = rng.integers(1, n + 1, m)
         values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-8, 8, m)
         lines = [f"{a} {b} {float(v)!r}" for a, b, v in zip(i, j, values)]
-        lines[10:10] = ["% a comment", "", "   "]
+        lines[10:10] = inserted
         path = tmp_path / "m.mtx"
         path.write_text(
             f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {m}\n"
@@ -308,6 +311,82 @@ class TestMatrixMarketIO:
         reference = SparseMatrix(n, n, rows, cols, vals).csr()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ours, name), getattr(reference, name))
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_matches_the_line_by_line_reader(self, tmp_path, symmetry):
+        """On a body with a comment, blank lines and duplicates."""
+        self.assert_matches_the_line_by_line_reader(
+            tmp_path, symmetry, ["% a comment", "", "   "]
+        )
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_one_numpy_pass_matches_the_line_by_line_reader(
+        self, tmp_path, monkeypatch, symmetry
+    ):
+        """A body with no comment is parsed by the numpy pass alone: no
+        line is read on its own, and the bits are those of the line-by-line
+        reading."""
+
+        def no_line_by_line(lineno, *args):
+            raise AssertionError(f"line {lineno} read on its own")
+
+        monkeypatch.setattr(sparse_module, "_entry", no_line_by_line)
+        self.assert_matches_the_line_by_line_reader(tmp_path, symmetry, ["", "   "])
+
+    # name -> (field, size line and body); "crlf" is written with CRLF endings
+    LOADER_CORPUS = {
+        "plain": ("real", "2 2 2\n1 1 1.5\n2 1 -0.25\n"),
+        "one entry": ("real", "2 2 1\n1 2 1.5\n"),
+        "blank lines": ("real", "2 2 2\n\n1 1 1.5\n  \n2 1 -0.25\n\n"),
+        "comment line": ("real", "2 2 2\n1 1 1.5\n% note\n2 1 -0.25\n"),
+        "trailing comment": ("real", "2 2 2\n1 1 1.5 % note\n2 1 -0.25\n"),
+        "trailing hash": ("real", "2 2 2\n1 1 1.5 # note\n2 1 -0.25\n"),
+        "tabs": ("real", "2 2 2\n1\t1\t1.5\n2\t1\t-0.25\n"),
+        "crlf": ("real", "2 2 2\n1 1 1.5\n2 1 -0.25\n"),
+        "plus index": ("real", "2 2 2\n+1 1 1.5\n2 +1 -0.25\n"),
+        "index 1.0": ("real", "2 2 2\n1 1 1.5\n1.0 1 -0.25\n"),
+        "index 1e0": ("real", "2 2 2\n1 1 1.5\n1e0 1 -0.25\n"),
+        "index 1_0": ("real", "10 10 2\n1 1 1.5\n1_0 1 -0.25\n"),
+        "value 1_0": ("real", "2 2 2\n1 1 1_0\n2 1 -0.25\n"),
+        "four tokens": ("real", "2 2 2\n1 1 1.5\n2 1 -0.25 4\n"),
+        "two tokens": ("real", "2 2 2\n1 1 1.5\n2 1\n"),
+        "integer field": ("integer", "2 2 3\n1 1 3\n2 1 -4\n1 1 2\n"),
+        "empty body": ("real", "2 2 0\n"),
+        "too few entries": ("real", "2 2 3\n1 1 1.5\n2 1 -0.25\n"),
+        "too many entries": ("real", "2 2 1\n1 1 1.5\n2 1 -0.25\n"),
+        "index out of range": ("real", "2 2 2\n1 1 1.5\n2 3 -0.25\n"),
+        "index zero": ("real", "2 2 2\n0 1 1.5\n2 1 -0.25\n"),
+        "index overflow": ("real", "2 2 2\n1 1 1.5\n99999999999999999999 1 1.0\n"),
+        "value nan": ("real", "2 2 2\n1 1 nan\n2 1 -0.25\n"),
+        "value inf": ("real", "2 2 2\n1 1 1.5\n2 1 -inf\n"),
+    }
+
+    @staticmethod
+    def load_outcome(path):
+        """The CSR bits of ``load_matrix(path)``, or its error's text and
+        line number."""
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                csr = load_matrix(path).csr()
+        except MatrixMarketParseError as exc:
+            return "error", str(exc), exc.line_number
+        finally:
+            assert not caught, [str(w.message) for w in caught]
+        return "matrix", csr.shape, csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    def test_numpy_pass_agrees_with_the_line_by_line_path(self, tmp_path, monkeypatch, case):
+        """Each file loads to the same bits, or fails with the same message
+        and line number, with and without the numpy pass; no warning
+        escapes either."""
+        field, body = self.LOADER_CORPUS[case]
+        text = f"%%MatrixMarket matrix coordinate {field} general\n{body}"
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.replace("\n", "\r\n" if case == "crlf" else "\n").encode())
+        with_pass = self.load_outcome(path)
+        monkeypatch.setattr(sparse_module, "_loadtxt", lambda lines, dtype: None)
+        assert with_pass == self.load_outcome(path)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         bad = tmp_path / "bad.mtx"
@@ -368,3 +447,66 @@ class TestVectorIO:
         path.write_text("1.0\ninf\n")
         with pytest.raises(ValueError):
             load_vector(path)
+
+    def test_writes_one_repr_to_a_line(self, tmp_path):
+        x = np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25)
+        path = tmp_path / "v.txt"
+        save_vector(path, x)
+        assert path.read_text() == "".join(f"{float(v)!r}\n" for v in x)
+
+    def test_one_numpy_pass_reads_a_file_without_comments(self, tmp_path, monkeypatch):
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, 300) * 10.0 ** np.arange(-150, 150)
+        path = tmp_path / "v.txt"
+        save_vector(path, x)
+        tables = []
+        real = sparse_module._loadtxt
+
+        def recorded(lines, dtype):
+            tables.append(real(lines, dtype))
+            return tables[-1]
+
+        monkeypatch.setattr(sparse_module, "_loadtxt", recorded)
+        assert load_vector(path).tobytes() == x.tobytes()
+        assert len(tables) == 1 and tables[0] is not None
+
+    VECTOR_CORPUS = {
+        "plain": "1.5\n-0.25\n",
+        "one value": "1.5\n",
+        "blank lines": "\n1.5\n  \n-0.25\n\n",
+        "two to a line": "1 2\n3 4\n",
+        "ragged lines": "1\n2 3\n",
+        "tabs": "1\t2\n3\t4\n",
+        "crlf": "1.5\n-0.25\n",
+        "comment line": "% note\n1.5\n",
+        "trailing comment": "1.5 % note\n",
+        "trailing hash": "1.5 # note\n",
+        "plus sign": "+1.5\n",
+        "exponent": "1e0\n2E-3\n",
+        "underscore": "1_0\n",
+        "bad value": "1.5\nabc\n",
+        "non-finite": "1.5\ninf\n",
+        "empty": "",
+    }
+
+    @staticmethod
+    def load_outcome(path):
+        """The bits of ``load_vector(path)``, or its error's text."""
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return "vector", load_vector(path).tobytes()
+        except ValueError as exc:
+            return "error", str(exc)
+        finally:
+            assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("case", sorted(VECTOR_CORPUS))
+    def test_numpy_pass_agrees_with_the_line_by_line_path(self, tmp_path, monkeypatch, case):
+        """Each file reads to the same bits, or fails with the same message,
+        with and without the numpy pass; no warning escapes either."""
+        text = self.VECTOR_CORPUS[case]
+        path = tmp_path / "v.txt"
+        path.write_bytes(text.replace("\n", "\r\n" if case == "crlf" else "\n").encode())
+        with_pass = self.load_outcome(path)
+        monkeypatch.setattr(sparse_module, "_loadtxt", lambda lines, dtype: None)
+        assert with_pass == self.load_outcome(path)
