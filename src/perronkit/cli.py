@@ -165,6 +165,7 @@ def _run_scale(args):
         "alpha_final": pair.alpha,
         "phases": len(report.phases),
         "phase_iterations": report.phase_iterations(),
+        "bracket_steps": report.info["bracket_steps"],
         "left": _vector_field("left", pair.left, args),
         "right": _vector_field("right", pair.right, args),
     }

@@ -36,12 +36,12 @@ class BackendDiverged(PerronKitError):
 
     Raised when an operator is applied.  It propagates from the operators of
     ``build_rcdd_solver``, ``build_sdd_solver``, ``solve_from_scale`` and
-    ``solve_m``, from ``symm_solve``'s refinement at a level and
-    ``factor_width2_solve``'s SDD solve, and through the CLI (exit status
-    1).  Everywhere else a miss has one typed outcome: the shift-and-invert
+    ``solve_m``, from the SDD solve of ``symm_solve`` and
+    ``factor_width2_solve``, and through the CLI (exit status 1).
+    Everywhere else a miss has one typed outcome: the shift-and-invert
     bracket counts it as a failed bracket, every halving scan, strict or
-    not, and every symmetric level step as its ``"solver budget"`` failure,
-    and the polish of a Perron pair ends with its last positive pair.  So
+    not, one-sided or not, as its ``"solver budget"`` failure, and the
+    polish of a Perron pair ends with its last positive pair.  So
     ``m_decide``, ``mmatrix_scale``, ``symm_scale``, ``compute_perron`` and
     ``certify_spectral_bound`` never raise it; the applications'
     certificate-pair solve falls back to ``solve_m`` on one.
@@ -54,7 +54,9 @@ class IterationCapHit(PerronKitError):
 
     Signals either that the shifted matrix is not an M-matrix or that the
     supplied conditioning bound ``K`` is too small, except for its subclass
-    :class:`RoundingFloorHit`.
+    :class:`RoundingFloorHit`.  Raised by a fixed-shift entry point whose
+    shift-and-invert bracket certifies ``rho(A)`` at or above its shift, the
+    message then names that bound and ``phase`` and ``alpha`` are ``None``.
     """
 
     def __init__(self, message, phase=None, alpha=None):

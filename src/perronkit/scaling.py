@@ -7,18 +7,20 @@ their CW bounds settle ``rho(A) < shift``.  Positive ``r`` and ``l`` with
 ``A r < c r`` and ``A.T l < c l`` make ``diag(l) (c I - A) diag(r)``
 strictly RCDD, so a True verdict is itself a scaling, checked before use,
 and a False one certifies ``rho(A) >= c`` whatever the conditioning.
-:func:`solve_m` and the M-matrix decision take that path first.
+Every fixed-shift entry point takes that path first: :func:`mmatrix_scale`,
+:func:`solve_m`, the M-matrix decision and the symmetric entry points, for
+which the right iterate alone suffices (for symmetric ``A``,
+``V (c I - A) V`` is SDD exactly when ``A v < c v``).
 
-The fallback, and the only path of :func:`mmatrix_scale` and of the
-decisions inside the eigenvalue bisection, is an alpha-halving scan:
-starting from a shift so large that the matrix is trivially dominant, each
-phase solves ``M_alpha r = 1`` and ``M_alpha.T l = 1`` by Richardson
-iteration preconditioned with the solver of the previous (twice as large)
-shift, then halves the shift.  ``_checked_scan`` is its one entry point: it
-forms the problem, runs the scan and checks the final pair RCDD before
-returning it.  Its callers differ only in their iteration cap, their solver
-budget and how they report a failure.  The symmetric path descends the same
-halving levels with one vector.
+The fallback, and the only path of the decisions inside the eigenvalue
+bisection, is an alpha-halving scan: starting from a shift so large that
+the matrix is trivially dominant, each phase solves ``M_alpha r = 1`` and
+``M_alpha.T l = 1`` by Richardson iteration preconditioned with the solver
+of the previous (twice as large) shift, then halves the shift.
+``_checked_scan`` is its one entry point: it forms the problem, runs the
+scan and checks the final pair RCDD before returning it.  Its callers
+differ only in their iteration cap, their solver budget and how they report
+a failure; the symmetric ones run it one-sided, with ``l = r``.
 
 All routines normalize to ``s = 1`` internally and return scalings valid for
 the original problem, which only differ by a positive scalar on the scaled
@@ -54,6 +56,7 @@ from .sparse import (
     check_rcdd,
     check_sdd,
     induced_norms,
+    shifted_m_matrix,
 )
 
 __all__ = [
@@ -276,8 +279,9 @@ class _CWBracket:
     the one it ran to its rounds: a tighter ``eps`` continues from the last
     iterates, and once the bracket has failed every later ``upper`` returns
     ``None`` at once.  A True verdict of :meth:`decide` holds a scaling:
-    :meth:`checked_pair` is the first path of :func:`solve_m` and of
-    ``m_decide``.
+    :meth:`checked_pair` is the first path of every fixed-shift entry
+    point: ``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and the
+    symmetric ones.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -544,9 +548,12 @@ def _halving_scan(
     tol: float,
     budget: float | None,
     residual_ceiling: float,
+    two_sided: bool = True,
 ):
     """Run the alpha-halving scan on a normalized problem, each phase solved
-    to relative residual ``tol`` (see :class:`_PhaseSolver`).
+    to relative residual ``tol`` (see :class:`_PhaseSolver`).  A one-sided
+    scan (not ``two_sided``) solves only ``M_alpha r = 1`` and returns ``r``
+    as both vectors, each checked positive.
 
     Returns ``(ell, r, alpha_final, report)``.  A ``budget`` makes the scan
     strict: every phase must pass the positivity and open-window checks and
@@ -575,7 +582,14 @@ def _halving_scan(
         if strict and varah_kappa_upper(solver.S) > budget:
             raise _ScanFailure("solver budget", phase, alpha)
         ell, r, worst = _richardson_phase(
-            prob, solver, alpha, cap, report, positive=strict, residual_ceiling=residual_ceiling
+            prob,
+            solver,
+            alpha,
+            cap,
+            report,
+            two_sided=two_sided,
+            positive=strict or not two_sided,
+            residual_ceiling=residual_ceiling,
         )
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
@@ -583,16 +597,31 @@ def _halving_scan(
 
 
 def _checked_scan(
-    A: SparseMatrix, s: float, eps: float, K: float, cap: int, budget: float | None = None
+    A: SparseMatrix,
+    s: float,
+    eps: float,
+    K: float,
+    cap: int,
+    budget: float | None = None,
+    *,
+    two_sided: bool = True,
 ):
     """The halving scan on ``A / s`` at conditioning bound ``K``, its final
     pair checked: ``(prob, pair, report)`` with ``prob.scaled_shift(eps,
     pair.left, pair.right)`` RCDD.  Every failure, the final check's
-    included (as ``"final verification"``), raises :class:`_ScanFailure`."""
+    included (as ``"final verification"``), raises :class:`_ScanFailure`.
+    ``two_sided`` is the symmetric callers' switch (see
+    :func:`_halving_scan`)."""
     prob = _Problem(A, s)
     ceiling = 18.0 * math.sqrt(prob.n) * max(K, 2.0) ** 2
     ell, r, alpha, report = _halving_scan(
-        prob, eps, cap, tol=_scan_tolerance(K), budget=budget, residual_ceiling=ceiling
+        prob,
+        eps,
+        cap,
+        tol=_scan_tolerance(K),
+        budget=budget,
+        residual_ceiling=ceiling,
+        two_sided=two_sided,
     )
     if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
         raise _ScanFailure("final verification", len(report.phases), alpha)
@@ -690,14 +719,39 @@ def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolv
 def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     """Compute a positive diagonal pair making ``(1+eps) s I - A`` RCDD.
 
-    ``K`` should dominate ``max(s ||M^-1||_inf, s ||M^-1||_1)`` for
-    ``M = s I - A``; the bound is not checked and a violation (or
-    ``rho(A) >= s``) surfaces as :class:`IterationCapHit`, as does a phase
-    solve that misses its tolerance above the dense cutoff.  Returns
-    ``(ScalingPair, SolveReport)`` with per-phase logs.
+    The pair is the bracket's (:func:`_bracket_pair`), which needs no ``K``.
+    Only when the bracket settles nothing does the halving scan run, and
+    ``K`` serves it alone: it should dominate ``max(s ||M^-1||_inf, s
+    ||M^-1||_1)`` for ``M = s I - A``; the bound is not checked and a
+    violation (or ``rho(A) >= s``) surfaces as :class:`IterationCapHit`, as
+    does a phase solve that misses its tolerance above the dense cutoff.
+    Returns ``(ScalingPair, SolveReport)``: the report logs the scan's
+    phases, none on the bracket path, and counts the bracket's steps in
+    ``info["bracket_steps"]``.
     """
-    _, pair, report = _mmatrix_scale(A, s, eps, K)
+    _check_scale_args(A, s, eps, K)
+    found, steps = _bracket_pair(A, s, eps, "(1 + eps) s")
+    _, pair, report = _mmatrix_scale(A, s, eps, K) if found is None else (*found, SolveReport())
+    report.info["bracket_steps"] = steps
     return pair, report
+
+
+def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str):
+    """``(found, steps)``: the ``(prob, pair)`` :meth:`_CWBracket.checked_pair`
+    finds at ``(1 + eps) s``, or ``None`` when the bracket settles nothing,
+    and the bracket's step count.  A False verdict raises
+    :class:`IterationCapHit` naming ``bound``, which the CW lower bound then
+    certifies ``rho(A)`` reaches whatever the conditioning."""
+    bracket = _CWBracket(A)
+    found = bracket.checked_pair(s, eps)
+    if found is False:
+        raise IterationCapHit(
+            f"rho(A) >= {bound} certified: a Collatz-Wielandt lower bound puts rho(A) "
+            f"at {bracket.lower:.6e} or above",
+            phase=None,
+            alpha=None,
+        )
+    return found, bracket.factorizations
 
 
 def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
@@ -748,15 +802,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     _check_open_unit(eps, "eps")
     _check_scale_args(A, s, eps, K)
     s_mid = s * (1.0 + eps / 2.0)
-    bracket = _CWBracket(A)
-    found = bracket.checked_pair(s_mid, eps / 3.0)
-    if found is False:
-        raise IterationCapHit(
-            f"rho(A) >= s certified: a Collatz-Wielandt lower bound puts rho(A) "
-            f"at {bracket.lower:.6e} or above, past (1 + eps/3)(1 + eps/2) s",
-            phase=None,
-            alpha=None,
-        )
+    found, steps = _bracket_pair(A, s_mid, eps / 3.0, "s")
     if found is None:
         prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
         phases = len(scale_report.phases)
@@ -834,84 +880,12 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
 
     op = LinearOperator(apply_fn, n, eps, "l2")
     op.report.info["scaling_phases"] = phases
-    op.report.info["bracket_steps"] = bracket.factorizations
+    op.report.info["bracket_steps"] = steps
     return op
 
 
 # ----------------------------------------------------------------------
 # symmetric path
-
-
-def _symm_initial_scaling(prob: _Problem, cap: int):
-    """Damped Richardson for the alpha = 1 level: ``v <- v - (M_1 v - 1)/4``."""
-    n = prob.n
-    ones = np.ones(n)
-    v = np.zeros(n)
-    res = -ones
-    norms = [float(np.linalg.norm(res))]
-    k = 0
-    while np.abs(res).max() > 0.5:
-        if k >= cap:
-            raise IterationCapHit(
-                "initial symmetric phase exceeded its cap", phase=0, alpha=1.0
-            )
-        v = v - 0.25 * res
-        res = prob.shifted_matvec(1.0, v) - ones
-        norms.append(float(np.linalg.norm(res)))
-        k += 1
-    # V M_1 V is SDD only for a positive finite v; a NaN residual ends the loop too
-    if not np.all((v > 0.0) & (v < np.inf)):
-        raise IterationCapHit(
-            "initial symmetric phase left the positive finite range", phase=0, alpha=1.0
-        )
-    return v, norms
-
-
-class _SymmLevels:
-    """The halving levels of the symmetric scaling of a normalized ``A``,
-    descended on demand from the damped ``alpha = 1`` level.
-
-    At level ``alpha``, ``v`` scales ``M_alpha = (1 + alpha) I - A`` and
-    :meth:`solver` is the one factorization of ``V M_alpha V`` (SDD): it serves
-    a solve at that level and the step to the next.  A caller that needs a
-    smaller shift continues from the last level instead of starting over.
-    """
-
-    def __init__(self, A: SparseMatrix):
-        self.prob = _Problem(A, 1.0)
-        self.alpha = 1.0
-        self.report = SolveReport(alpha0=1.0)
-        self._solver = None
-        cap0 = math.ceil(8.0 * math.log(4.0 * self.prob.n))
-        self.v, initial_residuals = _symm_initial_scaling(self.prob, cap0)
-        self.report.info["initial_residuals"] = initial_residuals
-        self.report.iterations += len(initial_residuals) - 1
-
-    def solver(self) -> _PhaseSolver:
-        if self._solver is None:
-            # rho(A) < 1 bounds ||M_alpha^-1|| by 1 / alpha, the level's K
-            tol = _scan_tolerance(1.0 / self.alpha)
-            self._solver = _PhaseSolver(self.prob, self.alpha, self.v, self.v, tol=tol)
-        return self._solver
-
-    def halve(self, cap: int) -> None:
-        """Step to level ``alpha / 2``, preconditioned by this level's solver."""
-        alpha = self.alpha / 2.0
-        try:
-            _, v, _ = _richardson_phase(
-                self.prob, self.solver(), alpha, cap, self.report, two_sided=False, positive=True
-            )
-        except _ScanFailure as fail:
-            raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
-        self.v, self.alpha, self._solver = v, alpha, None
-
-    def scale(self, eps: float) -> np.ndarray:
-        """``v`` making ``V ((1 + eps) I - A) V`` SDD.  The phases this call
-        adds run with the cap of this ``eps`` and are logged in ``report``."""
-        cap = math.ceil(8.0 * math.log(8.0 * self.prob.n / min(eps, 1.0)))
-        while self.alpha > eps:
-            self.halve(cap)
-        return self.v
 
 
 def _check_symmetric_nonnegative(A: SparseMatrix):
@@ -923,72 +897,114 @@ def _check_symmetric_nonnegative(A: SparseMatrix):
         raise ValueError("matrix must be symmetric")
 
 
+# the shifts the symmetric solves' fallback tries in turn: 1/2, 1/8, ... down to 1e-8
+_SHIFT_SEARCH = tuple(0.5 / 4.0**k for k in range(13))
+
+
+def _symmetric_scaling(A: SparseMatrix, M: SparseMatrix, eps: float, shifts):
+    """``(v, S, report)`` with ``S = V M V`` checked SDD, for symmetric
+    nonnegative ``A`` and a symmetric ``M`` that is dominant under every
+    ``v`` that makes ``(1 + shift) I - A`` so.
+
+    ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``: for
+    symmetric ``A``, ``V ((1 + eps) I - A) V`` is SDD exactly when ``A v <
+    (1 + eps) v``, which a True verdict holds.  When the bracket settles
+    nothing or its ``v`` fails the check, a one-sided halving scan at each
+    of ``shifts`` in turn gives ``v``, at ``K = 1 / shift`` (``rho(A) < 1``
+    bounds ``||((1 + shift) I - A)^-1||_2`` by it); a failed scan raises
+    :class:`IterationCapHit`, a search that ends without an SDD ``V M V``
+    :class:`NotSDDAfterScaling`.  The report logs the scan's phases, counts
+    the bracket's steps in ``info["bracket_steps"]`` and names the shift
+    ``v`` is from in ``info["shift"]``."""
+
+    def dominant(v):
+        S = apply_scaling(v, M, v)
+        return S if check_sdd(S, RCDD_VERIFY_SLACK) else None
+
+    found, steps = _bracket_pair(A, 1.0, eps, f"1 + {eps!r}" if eps else "1")
+    v = None if found is None else found[1].right
+    S = None if v is None else dominant(v)
+    report, shift, remaining = SolveReport(), eps, iter(shifts)
+    while S is None:
+        shift = next(remaining, None)
+        if shift is None:
+            raise NotSDDAfterScaling(
+                "no shift produced a dominant scaling of V M V; the input is not "
+                "factor width 2 (or is numerically singular)"
+            )
+        cap = scaling_iteration_cap(A.n_rows, 1.0 / shift, shift)
+        try:
+            _, pair, report = _checked_scan(A, 1.0, shift, 1.0 / shift, cap, two_sided=False)
+        except _ScanFailure as fail:
+            raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
+        v = pair.right
+        S = dominant(v)
+    report.info.update(bracket_steps=steps, shift=shift)
+    return v, S, report
+
+
 def symm_scale(A: SparseMatrix, eps: float):
     """Positive diagonal ``v`` with ``diag(v) ((1+eps) I - A) diag(v)`` SDD.
 
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
-    problem).  Returns ``(v, report)``; the report carries the l2 residual
-    sequence of the initial damped phase and per-phase iteration counts.
-    A level whose phase fails, a solve that misses included (``"solver
-    budget"``), raises :class:`IterationCapHit`.
+    problem).  ``v`` is the bracket's right iterate, else a one-sided halving
+    scan's at ``K = 1 / eps`` (see :func:`_symmetric_scaling`); a bracket
+    that certifies ``rho(A) >= 1 + eps``, or a failed phase of the scan, a
+    solve that misses included (``"solver budget"``), raises
+    :class:`IterationCapHit`.  Returns ``(v, report)``; the report logs the
+    scan's phases, none on the bracket path, and counts the bracket's steps
+    in ``info["bracket_steps"]``.
     """
     _check_symmetric_nonnegative(A)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    levels = _SymmLevels(A)
-    return levels.scale(eps), levels.report
+    v, _, report = _symmetric_scaling(A, shifted_m_matrix(A, 1.0, eps), eps, (eps,))
+    return v, report
+
+
+def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
+    """``M x = b`` to ``||M x - b||_2 <= delta ||b||_2``: ``v`` from
+    :func:`_symmetric_scaling` at shift 0, else from the first shift of
+    ``_SHIFT_SEARCH`` that makes ``V M V`` SDD, and one SDD solver of ``V M
+    V`` at accuracy 1/4 preconditioning Richardson against ``M``.  Returns
+    ``(x, report)`` with the scaling's report entries and ``v`` in
+    ``info["scaling"]``."""
+    v, S, scale_report = _symmetric_scaling(A, M, 0.0, _SHIFT_SEARCH)
+    Z = build_sdd_solver(S, 0.25)
+
+    def precond(x):
+        return v * Z.apply(v * x)
+
+    cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
+    x, report = prec_richardson(M, precond, b, None, RichardsonConfig(delta, cap))
+    if report.status != CONVERGED:
+        raise IterationCapHit(
+            f"refinement against M stopped ({report.status})", phase=None, alpha=None
+        )
+    report.phases = scale_report.phases
+    report.info.update(scale_report.info, scaling=v)
+    return x, report
 
 
 def symm_solve(A: SparseMatrix, b, delta: float):
     """Solve ``(I - A) x = b`` for symmetric nonnegative ``A`` with
     ``rho(A) < 1`` to ``||(I - A) x - b||_2 <= delta ||b||_2``.
 
-    Descends the halving levels of the symmetric scaling and attempts a short
-    Richardson refinement against ``I - A`` at every level, returning at the
-    first level whose shifted solver is strong enough.  One factorization of
-    the level matrix serves each level: its refinement and the step to the
-    next level.  Each refinement starts from the best earlier iterate.  A
-    refinement solve that misses raises :class:`BackendDiverged`, and a
-    level step that fails :class:`IterationCapHit`.
+    ``v`` scales ``I - A`` SDD: the bracket's right iterate at the unit
+    shift, else the first of the one-sided halving scans at the shifts 1/2,
+    1/8, ... down to 1e-8, each at ``K = 1 / shift``, whose ``v`` does (see
+    :func:`_symmetric_scaling`).  One SDD solver of ``V (I - A) V`` then
+    preconditions Richardson refinement against ``I - A``.  A bracket that
+    certifies ``rho(A) >= 1``, a failed scan and a refinement at its cap
+    raise :class:`IterationCapHit`, a search that finds no ``v``
+    :class:`NotSDDAfterScaling`, and an SDD solve that misses
+    :class:`BackendDiverged`.  The report counts the bracket's steps in
+    ``info["bracket_steps"]`` and logs the fallback's phases.
     """
     _check_symmetric_nonnegative(A)
     _check_open_unit(delta, "delta")
     b = as_vector(b, A.n_rows, "b")
-    levels = _SymmLevels(A)
-    n = levels.prob.n
-    csr = A.csr()
-
-    def forward(x):
-        return x - csr @ x
-
-    per_level = 4 + math.ceil(3.0 * math.log2(2.0 / delta))
-    report = SolveReport()
-    alpha_floor = 1e-14
-    level = 0
-    # best iterate so far, from x = 0; prec_richardson stops relative to its
-    # starting residual r0, so delta ||b|| / r0 keeps the target delta ||b||
-    nb = np.linalg.norm(b)
-    x0, r0 = None, nb
-    while levels.alpha > alpha_floor:
-        tolerance = delta if x0 is None else delta * nb / r0
-        cfg = RichardsonConfig(tolerance, max_iterations=per_level)
-        x, rep = prec_richardson(forward, levels.solver().p_right, b, x0, cfg)
-        level += 1
-        report.iterations += rep.iterations
-        report.residuals.append(rep.residuals[-1])
-        if rep.status == CONVERGED:
-            report.info["levels"] = level
-            report.info["alpha"] = levels.alpha
-            return x, report
-        if rep.residuals[-1] < r0:
-            x0, r0 = x, rep.residuals[-1]
-        levels.halve(math.ceil(8.0 * math.log(8.0 * n / min(levels.alpha / 2.0, 1.0))))
-    raise IterationCapHit(
-        "no halving level produced a strong enough solver; the matrix is "
-        "singular at working precision",
-        phase=level,
-        alpha=levels.alpha,
-    )
+    return _sdd_solve(A, shifted_m_matrix(A, 1.0), b, delta)
 
 
 def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
@@ -1013,16 +1029,16 @@ def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
 def factor_width2_solve(M: SparseMatrix, b, delta: float):
     """Solve ``M x = b`` for a symmetric matrix asserted to have factor width 2.
 
-    Forms the comparison matrix (off-diagonal magnitudes negated), scales its
-    M-matrix form through the symmetric path, verifies that the resulting
-    diagonal makes ``V M V`` diagonally dominant, and solves through the SDD
-    route with Richardson refinement.  The shift search over 1/2, 1/8, 1/32,
-    ... continues one descent of the halving levels, so each level is scaled
-    and gets its solver once.  Input that is not factor width 2 raises
-    :class:`IterationCapHit` from a halving level, or
+    Scales the normalized comparison matrix ``A`` of ``M`` (off-diagonal
+    magnitudes), whose ``V (I - A) V`` is dominant exactly when ``V M V`` is,
+    as :func:`symm_solve` scales its ``A``, verifies that ``V M V`` is SDD
+    and solves through the SDD route with Richardson refinement against
+    ``M``.  Input that is not factor width 2 raises :class:`IterationCapHit`
+    when the bracket certifies ``rho(A) >= 1`` or a fallback scan fails, or
     :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.  A
-    solve that misses raises :class:`IterationCapHit` in a halving level
-    and :class:`BackendDiverged` in the final SDD solve.
+    solve that misses raises :class:`IterationCapHit` in a fallback scan and
+    :class:`BackendDiverged` in the final SDD solve.  ``info["shift"]`` is 0
+    on the bracket path and ``info["scaling"]`` holds ``v``.
     """
     if not M.is_square:
         raise ValueError("expected a square matrix")
@@ -1030,33 +1046,4 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     b = as_vector(b, M.n_rows, "b")
     A_norm = _normalized_comparison(M)
     _check_symmetric_nonnegative(A_norm)
-    levels = _SymmLevels(A_norm)
-
-    eps_try = 0.5
-    while eps_try >= 1e-8:
-        v = levels.scale(eps_try)
-        S = apply_scaling(v, M, v)
-        if check_sdd(S, RCDD_VERIFY_SLACK):
-            break
-        eps_try /= 4.0
-    else:
-        raise NotSDDAfterScaling(
-            "no shift produced a dominant scaling of V M V; the input is not "
-            "factor width 2 (or is numerically singular)"
-        )
-
-    Z = build_sdd_solver(S, 0.25)
-
-    def precond(x):
-        return v * Z.apply(v * x)
-
-    cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
-    cfg = RichardsonConfig(tolerance=delta, max_iterations=cap)
-    x, report = prec_richardson(M, precond, b, None, cfg)
-    if report.status != CONVERGED:
-        raise IterationCapHit(
-            f"factor-width-2 refinement stopped ({report.status})", phase=None, alpha=None
-        )
-    report.info["shift"] = eps_try
-    report.info["scaling"] = v
-    return x, report
+    return _sdd_solve(A_norm, M, b, delta)

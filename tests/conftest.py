@@ -192,10 +192,12 @@ def record_scans(monkeypatch):
 
 
 def bracket_off(monkeypatch):
-    """Make ``_CWBracket.checked_pair`` settle nothing, so that the
-    fixed-shift entry points, ``m_decide`` and ``solve_m``, take their
-    fallback, the halving scan.  ``certify_spectral_bound`` and
-    ``compute_perron`` keep their bracket."""
+    """Make ``_CWBracket.checked_pair`` settle nothing, so that every
+    fixed-shift entry point takes its fallback: ``m_decide``, ``solve_m`` and
+    ``mmatrix_scale`` the halving scan, and ``symm_scale``, ``symm_solve``
+    and ``factor_width2_solve`` the one-sided scan at ``K = 1 / shift`` (the
+    solves searching the shifts 1/2, 1/8, ... down to 1e-8).
+    ``certify_spectral_bound`` and ``compute_perron`` keep their bracket."""
     monkeypatch.setattr(
         perronkit.scaling._CWBracket, "checked_pair", lambda self, s, alpha: None
     )

@@ -38,6 +38,7 @@ from perronkit import (
 from perronkit.oracle import dense_solve, dense_spectral_radius, dense_svd_top
 
 from conftest import (
+    bracket_off,
     dense_inverse_norms,
     random_irreducible_dense,
     random_symmetric_contraction_dense,
@@ -82,16 +83,20 @@ def perron_suite():
 
 @pytest.fixture(scope="module")
 def scaling_suite():
+    """The halving scan's pairs and reports, the bracket off: the phase
+    criteria check the scan."""
     runs = []
     ratios = [0.5, 0.9, 0.99]
-    for i in range(100):
-        ratio = ratios[i % 3]
-        A_dense = scaling_instance(1000 + i, ratio)
-        n = A_dense.shape[0]
-        K = 1.01 * max(dense_inverse_norms(np.eye(n) - A_dense))
-        A = SparseMatrix.from_dense(A_dense)
-        pair, report = mmatrix_scale(A, 1.0, SCALING_EPS, K)
-        runs.append((A_dense, A, K, pair, report))
+    with pytest.MonkeyPatch.context() as patch:
+        bracket_off(patch)
+        for i in range(100):
+            ratio = ratios[i % 3]
+            A_dense = scaling_instance(1000 + i, ratio)
+            n = A_dense.shape[0]
+            K = 1.01 * max(dense_inverse_norms(np.eye(n) - A_dense))
+            A = SparseMatrix.from_dense(A_dense)
+            pair, report = mmatrix_scale(A, 1.0, SCALING_EPS, K)
+            runs.append((A_dense, A, K, pair, report))
     return runs
 
 
@@ -136,7 +141,16 @@ def test_criterion_03_scaling_validity(scaling_suite):
             for lo, hi in (phase.window_right, phase.window_left):
                 assert lo >= 0.5 - 1e-9
                 assert hi <= 1.5 + 1e-9
-    report_line(3, True, f"scaling validity and exit windows on {len(scaling_suite)} instances")
+    for A_dense, A, K, _, _ in scaling_suite:
+        pair, report = mmatrix_scale(A, 1.0, SCALING_EPS, K)
+        S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, SCALING_EPS), pair.right)
+        assert check_rcdd(S, 1e-12)
+        assert report.phases == []
+    report_line(
+        3, True,
+        f"scaling validity and exit windows on {len(scaling_suite)} instances, "
+        "and validity of the bracket's pairs",
+    )
 
 
 def test_criterion_04_solver_contract(scaling_suite):
@@ -187,10 +201,11 @@ def test_criterion_05_contraction_lemma():
     report_line(5, True, f"shift-preconditioner contraction bound on {len(instances)} instances x 3 shifts")
 
 
-def test_criterion_06_conditioning_lemma():
+def test_criterion_06_conditioning_lemma(monkeypatch):
     # same dense-verifiable instances as the contraction-lemma criterion
     instances = _lemma_instances(50)
     checked = 0
+    bracket_off(monkeypatch)
     for A in instances:
         n = A.shape[0]
         M = np.eye(n) - A
@@ -330,14 +345,14 @@ def test_criterion_10_symmetric_path():
         v, report = symm_scale(A, eps)
         S = apply_scaling(v, shifted_m_matrix(A, 1.0, eps), v)
         assert check_sdd(S, 1e-12)
-        residuals = report.info["initial_residuals"]
-        for before, after in zip(residuals, residuals[1:]):
-            assert after <= 0.75 * before + 1e-15
+        # the bracket's right iterate: V ((1 + eps) I - A) V is SDD exactly
+        # when A v < (1 + eps) v
+        assert report.phases == [] and np.all(A_dense @ v < (1.0 + eps) * v)
         delta = 1e-8
         b = rng_b.normal(size=n)
         x, _ = symm_solve(A, b, delta)
         assert np.linalg.norm((np.eye(n) - A_dense) @ x - b) <= delta * np.linalg.norm(b)
-    report_line(10, True, "symmetric scaling, solve, and initial-phase contraction on 50 instances")
+    report_line(10, True, "symmetric scaling and solve from the bracket on 50 instances")
 
 
 def test_criterion_11_factor_width_two():
@@ -363,7 +378,7 @@ def test_criterion_11_factor_width_two():
     report_line(11, True, "factor-width-2 solves and dominant scalings on 50 instances")
 
 
-def test_criterion_12_determinism(perron_suite, scaling_suite):
+def test_criterion_12_determinism(perron_suite, scaling_suite, monkeypatch):
     runs, _ = perron_suite
     for seed, A_dense, _, cert in runs[::20]:
         repeat = compute_perron(SparseMatrix.from_dense(perron_instance(seed)), PERRON_DELTA)
@@ -374,6 +389,11 @@ def test_criterion_12_determinism(perron_suite, scaling_suite):
         assert np.array_equal(repeat.left, cert.left)
         assert np.array_equal(repeat.right, cert.right)
     A_dense, A, K, pair, _ = scaling_suite[0]
+    bracket = mmatrix_scale(A, 1.0, SCALING_EPS, K)[0]
+    bracket2 = mmatrix_scale(SparseMatrix.from_dense(A_dense), 1.0, SCALING_EPS, K)[0]
+    assert np.array_equal(bracket.left, bracket2.left)
+    assert np.array_equal(bracket.right, bracket2.right)
+    bracket_off(monkeypatch)
     pair2, _ = mmatrix_scale(SparseMatrix.from_dense(A_dense), 1.0, SCALING_EPS, K)
     assert np.array_equal(pair.left, pair2.left)
     assert np.array_equal(pair.right, pair2.right)

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from perronkit import cli
+from perronkit import apply_scaling, check_rcdd, cli, load_matrix, shifted_m_matrix
 from perronkit.cli import main
-from perronkit import load_matrix
+
+from conftest import bracket_off
 
 TWO_CYCLE_MTX = """%%MatrixMarket matrix coordinate real general
 2 2 2
@@ -27,6 +28,18 @@ HALF_MTX = """%%MatrixMarket matrix coordinate real general
 2 1 0.5
 """
 
+# rho about 0.59 with a row and a column sum of 1.6: the bracket's all-ones
+# start settles nothing at s (1 + eps) = 1.1, and one step does
+SKEW_MTX = """%%MatrixMarket matrix coordinate real general
+3 3 6
+1 2 1.5
+1 3 0.1
+2 1 0.1
+2 3 0.2
+3 1 0.3
+3 2 0.1
+"""
+
 GRAPH_TXT = "2 2 1\n1 2 1 1.0\n2 1 1 1.0\n"
 
 
@@ -35,6 +48,7 @@ def workdir(tmp_path):
     (tmp_path / "two_cycle.mtx").write_text(TWO_CYCLE_MTX)
     (tmp_path / "big_rho.mtx").write_text(BIG_RHO_MTX)
     (tmp_path / "half.mtx").write_text(HALF_MTX)
+    (tmp_path / "skew.mtx").write_text(SKEW_MTX)
     (tmp_path / "g.txt").write_text(GRAPH_TXT)
     (tmp_path / "b.txt").write_text("1.0\n1.0\n")
     return tmp_path
@@ -98,7 +112,9 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(text)["verdict"] == "is_m_matrix_shifted"
 
-    def test_scale_and_solve(self, workdir):
+    def test_scale_and_solve(self, workdir, monkeypatch):
+        """With the bracket off, ``scale`` reports the scan's phases."""
+        bracket_off(monkeypatch)
         code, text = run(
             workdir,
             "scale",
@@ -121,6 +137,22 @@ class TestSubcommands:
         assert code == 0
         report = json.loads(text)
         assert np.allclose(report["x"], [2.0, 2.0], atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["half", "skew"])
+    def test_scale_from_the_bracket(self, workdir, name):
+        """``scale`` answers from the bracket's pair: no phases, its steps
+        counted, its vectors making ``(1 + eps) s I - A`` RCDD, and reruns
+        byte-identical."""
+        path = str(workdir / f"{name}.mtx")
+        code, text = run(workdir, "scale", "--matrix", path, "--s", "1.0", "--eps", "0.1")
+        _, again = run(workdir, "scale", "--matrix", path, "--s", "1.0", "--eps", "0.1")
+        assert code == 0 and text == again
+        report = json.loads(text)
+        assert report["phases"] == 0 and report["phase_iterations"] == []
+        assert report["bracket_steps"] == (0 if name == "half" else 1)
+        A = load_matrix(path)
+        S = apply_scaling(report["left"], shifted_m_matrix(A, 1.0, 0.1), report["right"])
+        assert check_rcdd(S, 1e-12)
 
     def test_katz(self, workdir):
         code, text = run(

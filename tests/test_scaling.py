@@ -6,6 +6,7 @@ import pytest
 
 import perronkit.rcdd
 from perronkit import (
+    BackendDiverged,
     IterationCapHit,
     Verdict,
     RichardsonConfig,
@@ -146,6 +147,13 @@ class TestSolveFromScale:
 
 
 class TestMMatrixScale:
+    """The halving scan's contracts, with the bracket off (see
+    :class:`TestMMatrixScaleFromTheBracket` for the first path)."""
+
+    @pytest.fixture(autouse=True)
+    def scan_only(self, monkeypatch):
+        bracket_off(monkeypatch)
+
     def test_zero_matrix(self):
         A = SparseMatrix.zeros(3)
         pair, report = mmatrix_scale(A, 1.0, 0.5, 2.0)
@@ -230,30 +238,103 @@ class TestMMatrixScale:
         assert all(p.iterations <= cap for p in report.phases)
 
 
+class TestMMatrixScaleFromTheBracket:
+    """The bracket twins of :class:`TestMMatrixScale`: the pair comes from
+    :meth:`_CWBracket.checked_pair`, with no scan and no phase logged."""
+
+    def test_zero_matrix(self, monkeypatch):
+        """A zero ``A`` has a zero CW lower bound, which stops the bracket:
+        the scan answers, with no phase."""
+        scans = record_scans(monkeypatch)
+        A = SparseMatrix.zeros(3)
+        pair, report = mmatrix_scale(A, 1.0, 0.5, 2.0)
+        S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, 0.5), pair.right)
+        assert check_rcdd(S, 0.0)
+        assert report.phases == [] and scans == [0]
+        assert report.info["bracket_steps"] == 0
+
+    @pytest.mark.parametrize(
+        "dense, eps", [([[0.0, 0.5], [0.5, 0.0]], 0.1), ([[0.5]], 0.25)], ids=["two-cycle", "1x1"]
+    )
+    def test_closed_forms(self, monkeypatch, dense, eps):
+        """The all-ones start settles the two-cycle and ``[[a]]`` at once:
+        the pair is all ones, with no step, no scan and no initial shift."""
+        scans = record_scans(monkeypatch)
+        A = SparseMatrix.from_dense(dense)
+        pair, report = mmatrix_scale(A, 1.0, eps, 4.0)
+        assert np.array_equal(pair.left, np.ones(A.n_rows))
+        assert np.array_equal(pair.right, np.ones(A.n_rows))
+        assert (pair.alpha, pair.s) == (eps, 1.0)
+        S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+        assert check_rcdd(S, 1e-15)
+        assert report.phases == [] and report.alpha0 is None and scans == []
+        assert report.info["bracket_steps"] == 0
+
+    @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+    def test_random_pairs_are_rcdd(self, monkeypatch, n):
+        """On instances drawn as the scan's phase-count test draws them, and
+        above the cutoff, the bracket's pair makes ``(1 + eps) I - A`` RCDD,
+        with no scan and no phase."""
+        scans = record_scans(monkeypatch)
+        rng = np.random.default_rng(33)
+        for _ in range(10 if n <= _DENSE_CUTOFF else 2):
+            size = int(rng.integers(3, 25)) if n <= _DENSE_CUTOFF else n
+            density = 0.3 if n <= _DENSE_CUTOFF else 5.0 / n
+            rho_ratio = rng.uniform(0.3, 0.95)
+            A = SparseMatrix.from_dense(random_m_matrix_dense(rng, size, rho_ratio, density))
+            eps = float(rng.uniform(0.02, 0.5))
+            pair, report = mmatrix_scale(A, 1.0, eps, 1e3)
+            S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right)
+            assert check_rcdd(S, RCDD_VERIFY_SLACK)
+            assert pair.alpha == eps and report.phases == []
+        assert scans == []
+
+    @pytest.mark.parametrize("n", [2, 20, 400], ids=["two-cycle", "dense", "csr"])
+    def test_certified_negative_runs_no_scan(self, monkeypatch, n):
+        """Above the shift the bracket's CW lower bound certifies ``rho(A) >=
+        (1 + eps) s`` whatever ``K``, and no scan runs."""
+        scans = record_scans(monkeypatch)
+        if n == 2:
+            A = SparseMatrix.from_dense([[0.0, 2.0], [2.0, 0.0]])
+        else:
+            rng = np.random.default_rng(45)
+            A = SparseMatrix.from_dense(
+                random_m_matrix_dense(rng, n, 1.1, density=min(0.3, 5.0 / n))
+            )
+        with pytest.raises(IterationCapHit, match=r"rho\(A\) >= \(1 \+ eps\) s certified"):
+            mmatrix_scale(A, 1.0, 0.05, 50.0)
+        assert scans == []
+
+
 @pytest.mark.parametrize("a", [1e-3, 0.5, 0.9])
 def test_one_by_one_meets_every_contract(a, monkeypatch):
     """``[[a]]`` takes the general code path of every entry point, and each
     answer agrees with its closed form: ``1 - a`` inverts the M-matrix, the
-    scaling sits in the phase window around ``1 / ((1 + alpha) - a)``,
-    ``rho = a``, and ``[[1 + a]]`` is not below the unit shift.  The
-    decision and ``solve_m`` answer on the bracket path, where the all-ones
-    pair settles them at once, and with the bracket off on the scan."""
+    scan's scaling sits in the phase window around ``1 / ((1 + alpha) -
+    a)``, ``rho = a``, and ``[[1 + a]]`` is not below the unit shift.  Every
+    fixed-shift entry point answers on the bracket path, where the all-ones
+    pair settles it at once, and with the bracket off on the scan."""
     A = SparseMatrix.from_dense([[a]])
     above = SparseMatrix.from_dense([[1.0 + a]])
     K = 2.0 / (1.0 - a)
     eps = a / 4.0
     b = np.array([3.0])
 
-    pair, _ = mmatrix_scale(A, 1.0, eps, K)
-    assert pair.alpha <= eps
-    for vec in (pair.left, pair.right):
-        assert 0.5 <= vec[0] * ((1.0 + pair.alpha) - a) <= 1.5
-    assert check_rcdd(apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right), 1e-15)
-
     for path in ("bracket", "scan"):
         with monkeypatch.context() as patch:
             if path == "scan":
                 bracket_off(patch)
+            pair, report = mmatrix_scale(A, 1.0, eps, K)
+            assert pair.alpha <= eps
+            if path == "scan":
+                for vec in (pair.left, pair.right):
+                    assert 0.5 <= vec[0] * ((1.0 + pair.alpha) - a) <= 1.5
+            else:
+                assert report.phases == [] and report.info["bracket_steps"] == 0
+            assert check_rcdd(
+                apply_scaling(pair.left, shifted_m_matrix(A, 1.0, eps), pair.right), 1e-15
+            )
+
             outcome = m_decide(A, eps, K)
             assert outcome.verdict is Verdict.IS_M_MATRIX_SHIFTED
             S = apply_scaling(
@@ -273,18 +354,24 @@ def test_one_by_one_meets_every_contract(a, monkeypatch):
             assert abs((1.0 - a) * x[0] - b[0]) <= 1e-6 * b[0]
             assert (op.report.info["scaling_phases"] > 0) == (path == "scan")
 
-    v, report = symm_scale(A, 0.1)
-    assert v[0] > 0.0 and report.phases
-    assert 0.5 <= v[0] * ((1.0 + report.phases[-1].alpha) - a) <= 1.5
-    assert check_sdd(apply_scaling(v, shifted_m_matrix(A, 1.0, 0.1), v), 1e-15)
+            v, report = symm_scale(A, 0.1)
+            if path == "scan":
+                # the scan starts at 2 a, below 0.1 for a = 1e-3: no phase
+                assert v[0] > 0.0 and len(report.phases) == expected_phase_count(A, 1.0, 0.1)
+                if report.phases:
+                    assert 0.5 <= v[0] * ((1.0 + report.phases[-1].alpha) - a) <= 1.5
+            else:
+                assert v[0] == 1.0 and report.phases == []
+            assert check_sdd(apply_scaling(v, shifted_m_matrix(A, 1.0, 0.1), v), 1e-15)
 
-    x, _ = symm_solve(A, b, 1e-8)
-    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
-    with pytest.raises(IterationCapHit):
-        symm_solve(above, b, 1e-8)
+            x, report = symm_solve(A, b, 1e-8)
+            assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
+            assert (report.info["shift"] > 0.0) == (path == "scan")
+            with pytest.raises(IterationCapHit):
+                symm_solve(above, b, 1e-8)
 
-    x, _ = factor_width2_solve(SparseMatrix.from_dense([[1.0 - a]]), b, 1e-8)
-    assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
+            x, _ = factor_width2_solve(SparseMatrix.from_dense([[1.0 - a]]), b, 1e-8)
+            assert abs((1.0 - a) * x[0] - b[0]) <= 1e-8 * b[0]
 
     cert = compute_perron(A, 1e-3)
     assert (1.0 - 1e-3) * a < cert.s <= a
@@ -343,6 +430,70 @@ def test_near_singular_meets_every_contract(n, cutoff, monkeypatch):
         ext = np.longdouble
         residual = x.astype(ext) - A_dense.astype(ext) @ x.astype(ext) - b.astype(ext)
         assert np.sqrt(np.sum(residual * residual)) <= eps * np.linalg.norm(b.astype(ext))
+
+
+def near_singular_symmetric(n, gap):
+    """A symmetric irreducible instance with ``rho = 1 - gap``."""
+    M = random_irreducible_dense(np.random.default_rng(90), n, density=min(0.3, 5.0 / n))
+    M = (M + M.T) / 2.0
+    rho, _ = dense_spectral_radius(M, tol=1e-14)
+    return M * ((1.0 - gap) / rho)
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_symm_solve_near_singular(monkeypatch, n):
+    """At ``rho = 1 - 1e-9`` the bracket settles ``rho < 1`` and
+    ``symm_solve`` meets its contract on the bracket path, its residual
+    recomputed in extended precision (``||x||`` is about 1e9 ``||b||``)."""
+    scans = record_scans(monkeypatch)
+    A_dense = near_singular_symmetric(n, 1e-9)
+    b = np.linspace(1.0, 2.0, n)
+    delta = 1e-6
+    x, report = symm_solve(SparseMatrix.from_dense(A_dense), b, delta)
+    assert report.info["shift"] == 0.0 and report.info["bracket_steps"] >= 1 and scans == []
+    ext = np.longdouble
+    residual = x.astype(ext) - A_dense.astype(ext) @ x.astype(ext) - b.astype(ext)
+    assert np.sqrt(np.sum(residual * residual)) <= delta * np.linalg.norm(b.astype(ext))
+
+
+def test_symm_solve_past_the_rounding_floor_is_a_typed_error():
+    """At ``rho = 1 - 1e-12`` the scaled matrix is SDD by a margin near
+    rounding, and the final SDD solve misses its tolerance:
+    :class:`BackendDiverged`, not a wrong ``x``."""
+    A = SparseMatrix.from_dense(near_singular_symmetric(20, 1e-12))
+    with pytest.raises(BackendDiverged):
+        symm_solve(A, np.linspace(1.0, 2.0, 20), 1e-6)
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_the_fallback_meets_every_contract(monkeypatch, n):
+    """With the bracket off, every fixed-shift scaling entry point meets its
+    contract from the halving scan alone."""
+    bracket_off(monkeypatch)
+    rng = np.random.default_rng(47)
+    density = min(0.3, 5.0 / n)
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.9, density=density))
+    pair, report = mmatrix_scale(A, 1.0, 0.05, 1e3)
+    assert report.phases and report.info["bracket_steps"] == 0
+    S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, 0.05), pair.right)
+    assert check_rcdd(S, RCDD_VERIFY_SLACK)
+
+    sym_dense = random_symmetric_contraction_dense(rng, n, 0.9, density=density)
+    sym = SparseMatrix.from_dense(sym_dense)
+    v, report = symm_scale(sym, 0.05)
+    assert report.phases
+    assert check_sdd(apply_scaling(v, shifted_m_matrix(sym, 1.0, 0.05), v), RCDD_VERIFY_SLACK)
+
+    b = rng.normal(size=n)
+    delta = 1e-8
+    x, report = symm_solve(sym, b, delta)
+    assert report.info["shift"] > 0.0
+    assert np.linalg.norm(x - sym_dense @ x - b) <= delta * np.linalg.norm(b)
+
+    fw2 = random_factor_width2_dense(rng, n)
+    x, report = factor_width2_solve(SparseMatrix.from_dense(fw2), b, delta)
+    assert report.info["shift"] > 0.0
+    assert np.linalg.norm(fw2 @ x - b) <= delta * np.linalg.norm(b)
 
 
 class TestScalingLemmas:
@@ -471,14 +622,6 @@ class TestSymmetricPath:
         S = apply_scaling(v, shifted_m_matrix(A, 1.0, 0.1), v)
         assert check_sdd(S, 1e-12)
 
-    def test_initial_phase_contracts_by_three_quarters(self):
-        rng = np.random.default_rng(41)
-        A = random_symmetric_contraction_dense(rng, 20, rho_ratio=0.9)
-        _, report = symm_scale(SparseMatrix.from_dense(A), 0.1)
-        residuals = report.info["initial_residuals"]
-        for before, after in zip(residuals, residuals[1:]):
-            assert after <= 0.75 * before + 1e-15
-
     def test_symm_solve_trivial(self):
         A = SparseMatrix.zeros(2)
         x, _ = symm_solve(A, np.array([3.0, 4.0]), 1e-10)
@@ -505,20 +648,48 @@ class TestSymmetricPath:
         return random_symmetric_contraction_dense(rng, n, rho_ratio, density=0.02)
 
     @pytest.mark.parametrize("eps", [0.5, 0.05, 1e-3])
-    def test_symm_scale_csr_path(self, eps):
+    def test_symm_scale_csr_path(self, eps, monkeypatch):
+        """With the bracket off, the one-sided scan at ``K = 1 / eps`` runs
+        the scan's count of phases and its ``v`` passes the SDD check."""
+        bracket_off(monkeypatch)
         A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.95))
         v, report = symm_scale(A, eps)
-        assert len(report.phases) == int(np.ceil(np.log2(1.0 / eps)))
+        assert len(report.phases) == expected_phase_count(A, 1.0, eps)
         S = apply_scaling(v, shifted_m_matrix(A, 1.0, eps), v)
         assert check_sdd(S, 1e-12)
 
-    def test_symm_solve_csr_path(self):
+    @pytest.mark.parametrize("eps", [0.5, 0.05, 1e-3])
+    def test_symm_scale_csr_path_from_the_bracket(self, eps, monkeypatch):
+        """The bracket's right iterate is ``v``: no scan, no phase."""
+        scans = record_scans(monkeypatch)
+        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.95))
+        v, report = symm_scale(A, eps)
+        assert report.phases == [] and scans == [] and report.info["bracket_steps"] >= 1
+        S = apply_scaling(v, shifted_m_matrix(A, 1.0, eps), v)
+        assert check_sdd(S, 1e-12)
+
+    def test_symm_solve_csr_path(self, monkeypatch):
+        """With the bracket off, from a shift the search reaches below 1/2
+        at ``rho`` = 0.99."""
+        bracket_off(monkeypatch)
+        self._check_symm_solve_csr_path("scan")
+
+    def test_symm_solve_csr_path_from_the_bracket(self):
+        """From the bracket's right iterate at shift 0."""
+        self._check_symm_solve_csr_path("bracket")
+
+    @classmethod
+    def _check_symm_solve_csr_path(cls, path):
         rng = np.random.default_rng(46)
-        A = self._csr_contraction(rng, 0.99)
+        A = cls._csr_contraction(rng, 0.99)
         b = rng.normal(size=A.shape[0])
         delta = 1e-9
         x, report = symm_solve(SparseMatrix.from_dense(A), b, delta)
-        assert report.info["levels"] > 1
+        if path == "scan":
+            assert 0.0 < report.info["shift"] < 0.5 and report.phases
+        else:
+            assert report.info["shift"] == 0.0 and report.phases == []
+            assert report.info["bracket_steps"] >= 1
         resid = np.linalg.norm(x - A @ x - b)
         assert resid <= delta * np.linalg.norm(b)
 
@@ -547,9 +718,19 @@ class TestFactorWidth2:
             v = report.info["scaling"]
             assert check_sdd(apply_scaling(v, Msp, v), 1e-12)
 
-    def test_csr_path(self):
-        """Above the dense cutoff: the shift search continues down several
-        levels and every SDD level is solved by matvec-only BiCGSTAB."""
+    def test_csr_path(self, monkeypatch):
+        """Above the dense cutoff, with the bracket off: the shift search
+        continues below 1/2 and every solve is matvec-only BiCGSTAB."""
+        bracket_off(monkeypatch)
+        self._check_csr_path("scan")
+
+    def test_csr_path_from_the_bracket(self):
+        """Above the dense cutoff, from the bracket's right iterate at shift
+        0."""
+        self._check_csr_path("bracket")
+
+    @staticmethod
+    def _check_csr_path(path):
         rng = np.random.default_rng(44)
         n = 400
         assert n > _DENSE_CUTOFF
@@ -559,6 +740,7 @@ class TestFactorWidth2:
         delta = 1e-8
         x, report = factor_width2_solve(M, b, delta)
         assert report.info["shift"] < 0.5
+        assert (report.info["shift"] > 0.0) == (path == "scan")
         assert np.linalg.norm(M_dense @ x - b) <= delta * np.linalg.norm(b)
         v = report.info["scaling"]
         assert check_sdd(apply_scaling(v, M, v), 1e-12)
@@ -571,7 +753,59 @@ class TestFactorWidth2:
 
 class TestSymmetricFailures:
     """Input outside the symmetric path's assumptions surfaces as
-    :class:`IterationCapHit` from the halving levels."""
+    :class:`IterationCapHit`: from the bracket, whose CW lower bound
+    certifies ``rho(A)`` at or above the shift, or with the bracket off from
+    a phase of the one-sided scan."""
+
+    @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+    def test_certified_negatives_run_no_scan(self, monkeypatch, n):
+        """At ``rho(A)`` = 1.2 each entry point names the bound the bracket
+        certified, ``1 + eps`` for ``symm_scale`` and 1 for the solves,
+        ``factor_width2_solve`` on ``I - A`` and on an indefinite 2x2
+        included, and no scan runs."""
+        scans = record_scans(monkeypatch)
+        rng = np.random.default_rng(52)
+        A_dense = random_symmetric_contraction_dense(rng, n, 1.2, density=min(0.3, 5.0 / n))
+        A = SparseMatrix.from_dense(A_dense)
+        b = rng.normal(size=n)
+        I_minus = SparseMatrix.from_dense(np.eye(n) - A_dense)
+        calls = [
+            (lambda: symm_scale(A, 1e-3), r"1 \+ 0\.001"),
+            (lambda: symm_solve(A, b, 1e-6), "1"),
+            (lambda: factor_width2_solve(I_minus, b, 1e-6), "1"),
+            (
+                lambda: factor_width2_solve(
+                    SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), 1e-6
+                ),
+                "1",
+            ),
+        ]
+        for call, bound in calls:
+            with pytest.raises(
+                IterationCapHit,
+                match=rf"^rho\(A\) >= {bound} certified: a Collatz-Wielandt lower bound "
+                r"puts rho\(A\) at \d\.\d{6}e\+00 or above$",
+            ):
+                call()
+        assert scans == []
+
+    @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+    def test_the_fallback_fails_a_symmetric_phase(self, monkeypatch, n):
+        """With the bracket off the same inputs fail a phase of the
+        one-sided scan."""
+        bracket_off(monkeypatch)
+        rng = np.random.default_rng(52)
+        A_dense = random_symmetric_contraction_dense(rng, n, 1.2, density=min(0.3, 5.0 / n))
+        A = SparseMatrix.from_dense(A_dense)
+        b = rng.normal(size=n)
+        calls = [
+            lambda: symm_scale(A, 1e-3),
+            lambda: symm_solve(A, b, 1e-6),
+            lambda: factor_width2_solve(SparseMatrix.from_dense(np.eye(n) - A_dense), b, 1e-6),
+        ]
+        for call in calls:
+            with pytest.raises(IterationCapHit, match=r"^symmetric phase \d+ .*violated$"):
+                call()
 
     @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
     def test_spectral_radius_above_one(self, n):

@@ -6,14 +6,14 @@ reference construction, and the CSR ``|S|`` line sums must match the dense
 ones.  Up to the dense cutoff the factorizations, the shift-and-invert ones
 of ``compute_perron`` included, must stay behind ``scipy.linalg.lu_factor``,
 where a profiler can count them; above it each of those matrices gets one
-Krylov solver instead, and nothing is factored.  The symmetric path builds
-one solver per halving level.
+Krylov solver instead, and nothing is factored.
 
 Every matrix the engine forms itself is factored through the phase solver:
 ``solve_m`` factors the matrix its scaling was checked on and builds no RCDD
-solver, and the symmetric levels build no SDD solver.  The symmetric phases
-share the scan's phase loop and with it its guard, so a non-finite solve or
-a damped level that is not positive and finite raises instead of returning.
+solver.  The symmetric solves build one SDD solver, of ``V M V`` on the
+caller's ``M``, after the bracket's steps or the fallback's one-sided scans,
+which share the scan's phase loop and with it its guard, so a non-finite
+solve raises instead of returning.
 """
 
 import math
@@ -55,7 +55,7 @@ from perronkit.rcdd import (
     varah_kappa_upper,
 )
 from perronkit.reports import NON_FINITE
-from perronkit.scaling import _normalized_comparison, _Problem
+from perronkit.scaling import _normalized_comparison, _PhaseSolver, _Problem
 
 from conftest import (
     bracket_off,
@@ -116,9 +116,9 @@ def test_csr_scaled_shift_matches_sparse_products(diagonal):
 
 
 def test_singular_phase_matrix_fails_the_scan(monkeypatch):
-    """An exactly singular phase matrix warns at the factorization and solves
-    to non-finite values without raising; the scan's finiteness check, part
-    of its residual ceiling, then stops it."""
+    """With the bracket off, an exactly singular phase matrix warns at the
+    factorization and solves to non-finite values without raising; the
+    scan's finiteness check, part of its residual ceiling, then stops it."""
     singular = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     monkeypatch.setattr(_Problem, "scaled_shift", lambda self, alpha, ell, r: singular.copy())
     finite = []
@@ -130,6 +130,7 @@ def test_singular_phase_matrix_fails_the_scan(monkeypatch):
         return x
 
     monkeypatch.setattr(_DirectSolver, "solve", solve)
+    bracket_off(monkeypatch)
     A = SparseMatrix.from_dense(np.full((3, 3), 0.1))
     with pytest.warns(scipy.linalg.LinAlgWarning):
         with pytest.raises(IterationCapHit, match="residual ceiling"):
@@ -165,8 +166,9 @@ def solver_name(n):
 
 
 def test_one_factorization_per_phase_through_scipy(monkeypatch):
-    """One solver per phase: a LAPACK factorization up to the dense cutoff,
-    a Krylov solver above it."""
+    """With the bracket off, one solver per phase: a LAPACK factorization up
+    to the dense cutoff, a Krylov solver above it."""
+    bracket_off(monkeypatch)
     counts = count_factorizations(monkeypatch)
     rng = np.random.default_rng(11)
 
@@ -176,6 +178,25 @@ def test_one_factorization_per_phase_through_scipy(monkeypatch):
     counts.update(lu_factor=0)
     _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
     assert report.phases and counts == {**NO_SOLVERS, "krylov": len(report.phases)}
+
+
+def test_one_factorization_per_bracket_step_through_scipy(monkeypatch):
+    """On the bracket path ``mmatrix_scale`` builds one solver per bracket
+    step, through the same scipy call or Krylov class, and runs no scan."""
+    counts = count_factorizations(monkeypatch)
+    scans = record_scans(monkeypatch)
+    rng = np.random.default_rng(11)
+
+    _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.8), 1.0, 1e-3, 100.0)
+    steps = report.info["bracket_steps"]
+    assert steps >= 1 and report.phases == []
+    assert counts == {**NO_SOLVERS, "lu_factor": steps}
+
+    counts.update(lu_factor=0)
+    _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
+    steps = report.info["bracket_steps"]
+    assert steps >= 1 and report.phases == []
+    assert counts == {**NO_SOLVERS, "krylov": steps} and scans == []
 
 
 def test_csr_line_sums_match_dense():
@@ -292,40 +313,66 @@ SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 
 
 @SYMMETRIC_SIZES
-def test_symm_solve_factors_each_level_once(monkeypatch, n):
-    """One SDD solver per level serves the level's refinement and the step to
-    the next level."""
+def test_symmetric_solves_factor_once_past_the_bracket(monkeypatch, n):
+    """On the bracket path ``symm_scale`` builds one solver per bracket step
+    and nothing else, and ``symm_solve`` and ``factor_width2_solve`` one more:
+    their one SDD solver, of ``V M V`` on their own ``M``.  No scan runs."""
     counts = count_factorizations(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.scaling, "build_sdd_solver")
+    scans = record_scans(monkeypatch)
     rng = np.random.default_rng(48)
-    A = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
-    _, report = symm_solve(SparseMatrix.from_dense(A), rng.normal(size=n), 1e-9)
-    levels = report.info["levels"]
-    assert levels > 1
-    assert counts == {**NO_SOLVERS, solver_name(n): levels}
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    )
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    b = rng.normal(size=n)
+    calls = [
+        (lambda: symm_scale(A, 1e-3), 0),
+        (lambda: symm_solve(A, b, 1e-9), 1),
+        (lambda: factor_width2_solve(M, b, 1e-8), 1),
+    ]
+    for call, sdd_solvers in calls:
+        for name in counts:
+            counts[name] = 0
+        _, report = call()
+        steps = report.info["bracket_steps"]
+        assert steps >= 1 and report.phases == []
+        assert counts == {
+            **NO_SOLVERS,
+            solver_name(n): steps + sdd_solvers,
+            "build_sdd_solver": sdd_solvers,
+        }
+    assert scans == []
 
 
 @SYMMETRIC_SIZES
 def test_factor_width2_continues_the_shift_search(monkeypatch, n):
-    """The search over shifts 1/2, 1/8, ... descends the levels once: one
-    solver per phase down to the accepted shift, one for the final solve, and
-    the same scaling as a fresh descent to that shift."""
+    """With the bracket off the search over shifts 1/2, 1/8, ... runs one
+    one-sided scan per shift down to the accepted one, each phase one
+    solver, then builds the one SDD solver; the scaling is the one
+    ``symm_scale`` finds at that shift."""
+    bracket_off(monkeypatch)
     counts = count_factorizations(monkeypatch)
+    scans = record_scans(monkeypatch)
     rng = np.random.default_rng(49)
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     _, report = factor_width2_solve(M, rng.normal(size=n), 1e-8)
     shift = report.info["shift"]
     assert shift < 0.5
-    phases = round(math.log2(1.0 / shift))
-    assert counts == {**NO_SOLVERS, solver_name(n): phases + 1}
+    assert len(scans) == round(math.log(0.5 / shift, 4)) + 1
+    assert counts == {**NO_SOLVERS, solver_name(n): sum(scans) + 1}
     fresh, _ = symm_scale(_normalized_comparison(M), shift)
     assert np.array_equal(report.info["scaling"], fresh)
 
 
 @SYMMETRIC_SIZES
 def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
-    """A level solve that returns non-finite values trips the phase loop's
-    finiteness guard: every symmetric entry point raises instead of returning
-    a non-finite ``v`` or ``x``."""
+    """A solve that returns non-finite values fails a bracket step, and the
+    fallback's phase then trips the phase loop's finiteness guard: every
+    symmetric entry point raises instead of returning a non-finite ``v`` or
+    ``x``.  With the bracket off the scan alone meets it; with the bracket
+    on, the two-cycle at ``eps`` = 0.6, which the all-ones start settles
+    with no solve, is left out."""
     for backend in (_DirectSolver, _KrylovSolver):
         monkeypatch.setattr(
             backend, "solve", lambda self, b, transpose, tol: np.full_like(b, np.nan)
@@ -342,48 +389,36 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
         lambda: symm_solve(A, b, 1e-6),
         lambda: factor_width2_solve(M, b, 1e-6),
     ]
-    for call in calls:
-        with pytest.raises(IterationCapHit, match="residual ceiling"):
-            call()
+    for path in ("bracket", "scan"):
+        with monkeypatch.context() as patch:
+            if path == "scan":
+                bracket_off(patch)
+            for call in calls[1:] if path == "bracket" else calls:
+                with pytest.raises(IterationCapHit, match="residual ceiling"):
+                    call()
 
 
-def test_damped_level_must_be_positive_and_finite(monkeypatch):
-    """A damped ``alpha = 1`` iterate that is non-finite or has a nonpositive
-    entry raises before it is factored or returned."""
-    counts = count_factorizations(monkeypatch)
-    # entries near 1e300 overflow the damped iteration to inf, then NaN;
-    # eps > 1 asks for no halving, so the damped level itself is the answer
-    huge = SparseMatrix.from_dense([[0.0, 1e300], [1e300, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IterationCapHit, match="positive finite"):
-            symm_scale(huge, 2.0)
-
-    real_matvec = _Problem.shifted_matvec
-
-    def matvec(self, alpha, x):
-        if alpha != 1.0:
-            return real_matvec(self, alpha, x)
-        # the first step leaves v = 1/4; a residual of 4 in entry 0 pushes
-        # v[0] to -3/4, where a zero residual ends the loop
-        y = np.ones_like(x)
-        y[0] = 1.0 if x[0] <= 0.0 else 5.0
-        return y
-
-    monkeypatch.setattr(_Problem, "shifted_matvec", matvec)
+def test_a_nonpositive_one_sided_phase_fails(monkeypatch):
+    """With the bracket off, a one-sided phase that ends on an iterate with a
+    nonpositive entry fails as a symmetric phase, where its final check
+    alone would pass: ``V M V`` is dominant for ``-v`` as for ``v``.  Each
+    solve here returns ones, so the first step leaves ``v = -1``, whose
+    residual reads zero."""
+    bracket_off(monkeypatch)
+    monkeypatch.setattr(_PhaseSolver, "p_right", lambda self, x: np.ones_like(x))
+    monkeypatch.setattr(_Problem, "shifted_matvec", lambda self, alpha, x: np.ones_like(x))
     rng = np.random.default_rng(54)
     A = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, 20, 0.9))
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, 20))
     b = rng.normal(size=20)
     calls = [
-        lambda: symm_scale(A, 2.0),
         lambda: symm_scale(A, 1e-3),
         lambda: symm_solve(A, b, 1e-6),
         lambda: factor_width2_solve(M, b, 1e-6),
     ]
     for call in calls:
-        with pytest.raises(IterationCapHit, match="positive finite"):
+        with pytest.raises(IterationCapHit, match="symmetric phase 0 .* nonpositive scaling"):
             call()
-    assert counts == NO_SOLVERS
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -457,24 +492,6 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
     assert (pair.s, pair.alpha) == (s_mid, eps / 3.0)
     S = apply_scaling(pair.left, shifted_m_matrix(A, s_mid, eps / 3.0), pair.right)
     assert check_rcdd(S, RCDD_VERIFY_SLACK)
-
-
-@SYMMETRIC_SIZES
-def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
-    """The symmetric levels factor through the phase solver; the one SDD
-    solver build is ``factor_width2_solve``'s, on the caller's matrix."""
-    counts = {}
-    count_calls(monkeypatch, counts, perronkit.scaling, "build_sdd_solver")
-    rng = np.random.default_rng(56)
-    A = SparseMatrix.from_dense(
-        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
-    )
-    symm_scale(A, 1e-3)
-    symm_solve(A, rng.normal(size=n), 1e-9)
-    assert counts == {"build_sdd_solver": 0}
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
-    factor_width2_solve(M, rng.normal(size=n), 1e-8)
-    assert counts == {"build_sdd_solver": 1}
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
