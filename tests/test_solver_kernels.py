@@ -313,10 +313,11 @@ SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 
 
 @SYMMETRIC_SIZES
-def test_symmetric_solves_factor_once_past_the_bracket(monkeypatch, n):
-    """On the bracket path ``symm_scale`` builds one solver per bracket step
-    and nothing else, and ``symm_solve`` and ``factor_width2_solve`` one more:
-    their one SDD solver, of ``V M V`` on their own ``M``.  No scan runs."""
+def test_symm_solve_factors_each_level_once(monkeypatch, n):
+    """Each matrix the symmetric path forms is factored once: on the bracket
+    path ``symm_scale`` builds one solver per bracket step and nothing else,
+    and ``symm_solve`` one more, its one SDD solver, which serves the whole
+    refinement.  No scan runs."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "build_sdd_solver")
     scans = record_scans(monkeypatch)
@@ -324,14 +325,11 @@ def test_symmetric_solves_factor_once_past_the_bracket(monkeypatch, n):
     A = SparseMatrix.from_dense(
         random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     )
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     b = rng.normal(size=n)
-    calls = [
+    for call, sdd_solvers in [
         (lambda: symm_scale(A, 1e-3), 0),
         (lambda: symm_solve(A, b, 1e-9), 1),
-        (lambda: factor_width2_solve(M, b, 1e-8), 1),
-    ]
-    for call, sdd_solvers in calls:
+    ]:
         for name in counts:
             counts[name] = 0
         _, report = call()
@@ -343,6 +341,40 @@ def test_symmetric_solves_factor_once_past_the_bracket(monkeypatch, n):
             "build_sdd_solver": sdd_solvers,
         }
     assert scans == []
+
+
+@SYMMETRIC_SIZES
+def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
+    """The scalings factor through the phase solver and build no SDD solver;
+    the one SDD solver build is ``factor_width2_solve``'s tail, which
+    ``symm_solve`` shares, on ``V M V`` of the caller's own ``M``."""
+    built = []
+    real = perronkit.scaling.build_sdd_solver
+
+    def build(S, eps):
+        built.append(S.to_dense())
+        return real(S, eps)
+
+    monkeypatch.setattr(perronkit.scaling, "build_sdd_solver", build)
+    rng = np.random.default_rng(56)
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    )
+    symm_scale(A, 1e-3)
+    mmatrix_scale(A, 1.0, 1e-3, 100.0)
+    assert built == []
+    M_A = shifted_m_matrix(A, 1.0)
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    for solve, own in [
+        (lambda: symm_solve(A, rng.normal(size=n), 1e-9), M_A),
+        (lambda: factor_width2_solve(M, rng.normal(size=n), 1e-8), M),
+    ]:
+        _, report = solve()
+        v = report.info["scaling"]
+        assert len(built) == 1
+        np.testing.assert_allclose(
+            built.pop(), v[:, None] * own.to_dense() * v[None, :], rtol=1e-12, atol=1e-15
+        )
 
 
 @SYMMETRIC_SIZES
