@@ -68,8 +68,10 @@ class IterationCapHit(PerronKitError):
 class RoundingFloorHit(IterationCapHit):
     """A refinement cannot certify its residual: the rounding bound of the
     residual's own computation, in the widest precision at hand, leaves no
-    room within ``eps ||b||``.  That bound grows with ``||x||``, which no
-    conditioning bound ``K`` changes, so no larger ``K`` repairs it."""
+    room within ``eps ||b||``, or ``x`` carried in extended precision has a
+    residual within that rounding while its rounding to double still
+    misses.  Both grow with ``||x||``, which no conditioning bound ``K``
+    changes, so no larger ``K`` repairs it."""
 
 
 class NotIrreducible(PerronKitError):

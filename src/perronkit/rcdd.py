@@ -17,7 +17,10 @@ Krylov solve runs to the relative residual ``tol``, which an LU ignores, in
 residual with a fresh recurrence.  A solve that misses after its last pass
 raises :class:`BackendDiverged`, and each caller turns that into its own
 typed outcome.  Above the cutoff the engine's matrices are CSR matrices on
-one pattern per problem, of which each use only rescales the values.
+one pattern per problem, built once; a new scale only writes new values
+into it.  The bracket's step matrix on that pattern, with its transpose
+view and inverse diagonal, is refreshed in place at each step, so a step's
+:class:`_KrylovSolver` takes all three from it and constructs no matrix.
 
 A built :class:`LinearOperator` recomputes the residual of every
 application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
@@ -125,15 +128,18 @@ class _KrylovSolver:
 
     A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
-    of every solve.  Deterministic.
+    of every solve.  Deterministic.  ``S_t`` (a transpose view of ``S``)
+    and ``inv_diag`` (the reciprocals of its diagonal) default to their own
+    computation, one CSC and one diagonal extraction; a caller that keeps
+    them current for a matrix it refreshes in place passes them in.
     """
 
     aim = math.inf
 
-    def __init__(self, S: sp.csr_matrix):
+    def __init__(self, S: sp.csr_matrix, S_t=None, inv_diag=None):
         self.S = S
-        self._S_t = S.T
-        self._inv_diag = 1.0 / S.diagonal()
+        self._S_t = S.T if S_t is None else S_t
+        self._inv_diag = 1.0 / S.diagonal() if inv_diag is None else inv_diag
         self._floor_terms = None
         self.iterations = 0
 
@@ -176,14 +182,17 @@ class _KrylovSolver:
         return (self._S_t if transpose else self.S) @ x
 
 
-def _phase_backend(S):
+def _phase_backend(S, S_t=None, inv_diag=None):
     """The package's one choice of solver, for a matrix the engine formed or
     a caller's own, by its storage alone (see :func:`_storage`): LAPACK for
     a dense ``S``, which solves exactly up to rounding, and
-    :class:`_KrylovSolver` for a CSR ``S``."""
+    :class:`_KrylovSolver` for a CSR ``S``.  A CSR ``S`` may come with its
+    transpose view ``S_t`` and the reciprocals of its diagonal ``inv_diag``
+    when its owner keeps them current (the bracket's step matrix, refreshed
+    in place); the solver then builds neither."""
     if isinstance(S, np.ndarray):
         return _DirectSolver(S)
-    return _KrylovSolver(S)
+    return _KrylovSolver(S, S_t, inv_diag)
 
 
 class LinearOperator:

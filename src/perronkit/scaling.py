@@ -10,7 +10,9 @@ and a False one certifies ``rho(A) >= c`` whatever the conditioning.
 Every fixed-shift entry point takes that path first: :func:`mmatrix_scale`,
 :func:`solve_m`, the M-matrix decision and the symmetric entry points, for
 which the right iterate alone suffices (for symmetric ``A``,
-``V (c I - A) V`` is SDD exactly when ``A v < c v``).
+``V (c I - A) V`` is SDD exactly when ``A v < c v``), so their bracket
+solves for no left iterate.  Above the dense cutoff a bracket step only
+writes new values into matrices built once per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -134,8 +136,16 @@ class RichardsonConfig:
 class _Problem:
     """``A / scale`` in the solvers' working storage, :func:`rcdd._storage`'s:
     a dense array up to ``_DENSE_CUTOFF`` unknowns, CSR above (``dense`` and
-    ``csr`` name whichever is in use).
-    :meth:`rescale` moves it to another scale on the same storage."""
+    ``csr`` name whichever is in use).  :meth:`rescale` moves it to another
+    scale on the same storage.
+
+    Above the cutoff the problem holds ``-A / scale`` on one pattern, that of
+    ``(1 + alpha) I - A`` (:func:`_shift_pattern`), built once; a rescale
+    only writes new values into it.  :meth:`scaled_shift` forms a fresh
+    matrix from those values, and :meth:`step_solver` refreshes the one step
+    matrix the bracket solves with.  ``matrix``, ``matrix_t`` and ``csr``
+    (the scan's products and the benchmark's tracer read them) are built on
+    first read at each scale."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
@@ -143,24 +153,17 @@ class _Problem:
         self.n = A.n_rows
         self._A = A
         self._unscaled = _storage(A.csr())
-        if not isinstance(self._unscaled, np.ndarray):
-            # -A on the pattern of (1 + alpha) I - A, the diagonal always
-            # stored; every phase only rescales its values.  A's entries,
-            # canonical and sorted as that pattern is, fill the positions
-            # marked here in order.
-            coo = self._unscaled.tocoo()
-            idx = np.arange(self.n)
-            self._neg_a = sp.csr_matrix(
-                (
-                    np.concatenate([np.ones(coo.nnz), np.zeros(self.n)]),
-                    (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx])),
-                ),
-                shape=(self.n, self.n),
-            )
-            self._a_pos = np.flatnonzero(self._neg_a.data)
-            self._neg_a.data[:] = 0.0
-            self._rows = np.repeat(idx, np.diff(self._neg_a.indptr))
-            self._diag = np.flatnonzero(self._rows == self._neg_a.indices)
+        self._is_dense = isinstance(self._unscaled, np.ndarray)
+        self._step = None
+        if not self._is_dense:
+            self._neg_a = _shift_pattern(self._unscaled)
+            marks = self._neg_a.data
+            # A's entries fill the positions it stores, in order, canonical
+            # and sorted as the pattern is; the added diagonals stay 0
+            self._a_pos = np.flatnonzero(marks != 2.0)
+            self._diag = np.flatnonzero(marks >= 2.0)
+            self._rows = np.repeat(np.arange(self.n), np.diff(self._neg_a.indptr))
+            marks[:] = 0.0
         self.rescale(scale)
 
     def rescale(self, scale: float) -> None:
@@ -169,12 +172,32 @@ class _Problem:
         if scale <= 0.0 or not np.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         self._scale = scale
-        self.matrix = self._unscaled / scale
-        self.matrix_t = self.matrix.T
-        self.dense = self.matrix if isinstance(self.matrix, np.ndarray) else None
-        self.csr = None if self.dense is not None else self.matrix
-        if self.csr is not None:
-            self._neg_a.data[self._a_pos] = -self.matrix.data
+        self._matrix = self._matrix_t = None
+        if not self._is_dense:
+            # scipy divides a CSR matrix by a scalar through its reciprocal,
+            # so these are the bits of -(A / scale)
+            self._neg_a.data[self._a_pos] = self._unscaled.data * (-1.0 / scale)
+
+    @property
+    def matrix(self):
+        """``A / scale`` in the working storage."""
+        if self._matrix is None:
+            self._matrix = self._unscaled / self._scale
+        return self._matrix
+
+    @property
+    def matrix_t(self):
+        if self._matrix_t is None:
+            self._matrix_t = self.matrix.T
+        return self._matrix_t
+
+    @property
+    def dense(self):
+        return self.matrix if self._is_dense else None
+
+    @property
+    def csr(self):
+        return None if self._is_dense else self.matrix
 
     @cached_property
     def _norm_max_unscaled(self) -> float:
@@ -195,8 +218,9 @@ class _Problem:
         return (1.0 + alpha) * x - self.matrix_t @ x
 
     def scaled_shift(self, alpha: float, ell: np.ndarray, r: np.ndarray):
-        """``diag(ell) ((1 + alpha) I - A) diag(r)`` in the working storage."""
-        if self.dense is not None:
+        """``diag(ell) ((1 + alpha) I - A) diag(r)`` in the working storage,
+        a fresh matrix that no later use of the problem changes."""
+        if self._is_dense:
             S = -self.dense
             np.fill_diagonal(S, S.diagonal() + (1.0 + alpha))
             S *= ell[:, None]
@@ -209,11 +233,45 @@ class _Problem:
         data = (ell[self._rows] * v) * r[neg_a.indices]
         return sp.csr_matrix((data, neg_a.indices, neg_a.indptr), shape=neg_a.shape)
 
+    def step_solver(self, alpha: float):
+        """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step,
+        with the bits of ``scaled_shift(alpha, 1, 1)``.  Below the cutoff it
+        factors a fresh array.  Above it the step matrix, its transpose view
+        and the reciprocals of its diagonal are built on the first call and
+        refreshed in place by every later one, so a solver serves only until
+        the next call: the bracket's steps form no new scipy matrix."""
+        if self._is_dense:
+            ones = np.ones(self.n)
+            return _phase_backend(self.scaled_shift(alpha, ones, ones))
+        neg_a = self._neg_a
+        if self._step is None:
+            S = sp.csr_matrix((neg_a.data.copy(), neg_a.indices, neg_a.indptr), shape=neg_a.shape)
+            self._step = (S, S.T, np.empty(self.n))
+        S, S_t, inv_diag = self._step
+        # S_t is a view on S's arrays, so it follows
+        np.copyto(S.data, neg_a.data)
+        S.data[self._diag] += 1.0 + alpha
+        np.divide(1.0, S.data[self._diag], out=inv_diag)
+        return _phase_backend(S, S_t, inv_diag)
+
+
+def _shift_pattern(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """The canonical pattern of ``(1 + alpha) I - A`` for a canonical CSR
+    ``A``, the diagonal always stored, built as ``ones(A) + 2 I``: positions
+    only ``A`` stores read 1, added diagonals 2 and diagonals ``A`` stores 3.
+    A sum of canonical matrices is canonical, and no entry cancels."""
+    n = csr.shape[0]
+    idx = np.arange(n)
+    ones = sp.csr_matrix((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
+    return ones + sp.csr_matrix((np.full(n, 2.0), idx, np.arange(n + 1)), shape=(n, n))
+
 
 class _PhaseSolver:
     """One solver of ``S = diag(l) M_{2 alpha} diag(r)`` serving both the
-    forward and the transpose preconditioner of one phase; the engine's only
-    path to solving with a matrix it formed.
+    forward and the transpose preconditioner of one phase: the engine's path
+    to solving with a matrix it formed and hands on, built on a fresh
+    :meth:`_Problem.scaled_shift` (the bracket's own steps solve with
+    :meth:`_Problem.step_solver` instead).
 
     :func:`rcdd._phase_backend` picks the backend by the problem's storage:
     LAPACK factors a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) once,
@@ -282,12 +340,23 @@ class _CWBracket:
     :meth:`checked_pair` is the first path of every fixed-shift entry
     point: ``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and the
     symmetric ones.
+
+    The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
+    step, and solves with its step matrix (:meth:`_Problem.step_solver`),
+    which above the dense cutoff is refreshed in place: a step forms no
+    scipy matrix.  ``symmetric`` makes the bracket one-sided, for callers
+    whose ``A`` is symmetric: a step solves for the right iterate only and
+    takes it as the left one, which for symmetric ``A`` it equals.  The left
+    CW bounds are still computed on ``A.T``, so every bound, and every
+    verdict, stays sound whatever ``A`` is.
     """
 
-    def __init__(self, A: SparseMatrix):
+    def __init__(self, A: SparseMatrix, *, symmetric: bool = False):
         self.A = A
         self.right = np.ones(A.n_rows)
         self.left = np.ones(A.n_rows)
+        # a symmetric A's left iterate is its right one: no left solves
+        self._symmetric = symmetric
         # (lower, upper) CW bounds of the current right and left iterates
         self.cw_right = self.cw_left = (0.0, np.inf)
         self.factorizations = 0
@@ -304,7 +373,7 @@ class _CWBracket:
         cone, a bound is unusable (a zero lower or an infinite upper bound),
         a solve misses (:class:`BackendDiverged`) or the step budget runs
         out."""
-        A, ones = self.A, np.ones(self.A.n_rows)
+        A = self.A
         while not self.failed:
             self.cw_right = _cw_bounds(A, self.right)
             self.cw_left = _cw_bounds(A, self.left, transpose=True)
@@ -317,11 +386,14 @@ class _CWBracket:
             tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * (1.0 - self.lower / hi) * self._least)
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
             # relative to rho whatever the scale of A
-            solver = _PhaseSolver(self._problem(hi), _CW_SHIFT_MARGIN, ones, ones, tol=tol)
+            solver = self._problem(hi).step_solver(_CW_SHIFT_MARGIN)
             self.factorizations += 1
             try:
-                right = _unit_positive(solver.p_right(self.right))
-                left = _unit_positive(solver.p_left(self.left))
+                right = _unit_positive(solver.solve(self.right, False, tol))
+                if self._symmetric:
+                    left = right
+                else:
+                    left = _unit_positive(solver.solve(self.left, True, tol))
             except BackendDiverged:
                 break
             if right is None or left is None:
@@ -736,13 +808,14 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     return pair, report
 
 
-def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str):
+def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetric=False):
     """``(found, steps)``: the ``(prob, pair)`` :meth:`_CWBracket.checked_pair`
     finds at ``(1 + eps) s``, or ``None`` when the bracket settles nothing,
     and the bracket's step count.  A False verdict raises
     :class:`IterationCapHit` naming ``bound``, which the CW lower bound then
-    certifies ``rho(A)`` reaches whatever the conditioning."""
-    bracket = _CWBracket(A)
+    certifies ``rho(A)`` reaches whatever the conditioning.  ``symmetric``
+    is the symmetric callers' one-sided bracket (see :class:`_CWBracket`)."""
+    bracket = _CWBracket(A, symmetric=symmetric)
     found = bracket.checked_pair(s, eps)
     if found is False:
         raise IterationCapHit(
@@ -775,6 +848,104 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     return prob, pair, report
 
 
+def _row_entries(csr: sp.csr_matrix) -> int:
+    """The most entries stored in a row of ``csr``."""
+    return int(np.diff(csr.indptr).max(initial=0))
+
+
+def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against):
+    """Richardson refinement of ``M x = b`` from ``x = 0``, preconditioned by
+    ``precond``, until the computed residual plus a bound on its own rounding
+    meets ``eps ||b||``; ``against`` names ``M`` in the errors.  ``matvec``
+    computes ``M x`` in double, ``extended_matvec`` in ``np.longdouble``.
+    Returns ``(x, report)``, ``report.residuals`` holding the residual norms
+    from ``||b||`` to the certified one.
+
+    ``M x`` is a sum of at most ``k`` products per entry, and ``norm_abs``
+    bounds ``||abs(M)||_2``: the computed product errs by at most ``(k + 2)
+    u abs(M) abs(x)`` entrywise, ``u`` the unit of its precision, so by ``(k
+    + 2) u norm_abs ||x||`` in l2 norm; ``(n + 2)`` double units of
+    ``||b||`` and of the residual cover the rounding to double and the
+    norms.  Near a singular ``M`` ``||x||`` is large and that bound with it,
+    so it is checked after every step.  Once it leaves less than half of
+    ``eps ||b||``, the refinement goes on in ``np.longdouble`` (where that is
+    wider than double): ``x`` is carried in it, its residual computed in it,
+    and each step's candidate is ``x`` rounded to double, its residual
+    computed in extended precision too.  A bound that leaves no room raises
+    :class:`RoundingFloorHit`, and so does a candidate that misses once the
+    extended ``x`` has a residual within that residual's own rounding: the
+    rounding of ``x`` to double then sets the floor.  A refinement that runs
+    out of its ``cap`` steps, or meets a non-finite residual, raises
+    :class:`IterationCapHit`."""
+    n = b.shape[0]
+    unit = np.finfo(float).eps
+    extended_unit = np.finfo(np.longdouble).eps
+    nb = float(np.linalg.norm(b))
+    target = eps * nb
+    report = SolveReport(residuals=[nb])
+
+    def room(x, rn, product_unit):
+        bound = (k + 2) * norm_abs * product_unit * np.linalg.norm(x)
+        return target - (bound + (n + 2) * unit * (nb + rn))
+
+    def give_up(error, rn, left, why):
+        return error(
+            f"refinement against {against} cannot certify its residual {rn:.3e} within "
+            f"eps ||b|| = {target:.3e} after {report.iterations} of at most {cap} "
+            f"iterations: {why} (the residual's rounding bound leaves {left:.3e})",
+            phase=None,
+            alpha=None,
+        )
+
+    def non_finite():
+        return IterationCapHit(
+            f"refinement against {against} stopped ({NON_FINITE}) after "
+            f"{report.iterations} of at most {cap} iterations",
+            phase=None,
+            alpha=None,
+        )
+
+    # double precision, one step per call so that the bound follows ||x||
+    x = np.zeros(n)
+    while True:
+        rn = report.residuals[-1]
+        left = room(x, rn, unit)
+        if rn <= left:
+            return x, report
+        if left <= 0.5 * target and extended_unit < unit:
+            break
+        if not left > 0.0:
+            raise give_up(RoundingFloorHit, rn, left, "no wider precision")
+        if report.iterations == cap:
+            raise give_up(IterationCapHit, rn, left, "out of iterations")
+        x, rep = prec_richardson(matvec, precond, b, x, RichardsonConfig(left / rn, 1))
+        report.iterations += rep.iterations
+        report.residuals.append(rep.residuals[-1])
+        if rep.status == NON_FINITE:
+            raise non_finite()
+
+    # extended precision: x carried in it, candidates rounded to double
+    x_ext = x.astype(np.longdouble)
+    while True:
+        r_ext = extended_matvec(x_ext) - b
+        x = x_ext.astype(float)
+        rn = float(np.linalg.norm(extended_matvec(x) - b))
+        report.residuals.append(rn)
+        if not math.isfinite(rn):
+            raise non_finite()
+        left = room(x, rn, extended_unit)
+        if rn <= left:
+            return x, report
+        if not left > 0.0:
+            raise give_up(RoundingFloorHit, rn, left, "no precision at hand is enough")
+        if np.linalg.norm(r_ext) <= (k + 2) * norm_abs * extended_unit * np.linalg.norm(x_ext):
+            raise give_up(RoundingFloorHit, rn, left, "the rounding of x to double sets the floor")
+        if report.iterations == cap:
+            raise give_up(IterationCapHit, rn, left, "out of iterations")
+        x_ext = x_ext - precond(r_ext.astype(float))
+        report.iterations += 1
+
+
 def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     """Operator ``P`` with ``||b - (s I - A) P(b)||_2 <= eps ||b||_2``.
 
@@ -788,13 +959,15 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     then certified, whatever ``K``.  Each application runs Richardson
     refinement against the true matrix, preconditioned by that
     factorization, until the computed l2 residual plus a bound on its own
-    rounding error meets the contract.  Near a singular shift ``||x||`` is
-    large and so is that bound; once it exceeds half of ``eps ||b||`` the
-    residual is computed in ``np.longdouble`` (where that is wider than
-    double), and a bound that still leaves no room raises
-    :class:`RoundingFloorHit`, which no larger ``K`` repairs.  A refinement
-    that runs out of iterations, or a miss of the scan's phase solves,
-    raises :class:`IterationCapHit`, and applying the operator raises
+    rounding error meets the contract (:func:`_refine`, which the symmetric
+    solves share).  Near a singular shift ``||x||`` is large and so is that
+    bound; once it exceeds half of ``eps ||b||`` the refinement goes on in
+    ``np.longdouble`` (where that is wider than double), and a bound that
+    still leaves no room, or an extended ``x`` that the rounding to double
+    keeps from the contract, raises :class:`RoundingFloorHit`, which no
+    larger ``K`` repairs.  A refinement that runs out of iterations, or a
+    miss of the scan's phase solves, raises :class:`IterationCapHit`, and
+    applying the operator raises
     :class:`BackendDiverged` when a preconditioner solve misses.
     ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on
     the bracket path) and the bracket's steps (``"bracket_steps"``).
@@ -811,72 +984,31 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     # solves with diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
     solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_scan_tolerance(K))
 
-    n = A.n_rows
     csr = A.csr()
+    k = _row_entries(csr)
     norms = induced_norms(A)
-    # computed s x - A x - b errs by at most (k + 2) u (s |x| + A |x| + |b|)
-    # entrywise, k the most entries in a row of A and u the unit of the
-    # product's precision; in l2 norm by (k + 2) u (s + ||A||_2) ||x|| with
-    # ||A||_2 <= sqrt(||A||_1 ||A||_inf), plus (n + 2) double units of
-    # ||b|| and of the residual for the rounding to double and the norms
-    row_units = (int(np.diff(csr.indptr).max(initial=0)) + 2) * (
-        s + math.sqrt(norms.norm_1 * norms.norm_inf)
-    )
-    unit = np.finfo(float).eps
-    # the precision of the residual once double cannot certify it: near a
-    # singular shift ||x|| is large, and the bound with it
-    extended_unit = np.finfo(np.longdouble).eps
+    # abs(s I - A) = s I + A, and ||A||_2 <= sqrt(||A||_1 ||A||_inf)
+    norm_abs = s + math.sqrt(norms.norm_1 * norms.norm_inf)
 
     def true_matvec(x):
         return s * x - csr @ x
 
     def extended_matvec(x):
         x = x.astype(np.longdouble)
-        return (s * x - csr @ x).astype(float)
+        return s * x - csr @ x
 
     def precond(x):
         return solver.p_right(x) / s_mid
 
+    n = A.n_rows
     cap = max(64, math.ceil(8.0 * (1.0 + eps * K) * math.log(n * max(K, 2.0) / eps)))
 
     def apply_fn(b):
-        # Richardson refinement until the computed residual plus the bound on
-        # its own rounding meets eps ||b||
-        nb = float(np.linalg.norm(b))
-        target = eps * nb
-        x, matvec, product_unit, rn, iterations = np.zeros(n), true_matvec, unit, nb, 0
-        while True:
-            slack = target - (
-                row_units * product_unit * np.linalg.norm(x) + (n + 2) * unit * (nb + rn)
-            )
-            if rn <= slack:
-                return x, (0.0 if nb == 0.0 else rn / nb), iterations
-            if slack <= 0.5 * target and product_unit > extended_unit:
-                matvec, product_unit = extended_matvec, extended_unit
-                rn = float(np.linalg.norm(matvec(x) - b))
-                continue
-            if not slack > 0.0 or iterations == cap:
-                error = RoundingFloorHit if slack <= 0.0 else IterationCapHit
-                raise error(
-                    f"refinement against s I - A cannot certify its residual "
-                    f"{rn:.3e} within eps ||b|| = {target:.3e} after {iterations} "
-                    f"of at most {cap} iterations: the residual's rounding bound "
-                    f"leaves {slack:.3e}",
-                    phase=None,
-                    alpha=None,
-                )
-            x, rep = prec_richardson(
-                matvec, precond, b, x, RichardsonConfig(slack / rn, cap - iterations)
-            )
-            iterations += rep.iterations
-            rn = rep.residuals[-1]
-            if rep.status != CONVERGED:
-                raise IterationCapHit(
-                    f"refinement against s I - A stopped ({rep.status}) after "
-                    f"{iterations} of at most {cap} iterations",
-                    phase=None,
-                    alpha=None,
-                )
+        x, report = _refine(
+            b, eps, true_matvec, extended_matvec, k, norm_abs, precond, cap, "s I - A"
+        )
+        nb = report.residuals[0]
+        return x, (0.0 if nb == 0.0 else report.residuals[-1] / nb), report.iterations
 
     op = LinearOperator(apply_fn, n, eps, "l2")
     op.report.info["scaling_phases"] = phases
@@ -906,9 +1038,10 @@ def _symmetric_scaling(A: SparseMatrix, M: SparseMatrix, eps: float, shifts):
     nonnegative ``A`` and a symmetric ``M`` that is dominant under every
     ``v`` that makes ``(1 + shift) I - A`` so.
 
-    ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``: for
-    symmetric ``A``, ``V ((1 + eps) I - A) V`` is SDD exactly when ``A v <
-    (1 + eps) v``, which a True verdict holds.  When the bracket settles
+    ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``, its
+    bracket one-sided (see :class:`_CWBracket`): for symmetric ``A``, ``V
+    ((1 + eps) I - A) V`` is SDD exactly when ``A v < (1 + eps) v``, which a
+    True verdict holds.  When the bracket settles
     nothing or its ``v`` fails the check, a one-sided halving scan at each
     of ``shifts`` in turn gives ``v``, at ``K = 1 / shift`` (``rho(A) < 1``
     bounds ``||((1 + shift) I - A)^-1||_2`` by it); a failed scan raises
@@ -921,7 +1054,7 @@ def _symmetric_scaling(A: SparseMatrix, M: SparseMatrix, eps: float, shifts):
         S = apply_scaling(v, M, v)
         return S if check_sdd(S, RCDD_VERIFY_SLACK) else None
 
-    found, steps = _bracket_pair(A, 1.0, eps, f"1 + {eps!r}" if eps else "1")
+    found, steps = _bracket_pair(A, 1.0, eps, f"1 + {eps!r}" if eps else "1", symmetric=True)
     v = None if found is None else found[1].right
     S = None if v is None else dominant(v)
     report, shift, remaining = SolveReport(), eps, iter(shifts)
@@ -947,8 +1080,9 @@ def symm_scale(A: SparseMatrix, eps: float):
     """Positive diagonal ``v`` with ``diag(v) ((1+eps) I - A) diag(v)`` SDD.
 
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
-    problem).  ``v`` is the bracket's right iterate, else a one-sided halving
-    scan's at ``K = 1 / eps`` (see :func:`_symmetric_scaling`); a bracket
+    problem).  ``v`` is the right iterate of a one-sided bracket, which
+    solves for no left iterate, else a one-sided halving scan's at ``K = 1 /
+    eps`` (see :func:`_symmetric_scaling`); a bracket
     that certifies ``rho(A) >= 1 + eps``, or a failed phase of the scan, a
     solve that misses included (``"solver budget"``), raises
     :class:`IterationCapHit`.  Returns ``(v, report)``; the report logs the
@@ -966,21 +1100,37 @@ def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
     """``M x = b`` to ``||M x - b||_2 <= delta ||b||_2``: ``v`` from
     :func:`_symmetric_scaling` at shift 0, else from the first shift of
     ``_SHIFT_SEARCH`` that makes ``V M V`` SDD, and one SDD solver of ``V M
-    V`` at accuracy 1/4 preconditioning Richardson against ``M``.  Returns
-    ``(x, report)`` with the scaling's report entries and ``v`` in
+    V`` at accuracy 1/4 preconditioning :func:`_refine` against ``M``, the
+    refinement ``solve_m`` applies, with its rounding bound on the residual.
+    Returns ``(x, report)``: the refinement's iterations and residual norms,
+    the scaling's phases and report entries, and ``v`` in
     ``info["scaling"]``."""
     v, S, scale_report = _symmetric_scaling(A, M, 0.0, _SHIFT_SEARCH)
     Z = build_sdd_solver(S, 0.25)
+    csr = M.csr()
+    norms = induced_norms(M)
+
+    def matvec(x):
+        return csr @ x
+
+    def extended_matvec(x):
+        return csr @ x.astype(np.longdouble)
 
     def precond(x):
         return v * Z.apply(v * x)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
-    x, report = prec_richardson(M, precond, b, None, RichardsonConfig(delta, cap))
-    if report.status != CONVERGED:
-        raise IterationCapHit(
-            f"refinement against M stopped ({report.status})", phase=None, alpha=None
-        )
+    x, report = _refine(
+        b,
+        delta,
+        matvec,
+        extended_matvec,
+        _row_entries(csr),
+        math.sqrt(norms.norm_1 * norms.norm_inf),
+        precond,
+        cap,
+        "M",
+    )
     report.phases = scale_report.phases
     report.info.update(scale_report.info, scaling=v)
     return x, report
@@ -990,13 +1140,16 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     """Solve ``(I - A) x = b`` for symmetric nonnegative ``A`` with
     ``rho(A) < 1`` to ``||(I - A) x - b||_2 <= delta ||b||_2``.
 
-    ``v`` scales ``I - A`` SDD: the bracket's right iterate at the unit
-    shift, else the first of the one-sided halving scans at the shifts 1/2,
-    1/8, ... down to 1e-8, each at ``K = 1 / shift``, whose ``v`` does (see
-    :func:`_symmetric_scaling`).  One SDD solver of ``V (I - A) V`` then
-    preconditions Richardson refinement against ``I - A``.  A bracket that
-    certifies ``rho(A) >= 1``, a failed scan and a refinement at its cap
-    raise :class:`IterationCapHit`, a search that finds no ``v``
+    ``v`` scales ``I - A`` SDD: the right iterate of a one-sided bracket at
+    the unit shift, else the first of the one-sided halving scans at the
+    shifts 1/2, 1/8, ... down to 1e-8, each at ``K = 1 / shift``, whose
+    ``v`` does (see :func:`_symmetric_scaling`).  One SDD solver of ``V (I -
+    A) V`` then preconditions Richardson refinement against ``I - A`` until
+    the residual plus a bound on its own rounding meets the contract, as in
+    :func:`solve_m`.  A bracket that certifies ``rho(A) >= 1``, a failed
+    scan and a refinement at its cap raise :class:`IterationCapHit`, a
+    refinement that rounding keeps from the contract (near ``rho(A) = 1``)
+    :class:`RoundingFloorHit`, a search that finds no ``v``
     :class:`NotSDDAfterScaling`, and an SDD solve that misses
     :class:`BackendDiverged`.  The report counts the bracket's steps in
     ``info["bracket_steps"]`` and logs the fallback's phases.
@@ -1031,9 +1184,11 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
 
     Scales the normalized comparison matrix ``A`` of ``M`` (off-diagonal
     magnitudes), whose ``V (I - A) V`` is dominant exactly when ``V M V`` is,
-    as :func:`symm_solve` scales its ``A``, verifies that ``V M V`` is SDD
-    and solves through the SDD route with Richardson refinement against
-    ``M``.  Input that is not factor width 2 raises :class:`IterationCapHit`
+    as :func:`symm_solve` scales its ``A`` (a one-sided bracket first),
+    verifies that ``V M V`` is SDD and solves through the SDD route with
+    :func:`symm_solve`'s refinement against ``M``, whose rounding keeping
+    it from the contract raises :class:`RoundingFloorHit`.  Input that is
+    not factor width 2 raises :class:`IterationCapHit`
     when the bracket certifies ``rho(A) >= 1`` or a fallback scan fails, or
     :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.  A
     solve that misses raises :class:`IterationCapHit` in a fallback scan and

@@ -8,6 +8,7 @@ import perronkit.rcdd
 from perronkit import (
     BackendDiverged,
     IterationCapHit,
+    RoundingFloorHit,
     Verdict,
     RichardsonConfig,
     ScalingPair,
@@ -454,6 +455,27 @@ def test_symm_solve_near_singular(monkeypatch, n):
     ext = np.longdouble
     residual = x.astype(ext) - A_dense.astype(ext) @ x.astype(ext) - b.astype(ext)
     assert np.sqrt(np.sum(residual * residual)) <= delta * np.linalg.norm(b.astype(ext))
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_symm_solve_near_singular_certifies_or_names_the_floor(n):
+    """At ``rho = 1 - 1e-9`` the refinement against ``I - A`` bounds its
+    residual's own rounding, as ``solve_m``'s does: at ``delta = 1e-7`` it
+    certifies from the extended-precision residual (recomputed here), and
+    at ``delta = 1e-8``, where the rounding of ``x`` to double leaves a
+    residual above ``delta ||b||``, it raises :class:`RoundingFloorHit`
+    within a few steps instead of spending its cap."""
+    A_dense = near_singular_symmetric(n, 1e-9)
+    A = SparseMatrix.from_dense(A_dense)
+    b = np.linspace(1.0, 2.0, n)
+    delta = 1e-7
+    x, report = symm_solve(A, b, delta)
+    assert report.info["shift"] == 0.0 and report.iterations <= 8
+    ext = np.longdouble
+    residual = x.astype(ext) - A_dense.astype(ext) @ x.astype(ext) - b.astype(ext)
+    assert np.sqrt(np.sum(residual * residual)) <= delta * np.linalg.norm(b.astype(ext))
+    with pytest.raises(RoundingFloorHit, match=r"cannot certify its residual .* after [1-8] of"):
+        symm_solve(A, b, 1e-8)
 
 
 def test_symm_solve_past_the_rounding_floor_is_a_typed_error():

@@ -55,7 +55,13 @@ from perronkit.rcdd import (
     varah_kappa_upper,
 )
 from perronkit.reports import NON_FINITE
-from perronkit.scaling import _normalized_comparison, _PhaseSolver, _Problem
+from perronkit.scaling import (
+    _CWBracket,
+    _normalized_comparison,
+    _PhaseSolver,
+    _Problem,
+    _shift_pattern,
+)
 
 from conftest import (
     bracket_off,
@@ -549,6 +555,242 @@ def test_problem_rescale_matches_a_fresh_problem(n):
                 assert np.array_equal(got.indices, want.indices)
                 got, want = got.data, want.data
             assert np.array_equal(got, want)
+
+
+def pattern_inputs():
+    """Canonical CSR inputs with and without a stored diagonal, with empty
+    rows and with explicit zeros, one of them on the diagonal."""
+    rng = np.random.default_rng(62)
+    base = (rng.random((40, 40)) < 0.1) * rng.uniform(0.1, 1.0, (40, 40))
+    no_diag = base.copy()
+    np.fill_diagonal(no_diag, 0.0)
+    full_diag = base.copy()
+    np.fill_diagonal(full_diag, 0.5)
+    holes = full_diag.copy()
+    holes[[0, 17, 39], :] = 0.0
+    zeros = sp.csr_matrix(full_diag)
+    zeros.data[[0, 7, 30]] = 0.0
+    inputs = {
+        "some-diag": sp.csr_matrix(base),
+        "no-diag": sp.csr_matrix(no_diag),
+        "full-diag": sp.csr_matrix(full_diag),
+        "empty-rows": sp.csr_matrix(holes),
+        "explicit-zeros": zeros,
+        "empty": sp.csr_matrix((6, 6)),
+    }
+    assert all(csr.has_canonical_format for csr in inputs.values())
+    return inputs
+
+
+@pytest.mark.parametrize("name", list(pattern_inputs()))
+def test_shift_pattern_matches_the_coo_pattern(name):
+    """The pattern built without COO equals the COO round-trip of ``A``'s
+    entries and the diagonal: same ``indptr`` and ``indices``, and the marks
+    1 (only ``A`` stores the entry), 2 (only the diagonal) and 3 (both)."""
+    csr = pattern_inputs()[name]
+    n = csr.shape[0]
+    coo = csr.tocoo()
+    idx = np.arange(n)
+    expected = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(coo.nnz), np.full(n, 2.0)]),
+            (np.concatenate([coo.row, idx]), np.concatenate([coo.col, idx])),
+        ),
+        shape=(n, n),
+    )
+    expected.sum_duplicates()
+    got = _shift_pattern(csr)
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data, expected.data)
+    if name == "explicit-zeros":
+        # every diagonal is stored, so the stored zeros, kept, are all it adds
+        assert (csr.data == 0.0).sum() == 3 and got.nnz == csr.nnz
+
+
+def with_empty_rows(A: SparseMatrix, rows) -> SparseMatrix:
+    dense = A.to_dense()
+    dense[rows, :] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("case", ["stored-diag", "no-diag", "empty-rows"])
+def test_step_matrix_matches_a_fresh_shift(case):
+    """Above the cutoff the bracket's step matrix, refreshed in place from
+    scale to scale and shift to shift, holds the bits of a fresh
+    ``scaled_shift`` at unit scalings, its transpose view the transpose and
+    its inverse diagonal the reciprocals of that diagonal."""
+    rng = np.random.default_rng(63)
+    A = sparse_m_matrix(rng, diagonal=case != "no-diag")
+    if case == "empty-rows":
+        A = with_empty_rows(A, [0, 200, A.n_rows - 1])
+    n = A.n_rows
+    ones = np.ones(n)
+    prob = _Problem(A, 1.0)
+    for scale, alpha in ((1.0, 1e-6), (0.37, 0.25), (3.1e5, 1e-6), (2.0 / 3.0, 0.0)):
+        prob.rescale(scale)
+        solver = prob.step_solver(alpha)
+        fresh = prob.scaled_shift(alpha, ones, ones)
+        assert np.array_equal(solver.S.indptr, fresh.indptr)
+        assert np.array_equal(solver.S.indices, fresh.indices)
+        assert np.array_equal(solver.S.data, fresh.data)
+        x = rng.normal(size=n)
+        assert np.array_equal(solver.matvec(x, transpose=True), fresh.T @ x)
+        assert np.array_equal(solver._inv_diag, 1.0 / fresh.diagonal())
+
+
+def count_sparse_constructions(monkeypatch):
+    """Count the CSR, CSC and COO matrices constructed, in ``counts[0]``."""
+    counts = [0]
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        real = cls.__init__
+
+        def init(self, *args, _real=real, **kwargs):
+            counts[0] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["two-sided", "one-sided"])
+def test_bracket_steps_build_no_sparse_matrix(monkeypatch, symmetric):
+    """Above the cutoff a bracket builds its problem and step matrix at its
+    first step and then constructs no scipy matrix at all: each later step
+    only rescales values in place (four constructions per step before)."""
+    A = sparse_instance_at(0.9)
+    counts = count_sparse_constructions(monkeypatch)
+    bracket = _CWBracket(A, symmetric=symmetric)
+    steps = bracket._iterates()
+    next(steps)
+    next(steps)
+    assert bracket.factorizations == 1 and counts[0] > 0
+    counts[0] = 0
+    for _ in range(4):
+        next(steps)
+    assert bracket.factorizations == 5 and not bracket.failed
+    assert counts[0] == 0
+
+
+def test_handed_out_matrices_stay_fixed(monkeypatch):
+    """A matrix the bracket hands out is its own: the matrix
+    ``checked_pair`` checked RCDD, the pair, and a phase solver built on the
+    handed-over problem keep their values while the bracket steps on, and
+    ``solve_m``'s solver keeps its matrix and answers across later calls."""
+    A = sparse_instance_at(0.9)
+    checked = []
+    real_check = perronkit.scaling.check_rcdd
+
+    def check(S, slack=0.0):
+        checked.append((S, S.data.copy()))
+        return real_check(S, slack)
+
+    monkeypatch.setattr(perronkit.scaling, "check_rcdd", check)
+    bracket = _CWBracket(A)
+    prob, pair = bracket.checked_pair(1.0, 1e-3)
+    left, right = pair.left.copy(), pair.right.copy()
+    solver = _PhaseSolver(prob, 1e-3, pair.left, pair.right, tol=1e-10)
+    kept = solver.S.data.copy()
+    steps = bracket.factorizations
+    bracket.upper(1e-14)
+    assert bracket.factorizations > steps
+    ((S, data),) = checked
+    assert np.array_equal(S.data, data)
+    assert np.array_equal(pair.left, left) and np.array_equal(pair.right, right)
+    assert np.array_equal(solver.S.data, kept)
+    assert np.array_equal(prob.scaled_shift(1e-3, left, right).data, kept)
+
+    solvers = []
+
+    class Recorded(_PhaseSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(perronkit.scaling, "_PhaseSolver", Recorded)
+    b = np.random.default_rng(64).normal(size=A.n_rows)
+    op = solve_m(A, 1.0, 1e-6, 1e3)
+    (phase,) = solvers
+    kept = phase.S.data.copy()
+    x = op.apply(b)
+    solve_m(A, 1.0, 1e-6, 1e3)
+    perronkit.m_decide(A, 1e-3, 1e3)
+    assert np.array_equal(phase.S.data, kept)
+    assert np.array_equal(op.apply(b), x)
+
+
+def record_solves(monkeypatch):
+    """Record, per solver built, the ``transpose`` flag of each of its
+    solves: a list of lists in build order."""
+    solvers = []
+    for name in ("_DirectSolver", "_KrylovSolver"):
+        base = getattr(perronkit.rcdd, name)
+
+        class Recorded(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.flags = []
+                solvers.append(self.flags)
+
+            def solve(self, b, transpose, tol):
+                self.flags.append(transpose)
+                return super().solve(b, transpose, tol)
+
+        monkeypatch.setattr(perronkit.rcdd, name, Recorded)
+    return solvers
+
+
+@SYMMETRIC_SIZES
+def test_symmetric_callers_step_one_side(monkeypatch, n):
+    """The symmetric entry points run a one-sided bracket: each step solves
+    once, for the right iterate, and the left iterate is the right one, so
+    ``symm_solve`` and ``factor_width2_solve`` make no transposed solve, one
+    solve per bracket step plus their SDD solver's.  A two-sided bracket on
+    the same input solves twice per step.  Both CW bounds are still computed,
+    the left one on ``A.T``, and recompute here."""
+    rng = np.random.default_rng(65)
+    A_dense = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    A = SparseMatrix.from_dense(A_dense)
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    b = rng.normal(size=n)
+    for solve in (lambda: symm_solve(A, b, 1e-9), lambda: factor_width2_solve(M, b, 1e-8)):
+        with monkeypatch.context() as patch:
+            solvers = record_solves(patch)
+            _, report = solve()
+        steps = report.info["bracket_steps"]
+        assert steps >= 1 and len(solvers) == steps + 1
+        assert all(flags == [False] for flags in solvers[:-1])
+        assert solvers[-1] and not any(solvers[-1])
+
+    eps = 1e-3
+    with monkeypatch.context() as patch:
+        solvers = record_solves(patch)
+        two_sided = _CWBracket(A)
+        assert two_sided.decide(1.0 + eps)
+    assert solvers and all(flags == [False, True] for flags in solvers)
+    one_sided = _CWBracket(A, symmetric=True)
+    assert one_sided.decide(1.0 + eps)
+    assert one_sided.left is one_sided.right
+    v = one_sided.right
+    for matrix, bounds in ((A_dense, one_sided.cw_right), (A_dense.T, one_sided.cw_left)):
+        ratios = matrix @ v / v
+        np.testing.assert_allclose(bounds, (ratios.min(), ratios.max()), rtol=1e-13)
+        assert ratios.max() * (1.0 + (n + 2) * np.finfo(float).eps) < 1.0 + eps
+
+
+def test_a_one_sided_bracket_stays_sound_on_any_input():
+    """On a nonsymmetric input the one-sided bracket's left iterate is no
+    left Perron estimate, yet its CW bounds are computed on ``A.T``, so
+    every verdict holds against the dense spectral radius."""
+    rng = np.random.default_rng(66)
+    for _ in range(10):
+        A_dense = random_irreducible_dense(rng, 30, density=0.2)
+        rho, _ = dense_spectral_radius(A_dense, tol=1e-13)
+        A = SparseMatrix.from_dense(A_dense)
+        for bound in (rho * (1 - 1e-3), rho * (1 + 1e-3)):
+            verdict = _CWBracket(A, symmetric=True).decide(bound)
+            assert verdict is None or verdict == (rho < bound)
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
