@@ -3,14 +3,14 @@ triplet, and random-walk graph kernels.
 
 Each application reduces to either an M-matrix solve (``(I - B) x = b`` with
 ``rho(B) < 1``) or a Perron computation on an explicitly formed Gram matrix.
-Spectral validity conditions are decided by the library's own certified
-machinery rather than assumed, by :func:`certify_spectral_bound`, which
-needs no conditioning budget: every negative verdict holds for any budget.
-A negative raises :class:`DecayTooLarge` or :class:`KernelDiverges`
-carrying the certificate whose CW lower bound proves it (none for a
-reducible kernel, refuted block by block), or for Leontief returns False.
-A positive verdict's certificate scales ``I - B`` RCDD, and the solve runs
-on that pair without a scan.
+Katz, Leontief and the kernel decide ``rho(B) < 1`` by one decision that
+needs no conditioning budget (:func:`_decide_decay`), reducible ``B``
+included, whose negatives hold for any budget.  A negative raises
+:class:`DecayTooLarge` or :class:`KernelDiverges` carrying the certificate
+whose CW lower bound proves it (none when a strongly connected block of a
+reducible ``B`` does), or for Leontief returns False.  A positive verdict's
+pair scales ``I - B`` RCDD: the solve runs on it without a scan, and it
+proves the kernel's error bound.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from .errors import (
     KernelDiverges,
     NotRCDD,
     ReducibleGram,
-    RoundingFloorHit,
 )
 from .perron import (
-    PerronCertificate,
+    _certificate,
     _relative_residual,
     certify_spectral_bound,
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import ScalingPair, _cw_bounds, solve_from_scale, solve_m
+from .scaling import ScalingPair, _CWBracket, _cw_bounds, solve_from_scale, solve_m
 from .sparse import (
     SparseMatrix,
     _check_open_unit,
@@ -141,82 +140,83 @@ def indicator_similarity(label_g: int, label_h: int) -> float:
 # shared solve plumbing
 
 
-def _inverse_norm_bounds(B: SparseMatrix, cert: PerronCertificate) -> tuple[float, float]:
-    """Bounds on ``(||(I - B)^-1||_inf, ||(I - B)^-1||_1)`` from a certificate
-    of ``rho(B) < 1``, whose CW upper bounds ``c_r`` (right vector on ``B``)
-    and ``c_l`` (left vector on ``B.T``) lie below 1.  ``B r <= c_r r`` gives
-    ``(I - B) r >= (1 - c_r) r``, and as ``(I - B)^-1`` is nonnegative its
-    row sums are at most ``kappa(r) / (1 - c_r)``; the left vector bounds
-    the column sums by ``kappa(l) / (1 - c_l)`` likewise."""
-    c_left = _cw_bounds(B, cert.left, transpose=True)[1]
-    return (
-        float(cert.right.max() / cert.right.min()) / (1.0 - cert.cw_upper),
-        float(cert.left.max() / cert.left.min()) / (1.0 - c_left),
+def _inverse_norm_bounds(B: SparseMatrix, pair: ScalingPair) -> tuple[float, float]:
+    """Bounds on ``(||(I - B)^-1||_inf, ||(I - B)^-1||_1)`` from a pair whose
+    CW upper bounds ``c_r`` (right vector on ``B``) and ``c_l`` (left vector
+    on ``B.T``), recomputed here, lie below 1.  ``B r <= c_r r`` gives ``(I -
+    B) r >= (1 - c_r) r``, and as ``(I - B)^-1`` is nonnegative its row sums
+    are at most ``kappa(r) / (1 - c_r)``; the left vector bounds the column
+    sums by ``kappa(l) / (1 - c_l)`` likewise."""
+    c_right = _cw_bounds(B, pair.right)[1]
+    c_left = _cw_bounds(B, pair.left, transpose=True)[1]
+    return pair.kappa_right / (1.0 - c_right), pair.kappa_left / (1.0 - c_left)
+
+
+def _decide_decay(B: SparseMatrix):
+    """``rho(B) < 1`` for square nonnegative ``B``: ``(True, pair)``, the
+    pair's CW upper bounds below 1 so that it scales ``I - B`` RCDD, or
+    ``(False, cert)`` with the certificate whose CW lower bound proves
+    ``rho(B) >= 1``.  Irreducible ``B`` goes to
+    :func:`certify_spectral_bound`, reducible ``B`` to the whole matrix's
+    bracket, whose upper bounds bound ``rho(B)`` for any nonnegative ``B``.
+    Only when that bracket settles nothing (a zero row and a zero column
+    keep its lower bound at 0) are the blocks refuted one by one, with
+    ``cert`` None; if every block certifies, :class:`IterationCapHit`."""
+    if is_irreducible(B):
+        valid, cert = certify_spectral_bound(B, 1.0)
+        if not valid:
+            return False, cert
+        return True, ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
+    bracket = _CWBracket(B)
+    found = bracket.checked_pair(1.0, 0.0)
+    if found:
+        return True, found[1]
+    if found is False:
+        return False, _certificate(B, bracket.left, bracket.right, 1.0)
+    if not _certify_reducible_decay(B):
+        return False, None
+    raise IterationCapHit(
+        "rho(B) < 1 holds on every strongly connected block, but the whole matrix's "
+        f"Collatz-Wielandt bracket found no scaling of I - B in {bracket.factorizations} steps"
     )
 
 
-def _certify_reducible_decay(B: SparseMatrix):
-    """Decide ``rho(B) < 1`` for a reducible nonnegative matrix by certifying
-    every strongly connected component block; returns ``(valid, rho_upper)``
-    with a certified upper bound on ``rho(B)`` when valid."""
-    _, labels = connected_components(B.csr(), directed=True, connection="strong")
-    diag = B.csr().diagonal()
-    rho_upper = 0.0
+def _diverges(error, what: str, series: str, cert):
+    """``error`` for a refuted ``rho(B) < 1``, ``what`` naming ``rho(B)``."""
+    where = f">= {cert.s:.6g} >= 1" if cert is not None else ">= 1 on a strongly connected component"
+    return error(f"certified {what} {where}; {series} series diverges", certificate=cert)
+
+
+def _certify_reducible_decay(B: SparseMatrix) -> bool:
+    """``rho(B) < 1`` for a reducible nonnegative ``B``, decided block by
+    block: ``rho(B)`` is the largest spectral radius of its strongly
+    connected component blocks, each of which is irreducible or a single
+    diagonal entry."""
+    csr = B.csr()
+    _, labels = connected_components(csr, directed=True, connection="strong")
+    diag = csr.diagonal()
     for comp in range(labels.max() + 1):
         idx = np.flatnonzero(labels == comp)
         if idx.size == 1:
-            block_rho = float(diag[idx[0]])
-            if block_rho >= 1.0:
-                return False, np.inf
-            rho_upper = max(rho_upper, block_rho)
-            continue
-        sub = SparseMatrix.from_scipy(B.csr()[idx][:, idx])
-        valid, cert = certify_spectral_bound(sub, 1.0)
-        if not valid:
-            return False, np.inf
-        rho_upper = max(rho_upper, min(cert.cw_upper, 1.0))
-    return True, rho_upper
+            if diag[idx[0]] >= 1.0:
+                return False
+        elif not certify_spectral_bound(SparseMatrix.from_scipy(csr[idx][:, idx]), 1.0)[0]:
+            return False
+    return True
 
 
-def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, cert: PerronCertificate):
-    """Solve ``(I - B) x = rhs`` to ``eps`` from a certificate of
-    ``rho(B) < 1``: its two vectors scale ``I - B`` RCDD, so they feed
-    :func:`solve_from_scale` directly, whose solver build checks the scaled
-    matrix RCDD within ``RCDD_VERIFY_SLACK``.  A pair that fails that check,
-    or a solve that misses its contract, falls back to :func:`solve_m` at
-    the conditioning bound the certificate proves."""
-    pair = ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
+def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, pair: ScalingPair):
+    """Solve ``(I - B) x = rhs`` to ``eps`` by :func:`solve_from_scale` on
+    the pair of :func:`_decide_decay`, whose solver build checks the scaled
+    matrix RCDD.  A pair that fails that check, or a solve that misses its
+    contract, falls back to one :func:`solve_m` at the conditioning bound
+    the pair proves (:func:`_inverse_norm_bounds`); its errors propagate."""
     try:
         p_right = solve_from_scale(shifted_m_matrix(B, 1.0), pair, eps).p_right
         return p_right.apply(rhs), p_right.report
     except (NotRCDD, BackendDiverged):
-        return _solve_m_retried(B, rhs, eps, max(_inverse_norm_bounds(B, cert)))
-
-
-def _solve_m_retried(B: SparseMatrix, rhs: np.ndarray, eps: float, K: float):
-    """Solve ``(I - B) x = rhs`` by :func:`solve_m`, multiplying ``K`` by 8
-    after each :class:`IterationCapHit` a larger ``K`` can repair: a scan
-    phase that failed at too small a ``K``, or a refinement that ran out of
-    iterations (its cap grows with ``K``).  A :class:`RoundingFloorHit`
-    propagates at once.  Returns ``(x, report)``, with the ``K`` the solve
-    ended at in ``report.info["conditioning_bound"]``."""
-    for _ in range(6):
-        try:
-            op = solve_m(B, 1.0, eps, K)
-            x = op.apply(rhs)
-        except RoundingFloorHit:
-            raise
-        except IterationCapHit:
-            K *= 8.0
-            continue
-        op.report.info["conditioning_bound"] = K
-        return x, op.report
-    raise IterationCapHit(
-        "decayed solve kept hitting iteration caps; conditioning estimate "
-        "cannot be stabilized",
-        phase=None,
-        alpha=None,
-    )
+        op = solve_m(B, 1.0, eps, max(_inverse_norm_bounds(B, pair)))
+        return op.apply(rhs), op.report
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +227,14 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     """Katz influence vector ``v = (I - alpha A)^-1 b``.
 
     The decay condition ``alpha * rho(A) < 1`` is certified by
-    :func:`certify_spectral_bound`, whose certificate's vectors then scale
-    ``I - alpha A`` for the solve.  A violation raises
-    :class:`DecayTooLarge` carrying that certificate: its CW lower bound
-    ``s >= 1`` proves the series diverges, whatever the budget.  Returns
-    ``(v, report)`` with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
+    :func:`certify_spectral_bound` for an irreducible ``A`` and by the whole
+    matrix's Collatz-Wielandt bracket for a reducible one (see the module
+    docstring); the pair that certifies it then scales ``I - alpha A`` for
+    the solve.  A violation raises :class:`DecayTooLarge` carrying the
+    certificate whose CW lower bound ``s >= 1`` proves the series diverges,
+    whatever the budget, or ``None`` when a strongly connected block
+    refutes it.  Returns ``(v, report)`` with ``||(I - alpha A) v - b||_2 <=
+    eps ||b||_2``.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("adjacency matrix must be square and nonnegative")
@@ -246,13 +249,10 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
         return b.copy(), report
 
     B = A.scaled(alpha)
-    valid, cert = certify_spectral_bound(B, 1.0)
+    valid, proof = _decide_decay(B)
     if not valid:
-        raise DecayTooLarge(
-            f"certified rho(alpha A) >= {cert.s:.6g} >= 1; Katz series diverges",
-            certificate=cert,
-        )
-    return _solve_decayed(B, b, eps, cert)
+        raise _diverges(DecayTooLarge, "rho(alpha A)", "Katz", proof)
+    return _solve_decayed(B, b, eps, proof)
 
 
 def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
@@ -261,9 +261,9 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     The verdict is True exactly when ``I - A`` is an invertible M-matrix
     (``rho(A) < 1``).  With a demand vector ``d`` and a positive verdict,
     also returns ``x`` with ``||(I - A) x - d||_2 <= eps ||d||_2``; otherwise
-    the second element is None.  The verdict's certificate scales ``I - A``
-    for the solve.  Reducible economies are not decomposed: the decision
-    machinery raises :class:`NotIrreducible`.
+    the second element is None.  The verdict is decided as Katz decides its
+    decay, reducible economies included (see the module docstring), and its
+    pair scales ``I - A`` for the solve.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("consumption matrix must be square and nonnegative")
@@ -273,12 +273,12 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
             raise ValueError("demand must be nonnegative")
     if A.nnz == 0:
         return True, (d.copy() if d is not None else None)
-    valid, cert = certify_spectral_bound(A, 1.0)
+    valid, pair = _decide_decay(A)
     if not valid:
         return False, None
     if d is None or not np.any(d > 0.0):
         return True, (np.zeros(A.n_rows) if d is not None else None)
-    x, _ = _solve_decayed(A, d, eps, cert)
+    x, _ = _solve_decayed(A, d, eps, pair)
     return True, x
 
 
@@ -385,21 +385,17 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     """Random-walk kernel ``q.T (I - lam W)^-1 p`` with geometric decay.
 
     ``p`` and ``q`` must be nonnegative unit 1-norm distributions.  The
-    convergence condition ``lam * rho(W) < 1`` is certified spectrally when
-    the product graph is irreducible, and the certificate's vectors then
-    scale ``I - lam W`` for the solve; otherwise it is certified block by
-    block over the strongly connected components and the solve runs
-    :func:`solve_m`.  Failure raises :class:`KernelDiverges`, carrying the
-    certificate on the irreducible path.  Returns ``(value, report)``; the
-    report carries the propagated scalar error bound
-    ``||q||_2 * eps * ||p||_2 * bound(||(I - lam W)^-1||_2)``.  On the
-    irreducible path that bound is proven by the certificate:
+    convergence condition ``lam * rho(W) < 1`` is decided as Katz decides
+    its decay, for irreducible and reducible product graphs alike (see the
+    module docstring), and the pair that certifies it scales ``I - lam W``
+    for the solve.  Failure raises :class:`KernelDiverges`, carrying the
+    certificate that proves it, ``None`` when a strongly connected block
+    refutes it.  Returns ``(value, report)``; the report carries the
+    propagated scalar error bound ``||q||_2 * eps * ||p||_2 * bound(||(I -
+    lam W)^-1||_2)``, proven by the pair:
     ``sqrt(kappa(r) / (1 - c_r) * kappa(l) / (1 - c_l))`` with ``c_r`` and
-    ``c_l`` the right and left CW upper bounds (see
+    ``c_l`` its right and left CW upper bounds (see
     :func:`_inverse_norm_bounds`; ``||X||_2 <= sqrt(||X||_1 ||X||_inf)``).
-    On the reducible path it is a guess, not a proof: the conditioning
-    bound ``K`` the solve ended at, from the first guess
-    ``max(4, 4 n / (1 - rho_upper))`` times 8 per retry.
     """
     mat = W.matrix
     n = mat.n_rows
@@ -417,28 +413,11 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
         return float(q @ p), report
 
     B = mat.scaled(lam)
-    if is_irreducible(mat):
-        valid, cert = certify_spectral_bound(B, 1.0)
-        if not valid:
-            raise KernelDiverges(
-                f"certified lam * rho(W) >= {cert.s:.6g} >= 1; kernel series diverges",
-                certificate=cert,
-            )
-        x, report = _solve_decayed(B, p, eps, cert)
-        inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, cert)))
-    else:
-        # reducible product graph: rho(B) is the worst spectral radius over
-        # the strongly connected component blocks, each of which the Perron
-        # machinery can certify directly
-        valid, rho_upper = _certify_reducible_decay(B)
-        if not valid:
-            raise KernelDiverges(
-                "certified lam * rho(W) >= 1 on a strongly connected "
-                "component; kernel series diverges"
-            )
-        guess = max(4.0, 4.0 * B.n_rows / max(1.0 - rho_upper, 1e-9))
-        x, report = _solve_m_retried(B, p, eps, guess)
-        inverse_norm = report.info["conditioning_bound"]
+    valid, proof = _decide_decay(B)
+    if not valid:
+        raise _diverges(KernelDiverges, "lam * rho(W)", "kernel", proof)
+    x, report = _solve_decayed(B, p, eps, proof)
+    inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, proof)))
     value = float(q @ x)
     bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
     report.info["scalar_error_bound"] = bound

@@ -56,7 +56,8 @@ class IterationCapHit(PerronKitError):
     supplied conditioning bound ``K`` is too small, except for its subclass
     :class:`RoundingFloorHit`.  Raised by a fixed-shift entry point whose
     shift-and-invert bracket certifies ``rho(A)`` at or above its shift, the
-    message then names that bound and ``phase`` and ``alpha`` are ``None``.
+    message then names that bound and ``phase`` and ``alpha`` are ``None``,
+    and by an application whose reducible input has no scaling at hand.
     """
 
     def __init__(self, message, phase=None, alpha=None):
@@ -97,13 +98,15 @@ class _CertifiedNegative(PerronKitError):
 
 class DecayTooLarge(_CertifiedNegative):
     """The Katz decay parameter violates ``alpha * rho(A) < 1``;
-    ``certificate`` is the certificate of ``alpha A`` that proves it."""
+    ``certificate`` is the certificate of ``alpha A`` that proves it,
+    ``None`` when a strongly connected block of a reducible ``A`` does."""
 
 
 class KernelDiverges(_CertifiedNegative):
     """The kernel decay violates ``lambda * rho(W) < 1``; the series diverges.
-    ``certificate`` is the certificate of ``lambda W`` that proves it for an
-    irreducible product graph, ``None`` when the proof is by component."""
+    ``certificate`` is the certificate of ``lambda W`` that proves it,
+    ``None`` when a strongly connected block of a reducible product graph
+    does."""
 
 
 class ReducibleGram(PerronKitError):

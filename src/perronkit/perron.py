@@ -60,6 +60,7 @@ from .scaling import (
 from .sparse import (
     SparseMatrix,
     _check_open_unit,
+    _check_square_nonnegative,
     as_vector,
     induced_norms,
     is_irreducible,
@@ -154,10 +155,7 @@ def collatz_wielandt_bounds(A: SparseMatrix, x) -> tuple[float, float]:
 
     For nonnegative ``A`` the pair always sandwiches the spectral radius.
     """
-    if not A.is_square:
-        raise ValueError("expected a square matrix")
-    if not A.is_nonnegative():
-        raise ValueError("matrix must be entrywise nonnegative")
+    _check_square_nonnegative(A)
     x = as_vector(x, A.n_rows, "x")
     if np.any(x <= 0.0):
         raise ValueError("probe vector must be strictly positive")
@@ -165,10 +163,7 @@ def collatz_wielandt_bounds(A: SparseMatrix, x) -> tuple[float, float]:
 
 
 def _structure_check(A: SparseMatrix):
-    if not A.is_square:
-        raise ValueError("expected a square matrix")
-    if not A.is_nonnegative():
-        raise ValueError("matrix must be entrywise nonnegative")
+    _check_square_nonnegative(A)
     if not is_irreducible(A):
         raise NotIrreducible("nonzero pattern is not strongly connected")
 

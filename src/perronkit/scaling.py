@@ -52,6 +52,7 @@ from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
     _check_open_unit,
+    _check_square_nonnegative,
     _is_symmetric,
     apply_scaling,
     as_vector,
@@ -339,7 +340,7 @@ class _CWBracket:
     ``None`` at once.  A True verdict of :meth:`decide` holds a scaling:
     :meth:`checked_pair` is the first path of every fixed-shift entry
     point: ``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and the
-    symmetric ones.
+    symmetric ones, and the applications' decision on reducible input.
 
     The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
     step, and solves with its step matrix (:meth:`_Problem.step_solver`),
@@ -370,18 +371,22 @@ class _CWBracket:
     def _iterates(self):
         """Yield once per iterate, its CW bounds set, stepping when resumed.
         Ends, marking the bracket failed, once an iterate leaves the positive
-        cone, a bound is unusable (a zero lower or an infinite upper bound),
-        a solve misses (:class:`BackendDiverged`) or the step budget runs
-        out."""
+        cone, the upper bound is infinite, a solve misses
+        (:class:`BackendDiverged`) or the step budget runs out, and after a
+        zero upper bound (``A = 0``, settled at once; a step would rescale by
+        0).  A zero lower bound (a zero row and a zero column) does not end
+        it: upper bounds of positive vectors bound ``rho(A)`` for any
+        nonnegative ``A``, and ``(sigma I - A)^-1 >= I / sigma`` keeps the
+        iterates positive."""
         A = self.A
         while not self.failed:
             self.cw_right = _cw_bounds(A, self.right)
             self.cw_left = _cw_bounds(A, self.left, transpose=True)
             hi = min(self.cw_right[1], self.cw_left[1])
-            if not (self.lower > 0.0 and hi < np.inf):
+            if not hi < np.inf:
                 break
             yield
-            if self.factorizations == _CW_MAX_STEPS:
+            if hi == 0.0 or self.factorizations == _CW_MAX_STEPS:
                 break
             tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * (1.0 - self.lower / hi) * self._least)
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
@@ -828,10 +833,7 @@ def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetri
 
 
 def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
-    if not A.is_square:
-        raise ValueError("expected a square matrix")
-    if not A.is_nonnegative():
-        raise ValueError("matrix must be entrywise nonnegative")
+    _check_square_nonnegative(A)
     if s <= 0.0 or eps <= 0.0 or K <= 0.0:
         raise ValueError("s, eps, K must be positive")
 
@@ -905,8 +907,9 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
             alpha=None,
         )
 
-    # double precision, one step per call so that the bound follows ||x||
+    # double precision, the bound checked after each step as it follows ||x||
     x = np.zeros(n)
+    residual = matvec(x) - b
     while True:
         rn = report.residuals[-1]
         left = room(x, rn, unit)
@@ -918,10 +921,11 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
             raise give_up(RoundingFloorHit, rn, left, "no wider precision")
         if report.iterations == cap:
             raise give_up(IterationCapHit, rn, left, "out of iterations")
-        x, rep = prec_richardson(matvec, precond, b, x, RichardsonConfig(left / rn, 1))
-        report.iterations += rep.iterations
-        report.residuals.append(rep.residuals[-1])
-        if rep.status == NON_FINITE:
+        x = x - precond(residual)
+        residual = matvec(x) - b
+        report.iterations += 1
+        report.residuals.append(float(np.linalg.norm(residual)))
+        if not math.isfinite(report.residuals[-1]):
             raise non_finite()
 
     # extended precision: x carried in it, candidates rounded to double
@@ -1021,10 +1025,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
 
 
 def _check_symmetric_nonnegative(A: SparseMatrix):
-    if not A.is_square:
-        raise ValueError("expected a square matrix")
-    if not A.is_nonnegative():
-        raise ValueError("matrix must be entrywise nonnegative")
+    _check_square_nonnegative(A)
     if not _is_symmetric(A):
         raise ValueError("matrix must be symmetric")
 

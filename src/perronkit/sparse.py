@@ -50,6 +50,14 @@ def _check_open_unit(value: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0, 1)")
 
 
+def _check_square_nonnegative(A: SparseMatrix) -> None:
+    """Raise ``ValueError`` unless ``A`` is square and entrywise nonnegative."""
+    if not A.is_square:
+        raise ValueError("expected a square matrix")
+    if not A.is_nonnegative():
+        raise ValueError("matrix must be entrywise nonnegative")
+
+
 def as_vector(x, n=None, name="x") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking length."""
     v = np.asarray(x, dtype=np.float64)

@@ -9,7 +9,6 @@ from perronkit import (
     IterationCapHit,
     KernelDiverges,
     LabeledGraph,
-    NotIrreducible,
     ProductWeights,
     ReducibleGram,
     RoundingFloorHit,
@@ -23,7 +22,12 @@ from perronkit import (
 )
 from perronkit.oracle import dense_solve, dense_spectral_radius, dense_svd_top
 
-from conftest import random_irreducible_dense, random_m_matrix_dense, reject_certificate_pair
+from conftest import (
+    bracket_off,
+    random_irreducible_dense,
+    random_m_matrix_dense,
+    reject_certificate_pair,
+)
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
@@ -118,6 +122,19 @@ class TestKatz:
             assert np.linalg.norm(x - alpha * A_dense @ x - b) <= eps * np.linalg.norm(b)
             assert rep.residuals[-1] <= eps
 
+    def test_reducible_path(self):
+        """Katz on a directed path, a reducible graph with ``rho`` = 0: the
+        whole matrix's bracket decides the decay, whatever ``alpha``, and
+        the solve runs on its pair."""
+        n, alpha, eps = 6, 3.0, 1e-10
+        A_dense = np.diag(np.ones(n - 1), 1)
+        b = np.linspace(1.0, 2.0, n)
+        v, report = katz_centrality(SparseMatrix.from_dense(A_dense), alpha, b, eps)
+        exact = dense_solve(np.eye(n) - alpha * A_dense, b)
+        assert np.linalg.norm(v - exact) <= 1e-8 * np.linalg.norm(exact)
+        assert np.linalg.norm(v - alpha * A_dense @ v - b) <= eps * np.linalg.norm(b)
+        assert report.residuals[-1] <= eps
+
     def test_neumann_series_identity(self):
         rng = np.random.default_rng(61)
         for _ in range(5):
@@ -158,10 +175,16 @@ class TestLeontief:
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
         assert x.min() >= -1e-9
 
-    def test_reducible_is_an_error(self):
-        A = SparseMatrix.from_dense([[0.1, 0.5], [0.0, 0.1]])
-        with pytest.raises(NotIrreducible):
-            leontief_equilibrium(A, np.ones(2), 1e-8)
+    def test_a_reducible_economy_solves(self):
+        """A reducible economy is decided by the whole matrix's bracket and
+        solved on its pair, with no decomposition."""
+        A_dense = np.array([[0.1, 0.5], [0.0, 0.1]])
+        d = np.array([1.0, 2.0])
+        verdict, x = leontief_equilibrium(SparseMatrix.from_dense(A_dense), d, 1e-10)
+        assert verdict
+        exact = dense_solve(np.eye(2) - A_dense, d)
+        assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+        assert np.linalg.norm(x - A_dense @ x - d) <= 1e-10 * np.linalg.norm(d)
 
 
 class TestTopSingular:
@@ -266,8 +289,9 @@ class TestProductGraph:
 
 
 class TestReducibleDecay:
-    """``rho(B) < 1`` for reducible ``B``: each strongly connected block is
-    certified on its own."""
+    """``rho(B) < 1`` for reducible ``B``: the whole matrix's bracket decides
+    it, and only a bracket that settles nothing hands the negative side to
+    the strongly connected blocks, each certified on its own."""
 
     # blocks {0, 1} (rho about 0.67) and {2, 3} (rho 0.5), an edge between
     # them and a zero row
@@ -292,23 +316,84 @@ class TestReducibleDecay:
         monkeypatch.setattr(apps_module, "certify_spectral_bound", counted)
         return calls
 
+    @staticmethod
+    def count_block_refutations(monkeypatch):
+        calls = []
+        real = apps_module._certify_reducible_decay
+
+        def counted(B):
+            calls.append(B.n_rows)
+            return real(B)
+
+        monkeypatch.setattr(apps_module, "_certify_reducible_decay", counted)
+        return calls
+
     @pytest.mark.parametrize("scale", [1.0, 1.4])
     def test_valid_side_certifies_every_block(self, monkeypatch, scale):
         calls = self.count_block_certificates(monkeypatch)
         M = scale * self.BLOCKS
-        rho = np.abs(np.linalg.eigvals(M)).max()
-        assert rho < 1.0
-        valid, rho_upper = apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
-        assert valid and rho * (1 - 1e-12) <= rho_upper < 1.0
+        assert np.abs(np.linalg.eigvals(M)).max() < 1.0
+        assert apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
         assert calls == [2, 2]
 
     def test_invalid_side(self, monkeypatch):
         calls = self.count_block_certificates(monkeypatch)
         M = 1.6 * self.BLOCKS
         assert np.abs(np.linalg.eigvals(M)).max() > 1.0
-        valid, rho_upper = apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
-        assert not valid and rho_upper == np.inf
+        assert not apps_module._certify_reducible_decay(SparseMatrix.from_dense(M))
         assert calls and set(calls) == {2}
+
+    @pytest.mark.parametrize("scale", [1.0, 1.2, 1.4])
+    def test_the_whole_bracket_decides_the_valid_side(self, monkeypatch, scale):
+        """The zero row keeps the CW lower bound at 0, yet the bracket's
+        upper bounds settle ``rho < 1`` on the whole matrix: no block is
+        certified and no ``solve_m`` is built."""
+        refutations = self.count_block_refutations(monkeypatch)
+        ks = self.count_solve_m_builds(monkeypatch)
+        W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)
+        p = np.full(5, 0.2)
+        value, _ = graph_kernel(W, p, p, scale, 1e-12)
+        exact = p @ np.linalg.solve(np.eye(5) - scale * self.BLOCKS, p)
+        assert abs(value - exact) <= 1e-9 * abs(exact)
+        assert refutations == [] and ks == []
+
+    def test_invalid_side_raises_without_a_certificate(self, monkeypatch):
+        """At scale 1.6 (``rho`` about 1.07) the lower bound stays 0 and the
+        bracket settles nothing, so a block refutes ``rho < 1``: Katz and
+        the kernel raise with no certificate."""
+        refutations = self.count_block_refutations(monkeypatch)
+        A = SparseMatrix.from_dense(self.BLOCKS)
+        with pytest.raises(DecayTooLarge, match="strongly connected component") as katz:
+            katz_centrality(A, 1.6, np.ones(5), 1e-8)
+        p = np.full(5, 0.2)
+        with pytest.raises(KernelDiverges, match="strongly connected component") as kernel:
+            graph_kernel(ProductWeights(A, 5, 1), p, p, 1.6, 1e-8)
+        assert katz.value.certificate is None and kernel.value.certificate is None
+        assert refutations == [5, 5]
+        verdict, x = leontief_equilibrium(A.scaled(1.6), np.ones(5))
+        assert not verdict and x is None
+
+    def test_a_reducible_negative_carries_the_bracket_certificate(self):
+        """With no zero row the CW lower bound of a reducible matrix is
+        positive, and the whole bracket refutes ``rho < 1`` with its own
+        certificate."""
+        A_dense = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(DecayTooLarge) as info:
+            katz_centrality(SparseMatrix.from_dense(A_dense), 1.5, np.ones(2), 1e-8)
+        assert_certifies_divergence(1.5 * A_dense, info.value.certificate)
+
+    def test_every_block_certified_without_a_scaling_is_a_typed_error(self, monkeypatch):
+        """Should the whole bracket settle nothing on the valid side, the
+        blocks prove ``rho < 1`` but no pair scales ``I - B``: a typed
+        error, never a guessed conditioning bound."""
+        bracket_off(monkeypatch)
+        ks = self.count_solve_m_builds(monkeypatch)
+        p = np.full(5, 0.2)
+        W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)
+        with pytest.raises(IterationCapHit, match="found no scaling") as info:
+            graph_kernel(W, p, p, 1.0, 1e-8)
+        assert not isinstance(info.value, RoundingFloorHit)
+        assert ks == []
 
     @staticmethod
     def weighted_path(n, lam):
@@ -330,54 +415,63 @@ class TestReducibleDecay:
         monkeypatch.setattr(apps_module, "solve_m", solve_m)
         return ks
 
-    def test_a_refuted_conditioning_guess_retries_at_eight_times_k(self, monkeypatch):
-        """On a weighted path, a reducible product graph with ``rho`` = 0,
-        the guess ``4 n / (1 - rho_upper)`` = 16 is far below
-        ``||(I - B)^-1||`` (about 1e6): ``solve_m`` at ``K`` = 16 hits its
-        residual ceiling, and the retry at ``8 K`` solves to ``eps``, for
-        ``graph_kernel``'s reducible path too."""
+    def test_a_weighted_path_solves_on_the_bracket_pair(self, monkeypatch):
+        """On a weighted path, a reducible product graph with ``rho`` = 0
+        and ``||(I - B)^-1||`` about 1e6, the bracket's pair scales ``I -
+        B`` and the kernel builds no ``solve_m``.  ``solve_m`` itself, at a
+        ``K`` = 16 far below that norm, solves too: its scaling is the
+        bracket's, which needs no ``K``."""
         n, lam, eps = 4, 100.0, 1e-6
         path, B, p = self.weighted_path(n, lam)
-        with pytest.raises(IterationCapHit, match="residual ceiling"):
-            apps_module.solve_m(B, 1.0, eps, 16.0)
-        ks = self.count_solve_m_builds(monkeypatch)
-        x, _ = apps_module._solve_m_retried(B, p, eps, 4.0 * n)
-        assert ks == [16.0, 128.0]
+        x = apps_module.solve_m(B, 1.0, eps, 16.0).apply(p)
         assert np.linalg.norm(x - lam * path @ x - p) <= eps * np.linalg.norm(p)
-        ks.clear()
+        ks = self.count_solve_m_builds(monkeypatch)
         value, _ = graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
-        assert ks == [16.0, 128.0]
+        assert ks == []
         inverse = np.linalg.inv(np.eye(n) - lam * path)
         error_bound = eps * np.linalg.norm(p) ** 2 * np.linalg.norm(inverse, 2)
         assert abs(value - p @ inverse @ p) <= error_bound
 
     def test_a_rounding_floor_is_not_retried(self, monkeypatch):
         """On the weighted path n = 8, lam = 100, ``||x||`` is about 1e13:
-        the first build that passes its scan (K = 32 * 8^5) yields a
-        refinement whose residual's rounding bound alone exceeds
-        ``eps ||b||``.  No larger ``K`` changes ``||x||``, so that failure
-        propagates at once instead of being retried at ``8 K``."""
+        the solve on the bracket's pair misses, and the one ``solve_m`` at
+        the ``K`` the pair proves, which dominates both induced norms of
+        ``(I - B)^-1``, yields a refinement whose residual's rounding bound
+        alone exceeds ``eps ||b||``.  No ``K`` changes ``||x||``, so that
+        failure propagates at once."""
         n, lam, eps = 8, 100.0, 1e-6
-        path, B, p = self.weighted_path(n, lam)
+        path, _, p = self.weighted_path(n, lam)
         ks = self.count_solve_m_builds(monkeypatch)
         with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
-            apps_module._solve_m_retried(B, p, eps, 32.0 * 8.0**5)
-        assert ks == [32.0 * 8.0**5]
-        ks.clear()
-        with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
             graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
-        # the guess 4 n = 32 and four more scans too small for their K
-        assert ks == [32.0 * 8.0**k for k in range(6)]
+        assert len(ks) == 1
+        inverse = np.linalg.inv(np.eye(n) - lam * path)
+        assert ks[0] >= max(np.linalg.norm(inverse, np.inf), np.linalg.norm(inverse, 1))
 
-    def test_the_reducible_kernel_bound_uses_the_k_the_solve_ended_at(self):
-        """On the weighted path n = 4, lam = 100 the solve ends at K = 128,
-        not at its first guess 16, and the reported bound uses 128."""
-        n, lam, eps = 4, 100.0, 1e-6
-        path, _, p = self.weighted_path(n, lam)
-        _, report = graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
-        assert report.info["conditioning_bound"] == 128.0
-        norm_p = np.linalg.norm(p)
-        assert report.info["scalar_error_bound"] == norm_p * eps * norm_p * 128.0
+    def test_the_reducible_kernel_bound_covers_the_oracle(self):
+        """On weighted paths and products of ``BLOCKS`` the reported bound
+        is at least the dense oracle's ``||q|| eps ||p|| ||(I - lam
+        W)^-1||_2`` and covers the kernel's error."""
+        eps = 1e-6
+        cases = [self.weighted_path(4, 100.0)[0], self.weighted_path(5, 30.0)[0]]
+        lams = [100.0, 30.0]
+        for scale in (1.0, 1.2, 1.4):
+            cases.append(self.BLOCKS)
+            lams.append(scale)
+        rng = np.random.default_rng(71)
+        for dense, lam in zip(cases, lams):
+            n = dense.shape[0]
+            p = rng.random(n)
+            p /= p.sum()
+            q = rng.random(n)
+            q /= q.sum()
+            W = ProductWeights(SparseMatrix.from_dense(dense), n, 1)
+            value, report = graph_kernel(W, p, q, lam, eps)
+            resolvent = np.linalg.inv(np.eye(n) - lam * dense)
+            oracle_bound = np.linalg.norm(q) * eps * np.linalg.norm(p) * np.linalg.norm(resolvent, 2)
+            bound = report.info["scalar_error_bound"]
+            assert oracle_bound <= bound, (n, lam)
+            assert abs(value - q @ resolvent @ p) <= bound, (n, lam)
 
     def test_kernel_on_a_reducible_product(self):
         W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)

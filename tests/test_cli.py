@@ -1,14 +1,25 @@
 """Command-line front end: subcommands, exit codes, report determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perronkit import apply_scaling, check_rcdd, cli, load_matrix, shifted_m_matrix
+from perronkit import (
+    apply_scaling,
+    check_rcdd,
+    cli,
+    load_labeled_graph,
+    load_matrix,
+    product_graph,
+    shifted_m_matrix,
+)
 from perronkit.cli import main
 
 from conftest import bracket_off
+
+DATA = Path(__file__).parent / "data"
 
 TWO_CYCLE_MTX = """%%MatrixMarket matrix coordinate real general
 2 2 2
@@ -226,6 +237,67 @@ class TestSubcommands:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestReducibleInputs:
+    """``katz``, ``leontief`` and ``kernel`` on the reducible inputs under
+    ``tests/data``, each with a zero row and a zero column: the whole
+    matrix's bracket decides them and the reports check against dense
+    references."""
+
+    ECONOMY = DATA / "reducible_economy.mtx"
+
+    def test_katz(self, tmp_path):
+        alpha, eps = 1.5, 1e-10
+        code, text = run(
+            tmp_path, "katz", "--matrix", str(self.ECONOMY),
+            "--alpha", repr(alpha), "--eps", repr(eps),
+        )
+        assert code == 0
+        report = json.loads(text)
+        A = load_matrix(self.ECONOMY).to_dense()
+        v, b = np.array(report["v"]), np.ones(A.shape[0])
+        assert np.linalg.norm(v - alpha * A @ v - b) <= eps * np.linalg.norm(b)
+        assert report["residual"] <= eps
+        assert np.allclose(v, np.linalg.solve(np.eye(A.shape[0]) - alpha * A, b), rtol=1e-9)
+
+    def test_leontief(self, tmp_path):
+        eps = 1e-10
+        d = np.array([1.0, 0.5, 2.0, 0.0, 1.5])
+        (tmp_path / "d.txt").write_text("".join(f"{v}\n" for v in d))
+        code, text = run(
+            tmp_path, "leontief", "--matrix", str(self.ECONOMY),
+            "--d", str(tmp_path / "d.txt"), "--eps", repr(eps),
+        )
+        assert code == 0
+        report = json.loads(text)
+        assert report["hawkins_simons"] is True
+        A = load_matrix(self.ECONOMY).to_dense()
+        x = np.array(report["x"])
+        assert np.linalg.norm(x - A @ x - d) <= eps * np.linalg.norm(d)
+
+    def test_kernel(self, tmp_path):
+        """The reported bound is at least the dense oracle's ``||q|| eps
+        ||p|| ||(I - lam W)^-1||_2`` and covers the value's error."""
+        lam, eps = 1.0, 1e-8
+        code, text = run(
+            tmp_path, "kernel",
+            "--g", str(DATA / "reducible_g.txt"), "--h", str(DATA / "reducible_h.txt"),
+            "--lambda", repr(lam), "--eps", repr(eps),
+        )
+        assert code == 0
+        report = json.loads(text)
+        W = product_graph(
+            load_labeled_graph(DATA / "reducible_g.txt"),
+            load_labeled_graph(DATA / "reducible_h.txt"),
+        ).matrix.to_dense()
+        n = W.shape[0]
+        assert report["product_vertices"] == n
+        p = np.full(n, 1.0 / n)
+        resolvent = np.linalg.inv(np.eye(n) - lam * W)
+        oracle_bound = eps * np.linalg.norm(p) ** 2 * np.linalg.norm(resolvent, 2)
+        assert oracle_bound <= report["scalar_error_bound"]
+        assert abs(report["kappa"] - p @ resolvent @ p) <= report["scalar_error_bound"]
 
 
 class TestDeterminism:

@@ -617,6 +617,28 @@ class TestCWBracket:
         assert bracket.upper(1e-3) is None
         assert bracket.failed and bracket.factorizations == 32
 
+    @pytest.mark.parametrize("n, lam", [(4, 100.0), (8, 100.0), (10, 30.0), (12, 100.0)])
+    def test_a_zero_lower_bound_does_not_stop_the_bracket(self, n, lam):
+        """A weighted path is reducible with a zero row and a zero column, so
+        every CW lower bound is 0; the upper bounds still bound ``rho`` = 0
+        and the bracket settles ``rho < 1``, its pair scaling ``I - B``
+        RCDD."""
+        B = SparseMatrix.from_dense(lam * np.diag(np.ones(n - 1), 1))
+        bracket = _CWBracket(B)
+        assert bracket.decide(1.0) is True
+        assert bracket.lower == 0.0 and 0 < bracket.factorizations < 32
+        S = apply_scaling(bracket.left, shifted_m_matrix(B, 1.0), bracket.right)
+        assert check_rcdd(S, RCDD_VERIFY_SLACK)
+
+    def test_the_zero_matrix_never_steps(self):
+        """Zero CW bounds settle every positive bound at the first iterate;
+        ``upper`` cannot bracket ``rho`` = 0 relatively and ends without a
+        step."""
+        assert _CWBracket(SparseMatrix.zeros(4)).decide(1e-300) is True
+        bracket = _CWBracket(SparseMatrix.zeros(4))
+        assert bracket.upper(1e-3) is None
+        assert bracket.failed and bracket.factorizations == 0
+
     @pytest.mark.parametrize("path", ["bracket", "fallback"])
     def test_compute_perron_sound(self, soundness_instances, path, monkeypatch):
         if path == "fallback":

@@ -244,14 +244,17 @@ class TestMMatrixScaleFromTheBracket:
     :meth:`_CWBracket.checked_pair`, with no scan and no phase logged."""
 
     def test_zero_matrix(self, monkeypatch):
-        """A zero ``A`` has a zero CW lower bound, which stops the bracket:
-        the scan answers, with no phase."""
+        """A zero ``A`` has zero CW bounds: the all-ones start settles the
+        shift at once, and the bracket never steps (a step would rescale
+        by 0)."""
         scans = record_scans(monkeypatch)
         A = SparseMatrix.zeros(3)
         pair, report = mmatrix_scale(A, 1.0, 0.5, 2.0)
+        assert np.array_equal(pair.left, np.ones(3))
+        assert np.array_equal(pair.right, np.ones(3))
         S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0, 0.5), pair.right)
         assert check_rcdd(S, 0.0)
-        assert report.phases == [] and scans == [0]
+        assert report.phases == [] and scans == []
         assert report.info["bracket_steps"] == 0
 
     @pytest.mark.parametrize(
