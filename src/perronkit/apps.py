@@ -9,8 +9,8 @@ included, whose negatives hold for any budget.  A negative raises
 :class:`DecayTooLarge` or :class:`KernelDiverges` carrying the certificate
 whose CW lower bound proves it (none when a strongly connected block of a
 reducible ``B`` does), or for Leontief returns False.  A positive verdict's
-pair scales ``I - B`` RCDD: the solve runs on it without a scan, and it
-proves the kernel's error bound.
+pair, checked to scale ``I - B`` RCDD, proves the kernel's error bound, and
+``solve_m``'s operator on that checked matrix solves with no scan.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    BackendDiverged,
-    DecayTooLarge,
-    IterationCapHit,
-    KernelDiverges,
-    NotRCDD,
-    ReducibleGram,
-)
+from .errors import DecayTooLarge, IterationCapHit, KernelDiverges, ReducibleGram
 from .perron import (
     _certificate,
     _relative_residual,
@@ -37,14 +30,8 @@ from .perron import (
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import ScalingPair, _CWBracket, _cw_bounds, solve_from_scale, solve_m
-from .sparse import (
-    SparseMatrix,
-    _check_open_unit,
-    as_vector,
-    is_irreducible,
-    shifted_m_matrix,
-)
+from .scaling import ScalingPair, _CWBracket, _cw_bounds, _Problem, _rcdd_checked, _refined_operator
+from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
 
 __all__ = [
     "LabeledGraph",
@@ -153,32 +140,33 @@ def _inverse_norm_bounds(B: SparseMatrix, pair: ScalingPair) -> tuple[float, flo
 
 
 def _decide_decay(B: SparseMatrix):
-    """``rho(B) < 1`` for square nonnegative ``B``: ``(True, pair)``, the
-    pair's CW upper bounds below 1 so that it scales ``I - B`` RCDD, or
-    ``(False, cert)`` with the certificate whose CW lower bound proves
+    """``rho(B) < 1`` for square nonnegative ``B``: ``(True, (prob, pair))``
+    with ``diag(l) (I - B) diag(r)`` checked RCDD (``scaling._rcdd_checked``),
+    or ``(False, cert)`` with the certificate whose CW lower bound proves
     ``rho(B) >= 1``.  Irreducible ``B`` goes to
     :func:`certify_spectral_bound`, reducible ``B`` to the whole matrix's
     bracket, whose upper bounds bound ``rho(B)`` for any nonnegative ``B``.
     Only when that bracket settles nothing (a zero row and a zero column
     keep its lower bound at 0) are the blocks refuted one by one, with
-    ``cert`` None; if every block certifies, :class:`IterationCapHit`."""
+    ``cert`` None; a valid verdict with no checked pair is :class:`IterationCapHit`."""
     if is_irreducible(B):
         valid, cert = certify_spectral_bound(B, 1.0)
         if not valid:
             return False, cert
-        return True, ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
-    bracket = _CWBracket(B)
-    found = bracket.checked_pair(1.0, 0.0)
-    if found:
-        return True, found[1]
-    if found is False:
-        return False, _certificate(B, bracket.left, bracket.right, 1.0)
-    if not _certify_reducible_decay(B):
-        return False, None
-    raise IterationCapHit(
-        "rho(B) < 1 holds on every strongly connected block, but the whole matrix's "
-        f"Collatz-Wielandt bracket found no scaling of I - B in {bracket.factorizations} steps"
-    )
+        pair = ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
+        found = _rcdd_checked(_Problem(B, 1.0), pair)
+    else:
+        bracket = _CWBracket(B)
+        found = bracket.checked_pair(1.0, 0.0)
+        if found is False:
+            return False, _certificate(B, bracket.left, bracket.right, 1.0)
+        if found is None and not _certify_reducible_decay(B):
+            return False, None
+    if found is None:
+        raise IterationCapHit(
+            "rho(B) < 1 is certified, but the Collatz-Wielandt bracket found no scaling of I - B"
+        )
+    return True, found
 
 
 def _diverges(error, what: str, series: str, cert):
@@ -205,18 +193,16 @@ def _certify_reducible_decay(B: SparseMatrix) -> bool:
     return True
 
 
-def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, pair: ScalingPair):
-    """Solve ``(I - B) x = rhs`` to ``eps`` by :func:`solve_from_scale` on
-    the pair of :func:`_decide_decay`, whose solver build checks the scaled
-    matrix RCDD.  A pair that fails that check, or a solve that misses its
-    contract, falls back to one :func:`solve_m` at the conditioning bound
-    the pair proves (:func:`_inverse_norm_bounds`); its errors propagate."""
-    try:
-        p_right = solve_from_scale(shifted_m_matrix(B, 1.0), pair, eps).p_right
-        return p_right.apply(rhs), p_right.report
-    except (NotRCDD, BackendDiverged):
-        op = solve_m(B, 1.0, eps, max(_inverse_norm_bounds(B, pair)))
-        return op.apply(rhs), op.report
+def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, found):
+    """Solve ``(I - B) x = rhs`` to ``eps`` with ``solve_m``'s operator
+    (``scaling._refined_operator``) on the ``(prob, pair)`` of
+    :func:`_decide_decay`, at ``s = 1`` and no shift: its preconditioner is
+    the unshifted ``diag(l) (I - B) diag(r)`` the pair was checked on, at
+    the conditioning bound the pair proves (:func:`_inverse_norm_bounds`).
+    Its errors propagate."""
+    prob, pair = found
+    op = _refined_operator(B, 1.0, eps, max(_inverse_norm_bounds(B, pair)), prob, pair, 0.0)
+    return op.apply(rhs), op.report
 
 
 # ----------------------------------------------------------------------
@@ -229,11 +215,11 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     The decay condition ``alpha * rho(A) < 1`` is certified by
     :func:`certify_spectral_bound` for an irreducible ``A`` and by the whole
     matrix's Collatz-Wielandt bracket for a reducible one (see the module
-    docstring); the pair that certifies it then scales ``I - alpha A`` for
-    the solve.  A violation raises :class:`DecayTooLarge` carrying the
-    certificate whose CW lower bound ``s >= 1`` proves the series diverges,
-    whatever the budget, or ``None`` when a strongly connected block
-    refutes it.  Returns ``(v, report)`` with ``||(I - alpha A) v - b||_2 <=
+    docstring); the solve runs on the checked scaling of ``I - alpha A`` by
+    the pair that certifies it.  A violation raises :class:`DecayTooLarge`
+    carrying the certificate whose CW lower bound ``s >= 1`` proves the
+    series diverges, whatever the budget, or ``None`` when a strongly
+    connected block refutes it.  Returns ``(v, report)`` with ``||(I - alpha A) v - b||_2 <=
     eps ||b||_2``.
     """
     if not A.is_square or not A.is_nonnegative():
@@ -262,8 +248,8 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     (``rho(A) < 1``).  With a demand vector ``d`` and a positive verdict,
     also returns ``x`` with ``||(I - A) x - d||_2 <= eps ||d||_2``; otherwise
     the second element is None.  The verdict is decided as Katz decides its
-    decay, reducible economies included (see the module docstring), and its
-    pair scales ``I - A`` for the solve.
+    decay, reducible economies included (see the module docstring), and the
+    solve runs on the checked scaling of ``I - A`` by its pair.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("consumption matrix must be square and nonnegative")
@@ -387,10 +373,10 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     ``p`` and ``q`` must be nonnegative unit 1-norm distributions.  The
     convergence condition ``lam * rho(W) < 1`` is decided as Katz decides
     its decay, for irreducible and reducible product graphs alike (see the
-    module docstring), and the pair that certifies it scales ``I - lam W``
-    for the solve.  Failure raises :class:`KernelDiverges`, carrying the
-    certificate that proves it, ``None`` when a strongly connected block
-    refutes it.  Returns ``(value, report)``; the report carries the
+    module docstring), and the solve runs on the checked scaling of ``I -
+    lam W`` by the pair that certifies it.  Failure raises
+    :class:`KernelDiverges`, carrying the certificate that proves it,
+    ``None`` when a strongly connected block refutes it.  Returns ``(value, report)``; the report carries the
     propagated scalar error bound ``||q||_2 * eps * ||p||_2 * bound(||(I -
     lam W)^-1||_2)``, proven by the pair:
     ``sqrt(kappa(r) / (1 - c_r) * kappa(l) / (1 - c_l))`` with ``c_r`` and
@@ -417,7 +403,7 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     if not valid:
         raise _diverges(KernelDiverges, "lam * rho(W)", "kernel", proof)
     x, report = _solve_decayed(B, p, eps, proof)
-    inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, proof)))
+    inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, proof[1])))
     value = float(q @ x)
     bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
     report.info["scalar_error_bound"] = bound

@@ -36,15 +36,15 @@ class BackendDiverged(PerronKitError):
 
     Raised when an operator is applied.  It propagates from the operators of
     ``build_rcdd_solver``, ``build_sdd_solver``, ``solve_from_scale`` and
-    ``solve_m``, from the SDD solve of ``symm_solve`` and
-    ``factor_width2_solve``, and through the CLI (exit status 1).
-    Everywhere else a miss has one typed outcome: the shift-and-invert
-    bracket counts it as a failed bracket, every halving scan, strict or
-    not, one-sided or not, as its ``"solver budget"`` failure, and the
-    polish of a Perron pair ends with its last positive pair.  So
-    ``m_decide``, ``mmatrix_scale``, ``symm_scale``, ``compute_perron`` and
-    ``certify_spectral_bound`` never raise it; the applications'
-    certificate-pair solve falls back to ``solve_m`` on one.
+    ``solve_m``, from the refinement steps of ``symm_solve`` and
+    ``factor_width2_solve``, from the solves of Katz, Leontief and the
+    kernel (``solve_m``'s operator, with no fallback), and through the CLI
+    (exit status 1).  Everywhere else a miss has one typed outcome: the
+    shift-and-invert bracket counts it as a failed bracket, every halving
+    scan, strict or not, one-sided or not, as its ``"solver budget"``
+    failure, and the polish of a Perron pair ends with its last positive
+    pair.  So ``m_decide``, ``mmatrix_scale``, ``symm_scale``,
+    ``compute_perron`` and ``certify_spectral_bound`` never raise it.
     """
 
 
@@ -57,7 +57,7 @@ class IterationCapHit(PerronKitError):
     :class:`RoundingFloorHit`.  Raised by a fixed-shift entry point whose
     shift-and-invert bracket certifies ``rho(A)`` at or above its shift, the
     message then names that bound and ``phase`` and ``alpha`` are ``None``,
-    and by an application whose reducible input has no scaling at hand.
+    and by an application whose certified decay has no checked scaling.
     """
 
     def __init__(self, message, phase=None, alpha=None):

@@ -198,20 +198,19 @@ def _phase_backend(S, S_t=None, inv_diag=None):
 class LinearOperator:
     """Black-box approximate solve ``x -> Z(x)`` with an error contract.
 
-    ``error_bound`` is the contracted relative error, ``norm_tag`` the norm
-    the contract is stated in (``"l2"`` for RCDD solves, ``"s-energy"`` for
-    SDD solves).  Every application appends the achieved relative l2 residual
+    ``error_bound`` is the contracted relative error, in the l2 norm for
+    RCDD solves and the ``S``-energy norm for SDD solves.  Every application
+    appends the achieved relative l2 residual
     and the backend's iterations to ``report``: Krylov iterations for a
     Krylov-backed operator, the LU solves (one plus the refinement steps)
     for an LU-backed one.  ``transpose_fn``, when given, maps an error bound
     to the apply function of the transposed system (see :meth:`transpose`).
     """
 
-    def __init__(self, apply_fn, n, error_bound, norm_tag, transpose_fn=None):
+    def __init__(self, apply_fn, n, error_bound, transpose_fn=None):
         self._apply_fn = apply_fn
         self.n = n
         self.error_bound = float(error_bound)
-        self.norm_tag = norm_tag
         self.report = SolveReport(info={"iterations_per_call": []})
         self._transpose_fn = transpose_fn
 
@@ -222,9 +221,7 @@ class LinearOperator:
         if self._transpose_fn is None:
             raise TypeError("only operators from build_rcdd_solver have a transpose")
         _check_open_unit(error_bound, "eps")
-        return LinearOperator(
-            self._transpose_fn(error_bound), self.n, error_bound, self.norm_tag
-        )
+        return LinearOperator(self._transpose_fn(error_bound), self.n, error_bound)
 
     def apply(self, x) -> np.ndarray:
         x = as_vector(x, self.n)
@@ -345,7 +342,7 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
     solver = _phase_backend(_storage(S.csr()))
     apply_fn = _checked_apply(solver, eps, False)
-    return LinearOperator(apply_fn, S.n_rows, eps, "l2", lambda e: _checked_apply(solver, e, True))
+    return LinearOperator(apply_fn, S.n_rows, eps, lambda e: _checked_apply(solver, e, True))
 
 
 def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
@@ -363,10 +360,14 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
-
-    kappa_hat = min(varah_kappa_upper(S), 1e12)
-    # the l2 target that implies the energy contract, floored at what double
-    # precision plus refinement can deliver
-    eps_l2 = max(eps / np.sqrt(max(kappa_hat, 1.0)), _LU_AIM)
     solver = _phase_backend(_storage(S.csr()))
-    return LinearOperator(_checked_apply(solver, eps_l2, False), S.n_rows, eps, "s-energy")
+    return LinearOperator(_checked_apply(solver, _sdd_l2_tolerance(S, eps), False), S.n_rows, eps)
+
+
+def _sdd_l2_tolerance(S: SparseMatrix, eps: float) -> float:
+    """The relative l2 residual that implies the energy contract ``eps`` of a
+    solve with the SDD ``S``: ``eps / sqrt(kappa_hat)``, ``kappa_hat`` the
+    computable dominance bound on its condition number (capped at 1e12),
+    floored at what double precision plus refinement can deliver."""
+    kappa_hat = min(varah_kappa_upper(S), 1e12)
+    return max(eps / np.sqrt(max(kappa_hat, 1.0)), _LU_AIM)

@@ -42,9 +42,9 @@ from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling, Roundi
 from .rcdd import (
     LinearOperator,
     _phase_backend,
+    _sdd_l2_tolerance,
     _storage,
     build_rcdd_solver,
-    build_sdd_solver,
     varah_kappa_upper,
 )
 from .reports import CONVERGED, ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
@@ -434,11 +434,13 @@ class _CWBracket:
         """``rho(A) < bound``, decided at the first iterate whose bounds
         settle it: both the right and the left CW upper bound below
         ``bound`` (True), or the better lower bound at or above it (False).
-        ``None`` when the bracket fails, or when its bounds meet within
-        rounding on either side of ``bound`` (``met_at_bound`` is then set).
-        Both tests are :func:`_settles`, so rounding cannot decide the wrong
-        side."""
+        ``None`` when the bracket fails, when its bounds meet within
+        rounding on either side of ``bound`` (``met_at_bound`` is then set),
+        or when at a zero lower bound a step lowers the best upper bound by
+        less than its rounding margin.  Both verdicts come from :func:`_settles`,
+        so rounding cannot decide the wrong side."""
         tol = _cw_margin(self.A.n_rows)
+        last = np.inf
         for _ in self._iterates():
             lo = self.lower
             his = (self.cw_right[1], self.cw_left[1])
@@ -450,6 +452,10 @@ class _CWBracket:
             if min(his) * (1.0 + tol) >= bound and min(his) <= lo * (1.0 + 4.0 * tol):
                 self.met_at_bound = True
                 return None
+            # with no lower bound only the upper one can settle it: a stall
+            if lo == 0.0 and min(his) >= last * (1.0 - tol):
+                return None
+            last = min(his)
         return None
 
     def checked_pair(self, s: float, alpha: float):
@@ -468,10 +474,14 @@ class _CWBracket:
         if not verdict:
             return verdict
         prob, self._prob = self._problem(s), None
-        pair = ScalingPair(left=self.left, right=self.right, alpha=alpha, s=s)
-        if not check_rcdd(prob.scaled_shift(alpha, pair.left, pair.right), RCDD_VERIFY_SLACK):
-            return None
-        return prob, pair
+        return _rcdd_checked(prob, ScalingPair(left=self.left, right=self.right, alpha=alpha, s=s))
+
+
+def _rcdd_checked(prob: _Problem, pair: ScalingPair):
+    """``(prob, pair)`` when ``prob.scaled_shift(pair.alpha, pair.left,
+    pair.right)`` is RCDD within ``RCDD_VERIFY_SLACK``, else ``None``."""
+    S = prob.scaled_shift(pair.alpha, pair.left, pair.right)
+    return (prob, pair) if check_rcdd(S, RCDD_VERIFY_SLACK) else None
 
 
 def _cw_margin(n: int) -> float:
@@ -788,8 +798,8 @@ def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolv
         rel = 0.0 if nx == 0.0 else float(np.linalg.norm(x - csr_t @ y) / nx)
         return y, rel, Z_left.report.info["iterations_per_call"][-1]
 
-    p_right = LinearOperator(right_fn, M.n_rows, delta, "l2")
-    p_left = LinearOperator(left_fn, M.n_rows, delta, "l2")
+    p_right = LinearOperator(right_fn, M.n_rows, delta)
+    p_left = LinearOperator(left_fn, M.n_rows, delta)
     return MSolveOperators(p_right=p_right, p_left=p_left, delta=delta)
 
 
@@ -954,24 +964,17 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     """Operator ``P`` with ``||b - (s I - A) P(b)||_2 <= eps ||b||_2``.
 
     Scales the slightly shifted matrix ``(1+eps/3)(1+eps/2) s I - A`` (the
-    composed shift stays within ``(1+eps) s``) and factors the scaled matrix
-    it checked RCDD once.  The scaling is the shift-and-invert bracket's
-    pair when :meth:`_CWBracket.checked_pair` finds one at that shift, which
-    needs no ``K``; only when the bracket settles nothing does the halving
-    scan at conditioning bound ``K`` run.  A bracket whose CW lower bound
-    reaches the shift raises :class:`IterationCapHit`: ``rho(A) >= s`` is
-    then certified, whatever ``K``.  Each application runs Richardson
-    refinement against the true matrix, preconditioned by that
-    factorization, until the computed l2 residual plus a bound on its own
-    rounding error meets the contract (:func:`_refine`, which the symmetric
-    solves share).  Near a singular shift ``||x||`` is large and so is that
-    bound; once it exceeds half of ``eps ||b||`` the refinement goes on in
-    ``np.longdouble`` (where that is wider than double), and a bound that
-    still leaves no room, or an extended ``x`` that the rounding to double
-    keeps from the contract, raises :class:`RoundingFloorHit`, which no
-    larger ``K`` repairs.  A refinement that runs out of iterations, or a
-    miss of the scan's phase solves, raises :class:`IterationCapHit`, and
-    applying the operator raises
+    composed shift stays within ``(1+eps) s``) and builds its operator from
+    the scaled matrix it checked RCDD (:func:`_refined_operator`).  The
+    scaling is the shift-and-invert bracket's pair when
+    :meth:`_CWBracket.checked_pair` finds one at that shift, which needs no
+    ``K``; only when the bracket settles nothing does the halving scan at
+    conditioning bound ``K`` run.  A bracket whose CW lower bound reaches
+    the shift raises :class:`IterationCapHit`: ``rho(A) >= s`` is then
+    certified, whatever ``K``.  So do a miss of the scan's phase solves and
+    a refinement that runs out of iterations; a refinement that rounding
+    keeps from the contract raises :class:`RoundingFloorHit`, which no
+    larger ``K`` repairs, and applying the operator raises
     :class:`BackendDiverged` when a preconditioner solve misses.
     ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on
     the bracket path) and the bracket's steps (``"bracket_steps"``).
@@ -985,9 +988,20 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         phases = len(scale_report.phases)
     else:
         (prob, pair), phases = found, 0
-    # solves with diag(l) ((1 + eps/3) I - A/s_mid) diag(r), hence the / s_mid below
-    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_scan_tolerance(K))
+    op = _refined_operator(A, s, eps, K, prob, pair, eps / 3.0)
+    op.report.info.update(scaling_phases=phases, bracket_steps=steps)
+    return op
 
+
+def _refined_operator(A, s, eps, K, prob, pair, alpha) -> LinearOperator:
+    """The engine's one operator from a checked scaling: ``P`` with ``||b -
+    (s I - A) P(b)||_2 <= eps ||b||_2`` by :func:`_refine` against ``s I -
+    A``, each step preconditioned by one :class:`_PhaseSolver` solve, to
+    ``_scan_tolerance(K)``, of ``prob.scaled_shift(alpha, pair.left,
+    pair.right)``, the matrix the pair was checked RCDD on (``prob`` is ``A
+    / pair.s``).  ``K`` bounds ``s ||(s I - A)^-1||``, so the step count
+    grows with ``K`` times the preconditioner's shift above ``s``."""
+    solver = _PhaseSolver(prob, alpha, pair.left, pair.right, tol=_scan_tolerance(K))
     csr = A.csr()
     k = _row_entries(csr)
     norms = induced_norms(A)
@@ -1002,10 +1016,11 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         return s * x - csr @ x
 
     def precond(x):
-        return solver.p_right(x) / s_mid
+        return solver.p_right(x) / pair.s
 
     n = A.n_rows
-    cap = max(64, math.ceil(8.0 * (1.0 + eps * K) * math.log(n * max(K, 2.0) / eps)))
+    gap = (1.0 + alpha) * pair.s / s - 1.0
+    cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(n * max(K, 2.0) / eps)))
 
     def apply_fn(b):
         x, report = _refine(
@@ -1014,10 +1029,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         nb = report.residuals[0]
         return x, (0.0 if nb == 0.0 else report.residuals[-1] / nb), report.iterations
 
-    op = LinearOperator(apply_fn, n, eps, "l2")
-    op.report.info["scaling_phases"] = phases
-    op.report.info["bracket_steps"] = steps
-    return op
+    return LinearOperator(apply_fn, n, eps)
 
 
 # ----------------------------------------------------------------------
@@ -1100,14 +1112,16 @@ def symm_scale(A: SparseMatrix, eps: float):
 def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
     """``M x = b`` to ``||M x - b||_2 <= delta ||b||_2``: ``v`` from
     :func:`_symmetric_scaling` at shift 0, else from the first shift of
-    ``_SHIFT_SEARCH`` that makes ``V M V`` SDD, and one SDD solver of ``V M
-    V`` at accuracy 1/4 preconditioning :func:`_refine` against ``M``, the
+    ``_SHIFT_SEARCH`` that makes ``V M V`` SDD, and one backend solver of
+    the ``V M V`` it checked, each step one solve to the l2 tolerance of
+    energy accuracy 1/4, preconditioning :func:`_refine` against ``M``, the
     refinement ``solve_m`` applies, with its rounding bound on the residual.
     Returns ``(x, report)``: the refinement's iterations and residual norms,
     the scaling's phases and report entries, and ``v`` in
     ``info["scaling"]``."""
     v, S, scale_report = _symmetric_scaling(A, M, 0.0, _SHIFT_SEARCH)
-    Z = build_sdd_solver(S, 0.25)
+    solver = _phase_backend(_storage(S.csr()))
+    tol = _sdd_l2_tolerance(S, 0.25)
     csr = M.csr()
     norms = induced_norms(M)
 
@@ -1118,7 +1132,7 @@ def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
         return csr @ x.astype(np.longdouble)
 
     def precond(x):
-        return v * Z.apply(v * x)
+        return v * solver.solve(v * x, False, tol)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
     x, report = _refine(
@@ -1144,15 +1158,15 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     ``v`` scales ``I - A`` SDD: the right iterate of a one-sided bracket at
     the unit shift, else the first of the one-sided halving scans at the
     shifts 1/2, 1/8, ... down to 1e-8, each at ``K = 1 / shift``, whose
-    ``v`` does (see :func:`_symmetric_scaling`).  One SDD solver of ``V (I -
-    A) V`` then preconditions Richardson refinement against ``I - A`` until
-    the residual plus a bound on its own rounding meets the contract, as in
-    :func:`solve_m`.  A bracket that certifies ``rho(A) >= 1``, a failed
-    scan and a refinement at its cap raise :class:`IterationCapHit`, a
-    refinement that rounding keeps from the contract (near ``rho(A) = 1``)
-    :class:`RoundingFloorHit`, a search that finds no ``v``
-    :class:`NotSDDAfterScaling`, and an SDD solve that misses
-    :class:`BackendDiverged`.  The report counts the bracket's steps in
+    ``v`` does (see :func:`_symmetric_scaling`).  One solver of the ``V (I -
+    A) V`` it checked SDD, one solve per step, then preconditions Richardson
+    refinement against ``I - A`` until the residual plus a bound on its own
+    rounding meets the contract, as in :func:`solve_m`.  A bracket that
+    certifies ``rho(A) >= 1``, a failed scan and a refinement at its cap
+    raise :class:`IterationCapHit`, a refinement that rounding keeps from
+    the contract (near ``rho(A) = 1``) :class:`RoundingFloorHit`, a search
+    that finds no ``v`` :class:`NotSDDAfterScaling`, and a Krylov solve
+    that misses :class:`BackendDiverged`.  The report counts the bracket's steps in
     ``info["bracket_steps"]`` and logs the fallback's phases.
     """
     _check_symmetric_nonnegative(A)
@@ -1186,14 +1200,14 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     Scales the normalized comparison matrix ``A`` of ``M`` (off-diagonal
     magnitudes), whose ``V (I - A) V`` is dominant exactly when ``V M V`` is,
     as :func:`symm_solve` scales its ``A`` (a one-sided bracket first),
-    verifies that ``V M V`` is SDD and solves through the SDD route with
-    :func:`symm_solve`'s refinement against ``M``, whose rounding keeping
-    it from the contract raises :class:`RoundingFloorHit`.  Input that is
-    not factor width 2 raises :class:`IterationCapHit`
+    verifies that ``V M V`` is SDD and preconditions :func:`symm_solve`'s
+    refinement against ``M`` with one solve of it per step; rounding that
+    keeps the refinement from the contract raises :class:`RoundingFloorHit`.
+    Input that is not factor width 2 raises :class:`IterationCapHit`
     when the bracket certifies ``rho(A) >= 1`` or a fallback scan fails, or
     :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.  A
     solve that misses raises :class:`IterationCapHit` in a fallback scan and
-    :class:`BackendDiverged` in the final SDD solve.  ``info["shift"]`` is 0
+    :class:`BackendDiverged` in a refinement step.  ``info["shift"]`` is 0
     on the bracket path and ``info["scaling"]`` holds ``v``.
     """
     if not M.is_square:

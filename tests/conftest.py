@@ -203,11 +203,32 @@ def bracket_off(monkeypatch):
     )
 
 
-def reject_certificate_pair(monkeypatch):
-    """Make the RCDD check of ``build_rcdd_solver`` fail, so that the
-    applications' solve from their certificate's pair falls back to
-    ``solve_m``; the checks of ``solve_m`` and the scan are untouched."""
-    monkeypatch.setattr(perronkit.rcdd, "check_rcdd", lambda S, strict_slack=0.0: False)
+def record_builds(monkeypatch):
+    """Record, in the returned dict of lists, every ``_CWBracket``
+    constructed, the arguments of every ``_halving_scan`` call and every
+    ``_PhaseSolver`` built (whose ``tol``, ``ell`` and ``r`` a test may
+    read); :func:`build_counts` gives their numbers."""
+    built = {"_CWBracket": [], "_halving_scan": [], "_PhaseSolver": []}
+    for cls in (perronkit.scaling._CWBracket, perronkit.scaling._PhaseSolver):
+
+        def init(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+            built[name].append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    real_scan = perronkit.scaling._halving_scan
+
+    def scan(*args, **kwargs):
+        built["_halving_scan"].append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    return built
+
+
+def build_counts(built):
+    """The number of each kind of build :func:`record_builds` recorded."""
+    return {name: len(items) for name, items in built.items()}
 
 
 def reject_bracket_pair(monkeypatch):

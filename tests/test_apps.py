@@ -18,18 +18,21 @@ from perronkit import (
     leontief_equilibrium,
     load_labeled_graph,
     product_graph,
+    solve_m,
     top_singular,
 )
 from perronkit.oracle import dense_solve, dense_spectral_radius, dense_svd_top
 
 from conftest import (
     bracket_off,
+    build_counts,
     random_irreducible_dense,
     random_m_matrix_dense,
-    reject_certificate_pair,
+    record_builds,
 )
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+ONE_BRACKET_ONE_SOLVER = {"_CWBracket": 1, "_halving_scan": 0, "_PhaseSolver": 1}
 
 
 def assert_certifies_divergence(B_dense, cert):
@@ -92,35 +95,6 @@ class TestKatz:
         with pytest.raises(DecayTooLarge) as info:
             katz_centrality(SparseMatrix.from_dense(A_dense), alpha, np.ones(12), 1e-8)
         assert_certifies_divergence(alpha * A_dense, info.value.certificate)
-
-    def test_rejected_certificate_pair_falls_back_to_solve_m(self, monkeypatch):
-        """With the certificate's pair failing its RCDD check, the solve runs
-        ``solve_m`` instead and meets the same contract."""
-        calls = []
-        real_solve_m = apps_module.solve_m
-
-        def solve_m(*args):
-            calls.append(args[3])
-            return real_solve_m(*args)
-
-        monkeypatch.setattr(apps_module, "solve_m", solve_m)
-        rng = np.random.default_rng(63)
-        n = 30
-        A_dense = random_irreducible_dense(rng, n, density=0.2)
-        rho, _ = dense_spectral_radius(A_dense)
-        alpha = 0.9 / rho
-        b = rng.random(n) + 0.01
-        eps = 1e-10
-        v, report = katz_centrality(SparseMatrix.from_dense(A_dense), alpha, b, eps)
-        assert calls == []
-        reject_certificate_pair(monkeypatch)
-        v_fallback, report_fallback = katz_centrality(
-            SparseMatrix.from_dense(A_dense), alpha, b, eps
-        )
-        assert len(calls) == 1
-        for x, rep in ((v, report), (v_fallback, report_fallback)):
-            assert np.linalg.norm(x - alpha * A_dense @ x - b) <= eps * np.linalg.norm(b)
-            assert rep.residuals[-1] <= eps
 
     def test_reducible_path(self):
         """Katz on a directed path, a reducible graph with ``rho`` = 0: the
@@ -347,15 +321,18 @@ class TestReducibleDecay:
     def test_the_whole_bracket_decides_the_valid_side(self, monkeypatch, scale):
         """The zero row keeps the CW lower bound at 0, yet the bracket's
         upper bounds settle ``rho < 1`` on the whole matrix: no block is
-        certified and no ``solve_m`` is built."""
+        certified, no scan runs, and the solve builds one phase solver, on
+        the bracket's pair."""
         refutations = self.count_block_refutations(monkeypatch)
-        ks = self.count_solve_m_builds(monkeypatch)
+        built = record_builds(monkeypatch)
         W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)
         p = np.full(5, 0.2)
         value, _ = graph_kernel(W, p, p, scale, 1e-12)
         exact = p @ np.linalg.solve(np.eye(5) - scale * self.BLOCKS, p)
         assert abs(value - exact) <= 1e-9 * abs(exact)
-        assert refutations == [] and ks == []
+        assert refutations == [] and build_counts(built) == ONE_BRACKET_ONE_SOLVER
+        (bracket,), (solver,) = built["_CWBracket"], built["_PhaseSolver"]
+        assert solver.ell is bracket.left and solver.r is bracket.right
 
     def test_invalid_side_raises_without_a_certificate(self, monkeypatch):
         """At scale 1.6 (``rho`` about 1.07) the lower bound stays 0 and the
@@ -373,6 +350,25 @@ class TestReducibleDecay:
         verdict, x = leontief_equilibrium(A.scaled(1.6), np.ones(5))
         assert not verdict and x is None
 
+    def test_a_stalled_bracket_stops_early(self, monkeypatch):
+        """At scale 1.6 the zero row keeps the lower bound at 0 while the
+        upper bound stalls near ``rho`` = 1.07: the whole matrix's bracket
+        settles nothing within 8 steps, where it used to spend all 32, and
+        Katz, the kernel and Leontief keep their outcomes, each from a
+        block's refutation, with no scan and no solve."""
+        built = record_builds(monkeypatch)
+        A = SparseMatrix.from_dense(self.BLOCKS)
+        p = np.full(5, 0.2)
+        with pytest.raises(DecayTooLarge, match="strongly connected component"):
+            katz_centrality(A, 1.6, np.ones(5), 1e-8)
+        with pytest.raises(KernelDiverges, match="strongly connected component"):
+            graph_kernel(ProductWeights(A, 5, 1), p, p, 1.6, 1e-8)
+        assert leontief_equilibrium(A.scaled(1.6), np.ones(5)) == (False, None)
+        whole = [bracket for bracket in built["_CWBracket"] if bracket.A.n_rows == 5]
+        assert len(whole) == 3
+        assert all(1 <= bracket.factorizations <= 8 for bracket in whole)
+        assert build_counts(built)["_halving_scan"] == build_counts(built)["_PhaseSolver"] == 0
+
     def test_a_reducible_negative_carries_the_bracket_certificate(self):
         """With no zero row the CW lower bound of a reducible matrix is
         positive, and the whole bracket refutes ``rho < 1`` with its own
@@ -387,13 +383,14 @@ class TestReducibleDecay:
         blocks prove ``rho < 1`` but no pair scales ``I - B``: a typed
         error, never a guessed conditioning bound."""
         bracket_off(monkeypatch)
-        ks = self.count_solve_m_builds(monkeypatch)
+        built = record_builds(monkeypatch)
         p = np.full(5, 0.2)
         W = ProductWeights(SparseMatrix.from_dense(self.BLOCKS), 5, 1)
         with pytest.raises(IterationCapHit, match="found no scaling") as info:
             graph_kernel(W, p, p, 1.0, 1e-8)
         assert not isinstance(info.value, RoundingFloorHit)
-        assert ks == []
+        # the whole matrix's bracket and one per block; no scan, no solve
+        assert build_counts(built) == {"_CWBracket": 3, "_halving_scan": 0, "_PhaseSolver": 0}
 
     @staticmethod
     def weighted_path(n, lam):
@@ -403,50 +400,41 @@ class TestReducibleDecay:
         path = np.diag(np.ones(n - 1), 1)
         return path, SparseMatrix.from_dense(lam * path), np.full(n, 1.0 / n)
 
-    @staticmethod
-    def count_solve_m_builds(monkeypatch):
-        ks = []
-        real_solve_m = apps_module.solve_m
-
-        def solve_m(*args):
-            ks.append(args[3])
-            return real_solve_m(*args)
-
-        monkeypatch.setattr(apps_module, "solve_m", solve_m)
-        return ks
-
     def test_a_weighted_path_solves_on_the_bracket_pair(self, monkeypatch):
         """On a weighted path, a reducible product graph with ``rho`` = 0
         and ``||(I - B)^-1||`` about 1e6, the bracket's pair scales ``I -
-        B`` and the kernel builds no ``solve_m``.  ``solve_m`` itself, at a
-        ``K`` = 16 far below that norm, solves too: its scaling is the
-        bracket's, which needs no ``K``."""
+        B`` and the kernel solves on it: one bracket, one phase solver, no
+        scan.  ``solve_m`` itself, at a ``K`` = 16 far below that norm,
+        solves too: its scaling is the bracket's, which needs no ``K``."""
         n, lam, eps = 4, 100.0, 1e-6
         path, B, p = self.weighted_path(n, lam)
-        x = apps_module.solve_m(B, 1.0, eps, 16.0).apply(p)
+        x = solve_m(B, 1.0, eps, 16.0).apply(p)
         assert np.linalg.norm(x - lam * path @ x - p) <= eps * np.linalg.norm(p)
-        ks = self.count_solve_m_builds(monkeypatch)
+        built = record_builds(monkeypatch)
         value, _ = graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
-        assert ks == []
+        assert build_counts(built) == ONE_BRACKET_ONE_SOLVER
         inverse = np.linalg.inv(np.eye(n) - lam * path)
         error_bound = eps * np.linalg.norm(p) ** 2 * np.linalg.norm(inverse, 2)
         assert abs(value - p @ inverse @ p) <= error_bound
 
     def test_a_rounding_floor_is_not_retried(self, monkeypatch):
         """On the weighted path n = 8, lam = 100, ``||x||`` is about 1e13:
-        the solve on the bracket's pair misses, and the one ``solve_m`` at
-        the ``K`` the pair proves, which dominates both induced norms of
-        ``(I - B)^-1``, yields a refinement whose residual's rounding bound
-        alone exceeds ``eps ||b||``.  No ``K`` changes ``||x||``, so that
-        failure propagates at once."""
+        the solve on the bracket's pair, its phase solver at the ``K`` the
+        pair proves, which dominates both induced norms of ``(I - B)^-1``,
+        refines until its residual's rounding bound alone exceeds ``eps
+        ||b||``.  No ``K`` changes ``||x||``, so that failure propagates at
+        once, with no second solve and no scan."""
         n, lam, eps = 8, 100.0, 1e-6
         path, _, p = self.weighted_path(n, lam)
-        ks = self.count_solve_m_builds(monkeypatch)
+        built = record_builds(monkeypatch)
         with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
             graph_kernel(ProductWeights(SparseMatrix.from_dense(path), n, 1), p, p, lam, eps)
-        assert len(ks) == 1
+        assert build_counts(built) == ONE_BRACKET_ONE_SOLVER
+        (solver,) = built["_PhaseSolver"]
         inverse = np.linalg.inv(np.eye(n) - lam * path)
-        assert ks[0] >= max(np.linalg.norm(inverse, np.inf), np.linalg.norm(inverse, 1))
+        # the solver's tolerance is 1 / (8 K)
+        K = 1.0 / (8.0 * solver.tol)
+        assert K >= max(np.linalg.norm(inverse, np.inf), np.linalg.norm(inverse, 1))
 
     def test_the_reducible_kernel_bound_covers_the_oracle(self):
         """On weighted paths and products of ``BLOCKS`` the reported bound
@@ -479,6 +467,41 @@ class TestReducibleDecay:
         value, _ = graph_kernel(W, p, p, 1.2, 1e-12)
         exact = p @ np.linalg.solve(np.eye(5) - 1.2 * self.BLOCKS, p)
         assert abs(value - exact) <= 1e-9 * abs(exact)
+
+
+@pytest.mark.parametrize("case", ["irreducible-csr", "blocks"])
+def test_each_decay_app_builds_one_bracket_and_one_solver(monkeypatch, case):
+    """Katz, Leontief and the kernel each build one bracket for their
+    decision and one phase solver for their solve, on that bracket's pair,
+    and run no scan: on an irreducible input above the dense cutoff at
+    ``rho`` = 0.99 and on the reducible ``BLOCKS``."""
+    if case == "blocks":
+        B_dense = TestReducibleDecay.BLOCKS
+    else:
+        A_dense = random_irreducible_dense(np.random.default_rng(58), 400, density=0.02)
+        B_dense = A_dense * (0.99 / dense_spectral_radius(A_dense, tol=1e-12)[0])
+    B = SparseMatrix.from_dense(B_dense)
+    n, eps = B.n_rows, 1e-8
+    b = np.ones(n)
+    p = np.full(n, 1.0 / n)
+    exact = np.linalg.solve(np.eye(n) - B_dense, b)
+    calls = {
+        "katz": lambda: katz_centrality(B, 1.0, b, eps)[0],
+        "leontief": lambda: leontief_equilibrium(B, b, eps)[1],
+        "kernel": lambda: graph_kernel(ProductWeights(B, n, 1), p, p, 1.0, eps),
+    }
+    for name, call in calls.items():
+        with monkeypatch.context() as patch:
+            built = record_builds(patch)
+            result = call()
+        assert build_counts(built) == ONE_BRACKET_ONE_SOLVER, name
+        (bracket,), (solver,) = built["_CWBracket"], built["_PhaseSolver"]
+        assert np.array_equal(solver.ell, bracket.left) and np.array_equal(solver.r, bracket.right)
+        if name == "kernel":
+            value, report = result
+            assert abs(value - p @ exact / n) <= report.info["scalar_error_bound"], name
+        else:
+            assert np.linalg.norm(result - B_dense @ result - b) <= eps * np.linalg.norm(b), name
 
 
 class TestGraphKernel:

@@ -6,7 +6,6 @@ import pytest
 
 import perronkit.rcdd
 from perronkit import (
-    BackendDiverged,
     IterationCapHit,
     RoundingFloorHit,
     Verdict,
@@ -481,13 +480,15 @@ def test_symm_solve_near_singular_certifies_or_names_the_floor(n):
         symm_solve(A, b, 1e-8)
 
 
-def test_symm_solve_past_the_rounding_floor_is_a_typed_error():
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_symm_solve_past_the_rounding_floor_is_a_typed_error(n):
     """At ``rho = 1 - 1e-12`` the scaled matrix is SDD by a margin near
-    rounding, and the final SDD solve misses its tolerance:
-    :class:`BackendDiverged`, not a wrong ``x``."""
-    A = SparseMatrix.from_dense(near_singular_symmetric(20, 1e-12))
-    with pytest.raises(BackendDiverged):
-        symm_solve(A, np.linspace(1.0, 2.0, 20), 1e-6)
+    rounding and ``||x||`` is about 1e12 ``||b||``: the refinement cannot
+    bound its residual's rounding within the contract and raises
+    :class:`RoundingFloorHit`, not a wrong ``x``."""
+    A = SparseMatrix.from_dense(near_singular_symmetric(n, 1e-12))
+    with pytest.raises(RoundingFloorHit, match="cannot certify its residual"):
+        symm_solve(A, np.linspace(1.0, 2.0, n), 1e-6)
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])

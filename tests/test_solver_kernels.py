@@ -29,6 +29,7 @@ import perronkit.rcdd
 import perronkit.scaling
 from perronkit import (
     IterationCapHit,
+    ScalingPair,
     SparseMatrix,
     compute_perron,
     factor_width2_solve,
@@ -65,6 +66,7 @@ from perronkit.scaling import (
 
 from conftest import (
     bracket_off,
+    build_counts,
     count_krylov,
     random_factor_width2_dense,
     random_irreducible,
@@ -73,9 +75,9 @@ from conftest import (
     random_m_matrix_dense,
     random_strictly_rcdd_dense,
     random_symmetric_contraction_dense,
+    record_builds,
     record_scans,
     reject_bracket_pair,
-    reject_certificate_pair,
 )
 
 
@@ -322,11 +324,12 @@ SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_symm_solve_factors_each_level_once(monkeypatch, n):
     """Each matrix the symmetric path forms is factored once: on the bracket
     path ``symm_scale`` builds one solver per bracket step and nothing else,
-    and ``symm_solve`` one more, its one SDD solver, which serves the whole
-    refinement.  No scan runs."""
+    and ``symm_solve`` one more, its backend solver of ``V (I - A) V``,
+    which serves the whole refinement.  No scan runs and no phase solver is
+    built."""
     counts = count_factorizations(monkeypatch)
-    count_calls(monkeypatch, counts, perronkit.scaling, "build_sdd_solver")
-    scans = record_scans(monkeypatch)
+    count_calls(monkeypatch, counts, perronkit.scaling, "_phase_backend")
+    built = record_builds(monkeypatch)
     rng = np.random.default_rng(48)
     A = SparseMatrix.from_dense(
         random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
@@ -344,31 +347,35 @@ def test_symm_solve_factors_each_level_once(monkeypatch, n):
         assert counts == {
             **NO_SOLVERS,
             solver_name(n): steps + sdd_solvers,
-            "build_sdd_solver": sdd_solvers,
+            "_phase_backend": steps + sdd_solvers,
         }
-    assert scans == []
+    assert build_counts(built) == {"_CWBracket": 2, "_halving_scan": 0, "_PhaseSolver": 0}
 
 
 @SYMMETRIC_SIZES
 def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
-    """The scalings factor through the phase solver and build no SDD solver;
-    the one SDD solver build is ``factor_width2_solve``'s tail, which
-    ``symm_solve`` shares, on ``V M V`` of the caller's own ``M``."""
+    """The scalings build only their bracket's step solvers, no phase
+    solver and no SDD solver; the one SDD solver is ``factor_width2_solve``'s
+    tail, which ``symm_solve`` shares: one backend solver of ``V M V`` of
+    the caller's own ``M``."""
     built = []
-    real = perronkit.scaling.build_sdd_solver
+    real = perronkit.scaling._phase_backend
 
-    def build(S, eps):
-        built.append(S.to_dense())
-        return real(S, eps)
+    def backend(S, *args):
+        built.append(S.toarray() if sp.issparse(S) else S.copy())
+        return real(S, *args)
 
-    monkeypatch.setattr(perronkit.scaling, "build_sdd_solver", build)
+    monkeypatch.setattr(perronkit.scaling, "_phase_backend", backend)
+    builds = record_builds(monkeypatch)
     rng = np.random.default_rng(56)
     A = SparseMatrix.from_dense(
         random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     )
-    symm_scale(A, 1e-3)
-    mmatrix_scale(A, 1.0, 1e-3, 100.0)
-    assert built == []
+    for scale in (lambda: symm_scale(A, 1e-3), lambda: mmatrix_scale(A, 1.0, 1e-3, 100.0)):
+        _, report = scale()
+        assert len(built) == report.info["bracket_steps"] >= 1
+        built.clear()
+    assert build_counts(builds) == {"_CWBracket": 2, "_halving_scan": 0, "_PhaseSolver": 0}
     M_A = shifted_m_matrix(A, 1.0)
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     for solve, own in [
@@ -377,10 +384,51 @@ def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
     ]:
         _, report = solve()
         v = report.info["scaling"]
-        assert len(built) == 1
+        assert len(built) == report.info["bracket_steps"] + 1
         np.testing.assert_allclose(
-            built.pop(), v[:, None] * own.to_dense() * v[None, :], rtol=1e-12, atol=1e-15
+            built[-1], v[:, None] * own.to_dense() * v[None, :], rtol=1e-12, atol=1e-15
         )
+        built.clear()
+    assert build_counts(builds)["_PhaseSolver"] == 0
+
+
+@SYMMETRIC_SIZES
+def test_one_backend_solve_per_symmetric_refinement_step(monkeypatch, n):
+    """Each refinement step of ``symm_solve`` and ``factor_width2_solve``
+    makes exactly one solve with the backend solver of ``V M V``, the last
+    solver built, and nothing else solves with it."""
+    solvers = []
+    real = perronkit.scaling._phase_backend
+
+    def backend(*args):
+        solver = real(*args)
+        solvers.append(solver)
+        return solver
+
+    monkeypatch.setattr(perronkit.scaling, "_phase_backend", backend)
+    solves = []
+    for cls in (_DirectSolver, _KrylovSolver):
+
+        def solve(self, b, transpose, tol, real_solve=cls.solve):
+            solves.append(self)
+            return real_solve(self, b, transpose, tol)
+
+        monkeypatch.setattr(cls, "solve", solve)
+    rng = np.random.default_rng(57)
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    )
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    for solve_call in (
+        lambda: symm_solve(A, rng.normal(size=n), 1e-12),
+        lambda: factor_width2_solve(M, rng.normal(size=n), 1e-12),
+    ):
+        solvers.clear()
+        solves.clear()
+        _, report = solve_call()
+        sdd_solves = [solver for solver in solves if solver is solvers[-1]]
+        assert report.iterations >= 1 and len(sdd_solves) == report.iterations
+        assert solves[-report.iterations:] == sdd_solves
 
 
 @SYMMETRIC_SIZES
@@ -838,33 +886,31 @@ def test_certify_factors_only_the_bracket(monkeypatch, rho):
 
 
 def test_katz_certify_runs_no_scan(monkeypatch):
-    """Katz's scans are its solve's: with its certificate's pair rejected
-    and the bracket of ``solve_m`` off, one per ``solve_m`` build."""
-    reject_certificate_pair(monkeypatch)
+    """Katz runs no scan: its decision is one bracket and its solve is
+    built on that bracket's pair, so even with the bracket of the
+    fixed-shift entry points off it builds one bracket, one phase solver
+    and no Perron round."""
     bracket_off(monkeypatch)
     B = sparse_instance_at(0.99)
     counts = {}
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
-    count_calls(monkeypatch, counts, perronkit.apps, "solve_m")
-    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    built = record_builds(monkeypatch)
     b = np.ones(B.n_rows)
     v, _ = katz_centrality(B, 1.0, b, 1e-8)
     assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
     assert counts["_perron_rounds"] == 0
-    assert counts["_halving_scan"] == counts["solve_m"] >= 1
+    assert build_counts(built) == {"_CWBracket": 1, "_halving_scan": 0, "_PhaseSolver": 1}
 
 
 def test_katz_solves_from_its_certificate_pair(monkeypatch):
     """Katz solves from the vectors of the certificate that proved the decay
-    valid: no scan, no ``solve_m``, no round, one RCDD solver build, and
-    that pair, recomputed here, makes ``I - B`` RCDD."""
+    valid: no scan, no round, one bracket and one phase solver, built on
+    that pair at the conditioning bound it proves, and that pair,
+    recomputed here, makes ``I - B`` RCDD."""
     B = sparse_instance_at(0.99)
     counts = {}
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
-    for name in ("solve_m", "solve_from_scale"):
-        count_calls(monkeypatch, counts, perronkit.apps, name)
-    for name in ("_halving_scan", "build_rcdd_solver"):
-        count_calls(monkeypatch, counts, perronkit.scaling, name)
+    built = record_builds(monkeypatch)
     certs = []
     real_certify = perronkit.apps.certify_spectral_bound
 
@@ -878,14 +924,12 @@ def test_katz_solves_from_its_certificate_pair(monkeypatch):
     v, report = katz_centrality(B, 1.0, b, 1e-8)
     assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
     assert report.residuals[-1] <= 1e-8
-    assert counts == {
-        "_perron_rounds": 0,
-        "solve_m": 0,
-        "_halving_scan": 0,
-        "solve_from_scale": 1,
-        "build_rcdd_solver": 1,
-    }
-    (cert,) = certs
+    assert counts == {"_perron_rounds": 0}
+    assert build_counts(built) == {"_CWBracket": 1, "_halving_scan": 0, "_PhaseSolver": 1}
+    (cert,), (solver,) = certs, built["_PhaseSolver"]
+    assert np.array_equal(solver.ell, cert.left) and np.array_equal(solver.r, cert.right)
+    pair = ScalingPair(cert.left, cert.right, alpha=0.0, s=1.0)
+    assert solver.tol == 1.0 / (8.0 * max(perronkit.apps._inverse_norm_bounds(B, pair)))
     S = apply_scaling(cert.left, shifted_m_matrix(B, 1.0), cert.right)
     assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
