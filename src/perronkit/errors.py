@@ -31,8 +31,10 @@ class NotSDD(PerronKitError):
 
 class BackendDiverged(PerronKitError):
     """A solver backend missed its residual contract: a Krylov solve still
-    missed after its last restart or met a breakdown, or the direct
-    backend's refined residual stayed above its tolerance.
+    missed after its last restart or met a breakdown, or the refinement of
+    a public builder's operator missed its ``eps`` (out of its 4 solves, at
+    a rounding floor or at a non-finite residual), raised from that
+    refinement's :class:`IterationCapHit` or :class:`RoundingFloorHit`.
 
     Raised when an operator is applied.  It propagates from the operators of
     ``build_rcdd_solver``, ``build_sdd_solver``, ``solve_from_scale`` and

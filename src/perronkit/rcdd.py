@@ -22,12 +22,13 @@ into it.  The bracket's step matrix on that pattern, with its transpose
 view and inverse diagonal, is refreshed in place at each step, so a step's
 :class:`_KrylovSolver` takes all three from it and constructs no matrix.
 
-A built :class:`LinearOperator` recomputes the residual of every
-application: an LU solve is refined toward ``min(eps, _LU_AIM)``, a Krylov
-solve runs to ``eps``, and a residual above the contract raises
-:class:`BackendDiverged`.  The operator is deterministic, immutable, and
-records the achieved relative residual and the backend's iterations of
-every application in a report side channel.
+Every :class:`LinearOperator`, the engine's and a builder's, applies by
+:func:`_refine`, the package's one refinement loop: Richardson steps of
+one backend solve each until the computed residual plus a bound on its own
+rounding meets the contract.  A builder's operator takes at most 4 steps,
+and a miss raises :class:`BackendDiverged`.  The operator is
+deterministic, immutable, and records the achieved relative residual and
+the backend's iterations of every application in a report side channel.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import BackendDiverged, NotRCDD, NotSDD
-from .reports import SolveReport
+from .errors import BackendDiverged, IterationCapHit, NotRCDD, NotSDD, RoundingFloorHit
+from .reports import NON_FINITE, SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
@@ -48,6 +49,7 @@ from .sparse import (
     as_vector,
     check_rcdd,
     check_sdd,
+    induced_norms,
 )
 
 __all__ = [
@@ -67,8 +69,8 @@ _DENSE_CUTOFF = 300
 # recurrence that stagnated near a nearly singular shift-and-invert step.
 _KRYLOV_CAP = 5000
 _KRYLOV_PASSES = 4
-# the relative residual an LU-backed apply refines toward, whatever its contract
-_LU_AIM = 1e-13
+# the least relative l2 residual an SDD solver's energy contract asks for
+_SDD_L2_FLOOR = 1e-13
 
 # the dense triangular solve, fetched once: scipy.linalg.lu_solve costs several
 # times the LAPACK call at the sizes below the cutoff
@@ -87,10 +89,8 @@ class _DirectSolver:
     ``S.T x = b``.  Every solver up to ``_DENSE_CUTOFF`` unknowns is one (see
     :func:`_phase_backend`).  Deterministic.  Its solves are exact up to
     rounding, ignore ``tol`` and check no residual; ``iterations`` counts
-    them, and a checked apply refines them toward ``aim``.
+    them, and an operator's refinement repairs their rounding.
     """
-
-    aim = _LU_AIM
 
     def __init__(self, S: np.ndarray):
         self.S = S
@@ -104,9 +104,6 @@ class _DirectSolver:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
         self.iterations += 1
         return x
-
-    def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return (self.S.T if transpose else self.S) @ x
 
 
 class _KrylovSolver:
@@ -133,8 +130,6 @@ class _KrylovSolver:
     computation, one CSC and one diagonal extraction; a caller that keeps
     them current for a matrix it refreshes in place passes them in.
     """
-
-    aim = math.inf
 
     def __init__(self, S: sp.csr_matrix, S_t=None, inv_diag=None):
         self.S = S
@@ -199,19 +194,22 @@ class LinearOperator:
     """Black-box approximate solve ``x -> Z(x)`` with an error contract.
 
     ``error_bound`` is the contracted relative error, in the l2 norm for
-    RCDD solves and the ``S``-energy norm for SDD solves.  Every application
-    appends the achieved relative l2 residual
-    and the backend's iterations to ``report``: Krylov iterations for a
-    Krylov-backed operator, the LU solves (one plus the refinement steps)
-    for an LU-backed one.  ``transpose_fn``, when given, maps an error bound
-    to the apply function of the transposed system (see :meth:`transpose`).
+    RCDD solves and the ``S``-energy norm for SDD solves.  ``apply_fn``
+    maps ``b`` to ``(x, refinement)``, the report of the :func:`_refine`
+    that computed ``x``, whose steps solve with ``backend``.  Every
+    application appends the achieved relative l2 residual and the
+    backend's iterations to ``report``: Krylov iterations for a Krylov
+    backend, LU solves (one per refinement step) for an LU.
+    ``transpose_fn``, when given, maps an error bound to the apply function
+    of the transposed system (see :meth:`transpose`).
     """
 
-    def __init__(self, apply_fn, n, error_bound, transpose_fn=None):
+    def __init__(self, apply_fn, n, error_bound, backend, transpose_fn=None):
         self._apply_fn = apply_fn
         self.n = n
         self.error_bound = float(error_bound)
         self.report = SolveReport(info={"iterations_per_call": []})
+        self._backend = backend
         self._transpose_fn = transpose_fn
 
     def transpose(self, error_bound: float) -> "LinearOperator":
@@ -221,12 +219,15 @@ class LinearOperator:
         if self._transpose_fn is None:
             raise TypeError("only operators from build_rcdd_solver have a transpose")
         _check_open_unit(error_bound, "eps")
-        return LinearOperator(self._transpose_fn(error_bound), self.n, error_bound)
+        return LinearOperator(self._transpose_fn(error_bound), self.n, error_bound, self._backend)
 
     def apply(self, x) -> np.ndarray:
         x = as_vector(x, self.n)
-        y, rel_residual, iterations = self._apply_fn(x)
-        self.report.residuals.append(rel_residual)
+        spent = self._backend.iterations
+        y, refinement = self._apply_fn(x)
+        iterations = self._backend.iterations - spent
+        nb = refinement.residuals[0]
+        self.report.residuals.append(0.0 if nb == 0.0 else refinement.residuals[-1] / nb)
         self.report.iterations += iterations
         self.report.info["iterations_per_call"].append(iterations)
         return y
@@ -251,37 +252,6 @@ def varah_kappa_upper(S) -> float:
     abs_diag = np.abs(diag)
     norm_2_sq = (abs_diag + row_off).max(initial=0.0) * (abs_diag + col_off).max(initial=0.0)
     return float(np.sqrt(norm_2_sq) / np.sqrt(beta_r * beta_c))
-
-
-def _checked_apply(solver, eps: float, transpose: bool):
-    """The apply function ``x -> (z, rel, iterations)`` of an operator over a
-    solver from :func:`_phase_backend`, with ``rel = ||x - S z|| / ||x||``
-    recomputed.  Each solve runs to ``eps``, and up to three refinement steps
-    aim the residual at ``min(eps, solver.aim)``: below the contract for an
-    LU, at it for a Krylov solve.  A residual above ``eps``, or not finite,
-    raises :class:`BackendDiverged`."""
-    target = min(eps, solver.aim)
-
-    def apply_fn(x):
-        spent = solver.iterations
-        z = solver.solve(x, transpose, eps)
-        norm_x = np.linalg.norm(x)
-        rel = 0.0
-        refinements = 0
-        if norm_x != 0.0:
-            rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
-            while rel > target and refinements < 3:
-                z = z + solver.solve(x - solver.matvec(z, transpose), transpose, eps)
-                rel = np.linalg.norm(x - solver.matvec(z, transpose)) / norm_x
-                refinements += 1
-        if not rel <= eps:
-            raise BackendDiverged(
-                f"backend residual {rel:.3e} above eps={eps:.3e} after "
-                f"{refinements} refinements; matrix is too ill-conditioned"
-            )
-        return z, float(rel), solver.iterations - spent
-
-    return apply_fn
 
 
 def _bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag):
@@ -326,6 +296,150 @@ def _bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag):
     return x, cap
 
 
+def _row_entries(csr: sp.csr_matrix) -> int:
+    """The most entries stored in a row of ``csr``."""
+    return int(np.diff(csr.indptr).max(initial=0))
+
+
+def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against):
+    """Richardson refinement of ``M x = b`` from ``x = 0``, preconditioned by
+    ``precond``, until the computed residual plus a bound on its own rounding
+    meets ``eps ||b||``; ``against`` names ``M`` in the errors.  ``matvec``
+    computes ``M x`` in double, ``extended_matvec`` in ``np.longdouble``.
+    Returns ``(x, report)``, ``report.residuals`` holding the residual norms
+    from ``||b||`` to the certified one.
+
+    ``M x`` is a sum of at most ``k`` products per entry, and ``norm_abs``
+    bounds ``||abs(M)||_2``: the computed product errs by at most ``(k + 2)
+    u abs(M) abs(x)`` entrywise, ``u`` the unit of its precision, so by ``(k
+    + 2) u norm_abs ||x||`` in l2 norm; ``(n + 2)`` double units of
+    ``||b||`` and of the residual cover the rounding to double and the
+    norms.  Near a singular ``M`` ``||x||`` is large and that bound with it,
+    so it is checked after every step.  Once it leaves less than half of
+    ``eps ||b||``, the refinement goes on in ``np.longdouble`` (where that is
+    wider than double): ``x`` is carried in it, its residual computed in it,
+    and each step's candidate is ``x`` rounded to double, its residual
+    computed in extended precision too.  A bound that leaves no room raises
+    :class:`RoundingFloorHit`, and so does a candidate that misses once the
+    extended ``x`` has a residual within that residual's own rounding: the
+    rounding of ``x`` to double then sets the floor.  A refinement that runs
+    out of its ``cap`` steps, or meets a non-finite residual, raises
+    :class:`IterationCapHit`."""
+    n = b.shape[0]
+    unit = np.finfo(float).eps
+    extended_unit = np.finfo(np.longdouble).eps
+    nb = float(np.linalg.norm(b))
+    target = eps * nb
+    report = SolveReport(residuals=[nb])
+
+    def room(x, rn, product_unit):
+        bound = (k + 2) * norm_abs * product_unit * np.linalg.norm(x)
+        return target - (bound + (n + 2) * unit * (nb + rn))
+
+    def give_up(error, rn, left, why):
+        return error(
+            f"refinement against {against} cannot certify its residual {rn:.3e} within "
+            f"eps ||b|| = {target:.3e} after {report.iterations} of at most {cap} "
+            f"iterations: {why} (the residual's rounding bound leaves {left:.3e})",
+            phase=None,
+            alpha=None,
+        )
+
+    def non_finite():
+        return IterationCapHit(
+            f"refinement against {against} stopped ({NON_FINITE}) after "
+            f"{report.iterations} of at most {cap} iterations",
+            phase=None,
+            alpha=None,
+        )
+
+    # double precision, the bound checked after each step as it follows ||x||
+    x = np.zeros(n)
+    residual = matvec(x) - b
+    while True:
+        rn = report.residuals[-1]
+        left = room(x, rn, unit)
+        if rn <= left:
+            return x, report
+        if left <= 0.5 * target and extended_unit < unit:
+            break
+        if not left > 0.0:
+            raise give_up(RoundingFloorHit, rn, left, "no wider precision")
+        if report.iterations == cap:
+            raise give_up(IterationCapHit, rn, left, "out of iterations")
+        x = x - precond(residual)
+        residual = matvec(x) - b
+        report.iterations += 1
+        report.residuals.append(float(np.linalg.norm(residual)))
+        if not math.isfinite(report.residuals[-1]):
+            raise non_finite()
+
+    # extended precision: x carried in it, candidates rounded to double
+    x_ext = x.astype(np.longdouble)
+    while True:
+        r_ext = extended_matvec(x_ext) - b
+        x = x_ext.astype(float)
+        rn = float(np.linalg.norm(extended_matvec(x) - b))
+        report.residuals.append(rn)
+        if not math.isfinite(rn):
+            raise non_finite()
+        left = room(x, rn, extended_unit)
+        if rn <= left:
+            return x, report
+        if not left > 0.0:
+            raise give_up(RoundingFloorHit, rn, left, "no precision at hand is enough")
+        if np.linalg.norm(r_ext) <= (k + 2) * norm_abs * extended_unit * np.linalg.norm(x_ext):
+            raise give_up(RoundingFloorHit, rn, left, "the rounding of x to double sets the floor")
+        if report.iterations == cap:
+            raise give_up(IterationCapHit, rn, left, "out of iterations")
+        x_ext = x_ext - precond(r_ext.astype(float))
+        report.iterations += 1
+
+
+def _refined_apply(M: SparseMatrix, precond, eps: float, cap: int, against: str):
+    """``b -> (x, report)``: :func:`_refine` of ``M x = b`` to ``eps``, at
+    most ``cap`` steps of ``precond``, with the rounding terms of ``M``:
+    ``k`` the most entries in a row, ``||abs(M)||_2 <= sqrt(||M||_1
+    ||M||_inf)``, and its products in double and in ``np.longdouble``."""
+    csr = M.csr()
+    k = _row_entries(csr)
+    norms = induced_norms(M)
+    norm_abs = math.sqrt(norms.norm_1 * norms.norm_inf)
+
+    def matvec(x):
+        return csr @ x
+
+    def extended_matvec(x):
+        return csr @ x.astype(np.longdouble)
+
+    return lambda b: _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
+
+
+def _contract_apply(M: SparseMatrix, precond, eps: float, against: str):
+    """The apply function of a builder's operator: :func:`_refined_apply`
+    of ``M`` to ``eps`` in at most 4 steps (one solve and 3 refinements),
+    each one backend solve in ``precond``.  A refinement that misses ``eps``
+    (out of steps, at a rounding floor or at a non-finite residual) raises
+    :class:`BackendDiverged` from its error, as a Krylov miss does."""
+    refine = _refined_apply(M, precond, eps, 4, against)
+
+    def apply_fn(b):
+        try:
+            return refine(b)
+        except IterationCapHit as err:
+            raise BackendDiverged(str(err)) from err
+
+    return apply_fn
+
+
+def _rcdd_backend(S: SparseMatrix):
+    """The backend of an RCDD ``S`` (see :func:`_phase_backend`); raises
+    :class:`NotRCDD` when ``S`` is not RCDD within ``RCDD_VERIFY_SLACK``."""
+    if not check_rcdd(S, RCDD_VERIFY_SLACK):
+        raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
+    return _phase_backend(_storage(S.csr()))
+
+
 def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
     ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
@@ -333,16 +447,20 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     The solver comes from :func:`_phase_backend`, as every other: LAPACK LU up
     to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above.
     Raises :class:`NotRCDD` when ``S`` is not RCDD within
-    ``RCDD_VERIFY_SLACK``.  Applying the operator raises
-    :class:`BackendDiverged` when the backend misses ``eps``, a Krylov solve
-    after its last pass included; the error propagates to the caller.
+    ``RCDD_VERIFY_SLACK``.  An application refines against ``S`` by
+    :func:`_refine`, each step one solve to ``eps``, until the residual plus
+    a bound on its own rounding meets ``eps``; one that does not within 4
+    solves, a Krylov solve that misses after its last pass included, raises
+    :class:`BackendDiverged`.
     """
     _check_open_unit(eps, "eps")
-    if not check_rcdd(S, RCDD_VERIFY_SLACK):
-        raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    solver = _phase_backend(_storage(S.csr()))
-    apply_fn = _checked_apply(solver, eps, False)
-    return LinearOperator(apply_fn, S.n_rows, eps, lambda e: _checked_apply(solver, e, True))
+    solver = _rcdd_backend(S)
+
+    def apply_of(e, transpose=False):
+        M, name = (S.transpose(), "S.T") if transpose else (S, "S")
+        return _contract_apply(M, lambda x: solver.solve(x, transpose, e), e, name)
+
+    return LinearOperator(apply_of(eps), S.n_rows, eps, solver, lambda e: apply_of(e, True))
 
 
 def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
@@ -350,18 +468,20 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
 
     The energy-norm contract is enforced by driving the l2 residual below
     ``eps / sqrt(kappa_hat)`` with ``kappa_hat`` the computable dominance
-    bound on the condition number; an LU satisfies any usable ``eps``
-    outright.  The solver comes from :func:`_phase_backend`, as every other:
-    LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned
-    BiCGSTAB above.  Applying the operator raises
-    :class:`BackendDiverged` when the backend misses that l2 target.  The
-    side channel records l2 residuals.
+    bound on the condition number, by the refinement of
+    :func:`build_rcdd_solver` against ``S`` with each step one solve to that
+    l2 target.  The solver comes from :func:`_phase_backend`, as every
+    other: LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned
+    BiCGSTAB above.  Applying the operator raises :class:`BackendDiverged`
+    when it misses that l2 target.  The side channel records l2 residuals.
     """
     _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
     solver = _phase_backend(_storage(S.csr()))
-    return LinearOperator(_checked_apply(solver, _sdd_l2_tolerance(S, eps), False), S.n_rows, eps)
+    tol = _sdd_l2_tolerance(S, eps)
+    apply_fn = _contract_apply(S, lambda x: solver.solve(x, False, tol), tol, "S")
+    return LinearOperator(apply_fn, S.n_rows, eps, solver)
 
 
 def _sdd_l2_tolerance(S: SparseMatrix, eps: float) -> float:
@@ -370,4 +490,4 @@ def _sdd_l2_tolerance(S: SparseMatrix, eps: float) -> float:
     computable dominance bound on its condition number (capped at 1e12),
     floored at what double precision plus refinement can deliver."""
     kappa_hat = min(varah_kappa_upper(S), 1e12)
-    return max(eps / np.sqrt(max(kappa_hat, 1.0)), _LU_AIM)
+    return max(eps / np.sqrt(max(kappa_hat, 1.0)), _SDD_L2_FLOOR)

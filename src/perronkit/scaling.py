@@ -38,16 +38,20 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling, RoundingFloorHit
+from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
     LinearOperator,
+    _contract_apply,
     _phase_backend,
+    _rcdd_backend,
+    _refine,
+    _refined_apply,
+    _row_entries,
     _sdd_l2_tolerance,
     _storage,
-    build_rcdd_solver,
     varah_kappa_upper,
 )
-from .reports import CONVERGED, ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
+from .reports import ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
 from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
@@ -288,14 +292,14 @@ class _PhaseSolver:
         self.ell = ell
         self.r = r
         self.tol = tol
-        self._solver = _phase_backend(prob.scaled_shift(alpha2, ell, r))
-        self.S = self._solver.S
+        self.backend = _phase_backend(prob.scaled_shift(alpha2, ell, r))
+        self.S = self.backend.S
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
-        return self.r * self._solver.solve(self.ell * x, False, self.tol)
+        return self.r * self.backend.solve(self.ell * x, False, self.tol)
 
     def p_left(self, x: np.ndarray) -> np.ndarray:
-        return self.ell * self._solver.solve(self.r * x, True, self.tol)
+        return self.ell * self.backend.solve(self.r * x, True, self.tol)
 
 
 def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
@@ -767,39 +771,32 @@ def prec_richardson(M, P, b, x0=None, cfg: RichardsonConfig | None = None):
 def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolveOperators:
     """Turn an RCDD scaling of an M-matrix into approximate inverse operators.
 
-    ``p_right`` applies ``x -> R Z(L x)`` with the inner dominant solve run at
-    tolerance ``delta / kappa(L)``, giving ``||b - M p_right(b)||_2 <= delta
-    ||b||_2`` per call (the transpose statement holds for ``p_left`` at
-    tolerance ``delta / kappa(R)``).  The condition numbers of the diagonal
-    scalings are computed exactly as max over min entry.  Both operators
-    share one RCDD check and one solver of ``L M R`` (one LAPACK
-    factorization, up to the dense cutoff).
+    ``p_right`` refines against ``M`` to ``||b - M p_right(b)||_2 <= delta
+    ||b||_2`` per call, each step ``x -> R Z(L x)`` with the inner dominant
+    solve ``Z`` run at tolerance ``delta / kappa(L)``, which alone meets
+    the contract (``p_left`` likewise against ``M.T``, at tolerance ``delta
+    / kappa(R)``); the refinement of :func:`build_rcdd_solver`, with its
+    errors.  The condition numbers of the diagonal scalings are computed
+    exactly as max over min entry.  Both operators share one RCDD check and
+    one solver of ``L M R`` (one LAPACK factorization, up to the dense
+    cutoff).
     """
     _check_open_unit(delta, "delta")
     ell, r = scale.left, scale.right
     if ell.shape[0] != M.n_rows or r.shape[0] != M.n_cols:
         raise ValueError("scaling length does not match the matrix")
-    S = apply_scaling(ell, M, r)
-    Z_right = build_rcdd_solver(S, delta / scale.kappa_left)
-    Z_left = Z_right.transpose(delta / scale.kappa_right)
+    solver = _rcdd_backend(apply_scaling(ell, M, r))
+    tol_right, tol_left = delta / scale.kappa_left, delta / scale.kappa_right
 
-    csr = M.csr()
-    csr_t = M.csr_transpose()
+    def right(x):
+        return r * solver.solve(ell * x, False, tol_right)
 
-    def right_fn(x):
-        y = r * Z_right.apply(ell * x)
-        nx = np.linalg.norm(x)
-        rel = 0.0 if nx == 0.0 else float(np.linalg.norm(x - csr @ y) / nx)
-        return y, rel, Z_right.report.info["iterations_per_call"][-1]
+    def left(x):
+        return ell * solver.solve(r * x, True, tol_left)
 
-    def left_fn(x):
-        y = ell * Z_left.apply(r * x)
-        nx = np.linalg.norm(x)
-        rel = 0.0 if nx == 0.0 else float(np.linalg.norm(x - csr_t @ y) / nx)
-        return y, rel, Z_left.report.info["iterations_per_call"][-1]
-
-    p_right = LinearOperator(right_fn, M.n_rows, delta)
-    p_left = LinearOperator(left_fn, M.n_rows, delta)
+    n = M.n_rows
+    p_right = LinearOperator(_contract_apply(M, right, delta, "M"), n, delta, solver)
+    p_left = LinearOperator(_contract_apply(M.transpose(), left, delta, "M.T"), n, delta, solver)
     return MSolveOperators(p_right=p_right, p_left=p_left, delta=delta)
 
 
@@ -858,106 +855,6 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
     report.info["solver_tolerance"] = _scan_tolerance(K)
     return prob, pair, report
-
-
-def _row_entries(csr: sp.csr_matrix) -> int:
-    """The most entries stored in a row of ``csr``."""
-    return int(np.diff(csr.indptr).max(initial=0))
-
-
-def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against):
-    """Richardson refinement of ``M x = b`` from ``x = 0``, preconditioned by
-    ``precond``, until the computed residual plus a bound on its own rounding
-    meets ``eps ||b||``; ``against`` names ``M`` in the errors.  ``matvec``
-    computes ``M x`` in double, ``extended_matvec`` in ``np.longdouble``.
-    Returns ``(x, report)``, ``report.residuals`` holding the residual norms
-    from ``||b||`` to the certified one.
-
-    ``M x`` is a sum of at most ``k`` products per entry, and ``norm_abs``
-    bounds ``||abs(M)||_2``: the computed product errs by at most ``(k + 2)
-    u abs(M) abs(x)`` entrywise, ``u`` the unit of its precision, so by ``(k
-    + 2) u norm_abs ||x||`` in l2 norm; ``(n + 2)`` double units of
-    ``||b||`` and of the residual cover the rounding to double and the
-    norms.  Near a singular ``M`` ``||x||`` is large and that bound with it,
-    so it is checked after every step.  Once it leaves less than half of
-    ``eps ||b||``, the refinement goes on in ``np.longdouble`` (where that is
-    wider than double): ``x`` is carried in it, its residual computed in it,
-    and each step's candidate is ``x`` rounded to double, its residual
-    computed in extended precision too.  A bound that leaves no room raises
-    :class:`RoundingFloorHit`, and so does a candidate that misses once the
-    extended ``x`` has a residual within that residual's own rounding: the
-    rounding of ``x`` to double then sets the floor.  A refinement that runs
-    out of its ``cap`` steps, or meets a non-finite residual, raises
-    :class:`IterationCapHit`."""
-    n = b.shape[0]
-    unit = np.finfo(float).eps
-    extended_unit = np.finfo(np.longdouble).eps
-    nb = float(np.linalg.norm(b))
-    target = eps * nb
-    report = SolveReport(residuals=[nb])
-
-    def room(x, rn, product_unit):
-        bound = (k + 2) * norm_abs * product_unit * np.linalg.norm(x)
-        return target - (bound + (n + 2) * unit * (nb + rn))
-
-    def give_up(error, rn, left, why):
-        return error(
-            f"refinement against {against} cannot certify its residual {rn:.3e} within "
-            f"eps ||b|| = {target:.3e} after {report.iterations} of at most {cap} "
-            f"iterations: {why} (the residual's rounding bound leaves {left:.3e})",
-            phase=None,
-            alpha=None,
-        )
-
-    def non_finite():
-        return IterationCapHit(
-            f"refinement against {against} stopped ({NON_FINITE}) after "
-            f"{report.iterations} of at most {cap} iterations",
-            phase=None,
-            alpha=None,
-        )
-
-    # double precision, the bound checked after each step as it follows ||x||
-    x = np.zeros(n)
-    residual = matvec(x) - b
-    while True:
-        rn = report.residuals[-1]
-        left = room(x, rn, unit)
-        if rn <= left:
-            return x, report
-        if left <= 0.5 * target and extended_unit < unit:
-            break
-        if not left > 0.0:
-            raise give_up(RoundingFloorHit, rn, left, "no wider precision")
-        if report.iterations == cap:
-            raise give_up(IterationCapHit, rn, left, "out of iterations")
-        x = x - precond(residual)
-        residual = matvec(x) - b
-        report.iterations += 1
-        report.residuals.append(float(np.linalg.norm(residual)))
-        if not math.isfinite(report.residuals[-1]):
-            raise non_finite()
-
-    # extended precision: x carried in it, candidates rounded to double
-    x_ext = x.astype(np.longdouble)
-    while True:
-        r_ext = extended_matvec(x_ext) - b
-        x = x_ext.astype(float)
-        rn = float(np.linalg.norm(extended_matvec(x) - b))
-        report.residuals.append(rn)
-        if not math.isfinite(rn):
-            raise non_finite()
-        left = room(x, rn, extended_unit)
-        if rn <= left:
-            return x, report
-        if not left > 0.0:
-            raise give_up(RoundingFloorHit, rn, left, "no precision at hand is enough")
-        if np.linalg.norm(r_ext) <= (k + 2) * norm_abs * extended_unit * np.linalg.norm(x_ext):
-            raise give_up(RoundingFloorHit, rn, left, "the rounding of x to double sets the floor")
-        if report.iterations == cap:
-            raise give_up(IterationCapHit, rn, left, "out of iterations")
-        x_ext = x_ext - precond(r_ext.astype(float))
-        report.iterations += 1
 
 
 def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
@@ -1023,13 +920,9 @@ def _refined_operator(A, s, eps, K, prob, pair, alpha) -> LinearOperator:
     cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(n * max(K, 2.0) / eps)))
 
     def apply_fn(b):
-        x, report = _refine(
-            b, eps, true_matvec, extended_matvec, k, norm_abs, precond, cap, "s I - A"
-        )
-        nb = report.residuals[0]
-        return x, (0.0 if nb == 0.0 else report.residuals[-1] / nb), report.iterations
+        return _refine(b, eps, true_matvec, extended_matvec, k, norm_abs, precond, cap, "s I - A")
 
-    return LinearOperator(apply_fn, n, eps)
+    return LinearOperator(apply_fn, n, eps, solver.backend)
 
 
 # ----------------------------------------------------------------------
@@ -1122,30 +1015,12 @@ def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
     v, S, scale_report = _symmetric_scaling(A, M, 0.0, _SHIFT_SEARCH)
     solver = _phase_backend(_storage(S.csr()))
     tol = _sdd_l2_tolerance(S, 0.25)
-    csr = M.csr()
-    norms = induced_norms(M)
-
-    def matvec(x):
-        return csr @ x
-
-    def extended_matvec(x):
-        return csr @ x.astype(np.longdouble)
 
     def precond(x):
         return v * solver.solve(v * x, False, tol)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
-    x, report = _refine(
-        b,
-        delta,
-        matvec,
-        extended_matvec,
-        _row_entries(csr),
-        math.sqrt(norms.norm_1 * norms.norm_inf),
-        precond,
-        cap,
-        "M",
-    )
+    x, report = _refined_apply(M, precond, delta, cap, "M")(b)
     report.phases = scale_report.phases
     report.info.update(scale_report.info, scaling=v)
     return x, report

@@ -28,13 +28,18 @@ import perronkit.perron
 import perronkit.rcdd
 import perronkit.scaling
 from perronkit import (
+    BackendDiverged,
     IterationCapHit,
+    NotRCDD,
+    RoundingFloorHit,
     ScalingPair,
     SparseMatrix,
+    build_rcdd_solver,
     compute_perron,
     factor_width2_solve,
     katz_centrality,
     mmatrix_scale,
+    solve_from_scale,
     solve_m,
     symm_scale,
     symm_solve,
@@ -516,7 +521,7 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
     count_calls(monkeypatch, counts, perronkit.rcdd, "check_rcdd")
-    count_calls(monkeypatch, counts, perronkit.scaling, "build_rcdd_solver")
+    count_calls(monkeypatch, counts, perronkit.rcdd, "build_rcdd_solver")
     count_calls(monkeypatch, counts, perronkit.scaling, "solve_from_scale")
     rng = np.random.default_rng(55)
     A_dense = random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n))
@@ -545,7 +550,7 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
     count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
-    count_calls(monkeypatch, counts, perronkit.scaling, "build_rcdd_solver")
+    count_calls(monkeypatch, counts, perronkit.rcdd, "build_rcdd_solver")
     pairs = []
     real_pair = perronkit.scaling._CWBracket.checked_pair
 
@@ -578,6 +583,49 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
     assert (pair.s, pair.alpha) == (s_mid, eps / 3.0)
     S = apply_scaling(pair.left, shifted_m_matrix(A, s_mid, eps / 3.0), pair.right)
     assert check_rcdd(S, RCDD_VERIFY_SLACK)
+
+
+def test_solve_m_reports_the_krylov_iterations_it_ran(monkeypatch):
+    """Above the cutoff a ``solve_m`` operator's ``report.iterations``
+    counts the BiCGSTAB iterations its applications ran, as every
+    operator's does, and not its refinement steps."""
+    rng = np.random.default_rng(56)
+    A = sparse_m_matrix(rng)
+    op = solve_m(A, 1.0, 1e-8, 100.0)
+    ran = [0]
+    real_core = perronkit.rcdd._bicgstab_core
+
+    def core(*args):
+        x, its = real_core(*args)
+        ran[0] += its
+        return x, its
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", core)
+    for _ in range(3):
+        op.apply(rng.normal(size=A.n_rows))
+    assert ran[0] > 0 and op.report.iterations == ran[0]
+    assert sum(op.report.info["iterations_per_call"]) == ran[0]
+
+
+def test_a_builders_rounding_floor_is_a_backend_divergence():
+    """At n = 400 the rounding of a residual's norms alone, ``(n + 2) u
+    ||b||``, exceeds ``eps ||b||`` at eps = 1e-16: applying the RCDD
+    solver raises :class:`BackendDiverged` from the refinement's
+    :class:`RoundingFloorHit`."""
+    rng = np.random.default_rng(57)
+    n = 400
+    assert (n + 2) * np.finfo(float).eps > 1e-16
+    Z = build_rcdd_solver(SparseMatrix.from_dense(random_strictly_rcdd_dense(rng, n)), 1e-16)
+    with pytest.raises(BackendDiverged) as raised:
+        Z.apply(rng.normal(size=n))
+    assert isinstance(raised.value.__cause__, RoundingFloorHit)
+
+
+def test_solve_from_scale_rejects_a_scaling_that_is_not_rcdd():
+    """``solve_from_scale`` checks ``L M R`` RCDD when it builds."""
+    M = SparseMatrix.from_dense([[1.0, -2.0], [-2.0, 1.0]])
+    with pytest.raises(NotRCDD):
+        solve_from_scale(M, ScalingPair(np.ones(2), np.ones(2), alpha=0.0, s=1.0), 1e-6)
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
