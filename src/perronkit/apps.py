@@ -10,7 +10,8 @@ included, whose negatives hold for any budget.  A negative raises
 whose CW lower bound proves it (none when a strongly connected block of a
 reducible ``B`` does), or for Leontief returns False.  A positive verdict's
 pair, checked to scale ``I - B`` RCDD, proves the kernel's error bound, and
-``solve_m``'s operator on that checked matrix solves with no scan.
+the operator :func:`solve_m` builds from the bracket's unshifted pair
+(``scaling._pair_operator``) solves on that checked matrix, with no scan.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .perron import (
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import ScalingPair, _CWBracket, _cw_bounds, _Problem, _rcdd_checked, _refined_operator
+from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator, _Problem, _rcdd_checked
 from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
 
 __all__ = [
@@ -124,19 +125,7 @@ def indicator_similarity(label_g: int, label_h: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# shared solve plumbing
-
-
-def _inverse_norm_bounds(B: SparseMatrix, pair: ScalingPair) -> tuple[float, float]:
-    """Bounds on ``(||(I - B)^-1||_inf, ||(I - B)^-1||_1)`` from a pair whose
-    CW upper bounds ``c_r`` (right vector on ``B``) and ``c_l`` (left vector
-    on ``B.T``), recomputed here, lie below 1.  ``B r <= c_r r`` gives ``(I -
-    B) r >= (1 - c_r) r``, and as ``(I - B)^-1`` is nonnegative its row sums
-    are at most ``kappa(r) / (1 - c_r)``; the left vector bounds the column
-    sums by ``kappa(l) / (1 - c_l)`` likewise."""
-    c_right = _cw_bounds(B, pair.right)[1]
-    c_left = _cw_bounds(B, pair.left, transpose=True)[1]
-    return pair.kappa_right / (1.0 - c_right), pair.kappa_left / (1.0 - c_left)
+# the shared decay decision
 
 
 def _decide_decay(B: SparseMatrix):
@@ -153,8 +142,7 @@ def _decide_decay(B: SparseMatrix):
         valid, cert = certify_spectral_bound(B, 1.0)
         if not valid:
             return False, cert
-        pair = ScalingPair(left=cert.left, right=cert.right, alpha=0.0, s=1.0)
-        found = _rcdd_checked(_Problem(B, 1.0), pair)
+        found = _rcdd_checked(_Problem(B, 1.0), ScalingPair(cert.left, cert.right, 0.0, 1.0))
     else:
         bracket = _CWBracket(B)
         found = bracket.checked_pair(1.0, 0.0)
@@ -193,18 +181,6 @@ def _certify_reducible_decay(B: SparseMatrix) -> bool:
     return True
 
 
-def _solve_decayed(B: SparseMatrix, rhs: np.ndarray, eps: float, found):
-    """Solve ``(I - B) x = rhs`` to ``eps`` with ``solve_m``'s operator
-    (``scaling._refined_operator``) on the ``(prob, pair)`` of
-    :func:`_decide_decay`, at ``s = 1`` and no shift: its preconditioner is
-    the unshifted ``diag(l) (I - B) diag(r)`` the pair was checked on, at
-    the conditioning bound the pair proves (:func:`_inverse_norm_bounds`).
-    Its errors propagate."""
-    prob, pair = found
-    op = _refined_operator(B, 1.0, eps, max(_inverse_norm_bounds(B, pair)), prob, pair, 0.0)
-    return op.apply(rhs), op.report
-
-
 # ----------------------------------------------------------------------
 # applications
 
@@ -238,7 +214,8 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     valid, proof = _decide_decay(B)
     if not valid:
         raise _diverges(DecayTooLarge, "rho(alpha A)", "Katz", proof)
-    return _solve_decayed(B, b, eps, proof)
+    op = _pair_operator(B, eps, *proof)
+    return op.apply(b), op.report
 
 
 def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
@@ -259,13 +236,12 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
             raise ValueError("demand must be nonnegative")
     if A.nnz == 0:
         return True, (d.copy() if d is not None else None)
-    valid, pair = _decide_decay(A)
+    valid, proof = _decide_decay(A)
     if not valid:
         return False, None
     if d is None or not np.any(d > 0.0):
         return True, (np.zeros(A.n_rows) if d is not None else None)
-    x, _ = _solve_decayed(A, d, eps, pair)
-    return True, x
+    return True, _pair_operator(A, eps, *proof).apply(d)
 
 
 def _gram_irreducibility(A: SparseMatrix) -> tuple[bool, bool]:
@@ -402,12 +378,11 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     valid, proof = _decide_decay(B)
     if not valid:
         raise _diverges(KernelDiverges, "lam * rho(W)", "kernel", proof)
-    x, report = _solve_decayed(B, p, eps, proof)
+    op = _pair_operator(B, eps, *proof)
     inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, proof[1])))
-    value = float(q @ x)
     bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
-    report.info["scalar_error_bound"] = bound
-    return value, report
+    op.report.info["scalar_error_bound"] = bound
+    return float(q @ op.apply(p)), op.report
 
 
 def load_labeled_graph(path) -> LabeledGraph:

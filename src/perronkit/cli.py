@@ -68,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", type=Path, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--k", type=float, default=1e6, help="conditioning bound K")
+    p.add_argument(
+        "--k", type=float, default=1e6, help="conditioning bound K, used only when the bracket settles nothing"
+    )
     common(p)
 
     p = sub.add_parser("solve", help="solve (s I - A) x = b")
@@ -76,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=Path, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--k", type=float, default=1e6, help="conditioning bound K")
+    p.add_argument(
+        "--k", type=float, default=1e6, help="conditioning bound K, used only when the bracket settles nothing"
+    )
     common(p)
 
     p = sub.add_parser("katz", help="Katz centrality (I - alpha A)^-1 b")

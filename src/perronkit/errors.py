@@ -37,11 +37,11 @@ class BackendDiverged(PerronKitError):
     refinement's :class:`IterationCapHit` or :class:`RoundingFloorHit`.
 
     Raised when an operator is applied.  It propagates from the operators of
-    ``build_rcdd_solver``, ``build_sdd_solver``, ``solve_from_scale`` and
-    ``solve_m``, from the refinement steps of ``symm_solve`` and
-    ``factor_width2_solve``, from the solves of Katz, Leontief and the
-    kernel (``solve_m``'s operator, with no fallback), and through the CLI
-    (exit status 1).  Everywhere else a miss has one typed outcome: the
+    ``build_rcdd_solver``, ``build_sdd_solver`` and ``solve_from_scale``,
+    from the refinement steps of ``symm_solve`` and ``factor_width2_solve``,
+    from the one operator ``solve_m`` shares with the solves of Katz,
+    Leontief and the kernel (with no fallback on either), and through the
+    CLI (exit status 1).  Everywhere else a miss has one typed outcome: the
     shift-and-invert bracket counts it as a failed bracket, every halving
     scan, strict or not, one-sided or not, as its ``"solver budget"``
     failure, and the polish of a Perron pair ends with its last positive

@@ -312,45 +312,45 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
     ``M x`` is a sum of at most ``k`` products per entry, and ``norm_abs``
     bounds ``||abs(M)||_2``: the computed product errs by at most ``(k + 2)
     u abs(M) abs(x)`` entrywise, ``u`` the unit of its precision, so by ``(k
-    + 2) u norm_abs ||x||`` in l2 norm; ``(n + 2)`` double units of
-    ``||b||`` and of the residual cover the rounding to double and the
-    norms.  Near a singular ``M`` ``||x||`` is large and that bound with it,
-    so it is checked after every step.  Once it leaves less than half of
-    ``eps ||b||``, the refinement goes on in ``np.longdouble`` (where that is
-    wider than double): ``x`` is carried in it, its residual computed in it,
-    and each step's candidate is ``x`` rounded to double, its residual
-    computed in extended precision too.  A bound that leaves no room raises
-    :class:`RoundingFloorHit`, and so does a candidate that misses once the
-    extended ``x`` has a residual within that residual's own rounding: the
-    rounding of ``x`` to double then sets the floor.  A refinement that runs
-    out of its ``cap`` steps, or meets a non-finite residual, raises
-    :class:`IterationCapHit`."""
+    + 2) u norm_abs ||x||`` in l2 norm.  The norms of ``b`` and of the
+    residual, summed in ``np.longdouble``, and the residual's ``(k + 2) u
+    abs(b)`` are charged ``(n + 2)`` extended units plus ``(k + 3)`` double
+    units of each norm, or ``(n + 2)`` double units where that is less (as
+    it is where ``np.longdouble`` is no wider).  Near a singular ``M``
+    ``||x||`` is large and that bound with it, so it is checked after every
+    step.  Once it leaves less than half of ``eps ||b||``, the refinement
+    goes on in ``np.longdouble`` (where that is wider than double): ``x`` is
+    carried in it, its residual computed in it, and each step's candidate is
+    ``x`` rounded to double, its residual computed in extended precision
+    too.  A bound that leaves no room raises :class:`RoundingFloorHit`, and
+    so does a candidate that misses once the extended ``x`` has a residual
+    within that residual's own rounding: the rounding of ``x`` to double
+    then sets the floor.  A refinement that runs out of its ``cap`` steps, or
+    meets a non-finite residual, raises :class:`IterationCapHit`."""
     n = b.shape[0]
     unit = np.finfo(float).eps
     extended_unit = np.finfo(np.longdouble).eps
-    nb = float(np.linalg.norm(b))
+    nb = float(np.linalg.norm(b.astype(np.longdouble)))
     target = eps * nb
     report = SolveReport(residuals=[nb])
+    # the charge on ||b|| and on the residual's norm (see above)
+    norm_unit = min((n + 2) * unit, (n + 2) * extended_unit + (k + 3) * unit)
 
     def room(x, rn, product_unit):
         bound = (k + 2) * norm_abs * product_unit * np.linalg.norm(x)
-        return target - (bound + (n + 2) * unit * (nb + rn))
+        return target - (bound + norm_unit * (nb + rn))
 
     def give_up(error, rn, left, why):
         return error(
             f"refinement against {against} cannot certify its residual {rn:.3e} within "
             f"eps ||b|| = {target:.3e} after {report.iterations} of at most {cap} "
             f"iterations: {why} (the residual's rounding bound leaves {left:.3e})",
-            phase=None,
-            alpha=None,
         )
 
     def non_finite():
         return IterationCapHit(
             f"refinement against {against} stopped ({NON_FINITE}) after "
             f"{report.iterations} of at most {cap} iterations",
-            phase=None,
-            alpha=None,
         )
 
     # double precision, the bound checked after each step as it follows ||x||
@@ -370,7 +370,7 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
         x = x - precond(residual)
         residual = matvec(x) - b
         report.iterations += 1
-        report.residuals.append(float(np.linalg.norm(residual)))
+        report.residuals.append(float(np.linalg.norm(residual.astype(np.longdouble))))
         if not math.isfinite(report.residuals[-1]):
             raise non_finite()
 

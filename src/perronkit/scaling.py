@@ -11,8 +11,11 @@ Every fixed-shift entry point takes that path first: :func:`mmatrix_scale`,
 :func:`solve_m`, the M-matrix decision and the symmetric entry points, for
 which the right iterate alone suffices (for symmetric ``A``,
 ``V (c I - A) V`` is SDD exactly when ``A v < c v``), so their bracket
-solves for no left iterate.  Above the dense cutoff a bracket step only
-writes new values into matrices built once per bracket.
+solves for no left iterate.  :func:`solve_m` decides at ``s`` itself, as
+Katz, Leontief and the kernel decide ``rho(B) < 1``, and all four solve
+with one operator of that unshifted pair (``_pair_operator``).  Above the
+dense cutoff a bracket step only writes new values into matrices built once
+per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -833,8 +836,6 @@ def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetri
         raise IterationCapHit(
             f"rho(A) >= {bound} certified: a Collatz-Wielandt lower bound puts rho(A) "
             f"at {bracket.lower:.6e} or above",
-            phase=None,
-            alpha=None,
         )
     return found, bracket.factorizations
 
@@ -848,7 +849,6 @@ def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
 def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     """:func:`mmatrix_scale` plus the problem whose ``scaled_shift(eps, left,
     right)`` it checked RCDD: ``(prob, pair, report)``."""
-    _check_scale_args(A, s, eps, K)
     try:
         prob, pair, report = _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
@@ -860,34 +860,56 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
 def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     """Operator ``P`` with ``||b - (s I - A) P(b)||_2 <= eps ||b||_2``.
 
-    Scales the slightly shifted matrix ``(1+eps/3)(1+eps/2) s I - A`` (the
-    composed shift stays within ``(1+eps) s``) and builds its operator from
-    the scaled matrix it checked RCDD (:func:`_refined_operator`).  The
-    scaling is the shift-and-invert bracket's pair when
-    :meth:`_CWBracket.checked_pair` finds one at that shift, which needs no
-    ``K``; only when the bracket settles nothing does the halving scan at
-    conditioning bound ``K`` run.  A bracket whose CW lower bound reaches
-    the shift raises :class:`IterationCapHit`: ``rho(A) >= s`` is then
-    certified, whatever ``K``.  So do a miss of the scan's phase solves and
-    a refinement that runs out of iterations; a refinement that rounding
-    keeps from the contract raises :class:`RoundingFloorHit`, which no
-    larger ``K`` repairs, and applying the operator raises
-    :class:`BackendDiverged` when a preconditioner solve misses.
-    ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on
-    the bracket path) and the bracket's steps (``"bracket_steps"``).
+    The shift-and-invert bracket decides ``rho(A) < s`` at ``s`` itself,
+    with no ``K``, and a True verdict's pair, checked to scale ``s I - A``
+    RCDD, builds the operator the applications build (:func:`_pair_operator`):
+    each step solves with that unshifted scaled matrix, so it contracts
+    however close ``rho(A)`` is to ``s``.  A CW lower bound that reaches
+    ``s`` raises :class:`IterationCapHit`: ``rho(A) >= s`` is certified,
+    whatever ``K``.  Only a bracket that settles nothing (it fails, or its
+    bounds meet within rounding of ``s``) hands over to the halving scan at
+    conditioning bound ``K``, on ``(1+eps/3)(1+eps/2) s I - A`` (within
+    ``(1+eps) s``), whose pair preconditions the same refinement
+    (:func:`_refined_operator`); a miss of its phase solves, and a
+    refinement out of iterations, raise :class:`IterationCapHit`.  A
+    refinement that rounding keeps from the contract raises
+    :class:`RoundingFloorHit`, which no larger ``K`` repairs, and a
+    preconditioner solve that misses :class:`BackendDiverged`.
+    ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on the
+    bracket path) and the bracket's steps (``"bracket_steps"``).
     """
     _check_open_unit(eps, "eps")
     _check_scale_args(A, s, eps, K)
-    s_mid = s * (1.0 + eps / 2.0)
-    found, steps = _bracket_pair(A, s_mid, eps / 3.0, "s")
-    if found is None:
-        prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
-        phases = len(scale_report.phases)
+    found, steps = _bracket_pair(A, s, 0.0, "s")
+    if found is not None:
+        op, phases = _pair_operator(A, eps, *found), 0
     else:
-        (prob, pair), phases = found, 0
-    op = _refined_operator(A, s, eps, K, prob, pair, eps / 3.0)
+        s_mid = s * (1.0 + eps / 2.0)
+        prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
+        op, phases = _refined_operator(A, s, eps, K, prob, pair, eps / 3.0), len(scale_report.phases)
     op.report.info.update(scaling_phases=phases, bracket_steps=steps)
     return op
+
+
+def _inverse_norm_bounds(A: SparseMatrix, pair: ScalingPair) -> tuple[float, float]:
+    """Bounds on ``(s ||(s I - A)^-1||_inf, s ||(s I - A)^-1||_1)``, ``s =
+    pair.s``, from a pair whose CW upper bounds over ``s``, ``c_r`` (right
+    vector on ``A``) and ``c_l`` (left vector on ``A.T``), recomputed here,
+    lie below 1.  ``A r <= c_r s r`` gives ``(I - A / s) r >= (1 - c_r) r``,
+    and as ``(I - A / s)^-1`` is nonnegative its row sums are at most
+    ``kappa(r) / (1 - c_r)``; the left vector bounds the column sums by
+    ``kappa(l) / (1 - c_l)`` likewise."""
+    c_right = _cw_bounds(A, pair.right)[1] / pair.s
+    c_left = _cw_bounds(A, pair.left, transpose=True)[1] / pair.s
+    return pair.kappa_right / (1.0 - c_right), pair.kappa_left / (1.0 - c_left)
+
+
+def _pair_operator(A: SparseMatrix, eps: float, prob: _Problem, pair: ScalingPair):
+    """:func:`_refined_operator` of a pair checked at no shift (``prob`` is
+    ``A / pair.s``), at the conditioning bound the pair proves
+    (:func:`_inverse_norm_bounds`): the operator of :func:`solve_m` on the
+    bracket path and of Katz, Leontief and the kernel."""
+    return _refined_operator(A, pair.s, eps, max(_inverse_norm_bounds(A, pair)), prob, pair, 0.0)
 
 
 def _refined_operator(A, s, eps, K, prob, pair, alpha) -> LinearOperator:
@@ -909,20 +931,18 @@ def _refined_operator(A, s, eps, K, prob, pair, alpha) -> LinearOperator:
         return s * x - csr @ x
 
     def extended_matvec(x):
-        x = x.astype(np.longdouble)
-        return s * x - csr @ x
+        return true_matvec(x.astype(np.longdouble))
 
     def precond(x):
         return solver.p_right(x) / pair.s
 
-    n = A.n_rows
     gap = (1.0 + alpha) * pair.s / s - 1.0
-    cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(n * max(K, 2.0) / eps)))
+    cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(A.n_rows * max(K, 2.0) / eps)))
 
     def apply_fn(b):
         return _refine(b, eps, true_matvec, extended_matvec, k, norm_abs, precond, cap, "s I - A")
 
-    return LinearOperator(apply_fn, n, eps, solver.backend)
+    return LinearOperator(apply_fn, A.n_rows, eps, solver.backend)
 
 
 # ----------------------------------------------------------------------

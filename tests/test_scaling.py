@@ -387,9 +387,10 @@ def test_near_singular_meets_every_contract(n, cutoff, monkeypatch):
     M-matrix with a pair checked RCDD and ``rho < 1`` with both CW upper
     bounds below 1, at ``rho / s = 1 + 1e-9`` it refutes ``rho < 1 + eps``
     with a certificate that recomputes, and ``solve_m`` at a valid ``K``
-    meets its contract.  The Krylov case moves the dense cutoff below
-    ``n``; its refinement, about 1e4 preconditioned solves at this gap, is
-    run on the dense case only."""
+    meets its contract at eps 1e-4, 1e-5 and 1e-6 from the bracket's
+    unshifted pair, on LAPACK in at most 2 solves (a preconditioner shifted
+    by about eps contracted by only about ``gap / eps`` a step).  The
+    Krylov case moves the dense cutoff below ``n``."""
     monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", cutoff)
     M = random_irreducible_dense(np.random.default_rng(90), n, density=min(0.3, 5.0 / n))
     rho, _ = dense_spectral_radius(M, tol=1e-14)
@@ -422,12 +423,13 @@ def test_near_singular_meets_every_contract(n, cutoff, monkeypatch):
     )
     assert lower * (1 - tol) >= 1 + eps
 
-    if n <= cutoff:
-        eps = 1e-6
+    b = np.linspace(1.0, 2.0, n)
+    for eps in (1e-4, 1e-5, 1e-6):
         op = solve_m(A, 1.0, eps, K)
         assert op.report.info["scaling_phases"] == 0
-        b = np.linspace(1.0, 2.0, n)
         x = op.apply(b)
+        if n <= cutoff:
+            assert op.report.iterations <= 2
         # recomputed in extended precision: at this gap ||x|| is about 1e9
         # ||b||, and a double residual errs by a few percent of eps
         ext = np.longdouble

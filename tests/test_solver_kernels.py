@@ -545,8 +545,8 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
 def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
     """On the bracket path ``solve_m`` runs no scan: it checks the bracket's
     pair RCDD once and builds one solver per bracket step and one of the
-    checked matrix.  The pair, recomputed here, makes
-    ``(1 + eps/3) s_mid I - A`` RCDD."""
+    checked matrix.  The pair is the bracket's at ``s`` with no shift and,
+    recomputed here, makes ``s I - A`` itself RCDD."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
     count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
@@ -579,9 +579,8 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
         "build_rcdd_solver": 0,
     }
     ((_, pair),) = pairs
-    s_mid = 1.0 + eps / 2.0
-    assert (pair.s, pair.alpha) == (s_mid, eps / 3.0)
-    S = apply_scaling(pair.left, shifted_m_matrix(A, s_mid, eps / 3.0), pair.right)
+    assert (pair.s, pair.alpha) == (1.0, 0.0)
+    S = apply_scaling(pair.left, shifted_m_matrix(A, 1.0), pair.right)
     assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
 
@@ -619,6 +618,28 @@ def test_a_builders_rounding_floor_is_a_backend_divergence():
     with pytest.raises(BackendDiverged) as raised:
         Z.apply(rng.normal(size=n))
     assert isinstance(raised.value.__cause__, RoundingFloorHit)
+
+
+def test_a_builders_rounding_floor_does_not_grow_with_n():
+    """The refinement sums the norms of ``b`` and of the residual in
+    ``np.longdouble``, so its charge for them no longer grows as ``(n + 2)
+    u``: at n = 1000, where ``(n + 2) u`` alone is above half of eps =
+    1e-13, a well-conditioned sparse RCDD matrix meets that eps, forward
+    and transposed, its residual recomputed here in extended precision."""
+    rng = np.random.default_rng(58)
+    n, eps = 1000, 1e-13
+    assert (n + 2) * np.finfo(float).eps > eps / 2.0
+    rows, cols = np.repeat(np.arange(n), 4), rng.integers(0, n, 4 * n)
+    keep = rows != cols
+    off = sp.csr_matrix((rng.normal(size=keep.sum()), (rows[keep], cols[keep])), shape=(n, n))
+    dominance = np.maximum(abs(off).sum(axis=0).A1, abs(off).sum(axis=1).A1)
+    S = (off + sp.diags(1.2 * dominance + 0.2)).tocsr()
+    Z = build_rcdd_solver(SparseMatrix.from_scipy(S), eps)
+    for op, M in ((Z, S), (Z.transpose(eps), S.T.tocsr())):
+        b = rng.normal(size=n)
+        x = op.apply(b)
+        residual = b.astype(np.longdouble) - M @ x.astype(np.longdouble)
+        assert np.linalg.norm(residual) <= eps * np.linalg.norm(b.astype(np.longdouble))
 
 
 def test_solve_from_scale_rejects_a_scaling_that_is_not_rcdd():
