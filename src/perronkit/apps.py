@@ -4,13 +4,14 @@ triplet, and random-walk graph kernels.
 Each application reduces to either an M-matrix solve (``(I - B) x = b`` with
 ``rho(B) < 1``) or a Perron computation on an explicitly formed Gram matrix.
 Katz, Leontief and the kernel decide ``rho(B) < 1`` by one decision that
-needs no conditioning budget (:func:`_decide_decay`), reducible ``B``
-included, whose negatives hold for any budget.  A negative raises
-:class:`DecayTooLarge` or :class:`KernelDiverges` carrying the certificate
-whose CW lower bound proves it (none when a strongly connected block of a
-reducible ``B`` does), or for Leontief returns False.  A positive verdict's
-pair, checked to scale ``I - B`` RCDD, proves the kernel's error bound, and
-the operator :func:`solve_m` builds from the bracket's unshifted pair
+needs no conditioning budget (:func:`_decide_decay`), the whole matrix's
+shift-and-invert bracket, whose negatives hold for any budget.  A negative
+raises :class:`DecayTooLarge` or :class:`KernelDiverges` carrying the
+certificate whose CW lower bound proves it (none when a strongly connected
+block of a reducible ``B`` does), or for Leontief returns False.  A
+positive verdict's pair, usually the bracket's iterates, checked to scale
+``I - B`` RCDD, proves the kernel's error bound, and the operator
+:func:`solve_m` builds from the bracket's unshifted pair
 (``scaling._pair_operator``) solves on that checked matrix, with no scan.
 """
 
@@ -26,6 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DecayTooLarge, IterationCapHit, KernelDiverges, ReducibleGram
 from .perron import (
     _certificate,
+    _certify,
     _relative_residual,
     certify_spectral_bound,
     compute_perron,
@@ -132,24 +134,25 @@ def _decide_decay(B: SparseMatrix):
     """``rho(B) < 1`` for square nonnegative ``B``: ``(True, (prob, pair))``
     with ``diag(l) (I - B) diag(r)`` checked RCDD (``scaling._rcdd_checked``),
     or ``(False, cert)`` with the certificate whose CW lower bound proves
-    ``rho(B) >= 1``.  Irreducible ``B`` goes to
-    :func:`certify_spectral_bound`, reducible ``B`` to the whole matrix's
-    bracket, whose upper bounds bound ``rho(B)`` for any nonnegative ``B``.
-    Only when that bracket settles nothing (a zero row and a zero column
-    keep its lower bound at 0) are the blocks refuted one by one, with
-    ``cert`` None; a valid verdict with no checked pair is :class:`IterationCapHit`."""
-    if is_irreducible(B):
-        valid, cert = certify_spectral_bound(B, 1.0)
+    ``rho(B) >= 1``.  The whole matrix's bracket decides, irreducible or
+    not (its upper bounds bound ``rho(B)`` for any nonnegative ``B``), a
+    True verdict's iterates being the pair.  When it settles nothing an
+    irreducible ``B`` continues it through :func:`certify_spectral_bound`'s
+    rounds, their certificate's pair then checked, and a reducible one (a
+    zero row and a zero column keep its lower bound at 0) has its blocks
+    refuted one by one, ``cert`` None.  A valid verdict with no checked
+    pair is :class:`IterationCapHit`."""
+    bracket = _CWBracket(B)
+    found = bracket.checked_pair(1.0, 0.0)
+    if found is False:
+        return False, _certificate(B, bracket.left, bracket.right, 1.0)
+    if found is None and is_irreducible(B):
+        valid, cert = _certify(B, 1.0, bracket)
         if not valid:
             return False, cert
         found = _rcdd_checked(_Problem(B, 1.0), ScalingPair(cert.left, cert.right, 0.0, 1.0))
-    else:
-        bracket = _CWBracket(B)
-        found = bracket.checked_pair(1.0, 0.0)
-        if found is False:
-            return False, _certificate(B, bracket.left, bracket.right, 1.0)
-        if found is None and not _certify_reducible_decay(B):
-            return False, None
+    elif found is None and not _certify_reducible_decay(B):
+        return False, None
     if found is None:
         raise IterationCapHit(
             "rho(B) < 1 is certified, but the Collatz-Wielandt bracket found no scaling of I - B"
@@ -188,15 +191,14 @@ def _certify_reducible_decay(B: SparseMatrix) -> bool:
 def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     """Katz influence vector ``v = (I - alpha A)^-1 b``.
 
-    The decay condition ``alpha * rho(A) < 1`` is certified by
-    :func:`certify_spectral_bound` for an irreducible ``A`` and by the whole
-    matrix's Collatz-Wielandt bracket for a reducible one (see the module
-    docstring); the solve runs on the checked scaling of ``I - alpha A`` by
-    the pair that certifies it.  A violation raises :class:`DecayTooLarge`
-    carrying the certificate whose CW lower bound ``s >= 1`` proves the
-    series diverges, whatever the budget, or ``None`` when a strongly
-    connected block refutes it.  Returns ``(v, report)`` with ``||(I - alpha A) v - b||_2 <=
-    eps ||b||_2``.
+    The decay condition ``alpha * rho(A) < 1`` is certified by the whole
+    matrix's Collatz-Wielandt bracket, for irreducible and reducible ``A``
+    alike (see the module docstring); the solve runs on the checked scaling
+    of ``I - alpha A`` by the pair that certifies it.  A violation raises
+    :class:`DecayTooLarge` carrying the certificate whose CW lower bound
+    ``s >= 1`` proves the series diverges, whatever the budget, or ``None``
+    when a strongly connected block refutes it.  Returns ``(v, report)``
+    with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
     """
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("adjacency matrix must be square and nonnegative")

@@ -14,16 +14,16 @@ scan's decision brackets the spectral radius.
 
 The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
 sharpened with shift-and-invert (inverse iteration shifted just above the
-best upper bound), a bracket that is sound for any conditioning; they fall
-back to the bisection only when that loop fails.  One doubling loop over the
-conditioning guess (``_perron_rounds``) turns positive approximate
-eigenvectors into a Collatz-Wielandt-certified eigenvalue estimate: each
-round offers the bracket's own iterates first, and only when they fail
-acceptance runs one scaling scan at the bracket's upper end and polishes
-its pair.  Deciding ``rho(A) < bound`` needs no eigenvectors: the bracket
-alone settles it unless it fails or ``rho(A)`` sits at the bound, and a
-failed bracket hands the decision to the same round loop.  Every
-certificate comes from one builder, so its CW sandwich is exactly
+best upper bound), a bracket that is sound for any conditioning.  One
+doubling loop over the conditioning guess (``_perron_rounds``) turns
+positive approximate eigenvectors into a Collatz-Wielandt-certified
+eigenvalue estimate, one candidate per round: the bracket's own iterates,
+continued to a finer precision each round, and only once it has failed, or
+has no new iterates to offer, the polished pair of a scaling scan at the
+round's upper estimate.  Deciding ``rho(A) < bound`` needs no eigenvectors:
+the bracket alone settles it unless it fails or ``rho(A)`` sits at the
+bound, and a failed bracket hands the decision to the same round loop.
+Every certificate comes from one builder, so its CW sandwich is exactly
 :func:`collatz_wielandt_bounds` of its right vector, and every verdict can
 be re-checked from its two vectors alone.
 """
@@ -188,13 +188,8 @@ def _m_decide_scaled(
     try:
         _, scaling, report = _checked_scan(A, denom, eps, gamma, cap, budget)
     except _ScanFailure as fail:
-        return DecisionOutcome(
-            Verdict.NOT_M_MATRIX,
-            witness=(
-                f"{_WITNESS_TEXT[fail.witness]} at phase {fail.phase} "
-                f"(alpha={fail.alpha:.6e})"
-            ),
-        )
+        witness = f"{_WITNESS_TEXT[fail.witness]} at phase {fail.phase} (alpha={fail.alpha:.6e})"
+        return DecisionOutcome(Verdict.NOT_M_MATRIX, witness=witness)
     report.info["budget"] = budget
     return DecisionOutcome(Verdict.IS_M_MATRIX_SHIFTED, scaling=scaling, report=report)
 
@@ -282,9 +277,7 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
             break  # adjacent floats: s_m rounds to an endpoint
         delta = 0.5 * (s2 - s1) / (s2 + s1)
         outcome = _m_decide_scaled(A, s_m * (1.0 + delta / 2.0), delta / 3.0, 2.0 * K / delta)
-        report.info["steps"].append(
-            (s1, s2, s_m, delta, outcome.verdict.value)
-        )
+        report.info["steps"].append((s1, s2, s_m, delta, outcome.verdict.value))
         report.iterations += 1
         if outcome.is_m_matrix:
             if (1.0 + delta) * s_m >= s2:
@@ -303,7 +296,9 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
     from ``(0, ||A||_inf]`` should that fail) and scales
     ``(1 + eps/3) I - A / ((1 + eps/2) s)`` to produce positive approximate
     eigenvectors; with a valid ``K`` the relative sup-norm eigen-residual at
-    ``s`` is at most ``8 eps``.
+    ``s`` is at most ``8 eps``.  The scan stays even when the bracket works:
+    the bracket ties only its best upper bound to its best lower bound, so
+    the residual of a side that lags is bounded by no ``K``.
     """
     _structure_check(A)
     if not (0.0 < eps < 0.25):
@@ -347,20 +342,22 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
 
 def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
     """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
-    up to two ``(K, s_upper, cert)`` candidates per round.  ``s_upper``
-    bounds ``rho(A)`` from above to precision ``delta / (8 K^2)``: from
-    ``bracket`` while it works, else from the bisection, started at the
-    failed bracket's CW lower bound less its rounding margin and, after the
-    first round, at the upper end the previous one proved.  While the
-    bracket works the round first yields the certificate of its own
-    iterates; only if the consumer resumes does it scale at
-    ``s_upper (1 + eps/2)`` and yield the certificate of the polished
-    scaling pair, ``None`` when the scan fails (``K`` too small) or the
-    certificate underflows.  From the second round on, a round precision
-    below the float spacing (``np.finfo(float).eps``) raises
+    one ``(K, s_upper, cert)`` per round, ``s_upper`` bounding ``rho(A)``
+    from above to precision ``eps = delta / (8 K^2)``.  While ``bracket``
+    works it gives ``s_upper``, and ``cert`` certifies its iterates; a
+    resumed loop doubles ``K`` and continues the bracket to ``eps / 4``.  A
+    bracket that meets ``eps`` with no step would re-offer rejected iterates
+    (one side's CW lower bound lags the other's), and a failed one has none:
+    then ``cert`` certifies the polished pair of a scaling at ``s_upper (1 +
+    eps/2)``, ``None`` when the scan fails (``K`` too small) or the
+    certificate underflows, and once the bracket has failed ``s_upper``
+    comes from the bisection, started at its CW lower bound less the
+    rounding margin, later at the last bisection's upper end.  From the
+    second round on, a precision below the float spacing raises
     :class:`KCapExceeded`: no later round can certify where rounding alone
     exceeds it, so the loop always ends."""
     s2 = None  # the last bisection's upper end, a bound on rho(A) for any K
+    offered = None  # the bracket's step count when its iterates were offered
     K = 1.0
     while True:
         eps = delta / (8.0 * K * K)
@@ -370,19 +367,21 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
                 "below the float spacing; no later round can certify"
             )
         s = bracket.upper(eps)
-        if s is None:
-            # the CW lower bound holds for any K, less its rounding margin
-            s1 = max(0.0, bracket.lower * (1.0 - _cw_margin(A.n_rows)))
-            s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
-            s2 = s
+        if s is not None and bracket.factorizations != offered:
+            offered = bracket.factorizations
+            cert = _certificate(A, bracket.left, bracket.right, K)
         else:
-            yield K, s, _certificate(A, bracket.left, bracket.right, K)
-        try:
-            prob, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
-        except IterationCapHit:
-            cert = None
-        else:
-            cert = _certificate(A, *_polish_pair(prob, eps, pair), K)
+            if s is None:
+                # the CW lower bound holds for any K, less its rounding margin
+                s1 = max(0.0, bracket.lower * (1.0 - _cw_margin(A.n_rows)))
+                s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
+                s2 = s
+            try:
+                prob, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
+            except IterationCapHit:
+                cert = None
+            else:
+                cert = _certificate(A, *_polish_pair(prob, eps, pair), K)
         yield K, s, cert
         K *= 2.0
 
@@ -391,11 +390,12 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     """Certified Perron estimate: ``(1 - delta) rho(A) < s <= rho(A)``.
 
     Doubles a conditioning guess ``K`` from 1.  Each round computes an upper
-    estimate to precision ``delta / (8 K^2)``.  Its first candidate pair is
-    the shift-and-invert bracket's own right and left iterates; only when
-    those fail acceptance (or the bracket has failed) does the round scale
-    there, as :func:`simple_perron` does, and offer the polished scaling
-    pair.  A pair is accepted when its vectors are
+    estimate to precision ``delta / (8 K^2)`` and offers one pair: the
+    shift-and-invert bracket's own right and left iterates, the next round
+    continuing that bracket; only when it fails, or meets the precision with
+    no step and so has no new iterates, the polished pair of a scaling at
+    the round's estimate, as :func:`simple_perron` scales.  A pair is
+    accepted when its vectors are
     ``delta / (2 K^2)``-approximate eigenvectors of the certified lower bound
     ``s`` (the better of the two Collatz-Wielandt lower bounds, hence
     ``s <= rho(A)``) and at least one side certifies ``(1 - delta)`` of the
@@ -432,12 +432,7 @@ def _polish_pair(prob: _Problem, eps: float, pair):
             left_next = solver.p_left(left / np.abs(left).max())
         except BackendDiverged:
             break
-        if (
-            not np.all(np.isfinite(right_next))
-            or not np.all(np.isfinite(left_next))
-            or np.any(right_next <= 0.0)
-            or np.any(left_next <= 0.0)
-        ):
+        if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in (right_next, left_next)):
             break
         right, left = right_next, left_next
     return left, right
@@ -465,7 +460,11 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
     if bound <= 0.0:
         raise ValueError("bound must be positive")
     _structure_check(B)
-    bracket = _CWBracket(B)
+    return _certify(B, bound, _CWBracket(B))
+
+
+def _certify(B: SparseMatrix, bound: float, bracket: _CWBracket) -> tuple[bool, PerronCertificate]:
+    """:func:`certify_spectral_bound` on a checked ``B``, continuing ``bracket``."""
     valid = bracket.decide(bound)
     if valid is not None:
         return valid, _certificate(B, bracket.left, bracket.right, 1.0)

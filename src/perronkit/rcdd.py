@@ -173,9 +173,6 @@ class _KrylovSolver:
         eps_k, norm_S = self._floor_terms
         return eps_k * (norm_S * np.linalg.norm(x) + norm_b)
 
-    def matvec(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return (self._S_t if transpose else self.S) @ x
-
 
 def _phase_backend(S, S_t=None, inv_diag=None):
     """The package's one choice of solver, for a matrix the engine formed or

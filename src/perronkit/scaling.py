@@ -341,13 +341,14 @@ class _CWBracket:
     the CW gap is wide and tighter as it closes or as the max-normalized
     iterates spread (inexact inverse iteration; LAPACK solves below the
     cutoff are exact whatever the tolerance).  One bracket serves every
-    round of ``_perron_rounds``, and :func:`certify_spectral_bound` hands
-    the one it ran to its rounds: a tighter ``eps`` continues from the last
-    iterates, and once the bracket has failed every later ``upper`` returns
-    ``None`` at once.  A True verdict of :meth:`decide` holds a scaling:
-    :meth:`checked_pair` is the first path of every fixed-shift entry
-    point: ``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and the
-    symmetric ones, and the applications' decision on reducible input.
+    round of ``_perron_rounds``, its iterates each round's candidate, and
+    :func:`certify_spectral_bound` and the applications' decision hand on
+    the one they ran: a tighter ``eps`` continues from the last iterates,
+    and once the bracket has failed every later ``upper`` returns ``None``
+    at once and the round scans.  A True verdict of :meth:`decide` holds a
+    scaling: :meth:`checked_pair` is the first path of every fixed-shift
+    entry point (``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and
+    the symmetric ones) and of the applications' decision.
 
     The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
     step, and solves with its step matrix (:meth:`_Problem.step_solver`),

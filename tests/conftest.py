@@ -233,8 +233,11 @@ def build_counts(built):
 
 def reject_bracket_pair(monkeypatch):
     """Make the first certificate of each ``compute_perron`` call, the
-    bracket's own pair, a failed candidate (``None``), so that its round goes
-    on to the scan and the polish.  Clear the returned list between calls."""
+    bracket's own pair at ``K`` = 1, a failed candidate (``None``), so that
+    ``K`` doubles and the next round continues the same bracket to a
+    quarter of the precision: its new iterates are the candidate if it
+    steps, else the polished pair of a scan at its upper end.  Clear the
+    returned list between calls."""
     calls = []
     real = perronkit.perron._certificate
 

@@ -71,7 +71,6 @@ from conftest import (
     random_symmetric_contraction_dense,
     record_rounds,
     record_scans,
-    reject_bracket_pair,
     ring_digraph,
 )
 
@@ -526,24 +525,31 @@ def test_a_miss_elsewhere_is_sound_or_a_typed_error(
 
 def test_a_miss_in_the_polish_ends_it(monkeypatch, small_ring, krylov_at_150):
     """A miss in the polish's solves, and only there, ends the polish with
-    the scan's positive pair: with the bracket's pair rejected,
-    ``compute_perron`` still certifies, and no :class:`BackendDiverged`
-    escapes."""
-    misses = []
+    its last positive pair: with the bracket failed, so that the round scans
+    and polishes, and every solve after the polish's first step missing,
+    ``compute_perron`` still certifies at ``K`` = 1 from the pair that step
+    made, and no :class:`BackendDiverged` escapes."""
+    solves = []
 
     class Missing(_PhaseSolver):
         def p_right(self, x):
-            misses.append(x)
-            raise BackendDiverged("injected miss")
+            return self._first_step_only(super().p_right, x)
 
-        p_left = p_right
+        def p_left(self, x):
+            return self._first_step_only(super().p_left, x)
+
+        def _first_step_only(self, solve, x):
+            solves.append(x)
+            if len(solves) > 2:
+                raise BackendDiverged("injected miss")
+            return solve(x)
 
     monkeypatch.setattr(perronkit.perron, "_PhaseSolver", Missing)
-    reject_bracket_pair(monkeypatch)
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "upper", lambda self, eps: None)
     M, rho = small_ring
     delta = 1e-3
     cert = compute_perron(scaled(M, rho, 1.0), delta)
-    assert misses
+    assert len(solves) == 3 and cert.k_final == 1.0
     assert (1.0 - delta) < cert.s <= 1.0 + 1e-10
 
 
@@ -699,8 +705,9 @@ def test_loose_steps_spend_fewer_krylov_iterations(monkeypatch):
 
 
 def test_the_polish_solves_at_the_floor_tolerance(monkeypatch, small_ring, krylov_at_150):
-    """The schedule is the bracket's alone: the polish after a scan, on the
-    scan's own problem, still solves to ``_CW_SOLVE_TOL``."""
+    """The schedule is the bracket's alone: the polish after a failed
+    bracket's scan, on the scan's own problem, still solves to
+    ``_CW_SOLVE_TOL``."""
     tols = []
 
     class Recorded(_PhaseSolver):
@@ -709,7 +716,7 @@ def test_the_polish_solves_at_the_floor_tolerance(monkeypatch, small_ring, krylo
             super().__init__(*args, tol=tol, **kwargs)
 
     monkeypatch.setattr(perronkit.perron, "_PhaseSolver", Recorded)
-    reject_bracket_pair(monkeypatch)
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "upper", lambda self, eps: None)
     M, rho = small_ring
     cert = compute_perron(scaled(M, rho, 1.0), 1e-3)
     assert cert.k_final == 1.0

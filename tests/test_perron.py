@@ -283,6 +283,40 @@ class TestComputePerron:
         Ar = A.matvec(cert.right)
         assert (Ar / cert.right).min() >= (1 - 0.05) * cert.s
 
+    @pytest.mark.parametrize("seed", [(6, 3), (351, 6)], ids=["6-3", "351-6"])
+    def test_a_stalled_bracket_hands_its_round_to_the_scan(self, monkeypatch, seed):
+        """Weights over 1e-8..1e8 spread the right Perron vector over many
+        decades, and its CW lower bound lags the left one's: continued to a
+        round's precision, the bracket meets it with no step.  Such a round
+        offers no rejected iterates again but scans at the bracket's upper
+        end, with no bisection, and certifies by K = 64, where re-offering
+        them took K to 2**19 (at seed (6, 3)) or to the float floor."""
+        rng = np.random.default_rng(list(seed))
+        n = int(rng.integers(5, 41))
+        M = random_irreducible_dense(rng, n, density=0.3, log_low=-8.0, log_high=8.0)
+        rho, _ = dense_spectral_radius(M, tol=1e-13)
+        rights, bisections = [], []
+        real_rounds = perronkit.perron._perron_rounds
+        real_find = perronkit.perron.find_perron_value
+
+        def rounds(*args):
+            for item in real_rounds(*args):
+                if item[2] is not None:
+                    rights.append(item[2].right)
+                yield item
+
+        def find(*args):
+            bisections.append(args)
+            return real_find(*args)
+
+        monkeypatch.setattr(perronkit.perron, "_perron_rounds", rounds)
+        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        scans = record_scans(monkeypatch)
+        cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
+        assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
+        assert cert.k_final <= 64 and scans and not bisections
+        assert not any(np.array_equal(a, b) for a, b in zip(rights, rights[1:]))
+
     def test_ill_conditioned_chain_grows_k(self, monkeypatch):
         """The CW bracket certifies this weighted 20-cycle at K=1.  Only the
         bisection fallback, whose K=1 bracket ends far above rho, has to

@@ -275,12 +275,16 @@ def perron_sparse_instance():
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_factorizations(monkeypatch, storage):
-    """No bisection and no decision on either path of the K=1 round.  When
-    the bracket's own pair is accepted its steps are the only solvers and no
-    scan runs; when that pair is rejected, one strict scan follows and the
-    bracket, the scan and the polish account for every solver.  Each is a
-    LAPACK factorization through the scipy call a profiler patches up to the
-    dense cutoff and a Krylov solver above it."""
+    """No bisection and no decision, whether the bracket's own pair is
+    accepted at K=1 or rejected there.  Accepted, its steps are the only
+    solvers.  Rejected, K doubles and the K=2 round continues the same
+    bracket: if it steps, its new iterates certify with no scan; if it
+    meets the precision with no step, it has nothing new to offer, and one
+    strict scan at its upper end follows, the bracket, the scan and the
+    polish accounting for every solver.  Both happen among the dense
+    instances.  Each solver is a LAPACK factorization through the scipy
+    call a profiler patches up to the dense cutoff and a Krylov solver
+    above it."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
     count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
@@ -290,7 +294,13 @@ def test_compute_perron_factorizations(monkeypatch, storage):
     class Bracket(perronkit.perron._CWBracket):
         def __init__(self, A):
             super().__init__(A)
+            self.offers = []  # the step count at each upper estimate
             brackets.append(self)
+
+        def upper(self, eps):
+            s = super().upper(eps)
+            self.offers.append(self.factorizations)
+            return s
 
     monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
     factor = "lu_factor" if storage == "dense" else "krylov"
@@ -298,28 +308,36 @@ def test_compute_perron_factorizations(monkeypatch, storage):
         [criterion_01_instance(seed) for seed in range(20)]
         if storage == "dense" else [perron_sparse_instance()]
     )
-    for path in ("bracket", "scan"):
-        if path == "scan":
+    stalls = []
+    for path in ("accepted", "rejected"):
+        if path == "rejected":
             rejected = reject_bracket_pair(monkeypatch)
         for A in instances:
             for name in counts:
                 counts[name] = 0
             scans.clear()
             brackets.clear()
-            if path == "scan":
+            if path == "rejected":
                 rejected.clear()
             cert = compute_perron(A, 1e-3)
-            assert cert.k_final == 1.0
+            assert cert.k_final == (1.0 if path == "accepted" else 2.0)
             assert counts["find_perron_value"] == 0 and counts["_m_decide_scaled"] == 0
             assert len(brackets) == 1
             steps = brackets[0].factorizations
             assert steps >= 1
-            if path == "bracket":
+            if path == "accepted":
                 assert scans == [] and counts[factor] == steps
             else:
-                # the bracket's steps, one per scan phase, one for the polish
-                assert len(scans) == 1 and counts[factor] == steps + scans[0] + 1
+                offers = brackets[0].offers
+                stalls.append(offers[1] == offers[0])
+                if stalls[-1]:
+                    # the bracket's steps, one per scan phase, one for the polish
+                    assert len(scans) == 1 and counts[factor] == steps + scans[0] + 1
+                else:
+                    assert scans == [] and counts[factor] == steps
             assert counts["lu_factor" if storage == "csr" else "krylov"] == 0
+    if storage == "dense":
+        assert any(stalls) and not all(stalls)
 
 
 SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -753,7 +771,7 @@ def test_step_matrix_matches_a_fresh_shift(case):
         assert np.array_equal(solver.S.indices, fresh.indices)
         assert np.array_equal(solver.S.data, fresh.data)
         x = rng.normal(size=n)
-        assert np.array_equal(solver.matvec(x, transpose=True), fresh.T @ x)
+        assert np.array_equal(solver._S_t @ x, fresh.T @ x)
         assert np.array_equal(solver._inv_diag, 1.0 / fresh.diagonal())
 
 
@@ -913,8 +931,10 @@ def test_a_one_sided_bracket_stays_sound_on_any_input():
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_builds_two_problems(monkeypatch, storage):
     """The bracket rescales one problem across its steps, the one build of a
-    round whose bracket pair is accepted; when that pair is rejected, the
-    polish factors on the scan's problem: two builds."""
+    round whose bracket pair is accepted.  When that pair is rejected at
+    K=1, the K=2 round continues the bracket, which on these inputs meets
+    its precision with no step, so the round scans and the polish factors
+    on the scan's problem: two builds."""
     builds = []
     real_init = _Problem.__init__
 
@@ -929,7 +949,7 @@ def test_compute_perron_builds_two_problems(monkeypatch, storage):
     builds.clear()
     reject_bracket_pair(monkeypatch)
     cert = compute_perron(A, 1e-3)
-    assert cert.k_final == 1.0 and len(builds) == 2
+    assert cert.k_final == 2.0 and len(builds) == 2
 
 
 def sparse_instance_at(rho, n=400, seed=58):
@@ -972,34 +992,26 @@ def test_katz_certify_runs_no_scan(monkeypatch):
 
 
 def test_katz_solves_from_its_certificate_pair(monkeypatch):
-    """Katz solves from the vectors of the certificate that proved the decay
-    valid: no scan, no round, one bracket and one phase solver, built on
-    that pair at the conditioning bound it proves, and that pair,
-    recomputed here, makes ``I - B`` RCDD."""
+    """Katz solves from the pair whose CW upper bounds proved the decay
+    valid, its one bracket's iterates: no scan, no round, one bracket and
+    one phase solver, built on that pair at the conditioning bound it
+    proves, and that pair, recomputed here, makes ``I - B`` RCDD."""
     B = sparse_instance_at(0.99)
     counts = {}
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
+    count_calls(monkeypatch, counts, perronkit.apps, "_certify")
     built = record_builds(monkeypatch)
-    certs = []
-    real_certify = perronkit.apps.certify_spectral_bound
-
-    def certify(*args):
-        valid, cert = real_certify(*args)
-        certs.append(cert)
-        return valid, cert
-
-    monkeypatch.setattr(perronkit.apps, "certify_spectral_bound", certify)
     b = np.ones(B.n_rows)
     v, report = katz_centrality(B, 1.0, b, 1e-8)
     assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
     assert report.residuals[-1] <= 1e-8
-    assert counts == {"_perron_rounds": 0}
+    assert counts == {"_perron_rounds": 0, "_certify": 0}
     assert build_counts(built) == {"_CWBracket": 1, "_halving_scan": 0, "_PhaseSolver": 1}
-    (cert,), (solver,) = certs, built["_PhaseSolver"]
-    assert np.array_equal(solver.ell, cert.left) and np.array_equal(solver.r, cert.right)
-    pair = ScalingPair(cert.left, cert.right, alpha=0.0, s=1.0)
+    (bracket,), (solver,) = built["_CWBracket"], built["_PhaseSolver"]
+    assert np.array_equal(solver.ell, bracket.left) and np.array_equal(solver.r, bracket.right)
+    pair = ScalingPair(bracket.left, bracket.right, alpha=0.0, s=1.0)
     assert solver.tol == 1.0 / (8.0 * max(perronkit.apps._inverse_norm_bounds(B, pair)))
-    S = apply_scaling(cert.left, shifted_m_matrix(B, 1.0), cert.right)
+    S = apply_scaling(bracket.left, shifted_m_matrix(B, 1.0), bracket.right)
     assert check_rcdd(S, RCDD_VERIFY_SLACK)
 
 
