@@ -402,15 +402,21 @@ def load_labeled_graph(path) -> LabeledGraph:
     lineno, header = tokens[0]
     if len(header) != 3:
         raise ValueError(f"{path}: line {lineno}: header must be 'n m d'")
-    n, m, d = (int(t) for t in header)
+    try:
+        n, m, d = (int(t) for t in header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: bad header: {exc}") from None
     if len(tokens) - 1 != m:
         raise ValueError(f"{path}: declared {m} edges, found {len(tokens) - 1}")
     edges = []
     for lineno, parts in tokens[1:]:
         if len(parts) != 4:
             raise ValueError(f"{path}: line {lineno}: edge must be 'u v label weight'")
-        u, v, label = int(parts[0]), int(parts[1]), int(parts[2])
-        weight = float(parts[3])
+        try:
+            u, v, label = int(parts[0]), int(parts[1]), int(parts[2])
+            weight = float(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad edge: {exc}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"{path}: line {lineno}: vertex out of range")
         edges.append((u - 1, v - 1, label, weight))

@@ -190,7 +190,6 @@ def _m_decide_scaled(
     except _ScanFailure as fail:
         witness = f"{_WITNESS_TEXT[fail.witness]} at phase {fail.phase} (alpha={fail.alpha:.6e})"
         return DecisionOutcome(Verdict.NOT_M_MATRIX, witness=witness)
-    report.info["budget"] = budget
     return DecisionOutcome(Verdict.IS_M_MATRIX_SHIFTED, scaling=scaling, report=report)
 
 

@@ -22,10 +22,11 @@ bisection, is an alpha-halving scan: starting from a shift so large that
 the matrix is trivially dominant, each phase solves ``M_alpha r = 1`` and
 ``M_alpha.T l = 1`` by Richardson iteration preconditioned with the solver
 of the previous (twice as large) shift, then halves the shift.
-``_checked_scan`` is its one entry point: it forms the problem, runs the
-scan and checks the final pair RCDD before returning it.  Its callers
-differ only in their iteration cap, their solver budget and how they report
-a failure; the symmetric ones run it one-sided, with ``l = r``.
+``_halving_scan`` is that one loop, whole: it derives its solve tolerance
+and residual ceiling from the conditioning bound ``K``, runs every phase,
+checks the final pair RCDD and records its settings in its report.  Its
+callers differ only in their iteration cap, their solver budget and how
+they report a failure; the symmetric ones run it one-sided, with ``l = r``.
 
 All routines normalize to ``s = 1`` internally and return scalings valid for
 the original problem, which only differ by a positive scalar on the scaled
@@ -565,162 +566,106 @@ def expected_phase_count(A: SparseMatrix, s: float, eps: float) -> int:
     return math.ceil(math.log2(alpha0 / eps))
 
 
-def _richardson_phase(
-    prob: _Problem,
-    solver: _PhaseSolver,
-    alpha: float,
-    cap: int,
-    report: SolveReport,
-    *,
-    two_sided: bool = True,
-    positive: bool = False,
-    residual_ceiling: float = 2e250,
-):
-    """One halving phase: Richardson on ``M_alpha r = 1`` (and ``M_alpha.T l
-    = 1`` when ``two_sided``; else ``l`` is ``r``) preconditioned by
-    ``solver`` until every residual entry lies in ``[-1/2, 1/2]``.  Logs the
-    phase in ``report``; returns ``(l, r, worst residual)``.  Raises
-    :class:`_ScanFailure` after ``cap`` iterations, on a residual that is
-    non-finite or above ``residual_ceiling``, on a nonpositive result when
-    ``positive``, and on a solve that misses its tolerance (as ``"solver
-    budget"``)."""
-    phase = len(report.phases)
-    ones = np.ones(prob.n)
-    r = np.zeros(prob.n)
-    res_r = -ones
-    ell, res_l = r, res_r
-    k = 0
-    worst = 1.0  # every residual starts at -1
-    # divergence of this loop is an expected, signal-carrying outcome on
-    # non-M-matrices; silence transient overflow en route to the ceiling
-    with np.errstate(over="ignore", invalid="ignore"):
-        while worst > 0.5:
-            if k >= cap:
-                raise _ScanFailure("iteration cap", phase, alpha)
-            try:
-                r = r - solver.p_right(res_r)
-                if two_sided:
-                    ell = ell - solver.p_left(res_l)
-            except BackendDiverged:
-                # a solve that misses is a conditioning signal, not an
-                # inner-loop failure of the M-matrix hypothesis
-                raise _ScanFailure("solver budget", phase, alpha) from None
-            res_r = prob.shifted_matvec(alpha, r) - ones
-            worst = np.abs(res_r).max()
-            if two_sided:
-                res_l = prob.shifted_rmatvec(alpha, ell) - ones
-                worst = max(worst, np.abs(res_l).max())
-            else:
-                ell, res_l = r, res_r
-            k += 1
-            if not np.isfinite(worst) or worst > residual_ceiling:
-                raise _ScanFailure("residual ceiling", phase, alpha)
-    if positive and (np.any(r <= 0.0) or np.any(ell <= 0.0)):
-        raise _ScanFailure("nonpositive scaling", phase, alpha)
-    wr = 1.0 + res_r
-    wl = 1.0 + res_l
-    report.phases.append(
-        PhaseLog(
-            alpha=alpha,
-            iterations=k,
-            window_right=(float(wr.min()), float(wr.max())),
-            window_left=(float(wl.min()), float(wl.max())),
-            min_right=float(r.min()),
-            min_left=float(ell.min()),
-            left=ell.copy(),
-            right=r.copy(),
-        )
-    )
-    report.iterations += k
-    return ell, r, worst
-
-
 def _halving_scan(
-    prob: _Problem,
-    eps: float,
-    cap: int,
-    *,
-    tol: float,
-    budget: float | None,
-    residual_ceiling: float,
-    two_sided: bool = True,
+    prob: _Problem, eps: float, K: float, cap: int, budget: float | None = None, *, two_sided=True
 ):
-    """Run the alpha-halving scan on a normalized problem, each phase solved
-    to relative residual ``tol`` (see :class:`_PhaseSolver`).  A one-sided
-    scan (not ``two_sided``) solves only ``M_alpha r = 1`` and returns ``r``
-    as both vectors, each checked positive.
+    """The alpha-halving scan on a normalized problem at conditioning bound
+    ``K``: each phase runs Richardson on ``M_alpha r = 1`` and ``M_alpha.T l
+    = 1``, preconditioned by a :class:`_PhaseSolver` of the previous
+    (twice as large) shift solving to ``_scan_tolerance(K)``, until every
+    residual entry lies in ``[-1/2, 1/2]``, then halves the shift.  A
+    one-sided scan (not ``two_sided``, the symmetric callers') solves only
+    for ``r`` and returns it as both vectors, each checked positive.
 
-    Returns ``(ell, r, alpha_final, report)``.  A ``budget`` makes the scan
-    strict: every phase must pass the positivity and open-window checks and
-    keep the scaled phase matrix's conditioning bound within ``budget``; a
-    failed check raises :class:`_ScanFailure` with the witnessing condition.
-    Strict or not, a phase solve that misses ``tol`` raises it too (as
-    ``"solver budget"``, see :func:`_richardson_phase`).
+    Returns ``(ell, r, alpha_final, report)`` with ``prob.scaled_shift(eps,
+    ell, r)`` checked RCDD; the report logs each phase and records ``cap``,
+    ``solver_tolerance`` and, for a strict scan, ``budget`` in its info.  A
+    failed check raises :class:`_ScanFailure` with the witnessing condition,
+    its phase and shift: ``cap`` iterations in one phase, a solve that
+    misses its tolerance (``"solver budget"``), an inner residual that
+    passes the ceiling ``18 sqrt(n) max(K, 2)^2`` or turns non-finite, and
+    a final pair that fails the check.  A ``budget`` makes the scan strict:
+    every phase must also pass the positivity and open-window checks and
+    keep the scaled phase matrix's conditioning bound within ``budget``.
 
-    ``residual_ceiling`` fails a phase as soon as an inner residual exceeds
-    it: under a valid conditioning bound the certified contraction keeps
-    residuals below ``sqrt(n) * kappa(D)``, so blowing far past that refutes
-    the M-matrix hypothesis without burning the whole iteration cap.
+    Under a valid conditioning bound the certified contraction keeps
+    residuals below ``sqrt(n) * kappa(D)``, so blowing far past the ceiling
+    refutes the M-matrix hypothesis without burning the whole iteration cap.
     """
+    tol = _scan_tolerance(K)
+    ceiling = 18.0 * math.sqrt(prob.n) * max(K, 2.0) ** 2
+    strict = budget is not None
     ones = np.ones(prob.n)
     # a zero A starts at eps, where the loop does not run
     alpha0 = 2.0 * prob.norm_max or eps
-    report = SolveReport(alpha0=alpha0)
-    strict = budget is not None
+    report = SolveReport(alpha0=alpha0, info={"cap": cap, "solver_tolerance": tol})
+    if strict:
+        report.info["budget"] = budget
     alpha = alpha0
-    ell = ones / alpha0
-    r = ones / alpha0
+    ell = r = ones / alpha0
     while alpha > eps:
         phase = len(report.phases)
         solver = _PhaseSolver(prob, alpha, ell, r, tol=tol)
         alpha /= 2.0
         if strict and varah_kappa_upper(solver.S) > budget:
             raise _ScanFailure("solver budget", phase, alpha)
-        ell, r, worst = _richardson_phase(
-            prob,
-            solver,
-            alpha,
-            cap,
-            report,
-            two_sided=two_sided,
-            positive=strict or not two_sided,
-            residual_ceiling=residual_ceiling,
-        )
+        ell = r = np.zeros(prob.n)
+        res_l = res_r = -ones
+        k, worst = 0, 1.0  # every residual starts at -1
+        # divergence of this loop is an expected, signal-carrying outcome on
+        # non-M-matrices; silence transient overflow en route to the ceiling
+        with np.errstate(over="ignore", invalid="ignore"):
+            while worst > 0.5:
+                if k >= cap:
+                    raise _ScanFailure("iteration cap", phase, alpha)
+                try:
+                    r = r - solver.p_right(res_r)
+                    if two_sided:
+                        ell = ell - solver.p_left(res_l)
+                except BackendDiverged:
+                    # a solve that misses is a conditioning signal, not an
+                    # inner-loop failure of the M-matrix hypothesis
+                    raise _ScanFailure("solver budget", phase, alpha) from None
+                res_r = prob.shifted_matvec(alpha, r) - ones
+                worst = np.abs(res_r).max()
+                if two_sided:
+                    res_l = prob.shifted_rmatvec(alpha, ell) - ones
+                    worst = max(worst, np.abs(res_l).max())
+                else:
+                    ell, res_l = r, res_r
+                k += 1
+                if not np.isfinite(worst) or worst > ceiling:
+                    raise _ScanFailure("residual ceiling", phase, alpha)
+        if (strict or not two_sided) and (np.any(r <= 0.0) or np.any(ell <= 0.0)):
+            raise _ScanFailure("nonpositive scaling", phase, alpha)
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
+        wr, wl = 1.0 + res_r, 1.0 + res_l
+        report.phases.append(
+            PhaseLog(
+                alpha=alpha,
+                iterations=k,
+                window_right=(float(wr.min()), float(wr.max())),
+                window_left=(float(wl.min()), float(wl.max())),
+                min_right=float(r.min()),
+                min_left=float(ell.min()),
+                left=ell.copy(),
+                right=r.copy(),
+            )
+        )
+        report.iterations += k
+    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
+        raise _ScanFailure("final verification", len(report.phases), alpha)
     return ell, r, alpha, report
 
 
 def _checked_scan(
-    A: SparseMatrix,
-    s: float,
-    eps: float,
-    K: float,
-    cap: int,
-    budget: float | None = None,
-    *,
-    two_sided: bool = True,
+    A: SparseMatrix, s: float, eps: float, K: float, cap: int, budget=None, *, two_sided=True
 ):
-    """The halving scan on ``A / s`` at conditioning bound ``K``, its final
-    pair checked: ``(prob, pair, report)`` with ``prob.scaled_shift(eps,
-    pair.left, pair.right)`` RCDD.  Every failure, the final check's
-    included (as ``"final verification"``), raises :class:`_ScanFailure`.
-    ``two_sided`` is the symmetric callers' switch (see
-    :func:`_halving_scan`)."""
+    """:func:`_halving_scan` on ``A / s``: ``(prob, pair, report)`` with
+    ``prob.scaled_shift(eps, pair.left, pair.right)`` checked RCDD."""
     prob = _Problem(A, s)
-    ceiling = 18.0 * math.sqrt(prob.n) * max(K, 2.0) ** 2
-    ell, r, alpha, report = _halving_scan(
-        prob,
-        eps,
-        cap,
-        tol=_scan_tolerance(K),
-        budget=budget,
-        residual_ceiling=ceiling,
-        two_sided=two_sided,
-    )
-    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
-        raise _ScanFailure("final verification", len(report.phases), alpha)
-    report.info["cap"] = cap
+    ell, r, alpha, report = _halving_scan(prob, eps, K, cap, budget, two_sided=two_sided)
     return prob, ScalingPair(left=ell, right=r, alpha=alpha, s=s), report
 
 
@@ -854,7 +799,6 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
         prob, pair, report = _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
-    report.info["solver_tolerance"] = _scan_tolerance(K)
     return prob, pair, report
 
 

@@ -614,6 +614,21 @@ class TestLabeledGraphIO:
         with pytest.raises(ValueError):
             load_labeled_graph(path)
 
+    @pytest.mark.parametrize(
+        "text, line, bad",
+        [
+            ("3 2 1\n1 2 1 1.0\n2 x 1 1.0\n", 3, "'x'"),
+            ("3 1 1\n1 2 1 abc\n", 2, "'abc'"),
+            ("3 two 1\n", 1, "'two'"),
+        ],
+        ids=["vertex", "weight", "header"],
+    )
+    def test_a_malformed_number_names_its_line(self, tmp_path, text, line, bad):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"g\.txt: line {line}: .*{bad}"):
+            load_labeled_graph(path)
+
     def test_label_range_enforced(self):
         with pytest.raises(ValueError):
             LabeledGraph(2, [(0, 1, 3, 1.0)], 2)

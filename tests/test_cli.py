@@ -238,6 +238,31 @@ class TestSubcommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_kernel_names_a_malformed_line(self, workdir, capsys):
+        (workdir / "bad.txt").write_text("3 2 1\n1 2 1 1.0\n2 x 1 1.0\n")
+        code = main(
+            [
+                "kernel", "--g", str(workdir / "bad.txt"), "--h", str(workdir / "g.txt"),
+                "--lambda", "0.25", "--eps", "1e-8",
+            ]
+        )
+        assert code == 1
+        assert f"error: {workdir / 'bad.txt'}: line 3: " in capsys.readouterr().err
+
+    def test_mdecide_at_the_bound_takes_the_scan(self, tmp_path):
+        """On ``[[0, 1.5], [1.5, 0]]`` at ``eps = 0.5`` the bracket's bounds
+        meet at ``1 + eps``, so the scan decides and its witness carries no
+        certificate; reruns are byte-identical."""
+        argv = ["mdecide", "--matrix", str(DATA / "two_cycle_at_bound.mtx"), "--eps", "0.5"]
+        code, first = run(tmp_path, *argv)
+        _, second = run(tmp_path, *argv)
+        assert code == 2 and first == second
+        report = json.loads(first)
+        assert report["verdict"] == "not_m_matrix" and "certificate" not in report
+        assert report["witness"] == (
+            "inner residual passed its ceiling or went non-finite at phase 2 (alpha=3.750000e-01)"
+        )
+
 
 class TestReducibleInputs:
     """``katz``, ``leontief`` and ``kernel`` on the reducible inputs under

@@ -16,7 +16,9 @@ which share the scan's phase loop and with it its guard, so a non-finite
 solve raises instead of returning.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +36,13 @@ from perronkit import (
     RoundingFloorHit,
     ScalingPair,
     SparseMatrix,
+    Verdict,
     build_rcdd_solver,
     compute_perron,
+    expected_phase_count,
     factor_width2_solve,
     katz_centrality,
+    m_decide,
     mmatrix_scale,
     solve_from_scale,
     solve_m,
@@ -51,6 +56,7 @@ from perronkit.sparse import (
     _line_sums,
     apply_scaling,
     check_rcdd,
+    induced_norms,
     is_irreducible,
     shifted_m_matrix,
 )
@@ -1080,3 +1086,64 @@ def test_non_finite_refinement_stops_at_once(monkeypatch):
     with pytest.raises(IterationCapHit, match=rf"stopped \({NON_FINITE}\) after 1 of at most"):
         op.apply(rng.normal(size=20))
     assert solves == [False]
+
+
+def test_a_final_pair_that_fails_its_check_is_a_witness(monkeypatch):
+    """With the bracket off and every RCDD check rejecting, the scan runs all
+    its phases and fails at the final check, named with the phase count and
+    the last shift: the decision's witness, ``mmatrix_scale``'s error as a
+    scaling phase and ``symm_scale``'s as a symmetric phase."""
+    bracket_off(monkeypatch)
+    monkeypatch.setattr(perronkit.scaling, "check_rcdd", lambda S, slack: False)
+    rng = np.random.default_rng(61)
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, 12, 0.5))
+    eps = 0.05
+    phases = expected_phase_count(A, 1.0, eps)
+    norms = induced_norms(A)
+    alpha = 2.0 * max(norms.norm_1, norms.norm_inf) / 2.0**phases
+    out = m_decide(A, eps, 10.0)
+    assert out.verdict is Verdict.NOT_M_MATRIX and out.certificate is None
+    assert out.witness == (
+        f"final scaling failed RCDD verification at phase {phases} (alpha={alpha:.6e})"
+    )
+    with pytest.raises(IterationCapHit, match=r"^scaling phase \d+ .* failed: final verification;") as hit:
+        mmatrix_scale(A, 1.0, eps, 10.0)
+    assert (hit.value.phase, hit.value.alpha) == (phases, alpha)
+
+    A = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, 12, 0.5))
+    phases = expected_phase_count(A, 1.0, eps)
+    with pytest.raises(IterationCapHit, match=r"^symmetric phase \d+ .* failed: final verification;") as hit:
+        symm_scale(A, eps)
+    assert hit.value.phase == phases
+
+
+def load_tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_counts_a_scan(monkeypatch):
+    """The benchmark's tracer finds the scan's seams and counts one scan with
+    the bracket off: a phase per phase solver, an inner iteration per
+    forward preconditioner solve, and two products of ``n^2`` entries per
+    iteration on dense storage."""
+    bracket_off(monkeypatch)
+    n = 12
+    A = SparseMatrix.from_dense(random_m_matrix_dense(np.random.default_rng(62), n, 0.5))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        _, report = perronkit.scaling.mmatrix_scale(A, 1.0, 0.05, 10.0)
+        values = tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert values["scaling.scans"] == 1
+    assert values["scaling.phases"] == len(report.phases) > 0
+    assert values["scaling.inner_iters"] == report.iterations
+    assert values["scaling.matvec_flops_computed"] == 4 * n * n * report.iterations
+    assert not {"scaling._halving_scan", "scaling._PhaseSolver"} & set(tracer.absent)
