@@ -10,9 +10,10 @@ raises :class:`DecayTooLarge` or :class:`KernelDiverges` carrying the
 certificate whose CW lower bound proves it (none when a strongly connected
 block of a reducible ``B`` does), or for Leontief returns False.  A
 positive verdict's pair, usually the bracket's iterates, checked to scale
-``I - B`` RCDD, proves the kernel's error bound, and the operator
-:func:`solve_m` builds from the bracket's unshifted pair
-(``scaling._pair_operator``) solves on that checked matrix, with no scan.
+``I - B`` RCDD, proves the kernel's error bound.  The check hands on the
+matrix it passed, and the operator :func:`solve_m` builds from the
+bracket's unshifted pair (``scaling._pair_operator``) solves with that
+matrix, with no scan and no second formation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .perron import (
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator, _Problem, _rcdd_checked
+from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator
 from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
 
 __all__ = [
@@ -131,17 +132,18 @@ def indicator_similarity(label_g: int, label_h: int) -> float:
 
 
 def _decide_decay(B: SparseMatrix):
-    """``rho(B) < 1`` for square nonnegative ``B``: ``(True, (prob, pair))``
-    with ``diag(l) (I - B) diag(r)`` checked RCDD (``scaling._rcdd_checked``),
-    or ``(False, cert)`` with the certificate whose CW lower bound proves
-    ``rho(B) >= 1``.  The whole matrix's bracket decides, irreducible or
-    not (its upper bounds bound ``rho(B)`` for any nonnegative ``B``), a
-    True verdict's iterates being the pair.  When it settles nothing an
-    irreducible ``B`` continues it through :func:`certify_spectral_bound`'s
-    rounds, their certificate's pair then checked, and a reducible one (a
-    zero row and a zero column keep its lower bound at 0) has its blocks
-    refuted one by one, ``cert`` None.  A valid verdict with no checked
-    pair is :class:`IterationCapHit`."""
+    """``rho(B) < 1`` for square nonnegative ``B``: ``(True, (S, pair))``
+    with ``S = diag(l) (I - B) diag(r)`` the matrix the bracket checked
+    RCDD (:meth:`scaling._CWBracket.checked`), or ``(False, cert)`` with the
+    certificate whose CW lower bound proves ``rho(B) >= 1``.  The whole
+    matrix's bracket decides, irreducible or not (its upper bounds bound
+    ``rho(B)`` for any nonnegative ``B``), a True verdict's iterates being
+    the pair.  When it settles nothing an irreducible ``B`` continues it
+    through :func:`certify_spectral_bound`'s rounds, their certificate's
+    pair then checked by the same bracket, and a reducible one (a zero row
+    and a zero column keep its lower bound at 0) has its blocks refuted one
+    by one, ``cert`` None.  A valid verdict with no checked pair is
+    :class:`IterationCapHit`."""
     bracket = _CWBracket(B)
     found = bracket.checked_pair(1.0, 0.0)
     if found is False:
@@ -150,7 +152,7 @@ def _decide_decay(B: SparseMatrix):
         valid, cert = _certify(B, 1.0, bracket)
         if not valid:
             return False, cert
-        found = _rcdd_checked(_Problem(B, 1.0), ScalingPair(cert.left, cert.right, 0.0, 1.0))
+        found = bracket.checked(ScalingPair(cert.left, cert.right, 0.0, 1.0))
     elif found is None and not _certify_reducible_decay(B):
         return False, None
     if found is None:
@@ -200,6 +202,7 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     when a strongly connected block refutes it.  Returns ``(v, report)``
     with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
     """
+    _check_open_unit(eps, "eps")
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("adjacency matrix must be square and nonnegative")
     b = as_vector(b, A.n_rows, "b")
@@ -230,6 +233,7 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     decay, reducible economies included (see the module docstring), and the
     solve runs on the checked scaling of ``I - A`` by its pair.
     """
+    _check_open_unit(eps, "eps")
     if not A.is_square or not A.is_nonnegative():
         raise ValueError("consumption matrix must be square and nonnegative")
     if d is not None:
@@ -361,6 +365,7 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     ``c_l`` its right and left CW upper bounds (see
     :func:`_inverse_norm_bounds`; ``||X||_2 <= sqrt(||X||_1 ||X||_inf)``).
     """
+    _check_open_unit(eps, "eps")
     mat = W.matrix
     n = mat.n_rows
     p = as_vector(p, n, "p")

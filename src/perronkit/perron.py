@@ -49,7 +49,6 @@ from .scaling import (
     ScalingPair,
     _CWBracket,
     _PhaseSolver,
-    _Problem,
     _ScanFailure,
     _checked_scan,
     _cw_bounds,
@@ -226,7 +225,7 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
     its phase and shift.  The scan's witnesses carry no certificate.
     """
     _structure_check(A)
-    if eps <= 0.0 or gamma <= 0.0:
+    if not (eps > 0.0 and gamma > 0.0):
         raise ValueError("eps and gamma must be positive")
     bracket = _CWBracket(A)
     found = bracket.checked_pair(1.0, eps)
@@ -267,7 +266,7 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
         raise ValueError("need 0 <= s1 < s2")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    if K <= 0.0:
+    if not K > 0.0:
         raise ValueError("K must be positive")
     report = SolveReport(info={"steps": []})
     while (1.0 + eps / 2.0) * s1 < s2:
@@ -302,7 +301,7 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
     _structure_check(A)
     if not (0.0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    if K <= 0.0:
+    if not K > 0.0:
         raise ValueError("K must be positive")
     s = _CWBracket(A).upper(eps)
     if s is None:
@@ -376,11 +375,11 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
                 s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
                 s2 = s
             try:
-                prob, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
+                S, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
             except IterationCapHit:
                 cert = None
             else:
-                cert = _certificate(A, *_polish_pair(prob, eps, pair), K)
+                cert = _certificate(A, *_polish_pair(S, pair), K)
         yield K, s, cert
         K *= 2.0
 
@@ -415,15 +414,14 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
             return cert
 
 
-def _polish_pair(prob: _Problem, eps: float, pair):
+def _polish_pair(S, pair):
     """Sharpen the scaling vectors toward the Perron directions with a few
-    extra inverse applications; each application damps the non-Perron
-    components by roughly the shift-to-gap ratio.  Ends with the last
-    positive pair if a solve ever leaves the positive cone or misses its
-    tolerance (:class:`BackendDiverged`), so a miss never escapes."""
-    # solves with diag(l) ((1 + eps/3) I - A/denom) diag(r), the matrix the
-    # scaling pair certifies RCDD on the scan's own problem
-    solver = _PhaseSolver(prob, eps / 3.0, pair.left, pair.right, tol=_CW_SOLVE_TOL)
+    extra inverse applications of ``S``, the matrix the scan checked the
+    pair RCDD on; each application damps the non-Perron components by
+    roughly the shift-to-gap ratio.  Ends with the last positive pair if a
+    solve ever leaves the positive cone or misses its tolerance
+    (:class:`BackendDiverged`), so a miss never escapes."""
+    solver = _PhaseSolver(S, pair.left, pair.right, tol=_CW_SOLVE_TOL)
     left, right = pair.left, pair.right
     for _ in range(3):
         try:
@@ -456,7 +454,7 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
     when the bracket's bounds meet within rounding of ``bound``, and when
     the rounds reach the float spacing without settling it.
     """
-    if bound <= 0.0:
+    if not bound > 0.0:
         raise ValueError("bound must be positive")
     _structure_check(B)
     return _certify(B, bound, _CWBracket(B))

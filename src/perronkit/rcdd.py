@@ -23,7 +23,8 @@ view and inverse diagonal, is refreshed in place at each step, so a step's
 :class:`_KrylovSolver` takes all three from it and constructs no matrix.
 
 Every :class:`LinearOperator`, the engine's and a builder's, applies by
-:func:`_refine`, the package's one refinement loop: Richardson steps of
+:func:`_refine`, the package's one refinement loop, its products and
+rounding terms set up by :func:`_refined_apply`: Richardson steps of
 one backend solve each until the computed residual plus a bound on its own
 rounding meets the contract.  A builder's operator takes at most 4 steps,
 and a miss raises :class:`BackendDiverged`.  The operator is
@@ -393,21 +394,27 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
         report.iterations += 1
 
 
-def _refined_apply(M: SparseMatrix, precond, eps: float, cap: int, against: str):
-    """``b -> (x, report)``: :func:`_refine` of ``M x = b`` to ``eps``, at
-    most ``cap`` steps of ``precond``, with the rounding terms of ``M``:
-    ``k`` the most entries in a row, ``||abs(M)||_2 <= sqrt(||M||_1
-    ||M||_inf)``, and its products in double and in ``np.longdouble``."""
+def _refined_apply(M: SparseMatrix, precond, eps: float, cap: int, against: str, shift=None):
+    """``b -> (x, report)``: :func:`_refine` to ``eps``, at most ``cap``
+    steps of ``precond``, against ``M`` or, with a ``shift``, against
+    ``shift I - M`` for a nonnegative ``M`` (the engine's operators); the
+    package's one setup of a refinement's products and rounding terms.
+    ``k`` is the most entries in a row of ``M``, ``||abs(M)||_2 <=
+    sqrt(||M||_1 ||M||_inf)``, plus ``shift`` with one, and the products,
+    ``M x`` or ``shift x - M x``, are computed in double and in
+    ``np.longdouble``."""
     csr = M.csr()
     k = _row_entries(csr)
     norms = induced_norms(M)
     norm_abs = math.sqrt(norms.norm_1 * norms.norm_inf)
+    if shift is not None:
+        norm_abs += shift
 
     def matvec(x):
-        return csr @ x
+        return csr @ x if shift is None else shift * x - csr @ x
 
     def extended_matvec(x):
-        return csr @ x.astype(np.longdouble)
+        return matvec(x.astype(np.longdouble))
 
     return lambda b: _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
 

@@ -48,9 +48,7 @@ from .rcdd import (
     _contract_apply,
     _phase_backend,
     _rcdd_backend,
-    _refine,
     _refined_apply,
-    _row_entries,
     _sdd_l2_tolerance,
     _storage,
     varah_kappa_upper,
@@ -276,28 +274,27 @@ def _shift_pattern(csr: sp.csr_matrix) -> sp.csr_matrix:
 
 
 class _PhaseSolver:
-    """One solver of ``S = diag(l) M_{2 alpha} diag(r)`` serving both the
-    forward and the transpose preconditioner of one phase: the engine's path
-    to solving with a matrix it formed and hands on, built on a fresh
-    :meth:`_Problem.scaled_shift` (the bracket's own steps solve with
+    """One solver of ``S = diag(l) ((1 + alpha) I - A / s) diag(r)``, a
+    matrix :meth:`_Problem.scaled_shift` formed, serving both the forward
+    and the transpose preconditioner: a scan phase's, at the previous
+    phase's shift, and every operator's and the Perron polish's, on the
+    matrix whose RCDD check passed (the bracket's own steps solve with
     :meth:`_Problem.step_solver` instead).
 
-    :func:`rcdd._phase_backend` picks the backend by the problem's storage:
+    :func:`rcdd._phase_backend` picks the backend by the storage of ``S``:
     LAPACK factors a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) once,
     which it then solves exactly up to rounding; a CSR ``S`` gets
     Jacobi-preconditioned BiCGSTAB solves to the relative residual ``tol``
     this solver holds and passes to each, each checked against its true
     residual, and one that misses raises :class:`BackendDiverged` for its
-    caller to turn into its own outcome.  ``S`` is the matrix solved with."""
+    caller to turn into its own outcome."""
 
-    def __init__(
-        self, prob: _Problem, alpha2: float, ell: np.ndarray, r: np.ndarray, *, tol: float
-    ):
+    def __init__(self, S, ell: np.ndarray, r: np.ndarray, *, tol: float):
+        self.S = S
         self.ell = ell
         self.r = r
         self.tol = tol
-        self.backend = _phase_backend(prob.scaled_shift(alpha2, ell, r))
-        self.S = self.backend.S
+        self.backend = _phase_backend(S)
 
     def p_right(self, x: np.ndarray) -> np.ndarray:
         return self.r * self.backend.solve(self.ell * x, False, self.tol)
@@ -354,7 +351,8 @@ class _CWBracket:
     The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
     step, and solves with its step matrix (:meth:`_Problem.step_solver`),
     which above the dense cutoff is refreshed in place: a step forms no
-    scipy matrix.  ``symmetric`` makes the bracket one-sided, for callers
+    scipy matrix.  :meth:`checked` forms the matrix it checks on the same
+    problem and hands it on.  ``symmetric`` makes the bracket one-sided, for callers
     whose ``A`` is symmetric: a step solves for the right iterate only and
     takes it as the left one, which for symmetric ``A`` it equals.  The left
     CW bounds are still computed on ``A.T``, so every bound, and every
@@ -469,28 +467,26 @@ class _CWBracket:
 
     def checked_pair(self, s: float, alpha: float):
         """:meth:`decide` at ``(1 + alpha) s``, a True verdict's iterates
-        checked as a scaling: ``(prob, pair)``, with ``prob`` the problem of
-        ``A / s`` and ``prob.scaled_shift(alpha, pair.left, pair.right)``
-        RCDD within ``RCDD_VERIFY_SLACK``.  Row ``i`` of
-        ``diag(l) ((1 + alpha) s I - A) diag(r)`` is dominant exactly when
-        ``(A r)_i < (1 + alpha) s r_i`` and column ``j`` when
-        ``(A.T l)_j < (1 + alpha) s l_j``, so a True verdict passes unless
-        rounding says otherwise.  False when the CW lower bound certifies
-        ``rho(A) >= (1 + alpha) s``; ``None`` when the bracket settles
-        nothing or its pair fails the check.  The problem is handed over:
-        a later step of the bracket builds its own."""
+        checked as a scaling by :meth:`checked`: ``(S, pair)``, ``S`` the
+        matrix the check passed.  Row ``i`` of ``diag(l) ((1 + alpha) s I -
+        A) diag(r)`` is dominant exactly when ``(A r)_i < (1 + alpha) s
+        r_i`` and column ``j`` when ``(A.T l)_j < (1 + alpha) s l_j``, so a
+        True verdict passes unless rounding says otherwise.  False when the
+        CW lower bound certifies ``rho(A) >= (1 + alpha) s``; ``None`` when
+        the bracket settles nothing or its pair fails the check."""
         verdict = self.decide((1.0 + alpha) * s)
         if not verdict:
             return verdict
-        prob, self._prob = self._problem(s), None
-        return _rcdd_checked(prob, ScalingPair(left=self.left, right=self.right, alpha=alpha, s=s))
+        return self.checked(ScalingPair(left=self.left, right=self.right, alpha=alpha, s=s))
 
-
-def _rcdd_checked(prob: _Problem, pair: ScalingPair):
-    """``(prob, pair)`` when ``prob.scaled_shift(pair.alpha, pair.left,
-    pair.right)`` is RCDD within ``RCDD_VERIFY_SLACK``, else ``None``."""
-    S = prob.scaled_shift(pair.alpha, pair.left, pair.right)
-    return (prob, pair) if check_rcdd(S, RCDD_VERIFY_SLACK) else None
+    def checked(self, pair: ScalingPair):
+        """``(S, pair)`` when ``S = diag(l) ((1 + alpha) I - A / s)
+        diag(r)``, of ``pair``'s vectors, shift and scale, is RCDD within
+        ``RCDD_VERIFY_SLACK``, else ``None``.  ``S`` is formed on the
+        bracket's own problem, moved to ``A / pair.s``, and is a fresh
+        matrix that no later step changes: the operator solves with it."""
+        S = self._problem(pair.s).scaled_shift(pair.alpha, pair.left, pair.right)
+        return (S, pair) if check_rcdd(S, RCDD_VERIFY_SLACK) else None
 
 
 def _cw_margin(n: int) -> float:
@@ -577,8 +573,11 @@ def _halving_scan(
     one-sided scan (not ``two_sided``, the symmetric callers') solves only
     for ``r`` and returns it as both vectors, each checked positive.
 
-    Returns ``(ell, r, alpha_final, report)`` with ``prob.scaled_shift(eps,
-    ell, r)`` checked RCDD; the report logs each phase and records ``cap``,
+    Each phase forms its preconditioner's matrix,
+    ``prob.scaled_shift(alpha, ell, r)`` of the previous phase's shift and
+    pair.  Returns ``(ell, r, alpha_final, report, S)`` with ``S =
+    prob.scaled_shift(eps, ell, r)`` the matrix checked RCDD, which its
+    callers solve with; the report logs each phase and records ``cap``,
     ``solver_tolerance`` and, for a strict scan, ``budget`` in its info.  A
     failed check raises :class:`_ScanFailure` with the witnessing condition,
     its phase and shift: ``cap`` iterations in one phase, a solve that
@@ -605,7 +604,7 @@ def _halving_scan(
     ell = r = ones / alpha0
     while alpha > eps:
         phase = len(report.phases)
-        solver = _PhaseSolver(prob, alpha, ell, r, tol=tol)
+        solver = _PhaseSolver(prob.scaled_shift(alpha, ell, r), ell, r, tol=tol)
         alpha /= 2.0
         if strict and varah_kappa_upper(solver.S) > budget:
             raise _ScanFailure("solver budget", phase, alpha)
@@ -654,19 +653,20 @@ def _halving_scan(
             )
         )
         report.iterations += k
-    if not check_rcdd(prob.scaled_shift(eps, ell, r), RCDD_VERIFY_SLACK):
+    S = prob.scaled_shift(eps, ell, r)
+    if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise _ScanFailure("final verification", len(report.phases), alpha)
-    return ell, r, alpha, report
+    return ell, r, alpha, report, S
 
 
 def _checked_scan(
     A: SparseMatrix, s: float, eps: float, K: float, cap: int, budget=None, *, two_sided=True
 ):
-    """:func:`_halving_scan` on ``A / s``: ``(prob, pair, report)`` with
-    ``prob.scaled_shift(eps, pair.left, pair.right)`` checked RCDD."""
+    """:func:`_halving_scan` on ``A / s``: ``(S, pair, report)`` with ``S =
+    diag(l) ((1 + eps) I - A / s) diag(r)`` the matrix checked RCDD."""
     prob = _Problem(A, s)
-    ell, r, alpha, report = _halving_scan(prob, eps, K, cap, budget, two_sided=two_sided)
-    return prob, ScalingPair(left=ell, right=r, alpha=alpha, s=s), report
+    ell, r, alpha, report, S = _halving_scan(prob, eps, K, cap, budget, two_sided=two_sided)
+    return S, ScalingPair(left=ell, right=r, alpha=alpha, s=s), report
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +770,7 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
 
 
 def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetric=False):
-    """``(found, steps)``: the ``(prob, pair)`` :meth:`_CWBracket.checked_pair`
+    """``(found, steps)``: the ``(S, pair)`` :meth:`_CWBracket.checked_pair`
     finds at ``(1 + eps) s``, or ``None`` when the bracket settles nothing,
     and the bracket's step count.  A False verdict raises
     :class:`IterationCapHit` naming ``bound``, which the CW lower bound then
@@ -788,18 +788,17 @@ def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetri
 
 def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
     _check_square_nonnegative(A)
-    if s <= 0.0 or eps <= 0.0 or K <= 0.0:
+    if not (s > 0.0 and eps > 0.0 and K > 0.0):
         raise ValueError("s, eps, K must be positive")
 
 
 def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
-    """:func:`mmatrix_scale` plus the problem whose ``scaled_shift(eps, left,
-    right)`` it checked RCDD: ``(prob, pair, report)``."""
+    """:func:`mmatrix_scale`'s scan plus the matrix it checked RCDD:
+    ``(S, pair, report)``, ``S = diag(l) ((1 + eps) I - A / s) diag(r)``."""
     try:
-        prob, pair, report = _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
+        return _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
-    return prob, pair, report
 
 
 def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
@@ -830,8 +829,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         op, phases = _pair_operator(A, eps, *found), 0
     else:
         s_mid = s * (1.0 + eps / 2.0)
-        prob, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
-        op, phases = _refined_operator(A, s, eps, K, prob, pair, eps / 3.0), len(scale_report.phases)
+        S, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
+        op, phases = _refined_operator(A, s, eps, K, S, pair, eps / 3.0), len(scale_report.phases)
     op.report.info.update(scaling_phases=phases, bracket_steps=steps)
     return op
 
@@ -849,44 +848,31 @@ def _inverse_norm_bounds(A: SparseMatrix, pair: ScalingPair) -> tuple[float, flo
     return pair.kappa_right / (1.0 - c_right), pair.kappa_left / (1.0 - c_left)
 
 
-def _pair_operator(A: SparseMatrix, eps: float, prob: _Problem, pair: ScalingPair):
-    """:func:`_refined_operator` of a pair checked at no shift (``prob`` is
-    ``A / pair.s``), at the conditioning bound the pair proves
-    (:func:`_inverse_norm_bounds`): the operator of :func:`solve_m` on the
-    bracket path and of Katz, Leontief and the kernel."""
-    return _refined_operator(A, pair.s, eps, max(_inverse_norm_bounds(A, pair)), prob, pair, 0.0)
+def _pair_operator(A: SparseMatrix, eps: float, S, pair: ScalingPair):
+    """:func:`_refined_operator` of a pair checked at no shift, ``S =
+    diag(l) (I - A / pair.s) diag(r)`` the matrix checked, at the
+    conditioning bound the pair proves (:func:`_inverse_norm_bounds`): the
+    operator of :func:`solve_m` on the bracket path and of Katz, Leontief
+    and the kernel."""
+    return _refined_operator(A, pair.s, eps, max(_inverse_norm_bounds(A, pair)), S, pair, 0.0)
 
 
-def _refined_operator(A, s, eps, K, prob, pair, alpha) -> LinearOperator:
+def _refined_operator(A, s, eps, K, S, pair, alpha) -> LinearOperator:
     """The engine's one operator from a checked scaling: ``P`` with ``||b -
-    (s I - A) P(b)||_2 <= eps ||b||_2`` by :func:`_refine` against ``s I -
-    A``, each step preconditioned by one :class:`_PhaseSolver` solve, to
-    ``_scan_tolerance(K)``, of ``prob.scaled_shift(alpha, pair.left,
-    pair.right)``, the matrix the pair was checked RCDD on (``prob`` is ``A
-    / pair.s``).  ``K`` bounds ``s ||(s I - A)^-1||``, so the step count
-    grows with ``K`` times the preconditioner's shift above ``s``."""
-    solver = _PhaseSolver(prob, alpha, pair.left, pair.right, tol=_scan_tolerance(K))
-    csr = A.csr()
-    k = _row_entries(csr)
-    norms = induced_norms(A)
-    # abs(s I - A) = s I + A, and ||A||_2 <= sqrt(||A||_1 ||A||_inf)
-    norm_abs = s + math.sqrt(norms.norm_1 * norms.norm_inf)
-
-    def true_matvec(x):
-        return s * x - csr @ x
-
-    def extended_matvec(x):
-        return true_matvec(x.astype(np.longdouble))
+    (s I - A) P(b)||_2 <= eps ||b||_2`` by :func:`_refined_apply` against
+    ``s I - A``, each step preconditioned by one :class:`_PhaseSolver` solve,
+    to ``_scan_tolerance(K)``, of ``S = diag(l) ((1 + alpha) I - A /
+    pair.s) diag(r)``, the matrix the pair was checked RCDD on.  ``K``
+    bounds ``s ||(s I - A)^-1||``, so the step count grows with ``K`` times
+    the preconditioner's shift above ``s``."""
+    solver = _PhaseSolver(S, pair.left, pair.right, tol=_scan_tolerance(K))
 
     def precond(x):
         return solver.p_right(x) / pair.s
 
     gap = (1.0 + alpha) * pair.s / s - 1.0
     cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(A.n_rows * max(K, 2.0) / eps)))
-
-    def apply_fn(b):
-        return _refine(b, eps, true_matvec, extended_matvec, k, norm_abs, precond, cap, "s I - A")
-
+    apply_fn = _refined_apply(A, precond, eps, cap, "s I - A", shift=s)
     return LinearOperator(apply_fn, A.n_rows, eps, solver.backend)
 
 
@@ -961,7 +947,7 @@ def symm_scale(A: SparseMatrix, eps: float):
     in ``info["bracket_steps"]``.
     """
     _check_symmetric_nonnegative(A)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     v, _, report = _symmetric_scaling(A, shifted_m_matrix(A, 1.0, eps), eps, (eps,))
     return v, report

@@ -59,6 +59,43 @@ def brute_force_product(G, H, similarity):
     return W
 
 
+def decay_app_calls(eps):
+    """Each decay application called at ``eps``, on a nontrivial input and
+    on its trivial case (zero decay or an empty matrix)."""
+    W = product_graph(
+        LabeledGraph(2, ((0, 1, 1, 1.0), (1, 0, 1, 1.0)), 1),
+        LabeledGraph(2, ((0, 1, 1, 1.0), (1, 0, 1, 1.0)), 1),
+    )
+    uniform = np.full(4, 0.25)
+    b = np.ones(2)
+    return {
+        "katz": (
+            lambda: katz_centrality(TWO_CYCLE, 0.5, b, eps),
+            lambda: katz_centrality(TWO_CYCLE, 0.0, b, eps),
+        ),
+        "leontief": (
+            lambda: leontief_equilibrium(TWO_CYCLE.scaled(0.5), b, eps),
+            lambda: leontief_equilibrium(SparseMatrix.zeros(2), b, eps),
+        ),
+        "kernel": (
+            lambda: graph_kernel(W, uniform, uniform, 0.25, eps),
+            lambda: graph_kernel(W, uniform, uniform, 0.0, eps),
+        ),
+    }
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -1.0, float("nan")])
+@pytest.mark.parametrize("app", ["katz", "leontief", "kernel"])
+def test_decay_apps_reject_an_eps_outside_the_unit_interval(app, eps):
+    """Katz, Leontief and the kernel check ``eps`` as ``solve_m`` does,
+    before their trivial cases: an ``eps`` of 1 or more would pass the zero
+    vector as an answer, and 0, a negative or NaN would fail deep inside
+    the operator."""
+    for call in decay_app_calls(eps)[app]:
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+            call()
+
+
 class TestKatz:
     def test_zero_matrix(self):
         v, _ = katz_centrality(SparseMatrix.zeros(3), 0.3, np.ones(3), 1e-10)

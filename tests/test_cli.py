@@ -249,6 +249,28 @@ class TestSubcommands:
         assert code == 1
         assert f"error: {workdir / 'bad.txt'}: line 3: " in capsys.readouterr().err
 
+    def test_katz_rejects_a_zero_eps(self, capsys):
+        """``--eps 0`` is an input error, not a traceback: exit 1 with the
+        library's message."""
+        code = main(
+            [
+                "katz", "--matrix", str(DATA / "basic_general.mtx"),
+                "--alpha", "0.1", "--eps", "0",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: eps must lie in (0, 1)\n"
+
+    def test_mdecide_rejects_a_nan_eps(self, tmp_path, capsys):
+        """``--eps nan`` is an input error: exit 1 and no report, whose
+        ``NaN`` would not be valid JSON."""
+        code, text = run(
+            tmp_path, "mdecide", "--matrix", str(DATA / "basic_general.mtx"), "--eps", "nan"
+        )
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: eps and gamma must be positive\n"
+
     def test_mdecide_at_the_bound_takes_the_scan(self, tmp_path):
         """On ``[[0, 1.5], [1.5, 0]]`` at ``eps = 0.5`` the bracket's bounds
         meet at ``1 + eps``, so the scan decides and its witness carries no

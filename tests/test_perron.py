@@ -24,6 +24,7 @@ from perronkit import (
     mmatrix_scale,
     shifted_m_matrix,
     simple_perron,
+    symm_scale,
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.perron import _CWBracket
@@ -51,6 +52,36 @@ def decision_gamma(A_dense, s, side):
     if side == "is":
         return 4.0 * kappa / (1.0 - rho / s)
     return 4.0 * kappa
+
+
+NAN = float("nan")
+HALF_CYCLE = TWO_CYCLE.scaled(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: m_decide(HALF_CYCLE, NAN, 10.0), "eps and gamma must be positive"),
+        (lambda: m_decide(HALF_CYCLE, 0.1, NAN), "eps and gamma must be positive"),
+        (lambda: mmatrix_scale(HALF_CYCLE, NAN, 0.1, 10.0), "s, eps, K must be positive"),
+        (lambda: mmatrix_scale(HALF_CYCLE, 1.0, NAN, 10.0), "s, eps, K must be positive"),
+        (lambda: mmatrix_scale(HALF_CYCLE, 1.0, 0.1, NAN), "s, eps, K must be positive"),
+        (lambda: find_perron_value(HALF_CYCLE, 0.0, 1.0, 0.1, NAN), "K must be positive"),
+        (lambda: simple_perron(HALF_CYCLE, 0.1, NAN), "K must be positive"),
+        (lambda: symm_scale(HALF_CYCLE, NAN), "eps must be positive"),
+        (lambda: certify_spectral_bound(HALF_CYCLE, NAN), "bound must be positive"),
+    ],
+    ids=[
+        "m_decide-eps", "m_decide-gamma", "scale-s", "scale-eps", "scale-K",
+        "find_perron_value-K", "simple_perron-K", "symm_scale-eps", "certify-bound",
+    ],
+)
+def test_a_nan_fails_the_positivity_checks(call, message):
+    """A NaN argument fails its positivity check with that check's message,
+    rather than passing it and giving a verdict or an error about
+    something else."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestMDecide:

@@ -816,9 +816,10 @@ def test_bracket_steps_build_no_sparse_matrix(monkeypatch, symmetric):
 
 def test_handed_out_matrices_stay_fixed(monkeypatch):
     """A matrix the bracket hands out is its own: the matrix
-    ``checked_pair`` checked RCDD, the pair, and a phase solver built on the
-    handed-over problem keep their values while the bracket steps on, and
-    ``solve_m``'s solver keeps its matrix and answers across later calls."""
+    ``checked_pair`` checked RCDD and hands on, equal to a fresh problem's,
+    the pair, and a phase solver built on that matrix keep their values
+    while the bracket steps on, and ``solve_m``'s solver keeps its matrix
+    and answers across later calls."""
     A = sparse_instance_at(0.9)
     checked = []
     real_check = perronkit.scaling.check_rcdd
@@ -829,18 +830,19 @@ def test_handed_out_matrices_stay_fixed(monkeypatch):
 
     monkeypatch.setattr(perronkit.scaling, "check_rcdd", check)
     bracket = _CWBracket(A)
-    prob, pair = bracket.checked_pair(1.0, 1e-3)
+    S, pair = bracket.checked_pair(1.0, 1e-3)
     left, right = pair.left.copy(), pair.right.copy()
-    solver = _PhaseSolver(prob, 1e-3, pair.left, pair.right, tol=1e-10)
+    solver = _PhaseSolver(S, pair.left, pair.right, tol=1e-10)
     kept = solver.S.data.copy()
     steps = bracket.factorizations
     bracket.upper(1e-14)
     assert bracket.factorizations > steps
-    ((S, data),) = checked
+    ((checked_S, data),) = checked
+    assert checked_S is S and solver.S is S
     assert np.array_equal(S.data, data)
     assert np.array_equal(pair.left, left) and np.array_equal(pair.right, right)
     assert np.array_equal(solver.S.data, kept)
-    assert np.array_equal(prob.scaled_shift(1e-3, left, right).data, kept)
+    assert np.array_equal(_Problem(A, 1.0).scaled_shift(1e-3, left, right).data, kept)
 
     solvers = []
 
@@ -859,6 +861,98 @@ def test_handed_out_matrices_stay_fixed(monkeypatch):
     perronkit.m_decide(A, 1e-3, 1e3)
     assert np.array_equal(phase.S.data, kept)
     assert np.array_equal(op.apply(b), x)
+
+
+def record_checked_solvers(monkeypatch):
+    """Record, for every ``_PhaseSolver`` built, its ``S`` and the last
+    matrix ``scaling.check_rcdd`` had accepted by then (``None`` before the
+    first)."""
+    accepted, solvers = [], []
+    real_check = perronkit.scaling.check_rcdd
+
+    def check(S, slack=0.0):
+        passed = real_check(S, slack)
+        if passed:
+            accepted.append(S)
+        return passed
+
+    class Recorded(_PhaseSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append((self.S, accepted[-1] if accepted else None))
+
+    monkeypatch.setattr(perronkit.scaling, "check_rcdd", check)
+    monkeypatch.setattr(perronkit.scaling, "_PhaseSolver", Recorded)
+    monkeypatch.setattr(perronkit.perron, "_PhaseSolver", Recorded)
+    return solvers
+
+
+def count_scaled_shifts(monkeypatch):
+    """Count ``_Problem.scaled_shift`` calls in the returned one-item list."""
+    calls = [0]
+    real = _Problem.scaled_shift
+
+    def scaled_shift(self, alpha, ell, r):
+        calls[0] += 1
+        return real(self, alpha, ell, r)
+
+    monkeypatch.setattr(_Problem, "scaled_shift", scaled_shift)
+    return calls
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
+def test_solve_m_solves_with_the_matrix_its_check_passed(monkeypatch, n):
+    """On the bracket path ``solve_m``'s solver is built on the very matrix
+    the RCDD check accepted, formed once: a build forms one matrix per
+    dense bracket step (its step solver) and the checked one, and above the
+    cutoff only the checked one."""
+    solvers = record_checked_solvers(monkeypatch)
+    calls = count_scaled_shifts(monkeypatch)
+    rng = np.random.default_rng(55)
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n)))
+    op = solve_m(A, 1.0, 1e-8, 100.0)
+    ((S, checked),) = solvers
+    assert S is checked
+    steps = op.report.info["bracket_steps"]
+    assert steps >= 1
+    assert calls[0] == (steps + 1 if n <= _DENSE_CUTOFF else 1)
+
+
+def test_the_scan_hands_on_the_matrix_its_check_passed(monkeypatch):
+    """With the bracket off, ``solve_m``'s operator solves with the matrix
+    the scan's final check accepted."""
+    bracket_off(monkeypatch)
+    solvers = record_checked_solvers(monkeypatch)
+    A = random_m_matrix(np.random.default_rng(56), 20, 0.8)
+    op = solve_m(A, 1.0, 1e-8, 100.0)
+    assert op.report.info["scaling_phases"] >= 1
+    S, checked = solvers[-1]
+    assert S is checked
+
+
+def test_the_certificate_fallback_hands_on_the_matrix_its_check_passed(monkeypatch):
+    """When the decay decision's first check settles nothing, Katz solves
+    with the matrix the check of its certificate's pair accepted."""
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "checked_pair", lambda self, s, a: None)
+    solvers = record_checked_solvers(monkeypatch)
+    B = random_irreducible(np.random.default_rng(57), 20)
+    B = B.scaled(0.9 / dense_spectral_radius(B.to_dense(), tol=1e-12)[0])
+    b = np.ones(B.n_rows)
+    v, _ = katz_centrality(B, 1.0, b, 1e-8)
+    assert np.linalg.norm(v - B.matvec(v) - b) <= 1e-8 * np.linalg.norm(b)
+    ((S, checked),) = solvers
+    assert S is checked
+
+
+def test_the_polish_solves_with_the_matrix_the_scan_checked(monkeypatch):
+    """With the bracket failed, each round's polish solves with the matrix
+    its scan's final check accepted."""
+    monkeypatch.setattr(perronkit.scaling._CWBracket, "upper", lambda self, eps: None)
+    solvers = record_checked_solvers(monkeypatch)
+    cert = compute_perron(criterion_01_instance(0), 1e-3)
+    assert cert.k_final >= 1.0
+    S, checked = solvers[-1]
+    assert S is checked
 
 
 def record_solves(monkeypatch):
