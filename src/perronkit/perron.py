@@ -53,6 +53,7 @@ from .scaling import (
     _checked_scan,
     _cw_bounds,
     _cw_margin,
+    _cw_ratio_bounds,
     _mmatrix_scale,
     _settles,
 )
@@ -225,7 +226,7 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
     its phase and shift.  The scan's witnesses carry no certificate.
     """
     _structure_check(A)
-    if not (eps > 0.0 and gamma > 0.0):
+    if not (0.0 < eps < math.inf and 0.0 < gamma < math.inf):
         raise ValueError("eps and gamma must be positive")
     bracket = _CWBracket(A)
     found = bracket.checked_pair(1.0, eps)
@@ -266,7 +267,7 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
         raise ValueError("need 0 <= s1 < s2")
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    if not K > 0.0:
+    if not 0.0 < K < math.inf:
         raise ValueError("K must be positive")
     report = SolveReport(info={"steps": []})
     while (1.0 + eps / 2.0) * s1 < s2:
@@ -301,7 +302,7 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
     _structure_check(A)
     if not (0.0 < eps < 0.25):
         raise ValueError("eps must lie in (0, 1/4)")
-    if not K > 0.0:
+    if not 0.0 < K < math.inf:
         raise ValueError("K must be positive")
     s = _CWBracket(A).upper(eps)
     if s is None:
@@ -320,10 +321,13 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
     """The :class:`PerronCertificate` of a positive pair: the right vector's
     CW sandwich and both eigen-residuals at ``s``, by default the better of
     the two vectors' CW lower bounds (so ``s <= rho(A)``).  ``None`` when
-    that default is not positive, which only underflow makes it."""
-    cw_lower, cw_upper = _cw_bounds(A, right)
+    that default is not positive, which only underflow makes it.  Each
+    vector's product is formed once and serves its bounds and its
+    residual."""
+    Ar, Atl = A._product(right), A._product(left, transpose=True)
+    cw_lower, cw_upper = _cw_ratio_bounds(Ar, right)
     if s is None:
-        s = max(cw_lower, _cw_bounds(A, left, transpose=True)[0])
+        s = max(cw_lower, _cw_ratio_bounds(Atl, left)[0])
         if not s > 0.0:
             return None
     return PerronCertificate(
@@ -331,8 +335,8 @@ def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None =
         left=left,
         right=right,
         k_final=k_final,
-        residual_left=_relative_residual(left, A.matvec(left, transpose=True), s),
-        residual_right=_relative_residual(right, A.matvec(right), s),
+        residual_left=_relative_residual(left, Atl, s),
+        residual_right=_relative_residual(right, Ar, s),
         cw_lower=cw_lower,
         cw_upper=cw_upper,
     )
@@ -454,7 +458,7 @@ def certify_spectral_bound(B: SparseMatrix, bound: float = 1.0) -> tuple[bool, P
     when the bracket's bounds meet within rounding of ``bound``, and when
     the rounds reach the float spacing without settling it.
     """
-    if not bound > 0.0:
+    if not 0.0 < bound < math.inf:
         raise ValueError("bound must be positive")
     _structure_check(B)
     return _certify(B, bound, _CWBracket(B))

@@ -243,13 +243,19 @@ class _Problem:
     def step_solver(self, alpha: float):
         """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step,
         with the bits of ``scaled_shift(alpha, 1, 1)``.  Below the cutoff it
-        factors a fresh array.  Above it the step matrix, its transpose view
-        and the reciprocals of its diagonal are built on the first call and
-        refreshed in place by every later one, so a solver serves only until
-        the next call: the bracket's steps form no new scipy matrix."""
+        forms that matrix in one new array, ``A / scale`` negated in place
+        and ``1 + alpha`` added to its diagonal (the products by ones that
+        ``scaled_shift`` would make change no bit), and LAPACK factors it.
+        Above it the step matrix, its transpose view and the reciprocals of
+        its diagonal are built on the first call and refreshed in place by
+        every later one, so a solver serves only until the next call: the
+        bracket's steps form no new scipy matrix."""
         if self._is_dense:
-            ones = np.ones(self.n)
-            return _phase_backend(self.scaled_shift(alpha, ones, ones))
+            S = np.divide(self._unscaled, self._scale)
+            np.negative(S, out=S)
+            diagonal = S.reshape(-1)[:: self.n + 1]  # a view
+            diagonal += 1.0 + alpha
+            return _phase_backend(S)
         neg_a = self._neg_a
         if self._step is None:
             S = sp.csr_matrix((neg_a.data.copy(), neg_a.indices, neg_a.indptr), shape=neg_a.shape)
@@ -307,7 +313,12 @@ def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple
     """The Collatz-Wielandt ratios' ``(min, max)`` for a positive ``x``, of
     ``A`` or, with ``transpose``, of ``A.T`` (from the transpose ``A``
     caches); the package's one computation of them."""
-    ratios = A.matvec(x, transpose=transpose) / x
+    return _cw_ratio_bounds(A._product(x, transpose), x)
+
+
+def _cw_ratio_bounds(Ax: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """:func:`_cw_bounds` from a product ``Ax`` already formed."""
+    ratios = Ax / x
     return float(ratios.min()), float(ratios.max())
 
 
@@ -508,16 +519,28 @@ def _settles(lo: float, his: tuple[float, float], bound: float, tol: float) -> b
     return None
 
 
+# the least normal positive float
+_TINY = np.finfo(float).tiny
+
+
 def _unit_positive(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     """``(x / max(x), min(x / max(x)))`` when every entry of ``x / max(x)``
     is a normal positive float (the CW ratios then keep full relative
     precision), else ``None``; a NaN entry fails the test.  The minimum is
     ``1 / spread`` of the iterate, which the bracket's step tolerance
-    needs, found by the positivity test's own pass."""
+    needs.  For a positive finite ``max(x)`` it is ``min(x) / max(x)``
+    exactly, rounding being monotone, so an accepted ``x`` is divided once
+    and raises no floating-point flag; any other ``x`` (a NaN, an infinite
+    or nonpositive maximum) is divided under silenced flags."""
+    top = x.max()
+    if 0.0 < top < np.inf:
+        # a negative minimum fails without a division that could overflow
+        least = max(x.min(), 0.0) / top
+        return (x / top, float(least)) if least >= _TINY else None
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        x = x / x.max()
+        x = x / top
     least = x.min()
-    return (x, float(least)) if least >= np.finfo(float).tiny else None
+    return (x, float(least)) if least >= _TINY else None
 
 
 class _ScanFailure(Exception):
@@ -788,7 +811,7 @@ def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetri
 
 def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
     _check_square_nonnegative(A)
-    if not (s > 0.0 and eps > 0.0 and K > 0.0):
+    if not all(0.0 < v < math.inf for v in (s, eps, K)):
         raise ValueError("s, eps, K must be positive")
 
 
@@ -947,7 +970,7 @@ def symm_scale(A: SparseMatrix, eps: float):
     in ``info["bracket_steps"]``.
     """
     _check_symmetric_nonnegative(A)
-    if not eps > 0.0:
+    if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive")
     v, _, report = _symmetric_scaling(A, shifted_m_matrix(A, 1.0, eps), eps, (eps,))
     return v, report

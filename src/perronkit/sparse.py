@@ -3,7 +3,11 @@
 Matrices are stored in compressed sparse row form with an eagerly built
 compressed row form of the transpose, since the scaling loops need both
 ``M @ x`` and ``M.T @ x`` on every iteration.  Instances are immutable after
-construction and safe for concurrent reads.
+construction and safe for concurrent reads.  Every product of a
+:class:`SparseMatrix` is one call of scipy's CSR kernel on the stored
+forward or transpose array (``SparseMatrix._product``, the bits of ``csr @
+x`` without its dispatch); :meth:`SparseMatrix.matvec` checks its vector
+first.
 
 Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file loaders
 reject non-finite entries.  The dominance checks and ``rcdd``'s condition
@@ -19,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 
 from .errors import MatrixMarketParseError
@@ -59,8 +64,9 @@ def _check_square_nonnegative(A: SparseMatrix) -> None:
 
 
 def as_vector(x, n=None, name="x") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, optionally checking length."""
-    v = np.asarray(x, dtype=np.float64)
+    """Coerce to a finite, C-ordered 1-D float64 array, optionally checking
+    length."""
+    v = np.asarray(x, dtype=np.float64, order="C")
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -190,12 +196,28 @@ class SparseMatrix:
         return bool(self._csr.nnz == 0 or self._csr.data.min() >= 0.0)
 
     def matvec(self, x, transpose: bool = False) -> np.ndarray:
-        """Exact sparse product ``A @ x`` or ``A.T @ x`` in double precision."""
-        if transpose:
-            x = as_vector(x, self.n_rows)
-            return self._csr_t @ x
-        x = as_vector(x, self.n_cols)
-        return self._csr @ x
+        """Exact sparse product ``A @ x`` or ``A.T @ x`` in double precision:
+        ``x`` checked by :func:`as_vector`, then the one product,
+        :meth:`_product`."""
+        x = as_vector(x, self.n_rows if transpose else self.n_cols)
+        return self._product(x, transpose)
+
+    def _product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``A @ x`` or ``A.T @ x`` by the kernel ``csr @ x`` ends in, on the
+        stored forward or transpose CSR, into a fresh zero vector: the same
+        bits, without scipy's dispatch.  ``x`` must already be a float64,
+        C-ordered vector of the right length, which is checked in O(1) (the
+        kernel checks no bounds); its finiteness is not."""
+        mat = self._csr_t if transpose else self._csr
+        n_out, n_in = mat.shape
+        if x.shape != (n_in,) or x.dtype != np.float64 or not x.flags.c_contiguous:
+            raise ValueError(
+                f"product needs a C-ordered float64 vector of length {n_in}, "
+                f"got {x.dtype} of shape {x.shape}"
+            )
+        y = np.zeros(n_out)
+        _sparsetools.csr_matvec(n_out, n_in, mat.indptr, mat.indices, mat.data, x, y)
+        return y
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"

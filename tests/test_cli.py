@@ -271,6 +271,15 @@ class TestSubcommands:
         assert code == 1 and text == ""
         assert capsys.readouterr().err == "error: eps and gamma must be positive\n"
 
+    def test_mdecide_rejects_an_infinite_eps(self, tmp_path, capsys):
+        """``--eps inf`` is an input error too: exit 1 and no report, rather
+        than a positive verdict whose ``Infinity`` is not valid JSON."""
+        code, text = run(
+            tmp_path, "mdecide", "--matrix", str(DATA / "basic_general.mtx"), "--eps", "inf"
+        )
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: eps and gamma must be positive\n"
+
     def test_mdecide_at_the_bound_takes_the_scan(self, tmp_path):
         """On ``[[0, 1.5], [1.5, 0]]`` at ``eps = 0.5`` the bracket's bounds
         meet at ``1 + eps``, so the scan decides and its witness carries no

@@ -1,5 +1,6 @@
 """Decision procedure, eigenvalue bisection, and certified Perron pairs."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from perronkit import (
     mmatrix_scale,
     shifted_m_matrix,
     simple_perron,
+    solve_m,
     symm_scale,
 )
 from perronkit.oracle import dense_spectral_radius
@@ -58,30 +60,60 @@ NAN = float("nan")
 HALF_CYCLE = TWO_CYCLE.scaled(0.5)
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: m_decide(HALF_CYCLE, NAN, 10.0), "eps and gamma must be positive"),
-        (lambda: m_decide(HALF_CYCLE, 0.1, NAN), "eps and gamma must be positive"),
-        (lambda: mmatrix_scale(HALF_CYCLE, NAN, 0.1, 10.0), "s, eps, K must be positive"),
-        (lambda: mmatrix_scale(HALF_CYCLE, 1.0, NAN, 10.0), "s, eps, K must be positive"),
-        (lambda: mmatrix_scale(HALF_CYCLE, 1.0, 0.1, NAN), "s, eps, K must be positive"),
-        (lambda: find_perron_value(HALF_CYCLE, 0.0, 1.0, 0.1, NAN), "K must be positive"),
-        (lambda: simple_perron(HALF_CYCLE, 0.1, NAN), "K must be positive"),
-        (lambda: symm_scale(HALF_CYCLE, NAN), "eps must be positive"),
-        (lambda: certify_spectral_bound(HALF_CYCLE, NAN), "bound must be positive"),
-    ],
-    ids=[
-        "m_decide-eps", "m_decide-gamma", "scale-s", "scale-eps", "scale-K",
-        "find_perron_value-K", "simple_perron-K", "symm_scale-eps", "certify-bound",
-    ],
-)
+EPS_GAMMA = "eps and gamma must be positive"
+SCALE_ARGS = "s, eps, K must be positive"
+
+
+def positivity_check(name, call, message):
+    """A parameter of the positivity tests: ``call`` of the value checked,
+    and the message of the check it must fail."""
+    return pytest.param(call, message, id=name)
+
+
+POSITIVITY_CHECKS = [
+    positivity_check("m_decide-eps", lambda v: m_decide(HALF_CYCLE, v, 10.0), EPS_GAMMA),
+    positivity_check("m_decide-gamma", lambda v: m_decide(HALF_CYCLE, 0.1, v), EPS_GAMMA),
+    positivity_check("scale-s", lambda v: mmatrix_scale(HALF_CYCLE, v, 0.1, 10.0), SCALE_ARGS),
+    positivity_check("scale-eps", lambda v: mmatrix_scale(HALF_CYCLE, 1.0, v, 10.0), SCALE_ARGS),
+    positivity_check("scale-K", lambda v: mmatrix_scale(HALF_CYCLE, 1.0, 0.1, v), SCALE_ARGS),
+    positivity_check(
+        "find_perron_value-K",
+        lambda v: find_perron_value(HALF_CYCLE, 0.0, 1.0, 0.1, v),
+        "K must be positive",
+    ),
+    positivity_check(
+        "simple_perron-K", lambda v: simple_perron(HALF_CYCLE, 0.1, v), "K must be positive"
+    ),
+    positivity_check("symm_scale-eps", lambda v: symm_scale(HALF_CYCLE, v), "eps must be positive"),
+    positivity_check(
+        "certify-bound", lambda v: certify_spectral_bound(HALF_CYCLE, v), "bound must be positive"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", POSITIVITY_CHECKS)
 def test_a_nan_fails_the_positivity_checks(call, message):
     """A NaN argument fails its positivity check with that check's message,
     rather than passing it and giving a verdict or an error about
     something else."""
     with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+        call(NAN)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    POSITIVITY_CHECKS
+    + [
+        positivity_check("solve_m-s", lambda v: solve_m(HALF_CYCLE, v, 0.1, 10.0), SCALE_ARGS),
+        positivity_check("solve_m-K", lambda v: solve_m(HALF_CYCLE, 1.0, 0.1, v), SCALE_ARGS),
+    ],
+)
+def test_an_infinite_argument_fails_the_positivity_checks(call, message):
+    """``+inf`` fails each positivity check too: an infinite tolerance,
+    budget, shift or bound would give a verdict, or a report whose
+    ``Infinity`` is not valid JSON."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(math.inf)
 
 
 class TestMDecide:

@@ -18,6 +18,7 @@ solve raises instead of returning.
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,7 @@ from perronkit.scaling import (
     _PhaseSolver,
     _Problem,
     _shift_pattern,
+    _unit_positive,
 )
 
 from conftest import (
@@ -781,6 +783,73 @@ def test_step_matrix_matches_a_fresh_shift(case):
         assert np.array_equal(solver._inv_diag, 1.0 / fresh.diagonal())
 
 
+def test_dense_step_matrix_matches_a_fresh_shift():
+    """Below the cutoff the bracket's step matrix, formed in one array
+    without the products by ones, holds the bits of ``scaled_shift`` at unit
+    scalings, zero entries' signs included, at every scale and shift."""
+    rng = np.random.default_rng(64)
+    A = random_irreducible(rng, 30)
+    prob = _Problem(A, 1.0)
+    ones = np.ones(A.n_rows)
+    for scale, alpha in ((1.0, 1e-6), (0.37, 0.25), (3.1e5, 1e-6), (2.0 / 3.0, 0.0)):
+        prob.rescale(scale)
+        S = prob.step_solver(alpha).S
+        assert S.tobytes() == prob.scaled_shift(alpha, ones, ones).tobytes()
+
+
+def old_unit_positive(x):
+    """``_unit_positive`` as it was, every ratio under silenced flags."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        x = x / x.max()
+    least = x.min()
+    return (x, float(least)) if least >= np.finfo(float).tiny else None
+
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1.0, np.nan, 2.0],
+        [1.0, np.inf, 2.0],
+        [1.0, -np.inf, 2.0],
+        [-np.inf, -1.0],
+        [0.0, 0.0],
+        [-1.0, 0.0, -2.0],
+        [-1.0, 2.0, 3.0],
+        [-1e300, 1e-300],
+        [-2.0, -1.0, -4.0],
+        [-1.0, -5e-324],
+        [1e-310, 1.0],
+        [TINY, 1.0],
+        [0.5 * TINY, 0.5],
+        [5e-324, 1e-300],
+        [1e-300, 3e-300, 2e-300],
+        [2.0, 1.0, 0.25],
+        [7.0],
+    ],
+    ids=[
+        "nan", "plus-inf", "minus-inf", "minus-inf-max", "zero-max", "zero-max-negatives",
+        "mixed-signs", "mixed-signs-overflow", "all-negative", "all-negative-overflow",
+        "subnormal-ratio", "tiny-ratio", "tiny-ratio-rounded", "subnormal-entry-tiny-max",
+        "tiny-max", "positive", "one-entry",
+    ],
+)
+def test_unit_positive_keeps_its_contract(x):
+    """``_unit_positive`` gives the old formula's verdict and bits on every
+    kind of input, and its accepting path raises no floating-point warning."""
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _unit_positive(x)
+    want = old_unit_positive(x)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] and type(got[1]) is float
+
+
 def count_sparse_constructions(monkeypatch):
     """Count the CSR, CSC and COO matrices constructed, in ``counts[0]``."""
     counts = [0]
@@ -903,9 +972,9 @@ def count_scaled_shifts(monkeypatch):
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_solve_m_solves_with_the_matrix_its_check_passed(monkeypatch, n):
     """On the bracket path ``solve_m``'s solver is built on the very matrix
-    the RCDD check accepted, formed once: a build forms one matrix per
-    dense bracket step (its step solver) and the checked one, and above the
-    cutoff only the checked one."""
+    the RCDD check accepted, formed once: the bracket's step solvers form
+    their matrices without ``scaled_shift`` on both storages, so a build
+    calls it once, for the checked matrix."""
     solvers = record_checked_solvers(monkeypatch)
     calls = count_scaled_shifts(monkeypatch)
     rng = np.random.default_rng(55)
@@ -915,7 +984,7 @@ def test_solve_m_solves_with_the_matrix_its_check_passed(monkeypatch, n):
     assert S is checked
     steps = op.report.info["bracket_steps"]
     assert steps >= 1
-    assert calls[0] == (steps + 1 if n <= _DENSE_CUTOFF else 1)
+    assert calls[0] == 1
 
 
 def test_the_scan_hands_on_the_matrix_its_check_passed(monkeypatch):

@@ -118,6 +118,67 @@ class TestMatvec:
         x = rng.normal(size=n)
         assert np.array_equal(matvec(A, x, transpose=True), matvec(At, x))
 
+    def test_strided_vector(self):
+        """``matvec`` makes a strided vector C-ordered before the product."""
+        A = SparseMatrix.from_dense([[0.0, 1.0], [2.0, 0.0]])
+        x = np.arange(4.0)[::2]
+        assert np.array_equal(matvec(A, x), A.csr() @ x)
+
+
+def product_cases():
+    """Random matrices, square and not, and the edge cases."""
+    rng = np.random.default_rng(9)
+    for m, n in [(10, 10), (40, 40), (7, 13), (13, 7)]:
+        M = np.where(rng.random((m, n)) < 0.3, rng.normal(size=(m, n)), 0.0)
+        yield pytest.param(SparseMatrix.from_dense(M), id=f"random-{m}x{n}")
+    M = np.where(rng.random((6, 6)) < 0.5, rng.uniform(1.0, 2.0, (6, 6)), 0.0)
+    M[2, :] = 0.0
+    M[:, 4] = 0.0
+    yield pytest.param(SparseMatrix.from_dense(M), id="empty-row-and-column")
+    yield pytest.param(SparseMatrix.from_dense([[3.5]]), id="n-1")
+    yield pytest.param(SparseMatrix.zeros(1), id="n-1-zero")
+    yield pytest.param(SparseMatrix.zeros(5), id="zero")
+    yield pytest.param(SparseMatrix.zeros(3, 2), id="non-square-zero")
+
+
+@pytest.mark.parametrize("A", list(product_cases()))
+def test_product_gives_the_bits_of_matmul(A):
+    """``_product`` runs the kernel ``csr @ x`` ends in: the same bits, forward
+    on the CSR and transposed on the stored transpose, with the result a
+    fresh vector."""
+    rng = np.random.default_rng(10)
+    for transpose, mat in ((False, A.csr()), (True, A.csr_transpose())):
+        x = rng.normal(size=mat.shape[1])
+        got = A._product(x, transpose)
+        assert got.dtype == np.float64 and got.shape == (mat.shape[0],)
+        assert got.tobytes() == (mat @ x).tobytes()
+        assert A._product(x, transpose) is not got
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.ones(3), np.ones(5), np.ones(4, dtype=np.float32), np.ones(8)[::2], np.ones((4, 1))],
+    ids=["short", "long", "float32", "strided", "2-d"],
+)
+def test_product_refuses_what_the_kernel_cannot_check(x):
+    """The kernel checks no bounds, so ``_product`` refuses a vector of the
+    wrong length, dtype, order or shape before calling it."""
+    A = SparseMatrix.from_dense(np.ones((4, 4)))
+    with pytest.raises(ValueError, match="C-ordered float64 vector of length 4"):
+        A._product(x)
+    with pytest.raises(ValueError, match="C-ordered float64 vector of length 4"):
+        A._product(x, transpose=True)
+
+
+def test_product_checks_the_transpose_length():
+    """On a non-square matrix each side wants its own length."""
+    A = SparseMatrix.zeros(3, 2)
+    assert A._product(np.ones(2)).shape == (3,)
+    assert A._product(np.ones(3), transpose=True).shape == (2,)
+    for x, transpose in ((np.ones(3), False), (np.ones(2), True)):
+        with pytest.raises(ValueError):
+            A._product(x, transpose)
+
 
 class TestNorms:
     def test_exchange(self):
