@@ -147,7 +147,7 @@ def _decide_decay(B: SparseMatrix):
     bracket = _CWBracket(B)
     found = bracket.checked_pair(1.0, 0.0)
     if found is False:
-        return False, _certificate(B, bracket.left, bracket.right, 1.0)
+        return False, _certificate(B, bracket.left, bracket.right, 1.0, products=bracket.products)
     if found is None and is_irreducible(B):
         valid, cert = _certify(B, 1.0, bracket)
         if not valid:

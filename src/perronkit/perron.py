@@ -234,7 +234,9 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
         return DecisionOutcome(
             Verdict.NOT_M_MATRIX,
             witness=_WITNESS_TEXT["cw lower bound"],
-            certificate=_certificate(A, bracket.left, bracket.right, 1.0),
+            certificate=_certificate(
+                A, bracket.left, bracket.right, 1.0, products=bracket.products
+            ),
         )
     if found is None:
         return _m_decide_scaled(A, 1.0, eps, gamma)
@@ -317,14 +319,21 @@ def _relative_residual(x: np.ndarray, Ax: np.ndarray, s: float) -> float:
     return float(np.abs(x - Ax / s).max() / np.abs(x).max())
 
 
-def _certificate(A: SparseMatrix, left, right, k_final: float, s: float | None = None):
+def _certificate(
+    A: SparseMatrix, left, right, k_final: float, s: float | None = None, products=None
+):
     """The :class:`PerronCertificate` of a positive pair: the right vector's
     CW sandwich and both eigen-residuals at ``s``, by default the better of
     the two vectors' CW lower bounds (so ``s <= rho(A)``).  ``None`` when
     that default is not positive, which only underflow makes it.  Each
     vector's product is formed once and serves its bounds and its
-    residual."""
-    Ar, Atl = A._product(right), A._product(left, transpose=True)
+    residual: taken from ``products``, a bracket's ``(right, left, A right,
+    A.T left)`` for ``A``, when its vectors are ``right`` and ``left``
+    themselves, else computed."""
+    if products is not None and products[0] is right and products[1] is left:
+        Ar, Atl = products[2:]
+    else:
+        Ar, Atl = A._product(right), A._product(left, transpose=True)
     cw_lower, cw_upper = _cw_ratio_bounds(Ar, right)
     if s is None:
         s = max(cw_lower, _cw_ratio_bounds(Atl, left)[0])
@@ -371,7 +380,7 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
         s = bracket.upper(eps)
         if s is not None and bracket.factorizations != offered:
             offered = bracket.factorizations
-            cert = _certificate(A, bracket.left, bracket.right, K)
+            cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
         else:
             if s is None:
                 # the CW lower bound holds for any K, less its rounding margin
@@ -468,7 +477,7 @@ def _certify(B: SparseMatrix, bound: float, bracket: _CWBracket) -> tuple[bool, 
     """:func:`certify_spectral_bound` on a checked ``B``, continuing ``bracket``."""
     valid = bracket.decide(bound)
     if valid is not None:
-        return valid, _certificate(B, bracket.left, bracket.right, 1.0)
+        return valid, _certificate(B, bracket.left, bracket.right, 1.0, products=bracket.products)
     if bracket.met_at_bound:
         raise BoundaryUndecidable(
             "spectral radius within rounding of the bound; cannot certify either side"

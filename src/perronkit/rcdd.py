@@ -21,6 +21,9 @@ one pattern per problem, built once; a new scale only writes new values
 into it.  The bracket's step matrix on that pattern, with its transpose
 view and inverse diagonal, is refreshed in place at each step, so a step's
 :class:`_KrylovSolver` takes all three from it and constructs no matrix.
+A Krylov pass runs at kernel cost: its products are
+:func:`sparse._kernel_product` calls on the stored arrays (the bits of
+``@``), and its vector updates write into buffers it allocates once.
 
 Every :class:`LinearOperator`, the engine's and a builder's, applies by
 :func:`_refine`, the package's one refinement loop, its products and
@@ -34,6 +37,7 @@ the backend's iterations of every application in a report side channel.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,6 +50,7 @@ from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
     _check_open_unit,
+    _kernel_product,
     _line_sums,
     as_vector,
     check_rcdd,
@@ -113,7 +118,10 @@ class _KrylovSolver:
     ``tol`` of each solve.
 
     Runs BiCGSTAB preconditioned by the diagonal, in ``_KRYLOV_PASSES``
-    passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations.  A
+    passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations, each
+    product one :func:`sparse._kernel_product` call on ``S``'s arrays
+    (``csr_matvec``) or on its transpose view's (``csc_matvec``), and each
+    pass's vector updates in place (see :func:`_bicgstab_core`).  A
     Krylov recurrence tracks its residual only approximately and can
     stagnate, so after each pass the solve recomputes the true residual and,
     while it misses, restarts from ``x`` and that residual with a fresh
@@ -143,7 +151,7 @@ class _KrylovSolver:
         return self._krylov(self._S_t if transpose else self.S, b, tol)
 
     def _krylov(self, mat, b: np.ndarray, tol: float) -> np.ndarray:
-        matvec = mat.__matmul__
+        matvec = functools.partial(_kernel_product, mat)
         norm_b = np.linalg.norm(b)
         target = tol * norm_b
         # the zero start's residual is b itself
@@ -156,7 +164,7 @@ class _KrylovSolver:
             spent += its
             self.iterations += its
             r = b - matvec(x)
-            residual = np.linalg.norm(r)
+            residual = math.sqrt(r.dot(r))
             if residual <= target or residual <= self._floor(x, norm_b):
                 return x
         raise BackendDiverged(
@@ -253,43 +261,57 @@ def varah_kappa_upper(S) -> float:
 
 
 def _bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag):
-    """BiCGSTAB from ``x``, whose residual ``b - S x`` the caller passes as
-    ``r``, preconditioned on the right by the diagonal ``1 / inv_diag``;
-    returns ``(x, iterations)`` once the recurrence residual is at most
-    ``eps_abs``, after ``cap`` iterations, or early at a breakdown (a
-    vanishing or non-finite inner product); the caller meets the last two
-    with a restart."""
-    x = x.copy()
-    if np.linalg.norm(r) <= eps_abs:
+    """BiCGSTAB (van der Vorst 1992) from ``x``, whose residual ``b - S x``
+    the caller passes as ``r``, preconditioned on the right by the diagonal
+    ``1 / inv_diag``; returns ``(x, iterations)`` once the recurrence
+    residual is at most ``eps_abs``, after ``cap`` iterations, or early at a
+    breakdown (a vanishing or non-finite inner product); the caller meets
+    the last two with a restart.  ``matvec`` maps a vector to a new one.
+    Neither ``x`` nor ``r`` is written: the pass updates its own copies and
+    buffers allocated once, in place, each update in the order of the
+    textbook expression, so with the same bits.  Inner products are
+    ``ndarray.dot``, the BLAS call ``@`` and ``np.linalg.norm`` make for
+    vectors, without their dispatch."""
+    x, r = x.copy(), r.copy()
+    if math.sqrt(r.dot(r)) <= eps_abs:
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    p = v = np.zeros_like(r)
+    p, v, s = np.zeros_like(r), np.zeros_like(r), np.empty_like(r)
+    p_hat, s_hat, tmp = np.empty_like(r), np.empty_like(r), np.empty_like(r)
     for it in range(1, cap + 1):
-        rho_new = float(r_hat @ r)
+        rho_new = float(r_hat.dot(r))
         if rho_new == 0.0 or omega == 0.0 or not math.isfinite(rho_new):
             return x, it - 1
-        p = r + ((rho_new / rho) * (alpha / omega)) * (p - omega * v)
-        p_hat = inv_diag * p
+        # p = r + beta (p - omega v)
+        np.multiply(v, omega, out=tmp)
+        np.subtract(p, tmp, out=tmp)
+        np.multiply(tmp, (rho_new / rho) * (alpha / omega), out=tmp)
+        np.add(r, tmp, out=p)
+        np.multiply(inv_diag, p, out=p_hat)
         v = matvec(p_hat)
-        rv = float(r_hat @ v)
+        rv = float(r_hat.dot(v))
         alpha = rho_new / rv if rv != 0.0 else math.inf
         if not math.isfinite(alpha):
             return x, it
-        x += alpha * p_hat
-        s = r - alpha * v
-        if np.linalg.norm(s) <= eps_abs:
+        x += np.multiply(p_hat, alpha, out=tmp)
+        # s = r - alpha v
+        np.multiply(v, alpha, out=s)
+        np.subtract(r, s, out=s)
+        if math.sqrt(s.dot(s)) <= eps_abs:
             return x, it
-        s_hat = inv_diag * s
+        np.multiply(inv_diag, s, out=s_hat)
         t = matvec(s_hat)
-        tt = float(t @ t)
+        tt = float(t.dot(t))
         if tt == 0.0:
             return x, it
-        omega = float(t @ s) / tt
-        x += omega * s_hat
-        r = s - omega * t
+        omega = float(t.dot(s)) / tt
+        x += np.multiply(s_hat, omega, out=tmp)
+        # r = s - omega t
+        np.multiply(t, omega, out=r)
+        np.subtract(s, r, out=r)
         rho = rho_new
-        if np.linalg.norm(r) <= eps_abs:
+        if math.sqrt(r.dot(r)) <= eps_abs:
             return x, it
     return x, cap
 

@@ -60,6 +60,7 @@ from .sparse import (
     _check_open_unit,
     _check_square_nonnegative,
     _is_symmetric,
+    _with_diagonal,
     apply_scaling,
     as_vector,
     check_rcdd,
@@ -147,7 +148,7 @@ class _Problem:
     scale on the same storage.
 
     Above the cutoff the problem holds ``-A / scale`` on one pattern, that of
-    ``(1 + alpha) I - A`` (:func:`_shift_pattern`), built once; a rescale
+    ``(1 + alpha) I - A`` (:func:`sparse._with_diagonal`), built once; a rescale
     only writes new values into it.  :meth:`scaled_shift` forms a fresh
     matrix from those values, and :meth:`step_solver` refreshes the one step
     matrix the bracket solves with.  ``matrix``, ``matrix_t`` and ``csr``
@@ -163,14 +164,11 @@ class _Problem:
         self._is_dense = isinstance(self._unscaled, np.ndarray)
         self._step = None
         if not self._is_dense:
-            self._neg_a = _shift_pattern(self._unscaled)
-            marks = self._neg_a.data
-            # A's entries fill the positions it stores, in order, canonical
-            # and sorted as the pattern is; the added diagonals stay 0
-            self._a_pos = np.flatnonzero(marks != 2.0)
-            self._diag = np.flatnonzero(marks >= 2.0)
-            self._rows = np.repeat(np.arange(self.n), np.diff(self._neg_a.indptr))
-            marks[:] = 0.0
+            # A's entries fill the positions it stores, in order; the added
+            # diagonals stay 0
+            indptr, indices, self._a_pos, self._diag = _with_diagonal(A._pattern)
+            self._neg_a = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=A.shape)
+            self._rows = np.repeat(np.arange(self.n), np.diff(indptr))
         self.rescale(scale)
 
     def rescale(self, scale: float) -> None:
@@ -266,17 +264,6 @@ class _Problem:
         S.data[self._diag] += 1.0 + alpha
         np.divide(1.0, S.data[self._diag], out=inv_diag)
         return _phase_backend(S, S_t, inv_diag)
-
-
-def _shift_pattern(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """The canonical pattern of ``(1 + alpha) I - A`` for a canonical CSR
-    ``A``, the diagonal always stored, built as ``ones(A) + 2 I``: positions
-    only ``A`` stores read 1, added diagonals 2 and diagonals ``A`` stores 3.
-    A sum of canonical matrices is canonical, and no entry cancels."""
-    n = csr.shape[0]
-    idx = np.arange(n)
-    ones = sp.csr_matrix((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
-    return ones + sp.csr_matrix((np.full(n, 2.0), idx, np.arange(n + 1)), shape=(n, n))
 
 
 class _PhaseSolver:
@@ -376,8 +363,10 @@ class _CWBracket:
         self.left = np.ones(A.n_rows)
         # a symmetric A's left iterate is its right one: no left solves
         self._symmetric = symmetric
-        # (lower, upper) CW bounds of the current right and left iterates
+        # (lower, upper) CW bounds of the current right and left iterates,
+        # and (right, left, A right, A.T left) they came from
         self.cw_right = self.cw_left = (0.0, np.inf)
+        self.products = None
         self.factorizations = 0
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
@@ -398,8 +387,10 @@ class _CWBracket:
         iterates positive."""
         A = self.A
         while not self.failed:
-            self.cw_right = _cw_bounds(A, self.right)
-            self.cw_left = _cw_bounds(A, self.left, transpose=True)
+            Ar, Atl = A._product(self.right), A._product(self.left, transpose=True)
+            self.products = (self.right, self.left, Ar, Atl)
+            self.cw_right = _cw_ratio_bounds(Ar, self.right)
+            self.cw_left = _cw_ratio_bounds(Atl, self.left)
             hi = min(self.cw_right[1], self.cw_left[1])
             if not hi < np.inf:
                 break
@@ -1026,21 +1017,19 @@ def symm_solve(A: SparseMatrix, b, delta: float):
 
 def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
     """``(s' I - comparison(M)) / s'`` with ``s'`` the largest diagonal entry
-    of ``M``: diagonal ``1 - M_ii / s'``, off-diagonal ``|M_ij| / s'``."""
-    rows, cols, values = M.entries()
-    diag_mask = rows == cols
+    of ``M``: diagonal ``1 - M_ii / s'``, off-diagonal ``|M_ij| / s'``, on
+    the pattern of ``M`` less the diagonals that are 0 (``s'``'s among
+    them)."""
+    values, rows, cols = M.csr().data, M._pattern.rows, M.csr().indices
+    on_diag = rows == cols
     diag = np.zeros(M.n_rows)
-    diag[rows[diag_mask]] = values[diag_mask]
+    diag[rows[on_diag]] = values[on_diag]
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     s_prime = float(diag.max())
-
-    off = ~diag_mask
-    a_rows = np.concatenate([np.arange(M.n_rows), rows[off]])
-    a_cols = np.concatenate([np.arange(M.n_rows), cols[off]])
-    a_vals = np.concatenate([s_prime - diag, np.abs(values[off])])
-    A_comp = SparseMatrix(M.n_rows, M.n_cols, a_rows, a_cols, a_vals)
-    return A_comp.scaled(1.0 / s_prime)
+    comparison = np.abs(values)
+    comparison[on_diag] = s_prime - values[on_diag]
+    return SparseMatrix._derived(M._pattern, comparison * (1.0 / s_prime))
 
 
 def factor_width2_solve(M: SparseMatrix, b, delta: float):

@@ -3,11 +3,19 @@
 Matrices are stored in compressed sparse row form with an eagerly built
 compressed row form of the transpose, since the scaling loops need both
 ``M @ x`` and ``M.T @ x`` on every iteration.  Instances are immutable after
-construction and safe for concurrent reads.  Every product of a
-:class:`SparseMatrix` is one call of scipy's CSR kernel on the stored
-forward or transpose array (``SparseMatrix._product``, the bits of ``csr @
-x`` without its dispatch); :meth:`SparseMatrix.matvec` checks its vector
-first.
+construction and safe for concurrent reads.  A matrix derived from another
+(:meth:`SparseMatrix.scaled`, :meth:`SparseMatrix.transpose`,
+:func:`apply_scaling`, :func:`shifted_m_matrix`) shares its parent's
+pattern, a :class:`_Pattern`: it takes new values on the parent's index
+arrays, gathers its transpose's values through a permutation the pattern
+computes once, on first use, and drops new zeros by a mask, so it stores the
+triplets the constructor would give without its COO round trip.
+
+Every sparse product in the package's double-precision loops, those of a
+:class:`SparseMatrix` (``SparseMatrix._product``) and the Krylov solver's,
+is one call of :func:`_kernel_product`: scipy's CSR or CSC kernel on the
+stored arrays, the bits of ``csr @ x`` without its dispatch;
+:meth:`SparseMatrix.matvec` checks its vector first.
 
 Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file loaders
 reject non-finite entries.  The dominance checks and ``rcdd``'s condition
@@ -76,6 +84,25 @@ def as_vector(x, n=None, name="x") -> np.ndarray:
     return v
 
 
+def _kernel_product(mat, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for a CSR matrix, or a CSC one such as a CSR matrix's
+    ``.T`` view, by the kernel ``mat @ x`` ends in (``csr_matvec`` or
+    ``csc_matvec``) on its stored arrays, into a fresh zero vector: the same
+    bits, without scipy's dispatch.  ``x`` must already be a float64,
+    C-ordered vector of the right length, which is checked in O(1) (the
+    kernel checks no bounds); its finiteness is not."""
+    n_out, n_in = mat.shape
+    if x.shape != (n_in,) or x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise ValueError(
+            f"product needs a C-ordered float64 vector of length {n_in}, "
+            f"got {x.dtype} of shape {x.shape}"
+        )
+    y = np.zeros(n_out)
+    kernel = _sparsetools.csc_matvec if mat.format == "csc" else _sparsetools.csr_matvec
+    kernel(n_out, n_in, mat.indptr, mat.indices, mat.data, x, y)
+    return y
+
+
 @dataclass(frozen=True)
 class NormReport:
     """Induced matrix norms: ``norm_1`` is the max column absolute sum,
@@ -85,11 +112,69 @@ class NormReport:
     norm_inf: float
 
 
+class _Pattern:
+    """The index arrays of a canonical CSR matrix, ``indptr`` and
+    ``indices``, and of its transpose's CSR, ``t_indptr`` and
+    ``t_indices``: the pattern every matrix derived from it shares.  The
+    transpose permutation a derivation gathers through is computed on first
+    use and kept for every matrix on the pattern, so a matrix that derives
+    nothing through it pays nothing for it."""
+
+    def __init__(self, shape, indptr, indices, t_indptr, t_indices):
+        self.shape = shape
+        self.indptr, self.indices = indptr, indices
+        self.t_indptr, self.t_indices = t_indptr, t_indices
+
+    @property
+    def transposed(self) -> "_Pattern":
+        """The pattern of the transpose: the same arrays, swapped, in a new
+        pattern with its own permutation.  It is not kept: a link between
+        the two would be a reference cycle, which holds their arrays until
+        the garbage collector runs."""
+        return _Pattern(self.shape[::-1], self.t_indptr, self.t_indices, self.indptr, self.indices)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """The forward position of each transpose entry, in the transpose's
+        order: values ``data`` on this pattern have the transpose values
+        ``data[perm]``.  Entry numbers moved by ``csr_tocsc``, the kernel
+        that builds a constructed matrix's transpose."""
+        numbers = np.arange(self.indices.size)
+        return sp.csr_matrix((numbers, self.indices, self.indptr), shape=self.shape).tocsc().data
+
+
+def _with_diagonal(pattern: _Pattern):
+    """``(indptr, indices, a_pos, diag)`` of the canonical CSR pattern of
+    ``M + I``, ``M`` square on ``pattern``: ``a_pos`` is the new position
+    of each entry of ``M`` and ``diag`` that of each diagonal entry.  An
+    entry moves past the diagonals added in earlier rows, and past its own
+    row's when it lies right of it."""
+    indptr, indices, rows = pattern.indptr, pattern.indices, pattern.rows
+    n = indptr.size - 1
+    added = np.ones(n, dtype=bool)
+    added[rows[indices == rows]] = False
+    before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(added, out=before[1:])
+    new_indptr = (indptr + before).astype(indptr.dtype)
+    a_pos = np.arange(indices.size) + before[rows] + (added[rows] & (indices > rows))
+    diag = new_indptr[:-1] + np.bincount(rows[indices < rows], minlength=n)
+    new_indices = np.empty(new_indptr[-1], dtype=indices.dtype)
+    new_indices[a_pos] = indices
+    new_indices[diag] = np.arange(n)
+    return new_indptr, new_indices, a_pos, diag
+
+
 class SparseMatrix:
     """Immutable sparse matrix in CSR form with a cached transpose view.
 
     Duplicate coordinates are summed and explicit zeros dropped on
-    construction, so the stored triplet set is canonical.
+    construction, so the stored triplet set is canonical.  Derived matrices
+    (:meth:`_derived`) keep that form on their parent's pattern.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, values):
@@ -113,6 +198,39 @@ class SparseMatrix:
         self._csr = csr
         self._csr_t = csr.transpose().tocsr()
         self._csr_t.sort_indices()
+        self._pattern = _Pattern(
+            csr.shape, csr.indptr, csr.indices, self._csr_t.indptr, self._csr_t.indices
+        )
+
+    @classmethod
+    def _derived(cls, pattern: _Pattern, data: np.ndarray, data_t=None) -> "SparseMatrix":
+        """The matrix with values ``data`` on the canonical ``pattern``, and
+        ``data_t`` on its transpose (by default gathered through
+        ``pattern.perm``): the triplets the constructor gives for them.
+        Entries that are 0 are dropped by a mask, on a new pattern; the
+        values must be finite."""
+        if not np.isfinite(data).all():
+            raise ValueError("matrix entries must be finite")
+        if data_t is None:
+            data_t = data[pattern.perm]
+        keep = data != 0.0
+        if not keep.all():
+            keep_t = data_t != 0.0
+            count, count_t = (np.concatenate([[0], np.cumsum(k)]) for k in (keep, keep_t))
+            pattern = _Pattern(
+                pattern.shape,
+                count[pattern.indptr].astype(pattern.indptr.dtype),
+                pattern.indices[keep],
+                count_t[pattern.t_indptr].astype(pattern.t_indptr.dtype),
+                pattern.t_indices[keep_t],
+            )
+            data, data_t = data[keep], data_t[keep_t]
+        self = cls.__new__(cls)
+        self._pattern = pattern
+        shape = pattern.shape
+        self._csr = _canonical_csr(shape, pattern.indptr, pattern.indices, data)
+        self._csr_t = _canonical_csr(shape[::-1], pattern.t_indptr, pattern.t_indices, data_t)
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -184,13 +302,18 @@ class SparseMatrix:
         return self._dense.copy()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(self._csr_t)
+        """The transpose: this matrix's two stored CSRs, swapped."""
+        t = SparseMatrix.__new__(SparseMatrix)
+        t._pattern = self._pattern.transposed
+        t._csr, t._csr_t = self._csr_t, self._csr
+        return t
 
     def scaled(self, factor: float) -> "SparseMatrix":
-        """Matrix multiplied by a scalar."""
+        """Matrix multiplied by a scalar, on this one's pattern."""
         if not np.isfinite(factor):
             raise ValueError("scale factor must be finite")
-        return SparseMatrix.from_scipy(self._csr * factor)
+        data, data_t = self._csr.data * factor, self._csr_t.data * factor
+        return SparseMatrix._derived(self._pattern, data, data_t)
 
     def is_nonnegative(self) -> bool:
         return bool(self._csr.nnz == 0 or self._csr.data.min() >= 0.0)
@@ -203,24 +326,22 @@ class SparseMatrix:
         return self._product(x, transpose)
 
     def _product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``A @ x`` or ``A.T @ x`` by the kernel ``csr @ x`` ends in, on the
-        stored forward or transpose CSR, into a fresh zero vector: the same
-        bits, without scipy's dispatch.  ``x`` must already be a float64,
-        C-ordered vector of the right length, which is checked in O(1) (the
-        kernel checks no bounds); its finiteness is not."""
-        mat = self._csr_t if transpose else self._csr
-        n_out, n_in = mat.shape
-        if x.shape != (n_in,) or x.dtype != np.float64 or not x.flags.c_contiguous:
-            raise ValueError(
-                f"product needs a C-ordered float64 vector of length {n_in}, "
-                f"got {x.dtype} of shape {x.shape}"
-            )
-        y = np.zeros(n_out)
-        _sparsetools.csr_matvec(n_out, n_in, mat.indptr, mat.indices, mat.data, x, y)
-        return y
+        """``A @ x`` or ``A.T @ x`` by :func:`_kernel_product` on the stored
+        forward or transpose CSR: the bits of ``csr @ x``.  ``x`` must
+        already be a float64, C-ordered vector of the right length."""
+        return _kernel_product(self._csr_t if transpose else self._csr, x)
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _canonical_csr(shape, indptr, indices, data) -> sp.csr_matrix:
+    """A CSR matrix on index arrays already canonical (sorted, without
+    duplicates), which it shares, marked so that scipy checks them no
+    more."""
+    csr = sp.csr_matrix((data, indices, indptr), shape=shape)
+    csr.has_canonical_format = True
+    return csr
 
 
 # -- operations --------------------------------------------------------
@@ -233,12 +354,10 @@ def matvec(A: SparseMatrix, x, transpose: bool = False) -> np.ndarray:
 
 def induced_norms(A: SparseMatrix) -> NormReport:
     """Exact induced 1- and infinity-norms (max column/row absolute sums)."""
-    coo = A.csr().tocoo()
-    absdata = np.abs(coo.data)
-    row_sums = np.zeros(A.n_rows)
-    col_sums = np.zeros(A.n_cols)
-    np.add.at(row_sums, coo.row, absdata)
-    np.add.at(col_sums, coo.col, absdata)
+    absdata = np.abs(A.csr().data)
+    # bincount adds each line's entries in storage order, as np.add.at does
+    row_sums = np.bincount(A._pattern.rows, absdata, A.n_rows)
+    col_sums = np.bincount(A.csr().indices, absdata, A.n_cols)
     return NormReport(float(col_sums.max(initial=0.0)), float(row_sums.max(initial=0.0)))
 
 
@@ -285,13 +404,16 @@ def _line_sums(S):
 
 
 def _is_symmetric(S: SparseMatrix) -> bool:
-    """Symmetry within 1e-12 relative to the largest entry magnitude (at
-    least 1)."""
-    diff = (S.csr() - S.csr_transpose()).tocoo()
-    if not diff.nnz:
-        return True
-    scale = max(1.0, float(np.abs(S.csr().data).max(initial=0.0)))
-    return bool(np.abs(diff.data).max() <= 1e-12 * scale)
+    """Symmetry within 1e-12 relative to the largest entry magnitude,
+    whatever the scale of ``S``.  When the forward and transpose CSRs share
+    one pattern their values are compared directly."""
+    fwd, bwd = S.csr(), S.csr_transpose()
+    if np.array_equal(fwd.indptr, bwd.indptr) and np.array_equal(fwd.indices, bwd.indices):
+        diff = fwd.data - bwd.data
+    else:
+        diff = (fwd - bwd).data
+    scale = float(np.abs(fwd.data).max(initial=0.0))
+    return bool(np.abs(diff).max(initial=0.0) <= 1e-12 * scale)
 
 
 def check_rcdd(S, strict_slack: float = 0.0) -> bool:
@@ -319,22 +441,36 @@ def check_sdd(S: SparseMatrix, strict_slack: float = 0.0) -> bool:
 
 
 def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:
-    """Return ``diag(L) @ M @ diag(R)`` with the same sparsity pattern."""
+    """Return ``diag(L) @ M @ diag(R)`` on the sparsity pattern of ``M``,
+    less any entry that underflows to 0."""
     left = as_vector(L, M.n_rows, "L")
     right = as_vector(R, M.n_cols, "R")
     if np.any(left <= 0.0) or np.any(right <= 0.0):
         raise ValueError("scaling vectors must be strictly positive")
-    rows, cols, values = M.entries()
-    return SparseMatrix(M.n_rows, M.n_cols, rows, cols, left[rows] * values * right[cols])
+    pattern = M._pattern
+    data = left[pattern.rows] * M.csr().data * right[pattern.indices]
+    return SparseMatrix._derived(pattern, data)
 
 
 def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMatrix:
-    """The shifted matrix ``(1 + alpha) * s * I - A``."""
+    """The shifted matrix ``(1 + alpha) * s * I - A``, on the pattern of
+    ``A`` with every diagonal added, less any diagonal the shift cancels.
+    Its transpose is ``A.T``'s shifted matrix, formed the same way."""
     if not A.is_square:
         raise ValueError("shift requires a square matrix")
-    n = A.n_rows
-    shifted = sp.identity(n, format="csr") * ((1.0 + alpha) * s) - A.csr()
-    return SparseMatrix.from_scipy(shifted)
+    shift = (1.0 + alpha) * s
+    parts = []
+    sides = ((A._pattern, A.csr().data), (A._pattern.transposed, A.csr_transpose().data))
+    for pattern, data in sides:
+        indptr, indices, a_pos, diag = _with_diagonal(pattern)
+        values = np.zeros(indices.size)
+        values[a_pos] = -data
+        # shift + (-a) has the bits of shift - a
+        values[diag] += shift
+        parts.append((indptr, indices, values))
+    (indptr, indices, values), (t_indptr, t_indices, values_t) = parts
+    pattern = _Pattern(A.shape, indptr, indices, t_indptr, t_indices)
+    return SparseMatrix._derived(pattern, values, values_t)
 
 
 # -- file I/O ----------------------------------------------------------

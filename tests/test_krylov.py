@@ -20,6 +20,8 @@ near-cycle whose BiCGSTAB recurrence stagnates converges after a restart,
 and a family of ill-conditioned inputs above the cutoff stays sound.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -58,7 +60,7 @@ from perronkit import (
 from perronkit.oracle import dense_spectral_radius
 from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_CAP, _KRYLOV_PASSES, _KrylovSolver
 from perronkit.scaling import _CW_SOLVE_TOL, _PhaseSolver
-from perronkit.sparse import RCDD_VERIFY_SLACK
+from perronkit.sparse import RCDD_VERIFY_SLACK, _kernel_product
 
 from conftest import (
     bracket_off,
@@ -832,3 +834,115 @@ def test_ill_conditioned_inputs_above_the_cutoff(family, seed):
     alpha = 0.999 / rho
     x, _ = katz_centrality(SparseMatrix.from_dense(M), alpha, b, 1e-8)
     assert np.linalg.norm(x - alpha * (M @ x) - b) <= 1e-8 * np.linalg.norm(b)
+
+
+# ----------------------------------------------------------------------
+# the in-place core on the kernel products keeps every bit
+
+
+def reference_core(matvec, r, eps_abs, cap, x, inv_diag):
+    """BiCGSTAB as it was written before its updates went in place: every
+    vector a new array and every norm ``np.linalg.norm``.  The bits the
+    core must keep."""
+    x = x.copy()
+    if np.linalg.norm(r) <= eps_abs:
+        return x, 0
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    p = v = np.zeros_like(r)
+    for it in range(1, cap + 1):
+        rho_new = float(r_hat @ r)
+        if rho_new == 0.0 or omega == 0.0 or not math.isfinite(rho_new):
+            return x, it - 1
+        p = r + ((rho_new / rho) * (alpha / omega)) * (p - omega * v)
+        p_hat = inv_diag * p
+        v = matvec(p_hat)
+        rv = float(r_hat @ v)
+        alpha = rho_new / rv if rv != 0.0 else math.inf
+        if not math.isfinite(alpha):
+            return x, it
+        x += alpha * p_hat
+        s = r - alpha * v
+        if np.linalg.norm(s) <= eps_abs:
+            return x, it
+        s_hat = inv_diag * s
+        t = matvec(s_hat)
+        tt = float(t @ t)
+        if tt == 0.0:
+            return x, it
+        omega = float(t @ s) / tt
+        x += omega * s_hat
+        r = s - omega * t
+        rho = rho_new
+        if np.linalg.norm(r) <= eps_abs:
+            return x, it
+    return x, cap
+
+
+def core_case(n=400):
+    """A nonsymmetric strictly dominant CSR matrix above the cutoff, its
+    Jacobi weights and a right-hand side."""
+    A = ring_digraph(np.random.default_rng(91), n, 3).csr()
+    S = (scipy.sparse.diags(np.asarray(abs(A).sum(axis=1)).ravel() + 0.05) - A).tocsr()
+    b = np.random.default_rng(92).normal(size=n)
+    return S, 1.0 / S.diagonal(), b
+
+
+def kernel_matvec(mat):
+    return lambda v: _kernel_product(mat, v)
+
+
+def assert_same_pass(mat, r, eps_abs, cap, x, inv_diag):
+    """The core on the kernel products and the reference on ``mat @``
+    return the same ``x``, bit for bit, after as many iterations, and leave
+    ``r`` and ``x`` as they were."""
+    r_before, x_before = r.copy(), x.copy()
+    got, its = perronkit.rcdd._bicgstab_core(kernel_matvec(mat), r, eps_abs, cap, x, inv_diag)
+    want, want_its = reference_core(mat.__matmul__, r, eps_abs, cap, x, inv_diag)
+    assert its == want_its
+    assert got.tobytes() == want.tobytes()
+    assert r.tobytes() == r_before.tobytes() and x.tobytes() == x_before.tobytes()
+    return got, its
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
+def test_the_core_keeps_the_reference_bits(transpose):
+    """Forward solves run ``csr_matvec`` on ``S``, transpose solves
+    ``csc_matvec`` on its ``.T`` view; from zero to convergence, at the
+    cap, and as a restart from the capped pass's ``x`` and its true
+    residual, each pass equals the reference bit for bit."""
+    S, inv_diag, b = core_case()
+    mat = S.T if transpose else S
+    assert mat.format == ("csc" if transpose else "csr")
+    target = 1e-12 * np.linalg.norm(b)
+    x, its = assert_same_pass(mat, b, target, 1000, np.zeros_like(b), inv_diag)
+    assert 2 < its < 1000 and np.linalg.norm(b - mat @ x) <= 1e-10 * np.linalg.norm(b)
+    capped, its = assert_same_pass(mat, b, target, 3, np.zeros_like(b), inv_diag)
+    assert its == 3
+    restart, its = assert_same_pass(mat, b - mat @ capped, target, 1000, capped, inv_diag)
+    assert its > 0
+
+
+def test_the_core_keeps_the_reference_bits_at_a_breakdown():
+    """A skew-symmetric ``S`` with unit weights makes ``r_hat . v`` exactly
+    0 in the first iteration: both cores stop there with the start ``x``."""
+    n = 8
+    S = scipy.sparse.csr_matrix(np.kron(np.eye(n // 2), [[0.0, 1.0], [-1.0, 0.0]]))
+    r, x0 = np.ones(n), np.zeros(n)
+    x, its = assert_same_pass(S, r, 1e-12, 50, x0, np.ones(n))
+    assert its == 1 and not x.any()
+
+
+def test_krylov_solves_keep_the_reference_bits(monkeypatch):
+    """Whole solves, forward and transpose, with the solver's passes and
+    true residuals, equal those run with the reference core and every
+    product by scipy's ``@``."""
+    S, _, b = core_case()
+    solver = _KrylovSolver(S)
+    got = [solver.solve(b, transpose, 1e-11) for transpose in (False, True)]
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", reference_core)
+    monkeypatch.setattr(perronkit.rcdd, "_kernel_product", lambda mat, v: mat @ v)
+    solver = _KrylovSolver(S)
+    want = [solver.solve(b, transpose, 1e-11) for transpose in (False, True)]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -995,3 +995,53 @@ class TestEigenvectorConditioningLemma:
                 M_eps = (1 + eps) * np.eye(n) - A / rho
                 inf_norm = np.abs(np.linalg.inv(M_eps)).sum(axis=1).max()
                 assert inf_norm <= kappa / eps * (1 + 1e-6)
+
+
+def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
+    """A certificate of the bracket's own iterates takes ``A r`` and ``A.T
+    l`` from the bracket, which formed them for those very arrays: it makes
+    no product, 2 fewer than one built from scratch, and every field equals
+    the from-scratch certificate's bit for bit.  Copies of the iterates get
+    their own products.  Covers ``compute_perron``
+    below and above the dense cutoff, a negative ``m_decide`` and
+    ``certify_spectral_bound``."""
+    real_certificate = perronkit.perron._certificate
+    real_product = SparseMatrix._product
+    made = [0]
+
+    def product(self, x, transpose=False):
+        made[0] += 1
+        return real_product(self, x, transpose)
+
+    seen = []
+
+    def certificate(A, left, right, k_final, s=None, products=None):
+        before = made[0]
+        cert = real_certificate(A, left, right, k_final, s=s, products=products)
+        seen.append((A, left, right, k_final, s, products, made[0] - before, cert))
+        return cert
+
+    monkeypatch.setattr(SparseMatrix, "_product", product)
+    monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+    rng = np.random.default_rng(93)
+    for n in (6, 25):
+        compute_perron(random_irreducible(rng, n), 1e-3)
+    A = ring_digraph(rng, _DENSE_CUTOFF + 50, 3)
+    compute_perron(A, 1e-3)
+    rho = compute_perron(A, 1e-6).s
+    assert not m_decide(A.scaled(1.1 / rho), 1e-3, 1e3).is_m_matrix
+    assert certify_spectral_bound(A.scaled(0.9 / rho))[0]
+    reused = [entry for entry in seen if entry[5] is not None]
+    assert len(reused) >= 6
+    for A, left, right, k_final, s, products, count, cert in reused:
+        assert products[0] is right and products[1] is left and count == 0
+        before = made[0]
+        fresh = real_certificate(A, left, right, k_final, s=s)
+        assert made[0] - before == 2
+        for field in ("s", "k_final", "residual_left", "residual_right", "cw_lower", "cw_upper"):
+            assert getattr(cert, field) == getattr(fresh, field)
+        assert cert.left is fresh.left and cert.right is fresh.right
+        # equal vectors that are not the bracket's arrays get fresh products
+        before = made[0]
+        real_certificate(A, left.copy(), right.copy(), k_final, s=s, products=products)
+        assert made[0] - before == 2

@@ -55,6 +55,8 @@ from perronkit.oracle import dense_spectral_radius
 from perronkit.sparse import (
     RCDD_VERIFY_SLACK,
     _line_sums,
+    _Pattern,
+    _with_diagonal,
     apply_scaling,
     check_rcdd,
     induced_norms,
@@ -73,7 +75,6 @@ from perronkit.scaling import (
     _normalized_comparison,
     _PhaseSolver,
     _Problem,
-    _shift_pattern,
     _unit_positive,
 )
 
@@ -727,9 +728,10 @@ def pattern_inputs():
 
 @pytest.mark.parametrize("name", list(pattern_inputs()))
 def test_shift_pattern_matches_the_coo_pattern(name):
-    """The pattern built without COO equals the COO round-trip of ``A``'s
-    entries and the diagonal: same ``indptr`` and ``indices``, and the marks
-    1 (only ``A`` stores the entry), 2 (only the diagonal) and 3 (both)."""
+    """The pattern of ``A + I`` built without COO (``sparse._with_diagonal``)
+    equals the COO round-trip of ``A``'s entries and the diagonal: same
+    ``indptr`` and ``indices``, and the marks its positions give, 1 (only
+    ``A`` stores the entry), 2 (only the diagonal) and 3 (both)."""
     csr = pattern_inputs()[name]
     n = csr.shape[0]
     coo = csr.tocoo()
@@ -742,7 +744,11 @@ def test_shift_pattern_matches_the_coo_pattern(name):
         shape=(n, n),
     )
     expected.sum_duplicates()
-    got = _shift_pattern(csr)
+    pattern = _Pattern(csr.shape, csr.indptr, csr.indices, None, None)
+    indptr, indices, a_pos, diag = _with_diagonal(pattern)
+    got = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
+    got.data[a_pos] += 1.0
+    got.data[diag] += 2.0
     assert got.has_canonical_format
     assert np.array_equal(got.indptr, expected.indptr)
     assert np.array_equal(got.indices, expected.indices)

@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import perronkit.sparse as sparse_module
 from perronkit import (
     MatrixMarketParseError,
+    NotSDD,
     SparseMatrix,
     apply_scaling,
+    build_sdd_solver,
     check_rcdd,
     check_sdd,
     induced_norms,
@@ -21,7 +24,11 @@ from perronkit import (
     matvec,
     save_vector,
     shifted_m_matrix,
+    symm_solve,
 )
+from perronkit.scaling import _normalized_comparison
+
+from conftest import random_factor_width2_dense
 
 from pathlib import Path
 
@@ -571,3 +578,214 @@ class TestVectorIO:
         with_pass = self.load_outcome(path)
         monkeypatch.setattr(sparse_module, "_loadtxt", lambda lines, dtype: None)
         assert with_pass == self.load_outcome(path)
+
+
+# ----------------------------------------------------------------------
+# derived matrices on their parent's pattern store the constructor's triplets
+
+
+def constructed_scaled(A, factor):
+    return SparseMatrix.from_scipy(A.csr() * factor)
+
+
+def constructed_scaling(L, M, R):
+    rows, cols, values = M.entries()
+    return SparseMatrix(M.n_rows, M.n_cols, rows, cols, L[rows] * values * R[cols])
+
+
+def constructed_shift(A, s, alpha):
+    eye = scipy.sparse.identity(A.n_rows, format="csr")
+    return SparseMatrix.from_scipy(eye * ((1.0 + alpha) * s) - A.csr())
+
+
+def constructed_comparison(M):
+    """The comparison matrix by the full constructor, twice: the matrix of
+    ``s' - M_ii`` and ``|M_ij|``, then scaled by ``1 / s'``."""
+    rows, cols, values = M.entries()
+    diag_mask = rows == cols
+    diag = np.zeros(M.n_rows)
+    diag[rows[diag_mask]] = values[diag_mask]
+    s_prime = float(diag.max())
+    off = ~diag_mask
+    a_rows = np.concatenate([np.arange(M.n_rows), rows[off]])
+    a_cols = np.concatenate([np.arange(M.n_rows), cols[off]])
+    a_vals = np.concatenate([s_prime - diag, np.abs(values[off])])
+    A_comp = SparseMatrix(M.n_rows, M.n_cols, a_rows, a_cols, a_vals)
+    return constructed_scaled(A_comp, 1.0 / s_prime)
+
+
+def stored(A):
+    """Every array of both stored CSRs, copied."""
+    return [a.copy() for m in (A.csr(), A.csr_transpose()) for a in (m.indptr, m.indices, m.data)]
+
+
+def assert_same_storage(got, want):
+    """Both stored CSRs hold the same ``indptr``, ``indices`` and ``data``,
+    bit for bit."""
+    assert got.shape == want.shape
+    for g, w in zip(stored(got), stored(want)):
+        assert g.shape == w.shape and g.tobytes() == w.astype(g.dtype).tobytes()
+
+
+def derived_inputs():
+    """Square and non-square matrices with and without stored diagonals,
+    with empty rows and columns, and values over many decades."""
+    rng = np.random.default_rng(64)
+    base = np.where(rng.random((30, 30)) < 0.15, 10.0 ** rng.uniform(-10, 0, (30, 30)), 0.0)
+    base *= np.where(rng.random((30, 30)) < 0.3, -1.0, 1.0)
+    no_diag = base.copy()
+    np.fill_diagonal(no_diag, 0.0)
+    full_diag = base.copy()
+    np.fill_diagonal(full_diag, rng.uniform(1.0, 2.0, 30))
+    holes = full_diag.copy()
+    holes[[0, 11, 29], :] = 0.0
+    holes[:, [3, 11]] = 0.0
+    return {
+        "some-diag": base,
+        "no-diag": no_diag,
+        "full-diag": full_diag,
+        "holes": holes,
+        "wide": base[:20, :],
+        "empty": np.zeros((5, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(derived_inputs()))
+def test_derived_matrices_store_the_constructors_triplets(name):
+    """``scaled``, ``transpose`` (twice), ``apply_scaling`` and, for square
+    inputs, ``shifted_m_matrix`` give both stored CSRs of the full
+    constructor, bit for bit, and leave their parent's arrays unchanged."""
+    dense = derived_inputs()[name]
+    A = SparseMatrix.from_dense(dense)
+    before = stored(A)
+    rng = np.random.default_rng(65)
+    L, R = rng.uniform(0.5, 2.0, A.n_rows), rng.uniform(0.5, 2.0, A.n_cols)
+    pairs = [
+        (A.scaled(0.3), constructed_scaled(A, 0.3)),
+        (A.scaled(-7.0), constructed_scaled(A, -7.0)),
+        (A.transpose(), SparseMatrix.from_scipy(A.csr_transpose())),
+        (A.transpose().transpose(), A),
+        (apply_scaling(L, A, R), constructed_scaling(L, A, R)),
+        (apply_scaling(R, A.transpose(), L), constructed_scaling(R, A.transpose(), L)),
+    ]
+    if A.is_square:
+        pairs += [
+            (shifted_m_matrix(A, 2.0, 0.1), constructed_shift(A, 2.0, 0.1)),
+            (shifted_m_matrix(A, 1.0), constructed_shift(A, 1.0, 0.0)),
+            (shifted_m_matrix(A.transpose(), 3.0), constructed_shift(A.transpose(), 3.0, 0.0)),
+        ]
+    for got, want in pairs:
+        assert_same_storage(got, want)
+        # a matrix derived from a derived one is on the right pattern too
+        assert_same_storage(got.scaled(0.5), constructed_scaled(want, 0.5))
+    for after, was in zip(stored(A), before):
+        assert after.tobytes() == was.tobytes()
+
+
+def test_derived_matrices_drop_new_zeros_as_the_constructor_does():
+    """Entries a derivation rounds or cancels to 0 are dropped, from both
+    stored CSRs, exactly where the constructor drops them: an
+    ``apply_scaling`` that underflows, a factor that rounds small entries
+    to 0, shifts that cancel stored diagonals, and the scaled matrices of
+    all of them."""
+    dense = derived_inputs()["full-diag"]
+    A = SparseMatrix.from_dense(dense)
+    before = stored(A)
+    L = np.where(np.arange(30) % 3 == 0, 1e-170, 1.0)
+    R = np.where(np.arange(30) % 4 == 0, 1e-170, 1.0)
+    shift = dense.copy()
+    shift[[2, 5, 17], [2, 5, 17]] = 3.0  # (1 + 0.5) * 2
+    S = SparseMatrix.from_dense(shift)
+    pairs = [
+        (apply_scaling(L, A, R), constructed_scaling(L, A, R)),
+        (A.scaled(1e-315), constructed_scaled(A, 1e-315)),
+        (A.scaled(0.0), constructed_scaled(A, 0.0)),
+        (shifted_m_matrix(S, 2.0, 0.5), constructed_shift(S, 2.0, 0.5)),
+    ]
+    for got, want in pairs:
+        assert want.nnz < A.nnz + A.n_rows
+        assert_same_storage(got, want)
+        assert_same_storage(got.transpose(), want.transpose())
+        assert_same_storage(got.scaled(1e-5), constructed_scaled(want, 1e-5))
+    assert pairs[0][0].nnz < A.nnz and pairs[1][0].nnz < A.nnz and pairs[2][0].nnz == 0
+    assert pairs[3][0].nnz == A.nnz - 3
+    for after, was in zip(stored(A), before):
+        assert after.tobytes() == was.tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["one-largest", "tied-largest"])
+def test_the_comparison_matrix_stores_the_constructors_triplets(ties):
+    """The normalized comparison matrix of a factor-width-2 matrix zeroes
+    its largest diagonal (every one of them when they tie) and equals the full
+    constructor's, bit for bit, leaving ``M`` unchanged."""
+    dense = random_factor_width2_dense(np.random.default_rng(66), 30)
+    if ties:
+        top = dense.diagonal().max()
+        dense[[4, 9], [4, 9]] = top  # with the one already largest, three
+    M = SparseMatrix.from_dense(dense)
+    before = stored(M)
+    got, want = _normalized_comparison(M), constructed_comparison(M)
+    assert_same_storage(got, want)
+    largest = (dense.diagonal() == dense.diagonal().max()).sum()
+    assert largest == (3 if ties else 1) and got.nnz == M.nnz - largest
+    for after, was in zip(stored(M), before):
+        assert after.tobytes() == was.tobytes()
+
+
+def test_a_derived_matrix_rejects_entries_that_overflow():
+    """As the constructor does, derived values that overflow raise."""
+    A = SparseMatrix.from_dense([[1e300, 1.0], [0.0, 2.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        A.scaled(1e10)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        apply_scaling([1e10, 1.0], A, [1.0, 1.0])
+
+
+def test_induced_norms_sum_in_storage_order():
+    """The line sums equal a sequential ``np.add.at`` over the stored
+    entries, bit for bit."""
+    A = SparseMatrix.from_dense(derived_inputs()["holes"] * 3.7)
+    coo = A.csr().tocoo()
+    rows, cols = np.zeros(A.n_rows), np.zeros(A.n_cols)
+    np.add.at(rows, coo.row, np.abs(coo.data))
+    np.add.at(cols, coo.col, np.abs(coo.data))
+    norms = induced_norms(A)
+    assert (norms.norm_1, norms.norm_inf) == (cols.max(), rows.max())
+
+
+# ----------------------------------------------------------------------
+# symmetry is relative to the matrix's own scale
+
+SCALES = [1.0, 1e-6, 1e-13, 1e-300]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_symmetry_is_relative_at_every_scale(scale):
+    """An asymmetry of half the largest entry is one at every scale:
+    ``check_sdd`` says no, ``build_sdd_solver`` raises ``NotSDD`` and
+    ``symm_solve`` rejects the matrix.  An exactly symmetric matrix, and one
+    off by 1e-13 of its largest entry, pass at every scale."""
+    asym = SparseMatrix.from_dense(np.array([[2.0, -1.0], [0.0, 2.0]]) * scale)
+    assert not check_sdd(asym)
+    with pytest.raises(NotSDD):
+        build_sdd_solver(asym, 0.1)
+    with pytest.raises(ValueError, match="symmetric"):
+        A = SparseMatrix.from_dense(np.array([[0.0, 0.5], [0.1, 0.0]]) * scale)
+        symm_solve(A, np.ones(2), 1e-6)
+    assert check_sdd(SparseMatrix.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]) * scale))
+    near = np.array([[2.0, -1.0], [-1.0 - 1e-13, 2.0]]) * scale
+    assert check_sdd(SparseMatrix.from_dense(near))
+
+
+def test_the_transpose_permutation_is_computed_once_and_only_when_used():
+    """Loading, scaling and transposing compute no transpose permutation;
+    the first ``apply_scaling`` of a matrix computes it, and later ones on
+    the same pattern reuse it."""
+    A = load_matrix(DATA / "basic_general.mtx")
+    B = A.scaled(2.0).transpose().transpose()
+    assert "perm" not in A._pattern.__dict__ and "perm" not in B._pattern.__dict__
+    ones = np.ones(A.n_rows)
+    apply_scaling(ones, A, ones)
+    perm = A._pattern.__dict__["perm"]
+    apply_scaling(2.0 * ones, A, ones)
+    assert A._pattern.__dict__["perm"] is perm
