@@ -116,10 +116,13 @@ class ReducibleGram(PerronKitError):
 
 
 class NotSDDAfterScaling(PerronKitError):
-    """Symmetric scaling failed to make ``V M V`` diagonally dominant.
+    """A symmetric solve found no scaling ``v`` to solve with.
 
-    Disproves the caller's factor-width-2 assertion (or the comparison matrix
-    is too close to singular for the requested shift).
+    Either the fallback's shift search ended with no ``v`` that makes ``V
+    (I - A) V`` diagonally dominant (``rho(A)`` too close to 1, or ``I - A``
+    numerically singular; for ``factor_width2_solve`` ``A`` is ``M``'s
+    comparison matrix), or ``factor_width2_solve``'s ``V M V`` failed its
+    SDD check, which disproves the caller's factor-width-2 assertion.
     """
 
 

@@ -423,8 +423,9 @@ def _refined_apply(M: SparseMatrix, precond, eps: float, cap: int, against: str,
     package's one setup of a refinement's products and rounding terms.
     ``k`` is the most entries in a row of ``M``, ``||abs(M)||_2 <=
     sqrt(||M||_1 ||M||_inf)``, plus ``shift`` with one, and the products,
-    ``M x`` or ``shift x - M x``, are computed in double and in
-    ``np.longdouble``."""
+    ``M x`` or ``shift x - M x``, are computed in double, ``M x`` by
+    :func:`sparse._kernel_product`, and in ``np.longdouble`` by ``@``, as
+    the kernel takes double vectors alone."""
     csr = M.csr()
     k = _row_entries(csr)
     norms = induced_norms(M)
@@ -432,11 +433,11 @@ def _refined_apply(M: SparseMatrix, precond, eps: float, cap: int, against: str,
     if shift is not None:
         norm_abs += shift
 
-    def matvec(x):
-        return csr @ x if shift is None else shift * x - csr @ x
+    def matvec(x, product=functools.partial(_kernel_product, csr)):
+        return product(x) if shift is None else shift * x - product(x)
 
     def extended_matvec(x):
-        return matvec(x.astype(np.longdouble))
+        return matvec(x.astype(np.longdouble), csr.__matmul__)
 
     return lambda b: _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
 

@@ -11,7 +11,10 @@ Every fixed-shift entry point takes that path first: :func:`mmatrix_scale`,
 :func:`solve_m`, the M-matrix decision and the symmetric entry points, for
 which the right iterate alone suffices (for symmetric ``A``,
 ``V (c I - A) V`` is SDD exactly when ``A v < c v``), so their bracket
-solves for no left iterate.  :func:`solve_m` decides at ``s`` itself, as
+solves for no left iterate, and its check is their only one:
+:func:`symm_solve` solves with the matrix it passed, and only
+:func:`factor_width2_solve` forms and checks a ``V M V`` of its own ``M``.
+:func:`solve_m` decides at ``s`` itself, as
 Katz, Leontief and the kernel decide ``rho(B) < 1``, and all four solve
 with one operator of that unshifted pair (``_pair_operator``).  Above the
 dense cutoff a bracket step only writes new values into matrices built once
@@ -66,7 +69,6 @@ from .sparse import (
     check_rcdd,
     check_sdd,
     induced_norms,
-    shifted_m_matrix,
 )
 
 __all__ = [
@@ -777,16 +779,17 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     ``info["bracket_steps"]``.
     """
     _check_scale_args(A, s, eps, K)
-    found, steps = _bracket_pair(A, s, eps, "(1 + eps) s")
+    found, bracket = _bracket_pair(A, s, eps, "(1 + eps) s")
     _, pair, report = _mmatrix_scale(A, s, eps, K) if found is None else (*found, SolveReport())
-    report.info["bracket_steps"] = steps
+    report.info["bracket_steps"] = bracket.factorizations
     return pair, report
 
 
 def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetric=False):
-    """``(found, steps)``: the ``(S, pair)`` :meth:`_CWBracket.checked_pair`
+    """``(found, bracket)``: the ``(S, pair)`` :meth:`_CWBracket.checked_pair`
     finds at ``(1 + eps) s``, or ``None`` when the bracket settles nothing,
-    and the bracket's step count.  A False verdict raises
+    and the bracket, which counts its steps in ``factorizations``.  A False
+    verdict raises
     :class:`IterationCapHit` naming ``bound``, which the CW lower bound then
     certifies ``rho(A)`` reaches whatever the conditioning.  ``symmetric``
     is the symmetric callers' one-sided bracket (see :class:`_CWBracket`)."""
@@ -797,7 +800,7 @@ def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetri
             f"rho(A) >= {bound} certified: a Collatz-Wielandt lower bound puts rho(A) "
             f"at {bracket.lower:.6e} or above",
         )
-    return found, bracket.factorizations
+    return found, bracket
 
 
 def _check_scale_args(A: SparseMatrix, s: float, eps: float, K: float) -> None:
@@ -838,14 +841,14 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     """
     _check_open_unit(eps, "eps")
     _check_scale_args(A, s, eps, K)
-    found, steps = _bracket_pair(A, s, 0.0, "s")
+    found, bracket = _bracket_pair(A, s, 0.0, "s")
     if found is not None:
         op, phases = _pair_operator(A, eps, *found), 0
     else:
         s_mid = s * (1.0 + eps / 2.0)
         S, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
         op, phases = _refined_operator(A, s, eps, K, S, pair, eps / 3.0), len(scale_report.phases)
-    op.report.info.update(scaling_phases=phases, bracket_steps=steps)
+    op.report.info.update(scaling_phases=phases, bracket_steps=bracket.factorizations)
     return op
 
 
@@ -900,51 +903,47 @@ def _check_symmetric_nonnegative(A: SparseMatrix):
         raise ValueError("matrix must be symmetric")
 
 
-# the shifts the symmetric solves' fallback tries in turn: 1/2, 1/8, ... down to 1e-8
+# the shifts the symmetric solves' fallback tries in turn: 1/2, 1/8, ... down to about 3e-8
 _SHIFT_SEARCH = tuple(0.5 / 4.0**k for k in range(13))
 
 
-def _symmetric_scaling(A: SparseMatrix, M: SparseMatrix, eps: float, shifts):
-    """``(v, S, report)`` with ``S = V M V`` checked SDD, for symmetric
-    nonnegative ``A`` and a symmetric ``M`` that is dominant under every
-    ``v`` that makes ``(1 + shift) I - A`` so.
+def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
+    """``((S, pair), report)`` for symmetric nonnegative ``A``: ``pair =
+    ScalingPair(v, v, eps, 1)`` and ``S = V ((1 + eps) I - A) V`` the
+    matrix :meth:`_CWBracket.checked` formed and checked RCDD, which for
+    symmetric ``A`` is SDD, in the solvers' working storage.
 
     ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``, its
     bracket one-sided (see :class:`_CWBracket`): for symmetric ``A``, ``V
     ((1 + eps) I - A) V`` is SDD exactly when ``A v < (1 + eps) v``, which a
-    True verdict holds.  When the bracket settles
-    nothing or its ``v`` fails the check, a one-sided halving scan at each
-    of ``shifts`` in turn gives ``v``, at ``K = 1 / shift`` (``rho(A) < 1``
-    bounds ``||((1 + shift) I - A)^-1||_2`` by it); a failed scan raises
-    :class:`IterationCapHit`, a search that ends without an SDD ``V M V``
-    :class:`NotSDDAfterScaling`.  The report logs the scan's phases, counts
-    the bracket's steps in ``info["bracket_steps"]`` and names the shift
-    ``v`` is from in ``info["shift"]``."""
-
-    def dominant(v):
-        S = apply_scaling(v, M, v)
-        return S if check_sdd(S, RCDD_VERIFY_SLACK) else None
-
-    found, steps = _bracket_pair(A, 1.0, eps, f"1 + {eps!r}" if eps else "1", symmetric=True)
-    v = None if found is None else found[1].right
-    S = None if v is None else dominant(v)
+    True verdict holds, and its checked ``(S, pair)`` is returned as is.
+    When the bracket settles nothing or its ``v`` fails the check, a
+    one-sided halving scan at each of ``shifts`` in turn gives ``v``, at ``K
+    = 1 / shift`` (``rho(A) < 1`` bounds ``||((1 + shift) I - A)^-1||_2`` by
+    it), accepted when the same bracket's :meth:`_CWBracket.checked` passes
+    its pair; a failed scan raises :class:`IterationCapHit`, a search that
+    ends with no ``v`` accepted :class:`NotSDDAfterScaling`.  The report
+    logs the scan's phases, counts the bracket's steps in
+    ``info["bracket_steps"]`` and names the shift ``v`` is from in
+    ``info["shift"]``."""
+    bound = f"1 + {eps!r}" if eps else "1"
+    found, bracket = _bracket_pair(A, 1.0, eps, bound, symmetric=True)
     report, shift, remaining = SolveReport(), eps, iter(shifts)
-    while S is None:
+    while found is None:
         shift = next(remaining, None)
         if shift is None:
             raise NotSDDAfterScaling(
-                "no shift produced a dominant scaling of V M V; the input is not "
-                "factor width 2 (or is numerically singular)"
+                f"no shift down to {shifts[-1]:.1e} gave a v with V (s I - A) V dominant at "
+                f"s = {bound}: rho(A) is too close to s, or s I - A numerically singular"
             )
         cap = scaling_iteration_cap(A.n_rows, 1.0 / shift, shift)
         try:
             _, pair, report = _checked_scan(A, 1.0, shift, 1.0 / shift, cap, two_sided=False)
         except _ScanFailure as fail:
             raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
-        v = pair.right
-        S = dominant(v)
-    report.info.update(bracket_steps=steps, shift=shift)
-    return v, S, report
+        found = bracket.checked(ScalingPair(pair.right, pair.right, eps, 1.0))
+    report.info.update(bracket_steps=bracket.factorizations, shift=shift)
+    return found, report
 
 
 def symm_scale(A: SparseMatrix, eps: float):
@@ -953,39 +952,39 @@ def symm_scale(A: SparseMatrix, eps: float):
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
     problem).  ``v`` is the right iterate of a one-sided bracket, which
     solves for no left iterate, else a one-sided halving scan's at ``K = 1 /
-    eps`` (see :func:`_symmetric_scaling`); a bracket
-    that certifies ``rho(A) >= 1 + eps``, or a failed phase of the scan, a
-    solve that misses included (``"solver budget"``), raises
-    :class:`IterationCapHit`.  Returns ``(v, report)``; the report logs the
-    scan's phases, none on the bracket path, and counts the bracket's steps
-    in ``info["bracket_steps"]``.
+    eps``, either passing the bracket's check (see
+    :func:`_symmetric_scaling`); a bracket that certifies ``rho(A) >= 1 +
+    eps``, or a failed phase of the scan, a solve that misses included
+    (``"solver budget"``), raises :class:`IterationCapHit`.  Returns ``(v,
+    report)``; the report logs the scan's phases, none on the bracket path,
+    and counts the bracket's steps in ``info["bracket_steps"]``.
     """
     _check_symmetric_nonnegative(A)
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive")
-    v, _, report = _symmetric_scaling(A, shifted_m_matrix(A, 1.0, eps), eps, (eps,))
-    return v, report
+    (_, pair), report = _symmetric_scaling(A, eps, (eps,))
+    return pair.right, report
 
 
-def _sdd_solve(A: SparseMatrix, M: SparseMatrix, b: np.ndarray, delta: float):
-    """``M x = b`` to ``||M x - b||_2 <= delta ||b||_2``: ``v`` from
-    :func:`_symmetric_scaling` at shift 0, else from the first shift of
-    ``_SHIFT_SEARCH`` that makes ``V M V`` SDD, and one backend solver of
-    the ``V M V`` it checked, each step one solve to the l2 tolerance of
-    energy accuracy 1/4, preconditioning :func:`_refine` against ``M``, the
-    refinement ``solve_m`` applies, with its rounding bound on the residual.
-    Returns ``(x, report)``: the refinement's iterations and residual norms,
-    the scaling's phases and report entries, and ``v`` in
+def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
+    """``(x, report)`` with ``||M' x - b||_2 <= delta ||b||_2``, ``M' =
+    shift I - M`` or, without a ``shift``, ``M`` itself, ``against`` its
+    name in the errors.  ``S = V M' V`` is the matrix the caller checked
+    SDD, in the solvers' working storage: one backend solver of it, each
+    step one solve to the l2 tolerance of energy accuracy 1/4,
+    preconditions :func:`_refined_apply` against ``M'``, the refinement
+    ``solve_m`` applies, with its rounding bound on the residual.  The
+    report holds the refinement's iterations and residual norms, the phases
+    and entries of ``scale_report``, the scaling's, and ``v`` in
     ``info["scaling"]``."""
-    v, S, scale_report = _symmetric_scaling(A, M, 0.0, _SHIFT_SEARCH)
-    solver = _phase_backend(_storage(S.csr()))
+    solver = _phase_backend(S)
     tol = _sdd_l2_tolerance(S, 0.25)
 
     def precond(x):
         return v * solver.solve(v * x, False, tol)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
-    x, report = _refined_apply(M, precond, delta, cap, "M")(b)
+    x, report = _refined_apply(M, precond, delta, cap, against, shift=shift)(b)
     report.phases = scale_report.phases
     report.info.update(scale_report.info, scaling=v)
     return x, report
@@ -997,22 +996,24 @@ def symm_solve(A: SparseMatrix, b, delta: float):
 
     ``v`` scales ``I - A`` SDD: the right iterate of a one-sided bracket at
     the unit shift, else the first of the one-sided halving scans at the
-    shifts 1/2, 1/8, ... down to 1e-8, each at ``K = 1 / shift``, whose
+    shifts 1/2, 1/8, ... down to about 3e-8, each at ``K = 1 / shift``, whose
     ``v`` does (see :func:`_symmetric_scaling`).  One solver of the ``V (I -
-    A) V`` it checked SDD, one solve per step, then preconditions Richardson
-    refinement against ``I - A`` until the residual plus a bound on its own
-    rounding meets the contract, as in :func:`solve_m`.  A bracket that
-    certifies ``rho(A) >= 1``, a failed scan and a refinement at its cap
-    raise :class:`IterationCapHit`, a refinement that rounding keeps from
-    the contract (near ``rho(A) = 1``) :class:`RoundingFloorHit`, a search
-    that finds no ``v`` :class:`NotSDDAfterScaling`, and a Krylov solve
-    that misses :class:`BackendDiverged`.  The report counts the bracket's steps in
+    A) V`` the bracket checked, one solve per step, then preconditions
+    Richardson refinement against ``I - A``, its products ``x - A x`` as in
+    :func:`solve_m`, until the residual plus a bound on its own rounding
+    meets the contract.  A bracket that certifies ``rho(A) >= 1``, a failed
+    scan and a refinement at its cap raise :class:`IterationCapHit`, a
+    refinement that rounding keeps from the contract (near ``rho(A) = 1``)
+    :class:`RoundingFloorHit`, a search that finds no ``v``
+    :class:`NotSDDAfterScaling`, and a Krylov solve that misses
+    :class:`BackendDiverged`.  The report counts the bracket's steps in
     ``info["bracket_steps"]`` and logs the fallback's phases.
     """
     _check_symmetric_nonnegative(A)
     _check_open_unit(delta, "delta")
     b = as_vector(b, A.n_rows, "b")
-    return _sdd_solve(A, shifted_m_matrix(A, 1.0), b, delta)
+    (S, pair), scale_report = _symmetric_scaling(A, 0.0, _SHIFT_SEARCH)
+    return _sdd_solve(S, pair.right, scale_report, A, b, delta, "I - A", shift=1.0)
 
 
 def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
@@ -1036,17 +1037,20 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     """Solve ``M x = b`` for a symmetric matrix asserted to have factor width 2.
 
     Scales the normalized comparison matrix ``A`` of ``M`` (off-diagonal
-    magnitudes), whose ``V (I - A) V`` is dominant exactly when ``V M V`` is,
-    as :func:`symm_solve` scales its ``A`` (a one-sided bracket first),
-    verifies that ``V M V`` is SDD and preconditions :func:`symm_solve`'s
-    refinement against ``M`` with one solve of it per step; rounding that
-    keeps the refinement from the contract raises :class:`RoundingFloorHit`.
-    Input that is not factor width 2 raises :class:`IterationCapHit`
-    when the bracket certifies ``rho(A) >= 1`` or a fallback scan fails, or
-    :class:`NotSDDAfterScaling` when no shift makes ``V M V`` dominant.  A
-    solve that misses raises :class:`IterationCapHit` in a fallback scan and
-    :class:`BackendDiverged` in a refinement step.  ``info["shift"]`` is 0
-    on the bracket path and ``info["scaling"]`` holds ``v``.
+    magnitudes) as :func:`symm_solve` scales its ``A`` (a one-sided bracket
+    first).  ``V (I - A) V`` is dominant exactly when ``V M V`` is, but only
+    up to the sign of ``M``'s off-diagonals, so this solve forms ``V M V``
+    from ``M`` itself, checks it SDD once and preconditions
+    :func:`symm_solve`'s refinement against ``M`` with one solve of it per
+    step; rounding that keeps the refinement from the contract raises
+    :class:`RoundingFloorHit`.  Input that is not factor width 2 raises
+    :class:`IterationCapHit` when the bracket certifies ``rho(A) >= 1`` or
+    a fallback scan fails, and :class:`NotSDDAfterScaling` when no shift
+    makes ``V (I - A) V`` dominant or, at once, when ``V M V`` fails its
+    check.  A solve that misses raises :class:`IterationCapHit` in a
+    fallback scan and :class:`BackendDiverged` in a refinement step.
+    ``info["shift"]`` is 0 on the bracket path and ``info["scaling"]``
+    holds ``v``.
     """
     if not M.is_square:
         raise ValueError("expected a square matrix")
@@ -1054,4 +1058,9 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     b = as_vector(b, M.n_rows, "b")
     A_norm = _normalized_comparison(M)
     _check_symmetric_nonnegative(A_norm)
-    return _sdd_solve(A_norm, M, b, delta)
+    (_, pair), scale_report = _symmetric_scaling(A_norm, 0.0, _SHIFT_SEARCH)
+    v = pair.right
+    S = apply_scaling(v, M, v)
+    if not check_sdd(S, RCDD_VERIFY_SLACK):
+        raise NotSDDAfterScaling("V M V fails its SDD check: M is not symmetric factor width 2")
+    return _sdd_solve(_storage(S.csr()), v, scale_report, M, b, delta, "M")

@@ -12,10 +12,12 @@ computes once, on first use, and drops new zeros by a mask, so it stores the
 triplets the constructor would give without its COO round trip.
 
 Every sparse product in the package's double-precision loops, those of a
-:class:`SparseMatrix` (``SparseMatrix._product``) and the Krylov solver's,
-is one call of :func:`_kernel_product`: scipy's CSR or CSC kernel on the
-stored arrays, the bits of ``csr @ x`` without its dispatch;
-:meth:`SparseMatrix.matvec` checks its vector first.
+:class:`SparseMatrix` (``SparseMatrix._product``), the Krylov solver's and
+a refinement's, is one call of :func:`_kernel_product`: scipy's CSR or CSC
+kernel on the stored arrays, the bits of ``csr @ x`` without its dispatch;
+:meth:`SparseMatrix.matvec` checks its vector first.  The exceptions are
+the halving scan's residual products, ``scaling._Problem.matrix @ x``, and
+a refinement's ``np.longdouble`` products, which the kernel cannot take.
 
 Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file loaders
 reject non-finite entries.  The dominance checks and ``rcdd``'s condition

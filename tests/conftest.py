@@ -196,7 +196,7 @@ def bracket_off(monkeypatch):
     fixed-shift entry point takes its fallback: ``m_decide``, ``solve_m`` and
     ``mmatrix_scale`` the halving scan, and ``symm_scale``, ``symm_solve``
     and ``factor_width2_solve`` the one-sided scan at ``K = 1 / shift`` (the
-    solves searching the shifts 1/2, 1/8, ... down to 1e-8).
+    solves searching the shifts 1/2, 1/8, ... down to about 3e-8).
     ``certify_spectral_bound`` and ``compute_perron`` keep their bracket."""
     monkeypatch.setattr(
         perronkit.scaling._CWBracket, "checked_pair", lambda self, s, alpha: None

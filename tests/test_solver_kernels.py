@@ -34,6 +34,7 @@ from perronkit import (
     BackendDiverged,
     IterationCapHit,
     NotRCDD,
+    NotSDDAfterScaling,
     RoundingFloorHit,
     ScalingPair,
     SparseMatrix,
@@ -358,9 +359,21 @@ def test_symm_solve_factors_each_level_once(monkeypatch, n):
     path ``symm_scale`` builds one solver per bracket step and nothing else,
     and ``symm_solve`` one more, its backend solver of ``V (I - A) V``,
     which serves the whole refinement.  No scan runs and no phase solver is
-    built."""
+    built.  Each call checks dominance once, by the bracket's
+    ``check_rcdd``, and forms, scales and checks no second copy of the
+    shifted matrix: no ``shifted_m_matrix``, ``apply_scaling`` or other
+    derived :class:`SparseMatrix`, and no ``check_sdd``."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "_phase_backend")
+    for module, name in [
+        (perronkit.scaling, "check_rcdd"),
+        (perronkit.rcdd, "check_rcdd"),
+        (perronkit.scaling, "check_sdd"),
+        (perronkit.rcdd, "check_sdd"),
+        (perronkit.scaling, "apply_scaling"),
+        (SparseMatrix, "_derived"),
+    ]:
+        count_calls(monkeypatch, counts, module, name)
     built = record_builds(monkeypatch)
     rng = np.random.default_rng(48)
     A = SparseMatrix.from_dense(
@@ -380,6 +393,10 @@ def test_symm_solve_factors_each_level_once(monkeypatch, n):
             **NO_SOLVERS,
             solver_name(n): steps + sdd_solvers,
             "_phase_backend": steps + sdd_solvers,
+            "check_rcdd": 1,
+            "check_sdd": 0,
+            "apply_scaling": 0,
+            "_derived": 0,
         }
     assert build_counts(built) == {"_CWBracket": 2, "_halving_scan": 0, "_PhaseSolver": 0}
 
@@ -388,8 +405,11 @@ def test_symm_solve_factors_each_level_once(monkeypatch, n):
 def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
     """The scalings build only their bracket's step solvers, no phase
     solver and no SDD solver; the one SDD solver is ``factor_width2_solve``'s
-    tail, which ``symm_solve`` shares: one backend solver of ``V M V`` of
-    the caller's own ``M``."""
+    tail, which ``symm_solve`` shares: one backend solver of ``V M V``, of
+    the caller's own ``M`` in ``factor_width2_solve`` and of ``M = I - A``,
+    the matrix the bracket checked, in ``symm_solve``.  Besides the
+    bracket's one RCDD check, only ``factor_width2_solve`` checks, its ``V M
+    V`` SDD, once."""
     built = []
     real = perronkit.scaling._phase_backend
 
@@ -410,18 +430,51 @@ def test_only_factor_width2_builds_an_sdd_solver(monkeypatch, n):
     assert build_counts(builds) == {"_CWBracket": 2, "_halving_scan": 0, "_PhaseSolver": 0}
     M_A = shifted_m_matrix(A, 1.0)
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
-    for solve, own in [
-        (lambda: symm_solve(A, rng.normal(size=n), 1e-9), M_A),
-        (lambda: factor_width2_solve(M, rng.normal(size=n), 1e-8), M),
+    checks = {}
+    count_calls(monkeypatch, checks, perronkit.scaling, "check_rcdd")
+    count_calls(monkeypatch, checks, perronkit.scaling, "check_sdd")
+    for solve, own, sdd_checks in [
+        (lambda: symm_solve(A, rng.normal(size=n), 1e-9), M_A, 0),
+        (lambda: factor_width2_solve(M, rng.normal(size=n), 1e-8), M, 1),
     ]:
+        checks.update(check_rcdd=0, check_sdd=0)
         _, report = solve()
         v = report.info["scaling"]
         assert len(built) == report.info["bracket_steps"] + 1
+        assert checks == {"check_rcdd": 1, "check_sdd": sdd_checks}
         np.testing.assert_allclose(
             built[-1], v[:, None] * own.to_dense() * v[None, :], rtol=1e-12, atol=1e-15
         )
         built.clear()
     assert build_counts(builds)["_PhaseSolver"] == 0
+
+
+def test_factor_width2_fails_fast_on_a_sign_asymmetric_m(monkeypatch):
+    """``|M|`` of ``[[2, 1], [-1, 2]]`` is symmetric, so its comparison
+    matrix passes the symmetry check and the bracket scales it dominant;
+    ``V M V`` is not symmetric, and the solve raises as soon as its one SDD
+    check fails, running no halving scan."""
+    scans = record_scans(monkeypatch)
+    M = SparseMatrix.from_dense([[2.0, 1.0], [-1.0, 2.0]])
+    with pytest.raises(NotSDDAfterScaling, match="V M V fails its SDD check"):
+        factor_width2_solve(M, np.ones(2), 1e-8)
+    assert scans == []
+
+
+def test_the_shift_search_ends_without_a_scaling(monkeypatch):
+    """With the bracket off and ``rho(A) = 1 - 1e-9``, every scan of the
+    shift search succeeds but none of their ``v`` passes the check at the
+    unit shift: all 13 shifts are scanned and ``symm_solve`` raises
+    :class:`NotSDDAfterScaling`, whose message names the shifted matrix
+    and not the factor-width assertion of ``factor_width2_solve``."""
+    bracket_off(monkeypatch)
+    scans = record_scans(monkeypatch)
+    rng = np.random.default_rng(59)
+    A = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, 8, 1.0 - 1e-9))
+    with pytest.raises(NotSDDAfterScaling, match=r"V \(s I - A\) V dominant at s = 1:") as err:
+        symm_solve(A, rng.normal(size=8), 1e-6)
+    assert "factor width" not in str(err.value)
+    assert len(scans) == 13 and all(scans)
 
 
 @SYMMETRIC_SIZES
