@@ -147,15 +147,16 @@ class _Problem:
     """``A / scale`` in the solvers' working storage, :func:`rcdd._storage`'s:
     a dense array up to ``_DENSE_CUTOFF`` unknowns, CSR above (``dense`` and
     ``csr`` name whichever is in use).  :meth:`rescale` moves it to another
-    scale on the same storage.
+    scale.
 
-    Above the cutoff the problem holds ``-A / scale`` on one pattern, that of
-    ``(1 + alpha) I - A`` (:func:`sparse._with_diagonal`), built once; a rescale
-    only writes new values into it.  :meth:`scaled_shift` forms a fresh
-    matrix from those values, and :meth:`step_solver` refreshes the one step
-    matrix the bracket solves with.  ``matrix``, ``matrix_t`` and ``csr``
-    (the scan's products and the benchmark's tracer read them) are built on
-    first read at each scale."""
+    Above the cutoff the problem keeps no scaled copy of ``A``: it builds
+    the pattern of ``(1 + alpha) I - A`` once (:func:`sparse._with_diagonal`),
+    and :meth:`scaled_shift` and :meth:`step_solver` write the values of
+    ``(1 + alpha) I - A / scale`` onto it straight from ``A``'s CSR, the
+    first into a fresh matrix, the second into the one step matrix the
+    bracket solves with.  ``matrix``, ``matrix_t`` and ``csr`` (the scan's
+    products and the benchmark's tracer read them) are built on first read
+    at each scale."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
@@ -166,11 +167,7 @@ class _Problem:
         self._is_dense = isinstance(self._unscaled, np.ndarray)
         self._step = None
         if not self._is_dense:
-            # A's entries fill the positions it stores, in order; the added
-            # diagonals stay 0
-            indptr, indices, self._a_pos, self._diag = _with_diagonal(A._pattern)
-            self._neg_a = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=A.shape)
-            self._rows = np.repeat(np.arange(self.n), np.diff(indptr))
+            self._indptr, self._indices, self._a_pos, self._diag = _with_diagonal(A._pattern)
         self.rescale(scale)
 
     def rescale(self, scale: float) -> None:
@@ -180,10 +177,22 @@ class _Problem:
             raise ValueError("scale must be positive and finite")
         self._scale = scale
         self._matrix = self._matrix_t = None
-        if not self._is_dense:
-            # scipy divides a CSR matrix by a scalar through its reciprocal,
-            # so these are the bits of -(A / scale)
-            self._neg_a.data[self._a_pos] = self._unscaled.data * (-1.0 / scale)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of each entry of the pattern of ``(1 + alpha) I - A``."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+
+    def _shift_values(self, alpha: float, out: np.ndarray) -> np.ndarray:
+        """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
+        pattern of ``(1 + alpha) I - A``: ``A``'s entries first, with the
+        bits of ``-(A / scale)`` (scipy divides a CSR matrix by a scalar
+        through its reciprocal), then ``1 + alpha`` added to each diagonal,
+        0 where ``A`` stores none."""
+        out.fill(0.0)
+        out[self._a_pos] = self._unscaled.data * (-1.0 / self._scale)
+        out[self._diag] += 1.0 + alpha
+        return out
 
     @property
     def matrix(self):
@@ -233,12 +242,10 @@ class _Problem:
             S *= ell[:, None]
             S *= r[None, :]
             return S
-        neg_a = self._neg_a
-        v = neg_a.data.copy()
-        v[self._diag] += 1.0 + alpha
+        v = self._shift_values(alpha, np.empty(self._indices.size))
         # the same products, in the same order, as diag(ell) @ M @ diag(r)
-        data = (ell[self._rows] * v) * r[neg_a.indices]
-        return sp.csr_matrix((data, neg_a.indices, neg_a.indptr), shape=neg_a.shape)
+        data = (ell[self._rows] * v) * r[self._indices]
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
     def step_solver(self, alpha: float):
         """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step,
@@ -256,14 +263,13 @@ class _Problem:
             diagonal = S.reshape(-1)[:: self.n + 1]  # a view
             diagonal += 1.0 + alpha
             return _phase_backend(S)
-        neg_a = self._neg_a
         if self._step is None:
-            S = sp.csr_matrix((neg_a.data.copy(), neg_a.indices, neg_a.indptr), shape=neg_a.shape)
+            data = np.empty(self._indices.size)
+            S = sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
             self._step = (S, S.T, np.empty(self.n))
         S, S_t, inv_diag = self._step
         # S_t is a view on S's arrays, so it follows
-        np.copyto(S.data, neg_a.data)
-        S.data[self._diag] += 1.0 + alpha
+        self._shift_values(alpha, S.data)
         np.divide(1.0, S.data[self._diag], out=inv_diag)
         return _phase_backend(S, S_t, inv_diag)
 
@@ -300,8 +306,8 @@ class _PhaseSolver:
 
 def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple[float, float]:
     """The Collatz-Wielandt ratios' ``(min, max)`` for a positive ``x``, of
-    ``A`` or, with ``transpose``, of ``A.T`` (from the transpose ``A``
-    caches); the package's one computation of them."""
+    ``A`` or, with ``transpose``, of ``A.T`` (the column kernel on ``A``'s
+    one CSR); the package's one computation of them."""
     return _cw_ratio_bounds(A._product(x, transpose), x)
 
 
@@ -910,8 +916,8 @@ _SHIFT_SEARCH = tuple(0.5 / 4.0**k for k in range(13))
 def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
     """``((S, pair), report)`` for symmetric nonnegative ``A``: ``pair =
     ScalingPair(v, v, eps, 1)`` and ``S = V ((1 + eps) I - A) V`` the
-    matrix :meth:`_CWBracket.checked` formed and checked RCDD, which for
-    symmetric ``A`` is SDD, in the solvers' working storage.
+    matrix checked RCDD, once, which for symmetric ``A`` is SDD, in the
+    solvers' working storage.
 
     ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``, its
     bracket one-sided (see :class:`_CWBracket`): for symmetric ``A``, ``V
@@ -921,8 +927,10 @@ def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
     one-sided halving scan at each of ``shifts`` in turn gives ``v``, at ``K
     = 1 / shift`` (``rho(A) < 1`` bounds ``||((1 + shift) I - A)^-1||_2`` by
     it), accepted when the same bracket's :meth:`_CWBracket.checked` passes
-    its pair; a failed scan raises :class:`IterationCapHit`, a search that
-    ends with no ``v`` accepted :class:`NotSDDAfterScaling`.  The report
+    its pair, or at once when the scan ran at ``eps`` itself, whose final
+    check was of that same ``S``; a failed scan raises
+    :class:`IterationCapHit`, a search that ends with no ``v`` accepted
+    :class:`NotSDDAfterScaling`.  The report
     logs the scan's phases, counts the bracket's steps in
     ``info["bracket_steps"]`` and names the shift ``v`` is from in
     ``info["shift"]``."""
@@ -938,10 +946,12 @@ def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
             )
         cap = scaling_iteration_cap(A.n_rows, 1.0 / shift, shift)
         try:
-            _, pair, report = _checked_scan(A, 1.0, shift, 1.0 / shift, cap, two_sided=False)
+            S, pair, report = _checked_scan(A, 1.0, shift, 1.0 / shift, cap, two_sided=False)
         except _ScanFailure as fail:
             raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
-        found = bracket.checked(ScalingPair(pair.right, pair.right, eps, 1.0))
+        pair = ScalingPair(pair.right, pair.right, eps, 1.0)
+        # a scan at the target shift has checked this very matrix
+        found = (S, pair) if shift == eps else bracket.checked(pair)
     report.info.update(bracket_steps=bracket.factorizations, shift=shift)
     return found, report
 

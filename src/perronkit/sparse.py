@@ -1,15 +1,20 @@
 """Sparse matrix storage, norms, structural checks, scaling, and file I/O.
 
-Matrices are stored in compressed sparse row form with an eagerly built
-compressed row form of the transpose, since the scaling loops need both
-``M @ x`` and ``M.T @ x`` on every iteration.  Instances are immutable after
-construction and safe for concurrent reads.  A matrix derived from another
-(:meth:`SparseMatrix.scaled`, :meth:`SparseMatrix.transpose`,
-:func:`apply_scaling`, :func:`shifted_m_matrix`) shares its parent's
-pattern, a :class:`_Pattern`: it takes new values on the parent's index
-arrays, gathers its transpose's values through a permutation the pattern
-computes once, on first use, and drops new zeros by a mask, so it stores the
-triplets the constructor would give without its COO round trip.
+Matrices are stored once, in canonical compressed sparse row form.  The
+scaling loops need both ``M @ x`` and ``M.T @ x``, and a transposed product
+runs scipy's compressed column kernel on the same arrays, read as the
+compressed column form of the transpose (what ``csr.T`` views them as):
+``csc_matvec`` adds each output's terms in the order ``csr_matvec`` adds
+them on the sorted transpose, so the bits are the same, with no second
+copy.  A transpose CSR is built only when a caller asks for one
+(:meth:`SparseMatrix.csr_transpose`, :meth:`SparseMatrix.transpose`) and
+kept.  Instances are immutable after construction and safe for concurrent
+reads.  A matrix derived from another
+(:meth:`SparseMatrix.scaled`, :func:`apply_scaling`,
+:func:`shifted_m_matrix`) shares its parent's pattern, a :class:`_Pattern`:
+it takes new values on the parent's index arrays and drops new zeros by a
+mask, so it stores the triplets the constructor would give without its COO
+round trip.
 
 Every sparse product in the package's double-precision loops, those of a
 :class:`SparseMatrix` (``SparseMatrix._product``), the Krylov solver's and
@@ -86,21 +91,24 @@ def as_vector(x, n=None, name="x") -> np.ndarray:
     return v
 
 
-def _kernel_product(mat, x: np.ndarray) -> np.ndarray:
+def _kernel_product(mat, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``mat @ x`` for a CSR matrix, or a CSC one such as a CSR matrix's
     ``.T`` view, by the kernel ``mat @ x`` ends in (``csr_matvec`` or
     ``csc_matvec``) on its stored arrays, into a fresh zero vector: the same
-    bits, without scipy's dispatch.  ``x`` must already be a float64,
-    C-ordered vector of the right length, which is checked in O(1) (the
-    kernel checks no bounds); its finiteness is not."""
-    n_out, n_in = mat.shape
+    bits, without scipy's dispatch.  With ``transpose`` it is ``mat.T @ x``,
+    the other kernel on the same arrays, as on a ``.T`` view but with no
+    view built.  ``x`` must already be a float64, C-ordered vector of the
+    right length, which is checked in O(1) (the kernel checks no bounds);
+    its finiteness is not."""
+    n_out, n_in = mat.shape[::-1] if transpose else mat.shape
     if x.shape != (n_in,) or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(
             f"product needs a C-ordered float64 vector of length {n_in}, "
             f"got {x.dtype} of shape {x.shape}"
         )
     y = np.zeros(n_out)
-    kernel = _sparsetools.csc_matvec if mat.format == "csc" else _sparsetools.csr_matvec
+    csc = (mat.format == "csc") != transpose
+    kernel = _sparsetools.csc_matvec if csc else _sparsetools.csr_matvec
     kernel(n_out, n_in, mat.indptr, mat.indices, mat.data, x, y)
     return y
 
@@ -116,24 +124,14 @@ class NormReport:
 
 class _Pattern:
     """The index arrays of a canonical CSR matrix, ``indptr`` and
-    ``indices``, and of its transpose's CSR, ``t_indptr`` and
-    ``t_indices``: the pattern every matrix derived from it shares.  The
-    transpose permutation a derivation gathers through is computed on first
-    use and kept for every matrix on the pattern, so a matrix that derives
-    nothing through it pays nothing for it."""
+    ``indices``: the pattern every matrix derived from it shares.  Its
+    transposition is computed on first use and kept for every matrix on the
+    pattern, so a matrix whose transpose CSR no caller asks for pays nothing
+    for it."""
 
-    def __init__(self, shape, indptr, indices, t_indptr, t_indices):
+    def __init__(self, shape, indptr, indices):
         self.shape = shape
         self.indptr, self.indices = indptr, indices
-        self.t_indptr, self.t_indices = t_indptr, t_indices
-
-    @property
-    def transposed(self) -> "_Pattern":
-        """The pattern of the transpose: the same arrays, swapped, in a new
-        pattern with its own permutation.  It is not kept: a link between
-        the two would be a reference cycle, which holds their arrays until
-        the garbage collector runs."""
-        return _Pattern(self.shape[::-1], self.t_indptr, self.t_indices, self.indptr, self.indices)
 
     @property
     def rows(self) -> np.ndarray:
@@ -141,13 +139,15 @@ class _Pattern:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @cached_property
-    def perm(self) -> np.ndarray:
-        """The forward position of each transpose entry, in the transpose's
-        order: values ``data`` on this pattern have the transpose values
+    def transposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t_indptr, t_indices, perm)``: the canonical CSR pattern of the
+        transpose, and the forward position of each of its entries, so that
+        values ``data`` on this pattern have the transpose values
         ``data[perm]``.  Entry numbers moved by ``csr_tocsc``, the kernel
-        that builds a constructed matrix's transpose."""
+        that transposes a CSR matrix, into sorted columns."""
         numbers = np.arange(self.indices.size)
-        return sp.csr_matrix((numbers, self.indices, self.indptr), shape=self.shape).tocsc().data
+        csc = sp.csr_matrix((numbers, self.indices, self.indptr), shape=self.shape).tocsc()
+        return csc.indptr, csc.indices, csc.data
 
 
 def _with_diagonal(pattern: _Pattern):
@@ -172,11 +172,13 @@ def _with_diagonal(pattern: _Pattern):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in CSR form with a cached transpose view.
+    """Immutable sparse matrix, stored once in CSR form.
 
     Duplicate coordinates are summed and explicit zeros dropped on
     construction, so the stored triplet set is canonical.  Derived matrices
-    (:meth:`_derived`) keep that form on their parent's pattern.
+    (:meth:`_derived`) keep that form on their parent's pattern.  The
+    transpose's CSR is built on first use and kept; it is deterministic, so
+    two threads racing through a first use at most build it twice.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, values):
@@ -198,40 +200,24 @@ class SparseMatrix:
         csr.eliminate_zeros()
         csr.sort_indices()
         self._csr = csr
-        self._csr_t = csr.transpose().tocsr()
-        self._csr_t.sort_indices()
-        self._pattern = _Pattern(
-            csr.shape, csr.indptr, csr.indices, self._csr_t.indptr, self._csr_t.indices
-        )
+        self._pattern = _Pattern(csr.shape, csr.indptr, csr.indices)
 
     @classmethod
-    def _derived(cls, pattern: _Pattern, data: np.ndarray, data_t=None) -> "SparseMatrix":
-        """The matrix with values ``data`` on the canonical ``pattern``, and
-        ``data_t`` on its transpose (by default gathered through
-        ``pattern.perm``): the triplets the constructor gives for them.
-        Entries that are 0 are dropped by a mask, on a new pattern; the
-        values must be finite."""
+    def _derived(cls, pattern: _Pattern, data: np.ndarray) -> "SparseMatrix":
+        """The matrix with values ``data`` on the canonical ``pattern``: the
+        triplets the constructor gives for them.  Entries that are 0 are
+        dropped by a mask, on a new pattern; the values must be finite."""
         if not np.isfinite(data).all():
             raise ValueError("matrix entries must be finite")
-        if data_t is None:
-            data_t = data[pattern.perm]
         keep = data != 0.0
         if not keep.all():
-            keep_t = data_t != 0.0
-            count, count_t = (np.concatenate([[0], np.cumsum(k)]) for k in (keep, keep_t))
-            pattern = _Pattern(
-                pattern.shape,
-                count[pattern.indptr].astype(pattern.indptr.dtype),
-                pattern.indices[keep],
-                count_t[pattern.t_indptr].astype(pattern.t_indptr.dtype),
-                pattern.t_indices[keep_t],
-            )
-            data, data_t = data[keep], data_t[keep_t]
+            count = np.concatenate([[0], np.cumsum(keep)])
+            indptr = count[pattern.indptr].astype(pattern.indptr.dtype)
+            pattern = _Pattern(pattern.shape, indptr, pattern.indices[keep])
+            data = data[keep]
         self = cls.__new__(cls)
         self._pattern = pattern
-        shape = pattern.shape
-        self._csr = _canonical_csr(shape, pattern.indptr, pattern.indices, data)
-        self._csr_t = _canonical_csr(shape[::-1], pattern.t_indptr, pattern.t_indices, data_t)
+        self._csr = _canonical_csr(pattern.shape, pattern.indptr, pattern.indices, data)
         return self
 
     # -- constructors -------------------------------------------------
@@ -288,8 +274,14 @@ class SparseMatrix:
         return self._csr
 
     def csr_transpose(self) -> sp.csr_matrix:
-        """CSR storage of the transpose (do not mutate)."""
+        """The transpose in canonical CSR form (do not mutate), built on the
+        first call from the pattern's transposition and kept."""
         return self._csr_t
+
+    @cached_property
+    def _csr_t(self) -> sp.csr_matrix:
+        t_indptr, t_indices, perm = self._pattern.transposition
+        return _canonical_csr(self.shape[::-1], t_indptr, t_indices, self._csr.data[perm])
 
     def entries(self):
         """Return ``(rows, cols, values)`` of the stored nonzeros."""
@@ -304,18 +296,19 @@ class SparseMatrix:
         return self._dense.copy()
 
     def transpose(self) -> "SparseMatrix":
-        """The transpose: this matrix's two stored CSRs, swapped."""
+        """The transpose, on :meth:`csr_transpose`'s arrays (built on first
+        use); its own transpose CSR is this matrix's."""
+        csr_t = self.csr_transpose()
         t = SparseMatrix.__new__(SparseMatrix)
-        t._pattern = self._pattern.transposed
-        t._csr, t._csr_t = self._csr_t, self._csr
+        t._pattern = _Pattern(csr_t.shape, csr_t.indptr, csr_t.indices)
+        t._csr, t._csr_t = csr_t, self._csr
         return t
 
     def scaled(self, factor: float) -> "SparseMatrix":
         """Matrix multiplied by a scalar, on this one's pattern."""
         if not np.isfinite(factor):
             raise ValueError("scale factor must be finite")
-        data, data_t = self._csr.data * factor, self._csr_t.data * factor
-        return SparseMatrix._derived(self._pattern, data, data_t)
+        return SparseMatrix._derived(self._pattern, self._csr.data * factor)
 
     def is_nonnegative(self) -> bool:
         return bool(self._csr.nnz == 0 or self._csr.data.min() >= 0.0)
@@ -329,9 +322,10 @@ class SparseMatrix:
 
     def _product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``A @ x`` or ``A.T @ x`` by :func:`_kernel_product` on the stored
-        forward or transpose CSR: the bits of ``csr @ x``.  ``x`` must
-        already be a float64, C-ordered vector of the right length."""
-        return _kernel_product(self._csr_t if transpose else self._csr, x)
+        CSR, transposed by ``csc_matvec`` on its arrays: the bits of ``csr @
+        x`` and of ``csr_transpose() @ x``.  ``x`` must already be a
+        float64, C-ordered vector of the right length."""
+        return _kernel_product(self._csr, x, transpose)
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -457,22 +451,15 @@ def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:
 def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMatrix:
     """The shifted matrix ``(1 + alpha) * s * I - A``, on the pattern of
     ``A`` with every diagonal added, less any diagonal the shift cancels.
-    Its transpose is ``A.T``'s shifted matrix, formed the same way."""
+    Its transpose, gathered on request, is ``A.T``'s shifted matrix."""
     if not A.is_square:
         raise ValueError("shift requires a square matrix")
-    shift = (1.0 + alpha) * s
-    parts = []
-    sides = ((A._pattern, A.csr().data), (A._pattern.transposed, A.csr_transpose().data))
-    for pattern, data in sides:
-        indptr, indices, a_pos, diag = _with_diagonal(pattern)
-        values = np.zeros(indices.size)
-        values[a_pos] = -data
-        # shift + (-a) has the bits of shift - a
-        values[diag] += shift
-        parts.append((indptr, indices, values))
-    (indptr, indices, values), (t_indptr, t_indices, values_t) = parts
-    pattern = _Pattern(A.shape, indptr, indices, t_indptr, t_indices)
-    return SparseMatrix._derived(pattern, values, values_t)
+    indptr, indices, a_pos, diag = _with_diagonal(A._pattern)
+    values = np.zeros(indices.size)
+    values[a_pos] = -A.csr().data
+    # shift + (-a) has the bits of shift - a
+    values[diag] += (1.0 + alpha) * s
+    return SparseMatrix._derived(_Pattern(A.shape, indptr, indices), values)
 
 
 # -- file I/O ----------------------------------------------------------

@@ -596,7 +596,9 @@ def test_a_nonpositive_one_sided_phase_fails(monkeypatch):
 def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
     """With the bracket off, ``solve_m`` checks RCDD once, on the scan's
     result, and builds a solver of that same matrix once more than the
-    scan's phases; it builds no RCDD solver."""
+    scan's phases; it builds no RCDD solver.  ``symm_scale``'s one-sided
+    scan, at the target shift, checks once too: its checked matrix is
+    the bracket's to accept, with no second check."""
     bracket_off(monkeypatch)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
@@ -619,6 +621,10 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
         "build_rcdd_solver": 0,
         "solve_from_scale": 0,
     }
+    counts["check_rcdd"] = 0
+    A_sym = random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
+    _, report = symm_scale(SparseMatrix.from_dense(A_sym), 1e-3)
+    assert len(report.phases) > 0 and counts["check_rcdd"] == 1
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -797,7 +803,7 @@ def test_shift_pattern_matches_the_coo_pattern(name):
         shape=(n, n),
     )
     expected.sum_duplicates()
-    pattern = _Pattern(csr.shape, csr.indptr, csr.indices, None, None)
+    pattern = _Pattern(csr.shape, csr.indptr, csr.indices)
     indptr, indices, a_pos, diag = _with_diagonal(pattern)
     got = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
     got.data[a_pos] += 1.0

@@ -1,5 +1,6 @@
 """Sparse storage, norms, structural checks, scaling, and Matrix Market I/O."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from perronkit import (
     is_irreducible,
     load_matrix,
     load_vector,
+    m_decide,
     matvec,
     save_vector,
     shifted_m_matrix,
@@ -28,7 +30,7 @@ from perronkit import (
 )
 from perronkit.scaling import _normalized_comparison
 
-from conftest import random_factor_width2_dense
+from conftest import random_factor_width2_dense, ring_digraph
 
 from pathlib import Path
 
@@ -146,13 +148,24 @@ def product_cases():
     yield pytest.param(SparseMatrix.zeros(1), id="n-1-zero")
     yield pytest.param(SparseMatrix.zeros(5), id="zero")
     yield pytest.param(SparseMatrix.zeros(3, 2), id="non-square-zero")
+    # derived matrices: a pattern masked by underflow, a diagonal-extended
+    # one, and a transpose's transpose
+    M = np.where(rng.random((30, 30)) < 0.2, rng.uniform(0.5, 2.0, (30, 30)), 0.0)
+    A = SparseMatrix.from_dense(M)
+    tiny = np.where(np.arange(30) % 3 == 0, 1e-170, 1.0)
+    masked = apply_scaling(tiny, A, tiny)
+    assert masked.nnz < A.nnz
+    yield pytest.param(masked, id="masked-by-underflow")
+    yield pytest.param(shifted_m_matrix(A, 2.0, 0.1), id="shifted")
+    yield pytest.param(A.transpose().transpose(), id="transpose-twice")
 
 
 @pytest.mark.parametrize("A", list(product_cases()))
 def test_product_gives_the_bits_of_matmul(A):
     """``_product`` runs the kernel ``csr @ x`` ends in: the same bits, forward
-    on the CSR and transposed on the stored transpose, with the result a
-    fresh vector."""
+    on the CSR and, transposed by the column kernel on the CSR's arrays,
+    those of the transpose CSR's product, with the result a fresh
+    vector."""
     rng = np.random.default_rng(10)
     for transpose, mat in ((False, A.csr()), (True, A.csr_transpose())):
         x = rng.normal(size=mat.shape[1])
@@ -615,13 +628,13 @@ def constructed_comparison(M):
 
 
 def stored(A):
-    """Every array of both stored CSRs, copied."""
+    """Every array of the CSR and of the transpose CSR, copied."""
     return [a.copy() for m in (A.csr(), A.csr_transpose()) for a in (m.indptr, m.indices, m.data)]
 
 
 def assert_same_storage(got, want):
-    """Both stored CSRs hold the same ``indptr``, ``indices`` and ``data``,
-    bit for bit."""
+    """The CSRs and the transpose CSRs hold the same ``indptr``,
+    ``indices`` and ``data``, bit for bit."""
     assert got.shape == want.shape
     for g, w in zip(stored(got), stored(want)):
         assert g.shape == w.shape and g.tobytes() == w.astype(g.dtype).tobytes()
@@ -653,7 +666,7 @@ def derived_inputs():
 @pytest.mark.parametrize("name", list(derived_inputs()))
 def test_derived_matrices_store_the_constructors_triplets(name):
     """``scaled``, ``transpose`` (twice), ``apply_scaling`` and, for square
-    inputs, ``shifted_m_matrix`` give both stored CSRs of the full
+    inputs, ``shifted_m_matrix`` give the CSR and transpose CSR of the full
     constructor, bit for bit, and leave their parent's arrays unchanged."""
     dense = derived_inputs()[name]
     A = SparseMatrix.from_dense(dense)
@@ -683,8 +696,8 @@ def test_derived_matrices_store_the_constructors_triplets(name):
 
 
 def test_derived_matrices_drop_new_zeros_as_the_constructor_does():
-    """Entries a derivation rounds or cancels to 0 are dropped, from both
-    stored CSRs, exactly where the constructor drops them: an
+    """Entries a derivation rounds or cancels to 0 are dropped, from the
+    CSR and the transpose CSR, exactly where the constructor drops them: an
     ``apply_scaling`` that underflows, a factor that rounds small entries
     to 0, shifts that cancel stored diagonals, and the scaled matrices of
     all of them."""
@@ -777,15 +790,37 @@ def test_symmetry_is_relative_at_every_scale(scale):
     assert check_sdd(SparseMatrix.from_dense(near))
 
 
-def test_the_transpose_permutation_is_computed_once_and_only_when_used():
-    """Loading, scaling and transposing compute no transpose permutation;
-    the first ``apply_scaling`` of a matrix computes it, and later ones on
-    the same pattern reuse it."""
+def test_a_transpose_csr_is_formed_only_on_request_and_once(monkeypatch):
+    """Loading, ``scaled``, ``apply_scaling``, ``shifted_m_matrix`` and an
+    ``m_decide`` run above the dense cutoff, whose bracket takes transposed
+    products, form no transpose CSR.  The first ``csr_transpose`` of a
+    matrix forms it, from one transposition of its pattern; later calls and
+    ``transpose`` reuse it, and a matrix derived on the same pattern reuses
+    the transposition."""
+    transpositions = []
+    real = sparse_module._Pattern.transposition.func
+
+    def transposition(self):
+        transpositions.append(self)
+        return real(self)
+
+    counted = functools.cached_property(transposition)
+    counted.__set_name__(sparse_module._Pattern, "transposition")
+    monkeypatch.setattr(sparse_module._Pattern, "transposition", counted)
     A = load_matrix(DATA / "basic_general.mtx")
-    B = A.scaled(2.0).transpose().transpose()
-    assert "perm" not in A._pattern.__dict__ and "perm" not in B._pattern.__dict__
     ones = np.ones(A.n_rows)
-    apply_scaling(ones, A, ones)
-    perm = A._pattern.__dict__["perm"]
-    apply_scaling(2.0 * ones, A, ones)
-    assert A._pattern.__dict__["perm"] is perm
+    derived = [A.scaled(2.0), apply_scaling(ones, A, 2.0 * ones), shifted_m_matrix(A, 3.0)]
+    big = ring_digraph(np.random.default_rng(12), 400, 1)
+    big = big.scaled(0.9 / np.abs(np.linalg.eigvals(big.to_dense())).max())
+    decision = m_decide(big, 0.1, 1e3)
+    assert decision.is_m_matrix and decision.report.info["bracket_steps"] >= 1
+    assert transpositions == []
+    for M in [A, *derived, big]:
+        assert "_csr_t" not in M.__dict__
+    first = A.csr_transpose()
+    assert transpositions == [A._pattern]
+    assert A.csr_transpose() is first and A.transpose().csr() is first
+    assert A.transpose().transpose().csr() is A.csr()
+    scaled_t = derived[0].csr_transpose()
+    assert transpositions == [A._pattern]
+    assert scaled_t.data.tobytes() == (2.0 * first.data).tobytes()
