@@ -16,14 +16,17 @@ Krylov solve runs to the relative residual ``tol``, which an LU ignores, in
 ``||b - S x||`` and, while that misses, restarts from ``x`` and that
 residual with a fresh recurrence.  A solve that misses after its last pass
 raises :class:`BackendDiverged`, and each caller turns that into its own
-typed outcome.  Above the cutoff the engine's matrices are CSR matrices on
-one pattern per problem, built once; a new scale only writes new values
-into it.  The bracket's step matrix on that pattern, with its transpose
-view and inverse diagonal, is refreshed in place at each step, so a step's
-:class:`_KrylovSolver` takes all three from it and constructs no matrix.
-A Krylov pass runs at kernel cost: its products are
-:func:`sparse._kernel_product` calls on the stored arrays (the bits of
-``@``), and its vector updates write into buffers it allocates once.
+typed outcome.  Above the cutoff the engine's matrices from one ``A`` are
+CSR matrices on one pattern, that of ``A + I``, which ``A``'s pattern
+builds once and keeps; a new scale or shift only writes new values into
+it.  The bracket's step matrix on that pattern is refreshed in place at
+each step, so a step's :class:`_KrylovSolver` takes it, with the
+reciprocals of its diagonal read where the pattern keeps it, and
+constructs no matrix.  A Krylov pass runs at kernel cost: its products are
+:func:`sparse._kernel_product` calls on the stored arrays, the transposed
+ones by the column kernel on the same arrays, so that no transpose is
+built (the bits of ``@``), and its vector updates write into buffers it
+allocates once.
 
 Every :class:`LinearOperator`, the engine's and a builder's, applies by
 :func:`_refine`, the package's one refinement loop, its products and
@@ -50,8 +53,8 @@ from .sparse import (
     RCDD_VERIFY_SLACK,
     SparseMatrix,
     _check_open_unit,
+    _kept_line_sums,
     _kernel_product,
-    _line_sums,
     as_vector,
     check_rcdd,
     check_sdd,
@@ -120,7 +123,7 @@ class _KrylovSolver:
     Runs BiCGSTAB preconditioned by the diagonal, in ``_KRYLOV_PASSES``
     passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations, each
     product one :func:`sparse._kernel_product` call on ``S``'s arrays
-    (``csr_matvec``) or on its transpose view's (``csc_matvec``), and each
+    (``csr_matvec``, or ``csc_matvec`` for a transposed solve), and each
     pass's vector updates in place (see :func:`_bicgstab_core`).  A
     Krylov recurrence tracks its residual only approximately and can
     stagnate, so after each pass the solve recomputes the true residual and,
@@ -134,24 +137,20 @@ class _KrylovSolver:
 
     A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
-    of every solve.  Deterministic.  ``S_t`` (a transpose view of ``S``)
-    and ``inv_diag`` (the reciprocals of its diagonal) default to their own
-    computation, one CSC and one diagonal extraction; a caller that keeps
-    them current for a matrix it refreshes in place passes them in.
+    of every solve.  Deterministic.  ``inv_diag`` (the reciprocals of the
+    diagonal of ``S``) defaults to its own computation, a diagonal
+    extraction; a caller that knows where the diagonal is stored passes it
+    in.
     """
 
-    def __init__(self, S: sp.csr_matrix, S_t=None, inv_diag=None):
+    def __init__(self, S: sp.csr_matrix, inv_diag=None):
         self.S = S
-        self._S_t = S.T if S_t is None else S_t
         self._inv_diag = 1.0 / S.diagonal() if inv_diag is None else inv_diag
         self._floor_terms = None
         self.iterations = 0
 
     def solve(self, b: np.ndarray, transpose: bool, tol: float) -> np.ndarray:
-        return self._krylov(self._S_t if transpose else self.S, b, tol)
-
-    def _krylov(self, mat, b: np.ndarray, tol: float) -> np.ndarray:
-        matvec = functools.partial(_kernel_product, mat)
+        matvec = functools.partial(_kernel_product, self.S, transpose=transpose)
         norm_b = np.linalg.norm(b)
         target = tol * norm_b
         # the zero start's residual is b itself
@@ -183,17 +182,17 @@ class _KrylovSolver:
         return eps_k * (norm_S * np.linalg.norm(x) + norm_b)
 
 
-def _phase_backend(S, S_t=None, inv_diag=None):
+def _phase_backend(S, inv_diag=None):
     """The package's one choice of solver, for a matrix the engine formed or
     a caller's own, by its storage alone (see :func:`_storage`): LAPACK for
     a dense ``S``, which solves exactly up to rounding, and
-    :class:`_KrylovSolver` for a CSR ``S``.  A CSR ``S`` may come with its
-    transpose view ``S_t`` and the reciprocals of its diagonal ``inv_diag``
-    when its owner keeps them current (the bracket's step matrix, refreshed
-    in place); the solver then builds neither."""
+    :class:`_KrylovSolver` for a CSR ``S``, whose transposed solves need no
+    transpose.  A CSR ``S`` may come with the reciprocals of its diagonal
+    ``inv_diag`` when its owner knows where that is stored (the bracket's
+    step matrix, refreshed in place); the solver then computes none."""
     if isinstance(S, np.ndarray):
         return _DirectSolver(S)
-    return _KrylovSolver(S, S_t, inv_diag)
+    return _KrylovSolver(S, inv_diag)
 
 
 class LinearOperator:
@@ -250,7 +249,7 @@ def varah_kappa_upper(S) -> float:
     worst row/column dominance margins, and ``||S||_2 <= sqrt(||S||_1 ||S||_inf)``.
     Returns ``inf`` when a margin is nonpositive.
     """
-    diag, row_off, col_off = _line_sums(S)
+    diag, row_off, col_off = _kept_line_sums(S)
     beta_r = float((diag - row_off).min(initial=np.inf))
     beta_c = float((diag - col_off).min(initial=np.inf))
     if beta_r <= 0.0 or beta_c <= 0.0:
@@ -511,7 +510,7 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     return LinearOperator(apply_fn, S.n_rows, eps, solver)
 
 
-def _sdd_l2_tolerance(S: SparseMatrix, eps: float) -> float:
+def _sdd_l2_tolerance(S, eps: float) -> float:
     """The relative l2 residual that implies the energy contract ``eps`` of a
     solve with the SDD ``S``: ``eps / sqrt(kappa_hat)``, ``kappa_hat`` the
     computable dominance bound on its condition number (capped at 1e12),

@@ -17,8 +17,10 @@ solves for no left iterate, and its check is their only one:
 :func:`solve_m` decides at ``s`` itself, as
 Katz, Leontief and the kernel decide ``rho(B) < 1``, and all four solve
 with one operator of that unshifted pair (``_pair_operator``).  Above the
-dense cutoff a bracket step only writes new values into matrices built once
-per bracket.
+dense cutoff every matrix a problem forms is stored on the pattern of ``A
++ I``, which ``A``'s pattern builds once for every problem on ``A`` or on
+a multiple of it, and a bracket step only writes new values into a matrix
+built once per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -63,7 +65,7 @@ from .sparse import (
     _check_open_unit,
     _check_square_nonnegative,
     _is_symmetric,
-    _with_diagonal,
+    _PatternCSR,
     apply_scaling,
     as_vector,
     check_rcdd,
@@ -149,14 +151,14 @@ class _Problem:
     ``csr`` name whichever is in use).  :meth:`rescale` moves it to another
     scale.
 
-    Above the cutoff the problem keeps no scaled copy of ``A``: it builds
-    the pattern of ``(1 + alpha) I - A`` once (:func:`sparse._with_diagonal`),
-    and :meth:`scaled_shift` and :meth:`step_solver` write the values of
-    ``(1 + alpha) I - A / scale`` onto it straight from ``A``'s CSR, the
-    first into a fresh matrix, the second into the one step matrix the
-    bracket solves with.  ``matrix``, ``matrix_t`` and ``csr`` (the scan's
-    products and the benchmark's tracer read them) are built on first read
-    at each scale."""
+    Above the cutoff the problem keeps no scaled copy of ``A``: it takes the
+    pattern of ``(1 + alpha) I - A`` from ``A``'s pattern, which builds it
+    once (:attr:`sparse._Pattern.shifted`), and :meth:`scaled_shift` and
+    :meth:`step_solver` write the values of ``(1 + alpha) I - A / scale``
+    onto it straight from ``A``'s CSR, the first into a fresh matrix, the
+    second into the one step matrix the bracket solves with.  ``matrix`` and
+    ``csr`` (the scan's products and the benchmark's tracer read them) are
+    built on first read at each scale."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
@@ -167,7 +169,7 @@ class _Problem:
         self._is_dense = isinstance(self._unscaled, np.ndarray)
         self._step = None
         if not self._is_dense:
-            self._indptr, self._indices, self._a_pos, self._diag = _with_diagonal(A._pattern)
+            self._pattern, self._a_pos = A._pattern.shifted
         self.rescale(scale)
 
     def rescale(self, scale: float) -> None:
@@ -176,12 +178,7 @@ class _Problem:
         if scale <= 0.0 or not np.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         self._scale = scale
-        self._matrix = self._matrix_t = None
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """The row of each entry of the pattern of ``(1 + alpha) I - A``."""
-        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+        self._matrix = None
 
     def _shift_values(self, alpha: float, out: np.ndarray) -> np.ndarray:
         """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
@@ -191,7 +188,7 @@ class _Problem:
         0 where ``A`` stores none."""
         out.fill(0.0)
         out[self._a_pos] = self._unscaled.data * (-1.0 / self._scale)
-        out[self._diag] += 1.0 + alpha
+        out[self._pattern.diagonal] += 1.0 + alpha
         return out
 
     @property
@@ -200,12 +197,6 @@ class _Problem:
         if self._matrix is None:
             self._matrix = self._unscaled / self._scale
         return self._matrix
-
-    @property
-    def matrix_t(self):
-        if self._matrix_t is None:
-            self._matrix_t = self.matrix.T
-        return self._matrix_t
 
     @property
     def dense(self):
@@ -231,21 +222,23 @@ class _Problem:
         return (1.0 + alpha) * x - self.matrix @ x
 
     def shifted_rmatvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
-        return (1.0 + alpha) * x - self.matrix_t @ x
+        return (1.0 + alpha) * x - self.matrix.T @ x
 
     def scaled_shift(self, alpha: float, ell: np.ndarray, r: np.ndarray):
         """``diag(ell) ((1 + alpha) I - A) diag(r)`` in the working storage,
-        a fresh matrix that no later use of the problem changes."""
+        a fresh matrix that no later use of the problem changes: above the
+        cutoff a :class:`sparse._PatternCSR`, which keeps its pattern and,
+        once taken, its line sums."""
         if self._is_dense:
             S = -self.dense
             np.fill_diagonal(S, S.diagonal() + (1.0 + alpha))
             S *= ell[:, None]
             S *= r[None, :]
             return S
-        v = self._shift_values(alpha, np.empty(self._indices.size))
+        p = self._pattern
+        v = self._shift_values(alpha, np.empty(p.indices.size))
         # the same products, in the same order, as diag(ell) @ M @ diag(r)
-        data = (ell[self._rows] * v) * r[self._indices]
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
+        return _PatternCSR.on(p, (ell.take(p.rows) * v) * r.take(p.indices))
 
     def step_solver(self, alpha: float):
         """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step,
@@ -253,25 +246,21 @@ class _Problem:
         forms that matrix in one new array, ``A / scale`` negated in place
         and ``1 + alpha`` added to its diagonal (the products by ones that
         ``scaled_shift`` would make change no bit), and LAPACK factors it.
-        Above it the step matrix, its transpose view and the reciprocals of
-        its diagonal are built on the first call and refreshed in place by
-        every later one, so a solver serves only until the next call: the
-        bracket's steps form no new scipy matrix."""
+        Above it the step matrix is built on the first call and refreshed in
+        place by every later one, so a solver serves only until the next
+        call: the bracket's steps form no new scipy matrix."""
         if self._is_dense:
             S = np.divide(self._unscaled, self._scale)
             np.negative(S, out=S)
             diagonal = S.reshape(-1)[:: self.n + 1]  # a view
             diagonal += 1.0 + alpha
             return _phase_backend(S)
+        p = self._pattern
         if self._step is None:
-            data = np.empty(self._indices.size)
-            S = sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
-            self._step = (S, S.T, np.empty(self.n))
-        S, S_t, inv_diag = self._step
-        # S_t is a view on S's arrays, so it follows
+            self._step = sp.csr_matrix((np.empty(p.indices.size), p.indices, p.indptr), shape=p.shape)
+        S = self._step
         self._shift_values(alpha, S.data)
-        np.divide(1.0, S.data[self._diag], out=inv_diag)
-        return _phase_backend(S, S_t, inv_diag)
+        return _phase_backend(S, 1.0 / S.data.take(p.diagonal))
 
 
 class _PhaseSolver:
@@ -981,14 +970,15 @@ def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
     shift I - M`` or, without a ``shift``, ``M`` itself, ``against`` its
     name in the errors.  ``S = V M' V`` is the matrix the caller checked
     SDD, in the solvers' working storage: one backend solver of it, each
-    step one solve to the l2 tolerance of energy accuracy 1/4,
-    preconditions :func:`_refined_apply` against ``M'``, the refinement
-    ``solve_m`` applies, with its rounding bound on the residual.  The
-    report holds the refinement's iterations and residual norms, the phases
+    step one solve to the l2 tolerance of energy accuracy 1/4 (from the
+    line sums the check took and a CSR ``S`` keeps, so with no second pass;
+    an LU, exact, needs none), preconditions :func:`_refined_apply` against
+    ``M'``, the refinement ``solve_m`` applies, with its rounding bound on
+    the residual.  The report holds the refinement's iterations and residual norms, the phases
     and entries of ``scale_report``, the scaling's, and ``v`` in
     ``info["scaling"]``."""
     solver = _phase_backend(S)
-    tol = _sdd_l2_tolerance(S, 0.25)
+    tol = None if isinstance(S, np.ndarray) else _sdd_l2_tolerance(S, 0.25)
 
     def precond(x):
         return v * solver.solve(v * x, False, tol)
@@ -1031,16 +1021,16 @@ def _normalized_comparison(M: SparseMatrix) -> SparseMatrix:
     of ``M``: diagonal ``1 - M_ii / s'``, off-diagonal ``|M_ij| / s'``, on
     the pattern of ``M`` less the diagonals that are 0 (``s'``'s among
     them)."""
-    values, rows, cols = M.csr().data, M._pattern.rows, M.csr().indices
-    on_diag = rows == cols
+    pattern, values = M._pattern, M.csr().data
+    on_diag = pattern.diagonal
     diag = np.zeros(M.n_rows)
-    diag[rows[on_diag]] = values[on_diag]
+    diag[pattern.indices.take(on_diag)] = values.take(on_diag)
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     s_prime = float(diag.max())
     comparison = np.abs(values)
-    comparison[on_diag] = s_prime - values[on_diag]
-    return SparseMatrix._derived(M._pattern, comparison * (1.0 / s_prime))
+    comparison[on_diag] = s_prime - values.take(on_diag)
+    return SparseMatrix._derived(pattern, comparison * (1.0 / s_prime))
 
 
 def factor_width2_solve(M: SparseMatrix, b, delta: float):

@@ -18,15 +18,20 @@ round trip.
 
 Every sparse product in the package's double-precision loops, those of a
 :class:`SparseMatrix` (``SparseMatrix._product``), the Krylov solver's and
-a refinement's, is one call of :func:`_kernel_product`: scipy's CSR or CSC
-kernel on the stored arrays, the bits of ``csr @ x`` without its dispatch;
+a refinement's, is one call of :func:`_kernel_product`: scipy's CSR kernel
+on the stored arrays, or its CSC kernel for the transpose, the bits of
+``csr @ x`` and ``csr.T @ x`` without their dispatch;
 :meth:`SparseMatrix.matvec` checks its vector first.  The exceptions are
 the halving scan's residual products, ``scaling._Problem.matrix @ x``, and
 a refinement's ``np.longdouble`` products, which the kernel cannot take.
 
-Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file loaders
-reject non-finite entries.  The dominance checks and ``rcdd``'s condition
-bound all take their line sums of ``|S|`` from one pass, :func:`_line_sums`.
+Every matrix the engine forms from ``A``, shifted or scaled and shifted, is
+stored on one pattern, that of ``A + I``, which ``A``'s :class:`_Pattern`
+builds once and keeps.  Vectors are plain 1-D ``numpy.float64`` arrays;
+constructors and file loaders reject non-finite entries.  The dominance
+checks and ``rcdd``'s condition bound all take their line sums of ``|S|``
+from one pass, :func:`_line_sums`, which on a CSR matrix reuses the row
+index and diagonal positions its pattern keeps.
 """
 
 from __future__ import annotations
@@ -91,15 +96,14 @@ def as_vector(x, n=None, name="x") -> np.ndarray:
     return v
 
 
-def _kernel_product(mat, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """``mat @ x`` for a CSR matrix, or a CSC one such as a CSR matrix's
-    ``.T`` view, by the kernel ``mat @ x`` ends in (``csr_matvec`` or
-    ``csc_matvec``) on its stored arrays, into a fresh zero vector: the same
-    bits, without scipy's dispatch.  With ``transpose`` it is ``mat.T @ x``,
-    the other kernel on the same arrays, as on a ``.T`` view but with no
-    view built.  ``x`` must already be a float64, C-ordered vector of the
-    right length, which is checked in O(1) (the kernel checks no bounds);
-    its finiteness is not."""
+def _kernel_product(mat: sp.csr_matrix, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``mat @ x`` for a CSR matrix by the kernel ``mat @ x`` ends in,
+    ``csr_matvec``, on its stored arrays, into a fresh zero vector: the same
+    bits, without scipy's dispatch.  With ``transpose`` it is ``mat.T @ x``
+    by ``csc_matvec`` on the same arrays, read as the compressed column form
+    of the transpose.  ``x`` must already be a float64, C-ordered vector of
+    the right length, which is checked in O(1) (the kernel checks no
+    bounds); its finiteness is not."""
     n_out, n_in = mat.shape[::-1] if transpose else mat.shape
     if x.shape != (n_in,) or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(
@@ -107,8 +111,7 @@ def _kernel_product(mat, x: np.ndarray, transpose: bool = False) -> np.ndarray:
             f"got {x.dtype} of shape {x.shape}"
         )
     y = np.zeros(n_out)
-    csc = (mat.format == "csc") != transpose
-    kernel = _sparsetools.csc_matvec if csc else _sparsetools.csr_matvec
+    kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
     kernel(n_out, n_in, mat.indptr, mat.indices, mat.data, x, y)
     return y
 
@@ -124,19 +127,36 @@ class NormReport:
 
 class _Pattern:
     """The index arrays of a canonical CSR matrix, ``indptr`` and
-    ``indices``: the pattern every matrix derived from it shares.  Its
-    transposition is computed on first use and kept for every matrix on the
-    pattern, so a matrix whose transpose CSR no caller asks for pays nothing
-    for it."""
+    ``indices``: the pattern every matrix derived from it shares.  What
+    follows from the pattern alone, the row of each entry, the positions of
+    the diagonal entries, the transposition and the pattern of ``M + I``,
+    is computed on first use and kept for every matrix on the pattern, so a
+    matrix pays only for what some caller asks of it.  The row index takes
+    the dtype of ``indptr``, int32 wherever scipy's index arrays are: half
+    the memory of int64, and gathers by ``take`` as fast.  Positions that
+    values are written to (the diagonal's, ``a_pos``) stay ``intp``, as
+    numpy converts any other index dtype on every scatter.
+
+    What it keeps lives as long as the matrix, and the caller that keeps
+    the matrix pays for it: once a problem is built on ``A``, about 18
+    bytes per stored entry (28 MB more than without the caches at n =
+    262144 with 1.57 million entries, held after ``compute_perron``
+    returns).  A caller that runs one bracket per matrix gains nothing
+    from that reuse, and drops it with the matrix."""
 
     def __init__(self, shape, indptr, indices):
         self.shape = shape
         self.indptr, self.indices = indptr, indices
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
         """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)).astype(self.indptr.dtype)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The position of each stored diagonal entry, in row order."""
+        return np.flatnonzero(self.rows == self.indices)
 
     @cached_property
     def transposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,11 +169,19 @@ class _Pattern:
         csc = sp.csr_matrix((numbers, self.indices, self.indptr), shape=self.shape).tocsc()
         return csc.indptr, csc.indices, csc.data
 
+    @cached_property
+    def shifted(self) -> tuple["_Pattern", np.ndarray]:
+        """:func:`_with_diagonal` of this pattern, built on first use: every
+        matrix formed from one on this pattern by a shift, scaled or not, is
+        stored on the pattern of ``M + I``, so it is built once for them
+        all."""
+        return _with_diagonal(self)
 
-def _with_diagonal(pattern: _Pattern):
-    """``(indptr, indices, a_pos, diag)`` of the canonical CSR pattern of
-    ``M + I``, ``M`` square on ``pattern``: ``a_pos`` is the new position
-    of each entry of ``M`` and ``diag`` that of each diagonal entry.  An
+
+def _with_diagonal(pattern: _Pattern) -> tuple[_Pattern, np.ndarray]:
+    """``(shifted, a_pos)``: the canonical CSR pattern of ``M + I``, ``M``
+    square on ``pattern``, its diagonal positions set (so that no row index
+    is built for them), and the new position of each entry of ``M``.  An
     entry moves past the diagonals added in earlier rows, and past its own
     row's when it lies right of it."""
     indptr, indices, rows = pattern.indptr, pattern.indices, pattern.rows
@@ -168,7 +196,9 @@ def _with_diagonal(pattern: _Pattern):
     new_indices = np.empty(new_indptr[-1], dtype=indices.dtype)
     new_indices[a_pos] = indices
     new_indices[diag] = np.arange(n)
-    return new_indptr, new_indices, a_pos, diag
+    shifted = _Pattern(pattern.shape, new_indptr, new_indices)
+    shifted.diagonal = diag
+    return shifted, a_pos
 
 
 class SparseMatrix:
@@ -178,7 +208,9 @@ class SparseMatrix:
     construction, so the stored triplet set is canonical.  Derived matrices
     (:meth:`_derived`) keep that form on their parent's pattern.  The
     transpose's CSR is built on first use and kept; it is deterministic, so
-    two threads racing through a first use at most build it twice.
+    two threads racing through a first use at most build it twice.  Both
+    CSRs are :class:`_PatternCSR` matrices, which keep their pattern and,
+    once a check takes them, their line sums.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, values):
@@ -193,14 +225,12 @@ class SparseMatrix:
             raise ValueError("row index out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        csr = sp.csr_matrix(
-            (values, (rows, cols)), shape=(int(n_rows), int(n_cols))
-        )
+        csr = _PatternCSR((values, (rows, cols)), shape=(int(n_rows), int(n_cols)))
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
+        csr.pattern = _Pattern(csr.shape, csr.indptr, csr.indices)
         self._csr = csr
-        self._pattern = _Pattern(csr.shape, csr.indptr, csr.indices)
 
     @classmethod
     def _derived(cls, pattern: _Pattern, data: np.ndarray) -> "SparseMatrix":
@@ -216,8 +246,7 @@ class SparseMatrix:
             pattern = _Pattern(pattern.shape, indptr, pattern.indices[keep])
             data = data[keep]
         self = cls.__new__(cls)
-        self._pattern = pattern
-        self._csr = _canonical_csr(pattern.shape, pattern.indptr, pattern.indices, data)
+        self._csr = _PatternCSR.on(pattern, data)
         return self
 
     # -- constructors -------------------------------------------------
@@ -266,11 +295,16 @@ class SparseMatrix:
         return self._csr.nnz
 
     @property
+    def _pattern(self) -> _Pattern:
+        return self._csr.pattern
+
+    @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
     def csr(self) -> sp.csr_matrix:
-        """Forward CSR view (do not mutate)."""
+        """Forward CSR view (do not mutate: a dominance check keeps its line
+        sums on it, see :func:`_kept_line_sums`)."""
         return self._csr
 
     def csr_transpose(self) -> sp.csr_matrix:
@@ -281,7 +315,7 @@ class SparseMatrix:
     @cached_property
     def _csr_t(self) -> sp.csr_matrix:
         t_indptr, t_indices, perm = self._pattern.transposition
-        return _canonical_csr(self.shape[::-1], t_indptr, t_indices, self._csr.data[perm])
+        return _PatternCSR.on(_Pattern(self.shape[::-1], t_indptr, t_indices), self._csr.data[perm])
 
     def entries(self):
         """Return ``(rows, cols, values)`` of the stored nonzeros."""
@@ -298,10 +332,8 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         """The transpose, on :meth:`csr_transpose`'s arrays (built on first
         use); its own transpose CSR is this matrix's."""
-        csr_t = self.csr_transpose()
         t = SparseMatrix.__new__(SparseMatrix)
-        t._pattern = _Pattern(csr_t.shape, csr_t.indptr, csr_t.indices)
-        t._csr, t._csr_t = csr_t, self._csr
+        t._csr, t._csr_t = self.csr_transpose(), self._csr
         return t
 
     def scaled(self, factor: float) -> "SparseMatrix":
@@ -331,13 +363,29 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def _canonical_csr(shape, indptr, indices, data) -> sp.csr_matrix:
-    """A CSR matrix on index arrays already canonical (sorted, without
-    duplicates), which it shares, marked so that scipy checks them no
-    more."""
-    csr = sp.csr_matrix((data, indices, indptr), shape=shape)
-    csr.has_canonical_format = True
-    return csr
+class _PatternCSR(sp.csr_matrix):
+    """A CSR matrix on a canonical :class:`_Pattern`'s arrays (:meth:`on`),
+    which keeps that ``pattern``: the CSRs of a :class:`SparseMatrix` and
+    the matrices the engine forms.  :func:`_line_sums` sums one with the row
+    index and diagonal positions its pattern keeps, and, as its values
+    never change, :func:`_kept_line_sums` keeps the sums.  A matrix scipy
+    derives from one reads ``pattern`` None and keeps nothing."""
+
+    pattern = None
+
+    @classmethod
+    def on(cls, pattern: _Pattern, data: np.ndarray) -> "_PatternCSR":
+        """The matrix with values ``data`` on ``pattern``, whose arrays it
+        shares, marked canonical so that scipy checks them no more."""
+        csr = cls((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        csr.has_canonical_format = True
+        csr.pattern = pattern
+        return csr
+
+    @cached_property
+    def line_sums(self):
+        """:func:`_line_sums` of this matrix, taken on first use."""
+        return _line_sums(self)
 
 
 # -- operations --------------------------------------------------------
@@ -373,30 +421,47 @@ def is_irreducible(A: SparseMatrix) -> bool:
 
 def _line_sums(S):
     """Diagonal and off-diagonal row and column sums of ``|S|``,
-    ``(diag, row_off, col_off)``, of a :class:`SparseMatrix`, a CSR matrix or
-    a dense array: the one pass behind every dominance margin
-    (``diag - off``) and line sum of ``|S|`` (``|diag| + off``).
+    ``(diag, row_off, col_off)``, of a CSR matrix or a dense array: the one
+    pass behind every dominance margin (``diag - off``) and line sum of
+    ``|S|`` (``|diag| + off``).
 
-    Off-diagonal sums accumulate only off-diagonal entries (no subtraction of
-    the diagonal afterwards, which would leak rounding into exact margins).
-    Duplicate CSR entries are summed first, on a copy.
+    A CSR ``S`` is summed on its :class:`_Pattern`, whose row index and
+    diagonal positions it reuses: the pattern a :class:`_PatternCSR` (a
+    :class:`SparseMatrix`'s CSR or a matrix the engine formed) keeps, and a
+    throwaway one for any other CSR matrix, its duplicates summed first on a
+    copy.  Off-diagonal sums accumulate only off-diagonal entries, the
+    diagonal's terms zeroed (no subtraction of the diagonal afterwards,
+    which would leak rounding into exact margins).
     """
-    if isinstance(S, SparseMatrix):
-        S = S.csr()
     if isinstance(S, np.ndarray):
         off = np.abs(S)
         np.fill_diagonal(off, 0.0)
         return S.diagonal(), off.sum(axis=1), off.sum(axis=0)
-    S = S.tocsr()
-    if not S.has_canonical_format:
-        S = S.copy()
-        S.sum_duplicates()
-    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-    off = rows != S.indices
-    absdata = np.abs(S.data[off])
-    row_off = np.bincount(rows[off], absdata, S.shape[0])
-    col_off = np.bincount(S.indices[off], absdata, S.shape[1])
-    return S.diagonal(), row_off, col_off
+    pattern = getattr(S, "pattern", None)
+    if pattern is None:
+        S = S.tocsr()
+        if not S.has_canonical_format:
+            S = S.copy()
+            S.sum_duplicates()
+        pattern = _Pattern(S.shape, S.indptr, S.indices)
+    rows, cols, on_diag = pattern.rows, pattern.indices, pattern.diagonal
+    diag = np.zeros(min(S.shape))
+    # added to 0, as csr.diagonal() adds them: a stored -0.0 reads +0.0
+    diag[cols.take(on_diag)] += S.data.take(on_diag)
+    # adding a zeroed term, +0.0, changes no sum of nonnegative terms
+    absdata = np.abs(S.data)
+    absdata[on_diag] = 0.0
+    return diag, np.bincount(rows, absdata, S.shape[0]), np.bincount(cols, absdata, S.shape[1])
+
+
+def _kept_line_sums(S):
+    """:func:`_line_sums` of ``S``, a :class:`SparseMatrix`, a CSR matrix
+    or a dense array, taken once and kept when its values cannot change: on
+    the :class:`_PatternCSR` of a :class:`SparseMatrix` or one the engine
+    formed.  A check and the solve of the matrix it passed, which needs its
+    condition bound, then sum it once."""
+    csr = S.csr() if isinstance(S, SparseMatrix) else S
+    return csr.line_sums if getattr(csr, "pattern", None) is not None else _line_sums(csr)
 
 
 def _is_symmetric(S: SparseMatrix) -> bool:
@@ -422,7 +487,7 @@ def check_rcdd(S, strict_slack: float = 0.0) -> bool:
     """
     if S.shape[0] != S.shape[1]:
         raise ValueError("RCDD is defined for square matrices")
-    diag, row_off, col_off = _line_sums(S)
+    diag, row_off, col_off = _kept_line_sums(S)
     allow = -strict_slack * (np.abs(diag) + 1.0)
     return bool(np.all(diag - row_off >= allow) and np.all(diag - col_off >= allow))
 
@@ -444,22 +509,23 @@ def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:
     if np.any(left <= 0.0) or np.any(right <= 0.0):
         raise ValueError("scaling vectors must be strictly positive")
     pattern = M._pattern
-    data = left[pattern.rows] * M.csr().data * right[pattern.indices]
+    data = left.take(pattern.rows) * M.csr().data * right.take(pattern.indices)
     return SparseMatrix._derived(pattern, data)
 
 
 def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMatrix:
     """The shifted matrix ``(1 + alpha) * s * I - A``, on the pattern of
-    ``A`` with every diagonal added, less any diagonal the shift cancels.
-    Its transpose, gathered on request, is ``A.T``'s shifted matrix."""
+    ``A`` with every diagonal added (``A``'s :attr:`_Pattern.shifted`, built
+    once), less any diagonal the shift cancels.  Its transpose, gathered on
+    request, is ``A.T``'s shifted matrix."""
     if not A.is_square:
         raise ValueError("shift requires a square matrix")
-    indptr, indices, a_pos, diag = _with_diagonal(A._pattern)
-    values = np.zeros(indices.size)
+    pattern, a_pos = A._pattern.shifted
+    values = np.zeros(pattern.indices.size)
     values[a_pos] = -A.csr().data
     # shift + (-a) has the bits of shift - a
-    values[diag] += (1.0 + alpha) * s
-    return SparseMatrix._derived(_Pattern(A.shape, indptr, indices), values)
+    values[pattern.diagonal] += (1.0 + alpha) * s
+    return SparseMatrix._derived(pattern, values)
 
 
 # -- file I/O ----------------------------------------------------------

@@ -888,17 +888,20 @@ def core_case(n=400):
     return S, 1.0 / S.diagonal(), b
 
 
-def kernel_matvec(mat):
-    return lambda v: _kernel_product(mat, v)
+def kernel_matvec(mat, transpose=False):
+    return lambda v: _kernel_product(mat, v, transpose)
 
 
-def assert_same_pass(mat, r, eps_abs, cap, x, inv_diag):
-    """The core on the kernel products and the reference on ``mat @``
-    return the same ``x``, bit for bit, after as many iterations, and leave
-    ``r`` and ``x`` as they were."""
+def assert_same_pass(mat, r, eps_abs, cap, x, inv_diag, transpose=False):
+    """The core on the kernel products of ``mat`` (or, with ``transpose``,
+    of ``mat.T`` by the column kernel on ``mat``'s arrays) and the reference
+    on ``mat @`` (or ``mat.T @``) return the same ``x``, bit for bit, after
+    as many iterations, and leave ``r`` and ``x`` as they were."""
     r_before, x_before = r.copy(), x.copy()
-    got, its = perronkit.rcdd._bicgstab_core(kernel_matvec(mat), r, eps_abs, cap, x, inv_diag)
-    want, want_its = reference_core(mat.__matmul__, r, eps_abs, cap, x, inv_diag)
+    matvec = kernel_matvec(mat, transpose)
+    got, its = perronkit.rcdd._bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag)
+    reference = (mat.T if transpose else mat).__matmul__
+    want, want_its = reference_core(reference, r, eps_abs, cap, x, inv_diag)
     assert its == want_its
     assert got.tobytes() == want.tobytes()
     assert r.tobytes() == r_before.tobytes() and x.tobytes() == x_before.tobytes()
@@ -908,18 +911,19 @@ def assert_same_pass(mat, r, eps_abs, cap, x, inv_diag):
 @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
 def test_the_core_keeps_the_reference_bits(transpose):
     """Forward solves run ``csr_matvec`` on ``S``, transpose solves
-    ``csc_matvec`` on its ``.T`` view; from zero to convergence, at the
-    cap, and as a restart from the capped pass's ``x`` and its true
-    residual, each pass equals the reference bit for bit."""
+    ``csc_matvec`` on the same arrays, with no ``.T`` view; from zero to
+    convergence, at the cap, and as a restart from the capped pass's ``x``
+    and its true residual, each pass equals the reference on ``S @`` or
+    ``S.T @`` bit for bit."""
     S, inv_diag, b = core_case()
+    assert S.format == "csr"
     mat = S.T if transpose else S
-    assert mat.format == ("csc" if transpose else "csr")
     target = 1e-12 * np.linalg.norm(b)
-    x, its = assert_same_pass(mat, b, target, 1000, np.zeros_like(b), inv_diag)
+    x, its = assert_same_pass(S, b, target, 1000, np.zeros_like(b), inv_diag, transpose)
     assert 2 < its < 1000 and np.linalg.norm(b - mat @ x) <= 1e-10 * np.linalg.norm(b)
-    capped, its = assert_same_pass(mat, b, target, 3, np.zeros_like(b), inv_diag)
+    capped, its = assert_same_pass(S, b, target, 3, np.zeros_like(b), inv_diag, transpose)
     assert its == 3
-    restart, its = assert_same_pass(mat, b - mat @ capped, target, 1000, capped, inv_diag)
+    restart, its = assert_same_pass(S, b - mat @ capped, target, 1000, capped, inv_diag, transpose)
     assert its > 0
 
 
@@ -942,7 +946,9 @@ def test_krylov_solves_keep_the_reference_bits(monkeypatch):
     got = [solver.solve(b, transpose, 1e-11) for transpose in (False, True)]
 
     monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", reference_core)
-    monkeypatch.setattr(perronkit.rcdd, "_kernel_product", lambda mat, v: mat @ v)
+    monkeypatch.setattr(
+        perronkit.rcdd, "_kernel_product", lambda mat, v, transpose=False: (mat.T if transpose else mat) @ v
+    )
     solver = _KrylovSolver(S)
     want = [solver.solve(b, transpose, 1e-11) for transpose in (False, True)]
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -202,13 +202,13 @@ def test_krylov_transpose_solves_to_its_own_bound(monkeypatch):
     bound: each application runs one Krylov solve at its own operator's
     ``eps``, with no refinement."""
     tols = []
-    real_krylov = _KrylovSolver._krylov
+    real_solve = _KrylovSolver.solve
 
-    def krylov(self, mat, b, tol):
+    def solve(self, b, transpose, tol):
         tols.append(tol)
-        return real_krylov(self, mat, b, tol)
+        return real_solve(self, b, transpose, tol)
 
-    monkeypatch.setattr(_KrylovSolver, "_krylov", krylov)
+    monkeypatch.setattr(_KrylovSolver, "solve", solve)
     rng = np.random.default_rng(35)
     M = sparse_dominant(rng, KRYLOV_N)
     Z = build_rcdd_solver(SparseMatrix.from_dense(M), 1e-3)

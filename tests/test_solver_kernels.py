@@ -55,6 +55,7 @@ from perronkit import (
 from perronkit.oracle import dense_spectral_radius
 from perronkit.sparse import (
     RCDD_VERIFY_SLACK,
+    _kernel_product,
     _line_sums,
     _Pattern,
     _with_diagonal,
@@ -222,13 +223,34 @@ def test_one_factorization_per_bracket_step_through_scipy(monkeypatch):
     assert counts == {**NO_SOLVERS, "krylov": steps} and scans == []
 
 
+def masked_line_sums(csr):
+    """The line sums as one masked pass computes them, with no pattern: each
+    entry's row by ``np.repeat``, the off-diagonal entries gathered by a
+    mask and the diagonal by ``csr.diagonal()``; duplicates summed first."""
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    off = rows != csr.indices
+    absdata = np.abs(csr.data[off])
+    row_off = np.bincount(rows[off], absdata, csr.shape[0])
+    return csr.diagonal(), row_off, np.bincount(csr.indices[off], absdata, csr.shape[1])
+
+
 def test_csr_line_sums_match_dense():
     """The one line-sum pass gives a CSR matrix the sums of its dense form
     within rounding, duplicates summed on a copy, and ``check_rcdd`` and
-    ``varah_kappa_upper`` the same answers on both forms."""
+    ``varah_kappa_upper`` the same answers on both forms.  Matrices
+    ``scaled_shift`` formed above the cutoff are summed on the pattern they
+    keep, with the bits of a masked pass over their entries, as every CSR
+    matrix is; one of them adds every diagonal to a matrix that stores none
+    and has empty rows."""
     rng = np.random.default_rng(13)
     prob = _Problem(sparse_m_matrix(rng), 1.3)
     phase = prob.scaled_shift(0.25, rng.uniform(0.5, 2.0, prob.n), rng.uniform(0.5, 2.0, prob.n))
+    holed = _Problem(with_empty_rows(sparse_m_matrix(rng, diagonal=False), [0, 7, 399]), 0.8)
+    shifted = holed.scaled_shift(1e-3, rng.uniform(0.5, 2.0, holed.n), rng.uniform(0.5, 2.0, holed.n))
+    assert prob.n > _DENSE_CUTOFF and phase.pattern is not None and shifted.pattern is not None
     # empty rows at the start, in the middle and at the end, and a duplicate
     # entry whose parts cancel in part
     holes = sp.csr_matrix(
@@ -248,10 +270,15 @@ def test_csr_line_sums_match_dense():
     # the 2x2 identity stored with an off-diagonal pair that cancels exactly
     cancelling = sp.csr_matrix(([1.0, 0.9, -0.9, 1.0], [0, 1, 1, 1], [0, 3, 4]), shape=(2, 2))
     assert not cancelling.has_canonical_format
-    for S in (phase, holes, long_rows, sp.csr_matrix((4, 4)), cancelling):
+    # a stored -0.0 on the diagonal, which csr.diagonal() reads as +0.0
+    signed_zero = sp.csr_matrix(([-0.0, 2.0, 1.0], [0, 0, 1], [0, 1, 3]), shape=(2, 2))
+    inputs = (phase, shifted, holes, long_rows, sp.csr_matrix((4, 4)), cancelling, signed_zero)
+    for S in inputs:
         stored = (S.indices.copy(), S.data.copy())
         sums = _line_sums(S)
         assert np.array_equal(S.indices, stored[0]) and np.array_equal(S.data, stored[1])
+        for got, want in zip(sums, masked_line_sums(S)):
+            assert got.tobytes() == want.tobytes()
         dense = S.toarray()
         dense_sums = _line_sums(dense)
         assert np.array_equal(sums[0], dense_sums[0])
@@ -399,6 +426,66 @@ def test_symm_solve_factors_each_level_once(monkeypatch, n):
             "_derived": 0,
         }
     assert build_counts(built) == {"_CWBracket": 2, "_halving_scan": 0, "_PhaseSolver": 0}
+
+
+@SYMMETRIC_SIZES
+def test_each_checked_matrix_is_summed_once(monkeypatch, n):
+    """On the bracket path each matrix the symmetric solves check is summed
+    once (``sparse._line_sums``): ``symm_solve`` sums the ``V (I - A) V``
+    its bracket checked, and the SDD tolerance of its solver (an LU needs
+    none) reuses those sums; ``factor_width2_solve`` sums the bracket's
+    ``V (I - A) V`` and then its own ``V M V``, whose check's sums give its
+    solver's tolerance."""
+    passes = []
+    real = perronkit.sparse._line_sums
+
+    def counted(S):
+        passes.append(S.shape)
+        return real(S)
+
+    monkeypatch.setattr(perronkit.sparse, "_line_sums", counted)
+    rng = np.random.default_rng(48)
+    A = SparseMatrix.from_dense(
+        random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
+    )
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    for solve, sums in [
+        (lambda: symm_solve(A, rng.normal(size=n), 1e-9), 1),
+        (lambda: factor_width2_solve(M, rng.normal(size=n), 1e-8), 2),
+    ]:
+        passes.clear()
+        _, report = solve()
+        assert report.info["bracket_steps"] >= 1 and report.phases == []
+        assert passes == [(n, n)] * sums
+
+
+def test_one_shifted_pattern_per_matrix(monkeypatch):
+    """Above the cutoff the pattern of ``A + I`` is built once for every
+    problem on ``A`` or a multiple of it (``sparse._with_diagonal`` runs
+    once): two problems, a bracket on ``2 A`` that steps and
+    ``shifted_m_matrix`` all store their matrices on that one pattern."""
+    calls = []
+    real = perronkit.sparse._with_diagonal
+
+    def counted(pattern):
+        calls.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(perronkit.sparse, "_with_diagonal", counted)
+    A = sparse_m_matrix(np.random.default_rng(65))
+    assert A.n_rows > _DENSE_CUTOFF
+    problems = [_Problem(A, 1.0), _Problem(A, 0.5)]
+    bracket = _CWBracket(A.scaled(2.0))
+    assert bracket.upper(1e-3) is not None and bracket.factorizations >= 1
+    shifted = shifted_m_matrix(A, 1.0)
+    assert calls == [A._pattern]
+    pattern = problems[0]._pattern
+    assert problems[1]._pattern is pattern and bracket._prob._pattern is pattern
+    assert shifted._pattern is pattern
+    ones = np.ones(A.n_rows)
+    for prob in problems:
+        S = prob.scaled_shift(0.25, ones, ones)
+        assert S.pattern is pattern and np.shares_memory(S.indices, pattern.indices)
 
 
 @SYMMETRIC_SIZES
@@ -803,8 +890,10 @@ def test_shift_pattern_matches_the_coo_pattern(name):
         shape=(n, n),
     )
     expected.sum_duplicates()
-    pattern = _Pattern(csr.shape, csr.indptr, csr.indices)
-    indptr, indices, a_pos, diag = _with_diagonal(pattern)
+    shifted, a_pos = _with_diagonal(_Pattern(csr.shape, csr.indptr, csr.indices))
+    indptr, indices, diag = shifted.indptr, shifted.indices, shifted.diagonal
+    # the diagonal positions set are those the row index would give
+    assert np.array_equal(diag, np.flatnonzero(shifted.rows == shifted.indices))
     got = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
     got.data[a_pos] += 1.0
     got.data[diag] += 2.0
@@ -827,8 +916,9 @@ def with_empty_rows(A: SparseMatrix, rows) -> SparseMatrix:
 def test_step_matrix_matches_a_fresh_shift(case):
     """Above the cutoff the bracket's step matrix, refreshed in place from
     scale to scale and shift to shift, holds the bits of a fresh
-    ``scaled_shift`` at unit scalings, its transpose view the transpose and
-    its inverse diagonal the reciprocals of that diagonal."""
+    ``scaled_shift`` at unit scalings, its transposed product (the column
+    kernel on its arrays) the transpose's and its inverse diagonal the
+    reciprocals of that diagonal."""
     rng = np.random.default_rng(63)
     A = sparse_m_matrix(rng, diagonal=case != "no-diag")
     if case == "empty-rows":
@@ -844,7 +934,7 @@ def test_step_matrix_matches_a_fresh_shift(case):
         assert np.array_equal(solver.S.indices, fresh.indices)
         assert np.array_equal(solver.S.data, fresh.data)
         x = rng.normal(size=n)
-        assert np.array_equal(solver._S_t @ x, fresh.T @ x)
+        assert np.array_equal(_kernel_product(solver.S, x, transpose=True), fresh.T @ x)
         assert np.array_equal(solver._inv_diag, 1.0 / fresh.diagonal())
 
 
