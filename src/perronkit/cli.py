@@ -150,6 +150,8 @@ def _run_mdecide(args):
     if outcome.is_m_matrix:
         payload["certifies"] = f"(1+{args.eps!r}) I - A admits an RCDD scaling"
         payload["alpha"] = outcome.scaling.alpha
+        payload["bracket_steps"] = outcome.report.info["bracket_steps"]
+        payload["power_steps"] = outcome.report.info["power_steps"]
         payload["left"] = _vector_field("left", outcome.scaling.left, args)
         payload["right"] = _vector_field("right", outcome.scaling.right, args)
         return 0, payload
@@ -170,6 +172,7 @@ def _run_scale(args):
         "phases": len(report.phases),
         "phase_iterations": report.phase_iterations(),
         "bracket_steps": report.info["bracket_steps"],
+        "power_steps": report.info["power_steps"],
         "left": _vector_field("left", pair.left, args),
         "right": _vector_field("right", pair.right, args),
     }

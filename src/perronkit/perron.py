@@ -13,8 +13,9 @@ mean the budget was too small), and a binary search over shifts built on the
 scan's decision brackets the spectral radius.
 
 The Perron routines bracket the spectral radius by Collatz-Wielandt bounds
-sharpened with shift-and-invert (inverse iteration shifted just above the
-best upper bound), a bracket that is sound for any conditioning.  One
+sharpened with power steps and then shift-and-invert (inverse iteration
+shifted just above the best upper bound), a bracket that is sound for any
+conditioning.  One
 doubling loop over the conditioning guess (``_perron_rounds``) turns
 positive approximate eigenvectors into a Collatz-Wielandt-certified
 eigenvalue estimate, one candidate per round: the bracket's own iterates,
@@ -88,8 +89,10 @@ class DecisionOutcome:
     """Result of the M-matrix decision.
 
     A positive verdict carries a scaling certifying ``(1+eps) I - A`` RCDD
-    and a report: the scan's, or on the bracket path one with no phases and
-    ``info["bracket_steps"]``.  A negative verdict carries a witness and no
+    and a report: the scan's, or on the bracket path one with no phases,
+    either counting the bracket's shift-and-invert steps in
+    ``info["bracket_steps"]`` and its power steps in
+    ``info["power_steps"]``.  A negative verdict carries a witness and no
     report.  A bracket negative also carries ``certificate``, the
     :class:`PerronCertificate` whose better CW lower bound ``s``,
     recomputable from its two vectors, reaches ``1 + eps``: it holds for
@@ -239,12 +242,14 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
             ),
         )
     if found is None:
-        return _m_decide_scaled(A, 1.0, eps, gamma)
-    return DecisionOutcome(
-        Verdict.IS_M_MATRIX_SHIFTED,
-        scaling=found[1],
-        report=SolveReport(info={"bracket_steps": bracket.factorizations}),
-    )
+        outcome = _m_decide_scaled(A, 1.0, eps, gamma)
+    else:
+        outcome = DecisionOutcome(
+            Verdict.IS_M_MATRIX_SHIFTED, scaling=found[1], report=SolveReport()
+        )
+    if outcome.report is not None:
+        outcome.report.info.update(bracket.step_counts)
+    return outcome
 
 
 def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: float):
@@ -355,10 +360,13 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
     """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
     one ``(K, s_upper, cert)`` per round, ``s_upper`` bounding ``rho(A)``
     from above to precision ``eps = delta / (8 K^2)``.  While ``bracket``
-    works it gives ``s_upper``, and ``cert`` certifies its iterates; a
-    resumed loop doubles ``K`` and continues the bracket to ``eps / 4``.  A
-    bracket that meets ``eps`` with no step would re-offer rejected iterates
-    (one side's CW lower bound lags the other's), and a failed one has none:
+    works it gives ``s_upper``, and ``cert`` certifies its iterates, after
+    one more bracket step (:meth:`_CWBracket.step`) when they fail
+    :func:`compute_perron`'s acceptance only by the right vector's CW lower
+    bound; a resumed loop doubles ``K`` and continues the bracket to ``eps /
+    4``.  A bracket that meets ``eps`` with no step, power or
+    shift-and-invert, would re-offer rejected iterates (one side's CW lower
+    bound lags the other's), and a failed one has none:
     then ``cert`` certifies the polished pair of a scaling at ``s_upper (1 +
     eps/2)``, ``None`` when the scan fails (``K`` too small) or the
     certificate underflows, and once the bracket has failed ``s_upper``
@@ -378,9 +386,13 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
                 "below the float spacing; no later round can certify"
             )
         s = bracket.upper(eps)
-        if s is not None and bracket.factorizations != offered:
-            offered = bracket.factorizations
+        if s is not None and bracket.steps != offered:
             cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
+            # a pair whose right vector alone lags gets one more step at this K
+            lags = _accepted(cert, K, s, delta, right=False) and not _accepted(cert, K, s, delta)
+            if lags and bracket.step():
+                cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
+            offered = bracket.steps
         else:
             if s is None:
                 # the CW lower bound holds for any K, less its rounding margin
@@ -403,9 +415,11 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     Doubles a conditioning guess ``K`` from 1.  Each round computes an upper
     estimate to precision ``delta / (8 K^2)`` and offers one pair: the
     shift-and-invert bracket's own right and left iterates, the next round
-    continuing that bracket; only when it fails, or meets the precision with
-    no step and so has no new iterates, the polished pair of a scaling at
-    the round's estimate, as :func:`simple_perron` scales.  A pair is
+    continuing that bracket (a pair whose right vector alone falls short
+    first gets one more bracket step in the same round); only when it fails,
+    or meets the precision with no step and so has no new iterates, the
+    polished pair of a scaling at the round's estimate, as
+    :func:`simple_perron` scales.  A pair is
     accepted when its vectors are
     ``delta / (2 K^2)``-approximate eigenvectors of the certified lower bound
     ``s`` (the better of the two Collatz-Wielandt lower bounds, hence
@@ -416,15 +430,22 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     _structure_check(A)
     _check_open_unit(delta, "delta")
     for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A)):
-        threshold = delta / (2.0 * K * K)
-        if (
-            cert is not None
-            and cert.residual_right <= threshold
-            and cert.residual_left <= threshold
-            and cert.s >= (1.0 - delta) * s_upper
-            and cert.cw_lower >= (1.0 - delta) * cert.s
-        ):
+        if _accepted(cert, K, s_upper, delta):
             return cert
+
+
+def _accepted(cert, K: float, s_upper: float, delta: float, *, right: bool = True) -> bool:
+    """:func:`compute_perron`'s acceptance test of a round's ``cert``;
+    without ``right``, less its one test of the right vector's CW lower
+    bound."""
+    threshold = delta / (2.0 * K * K)
+    return (
+        cert is not None
+        and cert.residual_right <= threshold
+        and cert.residual_left <= threshold
+        and cert.s >= (1.0 - delta) * s_upper
+        and (not right or cert.cw_lower >= (1.0 - delta) * cert.s)
+    )
 
 
 def _polish_pair(S, pair):

@@ -138,14 +138,23 @@ class _KrylovSolver:
     A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
     of every solve.  Deterministic.  ``inv_diag`` (the reciprocals of the
-    diagonal of ``S``) defaults to its own computation, a diagonal
-    extraction; a caller that knows where the diagonal is stored passes it
-    in.
+    diagonal of ``S``) defaults to its own computation: read at the
+    diagonal positions its pattern keeps when ``S`` is a
+    :class:`sparse._PatternCSR` that stores every diagonal entry (every
+    matrix the engine forms on the pattern of ``A + I``), else extracted; a
+    caller that knows where the diagonal is stored passes it in.
     """
 
     def __init__(self, S: sp.csr_matrix, inv_diag=None):
         self.S = S
-        self._inv_diag = 1.0 / S.diagonal() if inv_diag is None else inv_diag
+        if inv_diag is None:
+            # a plain scipy CSR has no pattern
+            pattern = getattr(S, "pattern", None)
+            if pattern is not None and pattern.diagonal.size == S.shape[0]:
+                inv_diag = 1.0 / S.data.take(pattern.diagonal)
+            else:
+                inv_diag = 1.0 / S.diagonal()
+        self._inv_diag = inv_diag
         self._floor_terms = None
         self.iterations = 0
 

@@ -2,8 +2,10 @@
 built on them.
 
 At a fixed shift the first path is the Collatz-Wielandt bracket
-(``_CWBracket``): shift-and-invert steps on a right and a left vector until
-their CW bounds settle ``rho(A) < shift``.  Positive ``r`` and ``l`` with
+(``_CWBracket``): power steps, then shift-and-invert steps, on a right and a
+left vector until their CW bounds settle ``rho(A) < shift``; a power step
+costs two products and is taken only while it narrows the bounds at least
+as fast as a solve would.  Positive ``r`` and ``l`` with
 ``A r < c r`` and ``A.T l < c l`` make ``diag(l) (c I - A) diag(r)``
 strictly RCDD, so a True verdict is itself a scaling, checked before use,
 and a False one certifies ``rho(A) >= c`` whatever the conditioning.
@@ -19,8 +21,8 @@ Katz, Leontief and the kernel decide ``rho(B) < 1``, and all four solve
 with one operator of that unshifted pair (``_pair_operator``).  Above the
 dense cutoff every matrix a problem forms is stored on the pattern of ``A
 + I``, which ``A``'s pattern builds once for every problem on ``A`` or on
-a multiple of it, and a bracket step only writes new values into a matrix
-built once per bracket.
+a multiple of it, and a shift-and-invert step only writes new values into a
+matrix built once per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -306,6 +308,12 @@ def _cw_ratio_bounds(Ax: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
+def _cw_gap(cw_right, cw_left) -> float:
+    """``1 - lower / upper`` of a right and a left vector's CW bounds, the
+    better bound of each kind: the relative width of what they prove."""
+    return 1.0 - max(cw_right[0], cw_left[0]) / min(cw_right[1], cw_left[1])
+
+
 # relative gap between the shift-and-invert shift and the CW upper bound it
 # sits above; keeps sigma I - A invertible with an entrywise positive inverse
 _CW_SHIFT_MARGIN = 1e-6
@@ -318,12 +326,21 @@ _CW_SOLVE_TOL = 1e-10
 # at least that floor: loose while the CW gap is wide, and never so loose that
 # the residual swamps the iterates' smallest entries, whose CW ratios need them
 _CW_TOL_SCALE = 1e-2
+# a power step is kept only when it cuts the CW gap below this share of what
+# it was; CW bounds of A x lie within those of x, so it cannot widen it
+_CW_POWER_CUT = 0.95
 
 
 class _CWBracket:
-    """Collatz-Wielandt bracket of ``rho(A)`` sharpened by shift-and-invert.
+    """Collatz-Wielandt bracket of ``rho(A)`` sharpened by power steps, then
+    by shift-and-invert.
 
-    Inverse iteration on a right and a left vector from all-ones, shifted just
+    A right and a left vector from all-ones first take power steps, ``A r``
+    and ``A.T l`` at the cost of the products their CW bounds already
+    formed, whose bounds lie within those of ``r`` and ``l`` for any
+    nonnegative ``A``: each is a trial, kept while it narrows the CW gap at
+    least as fast as a solve would (:meth:`_power_step`).  Then comes inverse
+    iteration, shifted just
     above the best CW upper bound so that ``(sigma I - A)^-1`` is entrywise
     positive and both iterates stay in the positive cone.  For positive
     vectors every CW upper bound is at least ``rho(A)`` and every CW lower
@@ -333,7 +350,11 @@ class _CWBracket:
     lower / upper) min(iterates)``, at least ``_CW_SOLVE_TOL``, loose while
     the CW gap is wide and tighter as it closes or as the max-normalized
     iterates spread (inexact inverse iteration; LAPACK solves below the
-    cutoff are exact whatever the tolerance).  One bracket serves every
+    cutoff are exact whatever the tolerance).  ``factorizations`` counts the
+    shift-and-invert steps and ``power_steps`` the power steps kept; a
+    round of ``_perron_rounds`` that takes either has new iterates, and
+    :meth:`step` takes one past a precision they already meet.  One bracket
+    serves every
     round of ``_perron_rounds``, its iterates each round's candidate, and
     :func:`certify_spectral_bound` and the applications' decision hand on
     the one they ran: a tighter ``eps`` continues from the last iterates,
@@ -344,12 +365,13 @@ class _CWBracket:
     the symmetric ones) and of the applications' decision.
 
     The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
-    step, and solves with its step matrix (:meth:`_Problem.step_solver`),
+    shift-and-invert step, and solves with its step matrix (:meth:`_Problem.step_solver`),
     which above the dense cutoff is refreshed in place: a step forms no
     scipy matrix.  :meth:`checked` forms the matrix it checks on the same
     problem and hands it on.  ``symmetric`` makes the bracket one-sided, for callers
-    whose ``A`` is symmetric: a step solves for the right iterate only and
-    takes it as the left one, which for symmetric ``A`` it equals.  The left
+    whose ``A`` is symmetric: a step solves for, or a power step forms, the
+    right iterate only and takes it as the left one, which for symmetric
+    ``A`` it equals.  The left
     CW bounds are still computed on ``A.T``, so every bound, and every
     verdict, stays sound whatever ``A`` is.
     """
@@ -364,7 +386,10 @@ class _CWBracket:
         # and (right, left, A right, A.T left) they came from
         self.cw_right = self.cw_left = (0.0, np.inf)
         self.products = None
+        # shift-and-invert steps, and power steps kept
         self.factorizations = 0
+        self.power_steps = 0
+        self._powering = True
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
@@ -372,29 +397,90 @@ class _CWBracket:
         # the smallest entry of either max-normalized iterate
         self._least = 1.0
 
+    @property
+    def steps(self) -> int:
+        """Every step taken so far, power or shift-and-invert."""
+        return self.factorizations + self.power_steps
+
+    @property
+    def step_counts(self) -> dict:
+        """The steps taken so far as a report's ``info`` counts them:
+        ``bracket_steps`` (shift-and-invert) and ``power_steps``."""
+        return {"bracket_steps": self.factorizations, "power_steps": self.power_steps}
+
+    def _measured(self, right: np.ndarray, left: np.ndarray):
+        """``(products, cw_right, cw_left)`` of iterates ``right`` and
+        ``left``: their products, as :attr:`products` keeps them, and their
+        CW bounds."""
+        Ar, Atl = self.A._product(right), self.A._product(left, transpose=True)
+        return (right, left, Ar, Atl), _cw_ratio_bounds(Ar, right), _cw_ratio_bounds(Atl, left)
+
+    def _take(self, right, left, measured) -> None:
+        """Make ``right`` and ``left``, each ``(vector, least entry)`` as
+        :func:`_unit_positive` returns it, the current iterates, ``measured``
+        their :meth:`_measured`."""
+        self.right, self.left, self._least = right[0], left[0], min(right[1], left[1])
+        self.products, self.cw_right, self.cw_left = measured
+
+    def _power_step(self) -> bool:
+        """Try ``A r`` and ``A.T l``, max-normalized, as the next iterates:
+        kept (True) when their CW gap ``1 - lower / upper`` is below
+        ``_CW_POWER_CUT`` times the current one.  A discarded candidate, or
+        one with an entry that is not a normal positive float (a zero row or
+        column of ``A``), ends the power phase and leaves the iterates as
+        they were.  With ``c`` the ratio of the two gaps, an estimate of
+        ``|lambda_2| / rho``, a kept step continues the phase only while
+        ``c (1 - c) <= g``, ``g`` the new gap: a shift-and-invert step from
+        there, shifted about ``g rho`` above ``rho``, contracts the gap by
+        about ``g / (1 - c)`` at best, and a power step by about ``c``, so a
+        power step is taken only while it does at least as well as a solve.
+        The phase takes at most ``_CW_MAX_STEPS`` steps."""
+        self._powering = False
+        if self.power_steps == _CW_MAX_STEPS:
+            return False
+        _, _, Ar, Atl = self.products
+        right = _unit_positive(Ar)
+        left = right if self._symmetric else _unit_positive(Atl)
+        if right is None or left is None:
+            return False
+        gap = _cw_gap(self.cw_right, self.cw_left)
+        measured = self._measured(right[0], left[0])
+        new_gap = _cw_gap(*measured[1:])
+        if not (gap > 0.0 and new_gap < _CW_POWER_CUT * gap):
+            return False
+        self._take(right, left, measured)
+        self.power_steps += 1
+        c = new_gap / gap
+        self._powering = c * (1.0 - c) <= new_gap
+        return True
+
     def _iterates(self):
-        """Yield once per iterate, its CW bounds set, stepping when resumed.
-        Ends, marking the bracket failed, once an iterate leaves the positive
+        """Yield once per iterate, its CW bounds set, stepping when resumed:
+        power steps (:meth:`_power_step`) while they contract the CW gap at
+        least as fast as a solve would, then shift-and-invert steps.  Ends,
+        marking the bracket failed, once an iterate leaves the positive
         cone, the upper bound is infinite, a solve misses
-        (:class:`BackendDiverged`) or the step budget runs out, and after a
-        zero upper bound (``A = 0``, settled at once; a step would rescale by
-        0).  A zero lower bound (a zero row and a zero column) does not end
-        it: upper bounds of positive vectors bound ``rho(A)`` for any
-        nonnegative ``A``, and ``(sigma I - A)^-1 >= I / sigma`` keeps the
-        iterates positive."""
-        A = self.A
+        (:class:`BackendDiverged`) or the budget of ``_CW_MAX_STEPS``
+        shift-and-invert steps runs out, and after a zero upper bound (``A =
+        0``, settled at once; a step would rescale by 0).  A zero lower bound
+        (a zero row and a zero column) does not end it: upper bounds of
+        positive vectors bound ``rho(A)`` for any nonnegative ``A``, and
+        ``(sigma I - A)^-1 >= I / sigma`` keeps the iterates positive."""
+        if self.products is None:
+            self.products, self.cw_right, self.cw_left = self._measured(self.right, self.left)
         while not self.failed:
-            Ar, Atl = A._product(self.right), A._product(self.left, transpose=True)
-            self.products = (self.right, self.left, Ar, Atl)
-            self.cw_right = _cw_ratio_bounds(Ar, self.right)
-            self.cw_left = _cw_ratio_bounds(Atl, self.left)
             hi = min(self.cw_right[1], self.cw_left[1])
             if not hi < np.inf:
                 break
             yield
-            if hi == 0.0 or self.factorizations == _CW_MAX_STEPS:
+            if hi == 0.0:
                 break
-            tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * (1.0 - self.lower / hi) * self._least)
+            if self._powering and self._power_step():
+                continue
+            if self.factorizations == _CW_MAX_STEPS:
+                break
+            gap = _cw_gap(self.cw_right, self.cw_left)
+            tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * gap * self._least)
             # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
             # relative to rho whatever the scale of A
             solver = self._problem(hi).step_solver(_CW_SHIFT_MARGIN)
@@ -409,9 +495,17 @@ class _CWBracket:
                 break
             if right is None or left is None:
                 break
-            (self.right, right_min), (self.left, left_min) = right, left
-            self._least = min(right_min, left_min)
+            self._take(right, left, self._measured(right[0], left[0]))
         self.failed = True
+
+    def step(self) -> bool:
+        """Take the bracket's next step, whatever precision its current
+        iterates already meet: True when it took one and still works."""
+        taken = self.steps
+        for _ in self._iterates():
+            if self.steps > taken:
+                return True
+        return False
 
     def _problem(self, scale: float) -> _Problem:
         """The bracket's one problem, built once and moved to ``A / scale``."""
@@ -770,20 +864,22 @@ def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     violation (or ``rho(A) >= s``) surfaces as :class:`IterationCapHit`, as
     does a phase solve that misses its tolerance above the dense cutoff.
     Returns ``(ScalingPair, SolveReport)``: the report logs the scan's
-    phases, none on the bracket path, and counts the bracket's steps in
-    ``info["bracket_steps"]``.
+    phases, none on the bracket path, and counts the bracket's
+    shift-and-invert steps in ``info["bracket_steps"]`` and its power steps
+    in ``info["power_steps"]``.
     """
     _check_scale_args(A, s, eps, K)
     found, bracket = _bracket_pair(A, s, eps, "(1 + eps) s")
     _, pair, report = _mmatrix_scale(A, s, eps, K) if found is None else (*found, SolveReport())
-    report.info["bracket_steps"] = bracket.factorizations
+    report.info.update(bracket.step_counts)
     return pair, report
 
 
 def _bracket_pair(A: SparseMatrix, s: float, eps: float, bound: str, *, symmetric=False):
     """``(found, bracket)``: the ``(S, pair)`` :meth:`_CWBracket.checked_pair`
     finds at ``(1 + eps) s``, or ``None`` when the bracket settles nothing,
-    and the bracket, which counts its steps in ``factorizations``.  A False
+    and the bracket, which counts its steps in ``factorizations`` and
+    ``power_steps``.  A False
     verdict raises
     :class:`IterationCapHit` naming ``bound``, which the CW lower bound then
     certifies ``rho(A)`` reaches whatever the conditioning.  ``symmetric``
@@ -832,7 +928,8 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
     :class:`RoundingFloorHit`, which no larger ``K`` repairs, and a
     preconditioner solve that misses :class:`BackendDiverged`.
     ``report.info`` counts the scan's phases (``"scaling_phases"``, 0 on the
-    bracket path) and the bracket's steps (``"bracket_steps"``).
+    bracket path) and the bracket's shift-and-invert and power steps
+    (``"bracket_steps"``, ``"power_steps"``).
     """
     _check_open_unit(eps, "eps")
     _check_scale_args(A, s, eps, K)
@@ -843,7 +940,7 @@ def solve_m(A: SparseMatrix, s: float, eps: float, K: float) -> LinearOperator:
         s_mid = s * (1.0 + eps / 2.0)
         S, pair, scale_report = _mmatrix_scale(A, s_mid, eps / 3.0, K)
         op, phases = _refined_operator(A, s, eps, K, S, pair, eps / 3.0), len(scale_report.phases)
-    op.report.info.update(scaling_phases=phases, bracket_steps=bracket.factorizations)
+    op.report.info.update(scaling_phases=phases, **bracket.step_counts)
     return op
 
 
@@ -921,7 +1018,8 @@ def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
     :class:`IterationCapHit`, a search that ends with no ``v`` accepted
     :class:`NotSDDAfterScaling`.  The report
     logs the scan's phases, counts the bracket's steps in
-    ``info["bracket_steps"]`` and names the shift ``v`` is from in
+    ``info["bracket_steps"]`` and ``info["power_steps"]`` (see
+    :attr:`_CWBracket.step_counts`) and names the shift ``v`` is from in
     ``info["shift"]``."""
     bound = f"1 + {eps!r}" if eps else "1"
     found, bracket = _bracket_pair(A, 1.0, eps, bound, symmetric=True)
@@ -941,7 +1039,7 @@ def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
         pair = ScalingPair(pair.right, pair.right, eps, 1.0)
         # a scan at the target shift has checked this very matrix
         found = (S, pair) if shift == eps else bracket.checked(pair)
-    report.info.update(bracket_steps=bracket.factorizations, shift=shift)
+    report.info.update(bracket.step_counts, shift=shift)
     return found, report
 
 
@@ -956,7 +1054,8 @@ def symm_scale(A: SparseMatrix, eps: float):
     eps``, or a failed phase of the scan, a solve that misses included
     (``"solver budget"``), raises :class:`IterationCapHit`.  Returns ``(v,
     report)``; the report logs the scan's phases, none on the bracket path,
-    and counts the bracket's steps in ``info["bracket_steps"]``.
+    and counts the bracket's steps in ``info["bracket_steps"]`` and
+    ``info["power_steps"]``.
     """
     _check_symmetric_nonnegative(A)
     if not 0.0 < eps < math.inf:
@@ -1007,7 +1106,8 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     :class:`RoundingFloorHit`, a search that finds no ``v``
     :class:`NotSDDAfterScaling`, and a Krylov solve that misses
     :class:`BackendDiverged`.  The report counts the bracket's steps in
-    ``info["bracket_steps"]`` and logs the fallback's phases.
+    ``info["bracket_steps"]`` and ``info["power_steps"]`` and logs the
+    fallback's phases.
     """
     _check_symmetric_nonnegative(A)
     _check_open_unit(delta, "delta")

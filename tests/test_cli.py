@@ -40,7 +40,7 @@ HALF_MTX = """%%MatrixMarket matrix coordinate real general
 """
 
 # rho about 0.59 with a row and a column sum of 1.6: the bracket's all-ones
-# start settles nothing at s (1 + eps) = 1.1, and one step does
+# start settles nothing at s (1 + eps) = 1.1, and two power steps do
 SKEW_MTX = """%%MatrixMarket matrix coordinate real general
 3 3 6
 1 2 1.5
@@ -49,6 +49,16 @@ SKEW_MTX = """%%MatrixMarket matrix coordinate real general
 2 3 0.2
 3 1 0.3
 3 2 0.1
+"""
+
+# a weighted 3-cycle, rho = 0.75^(1/3) about 0.91: periodic, so a power step
+# only permutes the CW ratios (1.5, 0.5, 0.5) of the all-ones start, and one
+# shift-and-invert step settles rho < 1.1
+CYCLE_MTX = """%%MatrixMarket matrix coordinate real general
+3 3 3
+1 2 1.5
+2 3 0.5
+3 1 0.5
 """
 
 GRAPH_TXT = "2 2 1\n1 2 1 1.0\n2 1 1 1.0\n"
@@ -60,6 +70,7 @@ def workdir(tmp_path):
     (tmp_path / "big_rho.mtx").write_text(BIG_RHO_MTX)
     (tmp_path / "half.mtx").write_text(HALF_MTX)
     (tmp_path / "skew.mtx").write_text(SKEW_MTX)
+    (tmp_path / "cycle.mtx").write_text(CYCLE_MTX)
     (tmp_path / "g.txt").write_text(GRAPH_TXT)
     (tmp_path / "b.txt").write_text("1.0\n1.0\n")
     return tmp_path
@@ -149,21 +160,36 @@ class TestSubcommands:
         report = json.loads(text)
         assert np.allclose(report["x"], [2.0, 2.0], atol=1e-8)
 
-    @pytest.mark.parametrize("name", ["half", "skew"])
-    def test_scale_from_the_bracket(self, workdir, name):
-        """``scale`` answers from the bracket's pair: no phases, its steps
-        counted, its vectors making ``(1 + eps) s I - A`` RCDD, and reruns
-        byte-identical."""
+    @pytest.mark.parametrize(
+        "name, steps",
+        [pytest.param(name, steps, id=name) for name, steps in [
+            ("half", (0, 0)), ("skew", (0, 2)), ("cycle", (1, 0))
+        ]],
+    )
+    def test_scale_from_the_bracket(self, workdir, name, steps):
+        """``scale`` answers from the bracket's pair: no phases, its
+        shift-and-invert and power steps counted, its vectors making ``(1 +
+        eps) s I - A`` RCDD, and reruns byte-identical."""
         path = str(workdir / f"{name}.mtx")
         code, text = run(workdir, "scale", "--matrix", path, "--s", "1.0", "--eps", "0.1")
         _, again = run(workdir, "scale", "--matrix", path, "--s", "1.0", "--eps", "0.1")
         assert code == 0 and text == again
         report = json.loads(text)
         assert report["phases"] == 0 and report["phase_iterations"] == []
-        assert report["bracket_steps"] == (0 if name == "half" else 1)
+        assert (report["bracket_steps"], report["power_steps"]) == steps
         A = load_matrix(path)
         S = apply_scaling(report["left"], shifted_m_matrix(A, 1.0, 0.1), report["right"])
         assert check_rcdd(S, 1e-12)
+
+    @pytest.mark.parametrize("name, steps", [("half", (0, 0)), ("skew", (0, 2)), ("cycle", (1, 0))])
+    def test_mdecide_counts_the_bracket_steps(self, workdir, name, steps):
+        """A positive ``mdecide`` report counts the bracket's
+        shift-and-invert and power steps, as ``scale``'s does."""
+        path = str(workdir / f"{name}.mtx")
+        code, text = run(workdir, "mdecide", "--matrix", path, "--eps", "0.1")
+        report = json.loads(text)
+        assert code == 0 and report["verdict"] == "is_m_matrix_shifted"
+        assert (report["bracket_steps"], report["power_steps"]) == steps
 
     def test_katz(self, workdir):
         code, text = run(

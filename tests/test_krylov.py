@@ -59,7 +59,7 @@ from perronkit import (
 )
 from perronkit.oracle import dense_spectral_radius
 from perronkit.rcdd import _DENSE_CUTOFF, _KRYLOV_CAP, _KRYLOV_PASSES, _KrylovSolver
-from perronkit.scaling import _CW_SOLVE_TOL, _PhaseSolver
+from perronkit.scaling import _CW_SOLVE_TOL, _PhaseSolver, _Problem
 from perronkit.sparse import RCDD_VERIFY_SLACK, _kernel_product
 
 from conftest import (
@@ -128,11 +128,13 @@ def holds(outcome, A, eps):
 # parity with the dense oracle and the LU path at n = 500
 
 
-@pytest.mark.parametrize("target", [0.9, 1.1])
+@pytest.mark.parametrize("target", [0.95, 1.1])
 def test_m_decide_matches_the_lu_path(monkeypatch, ring, target):
     """The Krylov decision is the oracle's (``rho`` from the dense
     eigensolver), holds when recomputed, and equals the decision of the LU
-    path, LAPACK on the same instance below a raised cutoff."""
+    path, LAPACK on the same instance below a raised cutoff.  At ``rho`` =
+    0.95 power steps alone leave the CW gap too wide to settle ``1 + eps``,
+    so the bracket takes shift-and-invert steps, Krylov solves."""
     A = scaled(*ring, target)
     with monkeypatch.context() as patch:
         counts = count_krylov(patch)
@@ -178,14 +180,15 @@ def test_solvers_meet_their_contracts(monkeypatch, ring):
     rng = np.random.default_rng(71)
     counts = count_krylov(monkeypatch)
     eps = 1e-6
-    A_below = M * (0.9 / rho)
+    # at 0.95, not 0.9, power steps alone settle neither bracket
+    A_below = M * (0.95 / rho)
     op = solve_m(SparseMatrix.from_dense(A_below), 1.0, eps, 1e3)
     for _ in range(2):
         b = rng.random(N) + 0.01
         x = op.apply(b)
         assert np.linalg.norm(x - A_below @ x - b) <= eps * np.linalg.norm(b)
 
-    sym = random_symmetric_contraction_dense(rng, N, 0.9, density=5.0 / N)
+    sym = random_symmetric_contraction_dense(rng, N, 0.95, density=5.0 / N)
     b = rng.normal(size=N)
     x, _ = symm_solve(SparseMatrix.from_dense(sym), b, eps)
     assert np.linalg.norm(x - sym @ x - b) <= eps * np.linalg.norm(b)
@@ -400,15 +403,16 @@ def test_a_miss_elsewhere_is_sound_or_a_typed_error(
     :class:`BackendDiverged`, :class:`IterationCapHit` or
     :class:`KCapExceeded` (:class:`BoundaryUndecidable` from
     ``certify_spectral_bound`` and the applications built on it).  Perron
-    rounds are bounded at two."""
+    rounds are bounded at two.  The symmetric inputs are ones that power
+    steps alone do not settle, so their brackets reach a Krylov solve."""
     record_rounds(monkeypatch, 2)
     M, rho = small_ring
     n = M.shape[0]
     rng = np.random.default_rng(76)
     A, A_dense = scaled(M, rho, 0.9), M * (0.9 / rho)
-    sym_dense = random_symmetric_contraction_dense(rng, n, 0.9, 5.0 / n)
+    sym_dense = random_symmetric_contraction_dense(rng, n, 0.95, 5.0 / n)
     sym = SparseMatrix.from_dense(sym_dense)
-    fw2 = random_factor_width2_dense(rng, n)
+    fw2 = random_factor_width2_dense(rng, n, rows_per_col=1)
     dominant = random_strictly_rcdd_dense(rng, n)
     sdd = random_sdd_dense(rng, n)
     b = np.linspace(1.0, 2.0, n)
@@ -567,10 +571,11 @@ def test_a_miss_in_a_symmetric_level(krylov_misses):
     the way a symmetric phase fails: with :class:`IterationCapHit` naming
     the solver budget, from ``symm_scale``, ``symm_solve`` and
     ``factor_width2_solve``.  The message says that a miss says nothing
-    about ``rho(A)``, as ``mmatrix_scale``'s does for a miss in its scan."""
+    about ``rho(A)``, as ``mmatrix_scale``'s does for a miss in its scan.
+    At ``rho`` = 0.95 power steps alone do not settle the bracket."""
     n = _DENSE_CUTOFF + 1
     rng = np.random.default_rng(78)
-    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.9, 5.0 / n))
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.95, 5.0 / n))
     fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     b = rng.normal(size=n)
     with pytest.raises(IterationCapHit, match="symmetric phase 0 .* " + MISS_REASON):
@@ -692,8 +697,11 @@ def test_loose_steps_still_certify_from_the_bracket_pair(monkeypatch, seed, n, o
 def test_loose_steps_spend_fewer_krylov_iterations(monkeypatch):
     """On a ring (n = 1000) the bracket's schedule spends at most 60% of the
     Krylov iterations it spends with every step pinned to
-    ``_CW_SOLVE_TOL``, and both runs certify from the bracket's pair."""
-    A = ring_digraph(np.random.default_rng(0), 1000, 5)
+    ``_CW_SOLVE_TOL``, and both runs certify from the bracket's pair.  The
+    schedule saves most where the CW gap is wide, which power steps now
+    narrow first; on this ring (three out-edges per node) shift-and-invert
+    steps still start at a wide gap."""
+    A = ring_digraph(np.random.default_rng(2), 1000, 3)
     spent = {}
     for schedule in ("loose", "pinned"):
         with monkeypatch.context() as patch:
@@ -952,3 +960,31 @@ def test_krylov_solves_keep_the_reference_bits(monkeypatch):
     solver = _KrylovSolver(S)
     want = [solver.solve(b, transpose, 1e-11) for transpose in (False, True)]
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_the_solver_reads_a_kept_diagonal(monkeypatch, ring):
+    """A solver of a matrix formed on the pattern of ``A + I`` reads the
+    diagonal at the positions that pattern keeps, with the bits of
+    ``S.diagonal()``, and extracts none; a plain CSR, and one whose pattern
+    stores only some diagonal entries, still extract theirs."""
+    M, rho = ring
+    A = scaled(M, rho, 0.9)
+    S = _Problem(A, 1.0).scaled_shift(1e-3, np.linspace(1.0, 2.0, N), np.linspace(2.0, 1.0, N))
+    stored = A._pattern.diagonal.size
+    assert 0 < stored < N
+    extracted = []
+    real = scipy.sparse.csr_matrix.diagonal
+
+    def diagonal(self, k=0):
+        extracted.append(self)
+        return real(self, k)
+
+    for matrix, extracts in ((S, False), (scipy.sparse.csr_matrix(S), True), (A.csr(), True)):
+        # A's unstored diagonal entries have infinite reciprocals
+        with np.errstate(divide="ignore"):
+            want = 1.0 / real(matrix)
+            monkeypatch.setattr(scipy.sparse.csr_matrix, "diagonal", diagonal)
+            got = _KrylovSolver(matrix)._inv_diag
+            monkeypatch.undo()
+        assert np.array_equal(got, want) and extracted == ([matrix] if extracts else [])
+        extracted.clear()

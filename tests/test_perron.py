@@ -1045,3 +1045,126 @@ def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
         before = made[0]
         real_certificate(A, left.copy(), right.copy(), k_final, s=s, products=products)
         assert made[0] - before == 2
+
+
+def wide12_instance(i):
+    """The ``i``-th input of the wide-weight family: weights log-uniform over
+    1e-12..1e12 on a density-0.3 pattern, ``n`` in 5..40."""
+    rng = np.random.default_rng([i, 6])
+    n = int(rng.integers(5, 41))
+    return random_irreducible_dense(rng, n, density=0.3, log_low=-12.0, log_high=12.0)
+
+
+class TestPowerSteps:
+    """The bracket's power phase: trial steps ``A r``, ``A.T l`` ahead of the
+    shift-and-invert steps, each kept only when it cuts the CW gap by 5%."""
+
+    def test_every_power_iterate_brackets_rho(self, soundness_instances, monkeypatch):
+        """The CW bounds of every kept power iterate, right and left, lie on
+        either side of the oracle's ``rho``: they are CW bounds of positive
+        vectors, whatever the input."""
+        kept = []
+        real = _CWBracket._power_step
+
+        def power_step(self):
+            if real(self):
+                kept.append((self.cw_right, self.cw_left))
+                return True
+            return False
+
+        monkeypatch.setattr(_CWBracket, "_power_step", power_step)
+        for name, M, rho in soundness_instances:
+            before = len(kept)
+            assert _CWBracket(SparseMatrix.from_dense(M)).upper(1e-8) is not None, name
+            for bounds in kept[before:]:
+                for lower, upper in bounds:
+                    assert lower <= rho * (1 + 1e-10) and upper >= rho * (1 - 1e-10), name
+        assert len(kept) >= len(soundness_instances)
+
+    @pytest.mark.parametrize("name", ["weighted 6-cycle", "unit 6-cycle"])
+    def test_periodic_inputs_keep_no_power_step(self, name):
+        """On a cycle a power step only permutes the CW ratios, so no trial
+        narrows the gap and none is kept; the weighted cycle's bracket
+        settles by shift-and-invert steps, the unit one's all-ones start is
+        already exact."""
+        A = SparseMatrix.from_dense(TestComputePerron.FLOAT_FLOOR_PROBES[name])
+        bracket = _CWBracket(A)
+        assert bracket.upper(1e-8) is not None
+        assert bracket.power_steps == 0
+        assert (bracket.factorizations > 0) == (name == "weighted 6-cycle")
+
+    def test_a_zero_row_skips_the_power_candidate(self):
+        """On the weighted path, whose last row is zero, ``A r`` has a zero
+        entry: the candidate is skipped, the power phase ends, and the
+        shift-and-invert steps settle ``rho < 1`` from the start's iterates."""
+        B = SparseMatrix.from_dense(100.0 * np.diag(np.ones(7), 1))
+        bracket = _CWBracket(B)
+        assert bracket.decide(1.0) is True
+        assert bracket.power_steps == 0 and bracket.factorizations > 0
+        assert np.all(bracket.right > 0.0) and np.all(bracket.left > 0.0)
+
+    def test_a_round_moved_by_power_steps_alone_offers_its_pair(self, monkeypatch):
+        """Every step counts as new iterates: with the ``K`` = 1 pair
+        rejected, a round whose bracket moves by one power step and no solve
+        offers the new pair, which certifies at ``K`` = 2 with no scan.  The
+        all-ones start of this rank-one ``u u.T`` has a CW gap of about 1e-4
+        on both sides, within ``eps`` at ``K`` = 1 but not at ``K`` = 2, and
+        one power step makes it exact up to rounding."""
+        scans = record_scans(monkeypatch)
+        rejected = []
+        real = perronkit.perron._certificate
+
+        def certificate(*args, **kwargs):
+            rejected.append(None)
+            return None if len(rejected) == 1 else real(*args, **kwargs)
+
+        monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+        brackets = []
+
+        class Bracket(_CWBracket):
+            def __init__(self, A):
+                super().__init__(A)
+                brackets.append(self)
+
+        monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+        u = 1.0 + 1e-4 * np.linspace(0.0, 1.0, 5)
+        A = SparseMatrix.from_dense(np.outer(u, u) / u.size)
+        cert = compute_perron(A, 1e-3)
+        ((bracket,),) = [brackets]
+        assert cert.k_final == 2.0 and scans == []
+        assert bracket.factorizations == 0 and bracket.power_steps >= 1
+
+    def test_wide_weights_input_65_certifies_at_k1(self):
+        """The wide-weight input ``i`` = 65 (n = 11), which an unconditional
+        first power step sent to ``K`` = 1024, certifies at ``K`` = 1 within
+        ``delta`` of the oracle."""
+        M = wide12_instance(65)
+        assert M.shape == (11, 11)
+        cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
+        rho, _ = dense_spectral_radius(M)
+        assert cert.k_final == 1.0
+        assert (1.0 - 1e-3) * rho < cert.s <= rho * (1.0 + 1e-8)
+
+    def test_a_lagging_right_vector_takes_one_more_step(self, monkeypatch):
+        """On these criterion-01 inputs the bracket's ``K`` = 1 pair fails only
+        the right vector's CW lower-bound test; one more step at the same
+        ``K`` certifies it, so all certify at ``K`` = 1 (the first three at
+        ``K`` = 2 without that step)."""
+        steps = []
+        real = _CWBracket.step
+
+        def step(self):
+            steps.append(None)
+            return real(self)
+
+        monkeypatch.setattr(_CWBracket, "step", step)
+        for seed in (782, 847, 969, 581, 792, 813, 898, 930):
+            rng = np.random.default_rng(seed)
+            A = random_irreducible(rng, int(rng.integers(5, 41)), density=0.2)
+            assert compute_perron(A, 1e-3).k_final == 1.0, seed
+        assert len(steps) >= 3
+        monkeypatch.setattr(_CWBracket, "step", lambda self: False)
+        for seed in (782, 847, 969):
+            rng = np.random.default_rng(seed)
+            A = random_irreducible(rng, int(rng.integers(5, 41)), density=0.2)
+            assert compute_perron(A, 1e-3).k_final == 2.0, seed

@@ -688,11 +688,15 @@ class TestSymmetricPath:
 
     @pytest.mark.parametrize("eps", [0.5, 0.05, 1e-3])
     def test_symm_scale_csr_path_from_the_bracket(self, eps, monkeypatch):
-        """The bracket's right iterate is ``v``: no scan, no phase."""
+        """The bracket's right iterate is ``v``: no scan, no phase.  At ``rho``
+        = 0.99 one power step settles ``rho < 1.5``, and the tighter bounds
+        take shift-and-invert steps too."""
         scans = record_scans(monkeypatch)
-        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.95))
+        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.99))
         v, report = symm_scale(A, eps)
-        assert report.phases == [] and scans == [] and report.info["bracket_steps"] >= 1
+        steps = report.info["bracket_steps"], report.info["power_steps"]
+        assert report.phases == [] and scans == []
+        assert steps == (0, 1) if eps == 0.5 else steps[0] >= 1
         S = apply_scaling(v, shifted_m_matrix(A, 1.0, eps), v)
         assert check_sdd(S, 1e-12)
 

@@ -97,10 +97,10 @@ from conftest import (
 )
 
 
-def sparse_m_matrix(rng, diagonal=True):
+def sparse_m_matrix(rng, diagonal=True, rho_ratio=0.8):
     """An n=400 instance above the dense cutoff, with a few stored diagonal
     entries or none."""
-    A = random_m_matrix(rng, 400, 0.8, density=0.02).csr()
+    A = random_m_matrix(rng, 400, rho_ratio, density=0.02).csr()
     if not diagonal:
         A.setdiag(0.0)
         A.eliminate_zeros()
@@ -205,19 +205,21 @@ def test_one_factorization_per_phase_through_scipy(monkeypatch):
 
 
 def test_one_factorization_per_bracket_step_through_scipy(monkeypatch):
-    """On the bracket path ``mmatrix_scale`` builds one solver per bracket
-    step, through the same scipy call or Krylov class, and runs no scan."""
+    """On the bracket path ``mmatrix_scale`` builds one solver per
+    shift-and-invert step, through the same scipy call or Krylov class, and
+    runs no scan.  At ``rho`` = 0.95 power steps alone do not settle
+    ``1 + eps``."""
     counts = count_factorizations(monkeypatch)
     scans = record_scans(monkeypatch)
     rng = np.random.default_rng(11)
 
-    _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.8), 1.0, 1e-3, 100.0)
+    _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.95), 1.0, 1e-3, 100.0)
     steps = report.info["bracket_steps"]
     assert steps >= 1 and report.phases == []
     assert counts == {**NO_SOLVERS, "lu_factor": steps}
 
     counts.update(lu_factor=0)
-    _, report = mmatrix_scale(sparse_m_matrix(rng), 1.0, 1e-3, 100.0)
+    _, report = mmatrix_scale(sparse_m_matrix(rng, rho_ratio=0.95), 1.0, 1e-3, 100.0)
     steps = report.info["bracket_steps"]
     assert steps >= 1 and report.phases == []
     assert counts == {**NO_SOLVERS, "krylov": steps} and scans == []
@@ -444,11 +446,12 @@ def test_each_checked_matrix_is_summed_once(monkeypatch, n):
         return real(S)
 
     monkeypatch.setattr(perronkit.sparse, "_line_sums", counted)
-    rng = np.random.default_rng(48)
+    # inputs whose brackets take shift-and-invert steps after their power steps
+    rng = np.random.default_rng(65)
     A = SparseMatrix.from_dense(
         random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     )
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n, ridge=0.02))
     for solve, sums in [
         (lambda: symm_solve(A, rng.normal(size=n), 1e-9), 1),
         (lambda: factor_width2_solve(M, rng.normal(size=n), 1e-8), 2),
@@ -636,10 +639,11 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
             backend, "solve", lambda self, b, transpose, tol: np.full_like(b, np.nan)
         )
     rng = np.random.default_rng(51)
+    # inputs whose brackets reach a solve: power steps alone settle neither
     A = SparseMatrix.from_dense(
-        random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
+        random_symmetric_contraction_dense(rng, n, 0.95, density=min(0.3, 5.0 / n))
     )
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n, rows_per_col=1))
     b = rng.normal(size=n)
     calls = [
         lambda: symm_scale(SparseMatrix.from_dense([[0.0, 0.5], [0.5, 0.0]]), 0.6),
@@ -734,7 +738,8 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
 
     monkeypatch.setattr(perronkit.scaling._CWBracket, "checked_pair", checked_pair)
     rng = np.random.default_rng(55)
-    A_dense = random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n))
+    # at 0.95 power steps alone do not settle rho < 1
+    A_dense = random_m_matrix_dense(rng, n, 0.95, density=min(0.3, 5.0 / n))
     A = SparseMatrix.from_dense(A_dense)
     eps = 1e-8
     op = solve_m(A, 1.0, eps, 100.0)
@@ -1028,8 +1033,9 @@ def test_bracket_steps_build_no_sparse_matrix(monkeypatch, symmetric):
     counts = count_sparse_constructions(monkeypatch)
     bracket = _CWBracket(A, symmetric=symmetric)
     steps = bracket._iterates()
-    next(steps)
-    next(steps)
+    # the power steps come first, and build nothing
+    while bracket.factorizations == 0:
+        next(steps)
     assert bracket.factorizations == 1 and counts[0] > 0
     counts[0] = 0
     for _ in range(4):
@@ -1133,7 +1139,8 @@ def test_solve_m_solves_with_the_matrix_its_check_passed(monkeypatch, n):
     solvers = record_checked_solvers(monkeypatch)
     calls = count_scaled_shifts(monkeypatch)
     rng = np.random.default_rng(55)
-    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n)))
+    # at 0.95 power steps alone do not settle rho < 1
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.95, density=min(0.3, 5.0 / n)))
     op = solve_m(A, 1.0, 1e-8, 100.0)
     ((S, checked),) = solvers
     assert S is checked
@@ -1211,7 +1218,8 @@ def test_symmetric_callers_step_one_side(monkeypatch, n):
     rng = np.random.default_rng(65)
     A_dense = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     A = SparseMatrix.from_dense(A_dense)
-    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    # a ridge at which M's bracket takes shift-and-invert steps too
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n, ridge=0.02))
     b = rng.normal(size=n)
     for solve in (lambda: symm_solve(A, b, 1e-9), lambda: factor_width2_solve(M, b, 1e-8)):
         with monkeypatch.context() as patch:
@@ -1284,10 +1292,11 @@ def sparse_instance_at(rho, n=400, seed=58):
     return SparseMatrix.from_dense(A_dense * (rho / dense_spectral_radius(A_dense, tol=1e-12)[0]))
 
 
-@pytest.mark.parametrize("rho", [0.9, 0.99, 1.1])
+@pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
 def test_certify_factors_only_the_bracket(monkeypatch, rho):
     """Away from the bound the shift-and-invert bracket alone decides: no
-    scan, no Perron round, a handful of Krylov solvers."""
+    scan, no Perron round, a handful of Krylov solvers.  (At ``rho`` = 1.1
+    power steps alone refute ``rho < 1``.)"""
     B = sparse_instance_at(rho)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
