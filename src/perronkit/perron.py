@@ -356,17 +356,17 @@ def _certificate(
     )
 
 
-def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
+def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None):
     """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
     one ``(K, s_upper, cert)`` per round, ``s_upper`` bounding ``rho(A)``
     from above to precision ``eps = delta / (8 K^2)``.  While ``bracket``
     works it gives ``s_upper``, and ``cert`` certifies its iterates, after
-    one more bracket step (:meth:`_CWBracket.step`) when they fail
-    :func:`compute_perron`'s acceptance only by the right vector's CW lower
-    bound; a resumed loop doubles ``K`` and continues the bracket to ``eps /
-    4``.  A bracket that meets ``eps`` with no step, power or
-    shift-and-invert, would re-offer rejected iterates (one side's CW lower
-    bound lags the other's), and a failed one has none:
+    one more bracket step (:meth:`_CWBracket.step`) when the caller's
+    ``lags(cert, K, s_upper)`` holds; a resumed loop doubles ``K`` and
+    continues the bracket to ``eps / 4``.  A bracket that meets ``eps``
+    with no step, power or shift-and-invert, would re-offer rejected
+    iterates (one side's CW lower bound lags the other's), and a failed one
+    has none:
     then ``cert`` certifies the polished pair of a scaling at ``s_upper (1 +
     eps/2)``, ``None`` when the scan fails (``K`` too small) or the
     certificate underflows, and once the bracket has failed ``s_upper``
@@ -388,9 +388,7 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket):
         s = bracket.upper(eps)
         if s is not None and bracket.steps != offered:
             cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
-            # a pair whose right vector alone lags gets one more step at this K
-            lags = _accepted(cert, K, s, delta, right=False) and not _accepted(cert, K, s, delta)
-            if lags and bracket.step():
+            if lags is not None and lags(cert, K, s) and bracket.step():
                 cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
             offered = bracket.steps
         else:
@@ -429,22 +427,26 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     """
     _structure_check(A)
     _check_open_unit(delta, "delta")
-    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A)):
-        if _accepted(cert, K, s_upper, delta):
+
+    def lags(cert, K, s_upper):
+        # the pair fails acceptance only by the right vector's CW lower bound
+        return _near(cert, K, s_upper, delta) and cert.cw_lower < (1.0 - delta) * cert.s
+
+    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A), lags):
+        if _near(cert, K, s_upper, delta) and cert.cw_lower >= (1.0 - delta) * cert.s:
             return cert
 
 
-def _accepted(cert, K: float, s_upper: float, delta: float, *, right: bool = True) -> bool:
-    """:func:`compute_perron`'s acceptance test of a round's ``cert``;
-    without ``right``, less its one test of the right vector's CW lower
-    bound."""
+def _near(cert, K: float, s_upper: float, delta: float) -> bool:
+    """:func:`compute_perron`'s acceptance tests of a round's ``cert`` but
+    the right vector's CW lower bound: both residuals within ``delta / (2
+    K^2)`` and ``s`` within ``(1 - delta)`` of the upper estimate."""
     threshold = delta / (2.0 * K * K)
     return (
         cert is not None
         and cert.residual_right <= threshold
         and cert.residual_left <= threshold
         and cert.s >= (1.0 - delta) * s_upper
-        and (not right or cert.cw_lower >= (1.0 - delta) * cert.s)
     )
 
 

@@ -57,6 +57,21 @@ def random_irreducible_dense(rng, n, density=0.2, log_low=-2.0, log_high=0.0):
     return M
 
 
+def criterion01_dense(seed):
+    """The criterion-01 input of ``seed``: ``n`` in 5..40, density 0.2,
+    weights log-uniform in [1e-2, 1]."""
+    rng = np.random.default_rng(seed)
+    return random_irreducible_dense(rng, int(rng.integers(5, 41)), density=0.2)
+
+
+def wide12_dense(i):
+    """The ``i``-th input of the wide-weight family: ``n`` in 5..40, density
+    0.3, weights log-uniform in [1e-12, 1e12]."""
+    rng = np.random.default_rng([i, 6])
+    n = int(rng.integers(5, 41))
+    return random_irreducible_dense(rng, n, density=0.3, log_low=-12.0, log_high=12.0)
+
+
 def random_irreducible(rng, n, density=0.2, log_low=-2.0, log_high=0.0):
     return SparseMatrix.from_dense(
         random_irreducible_dense(rng, n, density, log_low, log_high)

@@ -39,6 +39,7 @@ from perronkit.oracle import dense_solve, dense_spectral_radius, dense_svd_top
 
 from conftest import (
     bracket_off,
+    criterion01_dense,
     dense_inverse_norms,
     random_irreducible_dense,
     random_symmetric_contraction_dense,
@@ -51,12 +52,6 @@ SCALING_EPS = 0.1
 
 def report_line(num, ok, text):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {text}")
-
-
-def perron_instance(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 41))
-    return random_irreducible_dense(rng, n, density=0.2)
 
 
 def scaling_instance(seed, ratio):
@@ -73,7 +68,7 @@ def perron_suite():
     runs = []
     t0 = time.monotonic()
     for seed in range(PERRON_COUNT):
-        A_dense = perron_instance(seed)
+        A_dense = criterion01_dense(seed)
         rho, _ = dense_spectral_radius(A_dense, tol=1e-12)
         cert = compute_perron(SparseMatrix.from_dense(A_dense), PERRON_DELTA)
         runs.append((seed, A_dense, rho, cert))
@@ -381,7 +376,7 @@ def test_criterion_11_factor_width_two():
 def test_criterion_12_determinism(perron_suite, scaling_suite, monkeypatch):
     runs, _ = perron_suite
     for seed, A_dense, _, cert in runs[::20]:
-        repeat = compute_perron(SparseMatrix.from_dense(perron_instance(seed)), PERRON_DELTA)
+        repeat = compute_perron(SparseMatrix.from_dense(criterion01_dense(seed)), PERRON_DELTA)
         assert repeat.s == cert.s
         assert repeat.k_final == cert.k_final
         assert repeat.residual_left == cert.residual_left

@@ -35,11 +35,13 @@ from perronkit.sparse import RCDD_VERIFY_SLACK
 
 from conftest import (
     bracket_off,
+    criterion01_dense,
     random_irreducible,
     random_irreducible_dense,
     record_rounds,
     record_scans,
     ring_digraph,
+    wide12_dense,
 )
 
 TWO_CYCLE = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
@@ -1047,14 +1049,6 @@ def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
         assert made[0] - before == 2
 
 
-def wide12_instance(i):
-    """The ``i``-th input of the wide-weight family: weights log-uniform over
-    1e-12..1e12 on a density-0.3 pattern, ``n`` in 5..40."""
-    rng = np.random.default_rng([i, 6])
-    n = int(rng.integers(5, 41))
-    return random_irreducible_dense(rng, n, density=0.3, log_low=-12.0, log_high=12.0)
-
-
 class TestPowerSteps:
     """The bracket's power phase: trial steps ``A r``, ``A.T l`` ahead of the
     shift-and-invert steps, each kept only when it cuts the CW gap by 5%."""
@@ -1138,7 +1132,7 @@ class TestPowerSteps:
         """The wide-weight input ``i`` = 65 (n = 11), which an unconditional
         first power step sent to ``K`` = 1024, certifies at ``K`` = 1 within
         ``delta`` of the oracle."""
-        M = wide12_instance(65)
+        M = wide12_dense(65)
         assert M.shape == (11, 11)
         cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
         rho, _ = dense_spectral_radius(M)
@@ -1159,12 +1153,10 @@ class TestPowerSteps:
 
         monkeypatch.setattr(_CWBracket, "step", step)
         for seed in (782, 847, 969, 581, 792, 813, 898, 930):
-            rng = np.random.default_rng(seed)
-            A = random_irreducible(rng, int(rng.integers(5, 41)), density=0.2)
+            A = SparseMatrix.from_dense(criterion01_dense(seed))
             assert compute_perron(A, 1e-3).k_final == 1.0, seed
         assert len(steps) >= 3
         monkeypatch.setattr(_CWBracket, "step", lambda self: False)
         for seed in (782, 847, 969):
-            rng = np.random.default_rng(seed)
-            A = random_irreducible(rng, int(rng.integers(5, 41)), density=0.2)
+            A = SparseMatrix.from_dense(criterion01_dense(seed))
             assert compute_perron(A, 1e-3).k_final == 2.0, seed

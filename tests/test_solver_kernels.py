@@ -84,6 +84,7 @@ from conftest import (
     bracket_off,
     build_counts,
     count_krylov,
+    criterion01_dense,
     random_factor_width2_dense,
     random_irreducible,
     random_irreducible_dense,
@@ -299,10 +300,7 @@ def test_csr_line_sums_match_dense():
 
 
 def criterion_01_instance(seed):
-    rng = np.random.default_rng(seed)
-    return SparseMatrix.from_dense(
-        random_irreducible_dense(rng, int(rng.integers(5, 41)), density=0.2)
-    )
+    return SparseMatrix.from_dense(criterion01_dense(seed))
 
 
 def perron_sparse_instance():
