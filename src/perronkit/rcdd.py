@@ -6,20 +6,20 @@ designed around is replaced here by interchangeable backends.
 
 Every solver, for a matrix the engine forms (``scaling._PhaseSolver``) and
 for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
-comes from :func:`_phase_backend`, and the storage :func:`_storage` gives
-alone picks it: LAPACK factors a dense array up to ``_DENSE_CUTOFF``
-unknowns, and a CSR matrix above it goes to :class:`_KrylovSolver`,
-matvec-only Jacobi-preconditioned BiCGSTAB, the one Krylov method (an SDD
-matrix is an RCDD matrix).  Both answer ``solve(b, transpose, tol)``: a
+comes from :func:`_phase_backend`, and the size of the matrix alone picks
+it: LAPACK factors a dense copy of it up to ``_DENSE_CUTOFF`` unknowns, and
+above the cutoff :class:`_KrylovSolver`, matvec-only Jacobi-preconditioned
+BiCGSTAB, the one Krylov method (an SDD matrix is an RCDD matrix), solves
+with the CSR matrix itself.  Both answer ``solve(b, transpose, tol)``: a
 Krylov solve runs to the relative residual ``tol``, which an LU ignores, in
 ``_KRYLOV_PASSES`` passes; after each it recomputes its true residual
 ``||b - S x||`` and, while that misses, restarts from ``x`` and that
 residual with a fresh recurrence.  A solve that misses after its last pass
 raises :class:`BackendDiverged`, and each caller turns that into its own
-typed outcome.  Above the cutoff the engine's matrices from one ``A`` are
-CSR matrices on one pattern, that of ``A + I``, which ``A``'s pattern
-builds once and keeps; a new scale or shift only writes new values into
-it.  The bracket's step matrix on that pattern is refreshed in place at
+typed outcome.  The engine's matrices from one ``A`` are CSR matrices on
+one pattern, that of ``A + I``, which ``A``'s pattern builds once and
+keeps; a new scale or shift only writes new values into it.  Above the
+cutoff the bracket's step matrix on that pattern is refreshed in place at
 each step, so a step's :class:`_KrylovSolver` takes it, with the
 reciprocals of its diagonal read where the pattern keeps it, and
 constructs no matrix.  A Krylov pass runs at kernel cost: its products are
@@ -85,26 +85,22 @@ _SDD_L2_FLOOR = 1e-13
 # times the LAPACK call at the sizes below the cutoff
 _getrs = scipy.linalg.get_lapack_funcs("getrs", dtype=np.float64)
 
-def _storage(csr: sp.csr_matrix):
-    """The array the solvers work on: dense up to ``_DENSE_CUTOFF`` unknowns,
-    where LAPACK and BLAS beat sparse kernels, CSR above.  The array type
-    alone picks the backend (see :func:`_phase_backend`)."""
-    return csr.toarray() if csr.shape[0] <= _DENSE_CUTOFF else csr
-
 
 class _DirectSolver:
-    """The package's one LU with partial pivoting: LAPACK's, of a dense
-    array, computed once; the factorization serves both ``S x = b`` and
-    ``S.T x = b``.  Every solver up to ``_DENSE_CUTOFF`` unknowns is one (see
-    :func:`_phase_backend`).  Deterministic.  Its solves are exact up to
-    rounding, ignore ``tol`` and check no residual; ``iterations`` counts
+    """The package's one LU with partial pivoting: LAPACK's, computed once,
+    of a dense array, kept as ``S``: the one it is handed, or the dense copy
+    of a CSR matrix it is handed.  The factorization serves both ``S x = b``
+    and ``S.T x = b``.  Every solver up to ``_DENSE_CUTOFF`` unknowns is one
+    (see :func:`_phase_backend`).  Deterministic.  Its solves are exact up
+    to rounding, ignore ``tol`` and check no residual; ``iterations`` counts
     them, and an operator's refinement repairs their rounding.
     """
 
-    def __init__(self, S: np.ndarray):
-        self.S = S
+    def __init__(self, S):
+        # the bracket's step below the cutoff hands over its own dense array
+        self.S = S if isinstance(S, np.ndarray) else S.toarray()
         # an exactly singular S warns here and solves to non-finite values
-        self._lu = scipy.linalg.lu_factor(S, check_finite=False)
+        self._lu = scipy.linalg.lu_factor(self.S, check_finite=False)
         self.iterations = 0
 
     def solve(self, b: np.ndarray, transpose: bool, tol: float) -> np.ndarray:
@@ -193,13 +189,14 @@ class _KrylovSolver:
 
 def _phase_backend(S, inv_diag=None):
     """The package's one choice of solver, for a matrix the engine formed or
-    a caller's own, by its storage alone (see :func:`_storage`): LAPACK for
-    a dense ``S``, which solves exactly up to rounding, and
-    :class:`_KrylovSolver` for a CSR ``S``, whose transposed solves need no
-    transpose.  A CSR ``S`` may come with the reciprocals of its diagonal
+    a caller's own, by its size alone: LAPACK (:class:`_DirectSolver`) up to
+    ``_DENSE_CUTOFF`` unknowns, where LAPACK and BLAS beat sparse kernels,
+    which solves exactly up to rounding, and :class:`_KrylovSolver` above,
+    on the CSR ``S`` itself, whose transposed solves need no transpose.
+    Above the cutoff ``S`` may come with the reciprocals of its diagonal
     ``inv_diag`` when its owner knows where that is stored (the bracket's
     step matrix, refreshed in place); the solver then computes none."""
-    if isinstance(S, np.ndarray):
+    if S.shape[0] <= _DENSE_CUTOFF:
         return _DirectSolver(S)
     return _KrylovSolver(S, inv_diag)
 
@@ -472,7 +469,7 @@ def _rcdd_backend(S: SparseMatrix):
     :class:`NotRCDD` when ``S`` is not RCDD within ``RCDD_VERIFY_SLACK``."""
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    return _phase_backend(_storage(S.csr()))
+    return _phase_backend(S.csr())
 
 
 def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
@@ -513,7 +510,7 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    solver = _phase_backend(_storage(S.csr()))
+    solver = _phase_backend(S.csr())
     tol = _sdd_l2_tolerance(S, eps)
     apply_fn = _contract_apply(S, lambda x: solver.solve(x, False, tol), tol, "S")
     return LinearOperator(apply_fn, S.n_rows, eps, solver)

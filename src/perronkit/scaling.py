@@ -18,11 +18,13 @@ solves for no left iterate, and its check is their only one:
 :func:`factor_width2_solve` forms and checks a ``V M V`` of its own ``M``.
 :func:`solve_m` decides at ``s`` itself, as
 Katz, Leontief and the kernel decide ``rho(B) < 1``, and all four solve
-with one operator of that unshifted pair (``_pair_operator``).  Above the
-dense cutoff every matrix a problem forms is stored on the pattern of ``A
-+ I``, which ``A``'s pattern builds once for every problem on ``A`` or on
-a multiple of it, and a shift-and-invert step only writes new values into a
-matrix built once per bracket.
+with one operator of that unshifted pair (``_pair_operator``).  Every
+matrix a problem forms to check or solve with is a CSR matrix on the
+pattern of ``A + I``, which ``A``'s pattern builds once for every problem
+on ``A`` or on a multiple of it; LAPACK factors a dense copy of it up to
+the dense cutoff.  Only a shift-and-invert step depends on the size: below
+the cutoff it forms one dense array for LAPACK, and above it it only writes
+new values into a matrix built once per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -49,6 +51,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import rcdd
 from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
     LinearOperator,
@@ -57,7 +60,6 @@ from .rcdd import (
     _rcdd_backend,
     _refined_apply,
     _sdd_l2_tolerance,
-    _storage,
     varah_kappa_upper,
 )
 from .reports import ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
@@ -67,6 +69,7 @@ from .sparse import (
     _check_open_unit,
     _check_square_nonnegative,
     _is_symmetric,
+    _kernel_product,
     _PatternCSR,
     apply_scaling,
     as_vector,
@@ -148,30 +151,25 @@ class RichardsonConfig:
 
 
 class _Problem:
-    """``A / scale`` in the solvers' working storage, :func:`rcdd._storage`'s:
-    a dense array up to ``_DENSE_CUTOFF`` unknowns, CSR above (``dense`` and
-    ``csr`` name whichever is in use).  :meth:`rescale` moves it to another
-    scale.
+    """``A / scale``, formed only as far as each use needs it; :meth:`rescale`
+    moves it to another scale.
 
-    Above the cutoff the problem keeps no scaled copy of ``A``: it takes the
-    pattern of ``(1 + alpha) I - A`` from ``A``'s pattern, which builds it
-    once (:attr:`sparse._Pattern.shifted`), and :meth:`scaled_shift` and
-    :meth:`step_solver` write the values of ``(1 + alpha) I - A / scale``
-    onto it straight from ``A``'s CSR, the first into a fresh matrix, the
-    second into the one step matrix the bracket solves with.  ``matrix`` and
-    ``csr`` (the scan's products and the benchmark's tracer read them) are
-    built on first read at each scale."""
+    The problem keeps no scaled copy of ``A``.  :meth:`scaled_shift` writes
+    the values of ``diag(ell) ((1 + alpha) I - A / scale) diag(r)`` straight
+    from ``A``'s CSR onto the pattern of ``(1 + alpha) I - A``, which
+    ``A``'s pattern builds on first use and keeps for every problem on
+    ``A`` (:attr:`sparse._Pattern.shifted`).  :meth:`step_solver` forms the
+    bracket's step matrix by size, the one place the size of ``A`` steers
+    the problem.  ``csr``, ``A / scale`` for the scan's residual products
+    (the benchmark's tracer reads it too), is built on first read at each
+    scale."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
             raise ValueError("expected a square matrix")
         self.n = A.n_rows
         self._A = A
-        self._unscaled = _storage(A.csr())
-        self._is_dense = isinstance(self._unscaled, np.ndarray)
         self._step = None
-        if not self._is_dense:
-            self._pattern, self._a_pos = A._pattern.shifted
         self.rescale(scale)
 
     def rescale(self, scale: float) -> None:
@@ -180,7 +178,7 @@ class _Problem:
         if scale <= 0.0 or not np.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         self._scale = scale
-        self._matrix = None
+        self._csr = None
 
     def _shift_values(self, alpha: float, out: np.ndarray) -> np.ndarray:
         """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
@@ -188,25 +186,18 @@ class _Problem:
         bits of ``-(A / scale)`` (scipy divides a CSR matrix by a scalar
         through its reciprocal), then ``1 + alpha`` added to each diagonal,
         0 where ``A`` stores none."""
+        pattern, a_pos = self._A._pattern.shifted
         out.fill(0.0)
-        out[self._a_pos] = self._unscaled.data * (-1.0 / self._scale)
-        out[self._pattern.diagonal] += 1.0 + alpha
+        out[a_pos] = self._A.csr().data * (-1.0 / self._scale)
+        out[pattern.diagonal] += 1.0 + alpha
         return out
 
     @property
-    def matrix(self):
-        """``A / scale`` in the working storage."""
-        if self._matrix is None:
-            self._matrix = self._unscaled / self._scale
-        return self._matrix
-
-    @property
-    def dense(self):
-        return self.matrix if self._is_dense else None
-
-    @property
     def csr(self):
-        return None if self._is_dense else self.matrix
+        """``A / scale``, a CSR matrix."""
+        if self._csr is None:
+            self._csr = self._A.csr() / self._scale
+        return self._csr
 
     @cached_property
     def _norm_max_unscaled(self) -> float:
@@ -221,43 +212,38 @@ class _Problem:
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """``((1 + alpha) I - A) @ x``."""
-        return (1.0 + alpha) * x - self.matrix @ x
+        return (1.0 + alpha) * x - _kernel_product(self.csr, x)
 
     def shifted_rmatvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
-        return (1.0 + alpha) * x - self.matrix.T @ x
+        return (1.0 + alpha) * x - _kernel_product(self.csr, x, transpose=True)
 
     def scaled_shift(self, alpha: float, ell: np.ndarray, r: np.ndarray):
-        """``diag(ell) ((1 + alpha) I - A) diag(r)`` in the working storage,
-        a fresh matrix that no later use of the problem changes: above the
-        cutoff a :class:`sparse._PatternCSR`, which keeps its pattern and,
-        once taken, its line sums."""
-        if self._is_dense:
-            S = -self.dense
-            np.fill_diagonal(S, S.diagonal() + (1.0 + alpha))
-            S *= ell[:, None]
-            S *= r[None, :]
-            return S
-        p = self._pattern
+        """``diag(ell) ((1 + alpha) I - A) diag(r)``, a fresh
+        :class:`sparse._PatternCSR`, which keeps its pattern and, once
+        taken, its line sums, and which no later use of the problem
+        changes."""
+        p = self._A._pattern.shifted[0]
         v = self._shift_values(alpha, np.empty(p.indices.size))
         # the same products, in the same order, as diag(ell) @ M @ diag(r)
         return _PatternCSR.on(p, (ell.take(p.rows) * v) * r.take(p.indices))
 
     def step_solver(self, alpha: float):
-        """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step,
-        with the bits of ``scaled_shift(alpha, 1, 1)``.  Below the cutoff it
-        forms that matrix in one new array, ``A / scale`` negated in place
-        and ``1 + alpha`` added to its diagonal (the products by ones that
-        ``scaled_shift`` would make change no bit), and LAPACK factors it.
-        Above it the step matrix is built on the first call and refreshed in
-        place by every later one, so a solver serves only until the next
-        call: the bracket's steps form no new scipy matrix."""
-        if self._is_dense:
-            S = np.divide(self._unscaled, self._scale)
-            np.negative(S, out=S)
+        """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step.
+        Up to ``rcdd._DENSE_CUTOFF`` unknowns it forms that matrix in one new
+        array, ``A / (-scale)`` (the bits of ``-(A / scale)``) with ``1 +
+        alpha`` added to its diagonal, and LAPACK factors it: no pattern and
+        no scipy matrix is built.  Above the cutoff it has the bits of
+        ``scaled_shift(alpha, 1, 1)``: the step matrix is built on the first
+        call and refreshed in place by every later one, so a solver serves
+        only until the next call, and the bracket's steps form no new scipy
+        matrix."""
+        if self.n <= rcdd._DENSE_CUTOFF:
+            S = self._A.csr().toarray()
+            S /= -self._scale
             diagonal = S.reshape(-1)[:: self.n + 1]  # a view
             diagonal += 1.0 + alpha
             return _phase_backend(S)
-        p = self._pattern
+        p = self._A._pattern.shifted[0]
         if self._step is None:
             self._step = sp.csr_matrix((np.empty(p.indices.size), p.indices, p.indptr), shape=p.shape)
         S = self._step
@@ -266,20 +252,20 @@ class _Problem:
 
 
 class _PhaseSolver:
-    """One solver of ``S = diag(l) ((1 + alpha) I - A / s) diag(r)``, a
-    matrix :meth:`_Problem.scaled_shift` formed, serving both the forward
-    and the transpose preconditioner: a scan phase's, at the previous
-    phase's shift, and every operator's and the Perron polish's, on the
-    matrix whose RCDD check passed (the bracket's own steps solve with
-    :meth:`_Problem.step_solver` instead).
+    """One solver of ``S = diag(l) ((1 + alpha) I - A / s) diag(r)``, the
+    CSR matrix :meth:`_Problem.scaled_shift` formed, serving both the
+    forward and the transpose preconditioner: a scan phase's, at the
+    previous phase's shift, and every operator's and the Perron polish's,
+    on the matrix whose RCDD check passed (the bracket's own steps solve
+    with :meth:`_Problem.step_solver` instead).
 
-    :func:`rcdd._phase_backend` picks the backend by the storage of ``S``:
-    LAPACK factors a dense ``S`` (up to ``_DENSE_CUTOFF`` unknowns) once,
-    which it then solves exactly up to rounding; a CSR ``S`` gets
-    Jacobi-preconditioned BiCGSTAB solves to the relative residual ``tol``
-    this solver holds and passes to each, each checked against its true
-    residual, and one that misses raises :class:`BackendDiverged` for its
-    caller to turn into its own outcome."""
+    :func:`rcdd._phase_backend` picks the backend by the size of ``S``:
+    LAPACK factors a dense copy of ``S`` (up to ``_DENSE_CUTOFF`` unknowns)
+    once, which it then solves exactly up to rounding; above the cutoff
+    ``S`` gets Jacobi-preconditioned BiCGSTAB solves to the relative
+    residual ``tol`` this solver holds and passes to each, each checked
+    against its true residual, and one that misses raises
+    :class:`BackendDiverged` for its caller to turn into its own outcome."""
 
     def __init__(self, S, ell: np.ndarray, r: np.ndarray, *, tol: float):
         self.S = S
@@ -365,10 +351,12 @@ class _CWBracket:
     the symmetric ones) and of the applications' decision.
 
     The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
-    shift-and-invert step, and solves with its step matrix (:meth:`_Problem.step_solver`),
-    which above the dense cutoff is refreshed in place: a step forms no
-    scipy matrix.  :meth:`checked` forms the matrix it checks on the same
-    problem and hands it on.  ``symmetric`` makes the bracket one-sided, for callers
+    shift-and-invert step, and solves with its step matrix
+    (:meth:`_Problem.step_solver`), which below the dense cutoff a step
+    forms in one dense array and above it the first step builds and every
+    later one refreshes in place: a step forms no scipy matrix but that
+    one.  :meth:`checked` forms the matrix it checks on the same problem
+    and hands it on.  ``symmetric`` makes the bracket one-sided, for callers
     whose ``A`` is symmetric: a step solves for, or a power step forms, the
     right iterate only and takes it as the left one, which for symmetric
     ``A`` it equals.  The left
@@ -1001,9 +989,8 @@ _SHIFT_SEARCH = tuple(0.5 / 4.0**k for k in range(13))
 
 def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
     """``((S, pair), report)`` for symmetric nonnegative ``A``: ``pair =
-    ScalingPair(v, v, eps, 1)`` and ``S = V ((1 + eps) I - A) V`` the
-    matrix checked RCDD, once, which for symmetric ``A`` is SDD, in the
-    solvers' working storage.
+    ScalingPair(v, v, eps, 1)`` and ``S = V ((1 + eps) I - A) V`` the CSR
+    matrix checked RCDD, once, which for symmetric ``A`` is SDD.
 
     ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``, its
     bracket one-sided (see :class:`_CWBracket`): for symmetric ``A``, ``V
@@ -1067,17 +1054,16 @@ def symm_scale(A: SparseMatrix, eps: float):
 def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
     """``(x, report)`` with ``||M' x - b||_2 <= delta ||b||_2``, ``M' =
     shift I - M`` or, without a ``shift``, ``M`` itself, ``against`` its
-    name in the errors.  ``S = V M' V`` is the matrix the caller checked
-    SDD, in the solvers' working storage: one backend solver of it, each
-    step one solve to the l2 tolerance of energy accuracy 1/4 (from the
-    line sums the check took and a CSR ``S`` keeps, so with no second pass;
-    an LU, exact, needs none), preconditions :func:`_refined_apply` against
-    ``M'``, the refinement ``solve_m`` applies, with its rounding bound on
-    the residual.  The report holds the refinement's iterations and residual norms, the phases
-    and entries of ``scale_report``, the scaling's, and ``v`` in
-    ``info["scaling"]``."""
+    name in the errors.  ``S = V M' V`` is the CSR matrix the caller checked
+    SDD: one backend solver of it, each step one solve to the l2 tolerance
+    of energy accuracy 1/4 (from the line sums the check took and ``S``
+    keeps, so with no second pass; an LU, exact, ignores it), preconditions
+    :func:`_refined_apply` against ``M'``, the refinement ``solve_m``
+    applies, with its rounding bound on the residual.  The report holds the
+    refinement's iterations and residual norms, the phases and entries of
+    ``scale_report``, the scaling's, and ``v`` in ``info["scaling"]``."""
     solver = _phase_backend(S)
-    tol = None if isinstance(S, np.ndarray) else _sdd_l2_tolerance(S, 0.25)
+    tol = _sdd_l2_tolerance(S, 0.25)
 
     def precond(x):
         return v * solver.solve(v * x, False, tol)
@@ -1163,4 +1149,4 @@ def factor_width2_solve(M: SparseMatrix, b, delta: float):
     S = apply_scaling(v, M, v)
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDDAfterScaling("V M V fails its SDD check: M is not symmetric factor width 2")
-    return _sdd_solve(_storage(S.csr()), v, scale_report, M, b, delta, "M")
+    return _sdd_solve(S.csr(), v, scale_report, M, b, delta, "M")

@@ -17,21 +17,22 @@ mask, so it stores the triplets the constructor would give without its COO
 round trip.
 
 Every sparse product in the package's double-precision loops, those of a
-:class:`SparseMatrix` (``SparseMatrix._product``), the Krylov solver's and
-a refinement's, is one call of :func:`_kernel_product`: scipy's CSR kernel
-on the stored arrays, or its CSC kernel for the transpose, the bits of
-``csr @ x`` and ``csr.T @ x`` without their dispatch;
-:meth:`SparseMatrix.matvec` checks its vector first.  The exceptions are
-the halving scan's residual products, ``scaling._Problem.matrix @ x``, and
-a refinement's ``np.longdouble`` products, which the kernel cannot take.
+:class:`SparseMatrix` (``SparseMatrix._product``), the halving scan's
+residuals, the Krylov solver's and a refinement's, is one call of
+:func:`_kernel_product`: scipy's CSR kernel on the stored arrays, or its
+CSC kernel for the transpose, the bits of ``csr @ x`` and ``csr.T @ x``
+without their dispatch; :meth:`SparseMatrix.matvec` checks its vector
+first.  The exception is a refinement's ``np.longdouble`` products, which
+the kernel cannot take.
 
-Every matrix the engine forms from ``A``, shifted or scaled and shifted, is
-stored on one pattern, that of ``A + I``, which ``A``'s :class:`_Pattern`
-builds once and keeps.  Vectors are plain 1-D ``numpy.float64`` arrays;
-constructors and file loaders reject non-finite entries.  The dominance
-checks and ``rcdd``'s condition bound all take their line sums of ``|S|``
-from one pass, :func:`_line_sums`, which on a CSR matrix reuses the row
-index and diagonal positions its pattern keeps.
+Every matrix the engine forms from ``A`` to check or solve with, shifted or
+scaled and shifted, is a :class:`_PatternCSR` on one pattern, that of ``A +
+I``, which ``A``'s :class:`_Pattern` builds once and keeps, at every size.
+Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file
+loaders reject non-finite entries.  The dominance checks and ``rcdd``'s condition
+bound all take their line sums of ``|S|`` from one pass over a CSR matrix,
+:func:`_line_sums`, which reuses the row index and diagonal positions its
+pattern keeps; a caller's dense array is converted to CSR first.
 """
 
 from __future__ import annotations
@@ -421,22 +422,18 @@ def is_irreducible(A: SparseMatrix) -> bool:
 
 def _line_sums(S):
     """Diagonal and off-diagonal row and column sums of ``|S|``,
-    ``(diag, row_off, col_off)``, of a CSR matrix or a dense array: the one
-    pass behind every dominance margin (``diag - off``) and line sum of
-    ``|S|`` (``|diag| + off``).
+    ``(diag, row_off, col_off)``, of a sparse matrix: the one pass behind
+    every dominance margin (``diag - off``) and line sum of ``|S|`` (``|diag|
+    + off``).
 
-    A CSR ``S`` is summed on its :class:`_Pattern`, whose row index and
-    diagonal positions it reuses: the pattern a :class:`_PatternCSR` (a
+    ``S`` is summed on its :class:`_Pattern`, whose row index and diagonal
+    positions it reuses: the pattern a :class:`_PatternCSR` (a
     :class:`SparseMatrix`'s CSR or a matrix the engine formed) keeps, and a
-    throwaway one for any other CSR matrix, its duplicates summed first on a
+    throwaway one for any other matrix, its duplicates summed first on a
     copy.  Off-diagonal sums accumulate only off-diagonal entries, the
     diagonal's terms zeroed (no subtraction of the diagonal afterwards,
     which would leak rounding into exact margins).
     """
-    if isinstance(S, np.ndarray):
-        off = np.abs(S)
-        np.fill_diagonal(off, 0.0)
-        return S.diagonal(), off.sum(axis=1), off.sum(axis=0)
     pattern = getattr(S, "pattern", None)
     if pattern is None:
         S = S.tocsr()
@@ -455,13 +452,17 @@ def _line_sums(S):
 
 
 def _kept_line_sums(S):
-    """:func:`_line_sums` of ``S``, a :class:`SparseMatrix`, a CSR matrix
-    or a dense array, taken once and kept when its values cannot change: on
-    the :class:`_PatternCSR` of a :class:`SparseMatrix` or one the engine
-    formed.  A check and the solve of the matrix it passed, which needs its
-    condition bound, then sum it once."""
-    csr = S.csr() if isinstance(S, SparseMatrix) else S
-    return csr.line_sums if getattr(csr, "pattern", None) is not None else _line_sums(csr)
+    """:func:`_line_sums` of ``S``, a :class:`SparseMatrix`, a sparse matrix
+    or a dense array (summed as its CSR), taken once and kept when its
+    values cannot change: on the :class:`_PatternCSR` of a
+    :class:`SparseMatrix` or one the engine formed.  A check and the solve
+    of the matrix it passed, which needs its condition bound, then sum it
+    once."""
+    if isinstance(S, SparseMatrix):
+        S = S.csr()
+    elif isinstance(S, np.ndarray):
+        S = sp.csr_matrix(S)
+    return S.line_sums if getattr(S, "pattern", None) is not None else _line_sums(S)
 
 
 def _is_symmetric(S: SparseMatrix) -> bool:

@@ -130,8 +130,8 @@ def test_csr_scaled_shift_matches_sparse_products(diagonal):
     ell = rng.uniform(0.5, 2.0, n)
     r = rng.uniform(0.5, 2.0, n)
     prob = _Problem(A, scale)
-    # perfbench counts the entries a product touches through this attribute
-    assert prob.dense is None and prob.csr.nnz == A.nnz
+    # perfbench counts the entries a product touches through these attributes
+    assert getattr(prob, "dense", None) is None and prob.csr.nnz == A.nnz
     got = prob.scaled_shift(alpha, ell, r)
     shifted = sp.identity(n, format="csr") * (1.0 + alpha) - A.csr() / scale
     expected = (sp.diags(ell) @ shifted @ sp.diags(r)).tocsr()
@@ -240,10 +240,19 @@ def masked_line_sums(csr):
     return csr.diagonal(), row_off, np.bincount(csr.indices[off], absdata, csr.shape[1])
 
 
+def dense_line_sums(dense):
+    """The line sums of a dense array by whole-array sums: the diagonal, and
+    the sums of ``|S|`` along each axis with the diagonal zeroed."""
+    off = np.abs(dense)
+    np.fill_diagonal(off, 0.0)
+    return dense.diagonal(), off.sum(axis=1), off.sum(axis=0)
+
+
 def test_csr_line_sums_match_dense():
     """The one line-sum pass gives a CSR matrix the sums of its dense form
-    within rounding, duplicates summed on a copy, and ``check_rcdd`` and
-    ``varah_kappa_upper`` the same answers on both forms.  Matrices
+    within rounding, duplicates summed on a copy, and the public
+    ``check_rcdd`` and ``varah_kappa_upper`` the same answers on the array
+    as on its CSR.  Matrices
     ``scaled_shift`` formed above the cutoff are summed on the pattern they
     keep, with the bits of a masked pass over their entries, as every CSR
     matrix is; one of them adds every diagonal to a matrix that stores none
@@ -283,7 +292,7 @@ def test_csr_line_sums_match_dense():
         for got, want in zip(sums, masked_line_sums(S)):
             assert got.tobytes() == want.tobytes()
         dense = S.toarray()
-        dense_sums = _line_sums(dense)
+        dense_sums = dense_line_sums(dense)
         assert np.array_equal(sums[0], dense_sums[0])
         # sums of at most max(shape) nonnegative terms, in another order
         rounding = max(S.shape) * np.finfo(float).eps
@@ -461,10 +470,11 @@ def test_each_checked_matrix_is_summed_once(monkeypatch, n):
 
 
 def test_one_shifted_pattern_per_matrix(monkeypatch):
-    """Above the cutoff the pattern of ``A + I`` is built once for every
-    problem on ``A`` or a multiple of it (``sparse._with_diagonal`` runs
-    once): two problems, a bracket on ``2 A`` that steps and
-    ``shifted_m_matrix`` all store their matrices on that one pattern."""
+    """The pattern of ``A + I`` is built once for every problem on ``A`` or
+    a multiple of it (``sparse._with_diagonal`` runs once), on first use,
+    not when a problem is built: two problems, a bracket on ``2 A`` that
+    steps above the cutoff and ``shifted_m_matrix`` all store their
+    matrices on that one pattern."""
     calls = []
     real = perronkit.sparse._with_diagonal
 
@@ -476,12 +486,13 @@ def test_one_shifted_pattern_per_matrix(monkeypatch):
     A = sparse_m_matrix(np.random.default_rng(65))
     assert A.n_rows > _DENSE_CUTOFF
     problems = [_Problem(A, 1.0), _Problem(A, 0.5)]
+    assert calls == []
     bracket = _CWBracket(A.scaled(2.0))
     assert bracket.upper(1e-3) is not None and bracket.factorizations >= 1
     shifted = shifted_m_matrix(A, 1.0)
     assert calls == [A._pattern]
-    pattern = problems[0]._pattern
-    assert problems[1]._pattern is pattern and bracket._prob._pattern is pattern
+    pattern = A._pattern.shifted[0]
+    assert np.shares_memory(bracket._prob._step.indices, pattern.indices)
     assert shifted._pattern is pattern
     ones = np.ones(A.n_rows)
     for prob in problems:
@@ -840,14 +851,12 @@ def test_problem_rescale_matches_a_fresh_problem(n):
         fresh = _Problem(A, scale)
         assert prob.norm_max == fresh.norm_max
         for got, want in (
-            (prob.matrix, fresh.matrix),
+            (prob.csr, fresh.csr),
             (prob.scaled_shift(1e-6, ell, r), fresh.scaled_shift(1e-6, ell, r)),
         ):
-            if n > _DENSE_CUTOFF:
-                assert np.array_equal(got.indptr, want.indptr)
-                assert np.array_equal(got.indices, want.indices)
-                got, want = got.data, want.data
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
 
 def pattern_inputs():
@@ -942,17 +951,19 @@ def test_step_matrix_matches_a_fresh_shift(case):
 
 
 def test_dense_step_matrix_matches_a_fresh_shift():
-    """Below the cutoff the bracket's step matrix, formed in one array
-    without the products by ones, holds the bits of ``scaled_shift`` at unit
-    scalings, zero entries' signs included, at every scale and shift."""
+    """Below the cutoff the bracket's step matrix, formed in one array from
+    ``A``'s CSR, holds the bits of ``(1 + alpha) I - A / scale`` formed
+    densely, ``-(A / scale)`` with ``1 + alpha`` added to its diagonal, zero
+    entries' signs included, at every scale and shift."""
     rng = np.random.default_rng(64)
     A = random_irreducible(rng, 30)
     prob = _Problem(A, 1.0)
-    ones = np.ones(A.n_rows)
     for scale, alpha in ((1.0, 1e-6), (0.37, 0.25), (3.1e5, 1e-6), (2.0 / 3.0, 0.0)):
         prob.rescale(scale)
         S = prob.step_solver(alpha).S
-        assert S.tobytes() == prob.scaled_shift(alpha, ones, ones).tobytes()
+        want = -(A.to_dense() / scale)
+        np.fill_diagonal(want, want.diagonal() + (1.0 + alpha))
+        assert S.tobytes() == want.tobytes()
 
 
 def old_unit_positive(x):
@@ -1282,6 +1293,69 @@ def test_compute_perron_builds_two_problems(monkeypatch, storage):
     assert cert.k_final == 2.0 and len(builds) == 2
 
 
+def count_sparse_builds(monkeypatch):
+    """Count every scipy sparse matrix constructed, in the returned one-item
+    list: each constructor ends in the ``__init__`` of the root
+    ``scipy.sparse`` class of the CSR hierarchy."""
+    root = next(
+        cls
+        for cls in reversed(sp.csr_matrix.__mro__)
+        if cls.__module__.startswith("scipy.sparse") and "__init__" in vars(cls)
+    )
+    builds = [0]
+    real_init = root.__init__
+
+    def init(self, *args, **kwargs):
+        builds[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(root, "__init__", init)
+    return builds
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_bracket_steps_form_their_matrices_by_size(monkeypatch, storage):
+    """The problem's one size branch, its step solver: up to the dense
+    cutoff ``compute_perron`` on criterion-01 inputs never builds the
+    pattern of ``A + I`` (``sparse._with_diagonal``), and its bracket steps
+    build no scipy matrix, LAPACK factoring an array formed from ``A``'s
+    CSR.  Above the cutoff the bracket builds one step CSR, at its first
+    step, on that pattern, built once."""
+    shifted = []
+    real_with_diagonal = perronkit.sparse._with_diagonal
+
+    def with_diagonal(pattern):
+        shifted.append(pattern)
+        return real_with_diagonal(pattern)
+
+    monkeypatch.setattr(perronkit.sparse, "_with_diagonal", with_diagonal)
+    builds = count_sparse_builds(monkeypatch)
+    steps = []  # the scipy matrices each step_solver call built
+    real_step_solver = _Problem.step_solver
+
+    def step_solver(self, alpha):
+        before = builds[0]
+        solver = real_step_solver(self, alpha)
+        steps.append(builds[0] - before)
+        return solver
+
+    monkeypatch.setattr(_Problem, "step_solver", step_solver)
+    instances = (
+        [criterion_01_instance(seed) for seed in range(20)]
+        if storage == "dense" else [perron_sparse_instance()]
+    )
+    for A in instances:
+        shifted.clear()
+        steps.clear()
+        compute_perron(A, 1e-3)
+        assert steps
+        if storage == "dense":
+            assert A.n_rows <= _DENSE_CUTOFF
+            assert shifted == [] and steps == [0] * len(steps)
+        else:
+            assert shifted == [A._pattern] and steps == [1] + [0] * (len(steps) - 1)
+
+
 def sparse_instance_at(rho, n=400, seed=58):
     """A Hamiltonian cycle plus random edges in CSR storage, scaled to the
     given spectral radius."""
@@ -1454,8 +1528,8 @@ def load_tracer():
 def test_the_tracer_counts_a_scan(monkeypatch):
     """The benchmark's tracer finds the scan's seams and counts one scan with
     the bracket off: a phase per phase solver, an inner iteration per
-    forward preconditioner solve, and two products of ``n^2`` entries per
-    iteration on dense storage."""
+    forward preconditioner solve, and two products per iteration, each on
+    the ``nnz`` entries of ``A``'s CSR."""
     bracket_off(monkeypatch)
     n = 12
     A = SparseMatrix.from_dense(random_m_matrix_dense(np.random.default_rng(62), n, 0.5))
@@ -1470,5 +1544,5 @@ def test_the_tracer_counts_a_scan(monkeypatch):
     assert values["scaling.scans"] == 1
     assert values["scaling.phases"] == len(report.phases) > 0
     assert values["scaling.inner_iters"] == report.iterations
-    assert values["scaling.matvec_flops_computed"] == 4 * n * n * report.iterations
+    assert values["scaling.matvec_flops_computed"] == 4 * A.nnz * report.iterations
     assert not {"scaling._halving_scan", "scaling._PhaseSolver"} & set(tracer.absent)
