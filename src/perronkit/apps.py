@@ -35,7 +35,13 @@ from .perron import (
 )
 from .reports import SolveReport
 from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator
-from .sparse import SparseMatrix, _check_open_unit, as_vector, is_irreducible
+from .sparse import (
+    SparseMatrix,
+    _check_open_unit,
+    _check_square_nonnegative,
+    as_vector,
+    is_irreducible,
+)
 
 __all__ = [
     "LabeledGraph",
@@ -203,8 +209,7 @@ def katz_centrality(A: SparseMatrix, alpha: float, b, eps: float):
     with ``||(I - alpha A) v - b||_2 <= eps ||b||_2``.
     """
     _check_open_unit(eps, "eps")
-    if not A.is_square or not A.is_nonnegative():
-        raise ValueError("adjacency matrix must be square and nonnegative")
+    _check_square_nonnegative(A)
     b = as_vector(b, A.n_rows, "b")
     if np.any(b < 0.0) or not np.any(b > 0.0):
         raise ValueError("b must be nonnegative and nonzero")
@@ -234,8 +239,7 @@ def leontief_equilibrium(A: SparseMatrix, d=None, eps: float = 1e-8):
     solve runs on the checked scaling of ``I - A`` by its pair.
     """
     _check_open_unit(eps, "eps")
-    if not A.is_square or not A.is_nonnegative():
-        raise ValueError("consumption matrix must be square and nonnegative")
+    _check_square_nonnegative(A)
     if d is not None:
         d = as_vector(d, A.n_rows, "d")
         if np.any(d < 0.0):

@@ -43,9 +43,9 @@ class BackendDiverged(PerronKitError):
     Leontief and the kernel (with no fallback on either), and through the
     CLI (exit status 1).  Everywhere else a miss has one typed outcome: the
     shift-and-invert bracket counts it as a failed bracket, every halving
-    scan, strict or not, one-sided or not, as its ``"solver budget"``
-    failure, and the polish of a Perron pair ends with its last positive
-    pair.  So ``m_decide``, ``mmatrix_scale``, ``symm_scale``,
+    scan, strict or not, as its ``"solver budget"`` failure, and the
+    polish of a Perron pair ends with its last positive pair.  So
+    ``m_decide``, ``mmatrix_scale``, ``symm_scale``,
     ``compute_perron`` and ``certify_spectral_bound`` never raise it.
     """
 

@@ -50,11 +50,12 @@ from .scaling import (
     ScalingPair,
     _CWBracket,
     _PhaseSolver,
+    _Problem,
     _ScanFailure,
-    _checked_scan,
     _cw_bounds,
     _cw_margin,
     _cw_ratio_bounds,
+    _halving_scan,
     _mmatrix_scale,
     _settles,
 )
@@ -189,7 +190,7 @@ def _m_decide_scaled(
     cap = math.ceil(8.0 * math.log(64.0 * A.n_rows * gamma * gamma))
     budget = 18.0 * gamma * gamma * (1.0 + 1e-6)
     try:
-        _, scaling, report = _checked_scan(A, denom, eps, gamma, cap, budget)
+        _, scaling, report = _halving_scan(_Problem(A, denom), eps, gamma, cap, budget)
     except _ScanFailure as fail:
         witness = f"{_WITNESS_TEXT[fail.witness]} at phase {fail.phase} (alpha={fail.alpha:.6e})"
         return DecisionOutcome(Verdict.NOT_M_MATRIX, witness=witness)

@@ -33,9 +33,10 @@ the matrix is trivially dominant, each phase solves ``M_alpha r = 1`` and
 of the previous (twice as large) shift, then halves the shift.
 ``_halving_scan`` is that one loop, whole: it derives its solve tolerance
 and residual ceiling from the conditioning bound ``K``, runs every phase,
-checks the final pair RCDD and records its settings in its report.  Its
-callers differ only in their iteration cap, their solver budget and how
-they report a failure; the symmetric ones run it one-sided, with ``l = r``.
+checks each phase's pair positive and the final pair RCDD, and records its
+settings in its report.  Its callers differ only in their iteration cap,
+their solver budget and how they report a failure; the symmetric ones take
+its right vector as ``v`` and check it once more as ``V M V``.
 
 All routines normalize to ``s = 1`` internally and return scalings valid for
 the original problem, which only differ by a positive scalar on the scaled
@@ -150,65 +151,51 @@ class RichardsonConfig:
 # internal problem wrapper: normalized nonnegative matrix with fast products
 
 
+def _shift_values(A: SparseMatrix, scale: float, alpha: float, out: np.ndarray) -> np.ndarray:
+    """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
+    pattern of ``(1 + alpha) I - A`` (:attr:`sparse._Pattern.shifted`):
+    ``A``'s entries first, with the bits of ``-(A / scale)`` (scipy divides
+    a CSR matrix by a scalar through its reciprocal), then ``1 + alpha``
+    added to each diagonal, 0 where ``A`` stores none."""
+    pattern, a_pos = A._pattern.shifted
+    out.fill(0.0)
+    out[a_pos] = A.csr().data * (-1.0 / scale)
+    out[pattern.diagonal] += 1.0 + alpha
+    return out
+
+
 class _Problem:
-    """``A / scale``, formed only as far as each use needs it; :meth:`rescale`
-    moves it to another scale.
+    """``A / scale``, fixed at construction and formed only as far as each
+    use needs it.
 
     The problem keeps no scaled copy of ``A``.  :meth:`scaled_shift` writes
     the values of ``diag(ell) ((1 + alpha) I - A / scale) diag(r)`` straight
     from ``A``'s CSR onto the pattern of ``(1 + alpha) I - A``, which
     ``A``'s pattern builds on first use and keeps for every problem on
-    ``A`` (:attr:`sparse._Pattern.shifted`).  :meth:`step_solver` forms the
-    bracket's step matrix by size, the one place the size of ``A`` steers
-    the problem.  ``csr``, ``A / scale`` for the scan's residual products
-    (the benchmark's tracer reads it too), is built on first read at each
-    scale."""
+    ``A``.  ``csr``, ``A / scale`` for the scan's residual products (the
+    benchmark's tracer reads it too), and ``norm_max`` are computed on
+    first read."""
 
     def __init__(self, A: SparseMatrix, scale: float):
         if not A.is_square:
             raise ValueError("expected a square matrix")
-        self.n = A.n_rows
-        self._A = A
-        self._step = None
-        self.rescale(scale)
-
-    def rescale(self, scale: float) -> None:
-        """Make this the problem of ``A / scale``, with the same bits as a
-        fresh ``_Problem(A, scale)``."""
         if scale <= 0.0 or not np.isfinite(scale):
             raise ValueError("scale must be positive and finite")
-        self._scale = scale
-        self._csr = None
-
-    def _shift_values(self, alpha: float, out: np.ndarray) -> np.ndarray:
-        """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
-        pattern of ``(1 + alpha) I - A``: ``A``'s entries first, with the
-        bits of ``-(A / scale)`` (scipy divides a CSR matrix by a scalar
-        through its reciprocal), then ``1 + alpha`` added to each diagonal,
-        0 where ``A`` stores none."""
-        pattern, a_pos = self._A._pattern.shifted
-        out.fill(0.0)
-        out[a_pos] = self._A.csr().data * (-1.0 / self._scale)
-        out[pattern.diagonal] += 1.0 + alpha
-        return out
-
-    @property
-    def csr(self):
-        """``A / scale``, a CSR matrix."""
-        if self._csr is None:
-            self._csr = self._A.csr() / self._scale
-        return self._csr
+        self.n = A.n_rows
+        self.scale = scale
+        self._A = A
 
     @cached_property
-    def _norm_max_unscaled(self) -> float:
-        norms = induced_norms(self._A)
-        return max(norms.norm_1, norms.norm_inf)
+    def csr(self):
+        """``A / scale``, a CSR matrix."""
+        return self._A.csr() / self.scale
 
-    @property
+    @cached_property
     def norm_max(self) -> float:
-        """``max(||A||_1, ||A||_inf)`` at the current scale, the norms computed
-        on first read: only the scan's starting shift needs it."""
-        return self._norm_max_unscaled / self._scale
+        """``max(||A||_1, ||A||_inf) / scale``: only the scan's starting
+        shift needs it."""
+        norms = induced_norms(self._A)
+        return max(norms.norm_1, norms.norm_inf) / self.scale
 
     def shifted_matvec(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """``((1 + alpha) I - A) @ x``."""
@@ -223,32 +210,9 @@ class _Problem:
         taken, its line sums, and which no later use of the problem
         changes."""
         p = self._A._pattern.shifted[0]
-        v = self._shift_values(alpha, np.empty(p.indices.size))
+        v = _shift_values(self._A, self.scale, alpha, np.empty(p.indices.size))
         # the same products, in the same order, as diag(ell) @ M @ diag(r)
         return _PatternCSR.on(p, (ell.take(p.rows) * v) * r.take(p.indices))
-
-    def step_solver(self, alpha: float):
-        """A solver of ``(1 + alpha) I - A``, the matrix of a bracket step.
-        Up to ``rcdd._DENSE_CUTOFF`` unknowns it forms that matrix in one new
-        array, ``A / (-scale)`` (the bits of ``-(A / scale)``) with ``1 +
-        alpha`` added to its diagonal, and LAPACK factors it: no pattern and
-        no scipy matrix is built.  Above the cutoff it has the bits of
-        ``scaled_shift(alpha, 1, 1)``: the step matrix is built on the first
-        call and refreshed in place by every later one, so a solver serves
-        only until the next call, and the bracket's steps form no new scipy
-        matrix."""
-        if self.n <= rcdd._DENSE_CUTOFF:
-            S = self._A.csr().toarray()
-            S /= -self._scale
-            diagonal = S.reshape(-1)[:: self.n + 1]  # a view
-            diagonal += 1.0 + alpha
-            return _phase_backend(S)
-        p = self._A._pattern.shifted[0]
-        if self._step is None:
-            self._step = sp.csr_matrix((np.empty(p.indices.size), p.indices, p.indptr), shape=p.shape)
-        S = self._step
-        self._shift_values(alpha, S.data)
-        return _phase_backend(S, 1.0 / S.data.take(p.diagonal))
 
 
 class _PhaseSolver:
@@ -257,7 +221,7 @@ class _PhaseSolver:
     forward and the transpose preconditioner: a scan phase's, at the
     previous phase's shift, and every operator's and the Perron polish's,
     on the matrix whose RCDD check passed (the bracket's own steps solve
-    with :meth:`_Problem.step_solver` instead).
+    with :meth:`_CWBracket._step_solver` instead).
 
     :func:`rcdd._phase_backend` picks the backend by the size of ``S``:
     LAPACK factors a dense copy of ``S`` (up to ``_DENSE_CUTOFF`` unknowns)
@@ -350,18 +314,18 @@ class _CWBracket:
     entry point (``m_decide``, :func:`mmatrix_scale`, :func:`solve_m` and
     the symmetric ones) and of the applications' decision.
 
-    The bracket holds one :class:`_Problem`, moved to ``A / hi`` at each
-    shift-and-invert step, and solves with its step matrix
-    (:meth:`_Problem.step_solver`), which below the dense cutoff a step
-    forms in one dense array and above it the first step builds and every
-    later one refreshes in place: a step forms no scipy matrix but that
-    one.  :meth:`checked` forms the matrix it checks on the same problem
-    and hands it on.  ``symmetric`` makes the bracket one-sided, for callers
-    whose ``A`` is symmetric: a step solves for, or a power step forms, the
-    right iterate only and takes it as the left one, which for symmetric
-    ``A`` it equals.  The left
-    CW bounds are still computed on ``A.T``, so every bound, and every
-    verdict, stays sound whatever ``A`` is.
+    The bracket reaches ``A`` only through its products, its step matrix
+    and :meth:`checked`.  A shift-and-invert step solves with ``(1 +
+    _CW_SHIFT_MARGIN) I - A / hi`` (:meth:`_step_solver`), which below the
+    dense cutoff a step forms in one dense array and above it the first
+    step builds and every later one refreshes in place: a step forms no
+    scipy matrix but that one.  :meth:`checked` forms the matrix it checks
+    on a fresh :class:`_Problem` and hands it on.  ``symmetric`` makes the
+    bracket one-sided, for callers whose ``A`` is symmetric: a step solves
+    for, or a power step forms, the right iterate only and takes it as the
+    left one, which for symmetric ``A`` it equals.  The left CW bounds are
+    still computed on ``A.T``, so every bound, and every verdict, stays
+    sound whatever ``A`` is.
     """
 
     def __init__(self, A: SparseMatrix, *, symmetric: bool = False):
@@ -381,7 +345,8 @@ class _CWBracket:
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
-        self._prob = None
+        # the step matrix above the dense cutoff, refreshed by every step
+        self._step_matrix = None
         # the smallest entry of either max-normalized iterate
         self._least = 1.0
 
@@ -469,9 +434,7 @@ class _CWBracket:
                 break
             gap = _cw_gap(self.cw_right, self.cw_left)
             tol = max(_CW_SOLVE_TOL, _CW_TOL_SCALE * gap * self._least)
-            # (1 + margin) I - A / hi: sigma I - A over hi, with the margin
-            # relative to rho whatever the scale of A
-            solver = self._problem(hi).step_solver(_CW_SHIFT_MARGIN)
+            solver = self._step_solver(hi)
             self.factorizations += 1
             try:
                 right = _unit_positive(solver.solve(self.right, False, tol))
@@ -495,13 +458,30 @@ class _CWBracket:
                 return True
         return False
 
-    def _problem(self, scale: float) -> _Problem:
-        """The bracket's one problem, built once and moved to ``A / scale``."""
-        if self._prob is None:
-            self._prob = _Problem(self.A, scale)
-        else:
-            self._prob.rescale(scale)
-        return self._prob
+    def _step_solver(self, hi: float):
+        """A solver of ``(1 + _CW_SHIFT_MARGIN) I - A / hi``, the matrix of
+        a shift-and-invert step: ``sigma I - A`` over ``hi``, with the margin
+        relative to ``rho`` whatever the scale of ``A``.  Up to
+        ``rcdd._DENSE_CUTOFF`` unknowns it forms that matrix in one new
+        array, ``A / (-hi)`` (the bits of ``-(A / hi)``) with ``1 +
+        _CW_SHIFT_MARGIN`` added to its diagonal, and LAPACK factors it: no
+        pattern and no scipy matrix is built.  Above the cutoff it has the
+        bits of ``_Problem(A, hi).scaled_shift(_CW_SHIFT_MARGIN, 1, 1)``: the
+        step matrix is built on the first call and refreshed in place by
+        every later one, so a solver serves only until the next call."""
+        n = self.A.n_rows
+        if n <= rcdd._DENSE_CUTOFF:
+            S = self.A.csr().toarray()
+            S /= -hi
+            diagonal = S.reshape(-1)[:: n + 1]  # a view
+            diagonal += 1.0 + _CW_SHIFT_MARGIN
+            return _phase_backend(S)
+        p = self.A._pattern.shifted[0]
+        if self._step_matrix is None:
+            self._step_matrix = sp.csr_matrix((np.empty(p.indices.size), p.indices, p.indptr), shape=p.shape)
+        S = self._step_matrix
+        _shift_values(self.A, hi, _CW_SHIFT_MARGIN, S.data)
+        return _phase_backend(S, 1.0 / S.data.take(p.diagonal))
 
     @property
     def lower(self) -> float:
@@ -563,10 +543,9 @@ class _CWBracket:
     def checked(self, pair: ScalingPair):
         """``(S, pair)`` when ``S = diag(l) ((1 + alpha) I - A / s)
         diag(r)``, of ``pair``'s vectors, shift and scale, is RCDD within
-        ``RCDD_VERIFY_SLACK``, else ``None``.  ``S`` is formed on the
-        bracket's own problem, moved to ``A / pair.s``, and is a fresh
-        matrix that no later step changes: the operator solves with it."""
-        S = self._problem(pair.s).scaled_shift(pair.alpha, pair.left, pair.right)
+        ``RCDD_VERIFY_SLACK``, else ``None``.  ``S`` is a fresh matrix that
+        no later step changes: the operator solves with it."""
+        S = _Problem(self.A, pair.s).scaled_shift(pair.alpha, pair.left, pair.right)
         return (S, pair) if check_rcdd(S, RCDD_VERIFY_SLACK) else None
 
 
@@ -655,30 +634,28 @@ def expected_phase_count(A: SparseMatrix, s: float, eps: float) -> int:
     return math.ceil(math.log2(alpha0 / eps))
 
 
-def _halving_scan(
-    prob: _Problem, eps: float, K: float, cap: int, budget: float | None = None, *, two_sided=True
-):
+def _halving_scan(prob: _Problem, eps: float, K: float, cap: int, budget: float | None = None):
     """The alpha-halving scan on a normalized problem at conditioning bound
     ``K``: each phase runs Richardson on ``M_alpha r = 1`` and ``M_alpha.T l
     = 1``, preconditioned by a :class:`_PhaseSolver` of the previous
     (twice as large) shift solving to ``_scan_tolerance(K)``, until every
-    residual entry lies in ``[-1/2, 1/2]``, then halves the shift.  A
-    one-sided scan (not ``two_sided``, the symmetric callers') solves only
-    for ``r`` and returns it as both vectors, each checked positive.
+    residual entry lies in ``[-1/2, 1/2]``, then halves the shift.
 
     Each phase forms its preconditioner's matrix,
     ``prob.scaled_shift(alpha, ell, r)`` of the previous phase's shift and
-    pair.  Returns ``(ell, r, alpha_final, report, S)`` with ``S =
-    prob.scaled_shift(eps, ell, r)`` the matrix checked RCDD, which its
-    callers solve with; the report logs each phase and records ``cap``,
-    ``solver_tolerance`` and, for a strict scan, ``budget`` in its info.  A
-    failed check raises :class:`_ScanFailure` with the witnessing condition,
-    its phase and shift: ``cap`` iterations in one phase, a solve that
-    misses its tolerance (``"solver budget"``), an inner residual that
-    passes the ceiling ``18 sqrt(n) max(K, 2)^2`` or turns non-finite, and
-    a final pair that fails the check.  A ``budget`` makes the scan strict:
-    every phase must also pass the positivity and open-window checks and
-    keep the scaled phase matrix's conditioning bound within ``budget``.
+    pair.  Returns ``(S, pair, report)``: ``pair`` the final ``(ell, r)`` at
+    the final shift and ``prob.scale``, ``S = prob.scaled_shift(eps, ell,
+    r)`` the matrix checked RCDD, which its callers solve with; the report
+    logs each phase and records ``cap``, ``solver_tolerance`` and, for a
+    strict scan, ``budget`` in its info.  A failed check raises
+    :class:`_ScanFailure` with the witnessing condition, its phase and
+    shift: ``cap`` iterations in one phase, a solve that misses its
+    tolerance (``"solver budget"``), an inner residual that passes the
+    ceiling ``18 sqrt(n) max(K, 2)^2`` or turns non-finite, a phase's pair
+    with an entry that is not positive, and a final pair that fails the
+    check.  A ``budget`` makes the scan strict: every phase must also pass
+    the open-window check and keep the scaled phase matrix's conditioning
+    bound within ``budget``.
 
     Under a valid conditioning bound the certified contraction keeps
     residuals below ``sqrt(n) * kappa(D)``, so blowing far past the ceiling
@@ -712,23 +689,18 @@ def _halving_scan(
                     raise _ScanFailure("iteration cap", phase, alpha)
                 try:
                     r = r - solver.p_right(res_r)
-                    if two_sided:
-                        ell = ell - solver.p_left(res_l)
+                    ell = ell - solver.p_left(res_l)
                 except BackendDiverged:
                     # a solve that misses is a conditioning signal, not an
                     # inner-loop failure of the M-matrix hypothesis
                     raise _ScanFailure("solver budget", phase, alpha) from None
                 res_r = prob.shifted_matvec(alpha, r) - ones
-                worst = np.abs(res_r).max()
-                if two_sided:
-                    res_l = prob.shifted_rmatvec(alpha, ell) - ones
-                    worst = max(worst, np.abs(res_l).max())
-                else:
-                    ell, res_l = r, res_r
+                res_l = prob.shifted_rmatvec(alpha, ell) - ones
+                worst = max(np.abs(res_r).max(), np.abs(res_l).max())
                 k += 1
                 if not np.isfinite(worst) or worst > ceiling:
                     raise _ScanFailure("residual ceiling", phase, alpha)
-        if (strict or not two_sided) and (np.any(r <= 0.0) or np.any(ell <= 0.0)):
+        if np.any(r <= 0.0) or np.any(ell <= 0.0):
             raise _ScanFailure("nonpositive scaling", phase, alpha)
         if strict and worst >= 0.5:
             raise _ScanFailure("window violation", phase, alpha)
@@ -749,17 +721,7 @@ def _halving_scan(
     S = prob.scaled_shift(eps, ell, r)
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise _ScanFailure("final verification", len(report.phases), alpha)
-    return ell, r, alpha, report, S
-
-
-def _checked_scan(
-    A: SparseMatrix, s: float, eps: float, K: float, cap: int, budget=None, *, two_sided=True
-):
-    """:func:`_halving_scan` on ``A / s``: ``(S, pair, report)`` with ``S =
-    diag(l) ((1 + eps) I - A / s) diag(r)`` the matrix checked RCDD."""
-    prob = _Problem(A, s)
-    ell, r, alpha, report, S = _halving_scan(prob, eps, K, cap, budget, two_sided=two_sided)
-    return S, ScalingPair(left=ell, right=r, alpha=alpha, s=s), report
+    return S, ScalingPair(left=ell, right=r, alpha=alpha, s=prob.scale), report
 
 
 # ----------------------------------------------------------------------
@@ -892,7 +854,7 @@ def _mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):
     """:func:`mmatrix_scale`'s scan plus the matrix it checked RCDD:
     ``(S, pair, report)``, ``S = diag(l) ((1 + eps) I - A / s) diag(r)``."""
     try:
-        return _checked_scan(A, s, eps, K, scaling_iteration_cap(A.n_rows, K, eps))
+        return _halving_scan(_Problem(A, s), eps, K, scaling_iteration_cap(A.n_rows, K, eps))
     except _ScanFailure as fail:
         raise fail.cap_hit("scaling phase", "either rho(A) >= s or K is too small") from None
 
@@ -990,20 +952,19 @@ _SHIFT_SEARCH = tuple(0.5 / 4.0**k for k in range(13))
 def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
     """``((S, pair), report)`` for symmetric nonnegative ``A``: ``pair =
     ScalingPair(v, v, eps, 1)`` and ``S = V ((1 + eps) I - A) V`` the CSR
-    matrix checked RCDD, once, which for symmetric ``A`` is SDD.
+    matrix the bracket checked RCDD, which for symmetric ``A`` is SDD.
 
     ``v`` is the right iterate of :func:`_bracket_pair` at ``1 + eps``, its
     bracket one-sided (see :class:`_CWBracket`): for symmetric ``A``, ``V
     ((1 + eps) I - A) V`` is SDD exactly when ``A v < (1 + eps) v``, which a
     True verdict holds, and its checked ``(S, pair)`` is returned as is.
     When the bracket settles nothing or its ``v`` fails the check, a
-    one-sided halving scan at each of ``shifts`` in turn gives ``v``, at ``K
-    = 1 / shift`` (``rho(A) < 1`` bounds ``||((1 + shift) I - A)^-1||_2`` by
-    it), accepted when the same bracket's :meth:`_CWBracket.checked` passes
-    its pair, or at once when the scan ran at ``eps`` itself, whose final
-    check was of that same ``S``; a failed scan raises
-    :class:`IterationCapHit`, a search that ends with no ``v`` accepted
-    :class:`NotSDDAfterScaling`.  The report
+    halving scan at each of ``shifts`` in turn gives ``v``, its right
+    vector, at ``K = 1 / shift`` (``rho(A) < 1`` bounds ``||((1 + shift) I
+    - A)^-1||_2`` by it), accepted when the same bracket's
+    :meth:`_CWBracket.checked` passes ``ScalingPair(v, v, eps, 1)``; a
+    failed scan raises :class:`IterationCapHit`, a search that ends with no
+    ``v`` accepted :class:`NotSDDAfterScaling`.  The report
     logs the scan's phases, counts the bracket's steps in
     ``info["bracket_steps"]`` and ``info["power_steps"]`` (see
     :attr:`_CWBracket.step_counts`) and names the shift ``v`` is from in
@@ -1020,12 +981,10 @@ def _symmetric_scaling(A: SparseMatrix, eps: float, shifts):
             )
         cap = scaling_iteration_cap(A.n_rows, 1.0 / shift, shift)
         try:
-            S, pair, report = _checked_scan(A, 1.0, shift, 1.0 / shift, cap, two_sided=False)
+            _, pair, report = _halving_scan(_Problem(A, 1.0), shift, 1.0 / shift, cap)
         except _ScanFailure as fail:
             raise fail.cap_hit("symmetric phase", "rho(A) < 1 appears violated") from None
-        pair = ScalingPair(pair.right, pair.right, eps, 1.0)
-        # a scan at the target shift has checked this very matrix
-        found = (S, pair) if shift == eps else bracket.checked(pair)
+        found = bracket.checked(ScalingPair(pair.right, pair.right, eps, 1.0))
     report.info.update(bracket.step_counts, shift=shift)
     return found, report
 
@@ -1035,8 +994,8 @@ def symm_scale(A: SparseMatrix, eps: float):
 
     Assumes ``A`` symmetric nonnegative with ``rho(A) < 1`` (normalized
     problem).  ``v`` is the right iterate of a one-sided bracket, which
-    solves for no left iterate, else a one-sided halving scan's at ``K = 1 /
-    eps``, either passing the bracket's check (see
+    solves for no left iterate, else the right vector of a halving scan at
+    ``K = 1 / eps``, either passing the bracket's check (see
     :func:`_symmetric_scaling`); a bracket that certifies ``rho(A) >= 1 +
     eps``, or a failed phase of the scan, a solve that misses included
     (``"solver budget"``), raises :class:`IterationCapHit`.  Returns ``(v,
@@ -1080,9 +1039,10 @@ def symm_solve(A: SparseMatrix, b, delta: float):
     ``rho(A) < 1`` to ``||(I - A) x - b||_2 <= delta ||b||_2``.
 
     ``v`` scales ``I - A`` SDD: the right iterate of a one-sided bracket at
-    the unit shift, else the first of the one-sided halving scans at the
-    shifts 1/2, 1/8, ... down to about 3e-8, each at ``K = 1 / shift``, whose
-    ``v`` does (see :func:`_symmetric_scaling`).  One solver of the ``V (I -
+    the unit shift, else the right vector of the first of the halving scans
+    at the shifts 1/2, 1/8, ... down to about 3e-8, each at ``K = 1 /
+    shift``, whose ``v`` does (see :func:`_symmetric_scaling`).  One solver
+    of the ``V (I -
     A) V`` the bracket checked, one solve per step, then preconditions
     Richardson refinement against ``I - A``, its products ``x - A x`` as in
     :func:`solve_m`, until the residual plus a bound on its own rounding

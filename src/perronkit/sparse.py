@@ -323,12 +323,9 @@ class SparseMatrix:
         coo = self._csr.tocoo()
         return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
     def to_dense(self) -> np.ndarray:
-        return self._dense.copy()
+        """A dense copy of the matrix, formed anew at each call."""
+        return self._csr.toarray()
 
     def transpose(self) -> "SparseMatrix":
         """The transpose, on :meth:`csr_transpose`'s arrays (built on first

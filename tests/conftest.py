@@ -191,18 +191,29 @@ def record_rounds(monkeypatch, limit=None):
     return ks
 
 
+def wrap_scans(monkeypatch, scan):
+    """Replace ``_halving_scan`` by ``scan(real, *args, **kwargs)`` in both
+    modules that call it, ``scaling`` and ``perron`` (``m_decide``)."""
+    real = perronkit.scaling._halving_scan
+
+    def wrapped(*args, **kwargs):
+        return scan(real, *args, **kwargs)
+
+    for module in (perronkit.scaling, perronkit.perron):
+        monkeypatch.setattr(module, "_halving_scan", wrapped)
+
+
 def record_scans(monkeypatch):
     """Record the number of phases of every halving scan in the returned
     list."""
     phases = []
-    real = perronkit.scaling._halving_scan
 
-    def scan(*args, **kwargs):
+    def scan(real, *args, **kwargs):
         result = real(*args, **kwargs)
-        phases.append(len(result[3].phases))
+        phases.append(len(result[2].phases))
         return result
 
-    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    wrap_scans(monkeypatch, scan)
     return phases
 
 
@@ -210,8 +221,9 @@ def bracket_off(monkeypatch):
     """Make ``_CWBracket.checked_pair`` settle nothing, so that every
     fixed-shift entry point takes its fallback: ``m_decide``, ``solve_m`` and
     ``mmatrix_scale`` the halving scan, and ``symm_scale``, ``symm_solve``
-    and ``factor_width2_solve`` the one-sided scan at ``K = 1 / shift`` (the
-    solves searching the shifts 1/2, 1/8, ... down to about 3e-8).
+    and ``factor_width2_solve`` a halving scan at ``K = 1 / shift``, whose
+    right vector is their ``v`` (the solves searching the shifts 1/2, 1/8,
+    ... down to about 3e-8).
     ``certify_spectral_bound`` and ``compute_perron`` keep their bracket."""
     monkeypatch.setattr(
         perronkit.scaling._CWBracket, "checked_pair", lambda self, s, alpha: None
@@ -231,13 +243,12 @@ def record_builds(monkeypatch):
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
-    real_scan = perronkit.scaling._halving_scan
 
-    def scan(*args, **kwargs):
+    def scan(real, *args, **kwargs):
         built["_halving_scan"].append(args)
-        return real_scan(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(perronkit.scaling, "_halving_scan", scan)
+    wrap_scans(monkeypatch, scan)
     return built
 
 

@@ -96,6 +96,25 @@ def test_decay_apps_reject_an_eps_outside_the_unit_interval(app, eps):
             call()
 
 
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        (SparseMatrix.from_dense(np.ones((2, 3))), "expected a square matrix"),
+        (SparseMatrix.from_dense([[0.0, -0.5], [0.5, 0.0]]), "matrix must be entrywise nonnegative"),
+    ],
+    ids=["non-square", "negative"],
+)
+def test_katz_and_leontief_reject_a_matrix_that_is_not_square_nonnegative(A, message):
+    """Katz and Leontief take ``A`` through the package's one square and
+    nonnegative check, with its messages."""
+    for call in (
+        lambda: katz_centrality(A, 0.5, np.ones(2), 1e-8),
+        lambda: leontief_equilibrium(A, np.ones(2), 1e-8),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 class TestKatz:
     def test_zero_matrix(self):
         v, _ = katz_centrality(SparseMatrix.zeros(3), 0.3, np.ones(3), 1e-10)
@@ -132,6 +151,22 @@ class TestKatz:
         with pytest.raises(DecayTooLarge) as info:
             katz_centrality(SparseMatrix.from_dense(A_dense), alpha, np.ones(12), 1e-8)
         assert_certifies_divergence(alpha * A_dense, info.value.certificate)
+
+    def test_a_refutation_by_the_rounds_carries_their_certificate(self, monkeypatch):
+        """With the fixed-shift bracket off, the decay decision on an
+        irreducible ``A`` at ``alpha rho`` = 1.2 hands the negative side to
+        :func:`certify_spectral_bound`'s rounds: the error carries their
+        certificate, whose CW lower bound, recomputed here, proves ``rho(alpha
+        A) >= 1``."""
+        bracket_off(monkeypatch)
+        A_dense = random_irreducible_dense(np.random.default_rng(63), 12, density=0.3)
+        rho, _ = dense_spectral_radius(A_dense)
+        alpha = 1.2 / rho
+        with pytest.raises(DecayTooLarge) as info:
+            katz_centrality(SparseMatrix.from_dense(A_dense), alpha, np.ones(12), 1e-8)
+        cert = info.value.certificate
+        assert cert is not None and cert.s >= 1.0
+        assert_certifies_divergence(alpha * A_dense, cert)
 
     def test_reducible_path(self):
         """Katz on a directed path, a reducible graph with ``rho`` = 0: the
@@ -405,6 +440,17 @@ class TestReducibleDecay:
         assert len(whole) == 3
         assert all(1 <= bracket.factorizations <= 8 for bracket in whole)
         assert build_counts(built)["_halving_scan"] == build_counts(built)["_PhaseSolver"] == 0
+
+    def test_a_diagonal_block_refutes_the_decay(self):
+        """On ``[[1.5, 0], [0, 0]]`` the zero row and column keep the lower
+        bound at 0 and stall the bracket, and the single-entry block ``1.5
+        >= 1`` refutes ``rho < 1``: Leontief returns no equilibrium, and
+        Katz at ``alpha`` = 1 raises with no certificate."""
+        A = SparseMatrix.from_dense([[1.5, 0.0], [0.0, 0.0]])
+        assert leontief_equilibrium(A, np.ones(2), 1e-8) == (False, None)
+        with pytest.raises(DecayTooLarge, match="strongly connected component") as info:
+            katz_centrality(A, 1.0, np.ones(2), 1e-8)
+        assert info.value.certificate is None
 
     def test_a_reducible_negative_carries_the_bracket_certificate(self):
         """With no zero row the CW lower bound of a reducible matrix is

@@ -11,9 +11,8 @@ Krylov solver instead, and nothing is factored.
 Every matrix the engine forms itself is factored through the phase solver:
 ``solve_m`` factors the matrix its scaling was checked on and builds no RCDD
 solver.  The symmetric solves build one SDD solver, of ``V M V`` on the
-caller's ``M``, after the bracket's steps or the fallback's one-sided scans,
-which share the scan's phase loop and with it its guard, so a non-finite
-solve raises instead of returning.
+caller's ``M``, after the bracket's steps or the fallback's halving scans,
+whose guard stops a non-finite solve instead of returning it.
 """
 
 import importlib.util
@@ -73,6 +72,7 @@ from perronkit.rcdd import (
 )
 from perronkit.reports import NON_FINITE
 from perronkit.scaling import (
+    _CW_SHIFT_MARGIN,
     _CWBracket,
     _normalized_comparison,
     _PhaseSolver,
@@ -492,7 +492,7 @@ def test_one_shifted_pattern_per_matrix(monkeypatch):
     shifted = shifted_m_matrix(A, 1.0)
     assert calls == [A._pattern]
     pattern = A._pattern.shifted[0]
-    assert np.shares_memory(bracket._prob._step.indices, pattern.indices)
+    assert np.shares_memory(bracket._step_matrix.indices, pattern.indices)
     assert shifted._pattern is pattern
     ones = np.ones(A.n_rows)
     for prob in problems:
@@ -669,15 +669,20 @@ def test_non_finite_level_solve_fails_the_symmetric_path(monkeypatch, n):
                     call()
 
 
-def test_a_nonpositive_one_sided_phase_fails(monkeypatch):
-    """With the bracket off, a one-sided phase that ends on an iterate with a
-    nonpositive entry fails as a symmetric phase, where its final check
-    alone would pass: ``V M V`` is dominant for ``-v`` as for ``v``.  Each
-    solve here returns ones, so the first step leaves ``v = -1``, whose
-    residual reads zero."""
+def test_a_nonpositive_phase_fails_every_scan(monkeypatch):
+    """With the bracket off, a phase that ends on a pair with a nonpositive
+    entry fails whoever runs the scan, where its final check alone would
+    pass: ``diag(l) M diag(r)`` is dominant for ``(-l, -r)`` as for ``(l,
+    r)``.  Each solve and each shifted product here returns ones, so the
+    first step leaves ``l = r = -1``, whose residuals read zero: the
+    symmetric solves fail as a symmetric phase, and ``mmatrix_scale`` and
+    ``solve_m`` as a scaling phase, never with the ``ValueError`` a
+    nonpositive :class:`ScalingPair` raises."""
     bracket_off(monkeypatch)
-    monkeypatch.setattr(_PhaseSolver, "p_right", lambda self, x: np.ones_like(x))
-    monkeypatch.setattr(_Problem, "shifted_matvec", lambda self, alpha, x: np.ones_like(x))
+    for name in ("p_right", "p_left"):
+        monkeypatch.setattr(_PhaseSolver, name, lambda self, x: np.ones_like(x))
+    for name in ("shifted_matvec", "shifted_rmatvec"):
+        monkeypatch.setattr(_Problem, name, lambda self, alpha, x: np.ones_like(x))
     rng = np.random.default_rng(54)
     A = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, 20, 0.9))
     M = SparseMatrix.from_dense(random_factor_width2_dense(rng, 20))
@@ -690,15 +695,20 @@ def test_a_nonpositive_one_sided_phase_fails(monkeypatch):
     for call in calls:
         with pytest.raises(IterationCapHit, match="symmetric phase 0 .* nonpositive scaling"):
             call()
+    B = SparseMatrix.from_dense(np.full((20, 20), 0.8 / 20))
+    for call in (lambda: mmatrix_scale(B, 1.0, 1e-3, 10.0), lambda: solve_m(B, 1.0, 1e-6, 10.0)):
+        with pytest.raises(IterationCapHit, match="scaling phase 0 .* nonpositive scaling"):
+            call()
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
 def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
     """With the bracket off, ``solve_m`` checks RCDD once, on the scan's
     result, and builds a solver of that same matrix once more than the
-    scan's phases; it builds no RCDD solver.  ``symm_scale``'s one-sided
-    scan, at the target shift, checks once too: its checked matrix is
-    the bracket's to accept, with no second check."""
+    scan's phases; it builds no RCDD solver.  ``symm_scale``'s scan, at
+    the target shift, checks twice: the scan checks its final ``diag(l) M
+    diag(r)``, and the bracket then checks the ``V M V`` of its right
+    vector ``v``, the matrix the symmetric solves use."""
     bracket_off(monkeypatch)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
@@ -724,7 +734,7 @@ def test_solve_m_factors_its_checked_scaling_once(monkeypatch, n):
     counts["check_rcdd"] = 0
     A_sym = random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
     _, report = symm_scale(SparseMatrix.from_dense(A_sym), 1e-3)
-    assert len(report.phases) > 0 and counts["check_rcdd"] == 1
+    assert len(report.phases) > 0 and counts["check_rcdd"] == 2
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -735,7 +745,8 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
     recomputed here, makes ``s I - A`` itself RCDD."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.scaling, "check_rcdd")
-    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    for module in (perronkit.scaling, perronkit.perron):
+        count_calls(monkeypatch, counts, module, "_halving_scan")
     count_calls(monkeypatch, counts, perronkit.rcdd, "build_rcdd_solver")
     pairs = []
     real_pair = perronkit.scaling._CWBracket.checked_pair
@@ -837,22 +848,24 @@ def test_solve_from_scale_rejects_a_scaling_that_is_not_rcdd():
 
 
 @pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
-def test_problem_rescale_matches_a_fresh_problem(n):
-    """One problem moved from scale to scale holds the same bits as a problem
-    built at each scale, its cached norm included."""
+def test_a_problem_holds_the_bits_of_its_scale(n):
+    """A problem built at each scale holds the bits of ``A / scale``
+    formed by scipy: its ``csr``, its cached norm and its ``scaled_shift``,
+    ``diag(ell) ((1 + alpha) I - A / scale) diag(r)`` as scipy's products
+    form it."""
     rng = np.random.default_rng(57)
     A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.8, density=min(0.3, 5.0 / n)))
-    prob = _Problem(A, 1.0)
-    assert prob.norm_max > 0.0
+    norms = induced_norms(A)
     ell = rng.uniform(0.5, 2.0, n)
     r = rng.uniform(0.5, 2.0, n)
     for scale in (0.37, 1.0 + 1e-6, 3.1e5, 2.0 / 3.0):
-        prob.rescale(scale)
-        fresh = _Problem(A, scale)
-        assert prob.norm_max == fresh.norm_max
+        prob = _Problem(A, scale)
+        assert prob.norm_max == max(norms.norm_1, norms.norm_inf) / scale
+        assert prob.norm_max is prob.norm_max and prob.csr is prob.csr
+        shifted = sp.identity(n, format="csr") * (1.0 + 1e-6) - A.csr() / scale
         for got, want in (
-            (prob.csr, fresh.csr),
-            (prob.scaled_shift(1e-6, ell, r), fresh.scaled_shift(1e-6, ell, r)),
+            (prob.csr, A.csr() / scale),
+            (prob.scaled_shift(1e-6, ell, r), (sp.diags(ell) @ shifted @ sp.diags(r)).tocsr()),
         ):
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
@@ -927,8 +940,8 @@ def with_empty_rows(A: SparseMatrix, rows) -> SparseMatrix:
 @pytest.mark.parametrize("case", ["stored-diag", "no-diag", "empty-rows"])
 def test_step_matrix_matches_a_fresh_shift(case):
     """Above the cutoff the bracket's step matrix, refreshed in place from
-    scale to scale and shift to shift, holds the bits of a fresh
-    ``scaled_shift`` at unit scalings, its transposed product (the column
+    scale to scale, holds the bits of a fresh problem's ``scaled_shift`` at
+    the step's shift and unit scalings, its transposed product (the column
     kernel on its arrays) the transpose's and its inverse diagonal the
     reciprocals of that diagonal."""
     rng = np.random.default_rng(63)
@@ -937,11 +950,10 @@ def test_step_matrix_matches_a_fresh_shift(case):
         A = with_empty_rows(A, [0, 200, A.n_rows - 1])
     n = A.n_rows
     ones = np.ones(n)
-    prob = _Problem(A, 1.0)
-    for scale, alpha in ((1.0, 1e-6), (0.37, 0.25), (3.1e5, 1e-6), (2.0 / 3.0, 0.0)):
-        prob.rescale(scale)
-        solver = prob.step_solver(alpha)
-        fresh = prob.scaled_shift(alpha, ones, ones)
+    bracket = _CWBracket(A)
+    for scale in (1.0, 0.37, 3.1e5, 2.0 / 3.0):
+        solver = bracket._step_solver(scale)
+        fresh = _Problem(A, scale).scaled_shift(_CW_SHIFT_MARGIN, ones, ones)
         assert np.array_equal(solver.S.indptr, fresh.indptr)
         assert np.array_equal(solver.S.indices, fresh.indices)
         assert np.array_equal(solver.S.data, fresh.data)
@@ -952,17 +964,16 @@ def test_step_matrix_matches_a_fresh_shift(case):
 
 def test_dense_step_matrix_matches_a_fresh_shift():
     """Below the cutoff the bracket's step matrix, formed in one array from
-    ``A``'s CSR, holds the bits of ``(1 + alpha) I - A / scale`` formed
-    densely, ``-(A / scale)`` with ``1 + alpha`` added to its diagonal, zero
-    entries' signs included, at every scale and shift."""
+    ``A``'s CSR, holds the bits of ``(1 + margin) I - A / scale`` formed
+    densely, ``-(A / scale)`` with ``1 + margin`` added to its diagonal,
+    zero entries' signs included, at every scale."""
     rng = np.random.default_rng(64)
     A = random_irreducible(rng, 30)
-    prob = _Problem(A, 1.0)
-    for scale, alpha in ((1.0, 1e-6), (0.37, 0.25), (3.1e5, 1e-6), (2.0 / 3.0, 0.0)):
-        prob.rescale(scale)
-        S = prob.step_solver(alpha).S
+    bracket = _CWBracket(A)
+    for scale in (1.0, 0.37, 3.1e5, 2.0 / 3.0):
+        S = bracket._step_solver(scale).S
         want = -(A.to_dense() / scale)
-        np.fill_diagonal(want, want.diagonal() + (1.0 + alpha))
+        np.fill_diagonal(want, want.diagonal() + (1.0 + _CW_SHIFT_MARGIN))
         assert S.tobytes() == want.tobytes()
 
 
@@ -1035,9 +1046,9 @@ def count_sparse_constructions(monkeypatch):
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["two-sided", "one-sided"])
 def test_bracket_steps_build_no_sparse_matrix(monkeypatch, symmetric):
-    """Above the cutoff a bracket builds its problem and step matrix at its
-    first step and then constructs no scipy matrix at all: each later step
-    only rescales values in place (four constructions per step before)."""
+    """Above the cutoff a bracket builds its step matrix at its first step
+    and then constructs no scipy matrix at all: each later step only
+    rescales values in place (four constructions per step before)."""
     A = sparse_instance_at(0.9)
     counts = count_sparse_constructions(monkeypatch)
     bracket = _CWBracket(A, symmetric=symmetric)
@@ -1270,12 +1281,12 @@ def test_a_one_sided_bracket_stays_sound_on_any_input():
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
-def test_compute_perron_builds_two_problems(monkeypatch, storage):
-    """The bracket rescales one problem across its steps, the one build of a
-    round whose bracket pair is accepted.  When that pair is rejected at
-    K=1, the K=2 round continues the bracket, which on these inputs meets
-    its precision with no step, so the round scans and the polish factors
-    on the scan's problem: two builds."""
+def test_compute_perron_builds_a_problem_only_to_scan(monkeypatch, storage):
+    """The bracket's steps build no problem, so a round whose bracket pair
+    is accepted builds none.  When that pair is rejected at K=1, the K=2
+    round continues the bracket, which on these inputs meets its precision
+    with no step, so the round scans and the polish factors on the scan's
+    problem: one build."""
     builds = []
     real_init = _Problem.__init__
 
@@ -1286,11 +1297,10 @@ def test_compute_perron_builds_two_problems(monkeypatch, storage):
     monkeypatch.setattr(_Problem, "__init__", init)
     A = criterion_01_instance(0) if storage == "dense" else perron_sparse_instance()
     cert = compute_perron(A, 1e-3)
-    assert cert.k_final == 1.0 and len(builds) == 1
-    builds.clear()
+    assert cert.k_final == 1.0 and len(builds) == 0
     reject_bracket_pair(monkeypatch)
     cert = compute_perron(A, 1e-3)
-    assert cert.k_final == 2.0 and len(builds) == 2
+    assert cert.k_final == 2.0 and len(builds) == 1
 
 
 def count_sparse_builds(monkeypatch):
@@ -1315,7 +1325,7 @@ def count_sparse_builds(monkeypatch):
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_bracket_steps_form_their_matrices_by_size(monkeypatch, storage):
-    """The problem's one size branch, its step solver: up to the dense
+    """The bracket's one size branch, its step solver: up to the dense
     cutoff ``compute_perron`` on criterion-01 inputs never builds the
     pattern of ``A + I`` (``sparse._with_diagonal``), and its bracket steps
     build no scipy matrix, LAPACK factoring an array formed from ``A``'s
@@ -1330,16 +1340,16 @@ def test_bracket_steps_form_their_matrices_by_size(monkeypatch, storage):
 
     monkeypatch.setattr(perronkit.sparse, "_with_diagonal", with_diagonal)
     builds = count_sparse_builds(monkeypatch)
-    steps = []  # the scipy matrices each step_solver call built
-    real_step_solver = _Problem.step_solver
+    steps = []  # the scipy matrices each _step_solver call built
+    real_step_solver = _CWBracket._step_solver
 
-    def step_solver(self, alpha):
+    def step_solver(self, hi):
         before = builds[0]
-        solver = real_step_solver(self, alpha)
+        solver = real_step_solver(self, hi)
         steps.append(builds[0] - before)
         return solver
 
-    monkeypatch.setattr(_Problem, "step_solver", step_solver)
+    monkeypatch.setattr(_CWBracket, "_step_solver", step_solver)
     instances = (
         [criterion_01_instance(seed) for seed in range(20)]
         if storage == "dense" else [perron_sparse_instance()]
@@ -1372,7 +1382,8 @@ def test_certify_factors_only_the_bracket(monkeypatch, rho):
     B = sparse_instance_at(rho)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
-    count_calls(monkeypatch, counts, perronkit.scaling, "_halving_scan")
+    for module in (perronkit.scaling, perronkit.perron):
+        count_calls(monkeypatch, counts, module, "_halving_scan")
     valid, _ = perronkit.perron.certify_spectral_bound(B, 1.0)
     assert valid == (rho < 1.0)
     assert counts["_perron_rounds"] == 0 and counts["_halving_scan"] == 0
