@@ -27,14 +27,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DecayTooLarge, IterationCapHit, KernelDiverges, ReducibleGram
 from .perron import (
-    _certificate,
+    _bracket_certificate,
     _certify,
     _relative_residual,
     certify_spectral_bound,
     compute_perron,
 )
 from .reports import SolveReport
-from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator
+from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator, _refined_operator
 from .sparse import (
     SparseMatrix,
     _check_open_unit,
@@ -153,7 +153,7 @@ def _decide_decay(B: SparseMatrix):
     bracket = _CWBracket(B)
     found = bracket.checked_pair(1.0, 0.0)
     if found is False:
-        return False, _certificate(B, bracket.left, bracket.right, 1.0, products=bracket.products)
+        return False, _bracket_certificate(bracket, 1.0)
     if found is None and is_irreducible(B):
         valid, cert = _certify(B, 1.0, bracket)
         if not valid:
@@ -389,9 +389,10 @@ def graph_kernel(W: ProductWeights, p, q, lam: float, eps: float):
     valid, proof = _decide_decay(B)
     if not valid:
         raise _diverges(KernelDiverges, "lam * rho(W)", "kernel", proof)
-    op = _pair_operator(B, eps, *proof)
-    inverse_norm = math.sqrt(math.prod(_inverse_norm_bounds(B, proof[1])))
-    bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * inverse_norm)
+    # the pair's bounds, computed once, set both the operator's K and the bound
+    bounds = _inverse_norm_bounds(B, proof[1])
+    op = _refined_operator(B, proof[1].s, eps, max(bounds), *proof, 0.0)
+    bound = float(np.linalg.norm(q) * eps * np.linalg.norm(p) * math.sqrt(math.prod(bounds)))
     op.report.info["scalar_error_bound"] = bound
     return float(q @ op.apply(p)), op.report
 

@@ -238,9 +238,7 @@ def m_decide(A: SparseMatrix, eps: float, gamma: float) -> DecisionOutcome:
         return DecisionOutcome(
             Verdict.NOT_M_MATRIX,
             witness=_WITNESS_TEXT["cw lower bound"],
-            certificate=_certificate(
-                A, bracket.left, bracket.right, 1.0, products=bracket.products
-            ),
+            certificate=_bracket_certificate(bracket, 1.0),
         )
     if found is None:
         outcome = _m_decide_scaled(A, 1.0, eps, gamma)
@@ -277,6 +275,13 @@ def find_perron_value(A: SparseMatrix, s1: float, s2: float, eps: float, K: floa
         raise ValueError("eps must lie in (0, 1/2)")
     if not 0.0 < K < math.inf:
         raise ValueError("K must be positive")
+    return _perron_bisection(A, s1, s2, eps, K)
+
+
+def _perron_bisection(A: SparseMatrix, s1: float, s2: float, eps: float, K: float):
+    """:func:`find_perron_value` on arguments already checked, the structure
+    of ``A`` included: the bisection of :func:`simple_perron` and of every
+    round of ``_perron_rounds``, whose callers checked them once."""
     report = SolveReport(info={"steps": []})
     while (1.0 + eps / 2.0) * s1 < s2:
         s_m = 0.5 * (s1 + s2)
@@ -314,7 +319,7 @@ def simple_perron(A: SparseMatrix, eps: float, K: float) -> PerronCertificate:
         raise ValueError("K must be positive")
     s = _CWBracket(A).upper(eps)
     if s is None:
-        s, _ = find_perron_value(A, 0.0, induced_norms(A).norm_inf, eps, K)
+        s, _ = _perron_bisection(A, 0.0, induced_norms(A).norm_inf, eps, K)
     _, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
     return _certificate(A, pair.left, pair.right, K, s=s)
 
@@ -333,13 +338,11 @@ def _certificate(
     the two vectors' CW lower bounds (so ``s <= rho(A)``).  ``None`` when
     that default is not positive, which only underflow makes it.  Each
     vector's product is formed once and serves its bounds and its
-    residual: taken from ``products``, a bracket's ``(right, left, A right,
-    A.T left)`` for ``A``, when its vectors are ``right`` and ``left``
-    themselves, else computed."""
-    if products is not None and products[0] is right and products[1] is left:
-        Ar, Atl = products[2:]
-    else:
-        Ar, Atl = A._product(right), A._product(left, transpose=True)
+    residual: ``products``, ``(A right, A.T left)``, when the caller has
+    them (:func:`_bracket_certificate`), else computed."""
+    if products is None:
+        products = A._product(right), A._product(left, transpose=True)
+    Ar, Atl = products
     cw_lower, cw_upper = _cw_ratio_bounds(Ar, right)
     if s is None:
         s = max(cw_lower, _cw_ratio_bounds(Atl, left)[0])
@@ -355,6 +358,14 @@ def _certificate(
         cw_lower=cw_lower,
         cw_upper=cw_upper,
     )
+
+
+def _bracket_certificate(bracket: _CWBracket, k_final: float):
+    """The :func:`_certificate` of ``bracket``'s current iterates, on its
+    ``A``, with the products it formed for them: ``bracket.products`` holds
+    the iterates and their products together, so they are read at once."""
+    right, left, Ar, Atl = bracket.products
+    return _certificate(bracket.A, left, right, k_final, products=(Ar, Atl))
 
 
 def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None):
@@ -388,15 +399,15 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None
             )
         s = bracket.upper(eps)
         if s is not None and bracket.steps != offered:
-            cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
+            cert = _bracket_certificate(bracket, K)
             if lags is not None and lags(cert, K, s) and bracket.step():
-                cert = _certificate(A, bracket.left, bracket.right, K, products=bracket.products)
+                cert = _bracket_certificate(bracket, K)
             offered = bracket.steps
         else:
             if s is None:
                 # the CW lower bound holds for any K, less its rounding margin
                 s1 = max(0.0, bracket.lower * (1.0 - _cw_margin(A.n_rows)))
-                s, _ = find_perron_value(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
+                s, _ = _perron_bisection(A, s1, s2 or induced_norms(A).norm_inf, eps, K)
                 s2 = s
             try:
                 S, pair, _ = _mmatrix_scale(A, s * (1.0 + eps / 2.0), eps / 3.0, 2.0 * K / eps)
@@ -501,7 +512,7 @@ def _certify(B: SparseMatrix, bound: float, bracket: _CWBracket) -> tuple[bool, 
     """:func:`certify_spectral_bound` on a checked ``B``, continuing ``bracket``."""
     valid = bracket.decide(bound)
     if valid is not None:
-        return valid, _certificate(B, bracket.left, bracket.right, 1.0, products=bracket.products)
+        return valid, _bracket_certificate(bracket, 1.0)
     if bracket.met_at_bound:
         raise BoundaryUndecidable(
             "spectral radius within rounding of the bound; cannot certify either side"

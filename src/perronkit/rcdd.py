@@ -20,9 +20,10 @@ typed outcome.  The engine's matrices from one ``A`` are CSR matrices on
 one pattern, that of ``A + I``, which ``A``'s pattern builds once and
 keeps; a new scale or shift only writes new values into it.  Above the
 cutoff the bracket's step matrix on that pattern is refreshed in place at
-each step, so a step's :class:`_KrylovSolver` takes it, with the
-reciprocals of its diagonal read where the pattern keeps it, and
-constructs no matrix.  A Krylov pass runs at kernel cost: its products are
+each step, so a step's :class:`_KrylovSolver` takes it and constructs no
+matrix; like every solver of a matrix on that pattern, it reads the
+reciprocals of the diagonal at the positions the pattern keeps, from the
+values of the step at hand.  A Krylov pass runs at kernel cost: its products are
 :func:`sparse._kernel_product` calls on the stored arrays, the transposed
 ones by the column kernel on the same arrays, so that no transpose is
 built (the bits of ``@``), and its vector updates write into buffers it
@@ -55,6 +56,7 @@ from .sparse import (
     _check_open_unit,
     _kept_line_sums,
     _kernel_product,
+    apply_scaling,
     as_vector,
     check_rcdd,
     check_sdd,
@@ -133,24 +135,21 @@ class _KrylovSolver:
 
     A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
-    of every solve.  Deterministic.  ``inv_diag`` (the reciprocals of the
-    diagonal of ``S``) defaults to its own computation: read at the
-    diagonal positions its pattern keeps when ``S`` is a
-    :class:`sparse._PatternCSR` that stores every diagonal entry (every
-    matrix the engine forms on the pattern of ``A + I``), else extracted; a
-    caller that knows where the diagonal is stored passes it in.
+    of every solve.  Deterministic.  The reciprocals of the diagonal of
+    ``S`` are read at the diagonal positions its pattern keeps when ``S``
+    is a :class:`sparse._PatternCSR` that stores every diagonal entry
+    (every matrix the engine forms on the pattern of ``A + I``, the
+    bracket's step matrix included), else extracted.
     """
 
-    def __init__(self, S: sp.csr_matrix, inv_diag=None):
+    def __init__(self, S: sp.csr_matrix):
         self.S = S
-        if inv_diag is None:
-            # a plain scipy CSR has no pattern
-            pattern = getattr(S, "pattern", None)
-            if pattern is not None and pattern.diagonal.size == S.shape[0]:
-                inv_diag = 1.0 / S.data.take(pattern.diagonal)
-            else:
-                inv_diag = 1.0 / S.diagonal()
-        self._inv_diag = inv_diag
+        # a plain scipy CSR has no pattern
+        pattern = getattr(S, "pattern", None)
+        if pattern is not None and pattern.diagonal.size == S.shape[0]:
+            self._inv_diag = 1.0 / S.data.take(pattern.diagonal)
+        else:
+            self._inv_diag = 1.0 / S.diagonal()
         self._floor_terms = None
         self.iterations = 0
 
@@ -187,18 +186,15 @@ class _KrylovSolver:
         return eps_k * (norm_S * np.linalg.norm(x) + norm_b)
 
 
-def _phase_backend(S, inv_diag=None):
+def _phase_backend(S):
     """The package's one choice of solver, for a matrix the engine formed or
     a caller's own, by its size alone: LAPACK (:class:`_DirectSolver`) up to
     ``_DENSE_CUTOFF`` unknowns, where LAPACK and BLAS beat sparse kernels,
     which solves exactly up to rounding, and :class:`_KrylovSolver` above,
-    on the CSR ``S`` itself, whose transposed solves need no transpose.
-    Above the cutoff ``S`` may come with the reciprocals of its diagonal
-    ``inv_diag`` when its owner knows where that is stored (the bracket's
-    step matrix, refreshed in place); the solver then computes none."""
+    on the CSR ``S`` itself, whose transposed solves need no transpose."""
     if S.shape[0] <= _DENSE_CUTOFF:
         return _DirectSolver(S)
-    return _KrylovSolver(S, inv_diag)
+    return _KrylovSolver(S)
 
 
 class LinearOperator:
@@ -228,7 +224,7 @@ class LinearOperator:
         this operator's solver (one factorization, when it has one); only
         RCDD solvers have one."""
         if self._transpose_fn is None:
-            raise TypeError("only operators from build_rcdd_solver have a transpose")
+            raise TypeError("only build_rcdd_solver's and solve_from_scale's p_right have a transpose")
         _check_open_unit(error_bound, "eps")
         return LinearOperator(self._transpose_fn(error_bound), self.n, error_bound, self._backend)
 
@@ -464,20 +460,41 @@ def _contract_apply(M: SparseMatrix, precond, eps: float, against: str):
     return apply_fn
 
 
-def _rcdd_backend(S: SparseMatrix):
-    """The backend of an RCDD ``S`` (see :func:`_phase_backend`); raises
-    :class:`NotRCDD` when ``S`` is not RCDD within ``RCDD_VERIFY_SLACK``."""
+def _scaled_rcdd_operator(M: SparseMatrix, ell, r, eps: float, name: str) -> LinearOperator:
+    """The RCDD builders' one recipe, :func:`build_rcdd_solver`'s on vectors
+    of ones and ``scaling.solve_from_scale``'s on its pair: ``L M R``, ``L =
+    diag(ell)`` and ``R = diag(r)``, formed and checked RCDD within
+    ``RCDD_VERIFY_SLACK`` (:class:`NotRCDD` otherwise), one backend of it
+    (:func:`_phase_backend`), and the operator refining against ``M``, named
+    ``name``, to ``eps`` by :func:`_contract_apply`, each step ``x -> R Z(L
+    x)`` with ``Z`` a solve of ``L M R`` to ``eps / kappa(L)``.  Its
+    transpose at ``e`` refines against ``M.T`` likewise, each step ``x -> L
+    Z.T(R x)`` to ``e / kappa(R)``.  ``kappa`` is max over min entry, 1 for
+    ones, whose products are exact: on ones the operator has the bits of
+    one that solves with ``M`` itself."""
+    S = apply_scaling(ell, M, r)
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    return _phase_backend(S.csr())
+    solver = _phase_backend(S.csr())
+
+    def apply_of(e, transpose=False):
+        inner, outer = (r, ell) if transpose else (ell, r)
+        # an empty matrix's vectors have no entries, and kappa 1
+        tol = e / (inner.max() / inner.min()) if inner.size else e
+        target, against = (M.transpose(), f"{name}.T") if transpose else (M, name)
+        return _contract_apply(target, lambda x: outer * solver.solve(inner * x, transpose, tol), e, against)
+
+    return LinearOperator(apply_of(eps), M.n_rows, eps, solver, lambda e: apply_of(e, True))
 
 
 def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     """Operator ``Z`` with ``||x - S @ Z(x)||_2 <= eps * ||x||_2`` per call;
     ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
 
-    The solver comes from :func:`_phase_backend`, as every other: LAPACK LU up
-    to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above.
+    The recipe is ``scaling.solve_from_scale``'s (:func:`_scaled_rcdd_operator`)
+    with no scaling, the vectors of ones.  The solver comes from
+    :func:`_phase_backend`, as every other: LAPACK LU up to
+    ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above.
     Raises :class:`NotRCDD` when ``S`` is not RCDD within
     ``RCDD_VERIFY_SLACK``.  An application refines against ``S`` by
     :func:`_refine`, each step one solve to ``eps``, until the residual plus
@@ -486,13 +503,7 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     :class:`BackendDiverged`.
     """
     _check_open_unit(eps, "eps")
-    solver = _rcdd_backend(S)
-
-    def apply_of(e, transpose=False):
-        M, name = (S.transpose(), "S.T") if transpose else (S, "S")
-        return _contract_apply(M, lambda x: solver.solve(x, transpose, e), e, name)
-
-    return LinearOperator(apply_of(eps), S.n_rows, eps, solver, lambda e: apply_of(e, True))
+    return _scaled_rcdd_operator(S, np.ones(S.n_rows), np.ones(S.n_cols), eps, "S")
 
 
 def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:

@@ -50,16 +50,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import rcdd
 from .errors import BackendDiverged, IterationCapHit, NotSDDAfterScaling
 from .rcdd import (
     LinearOperator,
-    _contract_apply,
     _phase_backend,
-    _rcdd_backend,
     _refined_apply,
+    _scaled_rcdd_operator,
     _sdd_l2_tolerance,
     varah_kappa_upper,
 )
@@ -72,6 +70,7 @@ from .sparse import (
     _is_symmetric,
     _kernel_product,
     _PatternCSR,
+    _shift_values,
     apply_scaling,
     as_vector,
     check_rcdd,
@@ -151,19 +150,6 @@ class RichardsonConfig:
 # internal problem wrapper: normalized nonnegative matrix with fast products
 
 
-def _shift_values(A: SparseMatrix, scale: float, alpha: float, out: np.ndarray) -> np.ndarray:
-    """``out`` holding the values of ``(1 + alpha) I - A / scale`` on the
-    pattern of ``(1 + alpha) I - A`` (:attr:`sparse._Pattern.shifted`):
-    ``A``'s entries first, with the bits of ``-(A / scale)`` (scipy divides
-    a CSR matrix by a scalar through its reciprocal), then ``1 + alpha``
-    added to each diagonal, 0 where ``A`` stores none."""
-    pattern, a_pos = A._pattern.shifted
-    out.fill(0.0)
-    out[a_pos] = A.csr().data * (-1.0 / scale)
-    out[pattern.diagonal] += 1.0 + alpha
-    return out
-
-
 class _Problem:
     """``A / scale``, fixed at construction and formed only as far as each
     use needs it.
@@ -174,13 +160,10 @@ class _Problem:
     ``A``'s pattern builds on first use and keeps for every problem on
     ``A``.  ``csr``, ``A / scale`` for the scan's residual products (the
     benchmark's tracer reads it too), and ``norm_max`` are computed on
-    first read."""
+    first read.  ``A`` must be square and ``scale`` positive and finite,
+    which every public entry point checks before it builds one."""
 
     def __init__(self, A: SparseMatrix, scale: float):
-        if not A.is_square:
-            raise ValueError("expected a square matrix")
-        if scale <= 0.0 or not np.isfinite(scale):
-            raise ValueError("scale must be positive and finite")
         self.n = A.n_rows
         self.scale = scale
         self._A = A
@@ -210,7 +193,7 @@ class _Problem:
         taken, its line sums, and which no later use of the problem
         changes."""
         p = self._A._pattern.shifted[0]
-        v = _shift_values(self._A, self.scale, alpha, np.empty(p.indices.size))
+        v = _shift_values(self._A, -1.0 / self.scale, 1.0 + alpha, np.empty(p.indices.size))
         # the same products, in the same order, as diag(ell) @ M @ diag(r)
         return _PatternCSR.on(p, (ell.take(p.rows) * v) * r.take(p.indices))
 
@@ -318,8 +301,10 @@ class _CWBracket:
     and :meth:`checked`.  A shift-and-invert step solves with ``(1 +
     _CW_SHIFT_MARGIN) I - A / hi`` (:meth:`_step_solver`), which below the
     dense cutoff a step forms in one dense array and above it the first
-    step builds and every later one refreshes in place: a step forms no
-    scipy matrix but that one.  :meth:`checked` forms the matrix it checks
+    step builds and every later one refreshes in place, writing its values
+    by :func:`sparse._shift_values` as every shifted matrix's are written:
+    a step forms no scipy matrix but that one, and its Krylov solver reads
+    the diagonal where the pattern keeps it, as every other does.  :meth:`checked` forms the matrix it checks
     on a fresh :class:`_Problem` and hands it on.  ``symmetric`` makes the
     bracket one-sided, for callers whose ``A`` is symmetric: a step solves
     for, or a power step forms, the right iterate only and takes it as the
@@ -467,8 +452,14 @@ class _CWBracket:
         _CW_SHIFT_MARGIN`` added to its diagonal, and LAPACK factors it: no
         pattern and no scipy matrix is built.  Above the cutoff it has the
         bits of ``_Problem(A, hi).scaled_shift(_CW_SHIFT_MARGIN, 1, 1)``: the
-        step matrix is built on the first call and refreshed in place by
-        every later one, so a solver serves only until the next call."""
+        step matrix, a :class:`sparse._PatternCSR` on the pattern of ``A +
+        I``, is built on the first call and its values are rewritten in
+        place by :func:`sparse._shift_values` at every later one, so a
+        solver serves only until the next call.  Its solver reads the
+        diagonal from the values at hand, but the line sums the matrix would
+        keep go stale at the next step: nothing may check the step matrix
+        (:func:`sparse.check_rcdd`, :func:`rcdd.varah_kappa_upper`), and
+        nothing does."""
         n = self.A.n_rows
         if n <= rcdd._DENSE_CUTOFF:
             S = self.A.csr().toarray()
@@ -476,12 +467,11 @@ class _CWBracket:
             diagonal = S.reshape(-1)[:: n + 1]  # a view
             diagonal += 1.0 + _CW_SHIFT_MARGIN
             return _phase_backend(S)
-        p = self.A._pattern.shifted[0]
         if self._step_matrix is None:
-            self._step_matrix = sp.csr_matrix((np.empty(p.indices.size), p.indices, p.indptr), shape=p.shape)
-        S = self._step_matrix
-        _shift_values(self.A, hi, _CW_SHIFT_MARGIN, S.data)
-        return _phase_backend(S, 1.0 / S.data.take(p.diagonal))
+            p = self.A._pattern.shifted[0]
+            self._step_matrix = _PatternCSR.on(p, np.empty(p.indices.size))
+        _shift_values(self.A, -1.0 / hi, 1.0 + _CW_SHIFT_MARGIN, self._step_matrix.data)
+        return _phase_backend(self._step_matrix)
 
     @property
     def lower(self) -> float:
@@ -783,25 +773,16 @@ def solve_from_scale(M: SparseMatrix, scale: ScalingPair, delta: float) -> MSolv
     errors.  The condition numbers of the diagonal scalings are computed
     exactly as max over min entry.  Both operators share one RCDD check and
     one solver of ``L M R`` (one LAPACK factorization, up to the dense
-    cutoff).
+    cutoff): the recipe is :func:`build_rcdd_solver`'s
+    (``rcdd._scaled_rcdd_operator``), ``p_left`` is
+    ``p_right.transpose(delta)``, and ``p_right.transpose(e)`` gives the
+    left operator at any other ``e``.
     """
     _check_open_unit(delta, "delta")
-    ell, r = scale.left, scale.right
-    if ell.shape[0] != M.n_rows or r.shape[0] != M.n_cols:
+    if scale.left.shape[0] != M.n_rows or scale.right.shape[0] != M.n_cols:
         raise ValueError("scaling length does not match the matrix")
-    solver = _rcdd_backend(apply_scaling(ell, M, r))
-    tol_right, tol_left = delta / scale.kappa_left, delta / scale.kappa_right
-
-    def right(x):
-        return r * solver.solve(ell * x, False, tol_right)
-
-    def left(x):
-        return ell * solver.solve(r * x, True, tol_left)
-
-    n = M.n_rows
-    p_right = LinearOperator(_contract_apply(M, right, delta, "M"), n, delta, solver)
-    p_left = LinearOperator(_contract_apply(M.transpose(), left, delta, "M.T"), n, delta, solver)
-    return MSolveOperators(p_right=p_right, p_left=p_left, delta=delta)
+    p_right = _scaled_rcdd_operator(M, scale.left, scale.right, delta, "M")
+    return MSolveOperators(p_right=p_right, p_left=p_right.transpose(delta), delta=delta)
 
 
 def mmatrix_scale(A: SparseMatrix, s: float, eps: float, K: float):

@@ -28,6 +28,9 @@ the kernel cannot take.
 Every matrix the engine forms from ``A`` to check or solve with, shifted or
 scaled and shifted, is a :class:`_PatternCSR` on one pattern, that of ``A +
 I``, which ``A``'s :class:`_Pattern` builds once and keeps, at every size.
+One function writes the values of each, :func:`_shift_values`: ``shift I +
+factor A`` on that pattern, for :func:`shifted_m_matrix`, a problem's scaled
+shift and the bracket's step matrix.
 Vectors are plain 1-D ``numpy.float64`` arrays; constructors and file
 loaders reject non-finite entries.  The dominance checks and ``rcdd``'s condition
 bound all take their line sums of ``|S|`` from one pass over a CSR matrix,
@@ -366,8 +369,12 @@ class _PatternCSR(sp.csr_matrix):
     which keeps that ``pattern``: the CSRs of a :class:`SparseMatrix` and
     the matrices the engine forms.  :func:`_line_sums` sums one with the row
     index and diagonal positions its pattern keeps, and, as its values
-    never change, :func:`_kept_line_sums` keeps the sums.  A matrix scipy
-    derives from one reads ``pattern`` None and keeps nothing."""
+    never change, :func:`_kept_line_sums` keeps the sums.  The one matrix
+    whose values do change is the bracket's step matrix above the dense
+    cutoff, refreshed in place at each step: its kept sums would go stale,
+    so nothing takes them (see ``scaling._CWBracket._step_solver``).  A
+    matrix scipy derives from one reads ``pattern`` None and keeps
+    nothing."""
 
     pattern = None
 
@@ -511,6 +518,21 @@ def apply_scaling(L, M: SparseMatrix, R) -> SparseMatrix:
     return SparseMatrix._derived(pattern, data)
 
 
+def _shift_values(A: SparseMatrix, factor: float, shift: float, out: np.ndarray) -> np.ndarray:
+    """``out`` holding the values of ``shift I + factor A`` on the pattern of
+    ``A + I`` (:attr:`_Pattern.shifted`): ``A``'s entries times ``factor``
+    first, then ``shift`` added to each diagonal, 0 where ``A`` stores none;
+    the one writer of a shifted matrix's values.  A factor ``-1`` gives the
+    bits of ``-A``, and ``-1 / scale`` those of ``-(A / scale)`` (scipy
+    divides a CSR matrix by a scalar through its reciprocal)."""
+    pattern, a_pos = A._pattern.shifted
+    out.fill(0.0)
+    out[a_pos] = A.csr().data * factor
+    # shift + (-a) has the bits of shift - a
+    out[pattern.diagonal] += shift
+    return out
+
+
 def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMatrix:
     """The shifted matrix ``(1 + alpha) * s * I - A``, on the pattern of
     ``A`` with every diagonal added (``A``'s :attr:`_Pattern.shifted`, built
@@ -518,11 +540,8 @@ def shifted_m_matrix(A: SparseMatrix, s: float, alpha: float = 0.0) -> SparseMat
     request, is ``A.T``'s shifted matrix."""
     if not A.is_square:
         raise ValueError("shift requires a square matrix")
-    pattern, a_pos = A._pattern.shifted
-    values = np.zeros(pattern.indices.size)
-    values[a_pos] = -A.csr().data
-    # shift + (-a) has the bits of shift - a
-    values[pattern.diagonal] += (1.0 + alpha) * s
+    pattern = A._pattern.shifted[0]
+    values = _shift_values(A, -1.0, (1.0 + alpha) * s, np.empty(pattern.indices.size))
     return SparseMatrix._derived(pattern, values)
 
 

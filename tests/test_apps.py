@@ -1,5 +1,7 @@
 """Katz centrality, Leontief equilibrium, singular triplets, graph kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -736,3 +738,109 @@ def test_singular_residuals_are_the_gram_residuals(shape):
     sigma_ref, u_ref, v_ref = dense_svd_top(A_dense, tol=1e-13)
     assert np.allclose(np.abs(trip.left), np.abs(u_ref), atol=1e-8)
     assert np.allclose(np.abs(trip.right), np.abs(v_ref), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, (), 1), "graph needs at least one vertex"),
+        ((2, (), 0), "graph needs at least one label class"),
+        ((2, ((0, 2, 1, 1.0),), 1), r"edge \(0, 2\) out of range"),
+        ((2, ((-1, 1, 1, 1.0),), 1), r"edge \(-1, 1\) out of range"),
+        ((2, ((0, 1, 3, 1.0),), 2), r"label 3 outside 1\.\.2"),
+        ((2, ((0, 1, 1, -1.0),), 1), "edge weights must be finite and nonnegative"),
+        ((2, ((0, 1, 1, float("inf")),), 1), "edge weights must be finite and nonnegative"),
+    ],
+    ids=["no-vertex", "no-label-class", "edge-past-end", "edge-negative", "label", "negative-weight", "infinite-weight"],
+)
+def test_labeled_graph_rejects_bad_fields(args, message):
+    """A labeled graph checks its vertex and label-class counts, each
+    edge's endpoints and label, and each weight, naming what failed."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabeledGraph(*args)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph file"),
+        ("# only a comment\n\n", "empty graph file"),
+        ("3 2 1\n1 2 1 1.0\n", "declared 2 edges, found 1"),
+        ("3 1 1\n1 2 1 1.0\n2 3 1 1.0\n", "declared 1 edges, found 2"),
+        ("3 1 1\n1 2 1\n", "line 2: edge must be 'u v label weight'"),
+        ("3 1 1\n1 4 1 1.0\n", "line 2: vertex out of range"),
+        ("3 1 1\n0 2 1 1.0\n", "line 2: vertex out of range"),
+    ],
+    ids=["empty", "comments-only", "too-few-edges", "too-many-edges", "edge-shape", "vertex-past-end", "vertex-zero"],
+)
+def test_load_labeled_graph_rejects_bad_files(tmp_path, text, message):
+    """The loader names the file, and the line where there is one, for an
+    empty file, an edge count that differs from the header's, an edge line
+    that is not four fields and a vertex outside ``1..n``."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_labeled_graph(path)
+
+
+@pytest.mark.parametrize(
+    "alpha, b, message",
+    [
+        (0.5, [1.0, -1.0], "b must be nonnegative and nonzero"),
+        (0.5, [0.0, 0.0], "b must be nonnegative and nonzero"),
+        (-0.5, [1.0, 1.0], "decay must be nonnegative"),
+    ],
+    ids=["negative-b", "zero-b", "negative-decay"],
+)
+def test_katz_rejects_bad_arguments(alpha, b, message):
+    """Katz needs a nonnegative, nonzero ``b`` and a nonnegative decay."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        katz_centrality(TWO_CYCLE, alpha, np.array(b), 1e-8)
+
+
+@pytest.mark.parametrize("d", [[-1.0, 1.0], [0.0, -1e-300]], ids=["negative", "tiny-negative"])
+def test_leontief_rejects_a_negative_demand(d):
+    """A demand with a negative entry is rejected before any decision."""
+    with pytest.raises(ValueError, match="^demand must be nonnegative$"):
+        leontief_equilibrium(TWO_CYCLE.scaled(0.5), np.array(d), 1e-8)
+
+
+@pytest.mark.parametrize(
+    "p, q, lam, message",
+    [
+        ([-0.5, 1.5], [0.5, 0.5], 0.1, "p must be nonnegative"),
+        ([0.5, 0.5], [1.5, -0.5], 0.1, "q must be nonnegative"),
+        ([0.5, 0.5], [0.5, 0.5], -0.1, "decay must be nonnegative"),
+    ],
+    ids=["negative-p", "negative-q", "negative-lam"],
+)
+def test_graph_kernel_rejects_bad_arguments(p, q, lam, message):
+    """The kernel needs nonnegative distributions ``p`` and ``q`` (each of
+    unit 1-norm, which these have) and a nonnegative ``lam``."""
+    W = ProductWeights(TWO_CYCLE, 2, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        graph_kernel(W, np.array(p), np.array(q), lam, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [[[1.0, -1.0], [1.0, 1.0]], [[1.0, 2.0, -1e-300]]],
+    ids=["square", "wide"],
+)
+def test_top_singular_rejects_a_negative_matrix(A):
+    """The singular triplet runs on nonnegative matrices alone."""
+    with pytest.raises(ValueError, match="^matrix must be entrywise nonnegative$"):
+        top_singular(SparseMatrix.from_dense(A), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "similarity",
+    [lambda lg, lh: -1.0, lambda lg, lh: -1.0 if lg != lh else 1.0],
+    ids=["everywhere", "on-a-mismatch"],
+)
+def test_product_graph_rejects_a_negative_similarity(similarity):
+    """A similarity is evaluated on every label pair the edges carry, and a
+    negative value on any of them is rejected."""
+    G = LabeledGraph(2, ((0, 1, 1, 1.0), (1, 0, 2, 1.0)), 2)
+    with pytest.raises(ValueError, match="^similarity must be nonnegative$"):
+        product_graph(G, G, similarity)

@@ -13,6 +13,7 @@ from perronkit import (
     BoundaryUndecidable,
     KCapExceeded,
     NotIrreducible,
+    ScalingPair,
     SparseMatrix,
     Verdict,
     apply_scaling,
@@ -29,7 +30,7 @@ from perronkit import (
     symm_scale,
 )
 from perronkit.oracle import dense_spectral_radius
-from perronkit.perron import _CWBracket
+from perronkit.perron import _CWBracket, _polish_pair
 from perronkit.rcdd import _DENSE_CUTOFF
 from perronkit.sparse import RCDD_VERIFY_SLACK
 
@@ -362,7 +363,7 @@ class TestComputePerron:
         rho, _ = dense_spectral_radius(M, tol=1e-13)
         rights, bisections = [], []
         real_rounds = perronkit.perron._perron_rounds
-        real_find = perronkit.perron.find_perron_value
+        real_find = perronkit.perron._perron_bisection
 
         def rounds(*args):
             for item in real_rounds(*args):
@@ -375,7 +376,7 @@ class TestComputePerron:
             return real_find(*args)
 
         monkeypatch.setattr(perronkit.perron, "_perron_rounds", rounds)
-        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        monkeypatch.setattr(perronkit.perron, "_perron_bisection", find)
         scans = record_scans(monkeypatch)
         cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
         assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
@@ -411,7 +412,7 @@ class TestComputePerron:
         M, rho = ill_conditioned_chain()
         delta = 1e-3
         monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
-        real_find = perronkit.perron.find_perron_value
+        real_find = perronkit.perron._perron_bisection
         real_decide = perronkit.perron._m_decide_scaled
         decisions = [0]
         rounds = []  # (eps, K, upper start, result, decisions)
@@ -427,7 +428,7 @@ class TestComputePerron:
             return s, report
 
         monkeypatch.setattr(perronkit.perron, "_m_decide_scaled", decide)
-        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        monkeypatch.setattr(perronkit.perron, "_perron_bisection", find)
         A = SparseMatrix.from_dense(M)
         cert = compute_perron(A, delta)
         assert len(rounds) >= 2 and cert.k_final > 1
@@ -449,14 +450,14 @@ class TestComputePerron:
         float spacing and raises at once."""
         monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
         ends = []
-        real_find = perronkit.perron.find_perron_value
+        real_find = perronkit.perron._perron_bisection
 
         def find(*args):
             s, report = real_find(*args)
             ends.append(s)
             return s, report
 
-        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        monkeypatch.setattr(perronkit.perron, "_perron_bisection", find)
         # a 6-cycle with weights 1, 2, 1, 2, ...: rho = sqrt(2) < ||A||_inf
         M = np.roll(np.diag(np.tile([1.0, 2.0], 3)), 1, axis=1)
         with pytest.raises(KCapExceeded):
@@ -475,14 +476,14 @@ class TestComputePerron:
                 super().__init__(A)
                 brackets.append(self)
 
-        real_find = perronkit.perron.find_perron_value
+        real_find = perronkit.perron._perron_bisection
 
         def find(A, s1, s2, eps, K):
             starts.append(s1)
             return real_find(A, s1, s2, eps, K)
 
         monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
-        monkeypatch.setattr(perronkit.perron, "find_perron_value", find)
+        monkeypatch.setattr(perronkit.perron, "_perron_bisection", find)
         M, rho = ill_conditioned_chain()
         delta = 1e-3
         cert = compute_perron(SparseMatrix.from_dense(M), delta)
@@ -492,6 +493,29 @@ class TestComputePerron:
         assert starts and starts[0] == bracket.lower * (1.0 - tol)
         assert 0.0 < starts[0] < rho
         assert (1 - delta) * rho < cert.s <= rho * (1 + 1e-8)
+
+    def test_the_fallback_checks_the_structure_once(self, monkeypatch):
+        """With the bracket failing, every round bisects, and none of them
+        checks the structure again: one ``compute_perron`` call makes one
+        ``is_irreducible`` call, however many rounds it takes.  The public
+        ``find_perron_value`` still checks it."""
+        monkeypatch.setattr(_CWBracket, "upper", lambda self, eps: None)
+        calls = []
+        real = perronkit.perron.is_irreducible
+
+        def is_irreducible(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(perronkit.perron, "is_irreducible", is_irreducible)
+        M, rho = ill_conditioned_chain()
+        A = SparseMatrix.from_dense(M)
+        cert = compute_perron(A, 1e-3)
+        assert cert.k_final >= 4 and calls == [A]
+        find_perron_value(A, 0.0, 1.0, 0.1, 4.0)
+        assert calls == [A, A]
+        with pytest.raises(NotIrreducible):
+            compute_perron(SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]]), 1e-3)
 
     def test_near_cycle_certifies_from_the_bracket_pair(self):
         """A ring plus one random out-edge per node (n = 500, Perron vector
@@ -1002,9 +1026,9 @@ class TestEigenvectorConditioningLemma:
 def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
     """A certificate of the bracket's own iterates takes ``A r`` and ``A.T
     l`` from the bracket, which formed them for those very arrays: it makes
-    no product, 2 fewer than one built from scratch, and every field equals
-    the from-scratch certificate's bit for bit.  Copies of the iterates get
-    their own products.  Covers ``compute_perron``
+    no product, 2 fewer than one built from scratch, the pair it is handed
+    has the bits of the iterates' products, and every field equals the
+    from-scratch certificate's bit for bit.  Covers ``compute_perron``
     below and above the dense cutoff, a negative ``m_decide`` and
     ``certify_spectral_bound``."""
     real_certificate = perronkit.perron._certificate
@@ -1036,17 +1060,16 @@ def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
     reused = [entry for entry in seen if entry[5] is not None]
     assert len(reused) >= 6
     for A, left, right, k_final, s, products, count, cert in reused:
-        assert products[0] is right and products[1] is left and count == 0
+        Ar, Atl = products
+        assert count == 0
+        assert Ar.tobytes() == real_product(A, right).tobytes()
+        assert Atl.tobytes() == real_product(A, left, True).tobytes()
         before = made[0]
         fresh = real_certificate(A, left, right, k_final, s=s)
         assert made[0] - before == 2
         for field in ("s", "k_final", "residual_left", "residual_right", "cw_lower", "cw_upper"):
             assert getattr(cert, field) == getattr(fresh, field)
         assert cert.left is fresh.left and cert.right is fresh.right
-        # equal vectors that are not the bracket's arrays get fresh products
-        before = made[0]
-        real_certificate(A, left.copy(), right.copy(), k_final, s=s, products=products)
-        assert made[0] - before == 2
 
 
 class TestPowerSteps:
@@ -1160,3 +1183,19 @@ class TestPowerSteps:
         for seed in (782, 847, 969):
             A = SparseMatrix.from_dense(criterion01_dense(seed))
             assert compute_perron(A, 1e-3).k_final == 2.0, seed
+
+
+def test_the_polish_ends_at_the_last_positive_pair():
+    """``_polish_pair`` keeps each inverse application whose two vectors
+    are positive and stops at the first that is not: with ``S^-1 = [[1,
+    -1/2], [0, 1]]`` the first application of the all-ones pair is
+    positive, ``([1, 1/2], [1/2, 1])``, and the second has a zero entry on
+    both sides, so the first is returned; from a pair whose first
+    application is not positive the pair itself is."""
+    pair = ScalingPair(np.ones(2), np.ones(2), alpha=0.0, s=1.0)
+    S = SparseMatrix.from_dense([[1.0, 0.5], [0.0, 1.0]]).csr()
+    left, right = _polish_pair(S, pair)
+    assert left.tolist() == [1.0, 0.5] and right.tolist() == [0.5, 1.0]
+    S = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]]).csr()
+    left, right = _polish_pair(S, pair)
+    assert left is pair.left and right is pair.right

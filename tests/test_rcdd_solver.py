@@ -17,6 +17,7 @@ import pytest
 import perronkit.rcdd
 from perronkit import (
     BackendDiverged,
+    IterationCapHit,
     NotRCDD,
     NotSDD,
     ScalingPair,
@@ -35,7 +36,8 @@ from perronkit import (
     varah_kappa_upper,
 )
 from perronkit.oracle import dense_solve
-from perronkit.rcdd import _DENSE_CUTOFF, _DirectSolver, _KrylovSolver
+from perronkit.rcdd import _DENSE_CUTOFF, _DirectSolver, _KrylovSolver, _refine
+from perronkit.reports import NON_FINITE
 
 from conftest import (
     count_krylov,
@@ -125,6 +127,81 @@ class TestRcddSolver:
         ya, yb = za.apply(x), zb.apply(x)
         assert np.array_equal(ya, yb)
         assert np.array_equal(ya, za.apply(x))
+
+
+    def test_an_empty_matrix_builds(self):
+        """A 0 x 0 matrix is RCDD: its operator and its transpose map the
+        empty vector to itself."""
+        Z = build_rcdd_solver(SparseMatrix.zeros(0), 0.5)
+        assert Z.apply(np.zeros(0)).shape == (0,)
+        assert Z.transpose(0.25).apply(np.zeros(0)).shape == (0,)
+
+    def test_a_non_square_matrix_is_not_rcdd(self):
+        """A non-square ``S`` gets the RCDD check's own error: the builder
+        sizes its vectors of ones by the rows and the columns."""
+        with pytest.raises(ValueError, match="^RCDD is defined for square matrices$"):
+            build_rcdd_solver(SparseMatrix.from_dense(np.ones((2, 3))), 0.5)
+
+
+def test_only_the_rcdd_builders_have_a_transpose():
+    """``build_sdd_solver``'s and ``solve_m``'s operators have no
+    transpose, and say which operators do."""
+    sdd = build_sdd_solver(SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]), 1e-6)
+    m = solve_m(SparseMatrix.from_dense([[0.0, 0.5], [0.5, 0.0]]), 1.0, 1e-6, 10.0)
+    for op in (sdd, m):
+        with pytest.raises(
+            TypeError, match="^only build_rcdd_solver's and solve_from_scale's p_right have a transpose$"
+        ):
+            op.transpose(1e-6)
+
+
+EXTENDED_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def extended_refinement(precond, cap, extended):
+    """``_refine`` of ``I x = b``, ``b`` four ones, to ``eps = 1e-6`` with
+    ``precond``, its ``||abs(M)||`` bound set so large that once ``x`` is
+    about ``b / 2`` the double-precision rounding bound leaves less than
+    half of ``eps ||b||``: the refinement then goes on in extended
+    precision.  The dtype of each extended product's vector, made only
+    there, is appended to ``extended``."""
+
+    def extended_matvec(x):
+        extended.append(x.dtype)
+        return x
+
+    unit = np.finfo(float).eps
+    norm_abs = 0.5e-6 / unit
+    b = np.ones(4)
+    return _refine(b, 1e-6, lambda x: x, extended_matvec, 1, norm_abs, precond, cap, "I")
+
+
+@pytest.mark.skipif(not EXTENDED_IS_WIDER, reason="np.longdouble is no wider than double")
+def test_the_extended_refinement_stops_at_its_cap():
+    """A refinement that halves its residual per step enters extended
+    precision after one step and, with a cap of 1, stops there out of
+    iterations."""
+    extended = []
+    with pytest.raises(IterationCapHit, match=r"after 1 of at most 1 iterations: out of iterations") as hit:
+        extended_refinement(lambda r: 0.5 * r, 1, extended)
+    assert "refinement against I cannot certify" in str(hit.value)
+    assert np.dtype(np.longdouble) in extended
+
+
+@pytest.mark.skipif(not EXTENDED_IS_WIDER, reason="np.longdouble is no wider than double")
+def test_the_extended_refinement_stops_at_a_non_finite_residual():
+    """A preconditioner that turns infinite once the refinement is in
+    extended precision makes the next residual non-finite, which stops it
+    at once, well before its cap."""
+    calls, extended = [], []
+
+    def precond(r):
+        calls.append(r)
+        return 0.5 * r if len(calls) == 1 else np.full_like(r, np.inf)
+
+    with pytest.raises(IterationCapHit, match=rf"stopped \({NON_FINITE}\) after 2 of at most 5 iterations"):
+        extended_refinement(precond, 5, extended)
+    assert len(calls) == 2 and np.dtype(np.longdouble) in extended
 
 
 class TestSddSolver:

@@ -145,6 +145,27 @@ class TestSolveFromScale:
             assert np.linalg.norm(b - M @ ops.p_right.apply(b)) <= delta * nb
             assert np.linalg.norm(b - Mt @ ops.p_left.apply(b)) <= delta * nb
 
+    @pytest.mark.parametrize("n", [20, 400], ids=["lapack", "krylov"])
+    def test_p_left_is_the_transpose_of_p_right(self, n):
+        """``p_right`` and ``p_left`` come from one recipe, the one
+        ``build_rcdd_solver`` runs: ``p_right.transpose(delta)`` applies
+        with ``p_left``'s bits, below and above the dense cutoff, a
+        transpose at a looser ``e`` meets its own contract against ``M.T``
+        on the same solver, and ``p_left`` has no transpose."""
+        rng = np.random.default_rng(33)
+        A = random_m_matrix_dense(rng, n, rho_ratio=0.85, density=min(0.3, 5.0 / n))
+        M = np.eye(n) - A
+        delta, loose = 1e-8, 1e-4
+        ops = solve_from_scale(SparseMatrix.from_dense(M), exact_scaling_pair(M, 0.0), delta)
+        b = rng.normal(size=n)
+        left = ops.p_left.apply(b)
+        assert ops.p_right.transpose(delta).apply(b).tobytes() == left.tobytes()
+        op = ops.p_right.transpose(loose)
+        assert op.error_bound == loose and op._backend is ops.p_right._backend
+        assert np.linalg.norm(b - M.T @ op.apply(b)) <= loose * np.linalg.norm(b)
+        with pytest.raises(TypeError, match="solve_from_scale's p_right have a transpose"):
+            ops.p_left.transpose(delta)
+
 
 class TestMMatrixScale:
     """The halving scan's contracts, with the bracket off (see
