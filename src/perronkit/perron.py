@@ -20,10 +20,11 @@ doubling loop over the conditioning guess (``_perron_rounds``) turns
 positive approximate eigenvectors into a Collatz-Wielandt-certified
 eigenvalue estimate, one candidate per round: the bracket's own iterates,
 continued to a finer precision each round, and only once it has failed, or
-has no new iterates to offer, the polished pair of a scaling scan at the
-round's upper estimate.  Deciding ``rho(A) < bound`` needs no eigenvectors:
-the bracket alone settles it unless it fails or ``rho(A)`` sits at the
-bound, and a failed bracket hands the decision to the same round loop.
+can make no new iterates (its next step moves no bound), the polished
+pair of a scaling scan at the round's upper estimate.  Deciding ``rho(A) <
+bound`` needs no eigenvectors: the bracket alone settles it unless it fails
+or ``rho(A)`` sits at the bound, and a failed bracket hands the decision to
+the same round loop.
 Every certificate comes from one builder, so its CW sandwich is exactly
 :func:`collatz_wielandt_bounds` of its right vector, and every verdict can
 be re-checked from its two vectors alone.
@@ -368,20 +369,28 @@ def _bracket_certificate(bracket: _CWBracket, k_final: float):
     return _certificate(bracket.A, left, right, k_final, products=(Ar, Atl))
 
 
+# the most extra bracket steps one round of _perron_rounds takes for a pair
+# its caller's lags rejects
+_LAG_STEPS = 3
+
+
 def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None):
     """The doubling loop over the conditioning guess ``K`` = 1, 2, 4, ...:
     one ``(K, s_upper, cert)`` per round, ``s_upper`` bounding ``rho(A)``
     from above to precision ``eps = delta / (8 K^2)``.  While ``bracket``
     works it gives ``s_upper``, and ``cert`` certifies its iterates, after
-    one more bracket step (:meth:`_CWBracket.step`) when the caller's
-    ``lags(cert, K, s_upper)`` holds; a resumed loop doubles ``K`` and
-    continues the bracket to ``eps / 4``.  A bracket that meets ``eps``
-    with no step, power or shift-and-invert, would re-offer rejected
-    iterates (one side's CW lower bound lags the other's), and a failed one
-    has none:
-    then ``cert`` certifies the polished pair of a scaling at ``s_upper (1 +
-    eps/2)``, ``None`` when the scan fails (``K`` too small) or the
-    certificate underflows, and once the bracket has failed ``s_upper``
+    up to ``_LAG_STEPS`` more bracket steps (:meth:`_CWBracket.step`) while
+    the caller's ``lags(cert, K, s_upper)`` holds; a resumed loop doubles
+    ``K`` and continues the bracket to ``eps / 4``.  A bracket that meets
+    ``eps`` with no step of any kind since its last offer would re-offer
+    rejected iterates (one side's CW lower bound lags the other's), so it
+    takes one step first and offers those iterates; with a held LU that
+    step is a cheap re-solve.  When that step fails or moves no CW bound
+    (the bracket has converged as far as rounding lets it), and when the
+    bracket has failed, ``cert`` certifies the polished pair of a scaling
+    at ``s_upper (1 + eps/2)``, ``None`` when the scan fails (``K`` too
+    small) or the certificate underflows, and once the bracket has failed
+    ``s_upper``
     comes from the bisection, started at its CW lower bound less the
     rounding margin, later at the last bisection's upper end.  From the
     second round on, a precision below the float spacing raises
@@ -398,11 +407,13 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None
                 "below the float spacing; no later round can certify"
             )
         s = bracket.upper(eps)
-        if s is not None and bracket.steps != offered:
+        # a bracket that met eps with no step steps once, to offer new iterates
+        if s is not None and (bracket.steps != offered or bracket.step()):
             cert = _bracket_certificate(bracket, K)
-            if lags is not None and lags(cert, K, s) and bracket.step():
+            for _ in range(_LAG_STEPS):
+                if lags is None or not lags(cert, K, s) or not bracket.step():
+                    break
                 cert = _bracket_certificate(bracket, K)
-            offered = bracket.steps
         else:
             if s is None:
                 # the CW lower bound holds for any K, less its rounding margin
@@ -415,6 +426,7 @@ def _perron_rounds(A: SparseMatrix, delta: float, bracket: _CWBracket, lags=None
                 cert = None
             else:
                 cert = _certificate(A, *_polish_pair(S, pair), K)
+        offered = bracket.steps
         yield K, s, cert
         K *= 2.0
 
@@ -425,11 +437,13 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     Doubles a conditioning guess ``K`` from 1.  Each round computes an upper
     estimate to precision ``delta / (8 K^2)`` and offers one pair: the
     shift-and-invert bracket's own right and left iterates, the next round
-    continuing that bracket (a pair whose right vector alone falls short
-    first gets one more bracket step in the same round); only when it fails,
-    or meets the precision with no step and so has no new iterates, the
-    polished pair of a scaling at the round's estimate, as
-    :func:`simple_perron` scales.  A pair is
+    continuing that bracket.  A pair that fails any acceptance test gets up
+    to three more bracket steps in the same round, since re-solves stop the
+    bracket just past the round's precision rather than orders of magnitude
+    past it; a round whose bracket meets the precision with no step takes
+    one step to offer new iterates.  Only when the bracket fails, or that
+    step moves no bound, does a round offer the polished pair of a scaling
+    at its estimate, as :func:`simple_perron` scales.  A pair is
     accepted when its vectors are
     ``delta / (2 K^2)``-approximate eigenvectors of the certified lower bound
     ``s`` (the better of the two Collatz-Wielandt lower bounds, hence
@@ -440,12 +454,14 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     _structure_check(A)
     _check_open_unit(delta, "delta")
 
+    def accepted(cert, K, s_upper):
+        return _near(cert, K, s_upper, delta) and cert.cw_lower >= (1.0 - delta) * cert.s
+
     def lags(cert, K, s_upper):
-        # the pair fails acceptance only by the right vector's CW lower bound
-        return _near(cert, K, s_upper, delta) and cert.cw_lower < (1.0 - delta) * cert.s
+        return cert is not None and not accepted(cert, K, s_upper)
 
     for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A), lags):
-        if _near(cert, K, s_upper, delta) and cert.cw_lower >= (1.0 - delta) * cert.s:
+        if accepted(cert, K, s_upper):
             return cert
 
 

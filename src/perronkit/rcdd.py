@@ -470,9 +470,10 @@ def _scaled_rcdd_operator(M: SparseMatrix, ell, r, eps: float, name: str) -> Lin
     x)`` with ``Z`` a solve of ``L M R`` to ``eps / kappa(L)``.  Its
     transpose at ``e`` refines against ``M.T`` likewise, each step ``x -> L
     Z.T(R x)`` to ``e / kappa(R)``.  ``kappa`` is max over min entry, 1 for
-    ones, whose products are exact: on ones the operator has the bits of
-    one that solves with ``M`` itself."""
-    S = apply_scaling(ell, M, r)
+    ones, whose products are exact: on ones ``L M R`` has the bits of ``M``,
+    so the recipe checks and solves with ``M`` itself, whose line sums a
+    check keeps for its next one, and forms no copy."""
+    S = M if np.all(ell == 1.0) and np.all(r == 1.0) else apply_scaling(ell, M, r)
     if not check_rcdd(S, RCDD_VERIFY_SLACK):
         raise NotRCDD(f"matrix is not RCDD within slack {RCDD_VERIFY_SLACK:.1e}")
     solver = _phase_backend(S.csr())
@@ -492,7 +493,9 @@ def build_rcdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     ``Z.transpose(eps_t)`` solves with ``S.T`` on the same solver.
 
     The recipe is ``scaling.solve_from_scale``'s (:func:`_scaled_rcdd_operator`)
-    with no scaling, the vectors of ones.  The solver comes from
+    with no scaling, the vectors of ones: it checks and solves with ``S``
+    itself, so a repeated build on ``S`` reuses the line sums its first
+    check kept.  The solver comes from
     :func:`_phase_backend`, as every other: LAPACK LU up to
     ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned BiCGSTAB above.
     Raises :class:`NotRCDD` when ``S`` is not RCDD within

@@ -5,7 +5,9 @@ At a fixed shift the first path is the Collatz-Wielandt bracket
 (``_CWBracket``): power steps, then shift-and-invert steps, on a right and a
 left vector until their CW bounds settle ``rho(A) < shift``; a power step
 costs two products and is taken only while it narrows the bounds at least
-as fast as a solve would.  Positive ``r`` and ``l`` with
+as fast as a solve would, and below the dense cutoff a step first re-solves
+with the last step's LU, kept when it cuts the CW gap to at most a
+quarter, before it factors anew.  Positive ``r`` and ``l`` with
 ``A r < c r`` and ``A.T l < c l`` make ``diag(l) (c I - A) diag(r)``
 strictly RCDD, so a True verdict is itself a scaling, checked before use,
 and a False one certifies ``rho(A) >= c`` whatever the conditioning.
@@ -23,8 +25,9 @@ matrix a problem forms to check or solve with is a CSR matrix on the
 pattern of ``A + I``, which ``A``'s pattern builds once for every problem
 on ``A`` or on a multiple of it; LAPACK factors a dense copy of it up to
 the dense cutoff.  Only a shift-and-invert step depends on the size: below
-the cutoff it forms one dense array for LAPACK, and above it it only writes
-new values into a matrix built once per bracket.
+the cutoff it forms one dense array for LAPACK and holds its LU for the
+next steps' re-solves, and above it it only writes new values into a
+matrix built once per bracket.
 
 The fallback, and the only path of the decisions inside the eigenvalue
 bisection, is an alpha-halving scan: starting from a shift so large that
@@ -262,11 +265,17 @@ _CW_TOL_SCALE = 1e-2
 # a power step is kept only when it cuts the CW gap below this share of what
 # it was; CW bounds of A x lie within those of x, so it cannot widen it
 _CW_POWER_CUT = 0.95
+# below the dense cutoff a re-solve with the last step's LU is kept only when
+# it cuts the CW gap to at most this share of what it was.  At 1/2 small
+# criterion-01 inputs (n = 5..15) chained up to 13 slowly contracting
+# re-solves, where a fresh factorization at the new bound contracts faster,
+# and perron-dense's tail latency rose 15%; at 1/4 the longest chain is 6
+_CW_RESOLVE_CUT = 0.25
 
 
 class _CWBracket:
     """Collatz-Wielandt bracket of ``rho(A)`` sharpened by power steps, then
-    by shift-and-invert.
+    by shift-and-invert, whose LU below the dense cutoff serves re-solves.
 
     A right and a left vector from all-ones first take power steps, ``A r``
     and ``A.T l`` at the cost of the products their CW bounds already
@@ -283,11 +292,19 @@ class _CWBracket:
     lower / upper) min(iterates)``, at least ``_CW_SOLVE_TOL``, loose while
     the CW gap is wide and tighter as it closes or as the max-normalized
     iterates spread (inexact inverse iteration; LAPACK solves below the
-    cutoff are exact whatever the tolerance).  ``factorizations`` counts the
-    shift-and-invert steps and ``power_steps`` the power steps kept; a
-    round of ``_perron_rounds`` that takes either has new iterates, and
-    :meth:`step` takes one past a precision they already meet.  One bracket
-    serves every
+    cutoff are exact whatever the tolerance).  Below the cutoff the bracket
+    holds the last step's LU and tries it on the next iterates before it
+    factors again (:meth:`_resolve_step`): two triangular solves, kept when
+    they cut the CW gap to at most ``_CW_RESOLVE_CUT`` of what it was, so
+    a factorization serves as many steps as it contracts fast enough.  The
+    held shift lies above every later CW upper bound, so every bound stays
+    valid.  Above the cutoff a Krylov solve costs the same at any shift,
+    and no solver is held.  ``factorizations`` counts the shift-and-invert
+    steps that built a solver, ``power_steps`` the power steps kept and
+    ``resolve_steps`` the re-solves kept, each at most ``_CW_MAX_STEPS``;
+    ``steps`` is their sum.  A round of ``_perron_rounds`` that takes any
+    of them has new iterates, and :meth:`step` takes one past a precision
+    they already meet.  One bracket serves every
     round of ``_perron_rounds``, its iterates each round's candidate, and
     :func:`certify_spectral_bound` and the applications' decision hand on
     the one they ran: a tighter ``eps`` continues from the last iterates,
@@ -323,10 +340,14 @@ class _CWBracket:
         # and (right, left, A right, A.T left) they came from
         self.cw_right = self.cw_left = (0.0, np.inf)
         self.products = None
-        # shift-and-invert steps, and power steps kept
+        # shift-and-invert steps, power steps kept and re-solves kept
         self.factorizations = 0
         self.power_steps = 0
+        self.resolve_steps = 0
         self._powering = True
+        # below the dense cutoff, the last shift-and-invert step's LU, which
+        # the next step tries before it factors anew
+        self._held = None
         self.failed = False
         # set by decide() when the bounds meet within rounding of its bound
         self.met_at_bound = False
@@ -337,14 +358,19 @@ class _CWBracket:
 
     @property
     def steps(self) -> int:
-        """Every step taken so far, power or shift-and-invert."""
-        return self.factorizations + self.power_steps
+        """Every step taken so far: power, shift-and-invert or re-solve."""
+        return self.factorizations + self.power_steps + self.resolve_steps
 
     @property
     def step_counts(self) -> dict:
         """The steps taken so far as a report's ``info`` counts them:
-        ``bracket_steps`` (shift-and-invert) and ``power_steps``."""
-        return {"bracket_steps": self.factorizations, "power_steps": self.power_steps}
+        ``bracket_steps`` (shift-and-invert, one solver built each),
+        ``power_steps`` and ``resolve_steps``."""
+        return {
+            "bracket_steps": self.factorizations,
+            "power_steps": self.power_steps,
+            "resolve_steps": self.resolve_steps,
+        }
 
     def _measured(self, right: np.ndarray, left: np.ndarray):
         """``(products, cw_right, cw_left)`` of iterates ``right`` and
@@ -392,11 +418,47 @@ class _CWBracket:
         self._powering = c * (1.0 - c) <= new_gap
         return True
 
+    def _solved(self, solver, tol: float):
+        """``(right, left)``, the current iterates solved with ``solver`` to
+        ``tol`` and max-normalized, each as :func:`_unit_positive` returns
+        it, or ``None`` when either leaves the positive cone.  A one-sided
+        bracket solves for the right iterate only and takes it as both."""
+        right = _unit_positive(solver.solve(self.right, False, tol))
+        left = right if self._symmetric else _unit_positive(solver.solve(self.left, True, tol))
+        return None if right is None or left is None else (right, left)
+
+    def _resolve_step(self) -> bool:
+        """Try the held LU of the last shift-and-invert step (below the
+        dense cutoff only) on the current iterates, two triangular solves
+        and no factorization: kept (True, the LU still held) when the new
+        CW gap is at most ``_CW_RESOLVE_CUT`` times the current one.  Any
+        other outcome drops the LU, leaves the iterates as they were and
+        returns False, for a fresh factorization at the current bound.  The
+        held shift ``hi_old (1 + _CW_SHIFT_MARGIN)`` lies above every later
+        CW upper bound, so above ``rho(A)``, and its inverse stays entrywise
+        positive: every bound of a kept re-solve is as valid as a fresh
+        step's.  At most ``_CW_MAX_STEPS`` re-solves are kept."""
+        solver, self._held = self._held, None
+        if solver is None or self.resolve_steps == _CW_MAX_STEPS:
+            return False
+        solved = self._solved(solver, _CW_SOLVE_TOL)
+        if solved is None:
+            return False
+        gap = _cw_gap(self.cw_right, self.cw_left)
+        measured = self._measured(solved[0][0], solved[1][0])
+        if not (gap > 0.0 and _cw_gap(*measured[1:]) <= _CW_RESOLVE_CUT * gap):
+            return False
+        self._take(*solved, measured)
+        self._held = solver
+        self.resolve_steps += 1
+        return True
+
     def _iterates(self):
         """Yield once per iterate, its CW bounds set, stepping when resumed:
         power steps (:meth:`_power_step`) while they contract the CW gap at
-        least as fast as a solve would, then shift-and-invert steps.  Ends,
-        marking the bracket failed, once an iterate leaves the positive
+        least as fast as a solve would, then shift-and-invert steps, each
+        tried first as a re-solve with the held LU (:meth:`_resolve_step`).
+        Ends, marking the bracket failed, once an iterate leaves the positive
         cone, the upper bound is infinite, a solve misses
         (:class:`BackendDiverged`) or the budget of ``_CW_MAX_STEPS``
         shift-and-invert steps runs out, and after a zero upper bound (``A =
@@ -415,6 +477,8 @@ class _CWBracket:
                 break
             if self._powering and self._power_step():
                 continue
+            if self._resolve_step():
+                continue
             if self.factorizations == _CW_MAX_STEPS:
                 break
             gap = _cw_gap(self.cw_right, self.cw_left)
@@ -422,25 +486,27 @@ class _CWBracket:
             solver = self._step_solver(hi)
             self.factorizations += 1
             try:
-                right = _unit_positive(solver.solve(self.right, False, tol))
-                if self._symmetric:
-                    left = right
-                else:
-                    left = _unit_positive(solver.solve(self.left, True, tol))
+                solved = self._solved(solver, tol)
             except BackendDiverged:
                 break
-            if right is None or left is None:
+            if solved is None:
                 break
-            self._take(right, left, self._measured(right[0], left[0]))
+            self._take(*solved, self._measured(solved[0][0], solved[1][0]))
+            if self.A.n_rows <= rcdd._DENSE_CUTOFF:
+                self._held = solver
+        self._held = None
         self.failed = True
 
     def step(self) -> bool:
         """Take the bracket's next step, whatever precision its current
-        iterates already meet: True when it took one and still works."""
-        taken = self.steps
+        iterates already meet: True when it took one, still works and moved
+        a CW bound.  A step that leaves every bound as it was (the bracket
+        has converged as far as rounding lets it) returns False, and the
+        bracket still works."""
+        taken, bounds = self.steps, (self.cw_right, self.cw_left)
         for _ in self._iterates():
             if self.steps > taken:
-                return True
+                return (self.cw_right, self.cw_left) != bounds
         return False
 
     def _step_solver(self, hi: float):

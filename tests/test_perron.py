@@ -349,14 +349,20 @@ class TestComputePerron:
         Ar = A.matvec(cert.right)
         assert (Ar / cert.right).min() >= (1 - 0.05) * cert.s
 
-    @pytest.mark.parametrize("seed", [(6, 3), (351, 6)], ids=["6-3", "351-6"])
-    def test_a_stalled_bracket_hands_its_round_to_the_scan(self, monkeypatch, seed):
+    @pytest.mark.parametrize(
+        "seed, scans_expected", [((6, 3), False), ((351, 6), True)], ids=["6-3", "351-6"]
+    )
+    def test_a_stalled_bracket_hands_its_round_to_the_scan(self, monkeypatch, seed, scans_expected):
         """Weights over 1e-8..1e8 spread the right Perron vector over many
         decades, and its CW lower bound lags the left one's: continued to a
         round's precision, the bracket meets it with no step.  Such a round
-        offers no rejected iterates again but scans at the bracket's upper
-        end, with no bisection, and certifies by K = 64, where re-offering
-        them took K to 2**19 (at seed (6, 3)) or to the float floor."""
+        offers no rejected iterates again.  It steps once more, and at seed
+        (6, 3) those steps certify at K = 2 with no scan.  At seed (351, 6)
+        the step moves no CW bound, as the bracket has converged as far as
+        rounding lets it, so the round hands itself to a scan at the
+        bracket's upper end.  Neither bisects, and both certify by K = 64,
+        where re-offering the iterates took K to 2**19 (at seed (6, 3)) or
+        to the float floor."""
         rng = np.random.default_rng(list(seed))
         n = int(rng.integers(5, 41))
         M = random_irreducible_dense(rng, n, density=0.3, log_low=-8.0, log_high=8.0)
@@ -380,7 +386,7 @@ class TestComputePerron:
         scans = record_scans(monkeypatch)
         cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
         assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
-        assert cert.k_final <= 64 and scans and not bisections
+        assert cert.k_final <= 64 and bool(scans) == scans_expected and not bisections
         assert not any(np.array_equal(a, b) for a, b in zip(rights, rights[1:]))
 
     def test_ill_conditioned_chain_grows_k(self, monkeypatch):
@@ -692,18 +698,19 @@ class TestCWBracket:
             assert rho * (1 - 1e-10) <= s < (1 + eps) * rho * (1 + 1e-10), name
 
     def test_bracket_continues_from_its_last_iterate(self, soundness_instances):
-        """A tighter second call picks up where the first stopped: it ends
-        on the same iterate, after the same factorizations, as one call at
-        the tighter eps."""
+        """A tighter second call picks up where the first stopped, the held
+        LU included: it ends on the same iterate, after the same steps of
+        each kind, as one call at the tighter eps."""
         _, M, rho = soundness_instances[3]
         A = SparseMatrix.from_dense(M)
         bracket = _CWBracket(A)
         loose = bracket.upper(1e-2)
-        steps = bracket.factorizations
+        steps = bracket.steps
         tight = bracket.upper(1e-9)
         fresh = _CWBracket(A)
         assert tight == fresh.upper(1e-9)
-        assert 0 < steps < bracket.factorizations == fresh.factorizations
+        assert 0 < steps < bracket.steps == fresh.steps
+        assert bracket.step_counts == fresh.step_counts
         assert rho * (1 - 1e-10) <= tight <= loose
         assert tight < (1 + 1e-9) * rho * (1 + 1e-10)
 
@@ -1070,6 +1077,92 @@ def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
         for field in ("s", "k_final", "residual_left", "residual_right", "cw_lower", "cw_upper"):
             assert getattr(cert, field) == getattr(fresh, field)
         assert cert.left is fresh.left and cert.right is fresh.right
+
+
+class TestResolveSteps:
+    """The bracket's re-solves below the dense cutoff: the last
+    shift-and-invert step's LU tried on the current iterates before a
+    fresh factorization, each kept only when it cuts the CW gap to a
+    quarter."""
+
+    def test_every_resolved_iterate_brackets_rho(self, soundness_instances, monkeypatch):
+        """Every iterate a kept re-solve makes, right and left, is positive,
+        and its CW bounds lie on either side of the oracle's ``rho``, on
+        criterion-01 inputs 0..199 and the soundness instances: the held
+        shift stays above ``rho``, so its inverse is entrywise positive."""
+        kept = []
+        real = _CWBracket._resolve_step
+
+        def resolve_step(self):
+            if real(self):
+                kept.append((self.right, self.left, self.cw_right, self.cw_left))
+                return True
+            return False
+
+        monkeypatch.setattr(_CWBracket, "_resolve_step", resolve_step)
+        cases = [(f"criterion-01 {seed}", criterion01_dense(seed)) for seed in range(200)]
+        cases += [(name, M) for name, M, _ in soundness_instances]
+        for name, M in cases:
+            rho, _ = dense_spectral_radius(M, tol=1e-12)
+            before = len(kept)
+            assert _CWBracket(SparseMatrix.from_dense(M)).upper(1e-8) is not None, name
+            for right, left, *bounds in kept[before:]:
+                assert np.all(right > 0.0) and np.all(left > 0.0), name
+                for lower, upper in bounds:
+                    assert lower <= rho * (1 + 1e-10) and upper >= rho * (1 - 1e-10), name
+        assert len(kept) >= len(cases)
+
+    def test_criterion01_input_437_certifies_at_k1(self):
+        """Criterion-01 input 437 rose to ``K`` = 262144 when re-solves
+        stopped its bracket just past each round's precision and only a
+        lagging right CW lower bound earned a further step; with a step for
+        any failed acceptance test it certifies at ``K`` = 1."""
+        M = criterion01_dense(437)
+        rho, _ = dense_spectral_radius(M, tol=1e-12)
+        cert = compute_perron(SparseMatrix.from_dense(M), 1e-3)
+        assert cert.k_final == 1.0
+        assert (1 - 1e-3) * rho < cert.s <= rho * (1 + 1e-8)
+
+    def test_a_round_that_only_resolved_builds_no_problem(self, monkeypatch):
+        """Criterion-01 input 0, its ``K`` = 1 pair rejected: the ``K`` = 2
+        round's bracket moves by one re-solve and no factorization.  A
+        re-solve is a step, so the round is no stall: it offers those
+        iterates with no further step, builds no :class:`_Problem` and runs
+        no scan.  Left out of the step count, re-solves made such rounds
+        scan."""
+        builds, offers, step_calls = [], [], []
+        real_init = perronkit.scaling._Problem.__init__
+
+        def init(self, A, scale):
+            builds.append(scale)
+            real_init(self, A, scale)
+
+        class Bracket(_CWBracket):
+            def upper(self, eps):
+                s = super().upper(eps)
+                offers.append((self.factorizations, self.resolve_steps))
+                return s
+
+            def step(self):
+                step_calls.append(self.steps)
+                return super().step()
+
+        monkeypatch.setattr(perronkit.scaling._Problem, "__init__", init)
+        monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+        scans = record_scans(monkeypatch)
+        calls = []
+        real_certificate = perronkit.perron._certificate
+
+        def certificate(*args, **kwargs):
+            calls.append(None)
+            return None if len(calls) == 1 else real_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+        cert = compute_perron(SparseMatrix.from_dense(criterion01_dense(0)), 1e-3)
+        assert cert.k_final == 2.0 and len(offers) == 2
+        (fact_1, resolved_1), (fact_2, resolved_2) = offers
+        assert fact_2 == fact_1 and resolved_2 == resolved_1 + 1
+        assert builds == [] and scans == [] and step_calls == []
 
 
 class TestPowerSteps:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import perronkit.rcdd
+import perronkit.sparse
 from perronkit import (
     BackendDiverged,
     IterationCapHit,
@@ -128,6 +129,33 @@ class TestRcddSolver:
         assert np.array_equal(ya, yb)
         assert np.array_equal(ya, za.apply(x))
 
+    @pytest.mark.parametrize("backend", list(BACKEND_SIZES))
+    def test_a_build_checks_and_solves_with_its_own_matrix(self, monkeypatch, backend):
+        """On its vectors of ones the recipe scales no copy of ``S``: it
+        checks and solves with ``S`` itself, so a second build on the same
+        ``S`` sums no line sums (the first check kept them on ``S``'s CSR),
+        and every application of both operators, on either side, has the
+        bits of the first's."""
+        calls = {"apply_scaling": 0, "_line_sums": 0}
+        for module, name in [(perronkit.rcdd, "apply_scaling"), (perronkit.sparse, "_line_sums")]:
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(26)
+        n = BACKEND_SIZES[backend]
+        S = SparseMatrix.from_dense(sparse_dominant(rng, n))
+        x = rng.normal(size=n)
+        first = build_rcdd_solver(S, 1e-9)
+        assert calls == {"apply_scaling": 0, "_line_sums": 1}
+        second = build_rcdd_solver(S, 1e-9)
+        assert calls == {"apply_scaling": 0, "_line_sums": 1}
+        for Z in (first, second):
+            assert np.array_equal(Z.apply(x), first.apply(x))
+            assert np.array_equal(Z.transpose(1e-9).apply(x), first.transpose(1e-9).apply(x))
 
     def test_an_empty_matrix_builds(self):
         """A 0 x 0 matrix is RCDD: its operator and its transpose map the

@@ -95,6 +95,7 @@ from conftest import (
     record_builds,
     record_scans,
     reject_bracket_pair,
+    ring_digraph,
 )
 
 
@@ -321,16 +322,15 @@ def perron_sparse_instance():
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_compute_perron_factorizations(monkeypatch, storage):
-    """No bisection and no decision, whether the bracket's own pair is
-    accepted at K=1 or rejected there.  Accepted, its steps are the only
-    solvers.  Rejected, K doubles and the K=2 round continues the same
-    bracket: if it steps, its new iterates certify with no scan; if it
-    meets the precision with no step, it has nothing new to offer, and one
-    strict scan at its upper end follows, the bracket, the scan and the
-    polish accounting for every solver.  Both happen among the dense
-    instances.  Each solver is a LAPACK factorization through the scipy
-    call a profiler patches up to the dense cutoff and a Krylov solver
-    above it."""
+    """No bisection, no decision and no scan, whether the bracket's own pair
+    is accepted at K=1 or rejected there, and its shift-and-invert steps
+    are the only solvers.  Rejected, K doubles and the K=2 round continues
+    the same bracket: if it steps, its new iterates certify; if it meets
+    the precision with no step, it steps once more and offers those
+    iterates instead of scanning.  Both happen among the dense instances.
+    Each solver is a LAPACK factorization through the scipy call a
+    profiler patches up to the dense cutoff and a Krylov solver above
+    it."""
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "find_perron_value")
     count_calls(monkeypatch, counts, perronkit.perron, "_m_decide_scaled")
@@ -345,7 +345,7 @@ def test_compute_perron_factorizations(monkeypatch, storage):
 
         def upper(self, eps):
             s = super().upper(eps)
-            self.offers.append(self.factorizations)
+            self.offers.append(self.steps)
             return s
 
     monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
@@ -371,19 +371,59 @@ def test_compute_perron_factorizations(monkeypatch, storage):
             assert len(brackets) == 1
             steps = brackets[0].factorizations
             assert steps >= 1
-            if path == "accepted":
-                assert scans == [] and counts[factor] == steps
-            else:
+            assert scans == [] and counts[factor] == steps
+            if path == "rejected":
                 offers = brackets[0].offers
                 stalls.append(offers[1] == offers[0])
                 if stalls[-1]:
-                    # the bracket's steps, one per scan phase, one for the polish
-                    assert len(scans) == 1 and counts[factor] == steps + scans[0] + 1
-                else:
-                    assert scans == [] and counts[factor] == steps
+                    # the stalled round stepped once after its upper estimate
+                    assert brackets[0].steps > offers[1]
             assert counts["lu_factor" if storage == "csr" else "krylov"] == 0
     if storage == "dense":
         assert any(stalls) and not all(stalls)
+
+
+def test_resolve_steps_save_factorizations_on_a_ring(monkeypatch):
+    """A ring plus five random out-edges per node at n = 150, below the
+    dense cutoff, certifies at K = 1 from the bracket's pair with fewer
+    LAPACK factorizations than shift-and-invert steps plus re-solves: each
+    fresh factorization is one step, and each kept re-solve reuses the last
+    one's LU."""
+    counts = count_factorizations(monkeypatch)
+    brackets = []
+
+    class Bracket(perronkit.perron._CWBracket):
+        def __init__(self, A):
+            super().__init__(A)
+            brackets.append(self)
+
+    monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+    scans = record_scans(monkeypatch)
+    cert = compute_perron(ring_digraph(np.random.default_rng(0), 150, 5), 1e-3)
+    ((bracket,),) = [brackets]
+    assert cert.k_final == 1.0 and scans == []
+    assert counts == {**NO_SOLVERS, "lu_factor": bracket.factorizations}
+    assert 0 < counts["lu_factor"] < bracket.factorizations + bracket.resolve_steps
+
+
+def test_no_resolve_steps_above_the_cutoff(monkeypatch):
+    """Above the dense cutoff a Krylov solve costs the same at any shift,
+    so the bracket holds no solver: every step past the power phase builds
+    a Krylov solver at the current bound, and none is a re-solve."""
+    counts = count_factorizations(monkeypatch)
+    brackets = []
+
+    class Bracket(perronkit.perron._CWBracket):
+        def __init__(self, A):
+            super().__init__(A)
+            brackets.append(self)
+
+    monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
+    cert = compute_perron(perron_sparse_instance(), 1e-3)
+    ((bracket,),) = [brackets]
+    assert cert.k_final == 1.0 and bracket.factorizations >= 1
+    assert bracket.resolve_steps == 0
+    assert counts == {**NO_SOLVERS, "krylov": bracket.factorizations}
 
 
 SYMMETRIC_SIZES = pytest.mark.parametrize("n", [20, 400], ids=["dense", "csr"])
@@ -1284,9 +1324,11 @@ def test_a_one_sided_bracket_stays_sound_on_any_input():
 def test_compute_perron_builds_a_problem_only_to_scan(monkeypatch, storage):
     """The bracket's steps build no problem, so a round whose bracket pair
     is accepted builds none.  When that pair is rejected at K=1, the K=2
-    round continues the bracket, which on these inputs meets its precision
-    with no step, so the round scans and the polish factors on the scan's
-    problem: one build."""
+    round continues the bracket, which on these inputs moves without a
+    fresh factorization (by one re-solve on the dense input) or steps once
+    more, and builds none either.  Only a round whose bracket can neither
+    re-solve nor step scans, and the polish factors on the scan's problem:
+    one build."""
     builds = []
     real_init = _Problem.__init__
 
@@ -1298,7 +1340,12 @@ def test_compute_perron_builds_a_problem_only_to_scan(monkeypatch, storage):
     A = criterion_01_instance(0) if storage == "dense" else perron_sparse_instance()
     cert = compute_perron(A, 1e-3)
     assert cert.k_final == 1.0 and len(builds) == 0
-    reject_bracket_pair(monkeypatch)
+    rejected = reject_bracket_pair(monkeypatch)
+    cert = compute_perron(A, 1e-3)
+    assert cert.k_final == 2.0 and len(builds) == 0
+    rejected.clear()
+    monkeypatch.setattr(_CWBracket, "_resolve_step", lambda self: False)
+    monkeypatch.setattr(_CWBracket, "step", lambda self: False)
     cert = compute_perron(A, 1e-3)
     assert cert.k_final == 2.0 and len(builds) == 1
 
