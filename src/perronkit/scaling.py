@@ -241,7 +241,9 @@ def _cw_bounds(A: SparseMatrix, x: np.ndarray, transpose: bool = False) -> tuple
 def _cw_ratio_bounds(Ax: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """:func:`_cw_bounds` from a product ``Ax`` already formed."""
     ratios = Ax / x
-    return float(ratios.min()), float(ratios.max())
+    # ufunc reductions have the bits of ndarray.min and max without their
+    # Python wrappers, a fixed cost of every bracket step on small inputs
+    return float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
 
 
 def _cw_gap(cw_right, cw_left) -> float:
@@ -637,10 +639,10 @@ def _unit_positive(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     exactly, rounding being monotone, so an accepted ``x`` is divided once
     and raises no floating-point flag; any other ``x`` (a NaN, an infinite
     or nonpositive maximum) is divided under silenced flags."""
-    top = x.max()
+    top = np.maximum.reduce(x)
     if 0.0 < top < np.inf:
         # a negative minimum fails without a division that could overflow
-        least = max(x.min(), 0.0) / top
+        least = max(np.minimum.reduce(x), 0.0) / top
         return (x / top, float(least)) if least >= _TINY else None
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         x = x / top
