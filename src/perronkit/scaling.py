@@ -271,7 +271,8 @@ _CW_POWER_CUT = 0.95
 # it cuts the CW gap to at most this share of what it was.  At 1/2 small
 # criterion-01 inputs (n = 5..15) chained up to 13 slowly contracting
 # re-solves, where a fresh factorization at the new bound contracts faster,
-# and perron-dense's tail latency rose 15%; at 1/4 the longest chain is 6
+# and the perron-dense benchmark's tail latency rose 15% (three alternating
+# runs on a 2-core host); at 1/4 the longest chain is 6
 _CW_RESOLVE_CUT = 0.25
 
 
