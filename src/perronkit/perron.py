@@ -332,21 +332,22 @@ def _relative_residual(x: np.ndarray, Ax: np.ndarray, s: float) -> float:
 
 
 def _certificate(
-    A: SparseMatrix, left, right, k_final: float, s: float | None = None, products=None
+    A: SparseMatrix, left, right, k_final: float, s: float | None = None, measured=None
 ):
     """The :class:`PerronCertificate` of a positive pair: the right vector's
     CW sandwich and both eigen-residuals at ``s``, by default the better of
     the two vectors' CW lower bounds (so ``s <= rho(A)``).  ``None`` when
     that default is not positive, which only underflow makes it.  Each
-    vector's product is formed once and serves its bounds and its
-    residual: ``products``, ``(A right, A.T left)``, when the caller has
-    them (:func:`_bracket_certificate`), else computed."""
-    if products is None:
-        products = A._product(right), A._product(left, transpose=True)
-    Ar, Atl = products
-    cw_lower, cw_upper = _cw_ratio_bounds(Ar, right)
+    vector's product and CW bounds are formed once and serve the
+    certificate's bounds and residual: ``measured``, ``(A right, A.T left,
+    right CW bounds, left CW bounds)``, when the caller has them
+    (:func:`_bracket_certificate`), else computed."""
+    if measured is None:
+        Ar, Atl = A._product(right), A._product(left, transpose=True)
+        measured = Ar, Atl, _cw_ratio_bounds(Ar, right), _cw_ratio_bounds(Atl, left)
+    Ar, Atl, (cw_lower, cw_upper), cw_left = measured
     if s is None:
-        s = max(cw_lower, _cw_ratio_bounds(Atl, left)[0])
+        s = max(cw_lower, cw_left[0])
         if not s > 0.0:
             return None
     return PerronCertificate(
@@ -363,10 +364,13 @@ def _certificate(
 
 def _bracket_certificate(bracket: _CWBracket, k_final: float):
     """The :func:`_certificate` of ``bracket``'s current iterates, on its
-    ``A``, with the products it formed for them: ``bracket.products`` holds
-    the iterates and their products together, so they are read at once."""
+    ``A``, with the products and CW bounds it formed for them:
+    ``bracket.products`` holds the iterates and their products together, and
+    ``cw_right`` and ``cw_left`` those products' bounds, so nothing is
+    recomputed."""
     right, left, Ar, Atl = bracket.products
-    return _certificate(bracket.A, left, right, k_final, products=(Ar, Atl))
+    measured = Ar, Atl, bracket.cw_right, bracket.cw_left
+    return _certificate(bracket.A, left, right, k_final, measured=measured)
 
 
 # the most extra bracket steps one round of _perron_rounds takes for a pair
@@ -451,6 +455,17 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     upper estimate.  Raises :class:`KCapExceeded` once a round's precision
     falls below the float spacing, where no round can certify.
     """
+    return _compute_perron(A, delta)
+
+
+def _compute_perron(A: SparseMatrix, delta: float, *, symmetric: bool = False):
+    """:func:`compute_perron`, its checks and acceptance test included;
+    ``symmetric`` runs its rounds on the one-sided bracket (see
+    :class:`scaling._CWBracket`), which solves for no left iterate, for a
+    caller whose ``A`` is symmetric by construction.  The acceptance test
+    recomputes nothing from the bracket's shortcut: the left CW bounds and
+    residual still come from ``A.T``, so a certificate holds whatever ``A``
+    is."""
     _structure_check(A)
     _check_open_unit(delta, "delta")
 
@@ -460,7 +475,7 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     def lags(cert, K, s_upper):
         return cert is not None and not accepted(cert, K, s_upper)
 
-    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A), lags):
+    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A, symmetric=symmetric), lags):
         if accepted(cert, K, s_upper):
             return cert
 

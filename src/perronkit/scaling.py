@@ -4,10 +4,11 @@ built on them.
 At a fixed shift the first path is the Collatz-Wielandt bracket
 (``_CWBracket``): power steps, then shift-and-invert steps, on a right and a
 left vector until their CW bounds settle ``rho(A) < shift``; a power step
-costs two products and is taken only while it narrows the bounds at least
-as fast as a solve would, and below the dense cutoff a step first re-solves
-with the last step's LU, kept when it cuts the CW gap to at most a
-quarter, before it factors anew.  Positive ``r`` and ``l`` with
+costs two products and is taken only while the power steps one solve's
+work buys narrow the bounds at least as fast as that solve would, and
+below the dense cutoff a step first re-solves with the last step's LU,
+kept when it cuts the CW gap to at most a quarter, before it factors
+anew.  Positive ``r`` and ``l`` with
 ``A r < c r`` and ``A.T l < c l`` make ``diag(l) (c I - A) diag(r)``
 strictly RCDD, so a True verdict is itself a scaling, checked before use,
 and a False one certifies ``rho(A) >= c`` whatever the conditioning.
@@ -283,8 +284,10 @@ class _CWBracket:
     A right and a left vector from all-ones first take power steps, ``A r``
     and ``A.T l`` at the cost of the products their CW bounds already
     formed, whose bounds lie within those of ``r`` and ``l`` for any
-    nonnegative ``A``: each is a trial, kept while it narrows the CW gap at
-    least as fast as a solve would (:meth:`_power_step`).  Then comes inverse
+    nonnegative ``A``: each is a trial, kept while the power steps that cost
+    as much as one solve narrow the CW gap at least as fast as that solve
+    would, the solve's cost counted from its structure, 2 to 4 power steps
+    (:meth:`_power_step`, :meth:`_solve_cost`).  Then comes inverse
     iteration, shifted just
     above the best CW upper bound so that ``(sigma I - A)^-1`` is entrywise
     positive and both iterates stay in the positive cone.  For positive
@@ -397,10 +400,12 @@ class _CWBracket:
         column of ``A``), ends the power phase and leaves the iterates as
         they were.  With ``c`` the ratio of the two gaps, an estimate of
         ``|lambda_2| / rho``, a kept step continues the phase only while
-        ``c (1 - c) <= g``, ``g`` the new gap: a shift-and-invert step from
-        there, shifted about ``g rho`` above ``rho``, contracts the gap by
-        about ``g / (1 - c)`` at best, and a power step by about ``c``, so a
-        power step is taken only while it does at least as well as a solve.
+        ``c**k (1 - c) <= g``, ``g`` the new gap and ``k`` the least cost of
+        a solve in power steps (:meth:`_solve_cost`): a shift-and-invert
+        step from there, shifted about ``g rho`` above ``rho``, contracts
+        the gap by about ``g / (1 - c)`` at best, and ``k`` power steps by
+        about ``c**k``, so the phase goes on only while the work of one
+        solve spent on power steps does at least as well as the solve.
         The phase takes at most ``_CW_MAX_STEPS`` steps."""
         self._powering = False
         if self.power_steps == _CW_MAX_STEPS:
@@ -418,8 +423,21 @@ class _CWBracket:
         self._take(right, left, measured)
         self.power_steps += 1
         c = new_gap / gap
-        self._powering = c * (1.0 - c) <= new_gap
+        self._powering = c ** self._solve_cost() * (1.0 - c) <= new_gap
         return True
+
+    def _solve_cost(self) -> float:
+        """The least cost of a shift-and-invert step counted in power steps,
+        from the step's own structure: a power step costs the two products
+        of its measurement, and a step costs that measurement plus, per side
+        it solves, at least one product's worth below the dense cutoff (a
+        triangular solve) and three above it (one BiCGSTAB iteration, two
+        products, and its true-residual product).  So 2 two-sided and 1.5
+        one-sided below the cutoff, 4 and 2.5 above it: a floor, not a
+        tuned constant."""
+        per_side = 1.0 if self.A.n_rows <= rcdd._DENSE_CUTOFF else 3.0
+        sides = 1.0 if self._symmetric else 2.0
+        return (2.0 + sides * per_side) / 2.0
 
     def _solved(self, solver, tol: float):
         """``(right, left)``, the current iterates solved with ``solver`` to
@@ -458,9 +476,10 @@ class _CWBracket:
 
     def _iterates(self):
         """Yield once per iterate, its CW bounds set, stepping when resumed:
-        power steps (:meth:`_power_step`) while they contract the CW gap at
-        least as fast as a solve would, then shift-and-invert steps, each
-        tried first as a re-solve with the held LU (:meth:`_resolve_step`).
+        power steps (:meth:`_power_step`) while the ones a solve's work buys
+        contract the CW gap at least as fast as that solve would, then
+        shift-and-invert steps, each tried first as a re-solve with the held
+        LU (:meth:`_resolve_step`).
         Ends, marking the bracket failed, once an iterate leaves the positive
         cone, the upper bound is infinite, a solve misses
         (:class:`BackendDiverged`) or the budget of ``_CW_MAX_STEPS``

@@ -80,10 +80,10 @@ N = 500
 BUDGET_WITNESS = "scaled-system conditioning exceeded the solver budget"
 
 
-def ring_instance(n, seed=70):
-    """A Hamiltonian cycle plus about five random edges per row, and its
-    spectral radius from the dense oracle."""
-    M = random_irreducible_dense(np.random.default_rng(seed), n, density=5.0 / n)
+def ring_instance(n, seed=70, degree=5.0):
+    """A Hamiltonian cycle plus about ``degree`` random edges per row, and
+    its spectral radius from the dense oracle."""
+    M = random_irreducible_dense(np.random.default_rng(seed), n, density=degree / n)
     rho, _ = dense_spectral_radius(M, tol=1e-12)
     return M, rho
 
@@ -92,6 +92,14 @@ def ring_instance(n, seed=70):
 def ring():
     assert N > _DENSE_CUTOFF
     return ring_instance(N)
+
+
+@pytest.fixture(scope="module")
+def slow_ring():
+    """A ring instance with about three random edges per row, not five: it
+    mixes so slowly that the bracket keeps no power step and settles every
+    bound by shift-and-invert steps."""
+    return ring_instance(N, degree=3.0)
 
 
 def scaled(M, rho, target):
@@ -129,13 +137,13 @@ def holds(outcome, A, eps):
 
 
 @pytest.mark.parametrize("target", [0.95, 1.1])
-def test_m_decide_matches_the_lu_path(monkeypatch, ring, target):
+def test_m_decide_matches_the_lu_path(monkeypatch, slow_ring, target):
     """The Krylov decision is the oracle's (``rho`` from the dense
     eigensolver), holds when recomputed, and equals the decision of the LU
-    path, LAPACK on the same instance below a raised cutoff.  At ``rho`` =
-    0.95 power steps alone leave the CW gap too wide to settle ``1 + eps``,
-    so the bracket takes shift-and-invert steps, Krylov solves."""
-    A = scaled(*ring, target)
+    path, LAPACK on the same instance below a raised cutoff.  On the slowly
+    mixing ring power steps settle neither side of ``1 + eps``, so the
+    bracket takes shift-and-invert steps, Krylov solves."""
+    A = scaled(*slow_ring, target)
     with monkeypatch.context() as patch:
         counts = count_krylov(patch)
         krylov = m_decide(A, 1e-3, 1e3)
@@ -180,15 +188,15 @@ def test_solvers_meet_their_contracts(monkeypatch, ring):
     rng = np.random.default_rng(71)
     counts = count_krylov(monkeypatch)
     eps = 1e-6
-    # at 0.95, not 0.9, power steps alone settle neither bracket
-    A_below = M * (0.95 / rho)
+    # at 0.98, not 0.95, power steps alone settle neither bracket
+    A_below = M * (0.98 / rho)
     op = solve_m(SparseMatrix.from_dense(A_below), 1.0, eps, 1e3)
     for _ in range(2):
         b = rng.random(N) + 0.01
         x = op.apply(b)
         assert np.linalg.norm(x - A_below @ x - b) <= eps * np.linalg.norm(b)
 
-    sym = random_symmetric_contraction_dense(rng, N, 0.95, density=5.0 / N)
+    sym = random_symmetric_contraction_dense(rng, N, 0.98, density=5.0 / N)
     b = rng.normal(size=N)
     x, _ = symm_solve(SparseMatrix.from_dense(sym), b, eps)
     assert np.linalg.norm(x - sym @ x - b) <= eps * np.linalg.norm(b)
@@ -373,7 +381,8 @@ def test_a_miss_in_the_bracket_is_never_an_error(
     answers from the scan, never with the error.  Every Krylov pass stalls
     here, so the scan's first phase misses as well, and on both sides of 1
     the verdict is the scan's ``"solver budget"`` witness, with no
-    certificate."""
+    certificate.  At ``rho`` = 0.98 and 1.02 power steps alone settle
+    neither side, so the bracket reaches a solve."""
     M, rho = small_ring
     failed = []
     real_iterates = perronkit.scaling._CWBracket._iterates
@@ -383,7 +392,7 @@ def test_a_miss_in_the_bracket_is_never_an_error(
         failed.append(self.failed)
 
     monkeypatch.setattr(perronkit.scaling._CWBracket, "_iterates", iterates)
-    for target in (0.9, 1.1):
+    for target in (0.98, 1.02):
         outcome = m_decide(scaled(M, rho, target), 1e-3, 1e3)
         assert not outcome.is_m_matrix and outcome.certificate is None
         assert outcome.witness.startswith(BUDGET_WITNESS + " at phase 0 ")
@@ -403,14 +412,16 @@ def test_a_miss_elsewhere_is_sound_or_a_typed_error(
     :class:`BackendDiverged`, :class:`IterationCapHit` or
     :class:`KCapExceeded` (:class:`BoundaryUndecidable` from
     ``certify_spectral_bound`` and the applications built on it).  Perron
-    rounds are bounded at two.  The symmetric inputs are ones that power
-    steps alone do not settle, so their brackets reach a Krylov solve."""
+    rounds are bounded at two.  The inputs, at ``rho`` = 0.98 and 1.02, are
+    ones that power steps alone do not settle, so their brackets reach a
+    Krylov solve."""
     record_rounds(monkeypatch, 2)
     M, rho = small_ring
     n = M.shape[0]
     rng = np.random.default_rng(76)
-    A, A_dense = scaled(M, rho, 0.9), M * (0.9 / rho)
-    sym_dense = random_symmetric_contraction_dense(rng, n, 0.95, 5.0 / n)
+    below, above = 0.98, 1.02
+    A, A_dense = scaled(M, rho, below), M * (below / rho)
+    sym_dense = random_symmetric_contraction_dense(rng, n, below, 5.0 / n)
     sym = SparseMatrix.from_dense(sym_dense)
     fw2 = random_factor_width2_dense(rng, n, rows_per_col=1)
     dominant = random_strictly_rcdd_dense(rng, n)
@@ -430,10 +441,10 @@ def test_a_miss_elsewhere_is_sound_or_a_typed_error(
 
     I_minus = np.eye(n) - A_dense
     calls = {
-        "m_decide": (lambda: m_decide(A, 1e-3, 1e3), decision_holds(0.9)),
+        "m_decide": (lambda: m_decide(A, 1e-3, 1e3), decision_holds(below)),
         "m_decide above": (
-            lambda: m_decide(scaled(M, rho, 1.1), 1e-3, 1e3),
-            lambda outcome: not outcome.is_m_matrix and decision_holds(1.1)(outcome),
+            lambda: m_decide(scaled(M, rho, above), 1e-3, 1e3),
+            lambda outcome: not outcome.is_m_matrix and decision_holds(above)(outcome),
         ),
         "mmatrix_scale": (
             lambda: mmatrix_scale(A, 1.0, 1e-3, 1e3)[0],
@@ -448,12 +459,12 @@ def test_a_miss_elsewhere_is_sound_or_a_typed_error(
         ),
         "find_perron_value": (
             lambda: find_perron_value(A, 0.0, 10.0, 1e-3, 1e3)[0],
-            lambda s: s >= 0.9 * (1.0 - 1e-10),
+            lambda s: s >= below * (1.0 - 1e-10),
         ),
-        "simple_perron": (lambda: simple_perron(A, 1e-3, 1e3), lambda cert: cert.s >= 0.9),
+        "simple_perron": (lambda: simple_perron(A, 1e-3, 1e3), lambda cert: cert.s >= below),
         "compute_perron": (
             lambda: compute_perron(A, 1e-3),
-            lambda cert: (1.0 - 1e-3) * 0.9 < cert.s <= 0.9 * (1.0 + 1e-10),
+            lambda cert: (1.0 - 1e-3) * below < cert.s <= below * (1.0 + 1e-10),
         ),
         "certify_spectral_bound": (lambda: certify_spectral_bound(A, 1.0), bound_holds),
         "katz_centrality": (
@@ -572,10 +583,10 @@ def test_a_miss_in_a_symmetric_level(krylov_misses):
     the solver budget, from ``symm_scale``, ``symm_solve`` and
     ``factor_width2_solve``.  The message says that a miss says nothing
     about ``rho(A)``, as ``mmatrix_scale``'s does for a miss in its scan.
-    At ``rho`` = 0.95 power steps alone do not settle the bracket."""
+    At ``rho`` = 0.98 power steps alone do not settle the bracket."""
     n = _DENSE_CUTOFF + 1
     rng = np.random.default_rng(78)
-    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.95, 5.0 / n))
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, n, 0.98, 5.0 / n))
     fw2 = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
     b = rng.normal(size=n)
     with pytest.raises(IterationCapHit, match="symmetric phase 0 .* " + MISS_REASON):

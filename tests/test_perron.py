@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import perronkit.perron
+import perronkit.rcdd
 import perronkit.scaling
 from perronkit import (
     BoundaryUndecidable,
@@ -478,8 +479,8 @@ class TestComputePerron:
         brackets, starts = [], []
 
         class Bracket(_CWBracket):
-            def __init__(self, A):
-                super().__init__(A)
+            def __init__(self, A, **kwargs):
+                super().__init__(A, **kwargs)
                 brackets.append(self)
 
         real_find = perronkit.perron._perron_bisection
@@ -1032,30 +1033,41 @@ class TestEigenvectorConditioningLemma:
 
 def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
     """A certificate of the bracket's own iterates takes ``A r`` and ``A.T
-    l`` from the bracket, which formed them for those very arrays: it makes
-    no product, 2 fewer than one built from scratch, the pair it is handed
-    has the bits of the iterates' products, and every field equals the
+    l`` and their CW bounds from the bracket, which formed them for those
+    very arrays: it makes no product and computes no CW ratio, where one
+    built from scratch makes 2 of each, the bracket's products and bounds
+    have the bits of the iterates' own, and every field equals the
     from-scratch certificate's bit for bit.  Covers ``compute_perron``
     below and above the dense cutoff, a negative ``m_decide`` and
     ``certify_spectral_bound``."""
+    real_bracket_certificate = perronkit.perron._bracket_certificate
     real_certificate = perronkit.perron._certificate
     real_product = SparseMatrix._product
+    real_ratios = perronkit.perron._cw_ratio_bounds
     made = [0]
+    ratios = [0]
 
     def product(self, x, transpose=False):
         made[0] += 1
         return real_product(self, x, transpose)
 
+    def ratio_bounds(Ax, x):
+        ratios[0] += 1
+        return real_ratios(Ax, x)
+
     seen = []
 
-    def certificate(A, left, right, k_final, s=None, products=None):
-        before = made[0]
-        cert = real_certificate(A, left, right, k_final, s=s, products=products)
-        seen.append((A, left, right, k_final, s, products, made[0] - before, cert))
+    def bracket_certificate(bracket, k_final):
+        before = made[0], ratios[0]
+        cert = real_bracket_certificate(bracket, k_final)
+        spent = made[0] - before[0], ratios[0] - before[1]
+        bounds = bracket.cw_right, bracket.cw_left
+        seen.append((bracket.A, bracket.products, *bounds, k_final, spent, cert))
         return cert
 
     monkeypatch.setattr(SparseMatrix, "_product", product)
-    monkeypatch.setattr(perronkit.perron, "_certificate", certificate)
+    monkeypatch.setattr(perronkit.perron, "_cw_ratio_bounds", ratio_bounds)
+    monkeypatch.setattr(perronkit.perron, "_bracket_certificate", bracket_certificate)
     rng = np.random.default_rng(93)
     for n in (6, 25):
         compute_perron(random_irreducible(rng, n), 1e-3)
@@ -1064,16 +1076,15 @@ def test_bracket_certificates_reuse_the_brackets_products(monkeypatch):
     rho = compute_perron(A, 1e-6).s
     assert not m_decide(A.scaled(1.1 / rho), 1e-3, 1e3).is_m_matrix
     assert certify_spectral_bound(A.scaled(0.9 / rho))[0]
-    reused = [entry for entry in seen if entry[5] is not None]
-    assert len(reused) >= 6
-    for A, left, right, k_final, s, products, count, cert in reused:
-        Ar, Atl = products
-        assert count == 0
+    assert len(seen) >= 6
+    for A, (right, left, Ar, Atl), cw_right, cw_left, k_final, spent, cert in seen:
+        assert spent == (0, 0)
         assert Ar.tobytes() == real_product(A, right).tobytes()
         assert Atl.tobytes() == real_product(A, left, True).tobytes()
-        before = made[0]
-        fresh = real_certificate(A, left, right, k_final, s=s)
-        assert made[0] - before == 2
+        assert cw_right == real_ratios(Ar, right) and cw_left == real_ratios(Atl, left)
+        before = made[0], ratios[0]
+        fresh = real_certificate(A, left, right, k_final)
+        assert (made[0] - before[0], ratios[0] - before[1]) == (2, 2)
         for field in ("s", "k_final", "residual_left", "residual_right", "cw_lower", "cw_upper"):
             assert getattr(cert, field) == getattr(fresh, field)
         assert cert.left is fresh.left and cert.right is fresh.right
@@ -1232,8 +1243,8 @@ class TestPowerSteps:
         brackets = []
 
         class Bracket(_CWBracket):
-            def __init__(self, A):
-                super().__init__(A)
+            def __init__(self, A, **kwargs):
+                super().__init__(A, **kwargs)
                 brackets.append(self)
 
         monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
@@ -1243,6 +1254,34 @@ class TestPowerSteps:
         ((bracket,),) = [brackets]
         assert cert.k_final == 2.0 and scans == []
         assert bracket.factorizations == 0 and bracket.power_steps >= 1
+
+    def test_a_solve_is_priced_in_power_steps(self, monkeypatch):
+        """The power phase prices a shift-and-invert step at its least cost
+        counted in power steps, two products each: 2 two-sided and 1.5
+        one-sided up to the dense cutoff (a triangular solve per side), 4
+        and 2.5 above it (a BiCGSTAB iteration and its true-residual product
+        per side), on one matrix with the cutoff on either side of its
+        size."""
+        A = ring_digraph(np.random.default_rng(0), 40, 2)
+        for cutoff, costs in ((40, (2.0, 1.5)), (39, (4.0, 2.5))):
+            monkeypatch.setattr(perronkit.rcdd, "_DENSE_CUTOFF", cutoff)
+            assert _CWBracket(A)._solve_cost() == costs[0]
+            assert _CWBracket(A, symmetric=True)._solve_cost() == costs[1]
+
+    def test_power_steps_settle_a_well_mixed_decision(self):
+        """On a ring with five random out-edges per node, above the dense
+        cutoff, at ``rho`` = 0.9, power steps alone settle ``rho < 1 +
+        eps``: ``m_decide`` takes no shift-and-invert step.  Four power
+        steps, the least cost of a Krylov step, contract the CW gap more
+        than that step would, so the power phase runs until the bound
+        settles."""
+        A = ring_digraph(np.random.default_rng(0), 700, 5)
+        assert A.n_rows > _DENSE_CUTOFF
+        rho, _ = dense_spectral_radius(A.to_dense(), tol=1e-12)
+        outcome = m_decide(A.scaled(0.9 / rho), 1e-3, 1e3)
+        assert outcome.is_m_matrix
+        assert outcome.report.info["bracket_steps"] == 0
+        assert outcome.report.info["power_steps"] >= 1
 
     def test_wide_weights_input_65_certifies_at_k1(self):
         """The wide-weight input ``i`` = 65 (n = 11), which an unconditional

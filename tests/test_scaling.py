@@ -711,9 +711,12 @@ class TestSymmetricPath:
     def test_symm_scale_csr_path_from_the_bracket(self, eps, monkeypatch):
         """The bracket's right iterate is ``v``: no scan, no phase.  At ``rho``
         = 0.99 one power step settles ``rho < 1.5``, and the tighter bounds
-        take shift-and-invert steps too."""
+        take shift-and-invert steps too.  Power steps alone settle ``rho <
+        1.05`` at 0.99, so that bound is tested at ``rho`` = 1.01, where a
+        solve is still needed."""
         scans = record_scans(monkeypatch)
-        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), 0.99))
+        rho = 1.01 if eps == 0.05 else 0.99
+        A = SparseMatrix.from_dense(self._csr_contraction(np.random.default_rng(45), rho))
         v, report = symm_scale(A, eps)
         steps = report.info["bracket_steps"], report.info["power_steps"]
         assert report.phases == [] and scans == []

@@ -51,7 +51,7 @@ from perronkit import (
     symm_solve,
     top_singular,
 )
-from perronkit.oracle import dense_spectral_radius
+from perronkit.oracle import dense_spectral_radius, dense_svd_top
 from perronkit.sparse import (
     RCDD_VERIFY_SLACK,
     _kernel_product,
@@ -209,19 +209,19 @@ def test_one_factorization_per_phase_through_scipy(monkeypatch):
 def test_one_factorization_per_bracket_step_through_scipy(monkeypatch):
     """On the bracket path ``mmatrix_scale`` builds one solver per
     shift-and-invert step, through the same scipy call or Krylov class, and
-    runs no scan.  At ``rho`` = 0.95 power steps alone do not settle
-    ``1 + eps``."""
+    runs no scan.  At ``rho`` = 0.98 (0.99 above the cutoff) power steps
+    alone do not settle ``1 + eps``."""
     counts = count_factorizations(monkeypatch)
     scans = record_scans(monkeypatch)
     rng = np.random.default_rng(11)
 
-    _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.95), 1.0, 1e-3, 100.0)
+    _, report = mmatrix_scale(random_m_matrix(rng, 20, 0.98), 1.0, 1e-3, 100.0)
     steps = report.info["bracket_steps"]
     assert steps >= 1 and report.phases == []
     assert counts == {**NO_SOLVERS, "lu_factor": steps}
 
     counts.update(lu_factor=0)
-    _, report = mmatrix_scale(sparse_m_matrix(rng, rho_ratio=0.95), 1.0, 1e-3, 100.0)
+    _, report = mmatrix_scale(sparse_m_matrix(rng, rho_ratio=0.99), 1.0, 1e-3, 100.0)
     steps = report.info["bracket_steps"]
     assert steps >= 1 and report.phases == []
     assert counts == {**NO_SOLVERS, "krylov": steps} and scans == []
@@ -338,8 +338,8 @@ def test_compute_perron_factorizations(monkeypatch, storage):
     brackets = []
 
     class Bracket(perronkit.perron._CWBracket):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, **kwargs):
+            super().__init__(A, **kwargs)
             self.offers = []  # the step count at each upper estimate
             brackets.append(self)
 
@@ -393,8 +393,8 @@ def test_resolve_steps_save_factorizations_on_a_ring(monkeypatch):
     brackets = []
 
     class Bracket(perronkit.perron._CWBracket):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, **kwargs):
+            super().__init__(A, **kwargs)
             brackets.append(self)
 
     monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
@@ -414,8 +414,8 @@ def test_no_resolve_steps_above_the_cutoff(monkeypatch):
     brackets = []
 
     class Bracket(perronkit.perron._CWBracket):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, **kwargs):
+            super().__init__(A, **kwargs)
             brackets.append(self)
 
     monkeypatch.setattr(perronkit.perron, "_CWBracket", Bracket)
@@ -798,8 +798,8 @@ def test_solve_m_factors_the_bracket_pair_once(monkeypatch, n):
 
     monkeypatch.setattr(perronkit.scaling._CWBracket, "checked_pair", checked_pair)
     rng = np.random.default_rng(55)
-    # at 0.95 power steps alone do not settle rho < 1
-    A_dense = random_m_matrix_dense(rng, n, 0.95, density=min(0.3, 5.0 / n))
+    # at 0.98 power steps alone do not settle rho < 1
+    A_dense = random_m_matrix_dense(rng, n, 0.98, density=min(0.3, 5.0 / n))
     A = SparseMatrix.from_dense(A_dense)
     eps = 1e-8
     op = solve_m(A, 1.0, eps, 100.0)
@@ -1199,8 +1199,8 @@ def test_solve_m_solves_with_the_matrix_its_check_passed(monkeypatch, n):
     solvers = record_checked_solvers(monkeypatch)
     calls = count_scaled_shifts(monkeypatch)
     rng = np.random.default_rng(55)
-    # at 0.95 power steps alone do not settle rho < 1
-    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.95, density=min(0.3, 5.0 / n)))
+    # at 0.98 power steps alone do not settle rho < 1
+    A = SparseMatrix.from_dense(random_m_matrix_dense(rng, n, 0.98, density=min(0.3, 5.0 / n)))
     op = solve_m(A, 1.0, 1e-8, 100.0)
     ((S, checked),) = solvers
     assert S is checked
@@ -1304,6 +1304,27 @@ def test_symmetric_callers_step_one_side(monkeypatch, n):
         ratios = matrix @ v / v
         np.testing.assert_allclose(bounds, (ratios.min(), ratios.max()), rtol=1e-13)
         assert ratios.max() * (1.0 + (n + 2) * np.finfo(float).eps) < 1.0 + eps
+
+
+@SYMMETRIC_SIZES
+def test_top_singular_makes_no_left_solve(monkeypatch, n):
+    """``top_singular`` certifies its Gram matrix on the one-sided bracket:
+    its steps solve for the right iterate only, no solve is transposed,
+    where ``compute_perron`` on the same Gram matrix solves both sides, and
+    ``sigma`` stays within delta of the oracle's."""
+    rng = np.random.default_rng(67)
+    A_dense = random_irreducible_dense(rng, n, density=min(0.3, 3.0 / n))
+    delta = 1e-6
+    with monkeypatch.context() as patch:
+        solvers = record_solves(patch)
+        trip = top_singular(SparseMatrix.from_dense(A_dense), delta)
+    assert solvers and all(flags and not any(flags) for flags in solvers)
+    sigma, _, _ = dense_svd_top(A_dense, tol=1e-13)
+    assert abs(trip.sigma - sigma) <= delta * sigma
+    with monkeypatch.context() as patch:
+        solvers = record_solves(patch)
+        compute_perron(SparseMatrix.from_dense(A_dense.T @ A_dense), delta)
+    assert solvers and all(True in flags for flags in solvers)
 
 
 def test_a_one_sided_bracket_stays_sound_on_any_input():
@@ -1413,10 +1434,10 @@ def test_bracket_steps_form_their_matrices_by_size(monkeypatch, storage):
             assert shifted == [A._pattern] and steps == [1] + [0] * (len(steps) - 1)
 
 
-def sparse_instance_at(rho, n=400, seed=58):
+def sparse_instance_at(rho, n=400, seed=58, density=0.02):
     """A Hamiltonian cycle plus random edges in CSR storage, scaled to the
     given spectral radius."""
-    A_dense = random_irreducible_dense(np.random.default_rng(seed), n, density=0.02)
+    A_dense = random_irreducible_dense(np.random.default_rng(seed), n, density=density)
     assert n > _DENSE_CUTOFF
     return SparseMatrix.from_dense(A_dense * (rho / dense_spectral_radius(A_dense, tol=1e-12)[0]))
 
@@ -1424,9 +1445,11 @@ def sparse_instance_at(rho, n=400, seed=58):
 @pytest.mark.parametrize("rho", [0.9, 0.99, 1.05])
 def test_certify_factors_only_the_bracket(monkeypatch, rho):
     """Away from the bound the shift-and-invert bracket alone decides: no
-    scan, no Perron round, a handful of Krylov solvers.  (At ``rho`` = 1.1
-    power steps alone refute ``rho < 1``.)"""
-    B = sparse_instance_at(rho)
+    scan, no Perron round, a handful of Krylov solvers.  The instance has
+    about three random edges per row, not eight, and mixes so slowly that
+    the bracket keeps no power step: on the denser one power steps alone
+    settle ``rho < 1`` at 0.9 and refute it at 1.05."""
+    B = sparse_instance_at(rho, density=0.0075)
     counts = count_factorizations(monkeypatch)
     count_calls(monkeypatch, counts, perronkit.perron, "_perron_rounds")
     for module in (perronkit.scaling, perronkit.perron):
@@ -1481,18 +1504,18 @@ def test_katz_solves_from_its_certificate_pair(monkeypatch):
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
 def test_top_singular_certifies_one_gram(monkeypatch, shape):
     """One Perron computation, on the smaller Gram matrix, the only Gram
-    matrix formed: both irreducibility checks run on the pattern of ``A``."""
+    matrix formed, on the one-sided bracket: both irreducibility checks run
+    on the pattern of ``A``."""
     counts = {}
-    count_calls(monkeypatch, counts, perronkit.apps, "compute_perron")
     count_calls(monkeypatch, counts, perronkit.apps, "is_irreducible")
     seen = []
-    real = perronkit.apps.compute_perron
+    real = perronkit.apps._compute_perron
 
-    def record(G, delta):
-        seen.append(G.n_rows)
-        return real(G, delta)
+    def record(G, delta, **kwargs):
+        seen.append((G.n_rows, kwargs))
+        return real(G, delta, **kwargs)
 
-    monkeypatch.setattr(perronkit.apps, "compute_perron", record)
+    monkeypatch.setattr(perronkit.apps, "_compute_perron", record)
     formed = []
     real_from_scipy = SparseMatrix.from_scipy.__func__
 
@@ -1505,7 +1528,8 @@ def test_top_singular_certifies_one_gram(monkeypatch, shape):
     A = SparseMatrix.from_dense(rng.random(shape) + 0.05)
     top_singular(A, 1e-7)
     k = min(shape)
-    assert seen == [k] and formed == [(k, k)] and counts["is_irreducible"] == 0
+    assert seen == [(k, {"symmetric": True})] and formed == [(k, k)]
+    assert counts["is_irreducible"] == 0
 
 
 def test_gram_irreducibility_matches_the_formed_gram_matrices():
