@@ -47,7 +47,16 @@ class BackendDiverged(PerronKitError):
     polish of a Perron pair ends with its last positive pair.  So
     ``m_decide``, ``mmatrix_scale``, ``symm_scale``,
     ``compute_perron`` and ``certify_spectral_bound`` never raise it.
+
+    A Krylov solve's miss carries its last iterate ``x`` and that iterate's
+    relative true residual ``relative``; every other miss carries ``None``
+    in both.
     """
+
+    def __init__(self, message, x=None, relative=None):
+        self.x = x
+        self.relative = relative
+        super().__init__(message)
 
 
 class IterationCapHit(PerronKitError):

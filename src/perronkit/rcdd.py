@@ -33,10 +33,16 @@ Every :class:`LinearOperator`, the engine's and a builder's, applies by
 :func:`_refine`, the package's one refinement loop, its products and
 rounding terms set up by :func:`_refined_apply`: Richardson steps of
 one backend solve each until the computed residual plus a bound on its own
-rounding meets the contract.  A builder's operator takes at most 4 steps,
-and a miss raises :class:`BackendDiverged`.  The operator is
-deterministic, immutable, and records the achieved relative residual and
-the backend's iterations of every application in a report side channel.
+rounding meets the contract.  Each step hands its preconditioner the
+relative residual the contract still needs, half the room it leaves over
+the current residual, and the engine's preconditioners solve to the tighter
+of that and their own tolerance (:func:`_step_solve`), so one step usually
+meets the contract and no solve runs past it; a builder's steps solve to
+``eps / kappa``, which alone meets its contract.  A builder's operator
+takes at most 4 steps, and a miss raises :class:`BackendDiverged`.  The
+operator is deterministic, immutable, and records the achieved relative
+residual, the backend's iterations and the refinement steps of every
+application in a report side channel.
 """
 
 from __future__ import annotations
@@ -172,7 +178,9 @@ class _KrylovSolver:
                 return x
         raise BackendDiverged(
             f"Krylov phase solve missed its tolerance {tol:.3e}: true residual "
-            f"{residual:.3e} of {norm_b:.3e} after {spent} iterations"
+            f"{residual:.3e} of {norm_b:.3e} after {spent} iterations",
+            x=x,
+            relative=residual / norm_b,
         )
 
     def _floor(self, x: np.ndarray, norm_b: float) -> float:
@@ -184,6 +192,22 @@ class _KrylovSolver:
             self._floor_terms = ((k + 1) * np.finfo(float).eps, np.linalg.norm(S.data))
         eps_k, norm_S = self._floor_terms
         return eps_k * (norm_S * np.linalg.norm(x) + norm_b)
+
+
+def _step_solve(backend, b, transpose, tol, need):
+    """One refinement step's solve with ``backend``: to the tighter of
+    ``need``, the relative residual the refinement still needs (see
+    :func:`_refine`), and ``tol``, the step's own tolerance.  A Krylov solve
+    that misses ``need`` but meets ``tol`` returns its iterate, as a solve
+    to ``tol`` would; only one that misses ``tol`` raises.  An LU ignores
+    both."""
+    try:
+        return backend.solve(b, transpose, min(need, tol))
+    except BackendDiverged as miss:
+        # a non-finite residual meets no tolerance
+        if miss.relative is None or not miss.relative <= tol:
+            raise
+        return miss.x
 
 
 def _phase_backend(S):
@@ -204,9 +228,13 @@ class LinearOperator:
     RCDD solves and the ``S``-energy norm for SDD solves.  ``apply_fn``
     maps ``b`` to ``(x, refinement)``, the report of the :func:`_refine`
     that computed ``x``, whose steps solve with ``backend``.  Every
-    application appends the achieved relative l2 residual and the
-    backend's iterations to ``report``: Krylov iterations for a Krylov
-    backend, LU solves (one per refinement step) for an LU.
+    application appends its achieved relative l2 residual to
+    ``report.residuals``, adds the backend's iterations (Krylov iterations
+    for a Krylov backend, LU solves, one per refinement step, for an LU) to
+    ``report.iterations`` and appends them to
+    ``report.info["iterations_per_call"]``, and appends its refinement
+    steps, one preconditioner call each, to
+    ``report.info["steps_per_call"]``; all of them are deterministic.
     ``transpose_fn``, when given, maps an error bound to the apply function
     of the transposed system (see :meth:`transpose`).
     """
@@ -215,7 +243,7 @@ class LinearOperator:
         self._apply_fn = apply_fn
         self.n = n
         self.error_bound = float(error_bound)
-        self.report = SolveReport(info={"iterations_per_call": []})
+        self.report = SolveReport(info={"iterations_per_call": [], "steps_per_call": []})
         self._backend = backend
         self._transpose_fn = transpose_fn
 
@@ -237,6 +265,7 @@ class LinearOperator:
         self.report.residuals.append(0.0 if nb == 0.0 else refinement.residuals[-1] / nb)
         self.report.iterations += iterations
         self.report.info["iterations_per_call"].append(iterations)
+        self.report.info["steps_per_call"].append(refinement.iterations)
         return y
 
     __call__ = apply
@@ -328,7 +357,18 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
     meets ``eps ||b||``; ``against`` names ``M`` in the errors.  ``matvec``
     computes ``M x`` in double, ``extended_matvec`` in ``np.longdouble``.
     Returns ``(x, report)``, ``report.residuals`` holding the residual norms
-    from ``||b||`` to the certified one.
+    from ``||b||`` to the certified one and ``report.iterations`` counting
+    the steps.
+
+    A step is ``x - precond(r, need)``, ``r`` the residual and ``need`` half
+    the room the contract leaves (``eps ||b||`` less the rounding bound
+    below) over ``||r||``: what a solve's relative residual must reach, with
+    a factor 2 to spare, for this step to meet the contract.  The engine's
+    preconditioners solve to the tighter of ``need`` and their own
+    tolerance (:func:`_step_solve`), so no step is looser than its own
+    tolerance makes it, and none solves further than the contract asks; a
+    builder's (:func:`_scaled_rcdd_operator`, :func:`build_sdd_solver`)
+    ignores ``need``, its own tolerance already sized by the contract.
 
     ``M x`` is a sum of at most ``k`` products per entry, and ``norm_abs``
     bounds ``||abs(M)||_2``: the computed product errs by at most ``(k + 2)
@@ -388,7 +428,7 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
             raise give_up(RoundingFloorHit, rn, left, "no wider precision")
         if report.iterations == cap:
             raise give_up(IterationCapHit, rn, left, "out of iterations")
-        x = x - precond(residual)
+        x = x - precond(residual, 0.5 * left / rn)
         residual = matvec(x) - b
         report.iterations += 1
         report.residuals.append(float(np.linalg.norm(residual.astype(np.longdouble))))
@@ -413,7 +453,7 @@ def _refine(b, eps, matvec, extended_matvec, k, norm_abs, precond, cap, against)
             raise give_up(RoundingFloorHit, rn, left, "the rounding of x to double sets the floor")
         if report.iterations == cap:
             raise give_up(IterationCapHit, rn, left, "out of iterations")
-        x_ext = x_ext - precond(r_ext.astype(float))
+        x_ext = x_ext - precond(r_ext.astype(float), 0.5 * left / rn)
         report.iterations += 1
 
 
@@ -467,7 +507,8 @@ def _scaled_rcdd_operator(M: SparseMatrix, ell, r, eps: float, name: str) -> Lin
     ``RCDD_VERIFY_SLACK`` (:class:`NotRCDD` otherwise), one backend of it
     (:func:`_phase_backend`), and the operator refining against ``M``, named
     ``name``, to ``eps`` by :func:`_contract_apply`, each step ``x -> R Z(L
-    x)`` with ``Z`` a solve of ``L M R`` to ``eps / kappa(L)``.  Its
+    x)`` with ``Z`` a solve of ``L M R`` to ``eps / kappa(L)``, which alone
+    meets the contract, whatever the refinement still needs.  Its
     transpose at ``e`` refines against ``M.T`` likewise, each step ``x -> L
     Z.T(R x)`` to ``e / kappa(R)``.  ``kappa`` is max over min entry, 1 for
     ones, whose products are exact: on ones ``L M R`` has the bits of ``M``,
@@ -483,7 +524,7 @@ def _scaled_rcdd_operator(M: SparseMatrix, ell, r, eps: float, name: str) -> Lin
         # an empty matrix's vectors have no entries, and kappa 1
         tol = e / (inner.max() / inner.min()) if inner.size else e
         target, against = (M.transpose(), f"{name}.T") if transpose else (M, name)
-        return _contract_apply(target, lambda x: outer * solver.solve(inner * x, transpose, tol), e, against)
+        return _contract_apply(target, lambda x, need: outer * solver.solve(inner * x, transpose, tol), e, against)
 
     return LinearOperator(apply_of(eps), M.n_rows, eps, solver, lambda e: apply_of(e, True))
 
@@ -526,7 +567,7 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
     solver = _phase_backend(S.csr())
     tol = _sdd_l2_tolerance(S, eps)
-    apply_fn = _contract_apply(S, lambda x: solver.solve(x, False, tol), tol, "S")
+    apply_fn = _contract_apply(S, lambda x, need: solver.solve(x, False, tol), tol, "S")
     return LinearOperator(apply_fn, S.n_rows, eps, solver)
 
 

@@ -63,6 +63,7 @@ from .rcdd import (
     _refined_apply,
     _scaled_rcdd_operator,
     _sdd_l2_tolerance,
+    _step_solve,
     varah_kappa_upper,
 )
 from .reports import ITERATION_CAP, NON_FINITE, PhaseLog, SolveReport
@@ -214,9 +215,11 @@ class _PhaseSolver:
     LAPACK factors a dense copy of ``S`` (up to ``_DENSE_CUTOFF`` unknowns)
     once, which it then solves exactly up to rounding; above the cutoff
     ``S`` gets Jacobi-preconditioned BiCGSTAB solves to the relative
-    residual ``tol`` this solver holds and passes to each, each checked
-    against its true residual, and one that misses raises
-    :class:`BackendDiverged` for its caller to turn into its own outcome."""
+    residual ``tol`` this solver holds and passes to each (an operator's
+    refinement steps solve with its backend to ``tol`` or tighter, see
+    :func:`_refined_operator`), each checked against its true residual, and
+    one that misses raises :class:`BackendDiverged` for its caller to turn
+    into its own outcome."""
 
     def __init__(self, S, ell: np.ndarray, r: np.ndarray, *, tol: float):
         self.S = S
@@ -988,15 +991,19 @@ def _pair_operator(A: SparseMatrix, eps: float, S, pair: ScalingPair):
 def _refined_operator(A, s, eps, K, S, pair, alpha) -> LinearOperator:
     """The engine's one operator from a checked scaling: ``P`` with ``||b -
     (s I - A) P(b)||_2 <= eps ||b||_2`` by :func:`_refined_apply` against
-    ``s I - A``, each step preconditioned by one :class:`_PhaseSolver` solve,
-    to ``_scan_tolerance(K)``, of ``S = diag(l) ((1 + alpha) I - A /
-    pair.s) diag(r)``, the matrix the pair was checked RCDD on.  ``K``
-    bounds ``s ||(s I - A)^-1||``, so the step count grows with ``K`` times
-    the preconditioner's shift above ``s``."""
+    ``s I - A``, each step preconditioned by one solve of the
+    :class:`_PhaseSolver`'s backend of ``S = diag(l) ((1 + alpha) I - A /
+    pair.s) diag(r)``, the matrix the pair was checked RCDD on, to the
+    tighter of ``_scan_tolerance(K)`` and what the contract still needs
+    (:func:`rcdd._step_solve`): above the dense cutoff one step of at most
+    ``_scan_tolerance(K)`` usually meets ``eps``.  ``K`` bounds ``s ||(s I -
+    A)^-1||``, so the step count grows with ``K`` times the
+    preconditioner's shift above ``s``."""
     solver = _PhaseSolver(S, pair.left, pair.right, tol=_scan_tolerance(K))
 
-    def precond(x):
-        return solver.p_right(x) / pair.s
+    def precond(x, need):
+        y = _step_solve(solver.backend, pair.left * x, False, solver.tol, need)
+        return pair.right * y / pair.s
 
     gap = (1.0 + alpha) * pair.s / s - 1.0
     cap = max(64, math.ceil(8.0 * (1.0 + gap * K) * math.log(A.n_rows * max(K, 2.0) / eps)))
@@ -1083,18 +1090,20 @@ def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
     """``(x, report)`` with ``||M' x - b||_2 <= delta ||b||_2``, ``M' =
     shift I - M`` or, without a ``shift``, ``M`` itself, ``against`` its
     name in the errors.  ``S = V M' V`` is the CSR matrix the caller checked
-    SDD: one backend solver of it, each step one solve to the l2 tolerance
-    of energy accuracy 1/4 (from the line sums the check took and ``S``
-    keeps, so with no second pass; an LU, exact, ignores it), preconditions
-    :func:`_refined_apply` against ``M'``, the refinement ``solve_m``
-    applies, with its rounding bound on the residual.  The report holds the
-    refinement's iterations and residual norms, the phases and entries of
-    ``scale_report``, the scaling's, and ``v`` in ``info["scaling"]``."""
+    SDD: one backend solver of it, each step one solve to the tighter of the
+    l2 tolerance of energy accuracy 1/4 (from the line sums the check took
+    and ``S`` keeps, so with no second pass) and what the contract still
+    needs (:func:`rcdd._step_solve`; an LU, exact, ignores both),
+    preconditions :func:`_refined_apply` against ``M'``, the refinement
+    ``solve_m`` applies, with its rounding bound on the residual.  The
+    report holds the refinement's iterations and residual norms, the phases
+    and entries of ``scale_report``, the scaling's, and ``v`` in
+    ``info["scaling"]``."""
     solver = _phase_backend(S)
     tol = _sdd_l2_tolerance(S, 0.25)
 
-    def precond(x):
-        return v * solver.solve(v * x, False, tol)
+    def precond(x, need):
+        return v * _step_solve(solver, v * x, False, tol, need)
 
     cap = max(64, math.ceil(8.0 * math.log(4.0 / min(delta, 1.0))))
     x, report = _refined_apply(M, precond, delta, cap, against, shift=shift)(b)

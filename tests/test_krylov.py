@@ -20,6 +20,7 @@ near-cycle whose BiCGSTAB recurrence stagnates converges after a restart,
 and a family of ill-conditioned inputs above the cutoff stays sound.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -745,6 +746,214 @@ def test_the_polish_solves_at_the_floor_tolerance(monkeypatch, small_ring, krylo
     cert = compute_perron(scaled(M, rho, 1.0), 1e-3)
     assert cert.k_final == 1.0
     assert tols and set(tols) == {_CW_SOLVE_TOL}
+
+
+# ----------------------------------------------------------------------
+# refinement steps sized by what the contract still needs
+
+
+def counted_core(monkeypatch):
+    """Count the BiCGSTAB iterations of every pass from here on."""
+    ran = [0]
+    real_core = perronkit.rcdd._bicgstab_core
+
+    def core(*args):
+        x, its = real_core(*args)
+        ran[0] += its
+        return x, its
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", core)
+    return ran
+
+
+def ring_at(n, rho_ratio, seed=0):
+    """``ring_digraph(default_rng(seed), n, 5)`` scaled to ``rho`` =
+    ``rho_ratio``, dense and as a :class:`SparseMatrix`."""
+    dense = ring_digraph(np.random.default_rng(seed), n, 5).to_dense()
+    dense *= rho_ratio / dense_spectral_radius(dense, tol=1e-12)[0]
+    return dense, SparseMatrix.from_dense(dense)
+
+
+def own_tolerances(monkeypatch):
+    """Record the tolerance each engine preconditioner and SDD builder takes
+    as its own: every ``_scan_tolerance`` and ``_sdd_l2_tolerance`` result."""
+    own = []
+    for module, name in (
+        (perronkit.scaling, "_scan_tolerance"),
+        (perronkit.scaling, "_sdd_l2_tolerance"),
+        (perronkit.rcdd, "_sdd_l2_tolerance"),
+    ):
+
+        def recorded(*args, real=getattr(module, name)):
+            own.append(real(*args))
+            return own[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+    return own
+
+
+def test_a_solve_m_apply_takes_one_step(monkeypatch):
+    """Each step solves to the relative residual the contract still needs,
+    so on a ring (n = 700, ``rho`` = 0.9) every ``solve_m`` apply at eps =
+    1e-6 meets its contract in one refinement step of at most 20 BiCGSTAB
+    iterations.  Steps solved to the scan tolerance alone took two, of 26 to
+    32 iterations in all."""
+    dense, A = ring_at(700, 0.9)
+    P = solve_m(A, 1.0, 1e-6, 1e3)
+    ran = counted_core(monkeypatch)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        b = rng.random(700) + 0.01
+        x = P.apply(b)
+        assert np.linalg.norm(b - x + dense @ x) <= 1e-6 * np.linalg.norm(b)
+    assert P.report.info["steps_per_call"] == [1, 1, 1, 1]
+    assert max(P.report.info["iterations_per_call"]) <= 20
+    assert sum(P.report.info["iterations_per_call"]) == ran[0]
+
+
+def test_a_solve_between_its_need_and_its_own_tolerance_goes_on(monkeypatch):
+    """A step's Krylov solve that stalls between the relative residual the
+    contract still needs and the step's own tolerance (``_scan_tolerance(K)``
+    for ``solve_m``) is no miss: the step goes on with its iterate, as one
+    solved to its own tolerance does, and the apply still meets its contract,
+    in more steps.  A solve that stalls above its own tolerance still raises
+    :class:`BackendDiverged`."""
+    dense, A = ring_at(700, 0.9)
+    own = own_tolerances(monkeypatch)
+    P = solve_m(A, 1.0, 1e-6, 1e3)
+    (tol,) = own
+    real_core = perronkit.rcdd._bicgstab_core
+    stalls, norm_b = [], [0.0]
+
+    def stalling_core(matvec, r, eps_abs, cap, x, inv_diag, above=False):
+        if not x.any():
+            # a solve's first pass starts from zero, its residual b itself
+            norm_b[0] = np.linalg.norm(r)
+        own_abs = tol * norm_b[0]
+        if not above and eps_abs >= own_abs:
+            return real_core(matvec, r, eps_abs, cap, x, inv_diag)
+        if x.any():
+            # a stalled recurrence gets no further from a restart
+            return x.copy(), 0
+        # converge, then step back along x to a residual of 0.9 (or, above,
+        # 2) times the own tolerance
+        level = (2.0 if above else 0.9) * own_abs
+        y, its = real_core(matvec, r, 1e-3 * eps_abs, cap, x, inv_diag)
+        stalls.append(level / norm_b[0])
+        return (1.0 - level / norm_b[0]) * y, its
+
+    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", stalling_core)
+    b = np.random.default_rng(6).random(700) + 0.01
+    x = P.apply(b)
+    assert stalls == [0.9 * tol]
+    assert np.linalg.norm(b - x + dense @ x) <= 1e-6 * np.linalg.norm(b)
+    assert P.report.info["steps_per_call"][0] > 1
+
+    stalls.clear()
+    monkeypatch.setattr(
+        perronkit.rcdd, "_bicgstab_core", functools.partial(stalling_core, above=True)
+    )
+    with pytest.raises(BackendDiverged, match="missed its tolerance"):
+        P.apply(b)
+    assert stalls
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
+@pytest.mark.parametrize("n", [60, 400], ids=["lu", "krylov"])
+def test_step_solves_are_never_looser_than_their_own(monkeypatch, n, eps):
+    """Every refinement entry point meets its residual contract on both
+    sides of the cutoff, and each Krylov solve of its refinement steps runs
+    to a ``tol`` no looser than the step's own: ``_scan_tolerance(K)`` for
+    ``solve_m``, the energy-derived l2 tolerance for ``symm_solve``,
+    ``factor_width2_solve`` and ``build_sdd_solver``, and ``eps`` for
+    ``build_rcdd_solver`` on ``S`` itself."""
+    rng = np.random.default_rng(84)
+    dense, A = ring_at(n, 0.9)
+    sym = random_symmetric_contraction_dense(rng, n, 0.9, density=min(0.3, 5.0 / n))
+    fw2 = random_factor_width2_dense(rng, n)
+    dominant = random_strictly_rcdd_dense(rng, n)
+    sdd = random_sdd_dense(rng, n)
+    b = rng.random(n) + 0.01
+    nb = np.linalg.norm(b)
+    own = own_tolerances(monkeypatch)
+    solvers, solves = [], []
+    for module in (perronkit.rcdd, perronkit.scaling):
+
+        def backend(S, real=module._phase_backend):
+            solvers.append(real(S))
+            return solvers[-1]
+
+        monkeypatch.setattr(module, "_phase_backend", backend)
+    real_solve = _KrylovSolver.solve
+
+    def solve(self, b, transpose, tol):
+        solves.append((self, tol))
+        return real_solve(self, b, transpose, tol)
+
+    monkeypatch.setattr(_KrylovSolver, "solve", solve)
+
+    def applied(build):
+        # the operator's solves alone: a builder's build makes none
+        op = build()
+        solves.clear()
+        return op.apply(b)
+
+    def energy_error(x):
+        exact = np.linalg.solve(sdd, b)
+        return math.sqrt((x - exact) @ sdd @ (x - exact) / (exact @ sdd @ exact))
+
+    calls = {
+        "solve_m": (
+            lambda: applied(lambda: solve_m(A, 1.0, eps, 1e3)),
+            lambda x: np.linalg.norm(b - x + dense @ x) <= eps * nb,
+        ),
+        "symm_solve": (
+            lambda: symm_solve(SparseMatrix.from_dense(sym), b, eps)[0],
+            lambda x: np.linalg.norm(b - x + sym @ x) <= eps * nb,
+        ),
+        "factor_width2_solve": (
+            lambda: factor_width2_solve(SparseMatrix.from_dense(fw2), b, eps)[0],
+            lambda x: np.linalg.norm(b - fw2 @ x) <= eps * nb,
+        ),
+        "build_rcdd_solver": (
+            lambda: applied(lambda: build_rcdd_solver(SparseMatrix.from_dense(dominant), eps)),
+            lambda x: np.linalg.norm(b - dominant @ x) <= eps * nb,
+        ),
+        "build_sdd_solver": (
+            lambda: applied(lambda: build_sdd_solver(SparseMatrix.from_dense(sdd), eps)),
+            lambda x: energy_error(x) <= eps,
+        ),
+    }
+    for name, (call, meets) in calls.items():
+        own.clear()
+        solvers.clear()
+        x = call()
+        assert meets(x), name
+        # the last solver built is the refinement's
+        tols = [tol for solver, tol in solves if solver is solvers[-1]]
+        step_own = own[-1] if own else eps
+        assert all(tol <= step_own for tol in tols), name
+        assert bool(tols) == (n > _DENSE_CUTOFF), name
+
+
+def test_steps_per_call_counts_each_applys_refinement_steps():
+    """``report.info["steps_per_call"]`` holds one entry per apply, its
+    refinement steps, the same for a fresh operator on the same inputs; an
+    LU solves once per step, so below the cutoff it equals
+    ``iterations_per_call``."""
+    dense, A = ring_at(60, 0.99)
+    rng = np.random.default_rng(7)
+    rhs = [rng.random(60) + 0.01 for _ in range(3)]
+    reports = []
+    for _ in range(2):
+        P = solve_m(A, 1.0, 1e-12, 1e3)
+        for b in rhs:
+            P.apply(b)
+        reports.append(P.report.info)
+    first, second = reports
+    assert len(first["steps_per_call"]) == 3 and min(first["steps_per_call"]) >= 1
+    assert first["steps_per_call"] == second["steps_per_call"]
+    assert first["steps_per_call"] == first["iterations_per_call"]
 
 
 # ----------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_the_extended_refinement_stops_at_its_cap():
     iterations."""
     extended = []
     with pytest.raises(IterationCapHit, match=r"after 1 of at most 1 iterations: out of iterations") as hit:
-        extended_refinement(lambda r: 0.5 * r, 1, extended)
+        extended_refinement(lambda r, need: 0.5 * r, 1, extended)
     assert "refinement against I cannot certify" in str(hit.value)
     assert np.dtype(np.longdouble) in extended
 
@@ -223,7 +223,7 @@ def test_the_extended_refinement_stops_at_a_non_finite_residual():
     at once, well before its cap."""
     calls, extended = [], []
 
-    def precond(r):
+    def precond(r, need):
         calls.append(r)
         return 0.5 * r if len(calls) == 1 else np.full_like(r, np.inf)
 
