@@ -29,9 +29,9 @@ from .errors import DecayTooLarge, IterationCapHit, KernelDiverges, ReducibleGra
 from .perron import (
     _bracket_certificate,
     _certify,
-    _compute_perron,
     _relative_residual,
     certify_spectral_bound,
+    compute_perron,
 )
 from .reports import SolveReport
 from .scaling import ScalingPair, _CWBracket, _inverse_norm_bounds, _pair_operator, _refined_operator
@@ -279,9 +279,10 @@ def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     """Top singular triplet of a nonnegative matrix via its Gram matrices.
 
     Checks both ``A.T A`` and ``A A.T`` irreducible on the pattern of ``A``,
-    forms the smaller one and runs the certified Perron computation on it,
-    its bracket one-sided since a Gram matrix is symmetric (no left solves;
-    the acceptance test is :func:`compute_perron`'s); ``sigma = sqrt(s)`` is
+    forms the smaller one and runs :func:`compute_perron` on it, whose
+    bracket is one-sided on the Gram matrix, exactly symmetric as scipy
+    forms it (no left solves, one product per measurement); ``sigma =
+    sqrt(s)`` is
     then within relative ``delta`` of the true top singular value.  The
     other singular vector is derived (``u = A v / ||A v||`` or ``v = A.T u
     / ||A.T u||``) and its Gram residual recomputed.
@@ -299,7 +300,7 @@ def top_singular(A: SparseMatrix, delta: float) -> SingularTriplet:
     gram = (
         A.csr_transpose() @ A.csr() if right_first else A.csr() @ A.csr_transpose()
     )
-    cert = _compute_perron(SparseMatrix.from_scipy(gram), delta, symmetric=True)
+    cert = compute_perron(SparseMatrix.from_scipy(gram), delta)
     # the certified side's vector mapped through A (or A.T) to the other side
     certified = cert.right / np.linalg.norm(cert.right)
     derived = A.matvec(certified, transpose=not right_first)

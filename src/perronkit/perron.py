@@ -454,18 +454,13 @@ def compute_perron(A: SparseMatrix, delta: float) -> PerronCertificate:
     ``s <= rho(A)``) and at least one side certifies ``(1 - delta)`` of the
     upper estimate.  Raises :class:`KCapExceeded` once a round's precision
     falls below the float spacing, where no round can certify.
+
+    On an exactly symmetric ``A`` the bracket is one-sided (see
+    :class:`scaling._CWBracket`): it solves for the right iterate alone,
+    one product measures both sides, its steps above the dense cutoff solve
+    by conjugate gradients, and the certificate's ``left`` is its
+    ``right``.  The acceptance test is the same.
     """
-    return _compute_perron(A, delta)
-
-
-def _compute_perron(A: SparseMatrix, delta: float, *, symmetric: bool = False):
-    """:func:`compute_perron`, its checks and acceptance test included;
-    ``symmetric`` runs its rounds on the one-sided bracket (see
-    :class:`scaling._CWBracket`), which solves for no left iterate, for a
-    caller whose ``A`` is symmetric by construction.  The acceptance test
-    recomputes nothing from the bracket's shortcut: the left CW bounds and
-    residual still come from ``A.T``, so a certificate holds whatever ``A``
-    is."""
     _structure_check(A)
     _check_open_unit(delta, "delta")
 
@@ -475,7 +470,7 @@ def _compute_perron(A: SparseMatrix, delta: float, *, symmetric: bool = False):
     def lags(cert, K, s_upper):
         return cert is not None and not accepted(cert, K, s_upper)
 
-    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A, symmetric=symmetric), lags):
+    for K, s_upper, cert in _perron_rounds(A, delta, _CWBracket(A), lags):
         if accepted(cert, K, s_upper):
             return cert
 

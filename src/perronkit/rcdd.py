@@ -6,11 +6,16 @@ designed around is replaced here by interchangeable backends.
 
 Every solver, for a matrix the engine forms (``scaling._PhaseSolver``) and
 for a caller's own (:func:`build_rcdd_solver`, :func:`build_sdd_solver`),
-comes from :func:`_phase_backend`, and the size of the matrix alone picks
-it: LAPACK factors a dense copy of it up to ``_DENSE_CUTOFF`` unknowns, and
-above the cutoff :class:`_KrylovSolver`, matvec-only Jacobi-preconditioned
-BiCGSTAB, the one Krylov method (an SDD matrix is an RCDD matrix), solves
-with the CSR matrix itself.  Both answer ``solve(b, transpose, tol)``: a
+comes from :func:`_phase_backend`, and the size of the matrix picks it:
+LAPACK factors a dense copy of it up to ``_DENSE_CUTOFF`` unknowns, and
+above the cutoff :class:`_KrylovSolver`, a matvec-only Jacobi-preconditioned
+Krylov method, solves with the CSR matrix itself.  Its method is conjugate
+gradients, one product an iteration, where the caller knows the matrix
+symmetric positive definite by construction: an SDD matrix that passed its
+check (:func:`build_sdd_solver`, ``scaling._sdd_solve``) and the
+shift-and-invert step matrix of an exactly symmetric ``A``.  Everywhere else
+it is BiCGSTAB, two products an iteration.  Both answer ``solve(b,
+transpose, tol)``: a
 Krylov solve runs to the relative residual ``tol``, which an LU ignores, in
 ``_KRYLOV_PASSES`` passes; after each it recomputes its true residual
 ``||b - S x||`` and, while that misses, restarts from ``x`` and that
@@ -124,15 +129,20 @@ class _KrylovSolver:
     with a positive diagonal, to ``||b - S x||_2 <= tol ||b||_2`` with the
     ``tol`` of each solve.
 
-    Runs BiCGSTAB preconditioned by the diagonal, in ``_KRYLOV_PASSES``
+    Runs a Krylov method preconditioned by the diagonal, named in
+    ``method``: conjugate gradients (``"cg"``, :func:`_cg_core`, one
+    product an iteration) when the caller builds it with ``spd``, for an
+    ``S`` symmetric positive definite by construction, else BiCGSTAB
+    (``"bicgstab"``, :func:`_bicgstab_core`, two products an iteration).
+    The core is looked up at each solve.  A solve runs in ``_KRYLOV_PASSES``
     passes of at most ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations, each
     product one :func:`sparse._kernel_product` call on ``S``'s arrays
     (``csr_matvec``, or ``csc_matvec`` for a transposed solve), and each
-    pass's vector updates in place (see :func:`_bicgstab_core`).  A
+    pass's vector updates in place.  A
     Krylov recurrence tracks its residual only approximately and can
-    stagnate, so after each pass the solve recomputes the true residual and,
-    while it misses, restarts from ``x`` and that residual with a fresh
-    recurrence.  A residual below the rounding error of its own computation,
+    stagnate or break down, so after each pass the solve recomputes the
+    true residual and, while it misses, restarts from ``x`` and that
+    residual with a fresh recurrence.  A residual below the rounding error of its own computation,
     ``(k + 1) eps (||S||_F ||x|| + ||b||)`` with ``k`` the most entries in a
     row or column of ``S``, passes too: no solver, an LU included, can be
     checked to do better, and near a singular ``S`` (late steps of the
@@ -141,15 +151,16 @@ class _KrylovSolver:
 
     A solve still missing after its last pass raises
     :class:`BackendDiverged`.  ``iterations`` counts the Krylov iterations
-    of every solve.  Deterministic.  The reciprocals of the diagonal of
+    of every solve, of either method.  Deterministic.  The reciprocals of the diagonal of
     ``S`` are read at the diagonal positions its pattern keeps when ``S``
     is a :class:`sparse._PatternCSR` that stores every diagonal entry
     (every matrix the engine forms on the pattern of ``A + I``, the
     bracket's step matrix included), else extracted.
     """
 
-    def __init__(self, S: sp.csr_matrix):
+    def __init__(self, S: sp.csr_matrix, spd: bool = False):
         self.S = S
+        self.method = "cg" if spd else "bicgstab"
         # a plain scipy CSR has no pattern
         pattern = getattr(S, "pattern", None)
         if pattern is not None and pattern.diagonal.size == S.shape[0]:
@@ -166,10 +177,9 @@ class _KrylovSolver:
         # the zero start's residual is b itself
         x, r = np.zeros_like(b), b
         spent = 0
+        core = _cg_core if self.method == "cg" else _bicgstab_core
         for _ in range(_KRYLOV_PASSES):
-            x, its = _bicgstab_core(
-                matvec, r, target, _KRYLOV_CAP // _KRYLOV_PASSES, x, self._inv_diag
-            )
+            x, its = core(matvec, r, target, _KRYLOV_CAP // _KRYLOV_PASSES, x, self._inv_diag)
             spent += its
             self.iterations += its
             r = b - matvec(x)
@@ -210,15 +220,18 @@ def _step_solve(backend, b, transpose, tol, need):
         return miss.x
 
 
-def _phase_backend(S):
+def _phase_backend(S, spd: bool = False):
     """The package's one choice of solver, for a matrix the engine formed or
-    a caller's own, by its size alone: LAPACK (:class:`_DirectSolver`) up to
+    a caller's own, by its size: LAPACK (:class:`_DirectSolver`) up to
     ``_DENSE_CUTOFF`` unknowns, where LAPACK and BLAS beat sparse kernels,
     which solves exactly up to rounding, and :class:`_KrylovSolver` above,
-    on the CSR ``S`` itself, whose transposed solves need no transpose."""
+    on the CSR ``S`` itself, whose transposed solves need no transpose.
+    ``spd``, passed by a caller that knows ``S`` symmetric positive
+    definite by construction, makes that Krylov solver conjugate
+    gradients."""
     if S.shape[0] <= _DENSE_CUTOFF:
         return _DirectSolver(S)
-    return _KrylovSolver(S)
+    return _KrylovSolver(S, spd)
 
 
 class LinearOperator:
@@ -230,7 +243,8 @@ class LinearOperator:
     that computed ``x``, whose steps solve with ``backend``.  Every
     application appends its achieved relative l2 residual to
     ``report.residuals``, adds the backend's iterations (Krylov iterations
-    for a Krylov backend, LU solves, one per refinement step, for an LU) to
+    for a Krylov backend, of conjugate gradients or BiCGSTAB as its
+    ``method`` names, LU solves, one per refinement step, for an LU) to
     ``report.iterations`` and appends them to
     ``report.info["iterations_per_call"]``, and appends its refinement
     steps, one preconditioner call each, to
@@ -343,6 +357,44 @@ def _bicgstab_core(matvec, r, eps_abs, cap, x, inv_diag):
         rho = rho_new
         if math.sqrt(r.dot(r)) <= eps_abs:
             return x, it
+    return x, cap
+
+
+def _cg_core(matvec, r, eps_abs, cap, x, inv_diag):
+    """Conjugate gradients (Hestenes & Stiefel 1952) from ``x``, whose
+    residual ``b - S x`` the caller passes as ``r``, preconditioned by the
+    diagonal ``1 / inv_diag``, for a symmetric positive definite ``S``: one
+    product an iteration.  Returns ``(x, iterations)`` as
+    :func:`_bicgstab_core` does, once the recurrence residual is at most
+    ``eps_abs``, after ``cap`` iterations, or early at a breakdown (a
+    nonpositive or non-finite ``r.z`` or ``p.S p``, which rounding or an
+    ``S`` that is not positive definite can give); the caller meets the
+    last two with a restart.  Neither ``x`` nor ``r`` is written, and the
+    vector updates run in place in buffers allocated once."""
+    x, r = x.copy(), r.copy()
+    if math.sqrt(r.dot(r)) <= eps_abs:
+        return x, 0
+    z = np.multiply(inv_diag, r)
+    p, tmp = z.copy(), np.empty_like(r)
+    rz = float(r.dot(z))
+    for it in range(1, cap + 1):
+        if not 0.0 < rz < math.inf:
+            return x, it - 1
+        q = matvec(p)
+        pq = float(p.dot(q))
+        if not 0.0 < pq < math.inf:
+            return x, it
+        alpha = rz / pq
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(q, alpha, out=tmp)
+        if math.sqrt(r.dot(r)) <= eps_abs:
+            return x, it
+        np.multiply(inv_diag, r, out=z)
+        rz_new = float(r.dot(z))
+        # p = z + beta p
+        np.multiply(p, rz_new / rz, out=p)
+        p += z
+        rz = rz_new
     return x, cap
 
 
@@ -559,13 +611,15 @@ def build_sdd_solver(S: SparseMatrix, eps: float) -> LinearOperator:
     :func:`build_rcdd_solver` against ``S`` with each step one solve to that
     l2 target.  The solver comes from :func:`_phase_backend`, as every
     other: LAPACK LU up to ``_DENSE_CUTOFF`` unknowns, Jacobi-preconditioned
-    BiCGSTAB above.  Applying the operator raises :class:`BackendDiverged`
+    conjugate gradients above, as the matrix that passed the check is
+    symmetric positive definite.  Applying the operator raises :class:`BackendDiverged`
     when it misses that l2 target.  The side channel records l2 residuals.
     """
     _check_open_unit(eps, "eps")
     if not check_sdd(S, RCDD_VERIFY_SLACK):
         raise NotSDD(f"matrix is not SDD within slack {RCDD_VERIFY_SLACK:.1e}")
-    solver = _phase_backend(S.csr())
+    # a symmetric, diagonally dominant S with a positive diagonal is SPD
+    solver = _phase_backend(S.csr(), True)
     tol = _sdd_l2_tolerance(S, eps)
     apply_fn = _contract_apply(S, lambda x, need: solver.solve(x, False, tol), tol, "S")
     return LinearOperator(apply_fn, S.n_rows, eps, solver)

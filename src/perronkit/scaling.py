@@ -16,7 +16,8 @@ Every fixed-shift entry point takes that path first: :func:`mmatrix_scale`,
 :func:`solve_m`, the M-matrix decision and the symmetric entry points, for
 which the right iterate alone suffices (for symmetric ``A``,
 ``V (c I - A) V`` is SDD exactly when ``A v < c v``), so their bracket
-solves for no left iterate, and its check is their only one:
+solves for no left iterate, as every bracket on an exactly symmetric ``A``
+does, and its check is their only one:
 :func:`symm_solve` solves with the matrix it passed, and only
 :func:`factor_width2_solve` forms and checks a ``V M V`` of its own ``M``.
 :func:`solve_m` decides at ``s`` itself, as
@@ -331,20 +332,31 @@ class _CWBracket:
     by :func:`sparse._shift_values` as every shifted matrix's are written:
     a step forms no scipy matrix but that one, and its Krylov solver reads
     the diagonal where the pattern keeps it, as every other does.  :meth:`checked` forms the matrix it checks
-    on a fresh :class:`_Problem` and hands it on.  ``symmetric`` makes the
-    bracket one-sided, for callers whose ``A`` is symmetric: a step solves
-    for, or a power step forms, the right iterate only and takes it as the
-    left one, which for symmetric ``A`` it equals.  The left CW bounds are
-    still computed on ``A.T``, so every bound, and every verdict, stays
-    sound whatever ``A`` is.
+    on a fresh :class:`_Problem` and hands it on.
+
+    The bracket is one-sided when its caller asks for it with
+    ``symmetric`` (the symmetric entry points, whose scaling is ``(v, v)``)
+    and whenever ``A`` is exactly symmetric, which its pattern decides
+    once (``SparseMatrix._exactly_symmetric``): a step solves for, or a
+    power step forms, the right iterate only and takes it as the left one,
+    which for symmetric ``A`` it equals.  On an exactly symmetric ``A`` a
+    measurement forms ``A r`` once and takes it as ``A.T l``: the column
+    kernel sums the same terms in the same order, so the bits are those of
+    the transposed product, and a shift-and-invert step above the dense
+    cutoff solves by conjugate gradients, its matrix symmetric positive
+    definite as ``hi >= rho(A)``.  A one-sided bracket on any other ``A``
+    still computes the left CW bounds on ``A.T``, so every bound, and every
+    verdict, stays sound whatever ``A`` is.
     """
 
     def __init__(self, A: SparseMatrix, *, symmetric: bool = False):
         self.A = A
-        self.right = np.ones(A.n_rows)
-        self.left = np.ones(A.n_rows)
+        # A.T l is A r, bit for bit, once l is r
+        self._shared = A._exactly_symmetric
         # a symmetric A's left iterate is its right one: no left solves
-        self._symmetric = symmetric
+        self._symmetric = symmetric or self._shared
+        self.right = np.ones(A.n_rows)
+        self.left = self.right if self._symmetric else np.ones(A.n_rows)
         # (lower, upper) CW bounds of the current right and left iterates,
         # and (right, left, A right, A.T left) they came from
         self.cw_right = self.cw_left = (0.0, np.inf)
@@ -384,9 +396,14 @@ class _CWBracket:
     def _measured(self, right: np.ndarray, left: np.ndarray):
         """``(products, cw_right, cw_left)`` of iterates ``right`` and
         ``left``: their products, as :attr:`products` keeps them, and their
-        CW bounds."""
-        Ar, Atl = self.A._product(right), self.A._product(left, transpose=True)
-        return (right, left, Ar, Atl), _cw_ratio_bounds(Ar, right), _cw_ratio_bounds(Atl, left)
+        CW bounds.  On an exactly symmetric ``A``, whose ``left`` is
+        ``right``, one product and its bounds serve both sides."""
+        Ar = self.A._product(right)
+        cw_right = _cw_ratio_bounds(Ar, right)
+        if self._shared:
+            return (right, left, Ar, Ar), cw_right, cw_right
+        Atl = self.A._product(left, transpose=True)
+        return (right, left, Ar, Atl), cw_right, _cw_ratio_bounds(Atl, left)
 
     def _take(self, right, left, measured) -> None:
         """Make ``right`` and ``left``, each ``(vector, least entry)`` as
@@ -437,7 +454,9 @@ class _CWBracket:
         triangular solve) and three above it (one BiCGSTAB iteration, two
         products, and its true-residual product).  So 2 two-sided and 1.5
         one-sided below the cutoff, 4 and 2.5 above it: a floor, not a
-        tuned constant."""
+        tuned constant.  It stays a floor on an exactly symmetric ``A``,
+        where a measurement is one shared product and a conjugate gradient
+        iteration one product: 2 below the cutoff and 3 above it."""
         per_side = 1.0 if self.A.n_rows <= rcdd._DENSE_CUTOFF else 3.0
         sides = 1.0 if self._symmetric else 2.0
         return (2.0 + sides * per_side) / 2.0
@@ -550,7 +569,9 @@ class _CWBracket:
         diagonal from the values at hand, but the line sums the matrix would
         keep go stale at the next step: nothing may check the step matrix
         (:func:`sparse.check_rcdd`, :func:`rcdd.varah_kappa_upper`), and
-        nothing does."""
+        nothing does.  On an exactly symmetric ``A`` the step matrix is
+        symmetric positive definite, and its Krylov solver runs conjugate
+        gradients."""
         n = self.A.n_rows
         if n <= rcdd._DENSE_CUTOFF:
             S = self.A.csr().toarray()
@@ -562,7 +583,7 @@ class _CWBracket:
             p = self.A._pattern.shifted[0]
             self._step_matrix = _PatternCSR.on(p, np.empty(p.indices.size))
         _shift_values(self.A, -1.0 / hi, 1.0 + _CW_SHIFT_MARGIN, self._step_matrix.data)
-        return _phase_backend(self._step_matrix)
+        return _phase_backend(self._step_matrix, self._shared)
 
     @property
     def lower(self) -> float:
@@ -1090,7 +1111,8 @@ def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
     """``(x, report)`` with ``||M' x - b||_2 <= delta ||b||_2``, ``M' =
     shift I - M`` or, without a ``shift``, ``M`` itself, ``against`` its
     name in the errors.  ``S = V M' V`` is the CSR matrix the caller checked
-    SDD: one backend solver of it, each step one solve to the tighter of the
+    SDD, so symmetric positive definite: one backend solver of it (conjugate
+    gradients above the dense cutoff), each step one solve to the tighter of the
     l2 tolerance of energy accuracy 1/4 (from the line sums the check took
     and ``S`` keeps, so with no second pass) and what the contract still
     needs (:func:`rcdd._step_solve`; an LU, exact, ignores both),
@@ -1099,7 +1121,9 @@ def _sdd_solve(S, v, scale_report, M, b, delta, against, shift=None):
     report holds the refinement's iterations and residual norms, the phases
     and entries of ``scale_report``, the scaling's, and ``v`` in
     ``info["scaling"]``."""
-    solver = _phase_backend(S)
+    # the caller's check makes S symmetric and dominant, with a positive
+    # diagonal: symmetric positive definite
+    solver = _phase_backend(S, True)
     tol = _sdd_l2_tolerance(S, 0.25)
 
     def precond(x, need):

@@ -14,7 +14,11 @@ reads.  A matrix derived from another
 :func:`shifted_m_matrix`) shares its parent's pattern, a :class:`_Pattern`:
 it takes new values on the parent's index arrays and drops new zeros by a
 mask, so it stores the triplets the constructor would give without its COO
-round trip.
+round trip; one that drops only diagonal entries also inherits what the
+parent's pattern keeps.  Whether a pattern is its own transpose is decided
+once, on first use, and exact and relative symmetry are read from one
+gather of the values by its transposition
+(:attr:`SparseMatrix._exactly_symmetric`, :func:`_is_symmetric`).
 
 Every sparse product in the package's double-precision loops, those of a
 :class:`SparseMatrix` (``SparseMatrix._product``), the halving scan's
@@ -133,13 +137,21 @@ class _Pattern:
     """The index arrays of a canonical CSR matrix, ``indptr`` and
     ``indices``: the pattern every matrix derived from it shares.  What
     follows from the pattern alone, the row of each entry, the positions of
-    the diagonal entries, the transposition and the pattern of ``M + I``,
-    is computed on first use and kept for every matrix on the pattern, so a
-    matrix pays only for what some caller asks of it.  The row index takes
-    the dtype of ``indptr``, int32 wherever scipy's index arrays are: half
-    the memory of int64, and gathers by ``take`` as fast.  Positions that
-    values are written to (the diagonal's, ``a_pos``) stay ``intp``, as
-    numpy converts any other index dtype on every scatter.
+    the diagonal entries, the transposition, whether the pattern is its own
+    transpose, and the pattern of ``M + I``, is computed on first use and
+    kept for every matrix on the pattern, so a matrix pays only for what
+    some caller asks of it.  The row index takes the dtype of ``indptr``,
+    int32 wherever scipy's index arrays are: half the memory of int64, and
+    gathers by ``take`` as fast.  Positions that values are written to (the
+    diagonal's, ``a_pos``) stay ``intp``, as numpy converts any other index
+    dtype on every scatter.
+
+    A pattern that is a ``parent`` pattern less some of its diagonal
+    entries, ``parent = (pattern, keep)`` with ``keep`` the mask of the
+    entries kept (see :meth:`SparseMatrix._derived`), takes its row index,
+    transposition and symmetry, and the pattern of ``M + I`` (the same
+    pattern), from its parent's, restricted by ``keep``: the parent computes
+    each once and keeps it for every such child.
 
     What it keeps lives as long as the matrix, and the caller that keeps
     the matrix pays for it: once a problem is built on ``A``, about 18
@@ -148,13 +160,17 @@ class _Pattern:
     returns).  A caller that runs one bracket per matrix gains nothing
     from that reuse, and drops it with the matrix."""
 
-    def __init__(self, shape, indptr, indices):
+    def __init__(self, shape, indptr, indices, parent=None):
         self.shape = shape
         self.indptr, self.indices = indptr, indices
+        self._parent = parent
 
     @cached_property
     def rows(self) -> np.ndarray:
         """The row of each stored entry."""
+        if self._parent is not None:
+            parent, keep = self._parent
+            return parent.rows[keep]
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)).astype(self.indptr.dtype)
 
     @cached_property
@@ -167,19 +183,59 @@ class _Pattern:
         """``(t_indptr, t_indices, perm)``: the canonical CSR pattern of the
         transpose, and the forward position of each of its entries, so that
         values ``data`` on this pattern have the transpose values
-        ``data[perm]``.  Entry numbers moved by ``csr_tocsc``, the kernel
-        that transposes a CSR matrix, into sorted columns."""
-        numbers = np.arange(self.indices.size)
-        csc = sp.csr_matrix((numbers, self.indices, self.indptr), shape=self.shape).tocsc()
-        return csc.indptr, csc.indices, csc.data
+        ``data[perm]``."""
+        if self._parent is None:
+            return _transposition(self)
+        parent, keep = self._parent
+        t_indptr, t_indices, perm = parent.transposition
+        kept = keep[perm]
+        count = np.concatenate([[0], np.cumsum(kept)])
+        # each kept entry's forward position on this pattern
+        position = np.cumsum(keep, dtype=perm.dtype) - 1
+        return count[t_indptr].astype(t_indptr.dtype), t_indices[kept], position[perm[kept]]
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the pattern is its own transpose: the row counts are
+        compared with the column counts first, so that most patterns that
+        are not pay two numpy calls, and only then is the transposition
+        computed (and kept)."""
+        if self._parent is not None:
+            # dropping diagonal entries drops no entry's mirror
+            return self._parent[0].symmetric
+        n_rows, n_cols = self.shape
+        if n_rows != n_cols:
+            return False
+        if not np.array_equal(np.diff(self.indptr), np.bincount(self.indices, minlength=n_cols)):
+            return False
+        # equal counts make the transpose's indptr this one
+        if not np.array_equal(self.transposition[1], self.indices):
+            return False
+        # the transpose's pattern is this one: keep its arrays once
+        self.transposition = (self.indptr, self.indices, self.transposition[2])
+        return True
 
     @cached_property
     def shifted(self) -> tuple["_Pattern", np.ndarray]:
         """:func:`_with_diagonal` of this pattern, built on first use: every
         matrix formed from one on this pattern by a shift, scaled or not, is
         stored on the pattern of ``M + I``, so it is built once for them
-        all."""
-        return _with_diagonal(self)
+        all, and once for a parent and its children."""
+        if self._parent is None:
+            return _with_diagonal(self)
+        parent, keep = self._parent
+        shifted, a_pos = parent.shifted
+        return shifted, a_pos[keep]
+
+
+def _transposition(pattern: _Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`_Pattern.transposition` of a pattern with no parent: entry
+    numbers moved by ``csr_tocsc``, the kernel that transposes a CSR matrix,
+    into sorted columns."""
+    # entry numbers in the index dtype: half the memory of intp for int32
+    numbers = np.arange(pattern.indices.size, dtype=pattern.indices.dtype)
+    csc = sp.csr_matrix((numbers, pattern.indices, pattern.indptr), shape=pattern.shape).tocsc()
+    return csc.indptr, csc.indices, csc.data
 
 
 def _with_diagonal(pattern: _Pattern) -> tuple[_Pattern, np.ndarray]:
@@ -240,14 +296,21 @@ class SparseMatrix:
     def _derived(cls, pattern: _Pattern, data: np.ndarray) -> "SparseMatrix":
         """The matrix with values ``data`` on the canonical ``pattern``: the
         triplets the constructor gives for them.  Entries that are 0 are
-        dropped by a mask, on a new pattern; the values must be finite."""
+        dropped by a mask, on a new pattern; the values must be finite.
+        When every entry dropped is a diagonal one, the new pattern is
+        ``pattern``'s child (see :class:`_Pattern`): it takes the pattern of
+        ``M + I``, the row index, the transposition and the symmetry that
+        ``pattern`` keeps, restricted by the mask, and computes none anew."""
         if not np.isfinite(data).all():
             raise ValueError("matrix entries must be finite")
         keep = data != 0.0
         if not keep.all():
             count = np.concatenate([[0], np.cumsum(keep)])
             indptr = count[pattern.indptr].astype(pattern.indptr.dtype)
-            pattern = _Pattern(pattern.shape, indptr, pattern.indices[keep])
+            dropped = np.flatnonzero(~keep)
+            diagonal = np.array_equal(pattern.rows.take(dropped), pattern.indices.take(dropped))
+            parent = (pattern, keep) if diagonal else None
+            pattern = _Pattern(pattern.shape, indptr, pattern.indices[keep], parent)
             data = data[keep]
         self = cls.__new__(cls)
         self._csr = _PatternCSR.on(pattern, data)
@@ -360,6 +423,39 @@ class SparseMatrix:
         float64, C-ordered vector of the right length."""
         return _kernel_product(self._csr, x, transpose)
 
+    @cached_property
+    def _asymmetry(self) -> float:
+        """``max |A_ij - A_ji|``, ``inf`` for a matrix that is not square.  On
+        a pattern that is its own transpose the values are compared with
+        their gather by the pattern's transposition, and no transpose is
+        formed; any other pattern takes scipy's difference with the
+        transpose.  A pattern that is its parent's less some diagonal
+        entries is compared on its parent's pattern, the dropped entries 0,
+        each its own mirror, so that it restricts no transposition."""
+        if not self.is_square:
+            return math.inf
+        csr, pattern = self._csr, self._pattern
+        if not pattern.symmetric:
+            diff = (csr - csr.T).data
+        else:
+            data = csr.data
+            if pattern._parent is not None:
+                pattern, keep = pattern._parent
+                data = np.zeros(keep.size)
+                data[keep] = csr.data
+            diff = data.take(pattern.transposition[2])
+            np.subtract(data, diff, out=diff)
+        return float(np.abs(diff, out=diff).max(initial=0.0))
+
+    @cached_property
+    def _exactly_symmetric(self) -> bool:
+        """``A == A.T`` bit for bit: a pattern that is its own transpose
+        (decided once per pattern, most patterns that are not by their line
+        counts alone) and values equal to their mirrors', the gather of
+        :attr:`_asymmetry`.  Stored entries are never 0, so no pattern that
+        is not its own transpose holds a symmetric matrix."""
+        return self._pattern.symmetric and self._asymmetry == 0.0
+
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
@@ -471,15 +567,12 @@ def _kept_line_sums(S):
 
 def _is_symmetric(S: SparseMatrix) -> bool:
     """Symmetry within 1e-12 relative to the largest entry magnitude,
-    whatever the scale of ``S``.  When the forward and transpose CSRs share
-    one pattern their values are compared directly."""
-    fwd, bwd = S.csr(), S.csr_transpose()
-    if np.array_equal(fwd.indptr, bwd.indptr) and np.array_equal(fwd.indices, bwd.indices):
-        diff = fwd.data - bwd.data
-    else:
-        diff = (fwd - bwd).data
-    scale = float(np.abs(fwd.data).max(initial=0.0))
-    return bool(np.abs(diff).max(initial=0.0) <= 1e-12 * scale)
+    whatever the scale of ``S``: its :attr:`SparseMatrix._asymmetry`, which
+    on a pattern that is its own transpose gathers the values by the
+    transposition the pattern keeps and builds no transpose CSR, taken once
+    per matrix."""
+    scale = float(np.abs(S.csr().data).max(initial=0.0))
+    return bool(S._asymmetry <= 1e-12 * scale)
 
 
 def check_rcdd(S, strict_slack: float = 0.0) -> bool:

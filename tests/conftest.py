@@ -169,9 +169,11 @@ def stalled_core(matvec, r, eps_abs, cap, x, inv_diag):
 
 
 def fail_krylov(monkeypatch):
-    """Every Krylov pass stalls, as on a matrix that defeats the method, so
-    every Krylov solve with a nonzero right-hand side misses."""
-    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", stalled_core)
+    """Every Krylov pass stalls, of either method, as on a matrix that
+    defeats it, so every Krylov solve with a nonzero right-hand side
+    misses."""
+    for core in ("_bicgstab_core", "_cg_core"):
+        monkeypatch.setattr(perronkit.rcdd, core, stalled_core)
 
 
 def record_rounds(monkeypatch, limit=None):

@@ -1,9 +1,12 @@
 """The matvec-only phase solves above the dense cutoff.
 
-Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms,
-symmetric or not, is solved by Jacobi-preconditioned BiCGSTAB to the
-relative residual its caller passes, with no factorization, in passes that
-each restart from ``x`` and its true residual while that residual misses.  A solve that
+Above ``rcdd._DENSE_CUTOFF`` unknowns every matrix the engine forms is
+solved by a Jacobi-preconditioned Krylov method to the relative residual
+its caller passes, with no factorization, in passes that each restart from
+``x`` and its true residual while that residual misses: conjugate gradients
+for a matrix symmetric positive definite by construction (a checked SDD
+matrix, the step matrix of an exactly symmetric ``A``), BiCGSTAB for every
+other.  A solve that
 still misses raises :class:`BackendDiverged`, and each caller has one typed
 outcome for it: a failed bracket, the ``"solver budget"`` failure of a
 scan, one-sided or not, the end of the polish, or the error itself from an
@@ -227,20 +230,28 @@ def test_reruns_are_bit_identical(ring):
 # the solver itself: the true residual decides
 
 
+def krylov_case(rng, symmetric):
+    """``(S, core)``: a strictly RCDD CSR matrix, symmetric positive definite
+    with ``symmetric``, and the name of the core its solver runs, conjugate
+    gradients for the symmetric one (built with ``spd``)."""
+    S = random_strictly_rcdd_dense(rng, 40)
+    if symmetric:
+        S = S + S.T
+    return scipy.sparse.csr_matrix(S), "_cg_core" if symmetric else "_bicgstab_core"
+
+
 @pytest.mark.parametrize("symmetric", [False, True], ids=["bicgstab", "symmetric"])
 def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
     """A Krylov core that reports convergence on a perturbed iterate is
     caught by the true residual: the next pass restarts from it and repairs
     a single miss.  A miss on every pass raises :class:`BackendDiverged`
-    after the last one."""
+    after the last one.  The symmetric matrix's solver runs conjugate
+    gradients."""
     rng = np.random.default_rng(72)
-    S = random_strictly_rcdd_dense(rng, 40)
-    if symmetric:
-        S = S + S.T
-    S = scipy.sparse.csr_matrix(S)
+    S, name = krylov_case(rng, symmetric)
     b = rng.normal(size=40)
     tol = 1e-10
-    real_core = perronkit.rcdd._bicgstab_core
+    real_core = getattr(perronkit.rcdd, name)
     # the number of core calls that lie, and the calls that did
     lies = {"budget": 1, "told": 0}
 
@@ -251,16 +262,16 @@ def test_true_residual_catches_a_false_convergence(monkeypatch, symmetric):
             x = x * (1.0 + 1e-3 * np.sin(np.arange(x.size)))
         return x, its
 
-    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", lying_core)
+    monkeypatch.setattr(perronkit.rcdd, name, lying_core)
     for transpose in (False, True):
         lies["told"] = 0
-        x = _KrylovSolver(S).solve(b, transpose, tol)
+        x = _KrylovSolver(S, symmetric).solve(b, transpose, tol)
         mat = S.T if transpose else S
         assert lies["told"] == 1
         assert np.linalg.norm(b - mat @ x) <= tol * np.linalg.norm(b)
     lies.update(budget=10**9, told=0)
     with pytest.raises(BackendDiverged, match="true residual"):
-        _KrylovSolver(S).solve(b, False, tol)
+        _KrylovSolver(S, symmetric).solve(b, False, tol)
     assert lies["told"] == _KRYLOV_PASSES
 
 
@@ -269,14 +280,12 @@ def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
     """A pass that spends its budget returns its iterate instead of raising,
     and the next pass starts from that iterate and its true residual with a
     fresh recurrence; the first pass starts from zero and ``b``, and each
-    pass gets ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations."""
+    pass gets ``_KRYLOV_CAP // _KRYLOV_PASSES`` iterations, of either
+    method."""
     rng = np.random.default_rng(77)
-    S = random_strictly_rcdd_dense(rng, 40)
-    if symmetric:
-        S = S + S.T
-    S = scipy.sparse.csr_matrix(S)
+    S, name = krylov_case(rng, symmetric)
     b = rng.normal(size=40)
-    real_core = perronkit.rcdd._bicgstab_core
+    real_core = getattr(perronkit.rcdd, name)
     passes = []
 
     def stalling_core(matvec, r, eps_abs, cap, x, inv_diag):
@@ -285,8 +294,8 @@ def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
         x, its = real_core(matvec, r, eps_abs, 2 if len(passes) == 1 else cap, x, inv_diag)
         return x, cap if len(passes) == 1 else its
 
-    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", stalling_core)
-    solver = _KrylovSolver(S)
+    monkeypatch.setattr(perronkit.rcdd, name, stalling_core)
+    solver = _KrylovSolver(S, symmetric)
     x = solver.solve(b, False, 1e-10)
     assert np.linalg.norm(b - S @ x) <= 1e-10 * np.linalg.norm(b)
     assert len(passes) == 2
@@ -301,18 +310,47 @@ def test_a_stalled_pass_restarts_from_its_iterate(monkeypatch, symmetric):
 def test_a_tolerance_below_rounding_passes_at_the_rounding_floor(symmetric):
     """A ``tol`` no floating-point solve can meet (a scan with a huge ``K``
     asks for one) is not a miss once the residual is below the rounding
-    error of its own computation."""
+    error of its own computation, by either method."""
     rng = np.random.default_rng(75)
-    S = random_strictly_rcdd_dense(rng, 40)
-    if symmetric:
-        S = S + S.T
-    S = scipy.sparse.csr_matrix(S)
+    S, _ = krylov_case(rng, symmetric)
     b = rng.normal(size=40)
-    x = _KrylovSolver(S).solve(b, False, 1e-30)
+    x = _KrylovSolver(S, symmetric).solve(b, False, 1e-30)
     # 40 entries in every row and column
     rounding = 41 * np.finfo(float).eps
     floor = rounding * (np.linalg.norm(S.data) * np.linalg.norm(x) + np.linalg.norm(b))
     assert 0.0 < np.linalg.norm(b - S @ x) <= floor
+
+
+def early_cg_core(matvec, r, eps_abs, cap, x, inv_diag):
+    """A conjugate gradient pass that breaks down at once and returns its
+    start ``x``, as a nonpositive ``p.S p`` makes the real one."""
+    return x.copy(), 0
+
+
+def test_a_cg_breakdown_ends_in_a_backend_divergence(monkeypatch):
+    """A conjugate gradient pass that breaks down returns its iterate early,
+    and the true residual decides: a solve whose every pass breaks down
+    raises :class:`BackendDiverged` after its last pass with its finite
+    start iterate, whether the pass is patched to return early or meets a
+    real breakdown (an indefinite ``S``, whose ``p.S p`` is negative).
+    Above the cutoff ``symm_solve`` then raises it too: nothing returns a
+    NaN, and nothing hangs."""
+    n = 40
+    indefinite = scipy.sparse.csr_matrix(np.kron(np.eye(n // 2), [[1.0, 2.0], [2.0, 1.0]]))
+    b = np.tile([1.0, -1.0], n // 2)
+    with pytest.raises(BackendDiverged, match="after 4 iterations") as miss:
+        _KrylovSolver(indefinite, True).solve(b, False, 1e-10)
+    assert np.isfinite(miss.value.x).all() and miss.value.relative == 1.0
+    monkeypatch.setattr(perronkit.rcdd, "_cg_core", early_cg_core)
+    S, _ = krylov_case(np.random.default_rng(79), True)
+    with pytest.raises(BackendDiverged, match="after 0 iterations") as miss:
+        _KrylovSolver(S, True).solve(np.ones(n), False, 1e-10)
+    assert not miss.value.x.any() and miss.value.relative == 1.0
+    N = _DENSE_CUTOFF + 1
+    rng = np.random.default_rng(79)
+    sym = SparseMatrix.from_dense(random_symmetric_contraction_dense(rng, N, 0.9, 5.0 / N))
+    with pytest.raises(BackendDiverged, match="missed its tolerance"):
+        symm_solve(sym, rng.normal(size=N), 1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -879,8 +917,8 @@ def test_step_solves_are_never_looser_than_their_own(monkeypatch, n, eps):
     solvers, solves = [], []
     for module in (perronkit.rcdd, perronkit.scaling):
 
-        def backend(S, real=module._phase_backend):
-            solvers.append(real(S))
+        def backend(S, *args, real=module._phase_backend):
+            solvers.append(real(S, *args))
             return solvers[-1]
 
         monkeypatch.setattr(module, "_phase_backend", backend)

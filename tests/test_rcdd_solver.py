@@ -412,16 +412,20 @@ def test_lying_krylov_cores_meet_the_contract(monkeypatch, budget):
     that always lies every application raises."""
     counts = count_krylov(monkeypatch)
     lies = [0]
-    real_core = perronkit.rcdd._bicgstab_core
 
-    def lying_core(*args):
-        x, its = real_core(*args)
-        if lies[0] < budget:
-            lies[0] += 1
-            x = x * (1.0 + 1e-3 * np.sin(np.arange(x.size)))
-        return x, its
+    def lying(real_core):
+        def lying_core(*args):
+            x, its = real_core(*args)
+            if lies[0] < budget:
+                lies[0] += 1
+                x = x * (1.0 + 1e-3 * np.sin(np.arange(x.size)))
+            return x, its
 
-    monkeypatch.setattr(perronkit.rcdd, "_bicgstab_core", lying_core)
+        return lying_core
+
+    # the SDD solver runs conjugate gradients, the RCDD ones BiCGSTAB
+    for name in ("_bicgstab_core", "_cg_core"):
+        monkeypatch.setattr(perronkit.rcdd, name, lying(getattr(perronkit.rcdd, name)))
     outcomes = builder_outcomes(np.random.default_rng(32), KRYLOV_N)
     assert set(outcomes) == ({"met"} if budget == 1 else {"diverged"}) and lies[0] >= 1
     assert counts == {"krylov": 2}

@@ -1272,9 +1272,11 @@ def test_symmetric_callers_step_one_side(monkeypatch, n):
     """The symmetric entry points run a one-sided bracket: each step solves
     once, for the right iterate, and the left iterate is the right one, so
     ``symm_solve`` and ``factor_width2_solve`` make no transposed solve, one
-    solve per bracket step plus their SDD solver's.  A two-sided bracket on
-    the same input solves twice per step.  Both CW bounds are still computed,
-    the left one on ``A.T``, and recompute here."""
+    solve per bracket step plus their SDD solver's.  A bracket no caller
+    asks to be one-sided is one-sided on this exactly symmetric input too,
+    and two-sided, solving twice per step, once one entry is moved by an
+    ulp.  Both CW bounds are still computed, the left one on ``A.T``, and
+    recompute here."""
     rng = np.random.default_rng(65)
     A_dense = random_symmetric_contraction_dense(rng, n, 0.99, density=min(0.3, 5.0 / n))
     A = SparseMatrix.from_dense(A_dense)
@@ -1293,7 +1295,11 @@ def test_symmetric_callers_step_one_side(monkeypatch, n):
     eps = 1e-3
     with monkeypatch.context() as patch:
         solvers = record_solves(patch)
-        two_sided = _CWBracket(A)
+        assert _CWBracket(A).decide(1.0 + eps)
+    assert solvers and all(flags == [False] for flags in solvers)
+    with monkeypatch.context() as patch:
+        solvers = record_solves(patch)
+        two_sided = _CWBracket(SparseMatrix.from_dense(ulp_moved(A_dense)))
         assert two_sided.decide(1.0 + eps)
     assert solvers and all(flags == [False, True] for flags in solvers)
     one_sided = _CWBracket(A, symmetric=True)
@@ -1306,12 +1312,23 @@ def test_symmetric_callers_step_one_side(monkeypatch, n):
         assert ratios.max() * (1.0 + (n + 2) * np.finfo(float).eps) < 1.0 + eps
 
 
+def ulp_moved(dense: np.ndarray) -> np.ndarray:
+    """A copy of ``dense`` with its first stored entry above the diagonal
+    moved up by one ulp: symmetric within any relative tolerance, but not
+    exactly."""
+    moved = dense.copy()
+    i, j = np.argwhere(np.triu(moved, 1))[0]
+    moved[i, j] = np.nextafter(moved[i, j], np.inf)
+    return moved
+
+
 @SYMMETRIC_SIZES
 def test_top_singular_makes_no_left_solve(monkeypatch, n):
     """``top_singular`` certifies its Gram matrix on the one-sided bracket:
-    its steps solve for the right iterate only, no solve is transposed,
-    where ``compute_perron`` on the same Gram matrix solves both sides, and
-    ``sigma`` stays within delta of the oracle's."""
+    its steps solve for the right iterate only, no solve is transposed, as
+    ``compute_perron`` on the same, exactly symmetric, Gram matrix does,
+    where on that Gram matrix with one entry moved by an ulp it solves both
+    sides; ``sigma`` stays within delta of the oracle's."""
     rng = np.random.default_rng(67)
     A_dense = random_irreducible_dense(rng, n, density=min(0.3, 3.0 / n))
     delta = 1e-6
@@ -1321,10 +1338,12 @@ def test_top_singular_makes_no_left_solve(monkeypatch, n):
     assert solvers and all(flags and not any(flags) for flags in solvers)
     sigma, _, _ = dense_svd_top(A_dense, tol=1e-13)
     assert abs(trip.sigma - sigma) <= delta * sigma
-    with monkeypatch.context() as patch:
-        solvers = record_solves(patch)
-        compute_perron(SparseMatrix.from_dense(A_dense.T @ A_dense), delta)
-    assert solvers and all(True in flags for flags in solvers)
+    gram = A_dense.T @ A_dense
+    for matrix, transposed in ((gram, False), (ulp_moved(gram), True)):
+        with monkeypatch.context() as patch:
+            solvers = record_solves(patch)
+            compute_perron(SparseMatrix.from_dense(matrix), delta)
+        assert solvers and all((True in flags) == transposed for flags in solvers)
 
 
 def test_a_one_sided_bracket_stays_sound_on_any_input():
@@ -1503,19 +1522,20 @@ def test_katz_solves_from_its_certificate_pair(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
 def test_top_singular_certifies_one_gram(monkeypatch, shape):
-    """One Perron computation, on the smaller Gram matrix, the only Gram
-    matrix formed, on the one-sided bracket: both irreducibility checks run
+    """One Perron computation, by the public ``compute_perron``, on the
+    smaller Gram matrix, the only Gram matrix formed, which is exactly
+    symmetric, so its bracket is one-sided: both irreducibility checks run
     on the pattern of ``A``."""
     counts = {}
     count_calls(monkeypatch, counts, perronkit.apps, "is_irreducible")
     seen = []
-    real = perronkit.apps._compute_perron
+    real = perronkit.apps.compute_perron
 
-    def record(G, delta, **kwargs):
-        seen.append((G.n_rows, kwargs))
-        return real(G, delta, **kwargs)
+    def record(G, delta):
+        seen.append((G.n_rows, G._exactly_symmetric))
+        return real(G, delta)
 
-    monkeypatch.setattr(perronkit.apps, "_compute_perron", record)
+    monkeypatch.setattr(perronkit.apps, "compute_perron", record)
     formed = []
     real_from_scipy = SparseMatrix.from_scipy.__func__
 
@@ -1528,7 +1548,7 @@ def test_top_singular_certifies_one_gram(monkeypatch, shape):
     A = SparseMatrix.from_dense(rng.random(shape) + 0.05)
     top_singular(A, 1e-7)
     k = min(shape)
-    assert seen == [(k, {"symmetric": True})] and formed == [(k, k)]
+    assert seen == [(k, True)] and formed == [(k, k)]
     assert counts["is_irreducible"] == 0
 
 
@@ -1628,3 +1648,139 @@ def test_the_tracer_counts_a_scan(monkeypatch):
     assert values["scaling.inner_iters"] == report.iterations
     assert values["scaling.matvec_flops_computed"] == 4 * A.nnz * report.iterations
     assert not {"scaling._halving_scan", "scaling._PhaseSolver"} & set(tracer.absent)
+
+
+# ----------------------------------------------------------------------
+# exactly symmetric inputs: one side, one product, conjugate gradients
+
+
+def symmetric_ring(n, seed=0):
+    """``C + C.T`` of ``ring_digraph(default_rng(seed), n, 5)``: exactly
+    symmetric, as scipy's sum adds each entry to its mirror."""
+    C = ring_digraph(np.random.default_rng(seed), n, 5).csr()
+    return SparseMatrix.from_scipy(C + C.T)
+
+
+@pytest.mark.parametrize("n", [50, 700, 5000])
+def test_the_transposed_kernel_keeps_the_bits_on_symmetric_input(n):
+    """On an exactly symmetric matrix ``_kernel_product`` and its
+    ``transpose=True`` (``csr_matvec`` and ``csc_matvec`` on the same
+    arrays) sum the same terms in the same order: the bits are equal, so
+    one product serves as both."""
+    A = symmetric_ring(n)
+    assert A._exactly_symmetric
+    x = np.random.default_rng(n).uniform(0.1, 1.0, n)
+    forward = _kernel_product(A.csr(), x)
+    assert forward.tobytes() == _kernel_product(A.csr(), x, transpose=True).tobytes()
+
+
+def record_products(monkeypatch):
+    """Record the ``transpose`` flag of every ``SparseMatrix._product``."""
+    flags = []
+    real = SparseMatrix._product
+
+    def product(self, x, transpose=False):
+        flags.append(transpose)
+        return real(self, x, transpose)
+
+    monkeypatch.setattr(SparseMatrix, "_product", product)
+    return flags
+
+
+@pytest.mark.parametrize("n", [60, 400], ids=["lu", "krylov"])
+def test_compute_perron_on_a_symmetric_input_is_one_sided(monkeypatch, n):
+    """``compute_perron`` on ``C + C.T`` runs one side: no product and no
+    solve is transposed, one product measures each iterate, and above the
+    cutoff each step solves by conjugate gradients.  It certifies at ``K``
+    = 1 within ``delta`` of the oracle, with ``left == right``."""
+    A = symmetric_ring(n)
+    delta = 1e-6
+    built = []
+    real = perronkit.scaling._phase_backend
+    with monkeypatch.context() as patch:
+        products = record_products(patch)
+        solvers = record_solves(patch)
+        patch.setattr(perronkit.scaling, "_phase_backend", lambda *a: built.append(real(*a)) or built[-1])
+        cert = compute_perron(A, delta)
+    assert products and not any(products)
+    # below the cutoff a held LU serves re-solves
+    assert solvers and all(flags and not any(flags) for flags in solvers)
+    methods = {getattr(solver, "method", "lu") for solver in built}
+    assert methods == {"cg" if n > _DENSE_CUTOFF else "lu"}
+    assert cert.k_final == 1.0 and np.array_equal(cert.left, cert.right)
+    rho, _ = dense_spectral_radius(A.to_dense(), tol=1e-13)
+    assert (1.0 - delta) * rho < cert.s <= rho * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("n", [60, 400], ids=["lu", "krylov"])
+def test_an_entry_moved_by_an_ulp_keeps_both_sides(monkeypatch, n):
+    """``C + C.T`` with one entry moved by an ulp is symmetric within any
+    relative tolerance but not exactly: ``compute_perron`` runs its
+    bracket two-sided, with transposed products and solves and BiCGSTAB
+    steps above the cutoff, and still certifies within ``delta`` of the
+    oracle."""
+    A = symmetric_ring(n)
+    moved = SparseMatrix.from_dense(ulp_moved(A.to_dense()))
+    assert moved._pattern.symmetric and not moved._exactly_symmetric
+    delta = 1e-6
+    built = []
+    real = perronkit.scaling._phase_backend
+    with monkeypatch.context() as patch:
+        products = record_products(patch)
+        solvers = record_solves(patch)
+        patch.setattr(perronkit.scaling, "_phase_backend", lambda *a: built.append(real(*a)) or built[-1])
+        cert = compute_perron(moved, delta)
+    assert True in products and False in products
+    assert solvers and all(flags == [False, True] * (len(flags) // 2) for flags in solvers)
+    methods = {getattr(solver, "method", "lu") for solver in built}
+    assert methods == {"bicgstab" if n > _DENSE_CUTOFF else "lu"}
+    rho, _ = dense_spectral_radius(moved.to_dense(), tol=1e-13)
+    assert (1.0 - delta) * rho < cert.s <= rho * (1.0 + 1e-10)
+
+
+def test_krylov_solvers_name_their_method(monkeypatch):
+    """Above the cutoff a checked SDD matrix (``build_sdd_solver``,
+    ``symm_solve``'s ``V (I - A) V``) solves by conjugate gradients, and an
+    RCDD one and ``solve_m``'s by BiCGSTAB; conjugate gradient iterations
+    count in the operator's ``iterations`` as BiCGSTAB's do."""
+    rng = np.random.default_rng(90)
+    n = _DENSE_CUTOFF + 100
+    ran = {"_cg_core": 0, "_bicgstab_core": 0}
+    for name in ran:
+
+        def core(*args, name=name, real=getattr(perronkit.rcdd, name)):
+            x, its = real(*args)
+            ran[name] += its
+            return x, its
+
+        monkeypatch.setattr(perronkit.rcdd, name, core)
+    sdd = SparseMatrix.from_scipy(symmetric_ring(n).csr() * -0.1 + 3.0 * sp.identity(n))
+    Z = perronkit.build_sdd_solver(sdd, 1e-6)
+    Z.apply(rng.normal(size=n))
+    assert Z._backend.method == "cg" and Z.report.iterations == ran["_cg_core"] > 0
+    assert ran["_bicgstab_core"] == 0
+    A = sparse_m_matrix(rng)
+    P = solve_m(A, 1.0, 1e-6, 1e3)
+    assert P._backend.method == "bicgstab"
+    sym = symmetric_ring(n)
+    symm_solve(sym.scaled(0.9 / dense_spectral_radius(sym.to_dense())[0]), rng.normal(size=n), 1e-6)
+    assert ran["_cg_core"] > Z.report.iterations
+
+
+def test_a_second_factor_width2_solve_rebuilds_no_pattern(monkeypatch):
+    """``factor_width2_solve``'s comparison matrix drops ``M``'s largest
+    diagonal, a fresh pattern each call, which inherits the pattern of ``M
+    + I``, the row index and the transposition ``M``'s pattern keeps: a
+    second solve on the same ``M`` calls no ``_with_diagonal`` and builds
+    no transposition, and gives the same bits."""
+    rng = np.random.default_rng(91)
+    n = _DENSE_CUTOFF + 50
+    M = SparseMatrix.from_dense(random_factor_width2_dense(rng, n))
+    b = rng.normal(size=n)
+    first, _ = factor_width2_solve(M, b, 1e-8)
+    counts = {}
+    count_calls(monkeypatch, counts, perronkit.sparse, "_with_diagonal")
+    count_calls(monkeypatch, counts, perronkit.sparse, "_transposition")
+    second, _ = factor_width2_solve(M, b, 1e-8)
+    assert counts == {"_with_diagonal": 0, "_transposition": 0}
+    assert first.tobytes() == second.tobytes()

@@ -824,3 +824,82 @@ def test_a_transpose_csr_is_formed_only_on_request_and_once(monkeypatch):
     scaled_t = derived[0].csr_transpose()
     assert transpositions == [A._pattern]
     assert scaled_t.data.tobytes() == (2.0 * first.data).tobytes()
+
+
+# ----------------------------------------------------------------------
+# symmetry decided once per pattern
+
+
+def counted_transpositions(monkeypatch):
+    """Record each pattern :func:`sparse._transposition` transposes: the only
+    builder of a transposition; a pattern that inherits its parent's builds
+    none."""
+    built = []
+    real = sparse_module._transposition
+
+    def counted(pattern):
+        built.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(sparse_module, "_transposition", counted)
+    return built
+
+
+def test_symmetry_is_decided_once_per_pattern(monkeypatch):
+    """A pattern whose row counts differ from its column counts is not its
+    own transpose, and no transposition is built to say so.  A symmetric
+    pattern is decided from one transposition, kept for every matrix on
+    it: ``C + C.T`` is exactly symmetric and, with one entry moved by an
+    ulp, symmetric within 1e-12 only, on the same pattern, and neither
+    check forms a transpose CSR."""
+    built = counted_transpositions(monkeypatch)
+    C = ring_digraph(np.random.default_rng(3), 60, 2)
+    assert not C._pattern.symmetric and not C._exactly_symmetric
+    assert built == []
+    A = SparseMatrix.from_scipy(C.csr() + C.csr().T)
+    data = A.csr().data.copy()
+    data[0] = np.nextafter(data[0], np.inf)
+    moved = SparseMatrix._derived(A._pattern, data)
+    assert A._pattern.symmetric and A._exactly_symmetric
+    assert moved._pattern is A._pattern and not moved._exactly_symmetric
+    assert sparse_module._is_symmetric(A) and sparse_module._is_symmetric(moved)
+    assert built == [A._pattern]
+    for M in (C, A, moved):
+        assert "_csr_t" not in M.__dict__
+    # a pattern that is not its own transpose but has equal line counts
+    cycle = SparseMatrix.from_dense(np.roll(np.eye(5), 1, axis=1))
+    assert not cycle._pattern.symmetric and built[-1] is cycle._pattern
+
+
+def test_a_diagonal_drop_inherits_its_parents_caches(monkeypatch):
+    """A matrix derived by dropping only diagonal entries (the normalized
+    comparison matrix drops its largest diagonal) takes the row index,
+    transposition, symmetry and pattern of ``M + I`` of its parent's
+    pattern, restricted by the mask, with the arrays a pattern of its own
+    computes; once the parent has them, it builds no transposition and
+    calls no ``_with_diagonal``.  A drop of an entry off the diagonal makes
+    a pattern of its own."""
+    M = SparseMatrix.from_dense(random_factor_width2_dense(np.random.default_rng(9), 40))
+    parent = M._pattern
+    parent.transposition, parent.shifted  # computed, and kept
+    built = counted_transpositions(monkeypatch)
+    widened = []
+    real_with_diagonal = sparse_module._with_diagonal
+    monkeypatch.setattr(
+        sparse_module, "_with_diagonal", lambda p: widened.append(p) or real_with_diagonal(p)
+    )
+    child = _normalized_comparison(M)._pattern
+    assert child.indices.size == parent.indices.size - 1
+    fresh = sparse_module._Pattern(child.shape, child.indptr, child.indices)
+    for got, want in zip(child.transposition, fresh.transposition):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(child.rows, fresh.rows) and child.rows.dtype == fresh.rows.dtype
+    assert child.symmetric and fresh.symmetric
+    shifted, a_pos = child.shifted
+    fresh_shifted, fresh_a_pos = fresh.shifted
+    assert shifted is parent.shifted[0] and np.array_equal(a_pos, fresh_a_pos)
+    assert np.array_equal(shifted.indices, fresh_shifted.indices)
+    assert built == [fresh] and widened == [fresh]
+    data = M.csr().data.copy()
+    data[np.flatnonzero(parent.rows != parent.indices)[0]] = 0.0
+    assert SparseMatrix._derived(parent, data)._pattern._parent is None

@@ -1,4 +1,4 @@
-"""Seeded sweep of ``compute_perron`` over three families of inputs.
+"""Seeded sweep of ``compute_perron`` over four families of inputs.
 
 Families, generated by the test suite's own ``tests/conftest.py`` (loaded
 from its file, so a seed names the same input here as in the tests), each
@@ -12,14 +12,17 @@ is irreducible:
   bracket, at ``delta`` = 1e-3;
 - ``nearcycle``: ``ring_digraph(default_rng(seed), 1000, 1)``, a ring plus
   one random out-edge per node, whose Perron vectors spread over many
-  decades, at ``delta`` = 1e-8.
+  decades, at ``delta`` = 1e-8;
+- ``symmetric``: ``C + C.T`` of ``C = criterion01_dense(seed)``, exactly
+  symmetric, so that ``compute_perron`` runs its one-sided bracket, at
+  ``delta`` = 1e-3.
 
 Each op is one ``compute_perron(A, delta)`` under a SIGALRM cap.  Its
 outcome is the ``K`` it certified at, ``capped`` when the cap fired, or the
 class of the typed error it raised; a capped op is an outcome, never
 dropped.  Every certified ``s`` is checked against an oracle's bounds
 ``lower <= rho <= upper``: ``(1 - delta) upper < s <= lower (1 + 1e-8)``.
-The small dense families' oracle is ``oracle.dense_spectral_radius``
+The dense families' oracle is ``oracle.dense_spectral_radius``
 (``lower = upper = rho``), the near-cycles' the Collatz-Wielandt bounds of
 inverse iteration with SuperLU: on these near-periodic inputs that power
 iteration converges too slowly to run.
@@ -31,11 +34,11 @@ check, else 0, whatever the other outcomes.
 Usage::
 
     PYTHONPATH=src python3 tools/bracket_sweep.py [--criterion01 0:1000]
-        [--wide12 0:120] [--nearcycle 0:0] [--cap 10]
+        [--wide12 0:120] [--nearcycle 0:0] [--symmetric 0:0] [--cap 10]
 
-``--criterion01``, ``--wide12`` and ``--nearcycle`` take ``start:stop``
-seed ranges (an empty range, ``0:0``, skips a family; ``nearcycle`` is
-skipped unless asked for).
+``--criterion01``, ``--wide12``, ``--nearcycle`` and ``--symmetric`` take
+``start:stop`` seed ranges (an empty range, ``0:0``, skips a family;
+``nearcycle`` and ``symmetric`` are skipped unless asked for).
 """
 
 from __future__ import annotations
@@ -173,6 +176,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--criterion01", type=_range, default=range(0, 1000))
     parser.add_argument("--wide12", type=_range, default=range(0, 120))
     parser.add_argument("--nearcycle", type=_range, default=range(0, 0))
+    parser.add_argument("--symmetric", type=_range, default=range(0, 0))
     parser.add_argument("--cap", type=float, default=10.0, help="seconds per op")
     args = parser.parse_args(argv)
     gen = load_generators()
@@ -183,10 +187,15 @@ def main(argv: list[str]) -> int:
     def nearcycle(seed):
         return gen.ring_digraph(np.random.default_rng(seed), 1000, 1)
 
+    def symmetric(seed):
+        C = gen.criterion01_dense(seed)
+        return C + C.T
+
     families = (
         ("criterion01", dense(gen.criterion01_dense), DELTA, dense_rho),
         ("wide12", dense(gen.wide12_dense), DELTA, dense_rho),
         ("nearcycle", nearcycle, NEARCYCLE_DELTA, cw_rho),
+        ("symmetric", dense(symmetric), DELTA, dense_rho),
     )
     signal.signal(signal.SIGALRM, _alarm)
     start = time.perf_counter()
